@@ -109,18 +109,18 @@ pub fn scenario(action: Option<&str>, file: Option<&str>, args: &Args) -> Result
             let journal = args.opt("journal")?.map(str::to_string);
             let resume = args.opt("resume")?.map(str::to_string);
             args.reject_unknown()?;
+            // Parsed once: the sweep replays this very journal.
+            let resume = resume
+                .map(|path| gossip_core::journal::Journal::load(std::path::Path::new(&path)))
+                .transpose()
+                .map_err(CliError::from)?;
             let mut spec = match (file, &resume) {
                 (Some(path), _) => {
                     ScenarioSpec::from_path(std::path::Path::new(path)).map_err(CliError::from)?
                 }
                 // `--resume` without a spec file: the journal header
-                // embeds the full spec (hash-checked by the sweep).
-                (None, Some(journal_path)) => {
-                    gossip_core::journal::Journal::load(std::path::Path::new(journal_path))
-                        .map_err(CliError::from)?
-                        .header
-                        .spec
-                }
+                // embeds the full spec (checked against it by the sweep).
+                (None, Some(journal)) => journal.header.spec.clone(),
                 (None, None) => {
                     return Err(CliError::Usage(
                         "scenario run needs a file or --resume <journal>: \
@@ -136,8 +136,8 @@ pub fn scenario(action: Option<&str>, file: Option<&str>, args: &Args) -> Result
             if let Some(path) = &journal {
                 plan = plan.journal_to(path);
             }
-            if let Some(path) = &resume {
-                plan = plan.resume_from(path);
+            if let Some(journal) = &resume {
+                plan = plan.resume_journal(journal);
             }
             let (report, streamed) = match output {
                 Some(out_path) => {

@@ -2,7 +2,8 @@
 //!
 //! A journal is a JSONL file a [`crate::scenario::SweepPlan`] appends to
 //! as it runs: first a [`JournalHeader`] line binding the file to one
-//! exact spec (by content hash), then one [`JournalCell`] line per
+//! exact spec (by content hash and the embedded spec itself, see
+//! [`JournalHeader::check`]), then one [`JournalCell`] line per
 //! cleanly completed `(n, trials)` cell — its [`ScenarioRow`] plus every
 //! [`TrialRecord`] — flushed as soon as the cell finishes. If the
 //! process dies mid-sweep, at most the cell in flight is lost:
@@ -27,7 +28,7 @@ use std::path::Path;
 use gossip_sim::TrialRecord;
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
-use crate::scenario::{ScenarioError, ScenarioRow, ScenarioSpec};
+use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).
@@ -63,6 +64,29 @@ pub struct JournalHeader {
     pub spec_hash: u64,
     /// The complete spec the journal was written for.
     pub spec: ScenarioSpec,
+}
+
+impl JournalHeader {
+    /// Checks that the journal was written for `plan`: both the stored
+    /// hash and the embedded spec, in [`ScenarioSpec::normalized`] form,
+    /// must equal the plan's. A 64-bit hash can collide or be edited.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Journal`] on a mismatch.
+    pub fn check(&self, plan: &ScenarioPlan) -> Result<(), ScenarioError> {
+        if self.spec_hash == plan.spec_hash() && self.spec.normalized() == plan.spec().normalized()
+        {
+            return Ok(());
+        }
+        Err(ScenarioError::Journal(format!(
+            "journal `{}` was written for a different spec: its embedded spec or stored hash ({}) \
+             differs from this one's ({})",
+            self.scenario,
+            self.spec_hash,
+            plan.spec_hash()
+        )))
+    }
 }
 
 impl Serialize for JournalHeader {

@@ -1795,9 +1795,17 @@ impl ScenarioPlan {
 pub struct SweepPlan<'s> {
     plan: Cow<'s, ScenarioPlan>,
     journal: Option<PathBuf>,
-    resume: Option<PathBuf>,
+    resume: Option<Resume<'s>>,
     topologies: Option<Arc<TopologyCache>>,
     pool: Option<Arc<WorkspacePool>>,
+}
+
+/// The journal a resuming [`SweepPlan`] replays: a file loaded when the
+/// sweep runs, or a journal the caller already loaded.
+#[derive(Debug, Clone)]
+enum Resume<'s> {
+    Path(PathBuf),
+    Loaded(&'s Journal),
 }
 
 impl<'s> SweepPlan<'s> {
@@ -1854,11 +1862,21 @@ impl<'s> SweepPlan<'s> {
     /// (observers receive the recorded trials exactly as a live run
     /// would deliver them) and executes only the remaining cells; the
     /// merged result is bit-identical to an uninterrupted run
-    /// (test-enforced). The journal must have been written for this very
-    /// experiment, checked via the normalized content hash — journals
-    /// written under any presentation of the same spec resume cleanly.
+    /// (test-enforced). The file is loaded when the sweep runs, then
+    /// replayed as [`SweepPlan::resume_journal`] replays a loaded one.
+    /// The journal must have been written for this very experiment
+    /// ([`JournalHeader::check`]) — journals written under any
+    /// presentation of the same spec resume cleanly.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume = Some(path.into());
+        self.resume = Some(Resume::Path(path.into()));
+        self
+    }
+
+    /// As [`SweepPlan::resume_from`], for a journal the caller already
+    /// loaded (to read its embedded spec, or to classify a store entry),
+    /// so it is parsed once. Replay borrows its cells without cloning.
+    pub fn resume_journal(mut self, journal: &'s Journal) -> Self {
+        self.resume = Some(Resume::Loaded(journal));
         self
     }
 
@@ -1985,20 +2003,19 @@ impl<'s> SweepPlan<'s> {
         // Load the whole resume journal *before* opening the new one:
         // resuming in place (the same path as both source and target)
         // is supported.
-        let mut replayed: std::collections::BTreeMap<usize, JournalCell> = Default::default();
-        if let Some(path) = &self.resume {
-            let loaded = Journal::load(path)?;
-            if loaded.header.spec_hash != spec_hash {
-                return Err(ScenarioError::Journal(format!(
-                    "{} was journaled for a different spec \
-                     (journal hash {}, this spec hashes to {spec_hash})",
-                    path.display(),
-                    loaded.header.spec_hash,
-                )));
+        let loaded;
+        let resume = match &self.resume {
+            Some(Resume::Path(path)) => {
+                loaded = Journal::load(path)?;
+                Some(&loaded)
             }
-            for cell in loaded.cells {
-                replayed.insert(cell.index, cell);
-            }
+            Some(Resume::Loaded(journal)) => Some(*journal),
+            None => None,
+        };
+        let mut replayed: std::collections::BTreeMap<usize, &JournalCell> = Default::default();
+        if let Some(journal) = resume {
+            journal.header.check(&self.plan)?;
+            replayed.extend(journal.cells.iter().map(|cell| (cell.index, cell)));
         }
         let mut writer = match &self.journal {
             Some(path) => Some(JournalWriter::create(
@@ -3005,6 +3022,26 @@ max_time = 1e4
             matches!(err, ScenarioError::Journal(ref m) if m.contains("different spec")),
             "{err}"
         );
+
+        // A header that keeps this spec's hash but embeds another spec
+        // is just as foreign, read from the path or already loaded.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let (header, cells) = text.split_once('\n').unwrap();
+        let forged = header.replacen("\"trials\":8", "\"trials\":9", 1);
+        assert_ne!(forged, header);
+        std::fs::write(&journal, format!("{forged}\n{cells}")).unwrap();
+        let loaded = Journal::load(&journal).unwrap();
+        let plan = SweepPlan::new(&spec).unwrap();
+        assert_eq!(loaded.header.spec_hash, plan.scenario_plan().spec_hash());
+        for err in [
+            plan.clone().resume_from(&journal).run().unwrap_err(),
+            plan.clone().resume_journal(&loaded).run().unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, ScenarioError::Journal(ref m) if m.contains("different spec")),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&journal).ok();
     }
 

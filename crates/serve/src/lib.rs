@@ -47,14 +47,18 @@
 //! experiment, written through the existing [`gossip_core::scenario::SweepPlan`] journaling
 //! path:
 //!
-//! * **hit** — the journal covers every sweep cell: the response is
-//!   replayed entirely from disk, zero trials executed;
+//! * **hit** — the journal covers every sweep cell: the journal the
+//!   classification loaded is replayed straight onto the socket, zero
+//!   trials executed;
 //! * **resume** — a partial journal (e.g. the daemon died mid-sweep)
-//!   is resumed in place via [`gossip_core::scenario::SweepPlan::resume_from`]; only the
+//!   is resumed in place via
+//!   [`gossip_core::scenario::SweepPlan::resume_journal`]; only the
 //!   missing cells run;
-//! * **miss** — no entry, a foreign entry (hash mismatch), or a
-//!   corrupted entry that fails to load: the sweep runs in full and
-//!   the store entry is rewritten — torn garbage is never served;
+//! * **miss** — no entry, a foreign entry (its header's hash or
+//!   embedded spec differs from the request's, see
+//!   [`gossip_core::journal::JournalHeader::check`]), or a corrupted
+//!   entry that fails to load: the sweep runs in full and the store
+//!   entry is rewritten — torn garbage is never served;
 //! * **join** — an identical request is already executing: the new
 //!   client attaches to the in-flight execution's record stream
 //!   instead of triggering a second run. Concurrent identical
@@ -89,7 +93,7 @@ use gossip_core::journal::Journal;
 use gossip_core::scenario::{
     ScenarioError, ScenarioPlan, ScenarioReport, ScenarioSpec, TopologyCache,
 };
-use gossip_sim::{SimError, TrialObserver, TrialRecord, WorkspacePool};
+use gossip_sim::{JsonlSink, WorkspacePool};
 use serde::{Serialize, Value};
 
 /// Connection-handling limits protecting the daemon from misbehaving
@@ -157,11 +161,12 @@ pub struct ResultStore {
 /// What [`ResultStore::classify`] found for a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreState {
-    /// A complete, hash-matching entry covering every sweep cell.
+    /// A complete, matching entry covering every sweep cell.
     Complete,
-    /// A hash-matching entry missing some cells (crash mid-sweep).
+    /// A matching entry missing some cells (crash mid-sweep).
     Partial,
-    /// No entry, a hash mismatch, or an entry that fails to load.
+    /// No entry, a hash or spec mismatch, or an entry that fails to
+    /// load.
     Absent,
 }
 
@@ -188,32 +193,36 @@ impl ResultStore {
     }
 
     /// Classifies the store entry for `plan`: complete (replayable with
-    /// zero trials), partial (resumable), or absent. A corrupted or
-    /// torn entry — unreadable, bad header, or a spec-hash mismatch —
-    /// classifies as absent, so the daemon falls back to re-execution
-    /// instead of serving garbage.
+    /// zero trials), partial (resumable), or absent. A corrupted, torn,
+    /// or foreign entry — unreadable, bad header, or a stored hash or
+    /// embedded normalized spec that differs from `plan`'s
+    /// ([`gossip_core::journal::JournalHeader::check`]) — classifies as
+    /// absent, so the daemon falls back to re-execution instead of
+    /// serving garbage. The daemon classifies through the same load and
+    /// replays the journal it loaded, so a hit parses its entry once.
     pub fn classify(&self, plan: &ScenarioPlan) -> StoreState {
-        let path = self.entry_path(plan.spec_hash());
-        let journal = match Journal::load(&path) {
-            Ok(j) => j,
-            Err(_) => return StoreState::Absent,
-        };
-        if journal.header.spec_hash != plan.spec_hash() {
-            return StoreState::Absent;
-        }
-        let by_index: HashMap<usize, usize> =
-            journal.cells.iter().map(|c| (c.index, c.n)).collect();
-        let complete = plan
-            .sizes()
-            .iter()
-            .enumerate()
-            .all(|(i, &n)| by_index.get(&i) == Some(&n));
-        if complete {
-            StoreState::Complete
-        } else {
-            StoreState::Partial
+        match self.load(plan) {
+            Some(journal) if covers(plan, &journal) => StoreState::Complete,
+            Some(_) => StoreState::Partial,
+            None => StoreState::Absent,
         }
     }
+
+    /// Loads the entry for `plan`, or `None` where
+    /// [`ResultStore::classify`] finds it absent.
+    fn load(&self, plan: &ScenarioPlan) -> Option<Journal> {
+        let journal = Journal::load(&self.entry_path(plan.spec_hash())).ok()?;
+        journal.header.check(plan).is_ok().then_some(journal)
+    }
+}
+
+/// Whether `journal` holds every sweep cell of `plan`.
+fn covers(plan: &ScenarioPlan, journal: &Journal) -> bool {
+    let by_index: HashMap<usize, usize> = journal.cells.iter().map(|c| (c.index, c.n)).collect();
+    plan.sizes()
+        .iter()
+        .enumerate()
+        .all(|(i, &n)| by_index.get(&i) == Some(&n))
 }
 
 /// Append-only response body shared between the executing leader and
@@ -265,18 +274,15 @@ impl InFlight {
     }
 }
 
-/// A [`TrialObserver`] serializing records into an [`InFlight`] body,
-/// one line per record — the exact bytes [`gossip_sim::JsonlSink`]
-/// writes offline.
-struct FanoutSink {
-    inflight: Arc<InFlight>,
-}
+/// Lets the leader's [`JsonlSink`] write into the in-flight buffer, so
+/// every cache state serializes records with the same code.
+impl Write for &InFlight {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.append(buf);
+        Ok(buf.len())
+    }
 
-impl TrialObserver for FanoutSink {
-    fn on_trial(&mut self, record: &TrialRecord) -> Result<(), SimError> {
-        let mut line = serde_json::to_string(record);
-        line.push('\n');
-        self.inflight.append(line.as_bytes());
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
 }
@@ -310,6 +316,15 @@ fn error_line(message: &str) -> String {
         "error",
         vec![("message".to_string(), Value::Str(message.to_string()))],
     )
+}
+
+/// The body's last line: the report footer, or the error that ended the
+/// sweep.
+fn last_line(result: Result<ScenarioReport, ScenarioError>) -> String {
+    match result {
+        Ok(report) => footer_line(&report),
+        Err(e) => error_line(&e.to_string()),
+    }
 }
 
 /// Shared daemon state: the result store, the warm-state caches, the
@@ -374,66 +389,64 @@ impl ServeState {
             if let Some(entry) = inflight.get(&hash) {
                 Role::Join(entry.clone())
             } else {
-                match self.store.classify(&plan) {
-                    StoreState::Complete => Role::Hit,
-                    state => {
+                match self.store.load(&plan) {
+                    Some(journal) if covers(&plan, &journal) => Role::Hit(journal),
+                    journal => {
                         let entry = Arc::new(InFlight::default());
                         inflight.insert(hash, entry.clone());
-                        let status = match state {
-                            StoreState::Partial => CacheStatus::Resume,
-                            _ => CacheStatus::Miss,
-                        };
-                        Role::Lead(entry, status)
+                        Role::Lead(entry, journal)
                     }
                 }
             }
         };
 
         match role {
-            Role::Hit => {
+            Role::Hit(journal) => {
                 out.write_all(header_line(&scenario, hash, CacheStatus::Hit).as_bytes())?;
-                // Replay every journaled cell straight onto the socket:
-                // zero trials execute, and the journal-replay invariant
-                // makes the body bit-identical to a live run.
-                let replay = Arc::new(InFlight::default());
-                let mut sink = FanoutSink {
-                    inflight: replay.clone(),
-                };
-                match plan.execution().resume_from(&path).run_with(&mut sink) {
-                    Ok(report) => replay.append(footer_line(&report).as_bytes()),
-                    Err(e) => replay.append(error_line(&e.to_string()).as_bytes()),
-                }
-                replay.finish();
-                replay.stream_to(out)
+                // Replay the journal classification loaded straight onto
+                // the socket: zero trials execute, and the journal-replay
+                // invariant makes the body bit-identical to a live run.
+                let mut sink = JsonlSink::new(&mut *out);
+                let result = plan
+                    .execution()
+                    .resume_journal(&journal)
+                    .run_with(&mut sink);
+                sink.into_inner()?;
+                out.write_all(last_line(result).as_bytes())?;
+                out.flush()
             }
             Role::Join(entry) => {
                 out.write_all(header_line(&scenario, hash, CacheStatus::Join).as_bytes())?;
                 entry.stream_to(out)
             }
-            Role::Lead(entry, status) => {
+            Role::Lead(entry, partial) => {
+                let status = match partial {
+                    Some(_) => CacheStatus::Resume,
+                    None => CacheStatus::Miss,
+                };
                 out.write_all(header_line(&scenario, hash, status).as_bytes())?;
                 self.executions.fetch_add(1, Ordering::SeqCst);
                 let exec_entry = entry.clone();
                 let state = self.clone();
-                let resume = status == CacheStatus::Resume;
                 let worker = std::thread::spawn(move || {
-                    let mut sink = FanoutSink {
-                        inflight: exec_entry.clone(),
-                    };
                     let mut sweep = plan
                         .execution()
                         .journal_to(&path)
                         .topologies(state.topologies.clone())
                         .workspace_pool(state.pool.clone());
-                    if resume {
+                    if let Some(journal) = &partial {
                         // In-place resume: replay the intact cells,
                         // execute the rest, re-journal the union.
-                        sweep = sweep.resume_from(&path);
+                        sweep = sweep.resume_journal(journal);
                     }
-                    match sweep.run_with(&mut sink) {
-                        Ok(report) => exec_entry.append(footer_line(&report).as_bytes()),
-                        Err(e) => exec_entry.append(error_line(&e.to_string()).as_bytes()),
-                    }
+                    // Buffered, so followers wake once per 8 KiB chunk
+                    // rather than on every record write.
+                    let mut sink = JsonlSink::new(BufWriter::new(&*exec_entry));
+                    let result = sweep.run_with(&mut sink);
+                    // Dropping flushes the last chunk; writes into the
+                    // in-flight buffer cannot fail, so no error is lost.
+                    drop(sink);
+                    exec_entry.append(last_line(result).as_bytes());
                     // Unregister before marking done so late arrivals
                     // re-classify against the now-complete store entry.
                     state
@@ -452,9 +465,11 @@ impl ServeState {
 }
 
 enum Role {
-    Hit,
+    /// Replay this complete entry.
+    Hit(Journal),
     Join(Arc<InFlight>),
-    Lead(Arc<InFlight>, CacheStatus),
+    /// Execute, resuming this partial entry if there is one.
+    Lead(Arc<InFlight>, Option<Journal>),
 }
 
 /// Shutdown coordination between the accept loop, the connection
@@ -815,22 +830,10 @@ pub fn split_response(response: &[u8]) -> (&[u8], &[u8]) {
     }
 }
 
-/// Parses a [`ScenarioError`] free helper: builds a plan straight from
-/// a spec, the entry point an embedding caller uses before
-/// [`ServeState::serve`].
-///
-/// # Errors
-///
-/// Any spec validation or protocol construction error.
-pub fn plan_for(spec: ScenarioSpec) -> Result<ScenarioPlan, ScenarioError> {
-    ScenarioPlan::new(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gossip_core::scenario::SweepPlan;
-    use gossip_sim::JsonlSink;
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1008,6 +1011,41 @@ max_time = 1e4
         assert!(std::str::from_utf8(split_response(&third).0)
             .unwrap()
             .contains("\"cache\":\"hit\""));
+    }
+
+    #[test]
+    fn entry_embedding_a_different_spec_is_a_miss() {
+        let spec = small_spec("serve-foreign");
+        let handle = Server::bind("127.0.0.1:0", temp_dir("foreign"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        submit(handle.addr(), &spec).unwrap();
+        assert_eq!(handle.state().executions(), 1);
+
+        // Rewrite only the header's embedded spec: the stored hash still
+        // names this request, but the entry holds another experiment.
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        let entry = handle.state().store().entry_path(plan.spec_hash());
+        let text = std::fs::read_to_string(&entry).unwrap();
+        let (header, cells) = text.split_once('\n').unwrap();
+        let forged = header.replacen("\"trials\":6", "\"trials\":7", 1);
+        assert_ne!(forged, header);
+        std::fs::write(&entry, format!("{forged}\n{cells}")).unwrap();
+        assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
+
+        let second = submit(handle.addr(), &spec).unwrap();
+        assert_eq!(
+            handle.state().executions(),
+            2,
+            "an entry embedding a different spec must trigger re-execution"
+        );
+        let (h2, b2) = split_response(&second);
+        assert!(std::str::from_utf8(h2)
+            .unwrap()
+            .contains("\"cache\":\"miss\""));
+        assert_eq!(b2, offline_body(&spec));
+        assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
     }
 
     #[test]
