@@ -101,12 +101,13 @@ use criterion::{BenchmarkId, Criterion};
 use gossip_core::scenario::{FamilySpec, ProtocolSpec, ScenarioSpec, SweepPlan, SweepSpec};
 use gossip_dynamics::{DynamicNetwork, StaticNetwork};
 use gossip_graph::{generators, Topology};
-use gossip_net::{NetConfig, NetPlan, NetProtocol};
+use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetTraffic};
 use gossip_sim::{
     AnyProtocol, CutRateAsync, Engine, EventSimulation, IncrementalProtocol, RunConfig, RunPlan,
-    Simulation,
+    RunReport, Simulation,
 };
 use gossip_stats::SimRng;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const CIRCULANT_DEGREE: usize = 16;
@@ -734,6 +735,20 @@ fn bench_serve_cache(c: &mut Criterion, knobs: &Knobs) {
 /// page-fault cost; the recorded figure is the median of three timed
 /// trials on the warm graph. The < 1 s acceptance bar is asserted
 /// in-process so a regression fails the bench run loudly.
+/// One live push–pull trial from node 0, run as a one-trial `RunPlan`
+/// batch exactly as `gossip net run` runs each trial.
+fn live_trial(topology: &Topology, seed: u64, config: &NetConfig) -> (RunReport, NetTraffic) {
+    let traffic = Mutex::new(NetTraffic::default());
+    let report = RunPlan::new(1, seed)
+        .threads(1)
+        .execute_with(|run| {
+            let (proto, delivery) = (NetProtocol::PushPull, DeliveryKind::Local);
+            NetExecutor::new(topology, proto, 0, config, delivery, run, &traffic)
+        })
+        .expect("live trial runs");
+    (report, traffic.into_inner().expect("traffic counters"))
+}
+
 /// Live-runtime throughput: one `gossip-net` trial on the implicit
 /// complete graph, node groups exchanging envelopes over in-process
 /// channels (`LocalDelivery`), horizon-bounded so the recorded figure
@@ -752,17 +767,14 @@ fn bench_net_throughput(c: &mut Criterion, knobs: &Knobs) {
         horizon,
         ..NetConfig::default()
     };
-    let report = NetPlan::new(1, 4_242)
-        .config(cfg)
-        .execute(&topology, NetProtocol::PushPull, 0)
-        .expect("live trial runs");
+    let (report, traffic) = live_trial(&topology, 4_242, &cfg);
     println!(
         "net_throughput/complete/{N}: {} events in {:.2}s ({:.0} events/sec, {} groups, {} messages)",
         report.events(),
         report.elapsed().as_secs_f64(),
         report.events_per_sec(),
-        report.groups(),
-        report.messages(),
+        cfg.groups,
+        traffic.messages,
     );
     c.record_metric("net_throughput/complete/100000", report.events_per_sec());
     assert!(
@@ -784,10 +796,7 @@ fn bench_net_million(c: &mut Criterion) {
         horizon: 8.0,
         ..NetConfig::default()
     };
-    let report = NetPlan::new(1, 42)
-        .config(cfg)
-        .execute(&topology, NetProtocol::PushPull, 0)
-        .expect("live trial runs");
+    let (report, _) = live_trial(&topology, 42, &cfg);
     println!(
         "net_million/complete/{N}: {} events in {:.2}s ({:.0} events/sec, 8 groups)",
         report.events(),

@@ -4,14 +4,18 @@
 //!
 //! Every theorem-level result of *Tight Analysis of Asynchronous Rumor
 //! Spreading in Dynamic Networks* (Pourmiri & Mans, PODC 2020) has one
-//! experiment module here (see [`experiments`]) and one thin binary under
-//! `src/bin/` that runs it:
+//! experiment module here, listed once in [`experiments::ALL`]; the
+//! `gossip` CLI runs them:
 //!
 //! ```text
-//! cargo run -p gossip-bench --release --bin exp_e7            # full scale
-//! cargo run -p gossip-bench --release --bin exp_e7 -- --quick # CI scale
-//! cargo run -p gossip-bench --release --bin all_experiments   # everything
+//! gossip experiment --id E7           # full scale
+//! gossip experiment --id E7 --quick   # CI scale
+//! gossip experiment --id ALL --quick  # everything
 //! ```
+//!
+//! The criterion benches under `benches/` time the building blocks and
+//! the engines; `benches/engine.rs` writes `BENCH_engine.json` at the
+//! repository root.
 //!
 //! Each experiment returns its report as a `String` (so the test suite can
 //! execute quick-scale versions and assert the verdicts) and follows the
@@ -29,12 +33,3 @@ pub mod experiments;
 mod scale;
 
 pub use scale::Scale;
-
-/// Parses `--quick` from process arguments (used by every binary).
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    }
-}

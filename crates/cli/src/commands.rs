@@ -291,31 +291,43 @@ pub fn net(action: Option<&str>, file: Option<&str>, args: &Args) -> Result<Stri
                 live.events as f64 / total_trials.max(1) as f64,
                 live.events_per_sec()
             );
+            let traffic = live.traffic;
             let _ = writeln!(
                 out,
                 "messages  : {} total ({:.1}/node, {:.0}/sec)",
-                live.messages,
+                traffic.messages,
                 live.messages_per_node(),
                 live.messages_per_sec()
             );
-            if live.dropped > 0 {
+            if traffic.dropped > 0 {
                 let _ = writeln!(
                     out,
                     "dropped   : {} ({:.2}% of messages)",
-                    live.dropped,
-                    100.0 * live.dropped as f64 / live.messages.max(1) as f64
+                    traffic.dropped,
+                    100.0 * traffic.dropped as f64 / traffic.messages.max(1) as f64
                 );
             }
-            if live.blocked > 0 {
+            if traffic.blocked > 0 {
                 let _ = writeln!(
                     out,
                     "blocked   : {} ({:.2}% of messages, partition cuts)",
-                    live.blocked,
-                    100.0 * live.blocked as f64 / live.messages.max(1) as f64
+                    traffic.blocked,
+                    100.0 * traffic.blocked as f64 / traffic.messages.max(1) as f64
                 );
             }
-            if live.duplicated > 0 {
-                let _ = writeln!(out, "duplicated: {} extra envelope copies", live.duplicated);
+            if traffic.duplicated > 0 {
+                let _ = writeln!(
+                    out,
+                    "duplicated: {} extra envelope copies",
+                    traffic.duplicated
+                );
+            }
+            if traffic.retried > 0 {
+                let _ = writeln!(
+                    out,
+                    "retried   : {} trial(s) re-run after a udp exchange stall",
+                    traffic.retried
+                );
             }
             if live.stalled > 0 {
                 let _ = writeln!(
@@ -762,31 +774,15 @@ pub fn experiment(args: &Args) -> Result<String, CliError> {
     };
     args.reject_unknown()?;
     use gossip_bench::experiments as ex;
-    let report = match id.as_str() {
-        "E1" => ex::e1::run(scale),
-        "E2" => ex::e2::run(scale),
-        "E3" => ex::e3::run(scale),
-        "E4" => ex::e4::run(scale),
-        "E5" => ex::e5::run(scale),
-        "E6" => ex::e6::run(scale),
-        "E7" => ex::e7::run(scale),
-        "E8" => ex::e8::run(scale),
-        "E9" => ex::e9::run(scale),
-        "E10" => ex::e10::run(scale),
-        "E11" => ex::e11::run(scale),
-        "X1" => ex::x1::run(scale),
-        "X2" => ex::x2::run(scale),
-        "X3" => ex::x3::run(scale),
-        "X4" => ex::x4::run(scale),
-        "X5" => ex::x5::run(scale),
-        "ALL" => ex::run_all(scale),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown experiment id `{other}` (E1..E11, X1..X5, or ALL)"
-            )))
-        }
-    };
-    Ok(report)
+    if id == "ALL" {
+        return Ok(ex::run_all(scale));
+    }
+    let run = ex::find(&id).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown experiment id `{id}` (E1..E11, X1..X5, or ALL)"
+        ))
+    })?;
+    Ok(run(scale))
 }
 
 #[cfg(test)]

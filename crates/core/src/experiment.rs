@@ -2,7 +2,7 @@
 //!
 //! One entry per theorem/figure of the paper (plus the related-work
 //! extensions), mapping the claim to the workspace modules that implement
-//! it and the bench binary that regenerates it. `DESIGN.md` §7 and
+//! it; `gossip experiment --id <ID>` regenerates it. `DESIGN.md` §7 and
 //! `EXPERIMENTS.md` are the human-readable views of this catalog.
 
 use serde::{Deserialize, Serialize};
@@ -20,8 +20,6 @@ pub struct ExperimentSpec {
     pub workload: &'static str,
     /// Key implementing modules.
     pub modules: &'static str,
-    /// The bench binary (`cargo run -p gossip-bench --release --bin <X>`).
-    pub bench_bin: &'static str,
 }
 
 /// The full experiment catalog, in paper order.
@@ -33,7 +31,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "spread time <= T(G,c) = min{t : sum Phi(G(p))*rho(p) >= C log n}, w.p. 1-n^-c",
             workload: "static expanders, dynamic star, alternating regular; n in {64..1024}",
             modules: "gossip_core::bounds::theorem_1_1, gossip_core::tracking, gossip_sim::CutRateAsync",
-            bench_bin: "exp_e1",
         },
         ExperimentSpec {
             id: "E2",
@@ -41,7 +38,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "on G(n,rho): spread = Omega(n rho/k); Theorem 1.1 bound within o(log^2 n)",
             workload: "DiligentNetwork(n, rho), rho sweep at fixed n and n sweep at fixed rho",
             modules: "gossip_dynamics::DiligentNetwork, gossip_graph::generators::h_k_delta",
-            bench_bin: "exp_e2",
         },
         ExperimentSpec {
             id: "E3",
@@ -49,7 +45,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "spread time <= T_abs = min{t : sum ceil(Phi)*rho_abs >= 2n}, w.h.p.",
             workload: "same families as E1 plus the Section 5.1 network",
             modules: "gossip_core::bounds::theorem_1_3",
-            bench_bin: "exp_e3",
         },
         ExperimentSpec {
             id: "E4",
@@ -57,7 +52,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "on the absolutely rho-diligent family: spread = Omega(n/rho), matching T_abs up to O(1)",
             workload: "AbsoluteDiligentNetwork(n, rho), rho sweep and n sweep",
             modules: "gossip_dynamics::AbsoluteDiligentNetwork",
-            bench_bin: "exp_e4",
         },
         ExperimentSpec {
             id: "E5",
@@ -65,7 +59,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "connected dynamic networks spread in O(n^2); the rho=Theta(1/n) family achieves Theta(n^2)",
             workload: "AbsoluteDiligentNetwork(n, ~10/n), n in {60..480}",
             modules: "gossip_dynamics::AbsoluteDiligentNetwork, gossip_core::predictions::remark_1_4_worst_case",
-            bench_bin: "exp_e5",
         },
         ExperimentSpec {
             id: "E6",
@@ -73,7 +66,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "Ta(G1) = Omega(n) but Ts(G1) = Theta(log n)",
             workload: "CliquePendant(n), sync vs async, n sweep",
             modules: "gossip_dynamics::CliquePendant, gossip_sim::{SyncPushPull, CutRateAsync}",
-            bench_bin: "exp_e6",
         },
         ExperimentSpec {
             id: "E7",
@@ -81,15 +73,13 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "Ta(G2) = Theta(log n) but Ts(G2) = n exactly",
             workload: "DynamicStar(n), sync vs async, n sweep",
             modules: "gossip_dynamics::DynamicStar",
-            bench_bin: "exp_e7",
         },
         ExperimentSpec {
             id: "E8",
             paper_item: "Theorem 1.7(iii)",
             claim: "Pr[T(G2) > 2k] <= e^{-k/2} + e^{-k}",
             workload: "DynamicStar tail over many trials, k sweep",
-            modules: "gossip_core::predictions::dynamic_star_tail, gossip_sim::Runner",
-            bench_bin: "exp_e8",
+            modules: "gossip_core::predictions::dynamic_star_tail, gossip_sim::RunPlan",
         },
         ExperimentSpec {
             id: "E9",
@@ -97,7 +87,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "alternating {d-regular, K_n}: [17] bound Theta(n log n), ours and truth O(log n)",
             workload: "AlternatingRegular(n), n sweep",
             modules: "gossip_core::bounds::giakkoupis_bound, gossip_dynamics::AlternatingRegular",
-            bench_bin: "exp_e9",
         },
         ExperimentSpec {
             id: "E10",
@@ -105,7 +94,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "on Delta-regular graphs within one unit: E[I_tau] = Theta(1), Var[I_tau] = Theta(1)",
             workload: "regular_circulant(m, Delta), Delta sweep, single window",
             modules: "gossip_sim::TwoPush, gossip_stats::RunningMoments",
-            bench_bin: "exp_e10",
         },
         ExperimentSpec {
             id: "E11",
@@ -113,7 +101,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "P[string crossed in one unit] <= 2^k * Delta / k!",
             workload: "bipartite string S_0..S_k, k sweep, forward 2-push",
             modules: "gossip_sim::ForwardTwoPush, gossip_core::predictions::lemma_4_2_crossing_bound",
-            bench_bin: "exp_e11",
         },
         ExperimentSpec {
             id: "X1",
@@ -121,7 +108,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "edge-Markovian, p = Omega(1/n), constant q: push spreads in O(log n) rounds",
             workload: "EdgeMarkovian(n, c/n, q), n sweep",
             modules: "gossip_dynamics::EdgeMarkovian, gossip_sim::AsyncPush",
-            bench_bin: "exp_x1",
         },
         ExperimentSpec {
             id: "X2",
@@ -129,7 +115,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "mobile agents on a torus: spread time scales with grid size / density",
             workload: "MobileAgents(k, grid, radius), density sweep",
             modules: "gossip_dynamics::MobileAgents",
-            bench_bin: "exp_x2",
         },
         ExperimentSpec {
             id: "X3",
@@ -137,7 +122,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "lambda(gamma) >= Phi*rho*min{I,U} and lambda_abs >= ceil(Phi)*rho_abs at every window",
             workload: "small dynamic families, exact profiles, every traversed (graph, informed) pair",
             modules: "gossip_graph::cut::{pushpull_cut_rate, absolute_cut_rate}, gossip_dynamics::profile::exact_profile",
-            bench_bin: "exp_x3",
         },
         ExperimentSpec {
             id: "X4",
@@ -145,7 +129,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "i.i.d. loss f rescales time by exactly 1/(1-f); correlated downtime costs strictly more",
             workload: "LossyAsync on a 6-regular expander, loss sweep + downtime comparison",
             modules: "gossip_sim::LossyAsync",
-            bench_bin: "exp_x4",
         },
         ExperimentSpec {
             id: "X5",
@@ -153,7 +136,6 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             claim: "static graphs: Ta = O(Ts + log n) [16]; the dynamic G1 breaks the relation",
             workload: "static topology portfolio + CliquePendant(n), sync vs async",
             modules: "gossip_sim::{SyncPushPull, CutRateAsync}, gossip_dynamics::CliquePendant",
-            bench_bin: "exp_x5",
         },
     ]
 }
@@ -193,7 +175,6 @@ mod tests {
             assert!(!e.claim.is_empty());
             assert!(!e.workload.is_empty());
             assert!(!e.modules.is_empty());
-            assert!(e.bench_bin.starts_with("exp_"), "{}", e.bench_bin);
         }
     }
 

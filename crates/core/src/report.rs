@@ -1,7 +1,7 @@
-//! Shared text rendering for the experiment binaries.
+//! Shared text rendering for the experiment reports.
 //!
-//! Every `exp_*` binary prints the same header/claim/series/verdict layout
-//! so `EXPERIMENTS.md` and regression diffs stay uniform.
+//! Every experiment prints the same header/claim/series/verdict layout so
+//! `EXPERIMENTS.md` and regression diffs stay uniform.
 
 use crate::experiment::ExperimentSpec;
 use gossip_stats::series::Series;
@@ -10,12 +10,15 @@ use gossip_stats::series::Series;
 pub fn header(spec: &ExperimentSpec) -> String {
     format!(
         "==================================================================\n\
-         {} — {}\n\
+         {id} — {}\n\
          claim    : {}\n\
          workload : {}\n\
-         bench    : cargo run -p gossip-bench --release --bin {}\n\
+         run      : gossip experiment --id {id}\n\
          ------------------------------------------------------------------",
-        spec.id, spec.paper_item, spec.claim, spec.workload, spec.bench_bin
+        spec.paper_item,
+        spec.claim,
+        spec.workload,
+        id = spec.id,
     )
 }
 
@@ -55,7 +58,7 @@ mod tests {
         let spec = experiment::find("E7").unwrap();
         let h = header(&spec);
         assert!(h.contains("E7"));
-        assert!(h.contains("exp_e7"));
+        assert!(h.contains("gossip experiment --id E7"));
         assert!(h.contains("Theorem 1.7(ii)"));
     }
 

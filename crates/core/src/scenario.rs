@@ -42,7 +42,7 @@ use gossip_graph::{generators, GraphError, Topology};
 use gossip_sim::{
     AnyProtocol, AsyncPull, AsyncPush, AsyncPushPull, CutRateAsync, Engine, FaultModel, Flooding,
     LossyAsync, Protocol, RunConfig, RunPlan, RunReport, SimError, SyncPull, SyncPush,
-    SyncPushPull, TrialObserver, TrialRecord, TwoPush, WorkspacePool,
+    SyncPushPull, TrialObserver, TrialRecord, TrialSummary, TwoPush, WorkspacePool,
 };
 use gossip_stats::SimRng;
 use serde::{Deserialize, Serialize};
@@ -1557,6 +1557,22 @@ pub struct ScenarioRow {
     pub max: Option<f64>,
 }
 
+impl ScenarioRow {
+    /// Condenses the trial summary of sweep size `n` into its row.
+    pub fn from_summary(n: usize, summary: &TrialSummary) -> Self {
+        ScenarioRow {
+            n,
+            trials: summary.trials(),
+            completed: summary.completed(),
+            mean: summary.mean(),
+            std_dev: summary.std_dev(),
+            median: summary.try_median(),
+            q95: summary.try_whp_spread_time(),
+            max: summary.try_max(),
+        }
+    }
+}
+
 /// The result of running a scenario: one row per sweep size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioReport {
@@ -1966,7 +1982,7 @@ impl<'s> SweepPlan<'s> {
                 || build_any_protocol(&spec.protocol).expect("probed at construction"),
             )?;
             resolved = report.engine();
-            rows.push(Self::row(n, &report));
+            rows.push(ScenarioRow::from_summary(n, &report));
         }
         Ok(ScenarioReport {
             scenario: spec.name.clone(),
@@ -2084,7 +2100,7 @@ impl<'s> SweepPlan<'s> {
                 || self.build_net(n).expect("probed above"),
                 || build_any_protocol(&spec.protocol).expect("probed at construction"),
             )?;
-            let row = Self::row(n, &report);
+            let row = ScenarioRow::from_summary(n, &report);
             if let Some(w) = writer.as_mut() {
                 if report.trial_errors().is_empty() {
                     w.append_cell(&JournalCell {
@@ -2107,20 +2123,6 @@ impl<'s> SweepPlan<'s> {
             engine: resolved.name().to_string(),
             rows,
         })
-    }
-
-    /// Condenses one cell's [`RunReport`] into its sweep row.
-    fn row(n: usize, report: &RunReport) -> ScenarioRow {
-        ScenarioRow {
-            n,
-            trials: report.trials(),
-            completed: report.completed(),
-            mean: report.mean(),
-            std_dev: report.std_dev(),
-            median: report.try_median(),
-            q95: report.try_whp_spread_time(),
-            max: report.try_max(),
-        }
     }
 
     /// Runs one `(n, trials)` cell on `threads` worker threads, buffering
@@ -2295,7 +2297,7 @@ impl<'s> SweepPlan<'s> {
                         continue 'drain;
                     }
                     resolved = report.engine();
-                    rows.push(Self::row(sizes[next], &report));
+                    rows.push(ScenarioRow::from_summary(sizes[next], &report));
                     next += 1;
                 }
             }

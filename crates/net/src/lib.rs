@@ -20,9 +20,11 @@
 //! # Architecture
 //!
 //! ```text
-//!   ScenarioSpec ──► NetSweep ──► NetPlan ──► run_trial
-//!   (family, proto,   ([net])      (seeds,       │
-//!    [faults].drop)                 observers)   ▼
+//!   ScenarioSpec ──► NetSweep ──► RunPlan ─────► NetExecutor
+//!   (family, proto,   ([net])     (gossip-sim:    (stall retry,
+//!    [faults])                     seeds,          traffic)
+//!                                  observers)          │ run_trial
+//!                                                      ▼
 //!              ┌─────────────┐             ┌─────────────┐
 //!              │ node group 0│  Envelopes  │ node group 1│   … one thread
 //!              │ clocks+state│◄───────────►│ clocks+state│     per group
@@ -50,9 +52,10 @@
 //! # Entry points
 //!
 //! * [`run_trial`] — one trial on an explicit [`Topology`].
-//! * [`NetPlan`] — a seeded trial batch streaming
+//! * [`NetExecutor`] — [`run_trial`] as a `gossip_sim::RunPlan` trial
+//!   executor: seeded batches streaming
 //!   [`TrialRecord`](gossip_sim::TrialRecord)s into `gossip-sim`
-//!   observers.
+//!   observers, with the traffic counters in a [`NetTraffic`].
 //! * [`NetSweep`] — a full `ScenarioSpec` sweep (the `gossip net run`
 //!   path), honoring the spec's `[net]` table.
 
@@ -63,7 +66,6 @@ pub mod delivery;
 pub mod envelope;
 pub mod error;
 pub mod fault;
-pub mod plan;
 pub mod runtime;
 pub mod scenario;
 pub mod udp;
@@ -74,8 +76,10 @@ pub use delivery::{
 pub use envelope::{Envelope, Payload, WIRE_BYTES};
 pub use error::NetError;
 pub use fault::{ChaosGate, Liveness, NetFaults};
-pub use plan::{NetPlan, NetReport};
-pub use runtime::{default_groups, run_trial, NetConfig, NetProtocol, NetTrial, DEFAULT_TICK};
+pub use runtime::{
+    default_groups, run_trial, NetConfig, NetExecutor, NetProtocol, NetTraffic, NetTrial,
+    DEFAULT_TICK,
+};
 pub use scenario::{build_live_topology, NetSweep, NetSweepReport};
 pub use udp::UdpDelivery;
 

@@ -47,6 +47,13 @@
 //! trial ends in [`TrialOutcome::Died`] once someone is informed, no
 //! informed node is up, and no rumor-carrying envelope is in flight.
 //!
+//! # Batches
+//!
+//! [`NetExecutor`] runs [`run_trial`] as a `gossip_sim::RunPlan` trial
+//! executor, so live batches share the analytic engines' seeding,
+//! observer delivery and summary, and add up their traffic in a
+//! [`NetTraffic`].
+//!
 //! [`Payload::Contact`]: crate::envelope::Payload::Contact
 //! [`Payload::Rumor`]: crate::envelope::Payload::Rumor
 
@@ -57,10 +64,11 @@ use crate::fault::{carries_rumor, ChaosGate, Liveness, NetFaults};
 use crate::udp::UdpDelivery;
 use crate::LocalDelivery;
 use gossip_graph::{NodeId, Topology};
-use gossip_sim::TrialOutcome;
+use gossip_sim::{TrialError, TrialExecutor, TrialOutcome, TrialRecord};
 use gossip_stats::{Exponential, SimRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// Default message latency / epoch length, in virtual time units.
 ///
@@ -715,9 +723,152 @@ pub fn run_trial(
     })
 }
 
+/// Traffic counters summed over a batch of live trials.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetTraffic {
+    /// Envelopes sent (dropped ones included).
+    pub messages: u64,
+    /// Envelopes swallowed by the drop gate.
+    pub dropped: u64,
+    /// Envelopes voided at a partition cut.
+    pub blocked: u64,
+    /// Extra envelope copies injected by the duplication fault.
+    pub duplicated: u64,
+    /// Trials re-run on a fresh fabric after a stalled exchange.
+    pub retried: u64,
+}
+
+/// The live runtime as a `gossip_sim` [`TrialExecutor`]: trial `i` of a
+/// `RunPlan` batch is one [`run_trial`] seeded by its derived stream's
+/// base seed, so a live batch and an analytic batch with equal seeds walk
+/// equal per-trial seed sequences.
+///
+/// A trial whose exchange [stalls](NetError::Stalled) — a UDP peer
+/// stopped answering within the retry budget — is re-run once on a fresh
+/// fabric with the same seed; the run is deterministic, so only the
+/// transport luck changes. A second stall isolates the trial as a
+/// [`TrialError`] and the batch goes on. Traffic counters, retries
+/// included, add up in the shared [`NetTraffic`].
+///
+/// Live batches run their trials one after another
+/// (`RunPlan::threads(1)`) while the node groups inside each trial run
+/// in parallel. A panic inside a node-group thread is not isolated.
+///
+/// ```
+/// use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetTraffic, Topology};
+/// use gossip_sim::RunPlan;
+/// use std::sync::Mutex;
+///
+/// let topo = Topology::complete(16).unwrap();
+/// let config = NetConfig { groups: 2, ..NetConfig::default() };
+/// let traffic = Mutex::new(NetTraffic::default());
+/// let report = RunPlan::new(3, 7)
+///     .threads(1)
+///     .execute_with(|run| {
+///         let proto = NetProtocol::PushPull;
+///         NetExecutor::new(&topo, proto, 0, &config, DeliveryKind::Local, run, &traffic)
+///     })
+///     .unwrap();
+/// assert_eq!(report.completed(), 3);
+/// assert!(traffic.into_inner().unwrap().messages > 0);
+/// ```
+#[derive(Debug)]
+pub struct NetExecutor<'a> {
+    topo: &'a Topology,
+    proto: NetProtocol,
+    start: NodeId,
+    config: &'a NetConfig,
+    delivery: DeliveryKind,
+    record_trajectory: bool,
+    traffic: &'a Mutex<NetTraffic>,
+}
+
+impl<'a> NetExecutor<'a> {
+    /// An executor running `proto` on `topo` from `start` under `config`
+    /// over `delivery`, recording trajectories when the batch's
+    /// [`RunConfig`](gossip_sim::RunConfig) `run` asks for them, and
+    /// adding its traffic into `traffic`.
+    pub fn new(
+        topo: &'a Topology,
+        proto: NetProtocol,
+        start: NodeId,
+        config: &'a NetConfig,
+        delivery: DeliveryKind,
+        run: &gossip_sim::RunConfig,
+        traffic: &'a Mutex<NetTraffic>,
+    ) -> Self {
+        NetExecutor {
+            topo,
+            proto,
+            start,
+            config,
+            delivery,
+            record_trajectory: run.record_trajectory,
+            traffic,
+        }
+    }
+}
+
+impl TrialExecutor for NetExecutor<'_> {
+    type Error = NetError;
+
+    fn run_trial(
+        &mut self,
+        trial: usize,
+        rng: &mut SimRng,
+    ) -> Result<Result<TrialRecord, TrialError>, NetError> {
+        let seed = rng.base_seed();
+        let attempt = || {
+            run_trial(
+                self.topo,
+                self.proto,
+                self.start,
+                seed,
+                self.config,
+                self.delivery,
+                self.record_trajectory,
+            )
+        };
+        let mut result = attempt();
+        let retried = matches!(&result, Err(e) if e.is_retryable());
+        if retried {
+            result = attempt();
+        }
+        let mut traffic = self.traffic.lock().expect("traffic counters poisoned");
+        traffic.retried += u64::from(retried);
+        let t = match result {
+            Ok(t) => t,
+            Err(e) if e.is_retryable() => {
+                return Ok(Err(TrialError {
+                    trial,
+                    seed,
+                    message: e.to_string(),
+                }))
+            }
+            Err(e) => return Err(e),
+        };
+        traffic.messages += t.messages;
+        traffic.dropped += t.dropped;
+        traffic.blocked += t.blocked;
+        traffic.duplicated += t.duplicated;
+        Ok(Ok(TrialRecord {
+            trial,
+            seed,
+            n: self.topo.n(),
+            spread_time: t.spread_time,
+            windows: t.epochs,
+            events: t.events,
+            informed: t.informed,
+            outcome: t.outcome,
+            trajectory: t.trajectory,
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_sim::{RunPlan, RunReport};
 
     fn cfg(groups: usize) -> NetConfig {
         NetConfig {
@@ -927,5 +1078,57 @@ mod tests {
             ),
             Err(NetError::Invalid(_))
         ));
+    }
+
+    /// Runs `plan` as a live push–pull batch from node 0, one trial at a
+    /// time.
+    fn batch(plan: RunPlan<'_>, topo: &Topology, config: &NetConfig) -> (RunReport, NetTraffic) {
+        let traffic = Mutex::new(NetTraffic::default());
+        let report = plan
+            .threads(1)
+            .execute_with(|run| {
+                let proto = NetProtocol::PushPull;
+                NetExecutor::new(topo, proto, 0, config, DeliveryKind::Local, run, &traffic)
+            })
+            .unwrap();
+        (report, traffic.into_inner().unwrap())
+    }
+
+    #[test]
+    fn batch_summarizes_and_streams() {
+        let topo = Topology::complete(24).unwrap();
+        let mut jsonl = gossip_sim::JsonlSink::new(Vec::new());
+        let plan = RunPlan::new(5, 42).observer(&mut jsonl);
+        let (report, traffic) = batch(plan, &topo, &cfg(2));
+        assert_eq!(report.trials(), 5);
+        assert_eq!(report.completed(), 5);
+        assert_eq!(jsonl.records(), 5);
+        assert!(report.mean() > 0.0);
+        assert!(traffic.messages > 0 && report.events() > 0);
+        assert_eq!(traffic.dropped, 0);
+        let text = String::from_utf8(jsonl.into_inner().unwrap()).unwrap();
+        assert!(text.lines().all(|l| l.contains(",\"n\":24,")), "{text}");
+    }
+
+    #[test]
+    fn plan_is_deterministic() {
+        let topo = Topology::gnp(40, 0.3, 9).unwrap();
+        let run = |groups| {
+            let (report, _) = batch(RunPlan::new(4, 7), &topo, &cfg(groups));
+            report.sorted_times().to_vec()
+        };
+        assert_eq!(run(1), run(3));
+    }
+
+    #[test]
+    fn budget_trials_are_not_completed() {
+        let topo = Topology::complete(12).unwrap();
+        let config = NetConfig {
+            horizon: 1e-6,
+            ..cfg(1)
+        };
+        let (report, _) = batch(RunPlan::new(2, 1), &topo, &config);
+        assert_eq!(report.completed(), 0);
+        assert_eq!(report.budget_stopped(), 2);
     }
 }

@@ -1,26 +1,27 @@
-//! Scenario-driven live sweeps: the `[net]` table meets [`NetPlan`].
+//! Scenario-driven live sweeps: the `[net]` table meets `RunPlan`.
 //!
 //! [`NetSweep`] is the live counterpart of `gossip_core`'s `SweepPlan`:
 //! it consumes the same `ScenarioSpec` (family, protocol, sweep sizes,
-//! trials, seeds, `[faults]` drop probability) and produces the same
+//! trials, seeds, `[faults]` table) and produces the same
 //! `ScenarioReport` row shape, so everything downstream — report
 //! rendering, JSONL streams, series extraction — works unchanged on live
-//! results. The `engine` column reads `net/local` or `net/udp` to mark
-//! which stack produced the numbers.
+//! results. Each size runs as one `gossip_sim::RunPlan` batch of
+//! [`NetExecutor`] trials. The `engine` column reads `net/local` or
+//! `net/udp` to mark which stack produced the numbers.
 
 use crate::delivery::DeliveryKind;
 use crate::error::NetError;
 use crate::fault::NetFaults;
-use crate::plan::{NetPlan, NetReport};
 use crate::runtime::{
-    default_groups, NetConfig, NetProtocol, DEFAULT_EXCHANGE_RETRIES, DEFAULT_EXCHANGE_TIMEOUT,
-    DEFAULT_TICK,
+    default_groups, NetConfig, NetExecutor, NetProtocol, NetTraffic, DEFAULT_EXCHANGE_RETRIES,
+    DEFAULT_EXCHANGE_TIMEOUT, DEFAULT_TICK,
 };
 use gossip_core::scenario::{build_family, FamilySpec, ScenarioReport, ScenarioRow, ScenarioSpec};
 use gossip_dynamics::DynamicNetwork;
 use gossip_graph::{NodeId, NodeSet, Topology};
-use gossip_sim::TrialObserver;
+use gossip_sim::{RunPlan, TrialObserver};
 use gossip_stats::SimRng;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Builds the one static topology a live run uses for family `spec` at
@@ -148,9 +149,11 @@ impl<'s> NetSweep<'s> {
         self.run_observed(std::slice::from_mut(&mut observer))
     }
 
-    /// Runs every sweep size through a [`NetPlan`], streaming all trial
-    /// records into `observers` (each observer's `finish` fires once per
-    /// size, exactly like the analytic `SweepPlan`).
+    /// Runs every sweep size as one `RunPlan` batch of [`NetExecutor`]
+    /// trials, streaming all trial records into `observers` (each
+    /// observer's `finish` fires once per size, exactly like the analytic
+    /// `SweepPlan`). Trials run one after another; the node groups inside
+    /// each trial run in parallel.
     ///
     /// # Errors
     ///
@@ -161,12 +164,9 @@ impl<'s> NetSweep<'s> {
         observers: &mut [&mut dyn TrialObserver],
     ) -> Result<NetSweepReport, NetError> {
         let spec = self.spec;
+        let traffic = Mutex::new(NetTraffic::default());
         let mut rows = Vec::with_capacity(spec.sweep.sizes.len());
         let mut events = 0u64;
-        let mut messages = 0u64;
-        let mut dropped = 0u64;
-        let mut blocked = 0u64;
-        let mut duplicated = 0u64;
         let mut stalled = 0u64;
         let mut node_trials = 0u64;
         let mut elapsed = Duration::ZERO;
@@ -174,20 +174,27 @@ impl<'s> NetSweep<'s> {
         for &n in &spec.sweep.sizes {
             let (topo, suggested) = build_live_topology(&spec.family, n)?;
             let start = spec.sweep.start.unwrap_or(suggested);
-            let plan = NetPlan::new(self.trials, self.seed)
-                .config(self.config.clone())
-                .delivery(self.delivery);
-            let report = plan.execute_observed(&topo, self.proto, start, observers)?;
+            let mut plan = RunPlan::new(self.trials, self.seed).threads(1);
+            for o in observers.iter_mut() {
+                plan = plan.observer(&mut **o);
+            }
+            let report = plan.execute_with(|run| {
+                NetExecutor::new(
+                    &topo,
+                    self.proto,
+                    start,
+                    &self.config,
+                    self.delivery,
+                    run,
+                    &traffic,
+                )
+            })?;
             events += report.events();
-            messages += report.messages();
-            dropped += report.dropped();
-            blocked += report.blocked();
-            duplicated += report.duplicated();
-            stalled += report.stalled().len() as u64;
+            stalled += report.trial_errors().len() as u64;
             node_trials += (topo.n() as u64) * (self.trials as u64);
             elapsed += report.elapsed();
-            groups = report.groups();
-            rows.push(row(n, &report));
+            groups = self.config.groups.clamp(1, topo.n().max(1));
+            rows.push(ScenarioRow::from_summary(n, &report));
         }
         Ok(NetSweepReport {
             report: ScenarioReport {
@@ -200,27 +207,11 @@ impl<'s> NetSweep<'s> {
             groups,
             delivery: self.delivery,
             events,
-            messages,
-            dropped,
-            blocked,
-            duplicated,
+            traffic: traffic.into_inner().expect("traffic counters poisoned"),
             stalled,
             elapsed,
             node_trials,
         })
-    }
-}
-
-fn row(n: usize, report: &NetReport) -> ScenarioRow {
-    ScenarioRow {
-        n,
-        trials: report.trials(),
-        completed: report.completed(),
-        mean: report.mean(),
-        std_dev: report.std_dev(),
-        median: report.try_median(),
-        q95: report.try_whp_spread_time(),
-        max: report.try_max(),
     }
 }
 
@@ -237,14 +228,8 @@ pub struct NetSweepReport {
     pub delivery: DeliveryKind,
     /// Events processed across the sweep (activations + arrivals).
     pub events: u64,
-    /// Envelopes sent across the sweep (dropped ones included).
-    pub messages: u64,
-    /// Envelopes swallowed by the drop gate.
-    pub dropped: u64,
-    /// Envelopes voided at a partition cut.
-    pub blocked: u64,
-    /// Extra envelope copies injected by the duplication fault.
-    pub duplicated: u64,
+    /// Envelope and retry counters summed over the sweep.
+    pub traffic: NetTraffic,
     /// Trials skipped after stalling twice on the UDP transport.
     pub stalled: u64,
     /// Wall-clock time spent in trials.
@@ -262,13 +247,13 @@ impl NetSweepReport {
 
     /// Envelopes per wall-clock second over the sweep.
     pub fn messages_per_sec(&self) -> f64 {
-        rate(self.messages, self.elapsed)
+        rate(self.traffic.messages, self.elapsed)
     }
 
     /// Mean envelopes per node per trial over the sweep.
     pub fn messages_per_node(&self) -> f64 {
         if self.node_trials > 0 {
-            self.messages as f64 / self.node_trials as f64
+            self.traffic.messages as f64 / self.node_trials as f64
         } else {
             0.0
         }
@@ -316,9 +301,27 @@ mod tests {
         assert_eq!(out.report.rows.len(), 2);
         assert!(out.report.rows.iter().all(|r| r.completed == 4));
         assert_eq!(sink.records(), 8);
-        assert!(out.messages > 0 && out.events > 0);
+        assert!(out.traffic.messages > 0 && out.events > 0);
         assert!(out.messages_per_node() > 0.0);
         assert_eq!(out.groups, 2);
+    }
+
+    #[test]
+    fn trajectory_sink_leaves_jsonl_unchanged() {
+        // Recording switched on for a TrajectorySink stays scoped to it: a
+        // co-attached JSONL stream is byte-identical to a JSONL-only run.
+        let spec = live_spec();
+        let sweep = NetSweep::new(&spec).unwrap();
+        let mut alone = gossip_sim::JsonlSink::new(Vec::new());
+        sweep.run_with(&mut alone).unwrap();
+        let mut jsonl = gossip_sim::JsonlSink::new(Vec::new());
+        let mut curves = gossip_sim::TrajectorySink::new(8);
+        sweep.run_observed(&mut [&mut jsonl, &mut curves]).unwrap();
+        assert_eq!(curves.curves().len(), 8);
+        assert!(curves.curves().iter().all(|c| c.points.len() >= 2));
+        let alone = alone.into_inner().unwrap();
+        assert!(!alone.is_empty());
+        assert_eq!(jsonl.into_inner().unwrap(), alone);
     }
 
     #[test]

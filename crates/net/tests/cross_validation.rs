@@ -14,12 +14,34 @@
 
 use gossip_dynamics::StaticNetwork;
 use gossip_graph::Topology;
-use gossip_net::{DeliveryKind, NetConfig, NetPlan, NetProtocol, NetSweep};
-use gossip_sim::{AnyProtocol, CutRateAsync, Engine, RunPlan};
+use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetSweep, NetTraffic};
+use gossip_sim::{AnyProtocol, CutRateAsync, Engine, RunPlan, RunReport};
 use gossip_stats::ks;
+use std::sync::Mutex;
 
 const TRIALS: usize = 400;
 const ALPHA: f64 = 0.01;
+
+/// A live push–pull batch through `RunPlan`, trials in
+/// sequence — the way `NetSweep` runs each size.
+fn live_batch(
+    topo: &Topology,
+    start: u32,
+    trials: usize,
+    seed: u64,
+    config: &NetConfig,
+    delivery: DeliveryKind,
+) -> (RunReport, NetTraffic) {
+    let traffic = Mutex::new(NetTraffic::default());
+    let report = RunPlan::new(trials, seed)
+        .threads(1)
+        .execute_with(|run| {
+            let proto = NetProtocol::PushPull;
+            NetExecutor::new(topo, proto, start, config, delivery, run, &traffic)
+        })
+        .unwrap();
+    (report, traffic.into_inner().unwrap())
+}
 
 /// Spread times from the live runtime (two node groups, default tick).
 fn live_times(topo: &Topology, start: u32, seed: u64, trials: usize) -> Vec<f64> {
@@ -27,10 +49,7 @@ fn live_times(topo: &Topology, start: u32, seed: u64, trials: usize) -> Vec<f64>
         groups: 2,
         ..NetConfig::default()
     };
-    let report = NetPlan::new(trials, seed)
-        .config(cfg)
-        .execute(topo, NetProtocol::PushPull, start)
-        .unwrap();
+    let (report, _) = live_batch(topo, start, trials, seed, &cfg, DeliveryKind::Local);
     assert_eq!(report.completed(), trials, "live trials must all complete");
     report.sorted_times().to_vec()
 }
@@ -96,12 +115,8 @@ fn live_trials_are_bit_deterministic_across_group_counts() {
             groups,
             ..NetConfig::default()
         };
-        NetPlan::new(8, 77)
-            .config(cfg)
-            .execute(&topo, NetProtocol::PushPull, 0)
-            .unwrap()
-            .sorted_times()
-            .to_vec()
+        let (report, _) = live_batch(&topo, 0, 8, 77, &cfg, DeliveryKind::Local);
+        report.sorted_times().to_vec()
     };
     let reference = run(1);
     assert_eq!(reference.len(), 8);
@@ -128,18 +143,14 @@ fn udp_loopback_trials_match_local_bit_for_bit() {
             groups: 3,
             ..NetConfig::default()
         };
-        NetPlan::new(3, 55)
-            .config(cfg)
-            .delivery(kind)
-            .execute(&topo, NetProtocol::PushPull, 0)
-            .unwrap()
+        live_batch(&topo, 0, 3, 55, &cfg, kind)
     };
-    let local = run(DeliveryKind::Local);
-    let udp = run(DeliveryKind::Udp);
+    let (local, local_traffic) = run(DeliveryKind::Local);
+    let (udp, udp_traffic) = run(DeliveryKind::Udp);
     assert_eq!(local.completed(), 3);
     assert_eq!(udp.completed(), 3);
     assert_eq!(local.events(), udp.events());
-    assert_eq!(local.messages(), udp.messages());
+    assert_eq!(local_traffic.messages, udp_traffic.messages);
     for (a, b) in local.sorted_times().iter().zip(udp.sorted_times()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -192,23 +203,20 @@ fn total_drop_never_spreads_and_loss_never_helps() {
         };
         cfg.faults.drop = drop;
         cfg.faults.seed = 9;
-        NetPlan::new(60, 5)
-            .config(cfg)
-            .execute(&topo, NetProtocol::PushPull, 0)
-            .unwrap()
+        live_batch(&topo, 0, 60, 5, &cfg, DeliveryKind::Local)
     };
     // drop = 1: every envelope dies at the delivery layer; only the
     // start node ever knows the rumor and every trial hits the horizon.
-    let dead = run(1.0, 5.0);
+    let (dead, dead_traffic) = run(1.0, 5.0);
     assert_eq!(dead.completed(), 0);
     assert_eq!(dead.budget_stopped(), 60);
-    assert_eq!(dead.dropped(), dead.messages());
+    assert_eq!(dead_traffic.dropped, dead_traffic.messages);
     // Losing half the envelopes slows spreading; medians must order.
-    let clean = run(0.0, 1e4);
-    let lossy = run(0.5, 1e4);
+    let (clean, _) = run(0.0, 1e4);
+    let (lossy, lossy_traffic) = run(0.5, 1e4);
     assert_eq!(clean.completed(), 60);
     assert_eq!(lossy.completed(), 60);
-    assert!(lossy.dropped() > 0);
+    assert!(lossy_traffic.dropped > 0);
     assert!(
         lossy.median() > clean.median(),
         "lossy {} vs clean {}",

@@ -20,15 +20,35 @@
 
 use gossip_dynamics::StaticNetwork;
 use gossip_graph::Topology;
-use gossip_net::{DeliveryKind, NetConfig, NetFaults, NetPlan, NetProtocol};
+use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetFaults, NetProtocol, NetTraffic};
 use gossip_sim::{
-    AnyProtocol, AsyncPush, CutRateAsync, Engine, FaultModel, RunConfig, RunPlan, TrialOutcome,
+    AnyProtocol, AsyncPush, CutRateAsync, Engine, FaultModel, RunConfig, RunPlan, RunReport,
+    TrialOutcome,
 };
 use gossip_stats::ks;
+use std::sync::Mutex;
 
 const TRIALS: usize = 300;
 const ALPHA: f64 = 0.01;
 const HORIZON: f64 = 1e4;
+
+/// A live batch from node 0 through `RunPlan`, trials in sequence —
+/// the way `NetSweep` runs each size.
+fn live_batch(
+    topo: &Topology,
+    proto: NetProtocol,
+    trials: usize,
+    seed: u64,
+    config: &NetConfig,
+    delivery: DeliveryKind,
+) -> (RunReport, NetTraffic) {
+    let traffic = Mutex::new(NetTraffic::default());
+    let report = RunPlan::new(trials, seed)
+        .threads(1)
+        .execute_with(|run| NetExecutor::new(topo, proto, 0, config, delivery, run, &traffic))
+        .unwrap();
+    (report, traffic.into_inner().unwrap())
+}
 
 fn live_report(
     topo: &Topology,
@@ -36,17 +56,14 @@ fn live_report(
     faults: NetFaults,
     seed: u64,
     trials: usize,
-) -> gossip_net::NetReport {
+) -> (RunReport, NetTraffic) {
     let mut cfg = NetConfig {
         groups: 2,
         horizon: HORIZON,
         ..NetConfig::default()
     };
     cfg.faults = faults;
-    NetPlan::new(trials, seed)
-        .config(cfg)
-        .execute(topo, proto, 0)
-        .unwrap()
+    live_batch(topo, proto, trials, seed, &cfg, DeliveryKind::Local)
 }
 
 fn engine_report(
@@ -95,7 +112,7 @@ fn crash_recovery_matches_event_engine_on_complete() {
         seed: 23,
         ..FaultModel::default()
     };
-    let live = live_report(&topo, NetProtocol::PushPull, faults, 101, TRIALS);
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, faults, 101, TRIALS);
     assert_eq!(live.completed(), TRIALS, "recovery keeps every trial alive");
     let engine = engine_report(
         &topo,
@@ -127,7 +144,7 @@ fn crash_recovery_matches_event_engine_on_gnp() {
         seed: 31,
         ..FaultModel::default()
     };
-    let live = live_report(&topo, NetProtocol::PushPull, faults, 103, TRIALS);
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, faults, 103, TRIALS);
     assert_eq!(live.completed(), TRIALS);
     let engine = engine_report(
         &topo,
@@ -157,9 +174,9 @@ fn drop_matches_event_engine_with_push_protocol() {
         seed: 17,
         ..FaultModel::default()
     };
-    let live = live_report(&topo, NetProtocol::Push, faults, 105, TRIALS);
+    let (live, traffic) = live_report(&topo, NetProtocol::Push, faults, 105, TRIALS);
     assert_eq!(live.completed(), TRIALS);
-    assert!(live.dropped() > 0);
+    assert!(traffic.dropped > 0);
     let engine = engine_report(
         &topo,
         || AnyProtocol::event(AsyncPush::new()),
@@ -192,7 +209,7 @@ fn permanent_crash_death_rates_agree_with_engine() {
         seed,
         ..FaultModel::default()
     };
-    let live = live_report(&topo, NetProtocol::PushPull, faults, 107, TRIALS);
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, faults, 107, TRIALS);
     let engine = engine_report(
         &topo,
         || AnyProtocol::event(CutRateAsync::new()),
@@ -282,13 +299,9 @@ fn every_fault_kind_is_bit_identical_across_groups_and_transports() {
                 ..NetConfig::default()
             };
             cfg.faults = faults.clone();
-            NetPlan::new(3, 55)
-                .config(cfg)
-                .delivery(kind)
-                .execute(&topo, NetProtocol::PushPull, 0)
-                .unwrap()
+            live_batch(&topo, NetProtocol::PushPull, 3, 55, &cfg, kind)
         };
-        let reference = run(1, DeliveryKind::Local);
+        let (reference, reference_traffic) = run(1, DeliveryKind::Local);
         let mut configs: Vec<(usize, DeliveryKind)> = vec![
             (2, DeliveryKind::Local),
             (3, DeliveryKind::Local),
@@ -297,7 +310,7 @@ fn every_fault_kind_is_bit_identical_across_groups_and_transports() {
             (3, DeliveryKind::Udp),
         ];
         for (groups, kind) in configs.drain(..) {
-            let other = run(groups, kind);
+            let (other, other_traffic) = run(groups, kind);
             assert_eq!(
                 reference.trials(),
                 other.trials(),
@@ -314,17 +327,20 @@ fn every_fault_kind_is_bit_identical_across_groups_and_transports() {
                 "{label}: groups={groups} kind={kind:?}"
             );
             assert_eq!(
-                reference.messages(),
-                other.messages(),
+                reference_traffic.messages, other_traffic.messages,
                 "{label}: groups={groups} kind={kind:?}"
             );
             assert_eq!(
                 (
-                    reference.dropped(),
-                    reference.blocked(),
-                    reference.duplicated()
+                    reference_traffic.dropped,
+                    reference_traffic.blocked,
+                    reference_traffic.duplicated
                 ),
-                (other.dropped(), other.blocked(), other.duplicated()),
+                (
+                    other_traffic.dropped,
+                    other_traffic.blocked,
+                    other_traffic.duplicated
+                ),
                 "{label}: groups={groups} kind={kind:?}"
             );
             for (a, b) in reference.sorted_times().iter().zip(other.sorted_times()) {
@@ -343,8 +359,8 @@ fn chaos_faults_slow_but_do_not_kill_spreading() {
     // Partition/delay/duplication perturb delivery without killing nodes:
     // every trial still spreads, and delay pushes spread times up.
     let topo = Topology::complete(32).unwrap();
-    let clean = live_report(&topo, NetProtocol::PushPull, NetFaults::default(), 9, 40);
-    let chaotic = live_report(
+    let (clean, _) = live_report(&topo, NetProtocol::PushPull, NetFaults::default(), 9, 40);
+    let (chaotic, chaos_traffic) = live_report(
         &topo,
         NetProtocol::PushPull,
         NetFaults {
@@ -360,8 +376,8 @@ fn chaos_faults_slow_but_do_not_kill_spreading() {
     );
     assert_eq!(clean.completed(), 40);
     assert_eq!(chaotic.completed(), 40, "chaos must not prevent spreading");
-    assert!(chaotic.blocked() > 0, "partitions must cut something");
-    assert!(chaotic.duplicated() > 0, "duplication must fire");
+    assert!(chaos_traffic.blocked > 0, "partitions must cut something");
+    assert!(chaos_traffic.duplicated > 0, "duplication must fire");
     assert!(
         chaotic.outcomes().spread == 40 && clean.outcomes().spread == 40
             || chaotic.median() >= clean.median() * 0.5,
@@ -387,11 +403,7 @@ fn scheduled_crash_is_honored_and_dies_without_recovery() {
             ..NetConfig::default()
         };
         cfg.faults = faults.clone();
-        let report = NetPlan::new(10, 3)
-            .config(cfg)
-            .delivery(kind)
-            .execute(&topo, NetProtocol::PushPull, 0)
-            .unwrap();
+        let (report, _) = live_batch(&topo, NetProtocol::PushPull, 10, 3, &cfg, kind);
         let outcomes = report.outcomes();
         assert_eq!(
             outcomes.spread + outcomes.died,

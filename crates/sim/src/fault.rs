@@ -114,16 +114,18 @@ impl Deserialize for TrialOutcome {
     }
 }
 
-/// A trial that panicked inside the runner, reported structurally instead
-/// of tearing down the batch (see [`crate::RunPlan`] panic isolation).
+/// A trial that failed on its own — a panic inside an engine, or a
+/// [`crate::TrialExecutor`]'s isolated failure such as a live trial
+/// whose transport stalled twice — reported structurally instead of
+/// tearing down the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialError {
     /// Trial index within the batch (`0..trials`).
     pub trial: usize,
     /// The derived per-trial seed, as in [`crate::TrialRecord::seed`].
     pub seed: u64,
-    /// The panic payload (message when it was a string, a placeholder
-    /// otherwise).
+    /// What went wrong: the panic payload (message when it was a string,
+    /// a placeholder otherwise) or the executor's description.
     pub message: String,
 }
 
@@ -131,7 +133,7 @@ impl fmt::Display for TrialError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "trial {} (seed {}) panicked: {}",
+            "trial {} (seed {}) failed: {}",
             self.trial, self.seed, self.message
         )
     }

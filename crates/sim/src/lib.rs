@@ -33,23 +33,21 @@
 //! [`ForwardTwoPush`] (the Section 4 coupling processes), [`Flooding`],
 //! and the window-by-window [`Simulation`] engine.
 //!
-//! Multi-trial execution goes through **[`RunPlan`]** — the single entry
-//! point over both engines: wrap the protocol in [`AnyProtocol`]
-//! (`AnyProtocol::event` for incrementally-capable protocols,
-//! `AnyProtocol::window` otherwise), pick an [`Engine`] (default
-//! [`Engine::Auto`]), and attach streaming [`TrialObserver`]s
-//! ([`SummarySink`], [`JsonlSink`], [`TrajectorySink`]) for per-trial
-//! output. Each worker recycles its per-trial scratch (informed set,
-//! Fenwick storage, pools, buffers) through a [`SimWorkspace`] and the
-//! parallel path delivers records in batches, so small-n/high-trial
-//! sweeps are simulator-bound rather than allocator-bound; results are
-//! bit-identical to the fresh-allocation reference path
-//! ([`RunPlan::workspace`]). The legacy [`Runner`] methods are deprecated shims over
-//! `RunPlan`; migrate
-//! `Runner::new(t, s).run(net, proto, start, cfg)` to
-//! `RunPlan::new(t, s).config(cfg).engine(Engine::Window).execute(net, || AnyProtocol::window(proto()))`
-//! and `run_incremental` likewise with `AnyProtocol::event` (and
-//! `Engine::Auto` or `Engine::Event`).
+//! Multi-trial execution goes through **[`RunPlan`]** — the single trial
+//! driver: wrap the protocol in [`AnyProtocol`] (`AnyProtocol::event`
+//! for incrementally-capable protocols, `AnyProtocol::window`
+//! otherwise), pick an [`Engine`] (default [`Engine::Auto`]), and attach
+//! streaming [`TrialObserver`]s ([`SummarySink`], [`JsonlSink`],
+//! [`TrajectorySink`]) for per-trial output. Each worker recycles its
+//! per-trial scratch (informed set, Fenwick storage, pools, buffers)
+//! through a [`SimWorkspace`] and the parallel path delivers records in
+//! batches, so small-n/high-trial sweeps are simulator-bound rather than
+//! allocator-bound; results are bit-identical to the fresh-allocation
+//! reference path ([`RunPlan::workspace`]). What runs one trial is a
+//! per-worker [`TrialExecutor`]: the window and event engines are the
+//! built-in ones, and [`RunPlan::execute_with`] drives any other (the
+//! live `gossip-net` runtime) under the same seeding and delivery
+//! contract.
 //!
 //! # Example
 //!
@@ -106,9 +104,9 @@ pub use lossy::LossyAsync;
 pub use observer::{
     JsonlSink, SummarySink, TrajectorySink, TrialObserver, TrialRecord, TrialTrajectory,
 };
-pub use plan::{AnyProtocol, Engine, RunPlan, RunReport};
+pub use plan::{AnyProtocol, Engine, RunPlan, RunReport, TrialExecutor};
 pub use protocol::Protocol;
-pub use runner::{Runner, TrialSummary};
+pub use runner::TrialSummary;
 pub use sync::{SyncPull, SyncPush, SyncPushPull};
 pub use two_push::{ForwardTwoPush, TwoPush};
 pub use workspace::{SimWorkspace, WorkspacePool};

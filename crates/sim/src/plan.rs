@@ -1,4 +1,4 @@
-//! The unified trial driver: one entry point over both engines.
+//! The unified trial driver: one entry point over every engine.
 //!
 //! Every experiment in this workspace is the same operation — *run many
 //! independent trials of protocol P on dynamic family F and summarize the
@@ -20,9 +20,7 @@
 //! assert!(report.completion_rate() > 0.99);
 //! ```
 //!
-//! The plan owns the whole trial contract the deprecated
-//! [`crate::Runner`] methods used to split across `run` /
-//! `run_incremental`:
+//! The plan owns the whole trial contract:
 //!
 //! * **Seeding** — trial `i` always consumes the RNG stream
 //!   `SimRng::seed_from_u64(base_seed).derive(i)`, so results are
@@ -34,7 +32,10 @@
 //! * **Streaming observation** — attached [`TrialObserver`]s receive one
 //!   [`crate::TrialRecord`] per trial, in trial order, while later trials
 //!   are still running; the built-in summary accumulates the same way,
-//!   so [`RunReport::summary`] is bit-identical to the legacy runner;
+//!   so [`RunReport::summary`] is bit-identical for any thread count;
+//! * **Isolated failures** — a trial that fails on its own (a panic
+//!   inside an engine) is reported as a [`TrialError`] in its trial-order
+//!   slot instead of cancelling the batch;
 //! * **Workspace reuse** — each worker recycles its per-trial scratch
 //!   (informed set, Fenwick storage, pools, buffers) through one
 //!   [`SimWorkspace`], and the parallel path ships records to the
@@ -42,6 +43,12 @@
 //!   simulator-bound instead of allocator- and channel-bound;
 //!   [`RunPlan::workspace`] keeps the fresh-allocation reference path
 //!   available, with bit-identical results either way.
+//!
+//! What runs one trial is a [`TrialExecutor`], built once per worker
+//! thread. The window and event engines are the two built-in executors
+//! behind [`RunPlan::execute`]; [`RunPlan::execute_with`] drives any
+//! other implementation — the live `gossip-net` runtime is one — through
+//! the same seeding, delivery, summary and failure contract.
 
 use crate::observer::{SummarySink, TrialObserver, TrialRecord};
 use crate::workspace::WorkspacePool;
@@ -343,7 +350,8 @@ impl<'o> RunPlan<'o> {
         self
     }
 
-    /// Runs all trials and returns the [`RunReport`].
+    /// Runs all trials on the window or event engine and returns the
+    /// [`RunReport`].
     ///
     /// `make_net` / `make_proto` build fresh instances per worker thread.
     /// Trial `i` always consumes the RNG stream derived from
@@ -388,6 +396,60 @@ impl<'o> RunPlan<'o> {
         }
         drop(probe);
 
+        let setup = EngineSetup {
+            make_net: &make_net,
+            make_proto: &make_proto,
+            use_event,
+            reuse: self.workspace,
+            vectorized: self.vectorized,
+            faults: self.faults.take(),
+            pool: self.pool.take(),
+            start: self.start,
+        };
+        let engine = if use_event {
+            Engine::Event
+        } else {
+            Engine::Window
+        };
+        self.drive(engine, protocol, |config| {
+            EngineExecutor::new(&setup, *config)
+        })
+    }
+
+    /// Runs all trials through a caller-supplied [`TrialExecutor`] and
+    /// returns the [`RunReport`] — the entry point for trial
+    /// implementations outside this crate, such as the live `gossip-net`
+    /// runtime.
+    ///
+    /// `make_executor` builds one executor per worker thread from the
+    /// batch's [`RunConfig`], whose `record_trajectory` is set when the
+    /// plan or an attached observer asks for trajectories. Seeding,
+    /// trial-order delivery, trajectory scoping, the summary and isolated
+    /// [`TrialError`]s are exactly those of [`RunPlan::execute`]. The
+    /// engine, start, vectorization, fault and workspace-pool settings
+    /// configure the built-in executors and are ignored here; the
+    /// report's [`RunReport::engine`] reads [`Engine::Auto`] and its
+    /// [`RunReport::protocol`] is empty.
+    ///
+    /// # Errors
+    ///
+    /// The first batch-fatal executor error (it cancels the remaining
+    /// batch), or the first observer failure.
+    pub fn execute_with<X: TrialExecutor>(
+        self,
+        make_executor: impl Fn(&RunConfig) -> X + Sync,
+    ) -> Result<RunReport, X::Error> {
+        self.drive(Engine::Auto, "", make_executor)
+    }
+
+    /// The batch driver behind both entry points: resolves trajectory
+    /// recording, runs the trials, feeds the summary and the observers.
+    fn drive<X: TrialExecutor>(
+        mut self,
+        engine: Engine,
+        protocol: &'static str,
+        make_executor: impl Fn(&RunConfig) -> X + Sync,
+    ) -> Result<RunReport, X::Error> {
         let mut config = self.config;
         // Recording requested explicitly on the plan reaches every
         // observer; recording merely auto-enabled by a trajectory-wanting
@@ -401,7 +463,6 @@ impl<'o> RunPlan<'o> {
 
         let mut summary = SummarySink::new();
         let mut trial_errors: Vec<TrialError> = Vec::new();
-        let pool = self.pool.clone();
         let started = std::time::Instant::now();
         {
             let observers = &mut self.observers;
@@ -409,8 +470,9 @@ impl<'o> RunPlan<'o> {
             let trial_errors = &mut trial_errors;
             // Delivery hands the record's trajectory buffer back (when
             // one rode along) so the inline path can recycle it into the
-            // worker's workspace after the observers are done with it.
-            // Panicked trials arrive as `Err` in their trial-order slot.
+            // worker's executor after the observers are done with it.
+            // Isolated trial failures arrive as `Err` in their
+            // trial-order slot.
             let mut deliver =
                 move |item: TrialItem| -> Result<Option<Vec<(f64, usize)>>, SimError> {
                     let mut record = match item {
@@ -450,19 +512,15 @@ impl<'o> RunPlan<'o> {
                     }
                     Ok(record.trajectory.take())
                 };
+            // Recording runs and the fresh-allocation reference path
+            // deliver trial by trial; everything else in chunks.
+            let chunked = self.workspace && !config.record_trajectory;
             run_trials(
                 self.trials,
                 self.base_seed,
                 self.threads,
-                self.start,
-                config,
-                use_event,
-                self.workspace,
-                self.vectorized,
-                self.faults.as_ref(),
-                pool.as_deref(),
-                &make_net,
-                &make_proto,
+                chunked,
+                &|| make_executor(&config),
                 &mut deliver,
             )?;
         }
@@ -473,11 +531,7 @@ impl<'o> RunPlan<'o> {
         Ok(RunReport {
             events: summary.events(),
             summary: summary.into_summary(),
-            engine: if use_event {
-                Engine::Event
-            } else {
-                Engine::Window
-            },
+            engine,
             protocol,
             elapsed,
             trial_errors,
@@ -485,8 +539,48 @@ impl<'o> RunPlan<'o> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// TrialExecutor
+// ---------------------------------------------------------------------------
+
+/// Runs the trials of one worker thread: the seam between [`RunPlan`]'s
+/// batch driver and whatever simulates a trial.
+///
+/// The driver owns the batch contract — trial `i` runs on the stream
+/// `SimRng::seed_from_u64(base_seed).derive(i)`, records reach the
+/// summary and the observers in trial order, isolated failures fill
+/// their trial-order slot — and builds one executor per worker, handing
+/// it trial indices in increasing order. The window and event engines
+/// are the built-in executors of [`RunPlan::execute`]; other
+/// implementations run through [`RunPlan::execute_with`].
+pub trait TrialExecutor {
+    /// The error that cancels the whole batch: a configuration problem
+    /// that would hit every trial. Observer failures convert into it.
+    type Error: From<SimError> + Send;
+
+    /// Runs trial `trial` on its derived stream `rng`, whose
+    /// [`SimRng::base_seed`] is the trial seed. `Ok(Err(_))` reports a
+    /// trial that failed on its own; the batch goes on without it.
+    ///
+    /// # Errors
+    ///
+    /// A batch-fatal [`TrialExecutor::Error`].
+    fn run_trial(
+        &mut self,
+        trial: usize,
+        rng: &mut SimRng,
+    ) -> Result<Result<TrialRecord, TrialError>, Self::Error>;
+
+    /// Takes back the trajectory buffer of a delivered record for reuse
+    /// by a later trial (single-threaded batches only). The default
+    /// drops it.
+    fn recycle(&mut self, trajectory: Vec<(f64, usize)>) {
+        drop(trajectory);
+    }
+}
+
 /// One delivered trial: a record, or the structured report of a trial
-/// that panicked (see [`RunPlan`] panic isolation).
+/// that failed on its own.
 type TrialItem = Result<TrialRecord, TrialError>;
 
 /// Renders a `catch_unwind` payload as text for a [`TrialError`].
@@ -516,56 +610,145 @@ type TrialFn<'p, N> = Box<
         + 'p,
 >;
 
-/// One worker's run closure: engine chosen once per batch, then the same
-/// trial shape for both engines — so the two engines share the seeding
-/// contract by construction. `reuse` selects between the workspace hot
-/// path (`run_in` + buffer recycling) and the fresh-allocation reference
-/// path (`run`, workspace untouched); both produce bit-identical records.
-fn make_runner<'p, N: DynamicNetwork>(
-    proto: AnyProtocol,
-    config: RunConfig,
+/// What the built-in executors of one [`RunPlan::execute`] batch are
+/// built — and, after a panic, rebuilt — from.
+struct EngineSetup<'p, N> {
+    make_net: &'p (dyn Fn() -> N + Sync),
+    make_proto: &'p (dyn Fn() -> AnyProtocol + Sync),
     use_event: bool,
     reuse: bool,
     vectorized: bool,
-    faults: Option<&FaultModel>,
-) -> TrialFn<'p, N> {
-    let recording = config.record_trajectory;
-    if use_event {
-        let mut protocol = proto
-            .into_event()
-            .expect("engine resolution probed support");
-        protocol.set_vectorized(vectorized);
-        let mut sim = EventSimulation::new(protocol, config);
-        if let Some(m) = faults {
-            sim = sim.with_faults(m.clone());
-        }
-        if reuse {
-            Box::new(move |ws, net, start, trial, seed, rng| {
-                let outcome = sim.run_in(ws, net, start, rng)?;
-                Ok(TrialRecord::from_outcome_in(
-                    trial, seed, outcome, recording, ws,
-                ))
-            })
+    faults: Option<FaultModel>,
+    pool: Option<Arc<WorkspacePool>>,
+    start: Option<NodeId>,
+}
+
+impl<'p, N: DynamicNetwork> EngineSetup<'p, N> {
+    /// One worker's run closure: engine chosen once per batch, then the
+    /// same trial shape for both engines — so the two engines share the
+    /// seeding contract by construction. `reuse` selects between the
+    /// workspace hot path (`run_in` + buffer recycling) and the
+    /// fresh-allocation reference path (`run`, workspace untouched); both
+    /// produce bit-identical records.
+    fn runner(&self, config: RunConfig) -> TrialFn<'p, N> {
+        let proto = (self.make_proto)();
+        let recording = config.record_trajectory;
+        if self.use_event {
+            let mut protocol = proto
+                .into_event()
+                .expect("engine resolution probed support");
+            protocol.set_vectorized(self.vectorized);
+            let mut sim = EventSimulation::new(protocol, config);
+            if let Some(m) = &self.faults {
+                sim = sim.with_faults(m.clone());
+            }
+            if self.reuse {
+                Box::new(move |ws, net, start, trial, seed, rng| {
+                    let outcome = sim.run_in(ws, net, start, rng)?;
+                    Ok(TrialRecord::from_outcome_in(
+                        trial, seed, outcome, recording, ws,
+                    ))
+                })
+            } else {
+                Box::new(move |_ws, net, start, trial, seed, rng| {
+                    let outcome = sim.run(net, start, rng)?;
+                    Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
+                })
+            }
         } else {
-            Box::new(move |_ws, net, start, trial, seed, rng| {
-                let outcome = sim.run(net, start, rng)?;
-                Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
-            })
+            let mut sim = Simulation::new(proto.into_window(), config);
+            if self.reuse {
+                Box::new(move |ws, net, start, trial, seed, rng| {
+                    let outcome = sim.run_in(ws, net, start, rng)?;
+                    Ok(TrialRecord::from_outcome_in(
+                        trial, seed, outcome, recording, ws,
+                    ))
+                })
+            } else {
+                Box::new(move |_ws, net, start, trial, seed, rng| {
+                    let outcome = sim.run(net, start, rng)?;
+                    Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
+                })
+            }
         }
-    } else {
-        let mut sim = Simulation::new(proto.into_window(), config);
-        if reuse {
-            Box::new(move |ws, net, start, trial, seed, rng| {
-                let outcome = sim.run_in(ws, net, start, rng)?;
-                Ok(TrialRecord::from_outcome_in(
-                    trial, seed, outcome, recording, ws,
-                ))
-            })
-        } else {
-            Box::new(move |_ws, net, start, trial, seed, rng| {
-                let outcome = sim.run(net, start, rng)?;
-                Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
-            })
+    }
+}
+
+/// The built-in executor: one worker's workspace, network and engine
+/// closure. Workspaces come from the shared pool when one is attached
+/// (warm buffers across batches) and go back to it when the executor is
+/// dropped at batch end — but not while a panic unwinds past it;
+/// checkout state is indistinguishable from fresh, so results are
+/// identical.
+struct EngineExecutor<'p, N> {
+    setup: &'p EngineSetup<'p, N>,
+    config: RunConfig,
+    ws: SimWorkspace,
+    net: N,
+    start: NodeId,
+    run_one: TrialFn<'p, N>,
+}
+
+impl<'p, N: DynamicNetwork> EngineExecutor<'p, N> {
+    fn new(setup: &'p EngineSetup<'p, N>, config: RunConfig) -> Self {
+        let ws = setup
+            .pool
+            .as_deref()
+            .map_or_else(SimWorkspace::new, WorkspacePool::checkout);
+        let net = (setup.make_net)();
+        let run_one = setup.runner(config);
+        let start = setup.start.unwrap_or_else(|| net.suggested_start());
+        EngineExecutor {
+            setup,
+            config,
+            ws,
+            net,
+            start,
+            run_one,
+        }
+    }
+}
+
+impl<N: DynamicNetwork> TrialExecutor for EngineExecutor<'_, N> {
+    type Error = SimError;
+
+    /// A **panicking** trial does not abort the batch: the unwind is
+    /// caught, the possibly-poisoned state (workspace, network, protocol)
+    /// is quarantined — discarded and rebuilt from the factories — and
+    /// the trial is reported as a [`TrialError`]. Only structured
+    /// [`SimError`]s (configuration problems that would hit every trial)
+    /// cancel the run.
+    fn run_trial(&mut self, trial: usize, rng: &mut SimRng) -> Result<TrialItem, SimError> {
+        let seed = rng.base_seed();
+        match catch_unwind(AssertUnwindSafe(|| {
+            (self.run_one)(&mut self.ws, &mut self.net, self.start, trial, seed, rng)
+        })) {
+            Ok(result) => result.map(Ok),
+            Err(payload) => {
+                self.ws = SimWorkspace::new();
+                self.net = (self.setup.make_net)();
+                self.run_one = self.setup.runner(self.config);
+                Ok(Err(TrialError {
+                    trial,
+                    seed,
+                    message: panic_message(payload),
+                }))
+            }
+        }
+    }
+
+    fn recycle(&mut self, trajectory: Vec<(f64, usize)>) {
+        self.ws.put_trajectory(trajectory);
+    }
+}
+
+impl<N> Drop for EngineExecutor<'_, N> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        if let Some(pool) = &self.setup.pool {
+            pool.restore(std::mem::take(&mut self.ws));
         }
     }
 }
@@ -618,17 +801,12 @@ impl Pace {
 
 /// Executes the trial batch, delivering records to `deliver` in strict
 /// trial order while trials are still running on other threads. A
-/// failing trial or a failing `deliver` aborts the batch: running
-/// trials finish, queued ones never start.
+/// batch-fatal executor error or a failing `deliver` aborts the batch:
+/// running trials finish, queued ones never start. A trial the executor
+/// isolates (`Ok(Err(_))`) is delivered in its trial-order slot and the
+/// batch goes on.
 ///
-/// A **panicking** trial does not abort the batch: the unwind is caught,
-/// the worker's possibly-poisoned state (workspace, network, protocol)
-/// is quarantined — discarded and rebuilt from the factories — and the
-/// trial is delivered as a structured [`TrialError`] in its trial-order
-/// slot. Only structured [`SimError`]s (configuration problems that
-/// would hit every trial) cancel the run.
-///
-/// With `reuse` set, the parallel path processes trials in per-worker
+/// With `chunked` set, the parallel path processes trials in per-worker
 /// **chunks**: one channel message, one pacing handshake, and one reorder
 /// step per chunk instead of per trial. Chunking is invisible to
 /// observers — records still arrive one by one in strict trial order, and
@@ -636,87 +814,37 @@ impl Pace {
 /// the driver's synchronization, which dominates sub-10µs trials.
 /// Trajectory-recording batches keep chunk size 1 so the in-flight
 /// memory contract (O(threads) full trajectories) is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn run_trials<N: DynamicNetwork>(
+fn run_trials<X: TrialExecutor>(
     trials: usize,
     base_seed: u64,
     threads: usize,
-    start: Option<NodeId>,
-    config: RunConfig,
-    use_event: bool,
-    reuse: bool,
-    vectorized: bool,
-    faults: Option<&FaultModel>,
-    pool: Option<&WorkspacePool>,
-    make_net: &(impl Fn() -> N + Sync),
-    make_proto: &(impl Fn() -> AnyProtocol + Sync),
+    chunked: bool,
+    make_executor: &(impl Fn() -> X + Sync),
     deliver: &mut impl FnMut(TrialItem) -> Result<Option<Vec<(f64, usize)>>, SimError>,
-) -> Result<(), SimError> {
+) -> Result<(), X::Error> {
     let base = SimRng::seed_from_u64(base_seed);
     let threads = threads.min(trials.max(1));
-    let recording = config.record_trajectory;
-    // Workspaces come from the shared pool when one is attached (warm
-    // buffers across batches) and go back to it at batch end; checkout
-    // state is indistinguishable from fresh, so results are identical.
-    let take_ws = || pool.map_or_else(SimWorkspace::new, WorkspacePool::checkout);
-    let give_ws = |ws: SimWorkspace| {
-        if let Some(p) = pool {
-            p.restore(ws);
-        }
-    };
 
     if threads <= 1 {
         // Inline fast path: no channel, records delivered as produced
         // (already in trial order); errors abort immediately. Recycled
-        // trajectory buffers flow straight back into the workspace.
-        let mut ws = take_ws();
-        let mut net = make_net();
-        let mut run_one =
-            make_runner::<N>(make_proto(), config, use_event, reuse, vectorized, faults);
-        let start = start.unwrap_or_else(|| net.suggested_start());
+        // trajectory buffers flow straight back into the executor.
+        let mut executor = make_executor();
         for i in 0..trials {
             let mut rng = base.derive(i as u64);
-            let seed = rng.base_seed();
-            let item = match catch_unwind(AssertUnwindSafe(|| {
-                run_one(&mut ws, &mut net, start, i, seed, &mut rng)
-            })) {
-                Ok(result) => Ok(result?),
-                Err(payload) => {
-                    // Quarantine: the unwound trial may have left the
-                    // workspace, network, or protocol state half-mutated
-                    // — rebuild all three before the next trial.
-                    ws = SimWorkspace::new();
-                    net = make_net();
-                    run_one = make_runner::<N>(
-                        make_proto(),
-                        config,
-                        use_event,
-                        reuse,
-                        vectorized,
-                        faults,
-                    );
-                    Err(TrialError {
-                        trial: i,
-                        seed,
-                        message: panic_message(payload),
-                    })
-                }
-            };
+            let item = executor.run_trial(i, &mut rng)?;
             if let Some(buf) = deliver(item)? {
-                ws.put_trajectory(buf);
+                executor.recycle(buf);
             }
         }
-        give_ws(ws);
         return Ok(());
     }
 
     // Parallel path: workers stream record chunks over a bounded channel;
     // the calling thread re-sequences through a [`Pace`]-bounded reorder
     // buffer and feeds observers in trial order. Trial i still consumes
-    // the derive(i) stream, so scheduling cannot change any result. The
-    // fresh-allocation reference path (`reuse = false`) and recording
-    // runs keep the pre-batching chunk size of 1.
-    let chunk = if reuse && !recording {
+    // the derive(i) stream, so scheduling cannot change any result.
+    let chunk = if chunked {
         (trials / (threads * 8)).clamp(1, 64)
     } else {
         1
@@ -727,57 +855,29 @@ fn run_trials<N: DynamicNetwork>(
     // is 1; at most window · 64 small records otherwise).
     let window = threads * 8;
     let pace = Pace::new();
-    let mut trial_err: Option<(usize, SimError)> = None;
+    let mut trial_err: Option<(usize, X::Error)> = None;
     let mut observer_err: Option<SimError> = None;
-    type ChunkMsg = Result<(usize, Vec<TrialItem>), (usize, SimError)>;
-    let (tx, rx) = mpsc::sync_channel::<ChunkMsg>(window);
+    let (tx, rx) = mpsc::sync_channel::<ChunkMsg<X::Error>>(window);
     std::thread::scope(|scope| {
         for tid in 0..threads {
             let base = base.clone();
             let tx = tx.clone();
             let pace = &pace;
             scope.spawn(move || {
-                let mut ws = pool.map_or_else(SimWorkspace::new, WorkspacePool::checkout);
-                let mut net = make_net();
-                let mut run_one =
-                    make_runner::<N>(make_proto(), config, use_event, reuse, vectorized, faults);
-                let start = start.unwrap_or_else(|| net.suggested_start());
+                let mut executor = make_executor();
                 let mut c = tid;
                 while c < n_chunks && pace.admit(c, window) {
                     let lo = c * chunk;
                     let hi = (lo + chunk).min(trials);
                     let mut items: Vec<TrialItem> = Vec::with_capacity(hi - lo);
-                    let mut failed: Option<(usize, SimError)> = None;
+                    let mut failed: Option<(usize, X::Error)> = None;
                     for i in lo..hi {
                         let mut rng = base.derive(i as u64);
-                        let seed = rng.base_seed();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            run_one(&mut ws, &mut net, start, i, seed, &mut rng)
-                        })) {
-                            Ok(Ok(record)) => items.push(Ok(record)),
-                            Ok(Err(e)) => {
+                        match executor.run_trial(i, &mut rng) {
+                            Ok(item) => items.push(item),
+                            Err(e) => {
                                 failed = Some((i, e));
                                 break;
-                            }
-                            Err(payload) => {
-                                // Quarantine (see the inline path): the
-                                // panicked trial's scratch may be
-                                // inconsistent — rebuild, report, go on.
-                                items.push(Err(TrialError {
-                                    trial: i,
-                                    seed,
-                                    message: panic_message(payload),
-                                }));
-                                ws = SimWorkspace::new();
-                                net = make_net();
-                                run_one = make_runner::<N>(
-                                    make_proto(),
-                                    config,
-                                    use_event,
-                                    reuse,
-                                    vectorized,
-                                    faults,
-                                );
                             }
                         }
                     }
@@ -793,9 +893,6 @@ fn run_trials<N: DynamicNetwork>(
                     }
                     c += threads;
                 }
-                if let Some(p) = pool {
-                    p.restore(ws);
-                }
             });
         }
         drop(tx);
@@ -805,7 +902,8 @@ fn run_trials<N: DynamicNetwork>(
         // Chunks are keyed by their first trial index; a chunk cut short
         // by a trial error delivers its prefix and then stalls the
         // frontier at the failed index, exactly like the per-trial path.
-        // Panicked trials are ordinary items: they advance the frontier.
+        // Isolated trial failures are ordinary items: they advance the
+        // frontier.
         let mut pending: BTreeMap<usize, Vec<TrialItem>> = BTreeMap::new();
         let mut next = 0usize; // next trial index to deliver
         let mut next_chunk = 0usize; // pacing frontier, in chunks
@@ -846,10 +944,14 @@ fn run_trials<N: DynamicNetwork>(
     });
     match (trial_err, observer_err) {
         (Some((_, e)), _) => Err(e),
-        (None, Some(e)) => Err(e),
+        (None, Some(e)) => Err(e.into()),
         (None, None) => Ok(()),
     }
 }
+
+/// A worker's message to the delivering thread: a chunk of trial items
+/// keyed by its first trial index, or the batch-fatal error of one trial.
+type ChunkMsg<E> = Result<(usize, Vec<TrialItem>), (usize, E)>;
 
 // ---------------------------------------------------------------------------
 // RunReport
@@ -881,12 +983,15 @@ impl RunReport {
         self.summary
     }
 
-    /// The engine that actually ran (never [`Engine::Auto`]).
+    /// The engine that actually ran: never [`Engine::Auto`] after
+    /// [`RunPlan::execute`], always `Auto` after
+    /// [`RunPlan::execute_with`] (no built-in engine ran).
     pub fn engine(&self) -> Engine {
         self.engine
     }
 
-    /// The protocol's display name.
+    /// The protocol's display name (empty after
+    /// [`RunPlan::execute_with`]).
     pub fn protocol(&self) -> &'static str {
         self.protocol
     }
@@ -897,8 +1002,9 @@ impl RunReport {
         self.events
     }
 
-    /// Trials that panicked and were isolated instead of aborting the
-    /// batch, in trial order. The summary counts only the surviving
+    /// Trials that failed on their own (a panic inside an engine, an
+    /// executor's isolated failure) and were skipped instead of aborting
+    /// the batch, in trial order. The summary counts only the surviving
     /// trials (`summary.trials() + trial_errors.len()` = planned
     /// trials).
     pub fn trial_errors(&self) -> &[TrialError] {
@@ -1022,6 +1128,99 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SimError::StartOutOfRange { start: 99, n: 3 }));
+    }
+
+    /// A stand-in executor: records drawn from each trial's own stream,
+    /// except trial `give_up`, which fails on its own.
+    struct Fake {
+        give_up: Option<usize>,
+    }
+
+    impl TrialExecutor for Fake {
+        type Error = SimError;
+
+        fn run_trial(&mut self, trial: usize, rng: &mut SimRng) -> Result<TrialItem, SimError> {
+            let seed = rng.base_seed();
+            if self.give_up == Some(trial) {
+                return Ok(Err(TrialError {
+                    trial,
+                    seed,
+                    message: "gave up".into(),
+                }));
+            }
+            Ok(Ok(TrialRecord {
+                trial,
+                seed,
+                n: 8,
+                spread_time: Some(rng.uniform_f64()),
+                windows: 1,
+                events: 7,
+                informed: 8,
+                outcome: crate::TrialOutcome::Spread,
+                trajectory: None,
+            }))
+        }
+    }
+
+    #[test]
+    fn executor_failure_is_isolated_in_its_trial_slot() {
+        /// Logs what each observer call saw, in call order.
+        struct Slots(Vec<String>);
+        impl TrialObserver for Slots {
+            fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
+                self.0.push(format!("trial {}", r.trial));
+                Ok(())
+            }
+            fn on_trial_error(&mut self, e: &TrialError) -> Result<(), SimError> {
+                self.0.push(format!("error {}", e.trial));
+                Ok(())
+            }
+        }
+        const TRIALS: usize = 12;
+        const LOST: usize = 5;
+        let run = |threads: usize, give_up: Option<usize>| {
+            let mut jsonl = crate::JsonlSink::new(Vec::new());
+            let mut slots = Slots(Vec::new());
+            let report = RunPlan::new(TRIALS, 9)
+                .threads(threads)
+                .observer(&mut jsonl)
+                .observer(&mut slots)
+                .execute_with(|_| Fake { give_up })
+                .unwrap();
+            let text = String::from_utf8(jsonl.into_inner().unwrap()).unwrap();
+            (report, slots.0, text)
+        };
+        let (clean, _, clean_text) = run(1, None);
+        assert_eq!(clean.trials(), TRIALS);
+        let surviving: Vec<&str> = clean_text
+            .lines()
+            .enumerate()
+            .filter(|&(i, _)| i != LOST)
+            .map(|(_, line)| line)
+            .collect();
+        let lost_seed = SimRng::seed_from_u64(9).derive(LOST as u64).base_seed();
+        let slots: Vec<String> = (0..TRIALS)
+            .map(|i| match i {
+                LOST => format!("error {i}"),
+                _ => format!("trial {i}"),
+            })
+            .collect();
+        for threads in [1, 3] {
+            let (report, seen, text) = run(threads, Some(LOST));
+            let errors: Vec<(usize, u64)> = report
+                .trial_errors()
+                .iter()
+                .map(|e| (e.trial, e.seed))
+                .collect();
+            assert_eq!(errors, [(LOST, lost_seed)], "{threads} thread(s)");
+            assert_eq!(seen, slots, "{threads} thread(s): trial-order slots");
+            assert_eq!(
+                text.lines().collect::<Vec<_>>(),
+                surviving,
+                "{threads} thread(s): surviving records drifted"
+            );
+            assert_eq!(report.trials() + report.trial_errors().len(), TRIALS);
+        }
     }
 
     #[test]

@@ -1,21 +1,20 @@
-//! The `RunPlan` migration contract.
+//! The `RunPlan` determinism contract.
 //!
-//! The acceptance bar for the unified driver is strict: on fixed seeds,
-//! `RunPlan::execute` must produce a `TrialSummary` **bit-identical** to
-//! the legacy `Runner` paths it replaces — per engine, for 1 thread and
-//! k threads — and `Engine::Auto` must sample the same spread-time
-//! distribution as the legacy `run_incremental` path (KS-tested on fresh
-//! seeds). On top of that, the streaming sinks must reproduce the
-//! summary exactly: a JSONL file parsed back line by line rebuilds the
-//! bit-identical statistics.
-
-#![allow(deprecated)] // the legacy Runner methods are the reference here
+//! On fixed seeds, `RunPlan::execute` must produce a `TrialSummary`
+//! **bit-identical** to the scalar reference stream — the one the
+//! pre-`RunPlan` runner produced, which is `RunPlan` on a forced engine
+//! with the vectorized inner loop off — per engine, for 1 thread and
+//! k threads, and `Engine::Auto` must sample the same spread-time
+//! distribution as that scalar stream (KS-tested on fresh seeds). On top
+//! of that, the streaming sinks must reproduce the summary exactly: a
+//! JSONL file parsed back line by line rebuilds the bit-identical
+//! statistics.
 
 use gossip_dynamics::{DynamicStar, StaticNetwork};
 use gossip_graph::{generators, Topology};
 use gossip_sim::{
-    AnyProtocol, CutRateAsync, Engine, JsonlSink, RunConfig, RunPlan, Runner, SummarySink,
-    SyncPushPull, TrajectorySink, TrialObserver, TrialRecord, TrialSummary,
+    AnyProtocol, CutRateAsync, Engine, JsonlSink, RunConfig, RunPlan, SummarySink, SyncPushPull,
+    TrajectorySink, TrialObserver, TrialRecord, TrialSummary,
 };
 use gossip_stats::ks;
 
@@ -35,13 +34,18 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary) {
     }
 }
 
-/// `RunPlan` with `Engine::Window` replays `Runner::run` bit-for-bit, on
-/// 1 thread and on k threads.
+/// The legacy runner's stream: a forced engine, the scalar inner loop.
+fn legacy_runner(trials: usize, seed: u64, engine: Engine) -> RunPlan<'static> {
+    RunPlan::new(trials, seed).engine(engine).vectorized(false)
+}
+
+/// `RunPlan` with `Engine::Window` replays the legacy runner's window
+/// stream bit-for-bit, on 1 thread and on k threads.
 #[test]
 fn window_engine_bit_identical_to_legacy_runner() {
     let make = || StaticNetwork::new(generators::complete(20).unwrap());
-    let legacy = Runner::new(40, 11)
-        .run(make, CutRateAsync::new, None, RunConfig::default())
+    let legacy = legacy_runner(40, 11, Engine::Window)
+        .execute(make, || AnyProtocol::window(CutRateAsync::new()))
         .unwrap();
     for threads in [1usize, 4] {
         let plan = RunPlan::new(40, 11)
@@ -53,8 +57,8 @@ fn window_engine_bit_identical_to_legacy_runner() {
         assert_bit_identical(&legacy, plan.summary());
     }
     // Window-only protocols ride the same contract.
-    let legacy = Runner::new(24, 3)
-        .run(make, SyncPushPull::new, None, RunConfig::default())
+    let legacy = legacy_runner(24, 3, Engine::Window)
+        .execute(make, || AnyProtocol::window(SyncPushPull::new()))
         .unwrap();
     for threads in [1usize, 3] {
         let plan = RunPlan::new(24, 3)
@@ -67,13 +71,14 @@ fn window_engine_bit_identical_to_legacy_runner() {
 }
 
 /// `RunPlan` with `Engine::Auto` (resolving to the event engine) replays
-/// `Runner::run_incremental` bit-for-bit, on 1 thread and on k threads —
-/// including on an adaptive dynamic family and an implicit backend.
+/// the legacy runner's scalar event stream bit-for-bit, on 1 thread and
+/// on k threads — on an adaptive dynamic family and an implicit backend,
+/// where no vectorized lane applies.
 #[test]
 fn event_engine_bit_identical_to_legacy_runner() {
     let make_implicit = || StaticNetwork::from_topology(Topology::complete(64).unwrap());
-    let legacy = Runner::new(33, 99)
-        .run_incremental(make_implicit, CutRateAsync::new, None, RunConfig::default())
+    let legacy = legacy_runner(33, 99, Engine::Event)
+        .execute(make_implicit, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
     for threads in [1usize, 8] {
         let plan = RunPlan::new(33, 99)
@@ -85,8 +90,8 @@ fn event_engine_bit_identical_to_legacy_runner() {
     }
 
     let make_star = || DynamicStar::new(31).unwrap();
-    let legacy = Runner::new(25, 7)
-        .run_incremental(make_star, CutRateAsync::new, None, RunConfig::default())
+    let legacy = legacy_runner(25, 7, Engine::Event)
+        .execute(make_star, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
     for threads in [1usize, 5] {
         let plan = RunPlan::new(25, 7)
@@ -99,14 +104,14 @@ fn event_engine_bit_identical_to_legacy_runner() {
 }
 
 /// KS equivalence: `Engine::Auto` samples the same spread-time
-/// distribution as the legacy `run_incremental` path on *independent*
-/// seeds (bit-equality on shared seeds is checked above; this shows the
-/// sampled law itself did not move).
+/// distribution as the legacy runner's scalar event stream on
+/// *independent* seeds (bit-equality on shared seeds is checked above;
+/// this shows the sampled law itself did not move).
 #[test]
 fn auto_engine_matches_legacy_distribution() {
     let make = || StaticNetwork::new(generators::cycle(24).unwrap());
-    let legacy = Runner::new(400, 1000)
-        .run_incremental(make, CutRateAsync::new, None, RunConfig::default())
+    let legacy = legacy_runner(400, 1000, Engine::Event)
+        .execute(make, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
     let plan = RunPlan::new(400, 2000)
         .execute(make, || AnyProtocol::event(CutRateAsync::new()))

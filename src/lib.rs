@@ -67,11 +67,11 @@ pub mod prelude {
         StaticNetwork,
     };
     pub use gossip_graph::{conductance, diligence, generators, Graph, GraphBuilder, NodeSet};
-    pub use gossip_net::{DeliveryKind, NetConfig, NetPlan, NetProtocol, NetSweep};
+    pub use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetSweep, NetTraffic};
     pub use gossip_sim::{
         AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, Flooding,
         IncrementalProtocol, JsonlSink, LossyAsync, Protocol, RunConfig, RunPlan, RunReport,
-        Runner, Simulation, SpreadOutcome, SummarySink, SyncPushPull, TrajectorySink,
+        Simulation, SpreadOutcome, SummarySink, SyncPushPull, TrajectorySink, TrialExecutor,
         TrialObserver, TrialRecord, TrialSummary, WorkspacePool,
     };
     pub use gossip_stats::{Quantiles, RunningMoments, SimRng, SortedSample};

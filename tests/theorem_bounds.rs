@@ -79,7 +79,7 @@ fn theorem_1_3_holds_and_is_tightish_on_absolute_network() {
     // Tightness (Theorem 1.5): T_abs overshoots by at most a constant
     // factor — the measured spread is within ~50x of the bound here (the
     // paper's constants are loose; what matters is that both scale as
-    // n·Δ, tested by the slope checks in exp_e4).
+    // n·Δ, tested by the slope checks of experiment E4).
     assert!(
         spread * 50.0 >= t_abs,
         "T_abs {t_abs} not within constant factor of measured {spread}"
