@@ -103,7 +103,7 @@ impl EdgeMarkovian {
             .expect("edge-Markovian graphs are materialized");
         let n = current.n();
         let mut removed = Vec::new();
-        let mut survivors: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut survivors: Vec<(NodeId, NodeId)> = Vec::with_capacity(current.m());
         for (u, v) in current.edges() {
             if rng.chance(self.q) {
                 removed.push((u, v));
@@ -113,43 +113,47 @@ impl EdgeMarkovian {
         }
         let mut added = Vec::new();
         if self.p > 0.0 && n >= 2 {
-            let total_pairs = (n as u64) * (n as u64 - 1) / 2;
+            // Pairs `(u, v)`, `u < v`, are ranked lexicographically; row u's
+            // ranks start at Σ_{i<u} (n−1−i). Hits come in increasing rank,
+            // so the row and the position in its old adjacency only advance.
+            let n = n as u64;
+            let total_pairs = n * (n - 1) / 2;
             let geo = Geometric::new(self.p).expect("validated in new()");
+            let (mut u, mut row_rank, mut next_row_rank) = (0, 0, n - 1);
+            let mut old_row = current.neighbors(0);
             let mut idx = geo.sample(rng) - 1;
             while idx < total_pairs {
-                let (u, v) = unrank_pair(idx, n);
-                if !current.has_edge(u, v) {
-                    added.push((u, v));
+                while idx >= next_row_rank {
+                    u += 1;
+                    row_rank = next_row_rank;
+                    next_row_rank += n - 1 - u;
+                    old_row = current.neighbors(u as NodeId);
+                }
+                let v = (u + 1 + idx - row_rank) as NodeId;
+                old_row = &old_row[old_row.partition_point(|&w| w < v)..];
+                if old_row.first() != Some(&v) {
+                    added.push((u as NodeId, v));
                 }
                 idx += geo.sample(rng);
             }
         }
+        // Survivors (CSR edge order) and births (rank order) are both
+        // lexicographic; merged, they fill every builder row in order.
         let mut b = GraphBuilder::new(n);
-        for &(u, v) in survivors.iter().chain(added.iter()) {
+        let (mut i, mut j) = (0, 0);
+        while i < survivors.len() || j < added.len() {
+            let (u, v) = if j == added.len() || (i < survivors.len() && survivors[i] < added[j]) {
+                i += 1;
+                survivors[i - 1]
+            } else {
+                j += 1;
+                added[j - 1]
+            };
             b.add_edge(u, v).expect("in range");
         }
         self.current = Topology::materialized(b.build());
         EdgeDelta::new(added, removed)
     }
-}
-
-/// Maps a lexicographic rank over `{(u, v) : u < v < n}` back to the pair.
-fn unrank_pair(idx: u64, n: usize) -> (NodeId, NodeId) {
-    let n = n as u64;
-    // base(u) = Σ_{i<u} (n-1-i) = u(2n-u-1)/2; find the largest u with
-    // base(u) <= idx via the quadratic formula, then fix up float rounding.
-    let disc = ((2 * n - 1) * (2 * n - 1) - 8 * idx) as f64;
-    let mut u = (((2 * n - 1) as f64 - disc.sqrt()) / 2.0).floor() as u64;
-    let base = |u: u64| u * (2 * n - u - 1) / 2;
-    while u > 0 && base(u) > idx {
-        u -= 1;
-    }
-    while u + 1 < n && base(u + 1) <= idx {
-        u += 1;
-    }
-    let v = u + 1 + (idx - base(u));
-    debug_assert!(v < n, "unranked pair out of range: idx {idx}, n {n}");
-    (u as NodeId, v as NodeId)
 }
 
 impl DynamicNetwork for EdgeMarkovian {

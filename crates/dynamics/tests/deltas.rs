@@ -4,23 +4,37 @@
 //! afterwards — the incremental engine's correctness rests on this.
 
 use gossip_dynamics::{
-    AlternatingRegular, CliquePendant, DynamicNetwork, EdgeDelta, EdgeMarkovian, ResampledGnp,
-    SequenceNetwork, StaticNetwork,
+    AbsoluteDiligentNetwork, AlternatingRegular, CliquePendant, DiligentNetwork, DynamicNetwork,
+    EdgeDelta, EdgeMarkovian, ResampledGnp, SequenceNetwork, StaticNetwork,
 };
-use gossip_graph::{generators, NodeSet, Topology};
+use gossip_graph::generators::HkDeltaParams;
+use gossip_graph::{generators, NodeId, NodeSet, Topology};
 use gossip_stats::SimRng;
+
+/// An informed-set schedule: `inform(t, informed)` grows the set before
+/// window `t` is queried, as the engine's spread does between windows.
+type Schedule = fn(u64, &mut NodeSet);
+
+/// The schedule that informs nobody.
+const NOBODY: Schedule = |_, _| {};
 
 /// Walks `windows` windows, asserting the reported delta matches the
 /// observed graph change at every boundary. Returns how many boundaries
 /// reported a delta (vs the `None` rebuild fallback).
-fn check_delta_contract<N: DynamicNetwork>(net: &mut N, windows: u64, seed: u64) -> usize {
+fn check_delta_contract<N: DynamicNetwork>(
+    net: &mut N,
+    windows: u64,
+    seed: u64,
+    inform: Schedule,
+) -> usize {
     let mut rng = SimRng::seed_from_u64(seed);
     let n = net.n();
-    let informed = NodeSet::new(n);
+    let mut informed = NodeSet::new(n);
     net.reset();
     let mut prev: Option<Topology> = None;
     let mut reported = 0;
     for t in 0..windows {
+        inform(t, &mut informed);
         let delta = net.edges_changed(t, &informed, &mut rng);
         let current = net.topology(t, &informed, &mut rng).clone();
         if let (Some(delta), Some(prev)) = (&delta, &prev) {
@@ -43,7 +57,7 @@ fn check_delta_contract<N: DynamicNetwork>(net: &mut N, windows: u64, seed: u64)
 #[test]
 fn static_network_reports_empty_deltas() {
     let mut net = StaticNetwork::new(generators::cycle(12).unwrap());
-    assert_eq!(check_delta_contract(&mut net, 8, 1), 8);
+    assert_eq!(check_delta_contract(&mut net, 8, 1, NOBODY), 8);
 }
 
 #[test]
@@ -54,14 +68,14 @@ fn sequence_network_reports_schedule_diffs() {
         generators::star(10).unwrap(),
     ];
     let mut net = SequenceNetwork::cycling(graphs).unwrap();
-    assert_eq!(check_delta_contract(&mut net, 10, 2), 10);
+    assert_eq!(check_delta_contract(&mut net, 10, 2, NOBODY), 10);
 
     let graphs = vec![
         generators::path(8).unwrap(),
         generators::complete(8).unwrap(),
     ];
     let mut net = SequenceNetwork::once(graphs).unwrap();
-    assert_eq!(check_delta_contract(&mut net, 6, 3), 6);
+    assert_eq!(check_delta_contract(&mut net, 6, 3, NOBODY), 6);
 }
 
 #[test]
@@ -70,7 +84,7 @@ fn clique_pendant_declines_only_the_switch() {
     // the network declines the diff there (rebuild); every other boundary
     // reports the empty delta.
     let mut net = CliquePendant::new(8).unwrap();
-    assert_eq!(check_delta_contract(&mut net, 6, 4), 5);
+    assert_eq!(check_delta_contract(&mut net, 6, 4, NOBODY), 5);
     let mut rng = SimRng::seed_from_u64(5);
     let informed = NodeSet::new(net.n());
     net.reset();
@@ -84,7 +98,7 @@ fn clique_pendant_declines_only_the_switch() {
 fn alternating_replays_inverse_deltas() {
     let mut build_rng = SimRng::seed_from_u64(6);
     let mut net = AlternatingRegular::new(16, &mut build_rng).unwrap();
-    assert_eq!(check_delta_contract(&mut net, 7, 7), 7);
+    assert_eq!(check_delta_contract(&mut net, 7, 7, NOBODY), 7);
     // Odd boundaries densify, even boundaries sparsify; they are inverses.
     let mut rng = SimRng::seed_from_u64(8);
     let informed = NodeSet::new(16);
@@ -100,7 +114,7 @@ fn alternating_replays_inverse_deltas() {
 fn edge_markovian_reports_flips() {
     let initial = generators::cycle(20).unwrap();
     let mut net = EdgeMarkovian::new(initial, 0.05, 0.3).unwrap();
-    let reported = check_delta_contract(&mut net, 12, 9);
+    let reported = check_delta_contract(&mut net, 12, 9, NOBODY);
     assert_eq!(reported, 12, "single-step advances always report a delta");
 }
 
@@ -120,7 +134,7 @@ fn edge_markovian_none_on_window_jump() {
 #[test]
 fn resampled_gnp_reports_exact_resampling_diffs() {
     let mut net = ResampledGnp::new(40, 0.1, 12).unwrap();
-    let reported = check_delta_contract(&mut net, 10, 13);
+    let reported = check_delta_contract(&mut net, 10, 13, NOBODY);
     assert_eq!(reported, 10, "single-step advances always report a delta");
     // Window jumps decline, as in the edge-Markovian model.
     let mut rng = SimRng::seed_from_u64(14);
@@ -129,6 +143,51 @@ fn resampled_gnp_reports_exact_resampling_diffs() {
     assert!(net.edges_changed(0, &informed, &mut rng).is_some());
     assert!(net.edges_changed(4, &informed, &mut rng).is_none());
     let _ = net.topology(4, &informed, &mut rng);
+}
+
+/// Informs the next `per_window` B-side nodes (ids upwards from
+/// `first_b`) at every even window, plus one A-side node at every odd
+/// window: the adaptive families re-stitch at even windows, must report
+/// the empty delta at odd ones, and freeze once `|B|` would fall too low.
+fn inform_b_side(t: u64, informed: &mut NodeSet, first_b: NodeId, per_window: NodeId) {
+    let t = t as NodeId;
+    if t == 0 {
+        return;
+    }
+    if t.is_multiple_of(2) {
+        let start = first_b + (t / 2 - 1) * per_window;
+        for v in start..(start + per_window).min(informed.universe() as NodeId) {
+            informed.insert(v);
+        }
+    } else {
+        informed.insert(t / 2);
+    }
+}
+
+#[test]
+fn diligent_reports_empty_deltas_around_restitches_and_the_freeze() {
+    // n = 200: A = 0..50, B = 50..200, freeze below |B| = 50. Twelve B
+    // nodes per even window re-stitch at t = 2..16 (|B| = 54 after
+    // t = 16); at t = 18 |B| would drop to 42, so the network freezes.
+    let n = 200;
+    let mut net = DiligentNetwork::with_params(n, HkDeltaParams { k: 2, delta: 5 }).unwrap();
+    let reported = check_delta_contract(&mut net, 24, 15, |t, s| inform_b_side(t, s, 50, 12));
+    // None at t = 0 (first build) and at each of the 9 even windows
+    // t = 2..=18 with informed B nodes; Some at the other 14.
+    assert_eq!(reported, 14);
+    assert_eq!(net.b_nodes().len(), 54, "frozen with 54 B nodes left");
+}
+
+#[test]
+fn absolute_diligent_reports_empty_deltas_around_restitches_and_the_freeze() {
+    // n = 120, Δ = 10: A = 0..60, B = 60..120, freeze below |B| = 20.
+    // Eight B nodes per even window re-stitch at t = 2..10 (|B| = 20
+    // after t = 10); at t = 12 |B| would drop to 12, so it freezes.
+    let mut net = AbsoluteDiligentNetwork::new(120, 0.1).unwrap();
+    let reported = check_delta_contract(&mut net, 18, 16, |t, s| inform_b_side(t, s, 60, 8));
+    // None at t = 0 and at the 6 even windows t = 2..=12; Some at 11.
+    assert_eq!(reported, 11);
+    assert_eq!(net.b_nodes().len(), 20, "frozen with 20 B nodes left");
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //! shows one unit of time moves it forward with probability at most
 //! `2^k Δ / k!` — the engine of the Theorem 1.2 lower bound.
 
+use super::random::random_connected_regular_edges;
 use crate::{connectivity, Graph, GraphBuilder, GraphError, NodeId};
 use gossip_stats::SimRng;
 
@@ -169,7 +170,9 @@ pub fn h_k_delta(
 }
 
 /// Adds a random connected 4-regular graph on `nodes` (complete graph when
-/// `|nodes| < 5`).
+/// `|nodes| < 5`). The expander is drawn as an edge list (the draws of
+/// [`crate::generators::random_connected_regular`]) and goes straight into
+/// the outer builder, so the whole `H_{k,Δ}` is built once.
 fn add_expander(
     builder: &mut GraphBuilder,
     nodes: &[NodeId],
@@ -184,8 +187,7 @@ fn add_expander(
         }
         return Ok(());
     }
-    let expander = crate::generators::random_connected_regular(m, 4, rng)?;
-    for (u, v) in expander.edges() {
+    for (u, v) in random_connected_regular_edges(m, 4, rng)? {
         builder.add_edge(nodes[u as usize], nodes[v as usize])?;
     }
     Ok(())

@@ -1,7 +1,9 @@
 //! Randomized graph generators.
 
-use crate::{connectivity, Graph, GraphBuilder, GraphError, NodeId, Topology};
+use crate::{Graph, GraphError, NodeId, Topology};
 use gossip_stats::SimRng;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Erdős–Rényi graph `G(n, p)`: each of the `n(n−1)/2` pairs is an edge
 /// independently with probability `p`.
@@ -61,6 +63,11 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Result<Graph, GraphErr
 /// an expander w.h.p. — the only properties the paper's constructions
 /// rely on ("arbitrary 4-regular expander", Section 4).
 ///
+/// The pairing is drawn as an edge list and turned into a CSR [`Graph`]
+/// by one [`crate::GraphBuilder::build`]; the `H_{k,Δ}` construction draws the
+/// same edge list (same RNG draws) and adds it straight to its own
+/// builder, so each of its rebuilds sorts once.
+///
 /// # Errors
 ///
 /// [`GraphError::InvalidParameter`] when `d == 0`, `d ≥ n`, or `n·d` is odd;
@@ -68,6 +75,17 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Result<Graph, GraphErr
 /// their swap budgets (not observed for any `d < n/2`; dense degrees are
 /// generated via complements below).
 pub fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<Graph, GraphError> {
+    let edges = random_regular_edges(n, d, rng)?;
+    Ok(Graph::from_edges(n, &edges).expect("pairing edges are in range and loop-free"))
+}
+
+/// The edge list behind [`random_regular`]: same validation, same RNG
+/// draws, each edge of the simple `d`-regular graph listed once.
+fn random_regular_edges(
+    n: usize,
+    d: usize,
+    rng: &mut SimRng,
+) -> Result<Vec<(NodeId, NodeId)>, GraphError> {
     if d == 0 || d >= n {
         return Err(GraphError::InvalidParameter(format!(
             "regular degree {d} must satisfy 1 <= d < n = {n}"
@@ -88,15 +106,15 @@ pub fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<Graph, Gra
         } else {
             random_regular(n, n - 1 - d, rng)?
         };
-        let mut b = GraphBuilder::new(n);
+        let mut edges = Vec::with_capacity(n * d / 2);
         for u in 0..n as NodeId {
             for v in (u + 1)..n as NodeId {
                 if !sparse.has_edge(u, v) {
-                    b.add_edge(u, v)?;
+                    edges.push((u, v));
                 }
             }
         }
-        return Ok(b.build());
+        return Ok(edges);
     }
     const ATTEMPTS: usize = 64;
     let mut stubs: Vec<NodeId> = Vec::with_capacity(n * d);
@@ -111,11 +129,7 @@ pub fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<Graph, Gra
         let mut edges: Vec<(NodeId, NodeId)> =
             stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
         if repair_pairing(&mut edges, rng) {
-            let mut b = GraphBuilder::new(n);
-            for (u, v) in edges {
-                b.add_edge(u, v).expect("stubs are in range");
-            }
-            return Ok(b.build());
+            return Ok(edges);
         }
     }
     Err(GraphError::GenerationFailed(format!(
@@ -123,11 +137,34 @@ pub fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<Graph, Gra
     )))
 }
 
-fn edge_key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-    if u < v {
-        (u, v)
-    } else {
-        (v, u)
+/// The set key of the undirected edge `{u, v}`.
+fn edge_key(u: NodeId, v: NodeId) -> u64 {
+    let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+    (u64::from(lo) << 32) | u64::from(hi)
+}
+
+/// Multiply-shift hashing for [`edge_key`]s. The keys come from the
+/// generator itself, so SipHash's resistance to crafted collisions buys
+/// nothing here; set semantics do not depend on the hasher.
+#[derive(Default)]
+struct EdgeKeyHasher(u64);
+
+impl Hasher for EdgeKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half onto the low bits the table
+        // indexes by.
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
     }
 }
 
@@ -141,8 +178,8 @@ fn edge_key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
 /// complete pairings. Returns `false` if the per-edge swap budget is
 /// exhausted (the caller redraws the pairing).
 fn repair_pairing(edges: &mut [(NodeId, NodeId)], rng: &mut SimRng) -> bool {
-    use std::collections::HashSet;
-    let mut present: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(edges.len());
+    let mut present: HashSet<u64, BuildHasherDefault<EdgeKeyHasher>> =
+        HashSet::with_capacity_and_hasher(edges.len(), Default::default());
     let mut bad: Vec<usize> = Vec::new();
     let mut is_bad = vec![false; edges.len()];
     for (i, &(u, v)) in edges.iter().enumerate() {
@@ -203,6 +240,17 @@ fn repair_pairing(edges: &mut [(NodeId, NodeId)], rng: &mut SimRng) -> bool {
 /// As [`random_regular`], plus [`GraphError::GenerationFailed`] when 200
 /// connected-rejection rounds fail (practically impossible for `d ≥ 3`).
 pub fn random_connected_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<Graph, GraphError> {
+    let edges = random_connected_regular_edges(n, d, rng)?;
+    Ok(Graph::from_edges(n, &edges).expect("pairing edges are in range and loop-free"))
+}
+
+/// The edge list behind [`random_connected_regular`] (same validation,
+/// same RNG draws), with connectivity checked by union-find on the list.
+pub(crate) fn random_connected_regular_edges(
+    n: usize,
+    d: usize,
+    rng: &mut SimRng,
+) -> Result<Vec<(NodeId, NodeId)>, GraphError> {
     if d < 2 {
         return Err(GraphError::InvalidParameter(format!(
             "connected regular graph needs d >= 2, got {d}"
@@ -210,14 +258,39 @@ pub fn random_connected_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<
     }
     const ATTEMPTS: usize = 200;
     for _ in 0..ATTEMPTS {
-        let g = random_regular(n, d, rng)?;
-        if connectivity::is_connected(&g) {
-            return Ok(g);
+        let edges = random_regular_edges(n, d, rng)?;
+        if spans_connected(n, &edges) {
+            return Ok(edges);
         }
     }
     Err(GraphError::GenerationFailed(format!(
         "no connected {d}-regular graph on {n} nodes after {ATTEMPTS} attempts"
     )))
+}
+
+/// Whether the edge list connects all of `0..n` (union-find with path
+/// halving); agrees with [`crate::connectivity::is_connected`] on the
+/// built graph.
+fn spans_connected(n: usize, edges: &[(NodeId, NodeId)]) -> bool {
+    fn root(parent: &mut [NodeId], mut v: NodeId) -> NodeId {
+        while parent[v as usize] != v {
+            parent[v as usize] = parent[parent[v as usize] as usize];
+            v = parent[v as usize];
+        }
+        v
+    }
+    let mut parent: Vec<NodeId> = (0..n as NodeId).collect();
+    let mut components = n;
+    for &(u, v) in edges {
+        let (ru, rv) = (root(&mut parent, u), root(&mut parent, v));
+        if ru != rv {
+            // Roots are effectively random labels, so linking by index
+            // keeps the trees shallow without a size array.
+            parent[ru.min(rv) as usize] = ru.max(rv);
+            components -= 1;
+        }
+    }
+    components <= 1
 }
 
 #[cfg(test)]
@@ -392,6 +465,24 @@ mod tests {
             let d = if n % 2 == 0 { 3 } else { 4 };
             let g = random_connected_regular(n, d, &mut rng).unwrap();
             assert!(is_connected(&g), "disconnected ({n}, {d})");
+        }
+    }
+
+    #[test]
+    fn union_find_agrees_with_bfs_connectivity() {
+        let mut rng = SimRng::seed_from_u64(9);
+        for trial in 0..300 {
+            let n = 2 + rng.index(30);
+            let edges: Vec<(NodeId, NodeId)> = (0..rng.index(2 * n))
+                .map(|_| (rng.index(n) as NodeId, rng.index(n) as NodeId))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            let g = Graph::from_edges(n, &edges).unwrap();
+            assert_eq!(
+                spans_connected(n, &edges),
+                is_connected(&g),
+                "trial {trial}"
+            );
         }
     }
 

@@ -140,13 +140,24 @@ impl Graph {
         self.n() == 0 || self.max_degree() == self.min_degree()
     }
 
-    /// Iterates every edge once as `(u, v)` with `u < v`.
+    /// Iterates every edge once as `(u, v)` with `u < v`, in lexicographic
+    /// order.
     pub fn edges(&self) -> Edges<'_> {
         Edges {
             graph: self,
             u: 0,
-            idx: 0,
+            upper: self.upper_neighbors(0),
         }
+    }
+
+    /// The neighbors of `u` above `u` (a suffix of the sorted row); empty
+    /// when `u` is out of range.
+    fn upper_neighbors(&self, u: NodeId) -> &[NodeId] {
+        if (u as usize) >= self.n() {
+            return &[];
+        }
+        let row = self.neighbors(u);
+        &row[row.partition_point(|&w| w <= u)..]
     }
 
     /// Iterates all node ids `0..n`.
@@ -160,27 +171,25 @@ impl Graph {
 pub struct Edges<'a> {
     graph: &'a Graph,
     u: NodeId,
-    idx: usize,
+    /// Row `u`'s upper neighbors not yet yielded.
+    upper: &'a [NodeId],
 }
 
 impl Iterator for Edges<'_> {
     type Item = (NodeId, NodeId);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let n = self.graph.n() as NodeId;
-        while self.u < n {
-            let nbrs = self.graph.neighbors(self.u);
-            while self.idx < nbrs.len() {
-                let v = nbrs[self.idx];
-                self.idx += 1;
-                if v > self.u {
-                    return Some((self.u, v));
-                }
+        loop {
+            if let Some((&v, rest)) = self.upper.split_first() {
+                self.upper = rest;
+                return Some((self.u, v));
+            }
+            if (self.u as usize) + 1 >= self.graph.n() {
+                return None;
             }
             self.u += 1;
-            self.idx = 0;
+            self.upper = self.graph.upper_neighbors(self.u);
         }
-        None
     }
 }
 
@@ -264,31 +273,61 @@ impl GraphBuilder {
     }
 
     /// Finishes the graph, sorting adjacency lists and merging duplicates.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut degree = vec![0u32; self.n];
+    ///
+    /// One counting pass buckets every half-edge into its row, in the
+    /// order the edges were added; each row is then sorted and
+    /// deduplicated in place. That is `O(n + m)` plus the per-row sorts,
+    /// which are linear on rows that arrive sorted (edges added in
+    /// lexicographic order fill every row in order). Any insertion order
+    /// of the same edge set builds the same [`Graph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the deduplicated volume `2m` does not fit the `u32` row
+    /// offsets.
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        // Half-edges are counted in usize: with duplicates the count before
+        // deduplication can exceed the final volume.
+        let mut end = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+            end[u as usize] += 1;
+            end[v as usize] += 1;
         }
-        let mut offsets = vec![0u32; self.n + 1];
-        for v in 0..self.n {
-            offsets[v + 1] = offsets[v] + degree[v];
+        let mut total = 0;
+        for slot in end.iter_mut() {
+            total += *slot;
+            *slot = total;
         }
-        let mut cursor: Vec<u32> = offsets[..self.n].to_vec();
-        let mut neighbors = vec![0 as NodeId; offsets[self.n] as usize];
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
+        // Filling back to front from each row's end leaves `end[v]` at the
+        // row's start and every row in insertion order.
+        let mut neighbors = vec![0 as NodeId; total];
+        for &(u, v) in self.edges.iter().rev() {
+            end[u as usize] -= 1;
+            neighbors[end[u as usize]] = v;
+            end[v as usize] -= 1;
+            neighbors[end[v as usize]] = u;
         }
-        // Adjacency of u is filled in increasing v for the (u, v) half, but
-        // the (v, u) halves interleave; sort each list.
-        for v in 0..self.n {
-            neighbors[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+        let start = end;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut len = 0;
+        for v in 0..n {
+            let row = start[v]..start[v + 1];
+            neighbors[row.clone()].sort_unstable();
+            // Compact the distinct entries leftwards (writes never pass `i`).
+            let mut prev = None;
+            for i in row {
+                let w = neighbors[i];
+                if prev != Some(w) {
+                    neighbors[len] = w;
+                    len += 1;
+                    prev = Some(w);
+                }
+            }
+            offsets.push(u32::try_from(len).expect("graph volume exceeds the u32 CSR offsets"));
         }
+        neighbors.truncate(len);
         Graph { offsets, neighbors }
     }
 }

@@ -39,20 +39,30 @@ fn subset_from_mask(n: usize, mask: u64) -> NodeSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Degree sum equals twice the edge count for arbitrary edge lists.
+    /// Degree sum equals twice the edge count for arbitrary edge lists
+    /// (duplicates in both orientations included), and every row equals
+    /// the sorted, deduplicated partner list of its node.
     #[test]
-    fn handshake_lemma(n in 2usize..20, edges in prop::collection::vec((0u32..20, 0u32..20), 0..60)) {
+    fn handshake_lemma(n in 2usize..201, edges in prop::collection::vec((0u32..200, 0u32..200), 0..2001)) {
         let mut b = GraphBuilder::new(n);
+        let mut partners = vec![Vec::new(); n];
         for (u, v) in edges {
             let (u, v) = (u % n as u32, v % n as u32);
             if u != v {
                 b.add_edge(u, v).unwrap();
+                partners[u as usize].push(v);
+                partners[v as usize].push(u);
             }
         }
         let g = b.build();
         let degree_sum: usize = (0..n).map(|v| g.degree(v as u32)).sum();
         prop_assert_eq!(degree_sum, 2 * g.m());
         prop_assert_eq!(degree_sum, g.volume());
+        for (v, mut expected) in partners.into_iter().enumerate() {
+            expected.sort_unstable();
+            expected.dedup();
+            prop_assert_eq!(g.neighbors(v as u32), expected.as_slice());
+        }
     }
 
     /// Every neighbor relation is symmetric and loop-free.

@@ -189,7 +189,8 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
         let mut t: u64 = 0;
         loop {
             // Acquire the window's topology: a reported diff repairs the
-            // protocol state in O(|delta| · deg); no diff means rebuild.
+            // protocol state in place (once per distinct changed-edge
+            // endpoint and stale node); no diff means rebuild.
             let delta = if t == 0 {
                 None
             } else {

@@ -7,8 +7,11 @@
 //!
 //! * [`IncrementalProtocol::rebuild`] — full state construction (graph
 //!   replaced wholesale);
-//! * [`IncrementalProtocol::apply_delta`] — `O(|delta| · deg)` repair after
-//!   a reported [`EdgeDelta`];
+//! * [`IncrementalProtocol::apply_delta`] — repair after a reported
+//!   [`EdgeDelta`]: for the cut-rate protocol, one mark per changed-edge
+//!   endpoint, one row walk per distinct informed endpoint, and
+//!   `O(deg + log n)` per distinct stale node (plus an `n/64`-word scan of
+//!   the stale bitset);
 //! * [`IncrementalProtocol::event_rate`] — the total rate `λ` of the
 //!   protocol's superposed Poisson event clock;
 //! * [`IncrementalProtocol::resolve_event`] — resolve one clock tick,
@@ -85,7 +88,7 @@ impl<'a> WindowCtx<'a> {
 /// [`IncrementalProtocol::resolve_event`].
 ///
 /// State-building hooks receive the engine's [`SimWorkspace`] so scratch
-/// storage (Fenwick trees, uninformed pools, delta-repair buffers) can be
+/// storage (Fenwick trees, uninformed pools, delta-repair marks) can be
 /// recycled across trials instead of re-allocated; implementations may
 /// ignore it. Whatever they check out must be reset to the exact state a
 /// fresh allocation would have — the workspace is a memory optimization,
@@ -438,6 +441,9 @@ impl IncrementalProtocol for CutRateAsync {
     /// Repairs only the nodes whose in-rate could have moved: uninformed
     /// endpoints of changed edges, and uninformed neighbors of informed
     /// endpoints (whose `1/d_u` contribution shifted with `u`'s degree).
+    /// Each distinct endpoint is examined once, so an informed one walks
+    /// its row once however many changed edges it has, and each stale
+    /// node is recomputed once, in ascending order.
     /// Closed-form states (implicit complete/star/bipartite backends)
     /// rebuild instead — that is O(n), no slower than walking a delta.
     fn apply_delta(
@@ -451,24 +457,24 @@ impl IncrementalProtocol for CutRateAsync {
             self.rebuild(g, informed, ws);
             return;
         }
-        let mut stale = ws.take_stale();
+        let (touched, stale) = ws.repair_marks(g.n());
         for e in delta.touched_nodes() {
+            if !touched.insert(e) {
+                continue;
+            }
             if informed.contains(e) {
                 g.for_each_neighbor(e, |w| {
                     if !informed.contains(w) {
-                        stale.push(w);
+                        stale.insert(w);
                     }
                 });
             } else {
-                stale.push(e);
+                stale.insert(e);
             }
         }
-        stale.sort_unstable();
-        stale.dedup();
-        for &v in &stale {
+        for v in stale.iter() {
             self.recompute_rate(g, v, informed);
         }
-        ws.put_stale(stale);
     }
 
     fn event_rate(&self, _g: &Topology, _informed: &NodeSet) -> f64 {
@@ -783,6 +789,71 @@ mod tests {
                 "rate mismatch at node {v}: {} vs {}",
                 repaired.rate_of(v),
                 fresh.rate_of(v)
+            );
+        }
+    }
+
+    #[test]
+    fn cut_rate_delta_repair_is_operation_identical() {
+        // One edge-Markovian step whose delta touches most nodes several
+        // times, on a mid-spread informed set. The marked repair must make
+        // the same recompute calls, in the same order, as the push / sort /
+        // dedup reference below: same floats, same Fenwick sums, same
+        // draws.
+        use gossip_dynamics::{DynamicNetwork, EdgeMarkovian};
+        let n = 400;
+        let mut rng = SimRng::seed_from_u64(21);
+        let initial = gossip_graph::generators::erdos_renyi(n, 0.05, &mut rng).unwrap();
+        let mut net = EdgeMarkovian::new(initial, 0.02, 0.3).unwrap();
+        let mut informed = NodeSet::new(n);
+        for v in 0..n as NodeId {
+            if rng.chance(0.4) {
+                informed.insert(v);
+            }
+        }
+        let old = net.topology(0, &informed, &mut rng).clone();
+        let delta = net.edges_changed(1, &informed, &mut rng).unwrap();
+        let new = net.topology(1, &informed, &mut rng).clone();
+        let mut touches = vec![0usize; n];
+        for e in delta.touched_nodes() {
+            touches[e as usize] += 1;
+        }
+        assert!(touches.iter().filter(|&&c| c >= 3).count() > n / 2);
+
+        let mut ws = SimWorkspace::new();
+        let mut repaired = CutRateAsync::new();
+        repaired.begin(n);
+        repaired.rebuild(&old, &informed, &mut ws);
+        let mut reference = repaired.clone();
+        repaired.apply_delta(&new, &delta, &informed, &mut ws);
+
+        let mut stale = Vec::new();
+        for e in delta.touched_nodes() {
+            if informed.contains(e) {
+                new.for_each_neighbor(e, |w| {
+                    if !informed.contains(w) {
+                        stale.push(w);
+                    }
+                });
+            } else {
+                stale.push(e);
+            }
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        for &v in &stale {
+            reference.recompute_rate(&new, v, &informed);
+        }
+
+        for v in 0..n as NodeId {
+            assert_eq!(repaired.rate_of(v), reference.rate_of(v), "node {v}");
+        }
+        assert_eq!(repaired.total_rate(), reference.total_rate());
+        let (mut r1, mut r2) = (SimRng::seed_from_u64(5), SimRng::seed_from_u64(5));
+        for _ in 0..1000 {
+            assert_eq!(
+                repaired.sample_next(&mut r1),
+                reference.sample_next(&mut r2)
             );
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! Every trial of every experiment needs the same transient state: an
 //! informed-set bitset, a trajectory buffer, the cut-rate simulator's
-//! Fenwick storage and uninformed pools, and delta-repair scratch. Before
+//! Fenwick storage and uninformed pools, and the two delta-repair mark
+//! bitsets (endpoints walked, nodes to recompute). Before
 //! the workspace refactor each trial allocated all of it from scratch
 //! (`NodeSet::new(n)`, `FenwickSampler::new(n)`, pool vectors grown by
 //! push) and dropped it at trial end — so small-`n` / high-trial sweeps
@@ -100,7 +101,7 @@ impl ShrinkPool {
 ///   `FenwickSampler::new(n)` + the same bulk build;
 /// * [`ShrinkPool::reset_from`] refills pools in ascending node order,
 ///   exactly as a freshly grown pool;
-/// * delta-repair scratch is cleared before every use.
+/// * the delta-repair mark bitsets are cleared before every use.
 ///
 /// # Why RNG draw order is unchanged
 ///
@@ -119,7 +120,8 @@ pub struct SimWorkspace {
     trajectory: Option<Vec<(f64, usize)>>,
     fenwick: Option<FenwickSampler>,
     pools: Vec<ShrinkPool>,
-    stale: Option<Vec<NodeId>>,
+    /// Delta-repair marks: `(touched endpoints, stale nodes)`.
+    repair_marks: Option<(NodeSet, NodeSet)>,
 }
 
 impl SimWorkspace {
@@ -183,16 +185,18 @@ impl SimWorkspace {
         }
     }
 
-    /// Checks out the cleared delta-repair scratch vector.
-    pub(crate) fn take_stale(&mut self) -> Vec<NodeId> {
-        let mut buf = self.stale.take().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns the delta-repair scratch.
-    pub(crate) fn put_stale(&mut self, buf: Vec<NodeId>) {
-        self.stale = Some(buf);
+    /// The delta-repair marks over universe `0..n`, both cleared: the
+    /// changed-edge endpoints already examined, and the nodes whose
+    /// in-rate must be recomputed. Retained across windows and trials;
+    /// fresh only when the universe changes.
+    pub(crate) fn repair_marks(&mut self, n: usize) -> (&mut NodeSet, &mut NodeSet) {
+        if !matches!(&self.repair_marks, Some((touched, _)) if touched.universe() == n) {
+            self.repair_marks = Some((NodeSet::new(n), NodeSet::new(n)));
+        }
+        let (touched, stale) = self.repair_marks.as_mut().expect("just ensured");
+        touched.clear();
+        stale.clear();
+        (touched, stale)
     }
 }
 
@@ -276,10 +280,14 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.capacity(), cap, "capacity must be retained");
 
-        let mut s = ws.take_stale();
-        s.push(7);
-        ws.put_stale(s);
-        assert!(ws.take_stale().is_empty());
+        let (touched, stale) = ws.repair_marks(20);
+        touched.insert(3);
+        stale.insert(7);
+        let (touched, stale) = ws.repair_marks(20);
+        assert!(touched.is_empty() && stale.is_empty());
+        let (touched, stale) = ws.repair_marks(9);
+        assert_eq!((touched.universe(), stale.universe()), (9, 9));
+        assert!(touched.is_empty() && stale.is_empty());
     }
 
     #[test]

@@ -1,0 +1,72 @@
+//! Golden output for the dynamic families: the JSONL byte stream of three
+//! sweeps is pinned by its 64-bit FNV-1a digest, so any change to what
+//! the dynamic-network path produces — RNG draw order, graph builds,
+//! delta repair, float summation order — fails here.
+//!
+//! This is the dynamic-family half of the golden-output test. A
+//! deliberate change of draw order must update the digests below and,
+//! once a results-version constant names the code in the result-store
+//! key, bump it, so stores written by an older binary stop answering.
+
+use rumor_spreading::prelude::*;
+use std::path::Path;
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs the sweep into memory: `(records, FNV-1a of the JSONL bytes)`.
+fn jsonl_digest(spec: &ScenarioSpec) -> (usize, u64) {
+    let mut sink = JsonlSink::new(Vec::new());
+    SweepPlan::new(spec).unwrap().run_with(&mut sink).unwrap();
+    let records = sink.records();
+    (records, fnv1a(&sink.into_inner().unwrap()))
+}
+
+fn checked_in(file: &str) -> ScenarioSpec {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join(file);
+    ScenarioSpec::from_path(&path).unwrap()
+}
+
+#[test]
+fn dynamic_family_jsonl_is_pinned() {
+    // (a) Async push-pull on edge-Markovian churn: every window's flip
+    // delta goes through the cut-rate delta repair.
+    let churn = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-edge-markovian-async",
+            "family": {"kind": "edge-markovian", "p": 0.02, "q": 0.2},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [64, 128], "trials": 10, "seed": 31}
+        }"#,
+    )
+    .unwrap();
+    assert_eq!(
+        jsonl_digest(&churn),
+        (20, 0x9dfe_1d35_9e83_9e0b),
+        "edge-Markovian, async"
+    );
+
+    // (b) The Section 4 adversary: an H_{k,Δ} rebuild after every window
+    // in which a B-node hears the rumor.
+    let mut diligent = checked_in("diligent.toml");
+    diligent.sweep.sizes.truncate(2);
+    assert_eq!(
+        jsonl_digest(&diligent),
+        (40, 0xfa32_9f28_4ac3_f64c),
+        "diligent.toml, n <= 512"
+    );
+
+    // (c) The checked-in edge-Markovian scenario (2-push).
+    let two_push = checked_in("edge-markovian.json");
+    assert_eq!(
+        jsonl_digest(&two_push),
+        (60, 0x21a9_568a_9cf1_403e),
+        "edge-markovian.json"
+    );
+}
