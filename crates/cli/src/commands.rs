@@ -4,10 +4,13 @@
 use crate::args::Args;
 use crate::error::CliError;
 use crate::{family, proto};
+use gossip_core::journal::Journal;
+use gossip_core::scenario::{NetSpec, ScenarioSpec, SweepPlan};
 use gossip_core::tracking::{run_tracked_generic, ProfileMode};
 use gossip_dynamics::profile::{conservative_profile, exact_profile};
 use gossip_dynamics::DynamicNetwork;
 use gossip_graph::{NodeSet, EXACT_ENUMERATION_LIMIT};
+use gossip_net::{DeliveryKind, NetSweep, NetTotals};
 use gossip_sim::{JsonlSink, Protocol, RunConfig, RunPlan};
 use gossip_stats::SimRng;
 use std::fmt::Write as _;
@@ -29,6 +32,109 @@ fn open_jsonl(path: &str) -> Result<JsonlSink<std::io::BufWriter<std::fs::File>>
     JsonlSink::create(path).map_err(|e| CliError::Scenario(format!("cannot create {path}: {e}")))
 }
 
+/// The one run path of `scenario run` and `net run`: the spec's sweep
+/// through [`SweepPlan`], journaled, resumed and streamed as asked. A
+/// `[net]` table runs the cells on the live runtime, whose counters
+/// follow the text report.
+fn run_sweep(
+    spec: &ScenarioSpec,
+    journal: Option<&str>,
+    resume: Option<&Journal>,
+    output: Option<&str>,
+    json: bool,
+) -> Result<String, CliError> {
+    let mut plan = SweepPlan::new(spec)?;
+    let live = spec
+        .net
+        .is_some()
+        .then(|| NetSweep::new(spec))
+        .transpose()?;
+    if let Some(runner) = &live {
+        plan = plan.live(runner);
+    }
+    if let Some(path) = journal {
+        plan = plan.journal_to(path);
+    }
+    if let Some(journal) = resume {
+        plan = plan.resume_journal(journal);
+    }
+    let (report, streamed) = match output {
+        Some(out_path) => {
+            // One sink across the whole sweep: every trial of every size
+            // streams to the file as it completes.
+            let mut sink = open_jsonl(out_path)?;
+            let report = plan.run_with(&mut sink)?;
+            (report, Some((sink.records(), out_path)))
+        }
+        None => (plan.run()?, None),
+    };
+    if json {
+        return Ok(serde_json::to_string_pretty(&report) + "\n");
+    }
+    let mut out = report.to_string();
+    if let (Some(live), Some(net)) = (&live, &spec.net) {
+        write_live_totals(&mut out, net, live.totals());
+    }
+    if let Some((records, out_path)) = streamed {
+        let _ = writeln!(out, "wrote {records} trial records to {out_path}");
+    }
+    Ok(out)
+}
+
+/// Appends what the executed live cells did: groups, events and
+/// envelope traffic. Nothing when every cell was replayed.
+fn write_live_totals(out: &mut String, net: &NetSpec, t: NetTotals) {
+    if t.node_trials == 0 {
+        return;
+    }
+    let (secs, traffic) = (t.elapsed.as_secs_f64(), t.traffic);
+    let (delivery, tick) = (net.delivery_or_default(), net.tick_or_default());
+    let _ = writeln!(
+        out,
+        "groups    : {} ({delivery} delivery, tick {tick})",
+        t.groups
+    );
+    let _ = writeln!(
+        out,
+        "events    : {} total ({:.1}/trial, {:.0}/sec)",
+        t.events,
+        t.events as f64 / t.trials.max(1) as f64,
+        t.events as f64 / secs
+    );
+    let _ = writeln!(
+        out,
+        "messages  : {} total ({:.1}/node, {:.0}/sec)",
+        traffic.messages,
+        traffic.messages as f64 / t.node_trials as f64,
+        traffic.messages as f64 / secs
+    );
+    let share = |count: u64| 100.0 * count as f64 / traffic.messages.max(1) as f64;
+    let dropped = format!("({:.2}% of messages)", share(traffic.dropped));
+    let blocked = format!(
+        "({:.2}% of messages, partition cuts)",
+        share(traffic.blocked)
+    );
+    for (name, count, what) in [
+        ("dropped   ", traffic.dropped, dropped.as_str()),
+        ("blocked   ", traffic.blocked, blocked.as_str()),
+        ("duplicated", traffic.duplicated, "extra envelope copies"),
+        (
+            "retried   ",
+            traffic.retried,
+            "trial(s) re-run after a udp exchange stall",
+        ),
+        (
+            "stalled   ",
+            t.stalled,
+            "trial(s) skipped after repeated udp exchange stalls",
+        ),
+    ] {
+        if count > 0 {
+            let _ = writeln!(out, "{name}: {count} {what}");
+        }
+    }
+}
+
 /// `gossip help` / no arguments.
 pub fn help() -> String {
     "\
@@ -40,7 +146,9 @@ USAGE:
 COMMANDS:
     run          simulate a protocol on a network family, report spread-time statistics
     scenario     run declarative experiment files: scenario run|check|init|list
+                 (a spec's [net] table selects the live runtime, here and in serve)
     net          run a scenario on the live message-passing runtime: net run|check
+                 (scenario run's path; adds a default [net] table if the spec has none)
     serve        start the simulation-as-a-service daemon (content-addressed result cache)
     submit       send a scenario file to a running daemon and stream the response
     profile      walk a trajectory and print per-window conductance / diligence profiles
@@ -68,8 +176,10 @@ COMMON FLAGS:
                          run; with no spec file, the journal's embedded spec is used
     --addr <host:port>   serve/submit: daemon address (default: 127.0.0.1:7373)
     --store <dir>        serve: result-store directory (default: gossip-store)
-    --groups <int>       net run: node-group threads per trial (default: cores, max 8)
-    --delivery <name>    net run: local | udp transport between node groups
+    --groups <int>       net run: node-group threads per trial (default: cores, max 8),
+                         written into the spec's [net] table
+    --delivery <name>    net run: local | udp transport between node groups, written
+                         into the spec's [net] table
     --histogram          render the spread-time distribution (run command)
     --fresh-alloc        disable per-worker workspace reuse (run command; A/B diagnostic,
                          bit-identical results, slower small-n throughput)
@@ -87,6 +197,7 @@ EXAMPLES:
     gossip scenario run sweep.toml --journal sweep.journal
     gossip scenario run --resume sweep.journal --output jsonl sweep.jsonl
     gossip net run scenarios/net-smoke.toml --groups 4 --output jsonl live.jsonl
+    gossip scenario run scenarios/net-smoke.toml --journal live.journal
     gossip net check scenarios/net-million.toml
     gossip serve --addr 127.0.0.1:7373 --store /tmp/gossip-store
     gossip submit scenarios/gnp-sparse.toml --addr 127.0.0.1:7373
@@ -100,7 +211,6 @@ EXAMPLES:
 /// `gossip scenario <action> [file] [--flags]`: the declarative-experiment
 /// front end over [`gossip_core::scenario`].
 pub fn scenario(action: Option<&str>, file: Option<&str>, args: &Args) -> Result<String, CliError> {
-    use gossip_core::scenario::{ScenarioSpec, SweepPlan};
     match action {
         Some("run") => {
             let engine = args.opt("engine")?.map(str::to_string);
@@ -132,34 +242,7 @@ pub fn scenario(action: Option<&str>, file: Option<&str>, args: &Args) -> Result
             if let Some(engine) = engine {
                 spec.sweep.engine = Some(engine);
             }
-            let mut plan = SweepPlan::new(&spec).map_err(CliError::from)?;
-            if let Some(path) = &journal {
-                plan = plan.journal_to(path);
-            }
-            if let Some(journal) = &resume {
-                plan = plan.resume_journal(journal);
-            }
-            let (report, streamed) = match output {
-                Some(out_path) => {
-                    // One sink across the whole sweep: every trial of
-                    // every size streams to the file as it completes.
-                    let mut sink = open_jsonl(out_path)?;
-                    let report = plan.run_with(&mut sink).map_err(CliError::from)?;
-                    (report, Some((sink.records(), out_path)))
-                }
-                None => (plan.run().map_err(CliError::from)?, None),
-            };
-            let mut out = if json {
-                serde_json::to_string_pretty(&report) + "\n"
-            } else {
-                report.to_string()
-            };
-            if let Some((records, out_path)) = streamed {
-                if !json {
-                    let _ = writeln!(out, "wrote {records} trial records to {out_path}");
-                }
-            }
-            Ok(out)
+            run_sweep(&spec, journal.as_deref(), resume.as_ref(), output, json)
         }
         Some("check") => {
             let path = file.ok_or_else(|| {
@@ -228,118 +311,40 @@ pub fn scenario(action: Option<&str>, file: Option<&str>, args: &Args) -> Result
 /// `gossip net <action> [file] [--flags]`: the live message-passing
 /// runtime front end over [`gossip_net`].
 pub fn net(action: Option<&str>, file: Option<&str>, args: &Args) -> Result<String, CliError> {
-    use gossip_core::scenario::ScenarioSpec;
-    use gossip_net::{DeliveryKind, NetSweep};
     match action {
         Some("run") => {
-            let groups = args.opt("groups")?.map(|s| {
-                s.parse::<usize>().ok().filter(|&g| g > 0).ok_or_else(|| {
-                    CliError::Usage(format!("--groups expects a positive integer, got `{s}`"))
+            let groups = args
+                .opt("groups")?
+                .map(|s| {
+                    s.parse::<usize>().ok().filter(|&g| g > 0).ok_or_else(|| {
+                        CliError::Usage(format!("--groups expects a positive integer, got `{s}`"))
+                    })
                 })
-            });
-            let groups = match groups {
-                None => None,
-                Some(r) => Some(r?),
-            };
-            let delivery = args.opt("delivery")?.map(|s| {
-                DeliveryKind::parse(s)
-                    .ok_or_else(|| CliError::Usage(format!("unknown delivery `{s}` (local, udp)")))
-            });
-            let delivery = match delivery {
-                None => None,
-                Some(r) => Some(r?),
-            };
+                .transpose()?;
+            let delivery = args
+                .opt("delivery")?
+                .map(|s| {
+                    DeliveryKind::parse(s).ok_or_else(|| {
+                        CliError::Usage(format!("unknown delivery `{s}` (local, udp)"))
+                    })
+                })
+                .transpose()?;
             let json = args.flag("json");
             let output = jsonl_output(args)?;
             args.reject_unknown()?;
             let path = file.ok_or_else(|| {
                 CliError::Usage("net run needs a file: `gossip net run <file>`".into())
             })?;
-            let spec =
+            let mut spec =
                 ScenarioSpec::from_path(std::path::Path::new(path)).map_err(CliError::from)?;
-            let mut sweep = NetSweep::new(&spec).map_err(CliError::from)?;
+            let net = spec.net.get_or_insert_with(NetSpec::new);
             if let Some(g) = groups {
-                sweep = sweep.groups(g);
+                net.groups = Some(g);
             }
             if let Some(d) = delivery {
-                sweep = sweep.delivery(d);
+                net.delivery = Some(d.name().to_string());
             }
-            let (live, streamed) = match output {
-                Some(out_path) => {
-                    let mut sink = open_jsonl(out_path)?;
-                    let live = sweep.run_with(&mut sink).map_err(CliError::from)?;
-                    (live, Some((sink.records(), out_path)))
-                }
-                None => (sweep.run().map_err(CliError::from)?, None),
-            };
-            if json {
-                return Ok(serde_json::to_string_pretty(&live.report) + "\n");
-            }
-            let total_trials: usize = live.report.rows.iter().map(|r| r.trials).sum();
-            let mut out = live.report.to_string();
-            let _ = writeln!(
-                out,
-                "groups    : {} ({} delivery, tick {})",
-                live.groups,
-                live.delivery.name(),
-                sweep.config().tick
-            );
-            let _ = writeln!(
-                out,
-                "events    : {} total ({:.1}/trial, {:.0}/sec)",
-                live.events,
-                live.events as f64 / total_trials.max(1) as f64,
-                live.events_per_sec()
-            );
-            let traffic = live.traffic;
-            let _ = writeln!(
-                out,
-                "messages  : {} total ({:.1}/node, {:.0}/sec)",
-                traffic.messages,
-                live.messages_per_node(),
-                live.messages_per_sec()
-            );
-            if traffic.dropped > 0 {
-                let _ = writeln!(
-                    out,
-                    "dropped   : {} ({:.2}% of messages)",
-                    traffic.dropped,
-                    100.0 * traffic.dropped as f64 / traffic.messages.max(1) as f64
-                );
-            }
-            if traffic.blocked > 0 {
-                let _ = writeln!(
-                    out,
-                    "blocked   : {} ({:.2}% of messages, partition cuts)",
-                    traffic.blocked,
-                    100.0 * traffic.blocked as f64 / traffic.messages.max(1) as f64
-                );
-            }
-            if traffic.duplicated > 0 {
-                let _ = writeln!(
-                    out,
-                    "duplicated: {} extra envelope copies",
-                    traffic.duplicated
-                );
-            }
-            if traffic.retried > 0 {
-                let _ = writeln!(
-                    out,
-                    "retried   : {} trial(s) re-run after a udp exchange stall",
-                    traffic.retried
-                );
-            }
-            if live.stalled > 0 {
-                let _ = writeln!(
-                    out,
-                    "stalled   : {} trial(s) skipped after repeated udp exchange stalls",
-                    live.stalled
-                );
-            }
-            if let Some((records, out_path)) = streamed {
-                let _ = writeln!(out, "wrote {records} trial records to {out_path}");
-            }
-            Ok(out)
+            run_sweep(&spec, None, None, output, json)
         }
         Some("check") => {
             let path = file.ok_or_else(|| {
@@ -410,7 +415,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 /// line, one JSONL line per trial (byte-identical to
 /// `scenario run --output jsonl`), and the report footer.
 pub fn submit(file: Option<&str>, args: &Args) -> Result<String, CliError> {
-    use gossip_core::scenario::ScenarioSpec;
     let addr = args.opt("addr")?.unwrap_or("127.0.0.1:7373").to_string();
     args.reject_unknown()?;
     let path = file.ok_or_else(|| {

@@ -219,6 +219,13 @@ name = \"cli-net-e2e\"\n\n[family]\nkind = \"complete\"\n\n[protocol]\nkind = \"
         assert!(out.contains("wrote 5 trial records"), "{out}");
         let text = std::fs::read_to_string(&jsonl).unwrap();
         assert_eq!(text.lines().count(), 5);
+        // `scenario run` takes the same path: the [net] table runs live.
+        let out = run(&format!(
+            "scenario run {path_str} --output jsonl {jsonl_str}"
+        ))
+        .unwrap();
+        assert!(out.contains("engine    : net/local"), "{out}");
+        assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), text);
         let _ = std::fs::remove_file(&jsonl);
         // A dynamic family is rejected with a targeted message.
         let bad = "\

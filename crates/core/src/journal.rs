@@ -14,12 +14,13 @@
 //!
 //! The spec hash is FNV-1a over the *normalized* spec's canonical JSON
 //! rendering ([`ScenarioSpec::normalized`]): any semantic change —
-//! sizes, seeds, fault parameters, engine — invalidates old journals
-//! instead of silently splicing incompatible results, while
-//! presentation-only differences (description, `[net]` settings, thread
-//! counts, defaults spelled out vs omitted, TOML vs JSON source) hash
-//! identically, so journals and the `gossip serve` result store are
-//! shared across every rendering of the same experiment.
+//! sizes, seeds, fault parameters, engine, a `[net]` table or its
+//! `tick` / `horizon` — invalidates old journals instead of silently
+//! splicing incompatible results, while presentation-only differences
+//! (description, thread and node-group counts, live transport, defaults
+//! spelled out vs omitted, TOML vs JSON source) hash identically, so
+//! journals and the `gossip serve` result store are shared across every
+//! rendering of the same experiment.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -36,11 +37,12 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 /// Stable across processes and platforms; used to bind a journal file to
 /// the experiment that produced it. Two specs hash equal exactly when
 /// they describe the same experiment: presentation-only fields
-/// (description, `[net]`, `sweep.threads` / `workspace` /
-/// `cell_parallel`) and defaults written out explicitly do not change
-/// the hash, and a spec loaded from TOML hashes identically to the same
-/// spec loaded from JSON. The `gossip serve` result store keys on this
-/// hash, so equivalent requests share one cache entry.
+/// (description, `sweep.threads` / `workspace` / `cell_parallel`, and
+/// `[net]`'s transport knobs) and defaults written out explicitly do not
+/// change the hash, and a spec loaded from TOML hashes identically to
+/// the same spec loaded from JSON. A live spec never hashes like its
+/// analytic twin. The `gossip serve` result store keys on this hash, so
+/// equivalent requests share one cache entry.
 pub fn spec_hash(spec: &ScenarioSpec) -> u64 {
     let json = spec.normalized().to_json_string();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -253,7 +255,14 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioSpec;
+    use crate::scenario::{NetSpec, ScenarioSpec};
+
+    fn checked_in(file: &str) -> ScenarioSpec {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../scenarios")
+            .join(file);
+        ScenarioSpec::from_path(&path).unwrap()
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -407,5 +416,71 @@ mod tests {
             Err(ScenarioError::Journal(m)) if m.contains("bad header")
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn analytic_spec_hashes_are_pinned() {
+        // The store keys of existing `gossip serve` stores: an analytic
+        // hash that moves orphans every entry written under it.
+        assert_eq!(spec_hash(&ScenarioSpec::template()), 4332350388950356320);
+        for (file, hash) in [
+            ("diligent.toml", 12771513118208059142),
+            ("edge-markovian.json", 3828236253256490543),
+            ("faulty-gnp.toml", 4074803910281251186),
+            ("serve-cache.toml", 17930432463041163200),
+        ] {
+            assert_eq!(spec_hash(&checked_in(file)), hash, "{file}");
+        }
+        let live = checked_in("net-smoke.toml");
+        let twin = ScenarioSpec {
+            net: None,
+            ..live.clone()
+        };
+        assert_eq!(
+            spec_hash(&twin),
+            8313492906940681391,
+            "net-smoke.toml without [net]"
+        );
+        assert_ne!(
+            spec_hash(&live),
+            spec_hash(&twin),
+            "a live spec is not its analytic twin"
+        );
+    }
+
+    #[test]
+    fn live_spec_hash_keeps_only_semantic_net_fields() {
+        let spec = checked_in("net-smoke.toml");
+        let base = spec_hash(&spec);
+        let with = |edit: fn(&mut NetSpec)| {
+            let mut p = spec.clone();
+            edit(p.net.as_mut().unwrap());
+            spec_hash(&p)
+        };
+        // Bit-invisible: results are identical across these.
+        assert_eq!(with(|n| n.groups = Some(5)), base, "groups");
+        assert_eq!(with(|n| n.delivery = Some("udp".into())), base, "delivery");
+        assert_eq!(
+            with(|n| n.exchange_timeout = Some(7.0)),
+            base,
+            "exchange_timeout"
+        );
+        assert_eq!(
+            with(|n| n.exchange_retries = Some(0)),
+            base,
+            "exchange_retries"
+        );
+        assert_eq!(
+            with(|n| n.tick = Some(1e-3)),
+            base,
+            "the default tick, spelled out"
+        );
+        let max_time = spec.sweep.max_time_or_default();
+        let mut p = spec.clone();
+        p.net.as_mut().unwrap().horizon = Some(max_time);
+        assert_eq!(spec_hash(&p), base, "horizon = max_time is the default");
+        // Semantic: the latency and the cutoff change results.
+        assert_ne!(with(|n| n.tick = Some(2e-3)), base, "tick");
+        assert_ne!(with(|n| n.horizon = Some(50.0)), base, "horizon");
     }
 }

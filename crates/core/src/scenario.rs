@@ -32,7 +32,9 @@
 //! ([`gossip_sim::EventSimulation`]) whenever the protocol implements
 //! [`IncrementalProtocol`], and falls back to the window-based reference
 //! engine otherwise; `engine = "window"` or `engine = "event"` in
-//! `[sweep]` forces a choice.
+//! `[sweep]` forces a choice. A `[net]` table instead selects the live
+//! message-passing runtime of `gossip-net`, which [`SweepPlan`] drives
+//! through a [`LiveRunner`].
 
 use gossip_dynamics::{
     AbsoluteDiligentNetwork, AlternatingRegular, CliquePendant, DiligentNetwork, DynamicNetwork,
@@ -74,10 +76,11 @@ pub struct ScenarioSpec {
     /// Optional fault injection (`[faults]`); absent or inactive specs
     /// run the fault-free process bit-identically.
     pub faults: Option<FaultSpec>,
-    /// Optional live-runtime configuration (`[net]`), read by the
-    /// `gossip net` driver (the message-passing runtime of the
-    /// `gossip-net` crate). The analytic engines ignore it, so adding a
-    /// `[net]` table never changes `scenario run` results.
+    /// Optional live-runtime configuration (`[net]`). A `[net]` table
+    /// selects the message-passing runtime of the `gossip-net` crate in
+    /// every front end (`scenario run`, `net run`, `serve`); removing it
+    /// gives the spec's analytic twin. Of its fields only `tick` and
+    /// `horizon` change results (see [`ScenarioSpec::normalized`]).
     pub net: Option<NetSpec>,
 }
 
@@ -287,10 +290,11 @@ impl SweepSpec {
 ///
 /// The last four fields model *delivery-layer chaos* — network
 /// partitions, late messages, duplicated messages — which only exists
-/// where messages physically travel: the live runtime (`gossip net
-/// run`). The analytic engines reject them ([`ScenarioPlan::new`]); the
-/// live runtime rejects `target_high_degree` in turn (it needs a global
-/// degree ordering over still-up nodes, an analytic-engine view).
+/// where messages physically travel: the live runtime (a spec with a
+/// `[net]` table). Analytic plans reject them ([`ScenarioPlan::new`]);
+/// the live runtime rejects `target_high_degree` in turn (it needs a
+/// global degree ordering over still-up nodes, an analytic-engine
+/// view).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Per-message drop probability in `[0, 1]` (default 0).
@@ -375,10 +379,10 @@ impl Default for FaultSpec {
 
 /// Live-runtime parameters — the `[net]` section of a scenario.
 ///
-/// Configures the message-passing runtime (`gossip net run`), where
-/// nodes are actors multiplexed onto node-group threads and every
-/// interaction travels as a routed message. Every field is optional; an
-/// empty `[net]` table selects the defaults.
+/// Its presence selects the message-passing runtime, where nodes are
+/// actors multiplexed onto node-group threads and every interaction
+/// travels as a routed message. Every field is optional; the
+/// `*_or_default` accessors own the defaults.
 ///
 /// ```toml
 /// [net]
@@ -427,6 +431,42 @@ impl NetSpec {
             exchange_retries: None,
         }
     }
+
+    /// Node groups per trial (default: one per available core, at most 8;
+    /// epoch barriers outgrow their benefit beyond that on one machine).
+    pub fn groups_or_default(&self) -> usize {
+        let cores = || std::thread::available_parallelism().map_or(1, |p| p.get());
+        self.groups.unwrap_or_else(|| cores().min(8))
+    }
+
+    /// Transport name (default `"local"`).
+    pub fn delivery_or_default(&self) -> &str {
+        self.delivery.as_deref().unwrap_or("local")
+    }
+
+    /// Message latency = epoch length (default 1e-3: small against every
+    /// per-hop spread-time scale the repo sweeps, so live spread times
+    /// match the analytic zero-latency distributions within KS noise;
+    /// large enough that million-node runs keep thousands of events per
+    /// epoch between barriers).
+    pub fn tick_or_default(&self) -> f64 {
+        self.tick.unwrap_or(1e-3)
+    }
+
+    /// Virtual-time cutoff (default: the sweep's `max_time`).
+    pub fn horizon_or_default(&self, sweep: &SweepSpec) -> f64 {
+        self.horizon.unwrap_or_else(|| sweep.max_time_or_default())
+    }
+
+    /// UDP exchange timeout in seconds (default 1.0).
+    pub fn exchange_timeout_or_default(&self) -> f64 {
+        self.exchange_timeout.unwrap_or(1.0)
+    }
+
+    /// UDP retransmission attempts (default 3).
+    pub fn exchange_retries_or_default(&self) -> u32 {
+        self.exchange_retries.unwrap_or(3)
+    }
 }
 
 impl Default for NetSpec {
@@ -451,8 +491,20 @@ const LIVE_STATIC_FAMILIES: &[&str] = &[
     "circulant-lift",
 ];
 
-/// Protocol kinds with a live (message-passing) implementation.
-const LIVE_PROTOCOLS: &[&str] = &["async", "naive", "push", "pull"];
+/// Protocol kinds with a live (message-passing) implementation, and the
+/// display name live reports carry for each.
+const LIVE_PROTOCOLS: &[(&str, &str)] = &[
+    ("async", "async push-pull (live)"),
+    ("naive", "async push-pull (live)"),
+    ("push", "async push (live)"),
+    ("pull", "async pull (live)"),
+];
+
+/// The live runtime's display name for protocol `kind`, or `None` when
+/// the runtime has no implementation of it.
+pub fn live_protocol_name(kind: &str) -> Option<&'static str> {
+    LIVE_PROTOCOLS.iter().find(|p| p.0 == kind).map(|p| p.1)
+}
 
 /// Largest sweep size allowed with `net.delivery = "udp"` on sampled
 /// topology backends: above this, realizing the sampled rows in every
@@ -499,6 +551,9 @@ pub enum ScenarioError {
     /// A sweep journal could not be written, read, or reconciled with
     /// the spec (see [`crate::journal`]).
     Journal(String),
+    /// A live cell could not run: no [`LiveRunner`] is attached, or the
+    /// live runtime failed (its message).
+    Live(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -515,6 +570,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Graph(e) => write!(f, "{e}"),
             ScenarioError::Sim(e) => write!(f, "{e}"),
             ScenarioError::Journal(m) => write!(f, "sweep journal error: {m}"),
+            ScenarioError::Live(m) => write!(f, "{m}"),
         }
     }
 }
@@ -1156,13 +1212,12 @@ impl ScenarioSpec {
     /// semantic default written out. Two specs describing the same
     /// experiment — whether they came from TOML or JSON, spelled defaults
     /// explicitly or left them implicit, or differ only in description /
-    /// `[net]` tables / thread budgets — normalize to identical structs,
+    /// thread budgets / live transport — normalize to identical structs,
     /// which is what makes [`crate::journal::spec_hash`] a usable
     /// content address for results.
     ///
     /// Erased (presentation-only; bit-identical results regardless):
-    /// `description`, the `[net]` table (ignored by the analytic
-    /// engines), `sweep.workspace`, `sweep.threads`, and
+    /// `description`, `sweep.workspace`, `sweep.threads`, and
     /// `sweep.cell_parallel` (all test-enforced bit-invisible), and an
     /// *inactive* `[faults]` table (fault-free by construction).
     ///
@@ -1173,13 +1228,25 @@ impl ScenarioSpec {
     /// to for this protocol. `sweep.vectorized` **is** semantic — the
     /// vectorized loop consumes each trial's RNG stream in a different
     /// order — so it is kept (default `true` written out).
+    ///
+    /// A `[net]` table selects the live runtime, so it is kept with its
+    /// `tick` and `horizon` written out; its bit-invisible `groups`,
+    /// `delivery`, `exchange_timeout` and `exchange_retries` are erased,
+    /// as are the analytic-only `sweep.engine` and `sweep.vectorized`.
     pub fn normalized(&self) -> ScenarioSpec {
         let sweep = &self.sweep;
+        let net = self.net.as_ref().map(|net| NetSpec {
+            horizon: Some(net.horizon_or_default(sweep)),
+            tick: Some(net.tick_or_default()),
+            ..NetSpec::new()
+        });
         // `auto` resolves to the engine the plan would pick; when the
         // protocol (or the engine string) is unknown the spelling is kept
         // as written — normalization must stay infallible, and such specs
-        // fail validation before any result exists to address.
+        // fail validation before any result exists to address. Live specs
+        // run on no analytic engine.
         let engine = match parse_engine(sweep.engine.as_deref()) {
+            _ if net.is_some() => None,
             Ok(Engine::Auto) => match build_any_protocol(&self.protocol) {
                 Ok(probe) if probe.supports_event() => Some(Engine::Event.name().into()),
                 Ok(_) => Some(Engine::Window.name().into()),
@@ -1188,6 +1255,7 @@ impl ScenarioSpec {
             Ok(forced) => Some(forced.name().into()),
             Err(_) => sweep.engine.clone(),
         };
+        let vectorized = net.is_none().then(|| sweep.vectorized.unwrap_or(true));
         let faults = self.faults.as_ref().and_then(|f| {
             // An inactive fault model runs the fault-free process
             // bit-identically (test-enforced), so it normalizes away —
@@ -1227,12 +1295,12 @@ impl ScenarioSpec {
                 engine,
                 start: sweep.start,
                 workspace: None,
-                vectorized: Some(sweep.vectorized.unwrap_or(true)),
+                vectorized,
                 threads: None,
                 cell_parallel: None,
             },
             faults,
-            net: None,
+            net,
         }
     }
 
@@ -1409,7 +1477,7 @@ impl ScenarioSpec {
                 }
             }
         }
-        // A [net] table declares intent to run live, so live-runtime
+        // A [net] table selects the live runtime, so live-runtime
         // compatibility is validated up front (mirrors the [faults]
         // checks above).
         if self.net.is_some() {
@@ -1418,19 +1486,20 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Live-runtime validation: can this spec run under `gossip net`?
+    /// Live-runtime validation: can this spec run on the live runtime?
     ///
     /// Called from [`ScenarioSpec::validate`] whenever a `[net]` table is
-    /// present, and by the live driver on every spec (a spec without a
-    /// `[net]` table runs live on all defaults). Assumes the structural
-    /// checks of `validate` have passed.
+    /// present, and by `gossip_net::NetSweep::new` on every spec (a spec
+    /// without a `[net]` table runs live on all defaults). Assumes the
+    /// structural checks of `validate` have passed.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Invalid`] naming the first live-incompatibility:
     /// bad `[net]` parameters, a dynamic family, a protocol without a
-    /// live implementation, sampled topologies too large to realize
-    /// under UDP delivery, or fault features beyond per-message drops.
+    /// live implementation, a forced analytic engine, sampled topologies
+    /// too large to realize under UDP delivery, or adversarial degree
+    /// targeting.
     pub fn validate_net(&self) -> Result<(), ScenarioError> {
         let net = self.net.clone().unwrap_or_default();
         if net.groups == Some(0) {
@@ -1438,7 +1507,7 @@ impl ScenarioSpec {
                 "net.groups must be at least 1 (omit it to use one group per core)".into(),
             ));
         }
-        let delivery = net.delivery.as_deref().unwrap_or("local");
+        let delivery = net.delivery_or_default();
         if !matches!(delivery, "local" | "udp") {
             return Err(ScenarioError::Invalid(format!(
                 "unknown net.delivery `{delivery}` (local, udp)"
@@ -1465,13 +1534,21 @@ impl ScenarioSpec {
                 LIVE_STATIC_FAMILIES.join(", ")
             )));
         }
-        if !LIVE_PROTOCOLS.contains(&self.protocol.kind.as_str()) {
+        if live_protocol_name(&self.protocol.kind).is_none() {
+            let kinds: Vec<&str> = LIVE_PROTOCOLS.iter().map(|&(k, _)| k).collect();
             return Err(ScenarioError::Invalid(format!(
                 "protocol `{}` has no live implementation \
                  (live protocols: {})",
                 self.protocol.kind,
-                LIVE_PROTOCOLS.join(", ")
+                kinds.join(", ")
             )));
+        }
+        if parse_engine(self.sweep.engine.as_deref())? != Engine::Auto {
+            return Err(ScenarioError::Invalid(
+                "sweep.engine selects an analytic engine, but a [net] table selects the \
+                 live runtime (remove one of them)"
+                    .into(),
+            ));
         }
         if delivery == "udp" {
             let sampled = self.family.kind == "circulant-lift"
@@ -1639,7 +1716,7 @@ impl fmt::Display for ScenarioReport {
 
 #[cfg(test)]
 thread_local! {
-    /// Test-only crash injection: when set to `Some(i)`, the journaled
+    /// Test-only crash injection: when set to `Some(i)`, the sequential
     /// execution path panics immediately before *executing* (never
     /// before replaying) cell `i`, emulating a process dying mid-sweep.
     static TEST_PANIC_BEFORE_CELL: std::cell::Cell<Option<usize>> =
@@ -1657,11 +1734,13 @@ thread_local! {
 /// result store keys on [`ScenarioPlan::spec_hash`]), and executed many
 /// times. [`ScenarioPlan::execution`] borrows the plan into a
 /// [`SweepPlan`]; [`ScenarioPlan::into_execution`] consumes it.
+/// A spec with a `[net]` table plans a live sweep, whose cells run
+/// through a [`LiveRunner`].
 #[derive(Debug, Clone)]
 pub struct ScenarioPlan {
     spec: ScenarioSpec,
     engine: Engine,
-    resolved: Engine,
+    engine_name: String,
     protocol_name: &'static str,
     trials: usize,
     seed: u64,
@@ -1682,36 +1761,39 @@ impl ScenarioPlan {
         // Delivery-layer chaos (partitions, delays, duplication) only
         // exists where envelopes physically travel; the analytic engines
         // have no message objects to perturb.
-        if spec
-            .faults
-            .as_ref()
-            .is_some_and(FaultSpec::net_chaos_active)
+        if spec.net.is_none()
+            && spec
+                .faults
+                .as_ref()
+                .is_some_and(FaultSpec::net_chaos_active)
         {
             return Err(ScenarioError::Invalid(
                 "faults.partition_rate / delay / duplicate perturb the delivery layer, \
-                 which only the live runtime has — run this spec with `gossip net run`"
+                 which only the live runtime has — add a `[net]` table to run this spec live"
                     .into(),
             ));
         }
         let probe = build_any_protocol(&spec.protocol)?;
         let engine = parse_engine(spec.sweep.engine.as_deref())?;
-        // The engine every cell resolves to is a pure function of the
-        // spec, so even fully-replayed sweeps can report it without
-        // running anything.
-        let resolved = match engine {
-            Engine::Auto => {
-                if probe.supports_event() {
-                    Engine::Event
-                } else {
-                    Engine::Window
-                }
+        // The engine every cell resolves to and the report labels are
+        // pure functions of the spec, so even fully-replayed sweeps can
+        // report them without running anything.
+        let (engine_name, protocol_name) = match (&spec.net, engine) {
+            (Some(net), _) => (
+                format!("net/{}", net.delivery_or_default()),
+                live_protocol_name(&spec.protocol.kind)
+                    .expect("validate_net admits live protocols only"),
+            ),
+            (None, Engine::Auto) if probe.supports_event() => {
+                (Engine::Event.name().into(), probe.name())
             }
-            forced => forced,
+            (None, Engine::Auto) => (Engine::Window.name().into(), probe.name()),
+            (None, forced) => (forced.name().into(), probe.name()),
         };
         Ok(ScenarioPlan {
             engine,
-            resolved,
-            protocol_name: probe.name(),
+            engine_name,
+            protocol_name,
             trials: spec.sweep.trials_or_default(),
             seed: spec.sweep.seed_or_default(),
             config: RunConfig::with_max_time(spec.sweep.max_time_or_default()),
@@ -1738,13 +1820,19 @@ impl ScenarioPlan {
         self.engine
     }
 
-    /// The engine every cell resolves to ([`Engine::Auto`] resolved
-    /// against the protocol's capabilities).
-    pub fn resolved_engine(&self) -> Engine {
-        self.resolved
+    /// Whether the spec's `[net]` table selects the live runtime.
+    pub fn is_live(&self) -> bool {
+        self.spec.net.is_some()
     }
 
-    /// The protocol's display name.
+    /// The engine every cell resolves to, as the report labels it:
+    /// `"event"` or `"window"` ([`Engine::Auto`] resolved against the
+    /// protocol's capabilities), or `"net/local"` / `"net/udp"`.
+    pub fn engine_name(&self) -> &str {
+        &self.engine_name
+    }
+
+    /// The protocol's display name (its live name on live plans).
     pub fn protocol_name(&self) -> &'static str {
         self.protocol_name
     }
@@ -1783,6 +1871,17 @@ impl ScenarioPlan {
         plan
     }
 
+    /// The sweep report over `rows`, labeled by the plan.
+    fn report(&self, rows: Vec<ScenarioRow>) -> ScenarioReport {
+        ScenarioReport {
+            scenario: self.spec.name.clone(),
+            family: self.spec.family.kind.clone(),
+            protocol: self.protocol_name.to_string(),
+            engine: self.engine_name.clone(),
+            rows,
+        }
+    }
+
     /// Borrows the plan into its execution half.
     pub fn execution(&self) -> SweepPlan<'_> {
         SweepPlan::over(Cow::Borrowed(self))
@@ -1807,6 +1906,8 @@ impl ScenarioPlan {
 /// ([`SweepPlan::run_with`]), e.g. one [`gossip_sim::JsonlSink`]
 /// receiving every trial of every size (records carry `n`, so the stream
 /// stays self-describing).
+/// Live plans run their cells through the attached [`LiveRunner`], with
+/// the same journaling, resume and cell parallelism.
 #[derive(Debug, Clone)]
 pub struct SweepPlan<'s> {
     plan: Cow<'s, ScenarioPlan>,
@@ -1814,6 +1915,40 @@ pub struct SweepPlan<'s> {
     resume: Option<Resume<'s>>,
     topologies: Option<Arc<TopologyCache>>,
     pool: Option<Arc<WorkspacePool>>,
+    live: Option<&'s dyn LiveRunner>,
+}
+
+/// Runs the cells of a live sweep: the seam through which
+/// `gossip_net::NetSweep` (its crate depends on this one) plugs into
+/// [`SweepPlan`].
+pub trait LiveRunner: fmt::Debug + Sync {
+    /// Runs `plan` — the cell's [`RunPlan`], observers attached — at
+    /// sweep size `n`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepPlan::run`].
+    fn run_cell(&self, n: usize, plan: RunPlan<'_>) -> Result<RunReport, ScenarioError>;
+}
+
+/// Buffers a cell's trial records, for the journal or for in-order
+/// delivery by the cell-parallel scheduler; `wants` asks for
+/// trajectories on behalf of the observers the records go to.
+#[derive(Default)]
+struct RecordBuffer {
+    records: Vec<TrialRecord>,
+    wants: bool,
+}
+
+impl TrialObserver for RecordBuffer {
+    fn wants_trajectory(&self) -> bool {
+        self.wants
+    }
+
+    fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
+        self.records.push(r.clone());
+        Ok(())
+    }
 }
 
 /// The journal a resuming [`SweepPlan`] replays: a file loaded when the
@@ -1846,6 +1981,7 @@ impl<'s> SweepPlan<'s> {
             resume: None,
             topologies: None,
             pool: None,
+            live: None,
         }
     }
 
@@ -1915,6 +2051,14 @@ impl<'s> SweepPlan<'s> {
         self
     }
 
+    /// Attaches the runner of live cells. A live plan executes its cells
+    /// through `runner` and fails with [`ScenarioError::Live`] without
+    /// one; replayed cells need none, and analytic plans ignore it.
+    pub fn live(mut self, runner: &'s dyn LiveRunner) -> Self {
+        self.live = Some(runner);
+        self
+    }
+
     /// Builds the family at size `n` through the attached
     /// [`TopologyCache`], falling back to a cold [`build_family`].
     fn build_net(&self, n: usize) -> Result<Box<dyn DynamicNetwork>, ScenarioError> {
@@ -1936,7 +2080,7 @@ impl<'s> SweepPlan<'s> {
     /// # Errors
     ///
     /// [`ScenarioError::Graph`] when a family constructor rejects a size;
-    /// [`ScenarioError::Sim`] when a run fails.
+    /// [`ScenarioError::Sim`] or [`ScenarioError::Live`] when a run fails.
     pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
         self.run_observed(&mut [])
     }
@@ -1956,66 +2100,37 @@ impl<'s> SweepPlan<'s> {
         self.run_observed(std::slice::from_mut(&mut observer))
     }
 
-    fn run_observed(
+    /// As [`SweepPlan::run_with`], with several observers, each served
+    /// as if attached alone.
+    ///
+    /// Cells run in order, or on the cell scheduler when unjournaled and
+    /// `sweep.cell_parallel` asks. A journal gets one flushed line per
+    /// cleanly completed cell, and cells of a resume journal are
+    /// replayed into the observers exactly as a [`RunPlan`] would
+    /// deliver them, so the merged stream and report are bit-identical
+    /// to an uninterrupted run (test-enforced, including resume after an
+    /// injected crash).
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepPlan::run_with`]; journaled sweeps also reject
+    /// trajectory-recording observers.
+    pub fn run_observed(
         &self,
         observers: &mut [&mut dyn TrialObserver],
     ) -> Result<ScenarioReport, ScenarioError> {
         let spec = self.plan.spec();
-        if self.journal.is_some() || self.resume.is_some() {
-            return self.run_journaled(observers);
-        }
-        if spec.sweep.cell_parallel.unwrap_or(false) && spec.sweep.sizes.len() > 1 {
+        let journaled = self.journal.is_some() || self.resume.is_some();
+        if !journaled && spec.sweep.cell_parallel.unwrap_or(false) && spec.sweep.sizes.len() > 1 {
             return self.run_cells_parallel(observers);
         }
-        let mut rows = Vec::with_capacity(spec.sweep.sizes.len());
-        let mut resolved = self.plan.engine;
-        for &n in &spec.sweep.sizes {
-            // Probe the family so constructor errors surface as errors,
-            // not panics inside the plan's make_net closure.
-            self.build_net(n)?;
-            let mut plan = self.plan();
-            for o in observers.iter_mut() {
-                plan = plan.observer(&mut **o);
-            }
-            let report = plan.execute(
-                || self.build_net(n).expect("probed above"),
-                || build_any_protocol(&spec.protocol).expect("probed at construction"),
-            )?;
-            resolved = report.engine();
-            rows.push(ScenarioRow::from_summary(n, &report));
-        }
-        Ok(ScenarioReport {
-            scenario: spec.name.clone(),
-            family: spec.family.kind.clone(),
-            protocol: self.plan.protocol_name.to_string(),
-            engine: resolved.name().to_string(),
-            rows,
-        })
-    }
-
-    /// The journaled / resuming execution path: cells run sequentially,
-    /// every cleanly completed cell is appended to the journal (one
-    /// flushed JSONL line per cell, so a crash loses at most the cell in
-    /// flight), and cells found in a resume journal are *replayed* into
-    /// the observers instead of re-executed. Replay delivers the
-    /// recorded trials exactly as a live [`RunPlan`] would (trial order,
-    /// [`TrialObserver::finish`] per cell), so the merged observer
-    /// stream and report are bit-identical to an uninterrupted run —
-    /// test-enforced, including resume after an injected mid-sweep
-    /// crash.
-    fn run_journaled(
-        &self,
-        observers: &mut [&mut dyn TrialObserver],
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let spec = self.plan.spec();
-        if observers.iter().any(|o| o.wants_trajectory()) {
+        if journaled && observers.iter().any(|o| o.wants_trajectory()) {
             return Err(ScenarioError::Journal(
                 "journaled sweeps cannot feed trajectory-recording observers \
                  (journal cells store per-trial summaries, not curves)"
                     .into(),
             ));
         }
-        let spec_hash = self.plan.hash;
         // Load the whole resume journal *before* opening the new one:
         // resuming in place (the same path as both source and target)
         // is supported.
@@ -2038,16 +2153,12 @@ impl<'s> SweepPlan<'s> {
                 path,
                 &JournalHeader {
                     scenario: spec.name.clone(),
-                    spec_hash,
+                    spec_hash: self.plan.hash,
                     spec: spec.clone(),
                 },
             )?),
             None => None,
         };
-        // The engine every cell resolves to was precomputed by the
-        // planning half, so fully-replayed sweeps report it without
-        // running anything.
-        let resolved = self.plan.resolved;
         let mut rows = Vec::with_capacity(spec.sweep.sizes.len());
         for (index, &n) in spec.sweep.sizes.iter().enumerate() {
             if let Some(cell) = replayed.get(&index) {
@@ -2080,89 +2191,58 @@ impl<'s> SweepPlan<'s> {
                     panic!("injected crash before cell {index}");
                 }
             });
-            // Probe the family, as on the plain sequential path.
-            self.build_net(n)?;
             // Buffer the stripped records for the journal; attached
-            // first, it sees exactly what the real observers see.
-            struct Buffer(Vec<TrialRecord>);
-            impl TrialObserver for Buffer {
-                fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
-                    self.0.push(r.clone());
-                    Ok(())
-                }
+            // first, the buffer sees exactly what the real observers see.
+            let mut buffer = writer.as_ref().map(|_| RecordBuffer::default());
+            let mut plan = self.plan();
+            if let Some(buffer) = buffer.as_mut() {
+                plan = plan.observer(buffer);
             }
-            let mut buf = Buffer(Vec::new());
-            let mut plan = self.plan().observer(&mut buf);
             for o in observers.iter_mut() {
                 plan = plan.observer(&mut **o);
             }
-            let report = plan.execute(
-                || self.build_net(n).expect("probed above"),
-                || build_any_protocol(&spec.protocol).expect("probed at construction"),
-            )?;
+            let report = self.execute_cell(n, plan)?;
             let row = ScenarioRow::from_summary(n, &report);
-            if let Some(w) = writer.as_mut() {
+            // A cell with isolated trial failures is *not* journaled: a
+            // resume re-runs it in full instead of replaying a partial
+            // cell.
+            if let (Some(w), Some(buffer)) = (writer.as_mut(), buffer) {
                 if report.trial_errors().is_empty() {
                     w.append_cell(&JournalCell {
                         index,
                         n,
                         row: row.clone(),
-                        records: buf.0,
+                        records: buffer.records,
                     })?;
                 }
-                // A cell with isolated trial panics is *not* journaled:
-                // a resume re-runs it in full instead of replaying a
-                // partial cell.
             }
             rows.push(row);
         }
-        Ok(ScenarioReport {
-            scenario: spec.name.clone(),
-            family: spec.family.kind.clone(),
-            protocol: self.plan.protocol_name.to_string(),
-            engine: resolved.name().to_string(),
-            rows,
-        })
+        Ok(self.plan.report(rows))
     }
 
-    /// Runs one `(n, trials)` cell on `threads` worker threads, buffering
-    /// its trial records for ordered delivery by the sweep scheduler.
-    ///
-    /// The cell's [`RunPlan`] strips trajectories exactly as it would for
-    /// directly attached observers: the buffer asks for them only when
-    /// some real observer does (sweeps never set explicit recording —
-    /// their config carries only the cutoff).
-    fn run_cell(
-        &self,
-        n: usize,
-        threads: usize,
-        wants_trajectory: bool,
-    ) -> Result<(Vec<TrialRecord>, RunReport), ScenarioError> {
-        let spec = self.plan.spec();
-        // Probe the family first, as on the sequential path.
+    /// Executes one cell, the one place a sweep runs trials: `plan`
+    /// (observers attached) at sweep size `n`, on the analytic engines,
+    /// or through the attached [`LiveRunner`] when the plan is live.
+    fn execute_cell(&self, n: usize, plan: RunPlan<'_>) -> Result<RunReport, ScenarioError> {
+        if self.plan.is_live() {
+            let runner = self.live.ok_or_else(|| {
+                ScenarioError::Live(format!(
+                    "scenario `{}` has a [net] table, so its cells run on the live runtime, \
+                     but no live runner is attached (see SweepPlan::live)",
+                    self.plan.spec.name
+                ))
+            })?;
+            return runner.run_cell(n, plan);
+        }
+        // Probe the family so constructor errors surface as errors, not
+        // panics inside the plan's make_net closure.
         self.build_net(n)?;
-        struct Buffer {
-            records: Vec<TrialRecord>,
-            wants: bool,
-        }
-        impl TrialObserver for Buffer {
-            fn wants_trajectory(&self) -> bool {
-                self.wants
-            }
-            fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
-                self.records.push(r.clone());
-                Ok(())
-            }
-        }
-        let mut buf = Buffer {
-            records: Vec::new(),
-            wants: wants_trajectory,
-        };
-        let report = self.plan().threads(threads).observer(&mut buf).execute(
+        let protocol = &self.plan.spec.protocol;
+        Ok(plan.execute(
             || self.build_net(n).expect("probed above"),
-            || build_any_protocol(&spec.protocol).expect("probed at construction"),
-        )?;
-        Ok((buf.records, report))
+            || build_any_protocol(protocol).expect("probed at construction"),
+        )?)
     }
 
     /// The sweep-level work-stealing scheduler: whole cells run
@@ -2219,7 +2299,6 @@ impl<'s> SweepPlan<'s> {
         type CellResult = Result<(Vec<TrialRecord>, RunReport), ScenarioError>;
         let (tx, rx) = std::sync::mpsc::channel::<(usize, CellResult)>();
         let mut rows: Vec<ScenarioRow> = Vec::with_capacity(cells);
-        let mut resolved = self.plan.engine;
         let mut first_err: Option<ScenarioError> = None;
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -2237,7 +2316,17 @@ impl<'s> SweepPlan<'s> {
                     if c >= cells {
                         break;
                     }
-                    let result = self.run_cell(sizes[c], per_cell, wants_trajectory);
+                    // The buffer asks for trajectories only when some
+                    // real observer does, so the cell's RunPlan strips
+                    // them exactly as for directly attached observers.
+                    let mut buffer = RecordBuffer {
+                        records: Vec::new(),
+                        wants: wants_trajectory,
+                    };
+                    let plan = self.plan().threads(per_cell).observer(&mut buffer);
+                    let result = self
+                        .execute_cell(sizes[c], plan)
+                        .map(|report| (buffer.records, report));
                     let failed = result.is_err();
                     if tx.send((c, result)).is_err() || failed {
                         break;
@@ -2296,7 +2385,6 @@ impl<'s> SweepPlan<'s> {
                         pending.clear();
                         continue 'drain;
                     }
-                    resolved = report.engine();
                     rows.push(ScenarioRow::from_summary(sizes[next], &report));
                     next += 1;
                 }
@@ -2306,13 +2394,7 @@ impl<'s> SweepPlan<'s> {
             return Err(e);
         }
         debug_assert_eq!(rows.len(), cells);
-        Ok(ScenarioReport {
-            scenario: spec.name.clone(),
-            family: spec.family.kind.clone(),
-            protocol: self.plan.protocol_name.to_string(),
-            engine: resolved.name().to_string(),
-            rows,
-        })
+        Ok(self.plan.report(rows))
     }
 }
 
@@ -2740,7 +2822,7 @@ max_time = 1e4
         let spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
         let plan = ScenarioPlan::new(spec.clone()).unwrap();
         assert_eq!(plan.spec_hash(), journal::spec_hash(&spec));
-        assert_eq!(plan.resolved_engine(), Engine::Event);
+        assert_eq!(plan.engine_name(), "event");
         assert_eq!(plan.protocol_name(), "async push-pull (cut-rate)");
         assert_eq!(plan.sizes(), &[16, 32]);
         assert_eq!((plan.trials(), plan.seed()), (8, 7));
@@ -2910,6 +2992,39 @@ max_time = 1e4
             run_scenario(&plain).unwrap().rows,
             run_scenario(&inactive).unwrap().rows
         );
+    }
+
+    #[test]
+    fn net_table_selects_the_live_runtime() {
+        let mut spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
+        spec.faults = Some(FaultSpec {
+            partition_rate: Some(0.1),
+            ..FaultSpec::new()
+        });
+        // Delivery chaos needs the live runtime...
+        assert!(matches!(
+            ScenarioPlan::new(spec.clone()),
+            Err(ScenarioError::Invalid(m)) if m.contains("add a `[net]` table")
+        ));
+        // ...which a [net] table selects, labels included.
+        spec.net = Some(NetSpec {
+            delivery: Some("udp".into()),
+            ..NetSpec::new()
+        });
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        assert!(plan.is_live());
+        assert_eq!(plan.engine_name(), "net/udp");
+        assert_eq!(plan.protocol_name(), "async push-pull (live)");
+        // A forced analytic engine next to [net] contradicts it.
+        for engine in ["event", "window"] {
+            spec.sweep.engine = Some(engine.into());
+            assert!(matches!(
+                spec.validate(),
+                Err(ScenarioError::Invalid(m)) if m.contains("[net] table")
+            ));
+        }
+        spec.sweep.engine = Some("auto".into());
+        spec.validate().unwrap();
     }
 
     #[test]

@@ -80,6 +80,17 @@ impl From<ScenarioError> for NetError {
     }
 }
 
+/// A live cell's failure, as `gossip_core`'s sweep driver reports it.
+impl From<NetError> for ScenarioError {
+    fn from(e: NetError) -> Self {
+        match e {
+            NetError::Scenario(e) => e,
+            NetError::Sim(e) => ScenarioError::Sim(e),
+            other => ScenarioError::Live(other.to_string()),
+        }
+    }
+}
+
 impl From<SimError> for NetError {
     fn from(e: SimError) -> Self {
         NetError::Sim(e)

@@ -20,11 +20,15 @@
 //! # Architecture
 //!
 //! ```text
-//!   ScenarioSpec ──► NetSweep ──► RunPlan ─────► NetExecutor
-//!   (family, proto,   ([net])     (gossip-sim:    (stall retry,
-//!    [faults])                     seeds,          traffic)
-//!                                  observers)          │ run_trial
-//!                                                      ▼
+//!   ScenarioSpec ──► SweepPlan ───────────► NetSweep
+//!   (family, proto,  (gossip-core: journal,  (LiveRunner: the live
+//!    [faults], [net]) resume, serve cache,    topology of each cell,
+//!                     cell_parallel)          counters)
+//!                                               │ RunPlan (seeds, observers)
+//!                                               ▼
+//!                                             NetExecutor (stall retry, traffic)
+//!                                               │ run_trial
+//!                                               ▼
 //!              ┌─────────────┐             ┌─────────────┐
 //!              │ node group 0│  Envelopes  │ node group 1│   … one thread
 //!              │ clocks+state│◄───────────►│ clocks+state│     per group
@@ -56,8 +60,11 @@
 //!   executor: seeded batches streaming
 //!   [`TrialRecord`](gossip_sim::TrialRecord)s into `gossip-sim`
 //!   observers, with the traffic counters in a [`NetTraffic`].
-//! * [`NetSweep`] — a full `ScenarioSpec` sweep (the `gossip net run`
-//!   path), honoring the spec's `[net]` table.
+//! * [`NetSweep`] — the live cell runner of a `ScenarioSpec`: attached
+//!   to the spec's `gossip_core` `SweepPlan`, it runs every cell of a
+//!   spec whose `[net]` table selects the live runtime (the path of
+//!   `gossip scenario run`, `gossip net run` and `gossip serve`), with
+//!   its counters in [`NetTotals`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,11 +83,8 @@ pub use delivery::{
 pub use envelope::{Envelope, Payload, WIRE_BYTES};
 pub use error::NetError;
 pub use fault::{ChaosGate, Liveness, NetFaults};
-pub use runtime::{
-    default_groups, run_trial, NetConfig, NetExecutor, NetProtocol, NetTraffic, NetTrial,
-    DEFAULT_TICK,
-};
-pub use scenario::{build_live_topology, NetSweep, NetSweepReport};
+pub use runtime::{run_trial, NetConfig, NetExecutor, NetProtocol, NetTraffic, NetTrial};
+pub use scenario::{build_live_topology, NetSweep, NetTotals};
 pub use udp::UdpDelivery;
 
 // Re-exported so downstream code can name the topology/observer types the

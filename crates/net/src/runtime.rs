@@ -63,21 +63,13 @@ use crate::error::NetError;
 use crate::fault::{carries_rumor, ChaosGate, Liveness, NetFaults};
 use crate::udp::UdpDelivery;
 use crate::LocalDelivery;
+use gossip_core::scenario::{live_protocol_name, NetSpec};
 use gossip_graph::{NodeId, Topology};
 use gossip_sim::{TrialError, TrialExecutor, TrialOutcome, TrialRecord};
 use gossip_stats::{Exponential, SimRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
-
-/// Default message latency / epoch length, in virtual time units.
-///
-/// Small against every per-hop spread-time scale the repo sweeps (the
-/// slowest clocks fire once per unit time), so live spread times match
-/// the analytic engines' zero-latency distributions within KS noise;
-/// large enough that million-node runs keep thousands of events per
-/// epoch between barriers.
-pub const DEFAULT_TICK: f64 = 1e-3;
 
 /// Runtime parameters of a live run (the compiled form of the spec's
 /// `[net]` table plus the full live fault regime).
@@ -104,32 +96,20 @@ pub struct NetConfig {
     pub exchange_retries: u32,
 }
 
-/// Default [`NetConfig::exchange_timeout`], in seconds.
-pub const DEFAULT_EXCHANGE_TIMEOUT: f64 = 1.0;
-
-/// Default [`NetConfig::exchange_retries`].
-pub const DEFAULT_EXCHANGE_RETRIES: u32 = 3;
-
+/// The defaults of an empty `[net]` table (owned by [`NetSpec`]) and
+/// the sweep's default cutoff, fault-free.
 impl Default for NetConfig {
     fn default() -> Self {
+        let net = NetSpec::new();
         NetConfig {
-            groups: default_groups(),
-            tick: DEFAULT_TICK,
+            groups: net.groups_or_default(),
+            tick: net.tick_or_default(),
             horizon: 1e5,
             faults: NetFaults::default(),
-            exchange_timeout: DEFAULT_EXCHANGE_TIMEOUT,
-            exchange_retries: DEFAULT_EXCHANGE_RETRIES,
+            exchange_timeout: net.exchange_timeout_or_default(),
+            exchange_retries: net.exchange_retries_or_default(),
         }
     }
-}
-
-/// The default group count: one group per available core, capped at 8
-/// (epoch barriers outgrow their benefit beyond that on one machine).
-pub fn default_groups() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
 }
 
 /// Which rumor protocol the live nodes speak.
@@ -157,13 +137,15 @@ impl NetProtocol {
         }
     }
 
-    /// Display name, marking the live transport.
+    /// Display name, marking the live transport — read from the
+    /// scenario registry's live protocol table.
     pub fn display_name(self) -> &'static str {
-        match self {
-            NetProtocol::PushPull => "async push-pull (live)",
-            NetProtocol::Push => "async push (live)",
-            NetProtocol::Pull => "async pull (live)",
-        }
+        let kind = match self {
+            NetProtocol::PushPull => "async",
+            NetProtocol::Push => "push",
+            NetProtocol::Pull => "pull",
+        };
+        live_protocol_name(kind).expect("every live protocol is registered")
     }
 
     /// Whether an informed receiver answers an uninformed contact.

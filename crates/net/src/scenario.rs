@@ -1,25 +1,16 @@
-//! Scenario-driven live sweeps: the `[net]` table meets `RunPlan`.
-//!
-//! [`NetSweep`] is the live counterpart of `gossip_core`'s `SweepPlan`:
-//! it consumes the same `ScenarioSpec` (family, protocol, sweep sizes,
-//! trials, seeds, `[faults]` table) and produces the same
-//! `ScenarioReport` row shape, so everything downstream — report
-//! rendering, JSONL streams, series extraction — works unchanged on live
-//! results. Each size runs as one `gossip_sim::RunPlan` batch of
-//! [`NetExecutor`] trials. The `engine` column reads `net/local` or
-//! `net/udp` to mark which stack produced the numbers.
+//! The live runtime as `gossip_core`'s sweep cell runner: a spec's
+//! `SweepPlan` hands each cell's `RunPlan` to a [`NetSweep`], which
+//! realizes the family's static topology and runs the trials as
+//! [`NetExecutor`]s, so live sweeps journal, resume, cache and run cells
+//! in parallel exactly like analytic ones.
 
 use crate::delivery::DeliveryKind;
 use crate::error::NetError;
 use crate::fault::NetFaults;
-use crate::runtime::{
-    default_groups, NetConfig, NetExecutor, NetProtocol, NetTraffic, DEFAULT_EXCHANGE_RETRIES,
-    DEFAULT_EXCHANGE_TIMEOUT, DEFAULT_TICK,
-};
-use gossip_core::scenario::{build_family, FamilySpec, ScenarioReport, ScenarioRow, ScenarioSpec};
-use gossip_dynamics::DynamicNetwork;
+use crate::runtime::{NetConfig, NetExecutor, NetProtocol, NetTraffic};
+use gossip_core::scenario::{build_family, FamilySpec, LiveRunner, ScenarioError, ScenarioSpec};
 use gossip_graph::{NodeId, NodeSet, Topology};
-use gossip_sim::{RunPlan, TrialObserver};
+use gossip_sim::{RunPlan, RunReport};
 use gossip_stats::SimRng;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -54,15 +45,40 @@ pub fn build_live_topology(spec: &FamilySpec, n: usize) -> Result<(Topology, Nod
     Ok((topo, start))
 }
 
-/// A validated, ready-to-execute live sweep over a scenario spec.
-#[derive(Debug, Clone)]
+/// The live cell runner of one scenario spec: attach it to the spec's
+/// `SweepPlan` with `SweepPlan::live`.
+///
+/// Every cell it executes adds to its [`NetTotals`]; replayed cells add
+/// nothing.
+#[derive(Debug)]
 pub struct NetSweep<'s> {
     spec: &'s ScenarioSpec,
     proto: NetProtocol,
     delivery: DeliveryKind,
     config: NetConfig,
-    trials: usize,
-    seed: u64,
+    /// Shared by every cell's executors; [`NetSweep::totals`] reads it
+    /// into [`NetTotals::traffic`].
+    traffic: Mutex<NetTraffic>,
+    totals: Mutex<NetTotals>,
+}
+
+/// What the cells a [`NetSweep`] executed did, summed over those cells.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NetTotals {
+    /// Node groups (threads) the last executed cell's trials ran on.
+    pub groups: usize,
+    /// Trials that ran to an outcome.
+    pub trials: u64,
+    /// `Σ n × trials` over the executed cells, stalled trials included.
+    pub node_trials: u64,
+    /// Events processed (activations + arrivals).
+    pub events: u64,
+    /// Trials skipped after stalling twice on the UDP transport.
+    pub stalled: u64,
+    /// Wall-clock time spent in trials.
+    pub elapsed: Duration,
+    /// Envelope and retry counters.
+    pub traffic: NetTraffic,
 }
 
 impl<'s> NetSweep<'s> {
@@ -80,42 +96,28 @@ impl<'s> NetSweep<'s> {
         let proto = NetProtocol::from_kind(&spec.protocol.kind)
             .expect("validate_net admits live protocols only");
         let net = spec.net.clone().unwrap_or_default();
-        let delivery = DeliveryKind::parse(net.delivery.as_deref().unwrap_or("local"))
+        let delivery = DeliveryKind::parse(net.delivery_or_default())
             .expect("validate_net admits known deliveries only");
         let config = NetConfig {
-            groups: net.groups.unwrap_or_else(default_groups),
-            tick: net.tick.unwrap_or(DEFAULT_TICK),
-            horizon: net
-                .horizon
-                .unwrap_or_else(|| spec.sweep.max_time_or_default()),
+            groups: net.groups_or_default(),
+            tick: net.tick_or_default(),
+            horizon: net.horizon_or_default(&spec.sweep),
             faults: spec
                 .faults
                 .as_ref()
                 .map(NetFaults::from_spec)
                 .unwrap_or_default(),
-            exchange_timeout: net.exchange_timeout.unwrap_or(DEFAULT_EXCHANGE_TIMEOUT),
-            exchange_retries: net.exchange_retries.unwrap_or(DEFAULT_EXCHANGE_RETRIES),
+            exchange_timeout: net.exchange_timeout_or_default(),
+            exchange_retries: net.exchange_retries_or_default(),
         };
         Ok(NetSweep {
             spec,
             proto,
             delivery,
             config,
-            trials: spec.sweep.trials_or_default(),
-            seed: spec.sweep.seed_or_default(),
+            traffic: Mutex::new(NetTraffic::default()),
+            totals: Mutex::new(NetTotals::default()),
         })
-    }
-
-    /// Overrides the node-group count (CLI `--groups`).
-    pub fn groups(mut self, groups: usize) -> Self {
-        self.config.groups = groups.max(1);
-        self
-    }
-
-    /// Overrides the transport (CLI `--delivery`).
-    pub fn delivery(mut self, delivery: DeliveryKind) -> Self {
-        self.delivery = delivery;
-        self
     }
 
     /// The compiled runtime configuration the sweep will use.
@@ -128,151 +130,50 @@ impl<'s> NetSweep<'s> {
         self.proto
     }
 
-    /// Runs the whole sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetSweep::run_observed`].
-    pub fn run(&self) -> Result<NetSweepReport, NetError> {
-        self.run_observed(&mut [])
-    }
-
-    /// Runs the whole sweep with one streaming observer attached.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetSweep::run_observed`].
-    pub fn run_with(
-        &self,
-        mut observer: &mut dyn TrialObserver,
-    ) -> Result<NetSweepReport, NetError> {
-        self.run_observed(std::slice::from_mut(&mut observer))
-    }
-
-    /// Runs every sweep size as one `RunPlan` batch of [`NetExecutor`]
-    /// trials, streaming all trial records into `observers` (each
-    /// observer's `finish` fires once per size, exactly like the analytic
-    /// `SweepPlan`). Trials run one after another; the node groups inside
-    /// each trial run in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Family construction errors, transport failures, or observer
-    /// rejections.
-    pub fn run_observed(
-        &self,
-        observers: &mut [&mut dyn TrialObserver],
-    ) -> Result<NetSweepReport, NetError> {
-        let spec = self.spec;
-        let traffic = Mutex::new(NetTraffic::default());
-        let mut rows = Vec::with_capacity(spec.sweep.sizes.len());
-        let mut events = 0u64;
-        let mut stalled = 0u64;
-        let mut node_trials = 0u64;
-        let mut elapsed = Duration::ZERO;
-        let mut groups = self.config.groups;
-        for &n in &spec.sweep.sizes {
-            let (topo, suggested) = build_live_topology(&spec.family, n)?;
-            let start = spec.sweep.start.unwrap_or(suggested);
-            let mut plan = RunPlan::new(self.trials, self.seed).threads(1);
-            for o in observers.iter_mut() {
-                plan = plan.observer(&mut **o);
-            }
-            let report = plan.execute_with(|run| {
-                NetExecutor::new(
-                    &topo,
-                    self.proto,
-                    start,
-                    &self.config,
-                    self.delivery,
-                    run,
-                    &traffic,
-                )
-            })?;
-            events += report.events();
-            stalled += report.trial_errors().len() as u64;
-            node_trials += (topo.n() as u64) * (self.trials as u64);
-            elapsed += report.elapsed();
-            groups = self.config.groups.clamp(1, topo.n().max(1));
-            rows.push(ScenarioRow::from_summary(n, &report));
-        }
-        Ok(NetSweepReport {
-            report: ScenarioReport {
-                scenario: spec.name.clone(),
-                family: spec.family.kind.clone(),
-                protocol: self.proto.display_name().to_string(),
-                engine: format!("net/{}", self.delivery.name()),
-                rows,
-            },
-            groups,
-            delivery: self.delivery,
-            events,
-            traffic: traffic.into_inner().expect("traffic counters poisoned"),
-            stalled,
-            elapsed,
-            node_trials,
-        })
-    }
-}
-
-/// The result of a live sweep: a standard [`ScenarioReport`] plus the
-/// runtime's traffic counters, aggregated over every size.
-#[derive(Debug, Clone)]
-pub struct NetSweepReport {
-    /// Per-size rows in the analytic report shape; `engine` reads
-    /// `net/local` or `net/udp`.
-    pub report: ScenarioReport,
-    /// Node groups (threads) each trial ran on.
-    pub groups: usize,
-    /// Transport the sweep used.
-    pub delivery: DeliveryKind,
-    /// Events processed across the sweep (activations + arrivals).
-    pub events: u64,
-    /// Envelope and retry counters summed over the sweep.
-    pub traffic: NetTraffic,
-    /// Trials skipped after stalling twice on the UDP transport.
-    pub stalled: u64,
-    /// Wall-clock time spent in trials.
-    pub elapsed: Duration,
-    /// `Σ (n × trials)` over the sweep — the denominator of
-    /// [`NetSweepReport::messages_per_node`].
-    pub node_trials: u64,
-}
-
-impl NetSweepReport {
-    /// Events per wall-clock second over the sweep.
-    pub fn events_per_sec(&self) -> f64 {
-        rate(self.events, self.elapsed)
-    }
-
-    /// Envelopes per wall-clock second over the sweep.
-    pub fn messages_per_sec(&self) -> f64 {
-        rate(self.traffic.messages, self.elapsed)
-    }
-
-    /// Mean envelopes per node per trial over the sweep.
-    pub fn messages_per_node(&self) -> f64 {
-        if self.node_trials > 0 {
-            self.traffic.messages as f64 / self.node_trials as f64
-        } else {
-            0.0
+    /// The counters of the cells executed so far.
+    pub fn totals(&self) -> NetTotals {
+        NetTotals {
+            traffic: *self.traffic.lock().expect("traffic counters poisoned"),
+            ..*self.totals.lock().expect("live totals poisoned")
         }
     }
 }
 
-fn rate(count: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs > 0.0 {
-        count as f64 / secs
-    } else {
-        f64::INFINITY
+impl LiveRunner for NetSweep<'_> {
+    /// Runs the cell's trials one after another on the live topology of
+    /// size `n`; the node groups inside each trial run in parallel.
+    fn run_cell(&self, n: usize, plan: RunPlan<'_>) -> Result<RunReport, ScenarioError> {
+        let (topo, suggested) = build_live_topology(&self.spec.family, n)?;
+        let start = self.spec.sweep.start.unwrap_or(suggested);
+        let report = plan.threads(1).execute_with(|run| {
+            NetExecutor::new(
+                &topo,
+                self.proto,
+                start,
+                &self.config,
+                self.delivery,
+                run,
+                &self.traffic,
+            )
+        })?;
+        let stalled = report.trial_errors().len() as u64;
+        let mut totals = self.totals.lock().expect("live totals poisoned");
+        totals.groups = self.config.groups.clamp(1, topo.n().max(1));
+        totals.trials += report.trials() as u64;
+        totals.node_trials += topo.n() as u64 * (report.trials() as u64 + stalled);
+        totals.events += report.events();
+        totals.stalled += stalled;
+        totals.elapsed += report.elapsed();
+        Ok(report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_core::scenario::{NetSpec, ProtocolSpec, SweepSpec};
+    use gossip_core::journal::Journal;
+    use gossip_core::scenario::{NetSpec, ProtocolSpec, SweepPlan, SweepSpec};
+    use gossip_sim::JsonlSink;
 
     fn live_spec() -> ScenarioSpec {
         let mut sweep = SweepSpec::over(vec![16, 24]);
@@ -292,17 +193,34 @@ mod tests {
         }
     }
 
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("gossip-net-sweep-{}-{name}", std::process::id()))
+    }
+
+    /// Runs `plan` into an in-memory JSONL stream.
+    fn jsonl(plan: &SweepPlan<'_>) -> (gossip_core::scenario::ScenarioReport, Vec<u8>) {
+        let mut sink = JsonlSink::new(Vec::new());
+        let report = plan.run_with(&mut sink).unwrap();
+        (report, sink.into_inner().unwrap())
+    }
+
     #[test]
     fn sweep_produces_report_rows() {
         let spec = live_spec();
-        let mut sink = gossip_sim::JsonlSink::new(Vec::new());
-        let out = NetSweep::new(&spec).unwrap().run_with(&mut sink).unwrap();
-        assert_eq!(out.report.engine, "net/local");
-        assert_eq!(out.report.rows.len(), 2);
-        assert!(out.report.rows.iter().all(|r| r.completed == 4));
+        let live = NetSweep::new(&spec).unwrap();
+        let mut sink = JsonlSink::new(Vec::new());
+        let report = SweepPlan::new(&spec)
+            .unwrap()
+            .live(&live)
+            .run_with(&mut sink)
+            .unwrap();
+        assert_eq!(report.engine, "net/local");
+        assert_eq!(report.rows.len(), 2);
+        assert!(report.rows.iter().all(|r| r.completed == 4));
         assert_eq!(sink.records(), 8);
+        let out = live.totals();
         assert!(out.traffic.messages > 0 && out.events > 0);
-        assert!(out.messages_per_node() > 0.0);
+        assert!(out.traffic.messages as f64 / out.node_trials as f64 > 0.0);
         assert_eq!(out.groups, 2);
     }
 
@@ -311,10 +229,11 @@ mod tests {
         // Recording switched on for a TrajectorySink stays scoped to it: a
         // co-attached JSONL stream is byte-identical to a JSONL-only run.
         let spec = live_spec();
-        let sweep = NetSweep::new(&spec).unwrap();
-        let mut alone = gossip_sim::JsonlSink::new(Vec::new());
+        let live = NetSweep::new(&spec).unwrap();
+        let sweep = SweepPlan::new(&spec).unwrap().live(&live);
+        let mut alone = JsonlSink::new(Vec::new());
         sweep.run_with(&mut alone).unwrap();
-        let mut jsonl = gossip_sim::JsonlSink::new(Vec::new());
+        let mut jsonl = JsonlSink::new(Vec::new());
         let mut curves = gossip_sim::TrajectorySink::new(8);
         sweep.run_observed(&mut [&mut jsonl, &mut curves]).unwrap();
         assert_eq!(curves.curves().len(), 8);
@@ -340,5 +259,73 @@ mod tests {
         assert_eq!(topo.degree(0), 9);
         assert_eq!(topo.degree(3), 1);
         assert!((start as usize) < 10);
+    }
+
+    #[test]
+    fn journaled_live_sweep_resumes_bit_identically() {
+        let spec = live_spec();
+        let live = NetSweep::new(&spec).unwrap();
+        let plan = SweepPlan::new(&spec).unwrap().live(&live);
+        let reference = jsonl(&plan);
+        let journal = temp_path("resume.journal");
+        assert_eq!(jsonl(&plan.clone().journal_to(&journal)), reference);
+
+        // Cut the journal after cell 0, as a crash would, then resume on
+        // a fresh runner: cell 0 replays, only cell 1 executes.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let cut: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
+        assert!(cut.len() < text.len(), "journal should hold 2 cells");
+        std::fs::write(&journal, cut).unwrap();
+        let resumed_live = NetSweep::new(&spec).unwrap();
+        let resumed = SweepPlan::new(&spec)
+            .unwrap()
+            .live(&resumed_live)
+            .resume_from(&journal);
+        assert_eq!(jsonl(&resumed), reference);
+        assert_eq!(
+            resumed_live.totals().trials,
+            4,
+            "the replayed cell counts nothing"
+        );
+        std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn cell_parallel_live_sweep_matches_sequential() {
+        let spec = live_spec();
+        let live = NetSweep::new(&spec).unwrap();
+        let sequential = jsonl(&SweepPlan::new(&spec).unwrap().live(&live));
+        let mut par = spec.clone();
+        par.sweep.cell_parallel = Some(true);
+        par.sweep.threads = Some(2);
+        let par_live = NetSweep::new(&par).unwrap();
+        let parallel = jsonl(&SweepPlan::new(&par).unwrap().live(&par_live));
+        assert_eq!(parallel, sequential);
+        assert_eq!(par_live.totals().trials, 8);
+    }
+
+    #[test]
+    fn live_cells_need_a_runner_but_replay_does_not() {
+        let spec = live_spec();
+        let err = SweepPlan::new(&spec).unwrap().run().unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Live(ref m) if m.contains("no live runner")),
+            "{err}"
+        );
+
+        // A complete journal replays every cell, so no runner is needed.
+        let journal = temp_path("replay.journal");
+        let live = NetSweep::new(&spec).unwrap();
+        let reference = jsonl(
+            &SweepPlan::new(&spec)
+                .unwrap()
+                .live(&live)
+                .journal_to(&journal),
+        );
+        let loaded = Journal::load(&journal).unwrap();
+        let replayed = jsonl(&SweepPlan::new(&spec).unwrap().resume_journal(&loaded));
+        assert_eq!(replayed, reference);
+        assert_eq!(replayed.0.engine, "net/local");
+        std::fs::remove_file(&journal).ok();
     }
 }

@@ -23,7 +23,7 @@ const TRIALS: usize = 400;
 const ALPHA: f64 = 0.01;
 
 /// A live push–pull batch through `RunPlan`, trials in
-/// sequence — the way `NetSweep` runs each size.
+/// sequence — the way `NetSweep` runs each sweep cell.
 fn live_batch(
     topo: &Topology,
     start: u32,
@@ -158,7 +158,9 @@ fn udp_loopback_trials_match_local_bit_for_bit() {
 
 #[test]
 fn sweep_rows_are_deterministic_by_spec_and_seed() {
-    use gossip_core::scenario::{FamilySpec, NetSpec, ProtocolSpec, ScenarioSpec, SweepSpec};
+    use gossip_core::scenario::{
+        FamilySpec, NetSpec, ProtocolSpec, ScenarioSpec, SweepPlan, SweepSpec,
+    };
     let spec = |groups: usize| {
         let mut family = FamilySpec::new("er");
         family.p = Some(0.15);
@@ -181,7 +183,8 @@ fn sweep_rows_are_deterministic_by_spec_and_seed() {
     };
     let run = |groups: usize| {
         let spec = spec(groups);
-        NetSweep::new(&spec).unwrap().run().unwrap().report
+        let live = NetSweep::new(&spec).unwrap();
+        SweepPlan::new(&spec).unwrap().live(&live).run().unwrap()
     };
     let one = run(1);
     let four = run(4);

@@ -33,7 +33,7 @@ const ALPHA: f64 = 0.01;
 const HORIZON: f64 = 1e4;
 
 /// A live batch from node 0 through `RunPlan`, trials in sequence —
-/// the way `NetSweep` runs each size.
+/// the way `NetSweep` runs each sweep cell.
 fn live_batch(
     topo: &Topology,
     proto: NetProtocol,

@@ -64,6 +64,10 @@
 //!   instead of triggering a second run. Concurrent identical
 //!   requests therefore perform exactly one execution (test-enforced).
 //!
+//! A spec whose `[net]` table selects the live runtime runs its cells
+//! through a [`NetSweep`] and is cached like any other; its store key
+//! keeps the table, so it never shares an entry with its analytic twin.
+//!
 //! ## Warm-state model
 //!
 //! The daemon keeps two caches alive across requests, both
@@ -93,6 +97,7 @@ use gossip_core::journal::Journal;
 use gossip_core::scenario::{
     ScenarioError, ScenarioPlan, ScenarioReport, ScenarioSpec, TopologyCache,
 };
+use gossip_net::NetSweep;
 use gossip_sim::{JsonlSink, WorkspacePool};
 use serde::{Serialize, Value};
 
@@ -429,6 +434,10 @@ impl ServeState {
                 let exec_entry = entry.clone();
                 let state = self.clone();
                 let worker = std::thread::spawn(move || {
+                    // The plan validated the spec for the live runtime.
+                    let live = plan
+                        .is_live()
+                        .then(|| NetSweep::new(plan.spec()).expect("validated by the plan"));
                     let mut sweep = plan
                         .execution()
                         .journal_to(&path)
@@ -438,6 +447,9 @@ impl ServeState {
                         // In-place resume: replay the intact cells,
                         // execute the rest, re-journal the union.
                         sweep = sweep.resume_journal(journal);
+                    }
+                    if let Some(runner) = &live {
+                        sweep = sweep.live(runner);
                     }
                     // Buffered, so followers wake once per 8 KiB chunk
                     // rather than on every record write.
@@ -833,7 +845,7 @@ pub fn split_response(response: &[u8]) -> (&[u8], &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_core::scenario::SweepPlan;
+    use gossip_core::scenario::{FaultSpec, SweepPlan};
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -865,6 +877,40 @@ max_time = 1e4
         ScenarioSpec::from_toml_str(&toml).unwrap()
     }
 
+    /// A small spec whose `[net]` table selects the live runtime.
+    fn live_spec(name: &str) -> ScenarioSpec {
+        let toml = format!(
+            r#"
+name = "{name}"
+
+[family]
+kind = "complete"
+
+[protocol]
+kind = "async"
+
+[sweep]
+sizes = [12, 16]
+trials = 3
+seed = 5
+max_time = 1e4
+
+[net]
+groups = 2
+"#
+        );
+        ScenarioSpec::from_toml_str(&toml).unwrap()
+    }
+
+    /// The last line of a response body.
+    fn footer(body: &[u8]) -> String {
+        String::from_utf8_lossy(body)
+            .lines()
+            .last()
+            .unwrap()
+            .to_string()
+    }
+
     /// The offline reference body: JsonlSink bytes + footer, exactly
     /// what the daemon must produce in every cache state.
     fn offline_body(spec: &ScenarioSpec) -> Vec<u8> {
@@ -875,7 +921,12 @@ max_time = 1e4
             spec.name
         ));
         let mut sink = JsonlSink::create(&path).unwrap();
-        let report = SweepPlan::new(spec).unwrap().run_with(&mut sink).unwrap();
+        let live = spec.net.as_ref().map(|_| NetSweep::new(spec).unwrap());
+        let mut plan = SweepPlan::new(spec).unwrap();
+        if let Some(live) = &live {
+            plan = plan.live(live);
+        }
+        let report = plan.run_with(&mut sink).unwrap();
         drop(sink);
         let mut body = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -1194,5 +1245,88 @@ max_time = 1e4
             text.contains("\"error\"") && text.contains("invalid spec"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn live_spec_hits_its_own_entry_apart_from_its_analytic_twin() {
+        let spec = live_spec("serve-live");
+        let handle = Server::bind("127.0.0.1:0", temp_dir("live"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let header =
+            |response: &[u8]| String::from_utf8_lossy(split_response(response).0).into_owned();
+
+        let first = submit(handle.addr(), &spec).unwrap();
+        assert!(
+            header(&first).contains("\"cache\":\"miss\""),
+            "{}",
+            header(&first)
+        );
+        assert_eq!(handle.state().executions(), 1);
+        let second = submit(handle.addr(), &spec).unwrap();
+        assert!(
+            header(&second).contains("\"cache\":\"hit\""),
+            "{}",
+            header(&second)
+        );
+        assert_eq!(handle.state().executions(), 1, "a hit executes nothing");
+        let body = split_response(&second).1;
+        assert_eq!(body, split_response(&first).1);
+        assert_eq!(
+            body,
+            offline_body(&spec),
+            "served body must match the offline live run"
+        );
+        assert!(
+            footer(body).contains("\"engine\":\"net/local\""),
+            "{}",
+            footer(body)
+        );
+
+        // Without its [net] table the spec is another experiment, with
+        // its own store entry.
+        let twin = ScenarioSpec {
+            net: None,
+            ..spec.clone()
+        };
+        let hash = |s: &ScenarioSpec| ScenarioPlan::new(s.clone()).unwrap().spec_hash();
+        assert_ne!(hash(&twin), hash(&spec));
+        let third = submit(handle.addr(), &twin).unwrap();
+        assert!(
+            header(&third).contains("\"cache\":\"miss\""),
+            "{}",
+            header(&third)
+        );
+        assert!(header(&third).contains(&hash(&twin).to_string()));
+        assert_eq!(handle.state().executions(), 2);
+        assert!(footer(split_response(&third).1).contains("\"engine\":\"event\""));
+    }
+
+    #[test]
+    fn live_chaos_spec_runs() {
+        let mut spec = live_spec("serve-chaos");
+        spec.faults = Some(FaultSpec {
+            drop: Some(0.1),
+            partition_rate: Some(0.2),
+            delay: Some(0.2),
+            delay_epochs: Some(2),
+            duplicate: Some(0.1),
+            seed: Some(3),
+            ..FaultSpec::new()
+        });
+        let handle = Server::bind("127.0.0.1:0", temp_dir("chaos"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let response = submit(handle.addr(), &spec).unwrap();
+        let (head, body) = split_response(&response);
+        assert!(String::from_utf8_lossy(head).contains("\"cache\":\"miss\""));
+        assert!(
+            footer(body).contains("\"kind\":\"report\""),
+            "{}",
+            footer(body)
+        );
+        assert_eq!(body, offline_body(&spec));
     }
 }

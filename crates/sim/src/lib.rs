@@ -87,7 +87,7 @@ mod lossy;
 mod observer;
 mod plan;
 mod protocol;
-mod runner;
+mod summary;
 mod sync;
 mod two_push;
 mod workspace;
@@ -106,7 +106,7 @@ pub use observer::{
 };
 pub use plan::{AnyProtocol, Engine, RunPlan, RunReport, TrialExecutor};
 pub use protocol::Protocol;
-pub use runner::TrialSummary;
+pub use summary::TrialSummary;
 pub use sync::{SyncPull, SyncPush, SyncPushPull};
 pub use two_push::{ForwardTwoPush, TwoPush};
 pub use workspace::{SimWorkspace, WorkspacePool};

@@ -15,7 +15,7 @@
 //! in [`SummarySink`], line order in a JSONL file — is bit-identical for
 //! 1 thread and k threads.
 
-use crate::runner::TrialSummary;
+use crate::summary::TrialSummary;
 use crate::{SimError, SpreadOutcome, TrialError, TrialOutcome};
 use gossip_stats::{OutcomeCounts, RunningMoments};
 use serde::{DeError, Deserialize, Serialize, Value};

@@ -1,10 +1,10 @@
-//! Golden output for the dynamic families: the JSONL byte stream of three
-//! sweeps is pinned by its 64-bit FNV-1a digest, so any change to what
-//! the dynamic-network path produces — RNG draw order, graph builds,
-//! delta repair, float summation order — fails here.
+//! Golden output for the dynamic families and the live runtime: the
+//! JSONL byte stream of each sweep is pinned by its 64-bit FNV-1a
+//! digest, so any change to what the dynamic-network path or the live
+//! runtime produces — RNG draw order, graph builds, delta repair, float
+//! summation order, envelope scheduling — fails here.
 //!
-//! This is the dynamic-family half of the golden-output test. A
-//! deliberate change of draw order must update the digests below and,
+//! A deliberate change of draw order must update the digests below and,
 //! once a results-version constant names the code in the result-store
 //! key, bump it, so stores written by an older binary stop answering.
 
@@ -19,9 +19,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Runs the sweep into memory: `(records, FNV-1a of the JSONL bytes)`.
+/// A spec with a `[net]` table runs on the live runtime.
 fn jsonl_digest(spec: &ScenarioSpec) -> (usize, u64) {
+    let live = spec.net.as_ref().map(|_| NetSweep::new(spec).unwrap());
+    let mut plan = SweepPlan::new(spec).unwrap();
+    if let Some(live) = &live {
+        plan = plan.live(live);
+    }
     let mut sink = JsonlSink::new(Vec::new());
-    SweepPlan::new(spec).unwrap().run_with(&mut sink).unwrap();
+    plan.run_with(&mut sink).unwrap();
     let records = sink.records();
     (records, fnv1a(&sink.into_inner().unwrap()))
 }
@@ -68,5 +74,33 @@ fn dynamic_family_jsonl_is_pinned() {
         jsonl_digest(&two_push),
         (60, 0x21a9_568a_9cf1_403e),
         "edge-markovian.json"
+    );
+}
+
+#[test]
+fn live_jsonl_is_pinned() {
+    // The digests of `gossip net run … --output jsonl` for these files;
+    // `scenario run` and `serve` stream the same bytes.
+    let smoke = checked_in("net-smoke.toml");
+    assert_eq!(
+        jsonl_digest(&smoke),
+        (24, 0x5c57_1f5b_e556_64db),
+        "net-smoke.toml"
+    );
+    // Bit-identical at any node-group count.
+    for groups in [1, 3] {
+        let mut spec = smoke.clone();
+        spec.net.as_mut().unwrap().groups = Some(groups);
+        assert_eq!(
+            jsonl_digest(&spec),
+            (24, 0x5c57_1f5b_e556_64db),
+            "net-smoke.toml at {groups} group(s)"
+        );
+    }
+    // Every live fault kind at once.
+    assert_eq!(
+        jsonl_digest(&checked_in("net-faulty.toml")),
+        (20, 0x4c37_adb0_79c7_c654),
+        "net-faulty.toml"
     );
 }
