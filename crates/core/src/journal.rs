@@ -21,6 +21,15 @@
 //! spelled out vs omitted, TOML vs JSON source) hash identically, so
 //! journals and the `gossip serve` result store are shared across every
 //! rendering of the same experiment.
+//!
+//! The header also records the [`RESULTS_VERSION`] of the binary that
+//! wrote it. The hash names the experiment, the version names the code
+//! that produced its results: a change that moves any random draw bumps
+//! the version, and [`JournalHeader::check`] then refuses journals and
+//! store entries written under another one (a header without the field
+//! reads as version 0). The version stays out of [`spec_hash`], so store
+//! keys do not move when it is bumped; a stale entry is re-executed and
+//! overwritten in place.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -30,6 +39,17 @@ use gossip_sim::TrialRecord;
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 
 use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
+
+/// The version of the results this binary produces for a given spec.
+///
+/// Bumped by every change that moves a random draw or otherwise changes
+/// what some spec's sweep writes, so journals and `gossip serve` store
+/// entries from older binaries stop answering.
+///
+/// * 0 — headers written before the field existed.
+/// * 1 — the Section 4 adversary keeps its expanders across re-stitches
+///   (`gossip_dynamics::DiligentNetwork`).
+pub const RESULTS_VERSION: u32 = 1;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).
@@ -64,19 +84,31 @@ pub struct JournalHeader {
     /// [`spec_hash`] of the embedded spec, stored as a decimal string in
     /// the file (the full 64-bit range does not fit a JSON number).
     pub spec_hash: u64,
+    /// The [`RESULTS_VERSION`] of the binary that wrote the journal; 0
+    /// when the file predates the field.
+    pub results_version: u32,
     /// The complete spec the journal was written for.
     pub spec: ScenarioSpec,
 }
 
 impl JournalHeader {
-    /// Checks that the journal was written for `plan`: both the stored
-    /// hash and the embedded spec, in [`ScenarioSpec::normalized`] form,
-    /// must equal the plan's. A 64-bit hash can collide or be edited.
+    /// Checks that the journal was written for `plan` by this binary's
+    /// results: the stored hash and the embedded spec, in
+    /// [`ScenarioSpec::normalized`] form, must equal the plan's (a 64-bit
+    /// hash can collide or be edited), and the results version must be
+    /// [`RESULTS_VERSION`].
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Journal`] on a mismatch.
     pub fn check(&self, plan: &ScenarioPlan) -> Result<(), ScenarioError> {
+        if self.results_version != RESULTS_VERSION {
+            return Err(ScenarioError::Journal(format!(
+                "journal `{}` holds results version {}, but this binary produces version \
+                 {RESULTS_VERSION}: its results are stale",
+                self.scenario, self.results_version
+            )));
+        }
         if self.spec_hash == plan.spec_hash() && self.spec.normalized() == plan.spec().normalized()
         {
             return Ok(());
@@ -97,6 +129,7 @@ impl Serialize for JournalHeader {
             ("kind".into(), Value::Str("header".into())),
             ("scenario".into(), self.scenario.to_value()),
             ("spec_hash".into(), Value::Str(self.spec_hash.to_string())),
+            ("results_version".into(), self.results_version.to_value()),
             ("spec".into(), self.spec.to_value()),
         ])
     }
@@ -117,9 +150,11 @@ impl Deserialize for JournalHeader {
         let spec_hash = hash
             .parse::<u64>()
             .map_err(|_| DeError::message(format!("malformed spec_hash `{hash}`")))?;
+        let results_version: Option<u32> = de_field(map, "results_version")?;
         Ok(JournalHeader {
             scenario: de_field(map, "scenario")?,
             spec_hash,
+            results_version: results_version.unwrap_or(0),
             spec: de_field(map, "spec")?,
         })
     }
@@ -364,6 +399,7 @@ mod tests {
         let header = JournalHeader {
             scenario: spec.name.clone(),
             spec_hash: spec_hash(&spec),
+            results_version: RESULTS_VERSION,
             spec: spec.clone(),
         };
         let path = temp_path("round-trip");

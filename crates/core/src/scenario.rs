@@ -54,7 +54,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use crate::journal::{self, Journal, JournalCell, JournalHeader, JournalWriter};
+use crate::journal::{self, Journal, JournalCell, JournalHeader, JournalWriter, RESULTS_VERSION};
 
 // ---------------------------------------------------------------------------
 // Spec types
@@ -2154,6 +2154,7 @@ impl<'s> SweepPlan<'s> {
                 &JournalHeader {
                     scenario: spec.name.clone(),
                     spec_hash: self.plan.hash,
+                    results_version: RESULTS_VERSION,
                     spec: spec.clone(),
                 },
             )?),
@@ -3159,6 +3160,29 @@ max_time = 1e4
                 "{err}"
             );
         }
+        std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn resume_rejects_a_stale_results_version() {
+        let spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
+        let journal = temp_path("journal-version");
+        let plan = SweepPlan::new(&spec).unwrap();
+        plan.clone().journal_to(&journal).run().unwrap();
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let field = format!("\"results_version\":{RESULTS_VERSION},");
+        assert!(text.contains(&field), "the header records the version");
+
+        // A header written before the field existed reads as version 0.
+        std::fs::write(&journal, text.replacen(&field, "", 1)).unwrap();
+        assert_eq!(Journal::load(&journal).unwrap().header.results_version, 0);
+        let err = plan.clone().resume_from(&journal).run().unwrap_err();
+        let expected =
+            format!("results version 0, but this binary produces version {RESULTS_VERSION}");
+        assert!(
+            matches!(err, ScenarioError::Journal(ref m) if m.contains(&expected)),
+            "{err}"
+        );
         std::fs::remove_file(&journal).ok();
     }
 

@@ -4,7 +4,7 @@
 //! `G(t) = H_{k,Δ}(A_t, B_t)` with `Δ = ⌈1/ρ⌉` and
 //! `k = Θ(log n / log log n)`. The adversary watches the informed set and
 //! moves every informed `B`-node over to the `A` side at each step
-//! (`B_{t+1} = B_t \ I_{t+1}`), rebuilding the graph while
+//! (`B_{t+1} = B_t \ I_{t+1}`), re-stitching the graph while
 //! `n/4 ≤ |B_{t+1}| < |B_t|`; once `|B|` would drop below `n/4` the network
 //! stops evolving.
 //!
@@ -13,13 +13,41 @@
 //! Lemma 4.2 bounds each unit step's crossing probability by `2^k Δ / k!` —
 //! yielding the `Ω(nρ/k)` spread-time lower bound while the graph stays
 //! `Θ(ρ)`-diligent with `Φ = Θ(Δ²/(kΔ² + n))` throughout (Observation 4.1).
+//!
+//! # Modeling choice: the expanders persist
+//!
+//! The paper asks for "arbitrary 4-regular expander graphs" `G1` on
+//! `A \ S_0` and `G2` on `B \ ∪S_i`, not for fresh ones at every step, and
+//! Lemma 4.2's crossing bound is about the string alone. So `t = 0` builds
+//! [`h_k_delta`] (random connected 4-regular expanders), and each later
+//! re-stitch keeps both expanders and edits them locally:
+//!
+//! * a node that leaves `G2` (moved to `A`, or shifted into `S_k`) joins
+//!   its four `G2` neighbours in two pairs, drawn uniformly from the
+//!   pairings that keep `G2` simple and connected — if none does, `G2`
+//!   alone is redrawn over its new node set;
+//! * a node that joins `A` enters `G1` by cutting two uniformly drawn
+//!   disjoint edges and joining their four ends to it;
+//! * the string `S_0..S_k` and both stitchings are recomputed, which is
+//!   `O(kΔ² + 2Δ²)` edges.
+//!
+//! Both sides stay connected and 4-regular, so every window is an
+//! `H_{k,Δ}(A_t, B_t)`, and [`DynamicNetwork::edges_changed`] reports each
+//! re-stitch as an exact [`EdgeDelta`] instead of forcing a rebuild.
 
 use crate::{DynamicNetwork, EdgeDelta, ProfiledNetwork, StepProfile};
-use gossip_graph::generators::{h_k_delta, HkDeltaParams};
+use gossip_graph::generators::{
+    h_k_delta, random_connected_regular_edges, string_edges, HkDeltaParams,
+};
 use gossip_graph::{GraphError, NodeId, NodeSet, Topology};
 use gossip_stats::SimRng;
 
 /// The Section 4 adaptive network `G(n, ρ)`.
+///
+/// The graph evolves once per increasing `t`, in
+/// [`DynamicNetwork::edges_changed`] or, when that was not called, in
+/// [`DynamicNetwork::topology`]; repeated calls with the same `t` return
+/// the same graph.
 ///
 /// # Example
 ///
@@ -43,7 +71,15 @@ pub struct DiligentNetwork {
     b_nodes: Vec<NodeId>,
     /// The exposed window (materialized backend over the `H_{k,Δ}` build).
     current: Option<Topology>,
+    /// The step `current` was exposed for.
+    last_step: u64,
     frozen: bool,
+    /// The four expander neighbours of each node of `G1` (on `A \ S_0`)
+    /// and `G2` (on `B \ ∪S_i`); rows of string nodes are stale.
+    expander: Vec<[NodeId; 4]>,
+    search: Search,
+    /// See [`DiligentNetwork::side_redraws`].
+    redraws: u64,
 }
 
 impl DiligentNetwork {
@@ -54,8 +90,8 @@ impl DiligentNetwork {
     ///
     /// [`GraphError::InvalidParameter`] when `ρ ∉ (0, 1]` or `n` is too
     /// small to host the construction (the paper's regime is
-    /// `1/√n ≤ ρ ≤ 1`; `|A_0| = n/4` must fit `S_0` plus an expander and
-    /// `|B_0| = 3n/4` must fit `k` clusters plus an expander).
+    /// `1/√n ≤ ρ ≤ 1`, but the freeze threshold `|B| = n/4` must still fit
+    /// `k` clusters plus an expander, see [`DiligentNetwork::with_params`]).
     pub fn new(n: usize, rho: f64) -> Result<Self, GraphError> {
         if !(rho > 0.0 && rho <= 1.0) {
             return Err(GraphError::InvalidParameter(format!(
@@ -72,27 +108,34 @@ impl DiligentNetwork {
     ///
     /// # Errors
     ///
-    /// As [`DiligentNetwork::new`].
+    /// [`GraphError::InvalidParameter`] when `k` or `Δ` is zero, or when
+    /// `n/4 < kΔ + max(Δ, 5)`: `|A_0| = n/4` must fit `S_0` plus `G1`, and
+    /// every `B_t` down to the freeze at `n/4` must fit `S_1..S_k` plus a
+    /// `G2` of at least `max(Δ, 5)` nodes.
     pub fn with_params(n: usize, params: HkDeltaParams) -> Result<Self, GraphError> {
-        let a_size = n / 4;
-        let b_size = n - a_size;
-        let side_min = params.delta.max(5);
-        if a_size < params.delta + side_min || b_size < params.k * params.delta + side_min {
+        let HkDeltaParams { k, delta } = params;
+        let need = k * delta + delta.max(5);
+        if k == 0 || delta == 0 || n / 4 < need {
             return Err(GraphError::InvalidParameter(format!(
-                "n = {n} too small for H(k={}, delta={}) with |A|=n/4",
-                params.k, params.delta
+                "n = {n} too small for H(k={k}, delta={delta}): the freeze threshold \
+                 |B| = n/4 = {} must host k clusters plus an expander (need at least {need})",
+                n / 4
             )));
         }
-        let a_nodes: Vec<NodeId> = (0..a_size as NodeId).collect();
-        let b_nodes: Vec<NodeId> = (a_size as NodeId..n as NodeId).collect();
-        Ok(DiligentNetwork {
+        let mut net = DiligentNetwork {
             n,
             params,
-            a_nodes,
-            b_nodes,
+            a_nodes: Vec::new(),
+            b_nodes: Vec::new(),
             current: None,
+            last_step: 0,
             frozen: false,
-        })
+            expander: vec![[0; 4]; n],
+            search: Search::default(),
+            redraws: 0,
+        };
+        net.reset();
+        Ok(net)
     }
 
     /// The construction parameters (`k`, `Δ`).
@@ -105,16 +148,365 @@ impl DiligentNetwork {
         &self.b_nodes
     }
 
+    /// How many re-stitches since construction found no pairing that
+    /// keeps `G2` simple and connected and redrew `G2` instead.
+    pub fn side_redraws(&self) -> u64 {
+        self.redraws
+    }
+
     /// The Theorem 1.2 spread-time lower bound for these parameters:
     /// `n / (4·k·Δ)` (the proof's Inequality (11), of order `nρ/k`).
     pub fn lower_bound_time(&self) -> f64 {
         self.n as f64 / (4.0 * self.params.k as f64 * self.params.delta as f64)
     }
 
-    fn rebuild(&mut self, rng: &mut SimRng) {
+    /// The `t = 0` window: a fresh [`h_k_delta`], whose expander rows are
+    /// each expander node's neighbours outside the string.
+    fn build(&mut self, rng: &mut SimRng) {
         let h = h_k_delta(self.n, &self.a_nodes, &self.b_nodes, self.params, rng)
-            .expect("sizes validated at construction and |B| only shrinks above n/4");
+            .expect("sizes validated at construction");
+        let mut string = NodeSet::new(self.n);
+        for &v in h.clusters().iter().flatten() {
+            string.insert(v);
+        }
+        for &v in h.a_rest().iter().chain(h.b_rest()) {
+            let row = &mut self.expander[v as usize];
+            let mut rest = h
+                .graph()
+                .neighbors(v)
+                .iter()
+                .filter(|&&w| !string.contains(w));
+            for slot in row.iter_mut() {
+                *slot = *rest
+                    .next()
+                    .expect("expander nodes have four expander neighbours");
+            }
+            debug_assert!(rest.next().is_none(), "expanders are 4-regular");
+        }
         self.current = Some(Topology::materialized(h.into_graph()));
+    }
+
+    /// Moves every informed `B` node to `A` and re-stitches, returning the
+    /// exact edge diff (empty when nothing moved or the network froze).
+    fn evolve(&mut self, informed: &NodeSet, rng: &mut SimRng) -> EdgeDelta {
+        if self.frozen {
+            return EdgeDelta::empty();
+        }
+        let hits = self
+            .b_nodes
+            .iter()
+            .filter(|&&v| informed.contains(v))
+            .count();
+        if hits == 0 {
+            return EdgeDelta::empty();
+        }
+        if self.b_nodes.len() - hits < self.n / 4 {
+            // |B| would fall below n/4: per the paper, the network stops
+            // evolving (G(t+1) = G(t) from here on).
+            self.frozen = true;
+            return EdgeDelta::empty();
+        }
+        let mut log = Log::default();
+        for (u, v) in string_edges(&self.a_nodes, &self.b_nodes, self.params) {
+            log.remove(u, v);
+        }
+        // Who moves to A, and which G2 nodes leave it: the moved ones and
+        // those the string takes into S_k as it refills.
+        let string_len = self.params.k * self.params.delta;
+        let (mut moved, mut leaving) = (Vec::with_capacity(hits), Vec::new());
+        let (mut i, mut kept) = (0, 0);
+        self.b_nodes.retain(|&v| {
+            let hit = informed.contains(v);
+            if i >= string_len && (hit || kept < string_len) {
+                leaving.push(v);
+            }
+            i += 1;
+            if hit {
+                moved.push(v);
+            } else {
+                kept += 1;
+            }
+            !hit
+        });
+        for (i, &v) in leaving.iter().enumerate() {
+            if !self.leave_g2(v, &mut log, rng) {
+                let rest = &self.b_nodes[string_len..];
+                redraw_g2(&mut self.expander, &leaving[i..], rest, &mut log, rng);
+                self.redraws += 1;
+                break;
+            }
+        }
+        for &u in &moved {
+            self.join_g1(u, &mut log, rng);
+            self.a_nodes.push(u);
+        }
+        for (u, v) in string_edges(&self.a_nodes, &self.b_nodes, self.params) {
+            log.add(u, v);
+        }
+        let delta = log.net();
+        let prev = self
+            .current
+            .as_ref()
+            .and_then(Topology::as_graph)
+            .expect("re-stitches follow the t = 0 build");
+        self.current = Some(Topology::materialized(
+            prev.with_changes(delta.added(), delta.removed()),
+        ));
+        delta
+    }
+
+    /// Takes `v` out of `G2` by joining its four neighbours in two pairs,
+    /// drawn uniformly from the pairings that keep `G2` simple and
+    /// connected. Returns `false`, changing nothing, when there is none.
+    fn leave_g2(&mut self, v: NodeId, log: &mut Log, rng: &mut SimRng) -> bool {
+        const PAIRINGS: [[(usize, usize); 2]; 3] =
+            [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]];
+        let nb = self.expander[v as usize];
+        let mut labels = None;
+        let mut valid = [0; 3];
+        let mut count = 0;
+        for (i, pairing) in PAIRINGS.iter().enumerate() {
+            if pairing
+                .iter()
+                .any(|&(p, q)| self.expander[nb[p] as usize].contains(&nb[q]))
+            {
+                continue;
+            }
+            let labels =
+                *labels.get_or_insert_with(|| self.search.components(&self.expander, v, nb));
+            if joins(labels, pairing) {
+                valid[count] = i;
+                count += 1;
+            }
+        }
+        if count == 0 {
+            return false;
+        }
+        let pick = if count > 1 { rng.index(count) } else { 0 };
+        for &(p, q) in &PAIRINGS[valid[pick]] {
+            let (x, y) = (nb[p], nb[q]);
+            replace(&mut self.expander[x as usize], v, y);
+            replace(&mut self.expander[y as usize], v, x);
+            log.add(x, y);
+        }
+        for &w in &nb {
+            log.remove(v, w);
+        }
+        true
+    }
+
+    /// Puts `u` into `G1` by cutting two uniformly drawn disjoint edges and
+    /// joining their four ends to `u` (`G1` stays connected: every piece
+    /// the cuts leave holds one of the four ends).
+    fn join_g1(&mut self, u: NodeId, log: &mut Log, rng: &mut SimRng) {
+        let g1 = &self.a_nodes[self.params.delta..];
+        let rows = &self.expander;
+        // A uniform node and a uniform slot: a uniform edge of a 4-regular
+        // graph.
+        let mut draw = || {
+            let r = rng.index(4 * g1.len());
+            let x = g1[r / 4];
+            (x, rows[x as usize][r % 4])
+        };
+        let (x, y) = draw();
+        let (z, w) = loop {
+            let (z, w) = draw();
+            if z != x && z != y && w != x && w != y {
+                break (z, w);
+            }
+        };
+        for (p, q) in [(x, y), (y, x), (z, w), (w, z)] {
+            replace(&mut self.expander[p as usize], q, u);
+            log.add(u, p);
+        }
+        self.expander[u as usize] = [x, y, z, w];
+        log.remove(x, y);
+        log.remove(z, w);
+    }
+}
+
+/// Replaces `old` by `new` in an expander row.
+fn replace(row: &mut [NodeId; 4], old: NodeId, new: NodeId) {
+    let slot = row
+        .iter_mut()
+        .find(|w| **w == old)
+        .expect("expander rows are symmetric");
+    *slot = new;
+}
+
+/// Whether adding `pairing`'s two edges between the four neighbours
+/// leaves one component, given their component `labels` in `G2 − v`.
+fn joins(mut labels: [u8; 4], pairing: &[(usize, usize); 2]) -> bool {
+    for &(p, q) in pairing {
+        let (keep, drop) = (labels[p], labels[q]);
+        labels
+            .iter_mut()
+            .filter(|l| **l == drop)
+            .for_each(|l| *l = keep);
+    }
+    labels.iter().all(|&l| l == labels[0])
+}
+
+/// The fallback when no pairing keeps `G2` simple and connected: drops
+/// every edge of the current `G2` (the `new_rest` it is shrinking to plus
+/// the `leaving` nodes still in it) and draws a fresh connected 4-regular
+/// `G2` on `new_rest`.
+fn redraw_g2(
+    expander: &mut [[NodeId; 4]],
+    leaving: &[NodeId],
+    new_rest: &[NodeId],
+    log: &mut Log,
+    rng: &mut SimRng,
+) {
+    for &u in leaving.iter().chain(new_rest) {
+        for &w in expander[u as usize].iter().filter(|&&w| u < w) {
+            log.remove(u, w);
+        }
+    }
+    let mut filled = vec![0; new_rest.len()];
+    let edges = random_connected_regular_edges(new_rest.len(), 4, rng)
+        .expect("G2 keeps at least 5 nodes above the freeze");
+    for (i, j) in edges {
+        let (i, j) = (i as usize, j as usize);
+        let (u, v) = (new_rest[i], new_rest[j]);
+        expander[u as usize][filled[i]] = v;
+        expander[v as usize][filled[j]] = u;
+        filled[i] += 1;
+        filled[j] += 1;
+        log.add(u, v);
+    }
+}
+
+/// The edge insertions and deletions of one re-stitch, in any order, each
+/// edge keyed `u << 32 | v` with `u < v` (so keys sort like edges).
+#[derive(Debug, Default)]
+struct Log {
+    added: Vec<u64>,
+    removed: Vec<u64>,
+}
+
+fn key(u: NodeId, v: NodeId) -> u64 {
+    u64::from(u.min(v)) << 32 | u64::from(u.max(v))
+}
+
+impl Log {
+    fn add(&mut self, u: NodeId, v: NodeId) {
+        self.added.push(key(u, v));
+    }
+
+    fn remove(&mut self, u: NodeId, v: NodeId) {
+        self.removed.push(key(u, v));
+    }
+
+    /// The net diff: an edge inserted and deleted equally often cancels.
+    /// Both sides come out sorted, as [`EdgeDelta::between`] lists them.
+    fn net(mut self) -> EdgeDelta {
+        self.added.sort_unstable();
+        self.removed.sort_unstable();
+        let edge = |k: u64| ((k >> 32) as NodeId, k as NodeId);
+        // An exhausted side reads as u64::MAX, above every key (u < v).
+        let at = |keys: &[u64], i: usize| keys.get(i).copied().unwrap_or(u64::MAX);
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        let (mut a, mut r) = (0, 0);
+        while a < self.added.len() || r < self.removed.len() {
+            let (x, y) = (at(&self.added, a), at(&self.removed, r));
+            match x.cmp(&y) {
+                std::cmp::Ordering::Equal => (a, r) = (a + 1, r + 1),
+                std::cmp::Ordering::Less => {
+                    added.push(edge(x));
+                    a += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    removed.push(edge(y));
+                    r += 1;
+                }
+            }
+        }
+        EdgeDelta::new(added, removed)
+    }
+}
+
+/// Scratch for [`Search::components`].
+#[derive(Debug, Clone, Default)]
+struct Search {
+    /// `seen[x] == stamp` marks `x` as visited in the current search.
+    seen: Vec<u32>,
+    /// The region (source index) that visited `x`; `NONE` for the removed
+    /// node.
+    region: Vec<u8>,
+    stamp: u32,
+    queues: [Vec<NodeId>; 4],
+}
+
+impl Search {
+    const NONE: u8 = 4;
+
+    /// Labels the four `sources` (the neighbours of `v`) by their
+    /// component in `G2 − v`: equal labels share a component.
+    ///
+    /// One breadth-first region grows from each source, a node at a time
+    /// in turn, and regions that touch merge. The search stops once one
+    /// group is left or at most one group can still grow (a group whose
+    /// regions are exhausted is a whole component). In an expander the
+    /// regions meet after `O(√|G2|)` nodes each.
+    fn components(&mut self, rows: &[[NodeId; 4]], v: NodeId, sources: [NodeId; 4]) -> [u8; 4] {
+        if self.seen.len() < rows.len() {
+            self.seen.resize(rows.len(), 0);
+            self.region.resize(rows.len(), Self::NONE);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
+        self.seen[v as usize] = stamp;
+        self.region[v as usize] = Self::NONE;
+        let mut group = [0u8, 1, 2, 3];
+        let mut head = [0usize; 4];
+        for (r, &s) in sources.iter().enumerate() {
+            self.seen[s as usize] = stamp;
+            self.region[s as usize] = r as u8;
+            self.queues[r].clear();
+            self.queues[r].push(s);
+        }
+        loop {
+            let (mut groups, mut open) = (0u8, 0u8);
+            for r in 0..4 {
+                groups |= 1 << group[r];
+                if head[r] < self.queues[r].len() {
+                    open |= 1 << group[r];
+                }
+            }
+            if groups.count_ones() == 1 || open.count_ones() <= 1 {
+                return group;
+            }
+            for r in 0..4 {
+                let Some(&x) = self.queues[r].get(head[r]) else {
+                    continue;
+                };
+                head[r] += 1;
+                for &y in &rows[x as usize] {
+                    if self.seen[y as usize] != stamp {
+                        self.seen[y as usize] = stamp;
+                        self.region[y as usize] = r as u8;
+                        self.queues[r].push(y);
+                        continue;
+                    }
+                    let other = self.region[y as usize];
+                    if other != Self::NONE && group[other as usize] != group[r] {
+                        let (keep, drop) = (
+                            group[r].min(group[other as usize]),
+                            group[r].max(group[other as usize]),
+                        );
+                        group
+                            .iter_mut()
+                            .filter(|g| **g == drop)
+                            .for_each(|g| *g = keep);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -123,35 +515,13 @@ impl DynamicNetwork for DiligentNetwork {
         self.n
     }
 
-    fn topology(&mut self, _t: u64, informed: &NodeSet, rng: &mut SimRng) -> &Topology {
+    fn topology(&mut self, t: u64, informed: &NodeSet, rng: &mut SimRng) -> &Topology {
         if self.current.is_none() {
-            self.rebuild(rng);
-            return self.current.as_ref().expect("just built");
-        }
-        if !self.frozen {
-            let b_new: Vec<NodeId> = self
-                .b_nodes
-                .iter()
-                .copied()
-                .filter(|&v| !informed.contains(v))
-                .collect();
-            if b_new.len() < self.b_nodes.len() {
-                if b_new.len() >= self.n / 4 {
-                    let moved: Vec<NodeId> = self
-                        .b_nodes
-                        .iter()
-                        .copied()
-                        .filter(|&v| informed.contains(v))
-                        .collect();
-                    self.a_nodes.extend(moved);
-                    self.b_nodes = b_new;
-                    self.rebuild(rng);
-                } else {
-                    // |B| would fall below n/4: per the paper, the network
-                    // stops evolving (G(t+1) = G(t) from here on).
-                    self.frozen = true;
-                }
-            }
+            self.build(rng);
+            self.last_step = t;
+        } else if t > self.last_step {
+            self.evolve(informed, rng);
+            self.last_step = t;
         }
         self.current.as_ref().expect("built on first call")
     }
@@ -161,6 +531,7 @@ impl DynamicNetwork for DiligentNetwork {
         self.a_nodes = (0..a_size as NodeId).collect();
         self.b_nodes = (a_size as NodeId..self.n as NodeId).collect();
         self.current = None;
+        self.last_step = 0;
         self.frozen = false;
     }
 
@@ -176,20 +547,17 @@ impl DynamicNetwork for DiligentNetwork {
         0
     }
 
-    /// As for the Section 5.1 family: the empty delta whenever the
-    /// adversary has no informed `B` node to move (or is frozen), `None`
-    /// (rebuild) when it re-stitches the string.
-    fn edges_changed(
-        &mut self,
-        _t: u64,
-        informed: &NodeSet,
-        _rng: &mut SimRng,
-    ) -> Option<EdgeDelta> {
+    /// The exact diff of each step: empty whenever the adversary has no
+    /// informed `B` node to move (or is frozen), the re-stitch's string,
+    /// stitching and expander edits otherwise. `None` only before the
+    /// `t = 0` build.
+    fn edges_changed(&mut self, t: u64, informed: &NodeSet, rng: &mut SimRng) -> Option<EdgeDelta> {
         self.current.as_ref()?;
-        if self.frozen || !self.b_nodes.iter().any(|&v| informed.contains(v)) {
+        if t <= self.last_step {
             return Some(EdgeDelta::empty());
         }
-        None
+        self.last_step = t;
+        Some(self.evolve(informed, rng))
     }
 }
 
@@ -212,7 +580,8 @@ impl ProfiledNetwork for DiligentNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_graph::connectivity::is_connected;
+    use gossip_graph::connectivity::{components, is_connected};
+    use gossip_graph::Graph;
 
     #[test]
     fn builds_and_stays_connected() {
@@ -315,6 +684,102 @@ mod tests {
         assert!(DiligentNetwork::new(100, 1.5).is_err());
         // delta too large for n/4.
         assert!(DiligentNetwork::with_params(100, HkDeltaParams { k: 2, delta: 20 }).is_err());
+        // Inside the paper's regime ρ ≥ 1/√n, but the freeze threshold
+        // |B| = n/4 cannot hold k clusters plus an expander: 25 < 3·10 + 10
+        // and 16 < 3·8 + 8.
+        assert!(DiligentNetwork::new(100, 0.1).is_err());
+        assert!(DiligentNetwork::new(64, 0.125).is_err());
+        assert!(DiligentNetwork::with_params(100, HkDeltaParams { k: 0, delta: 5 }).is_err());
+        // The tightest sizes in use: 60 >= 40 and 40 >= 32.
+        assert!(DiligentNetwork::new(240, 0.1).is_ok());
+        assert!(DiligentNetwork::new(160, 0.125).is_ok());
+    }
+
+    #[test]
+    fn expanders_survive_down_to_the_freeze() {
+        // n = 40, k = 1, Δ = 5: G2 starts with 25 nodes and may shrink to
+        // 5 (K5). One random B node hears the rumor per window, so every
+        // window re-stitches, and near the minimum some removals have no
+        // pairing that keeps G2 simple and connected.
+        let (n, delta) = (40, 5);
+        let mut net = DiligentNetwork::with_params(n, HkDeltaParams { k: 1, delta }).unwrap();
+        for seed in 0..30 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut informed = NodeSet::new(n);
+            informed.insert(0);
+            net.reset();
+            let mut prev = net.topology(0, &informed, &mut rng).materialize();
+            for t in 1..32 {
+                let b = net.b_nodes();
+                informed.insert(b[rng.index(b.len())]);
+                let delta_t = net.edges_changed(t, &informed, &mut rng).unwrap();
+                let g = net.topology(t, &informed, &mut rng).materialize();
+                assert_eq!(
+                    delta_t,
+                    EdgeDelta::between(&prev, &g),
+                    "seed {seed}, t = {t}"
+                );
+                let b = net.b_nodes();
+                let string: Vec<NodeId> = (0..delta as NodeId)
+                    .chain(b[..delta].iter().copied())
+                    .collect();
+                // Without the string, G1 and G2 are two connected
+                // 4-regular components and every string node is alone.
+                let outside = |v: &NodeId| !string.contains(v);
+                let expander_edges: Vec<_> = g
+                    .edges()
+                    .filter(|(u, v)| outside(u) && outside(v))
+                    .collect();
+                let expanders = Graph::from_edges(n, &expander_edges).unwrap();
+                for v in (0..n as NodeId).filter(outside) {
+                    assert_eq!(expanders.degree(v), 4, "seed {seed}, t = {t}: node {v}");
+                }
+                assert_eq!(
+                    components(&expanders).len(),
+                    2 + string.len(),
+                    "seed {seed}, t = {t}: an expander came apart"
+                );
+                assert!(is_connected(&g), "seed {seed}, t = {t}");
+                prev = g;
+            }
+        }
+        assert!(net.side_redraws() > 0, "the G2 redraw fallback never fired");
+    }
+
+    #[test]
+    fn pairings_must_reconnect_across_a_cut_vertex() {
+        // Two copies of K5 minus an edge, on 0..5 without (0, 1) and on
+        // 5..10 without (5, 6), hung on node 10: a 4-regular graph in
+        // which node 10 is a cut vertex.
+        let mut edges = vec![(10, 0), (10, 1), (10, 5), (10, 6)];
+        for base in [0, 5] {
+            for u in base..base + 5 {
+                edges.extend(
+                    (u + 1..base + 5)
+                        .filter(|&v| (u, v) != (base, base + 1))
+                        .map(|v| (u, v)),
+                );
+            }
+        }
+        let mut rows = vec![Vec::new(); 11];
+        for &(u, v) in &edges {
+            rows[u as usize].push(v);
+            rows[v as usize].push(u);
+        }
+        let rows: Vec<[NodeId; 4]> = rows.into_iter().map(|r| r.try_into().unwrap()).collect();
+        let labels = Search::default().components(&rows, 10, [0, 1, 5, 6]);
+        assert_eq!(
+            (labels[0] == labels[1], labels[2] == labels[3]),
+            (true, true)
+        );
+        assert_ne!(labels[0], labels[2]);
+        // Joining 0–1 and 5–6 keeps the graph simple but splits it.
+        assert!(!joins(labels, &[(0, 1), (2, 3)]));
+        assert!(joins(labels, &[(0, 2), (1, 3)]));
+        assert!(joins(labels, &[(0, 3), (1, 2)]));
+        // Without a cut vertex every source shares one component.
+        let labels = Search::default().components(&rows, 2, [0, 1, 3, 4]);
+        assert!(labels.iter().all(|&l| l == labels[0]));
     }
 
     #[test]

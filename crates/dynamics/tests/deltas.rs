@@ -1,15 +1,18 @@
 //! Contract tests for [`DynamicNetwork::edges_changed`]: whenever a network
 //! reports `Some(delta)`, the delta must be the exact symmetric difference
 //! between the previous window's graph and what `topology(t, …)` returns
-//! afterwards — the incremental engine's correctness rests on this.
+//! afterwards — the incremental engine's correctness rests on this. Also
+//! [`Graph::with_changes`], which builds a window's CSR from the previous
+//! one and such a delta.
 
 use gossip_dynamics::{
     AbsoluteDiligentNetwork, AlternatingRegular, CliquePendant, DiligentNetwork, DynamicNetwork,
     EdgeDelta, EdgeMarkovian, ResampledGnp, SequenceNetwork, StaticNetwork,
 };
 use gossip_graph::generators::HkDeltaParams;
-use gossip_graph::{generators, NodeId, NodeSet, Topology};
+use gossip_graph::{generators, Graph, NodeId, NodeSet, Topology};
 use gossip_stats::SimRng;
+use proptest::prelude::*;
 
 /// An informed-set schedule: `inform(t, informed)` grows the set before
 /// window `t` is queried, as the engine's spread does between windows.
@@ -172,9 +175,9 @@ fn diligent_reports_empty_deltas_around_restitches_and_the_freeze() {
     let n = 200;
     let mut net = DiligentNetwork::with_params(n, HkDeltaParams { k: 2, delta: 5 }).unwrap();
     let reported = check_delta_contract(&mut net, 24, 15, |t, s| inform_b_side(t, s, 50, 12));
-    // None at t = 0 (first build) and at each of the 9 even windows
-    // t = 2..=18 with informed B nodes; Some at the other 14.
-    assert_eq!(reported, 14);
+    // None only at t = 0 (the first build); every re-stitch at the even
+    // windows t = 2..=16 is an exact delta, the rest are empty.
+    assert_eq!(reported, 23);
     assert_eq!(net.b_nodes().len(), 54, "frozen with 54 B nodes left");
 }
 
@@ -198,4 +201,38 @@ fn default_implementation_declines() {
     let mut rng = SimRng::seed_from_u64(11);
     let informed = NodeSet::new(net.n());
     assert!(net.edges_changed(1, &informed, &mut rng).is_none());
+}
+
+/// A random graph on `n` nodes with edge probability `p`.
+fn random_graph(n: usize, p: f64, rng: &mut SimRng) -> Graph {
+    generators::erdos_renyi(n, p, rng).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`Graph::with_changes`] applied to `prev` with
+    /// `EdgeDelta::between(prev, next)` rebuilds `next`, and the inverted
+    /// delta rebuilds `prev`. `next` keeps part of `prev`, adds fresh
+    /// edges and empties some rows: on even seeds those of nodes 0 and
+    /// n − 1 (the first and last CSR rows), always one more.
+    #[test]
+    fn with_changes_applies_between(seed in 0u64..10_000, n in 2usize..48) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let prev = random_graph(n, rng.uniform_f64() * 0.4, &mut rng);
+        let fresh = random_graph(n, rng.uniform_f64() * 0.2, &mut rng);
+        let emptied = [0, (n - 1) as NodeId, rng.index(n) as NodeId];
+        let emptied = if seed % 2 == 0 { &emptied[..] } else { &emptied[2..] };
+        let edges: Vec<(NodeId, NodeId)> = prev
+            .edges()
+            .filter(|_| rng.chance(0.7))
+            .chain(fresh.edges())
+            .filter(|(u, v)| !emptied.contains(u) && !emptied.contains(v))
+            .collect();
+        let next = Graph::from_edges(n, &edges).unwrap();
+        let delta = EdgeDelta::between(&prev, &next);
+        prop_assert_eq!(&prev.with_changes(delta.added(), delta.removed()), &next);
+        let back = delta.inverted();
+        prop_assert_eq!(&next.with_changes(back.added(), back.removed()), &prev);
+    }
 }

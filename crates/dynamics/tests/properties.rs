@@ -4,13 +4,15 @@
 //! * every exposed graph has the full node set;
 //! * closed-form profiles stay in their mathematical ranges;
 //! * the adaptive adversaries' `B` side shrinks monotonically and respects
-//!   the paper's freeze thresholds;
+//!   the paper's freeze thresholds, and every Section 4 window keeps the
+//!   `H_{k,Δ}` degrees, edge count and connectivity;
 //! * `reset` restores a deterministic network to its initial trajectory.
 
 use gossip_dynamics::{
     AbsoluteDiligentNetwork, DiligentNetwork, DynamicNetwork, DynamicStar, ProfiledNetwork,
 };
-use gossip_graph::NodeSet;
+use gossip_graph::connectivity::{components, is_connected};
+use gossip_graph::{Graph, NodeId, NodeSet};
 use gossip_stats::SimRng;
 use proptest::prelude::*;
 
@@ -53,23 +55,56 @@ proptest! {
     }
 
     /// The Section 4 network: `B` shrinks monotonically, never below the
-    /// n/4 freeze threshold, and the exposed graph always spans all nodes.
+    /// n/4 freeze threshold, and every window is an `H_{k,Δ}(A_t, B_t)`
+    /// spanning all nodes: string nodes have degree 2Δ, each `G1`/`G2`
+    /// node has four expander neighbours plus its stitches, `G1` and `G2`
+    /// are each connected, the edge count is
+    /// `kΔ² + 2Δ² + 2|A \ S_0| + 2|B \ ∪S_i|`, and the graph is connected.
     #[test]
     fn diligent_network_b_monotone(seed in 0u64..200, steps in 2usize..12) {
         let n = 160;
+        let (k, delta) = (2, 5);
         let mut net = DiligentNetwork::with_params(
             n,
-            gossip_graph::generators::HkDeltaParams { k: 2, delta: 5 },
+            gossip_graph::generators::HkDeltaParams { k, delta },
         ).expect("sizes fit");
         let mut rng = SimRng::seed_from_u64(seed);
         let mut prev_b = net.b_nodes().len();
         for (t, informed) in informed_trajectory(n, steps, seed ^ 0x55).into_iter().enumerate() {
-            let g = net.topology(t as u64, &informed, &mut rng);
+            let g = net.topology(t as u64, &informed, &mut rng).materialize();
             prop_assert_eq!(g.n(), n);
-            let b_now = net.b_nodes().len();
-            prop_assert!(b_now <= prev_b, "B grew: {prev_b} -> {b_now}");
-            prop_assert!(b_now >= n / 4, "B fell below the freeze threshold");
-            prev_b = b_now;
+            let b = net.b_nodes();
+            prop_assert!(b.len() <= prev_b, "B grew: {prev_b} -> {}", b.len());
+            prop_assert!(b.len() >= n / 4, "B fell below the freeze threshold");
+            prev_b = b.len();
+
+            // S_0 is the first Δ nodes of A_0; S_1..S_k lead B.
+            let s0: Vec<NodeId> = (0..delta as NodeId).collect();
+            let sk = &b[(k - 1) * delta..k * delta];
+            let mut in_b = NodeSet::new(n);
+            b.iter().for_each(|&v| { in_b.insert(v); });
+            let string: Vec<NodeId> = s0.iter().chain(&b[..k * delta]).copied().collect();
+            for &v in &string {
+                prop_assert_eq!(g.degree(v), 2 * delta, "string node {}", v);
+            }
+            for v in (0..n as NodeId).filter(|v| !string.contains(v)) {
+                let stitch_side: &[NodeId] = if in_b.contains(v) { sk } else { &s0 };
+                let stitches = g.neighbors(v).iter().filter(|w| stitch_side.contains(w)).count();
+                let expander = g.neighbors(v).iter().filter(|w| !string.contains(w)).count();
+                prop_assert_eq!(g.degree(v), 4 + stitches, "expander node {}", v);
+                prop_assert_eq!(expander, 4, "expander node {}", v);
+            }
+            // Without the string, G1 and G2 are each connected.
+            let expander_edges: Vec<_> = g
+                .edges()
+                .filter(|(u, v)| !string.contains(u) && !string.contains(v))
+                .collect();
+            let expanders = Graph::from_edges(n, &expander_edges).unwrap();
+            prop_assert_eq!(components(&expanders).len(), 2 + string.len());
+            let a_rest = n - b.len() - delta;
+            let b_rest = b.len() - k * delta;
+            prop_assert_eq!(g.m(), (k + 2) * delta * delta + 2 * a_rest + 2 * b_rest);
+            prop_assert!(is_connected(&g), "window {} is disconnected", t);
         }
     }
 

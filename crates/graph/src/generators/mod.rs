@@ -20,5 +20,7 @@ pub use basic::{
     barbell, complete, complete_bipartite, cycle, hypercube, path, star, star_with_center, torus,
 };
 pub use circulant::{circulant, near_regular_with_hub, regular_circulant};
-pub use paper::{h_k_delta, HkDelta, HkDeltaParams};
-pub use random::{erdos_renyi, random_connected_regular, random_regular};
+pub use paper::{h_k_delta, string_edges, HkDelta, HkDeltaParams};
+pub use random::{
+    erdos_renyi, random_connected_regular, random_connected_regular_edges, random_regular,
+};

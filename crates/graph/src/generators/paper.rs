@@ -91,8 +91,14 @@ impl HkDelta {
 /// `S_0` takes the first `Δ` entries of `a`; `S_1..S_k` take consecutive
 /// `Δ`-chunks of `b`. The expanders are random connected 4-regular graphs
 /// (expanders w.h.p. — the workspace's substitution for the paper's
-/// "arbitrary 4-regular expander"); sets smaller than 5 fall back to a
-/// complete graph.
+/// "arbitrary 4-regular expander"), drawn `G1` first; sets smaller than 5
+/// fall back to a complete graph. The non-random rest is
+/// [`string_edges`].
+///
+/// This is a one-shot build. The dynamic `G(n, ρ)`
+/// (`gossip_dynamics::DiligentNetwork`) builds it once per trial and then
+/// keeps both expanders, editing them as nodes move and re-stitching only
+/// the string.
 ///
 /// # Errors
 ///
@@ -131,29 +137,17 @@ pub fn h_k_delta(
     }
 
     let mut builder = GraphBuilder::new(n);
-
-    // Clusters: S_0 from A, S_1..S_k from B.
-    let mut clusters: Vec<Vec<NodeId>> = Vec::with_capacity(k + 1);
-    clusters.push(a[..delta].to_vec());
-    for i in 0..k {
-        clusters.push(b[i * delta..(i + 1) * delta].to_vec());
+    for (u, v) in string_edges(a, b, params) {
+        builder.add_edge(u, v)?;
     }
-    // Step 1: complete bipartite joins between consecutive clusters.
-    for w in clusters.windows(2) {
-        for &u in &w[0] {
-            for &v in &w[1] {
-                builder.add_edge(u, v)?;
-            }
-        }
-    }
-
-    // Step 2: expanders on the remainders plus even stitching.
+    let clusters: Vec<Vec<NodeId>> = std::iter::once(&a[..delta])
+        .chain(b[..k * delta].chunks(delta))
+        .map(<[NodeId]>::to_vec)
+        .collect();
     let a_rest: Vec<NodeId> = a[delta..].to_vec();
     let b_rest: Vec<NodeId> = b[k * delta..].to_vec();
     add_expander(&mut builder, &a_rest, rng)?;
     add_expander(&mut builder, &b_rest, rng)?;
-    stitch(&mut builder, &clusters[0], &a_rest, delta)?;
-    stitch(&mut builder, &clusters[k], &b_rest, delta)?;
 
     let graph = builder.build();
     debug_assert!(
@@ -193,25 +187,43 @@ fn add_expander(
     Ok(())
 }
 
-/// Connects the `x`-th cluster node to `delta` distinct targets
-/// round-robin, so each target gains at most `⌈Δ²/|targets|⌉` edges.
-fn stitch(
-    builder: &mut GraphBuilder,
-    cluster: &[NodeId],
-    targets: &[NodeId],
-    delta: usize,
-) -> Result<(), GraphError> {
-    debug_assert!(
-        targets.len() >= delta,
+/// The edges of `H_{k,Δ}(A, B)` that take no random draws: the string
+/// (complete bipartite joins of consecutive clusters `S_0..S_k`) and both
+/// stitchings, each as `(u, v)` with `u < v`. The `x`-th node of `S_0`
+/// is joined to `a_rest[(xΔ + j) mod |a_rest|]` for `j < Δ`, and `S_k`
+/// to `b_rest` alike, so each target gains at most `⌈Δ²/|targets|⌉`
+/// edges. Clusters and remainders are sliced from `a` and `b` as in
+/// [`h_k_delta`], which adds exactly these edges plus the two expanders.
+///
+/// # Panics
+///
+/// Panics if `|A| < 2Δ` or `|B| < (k+1)Δ` (the stitching needs `Δ`
+/// distinct targets per cluster node); [`h_k_delta`] validates more.
+pub fn string_edges(a: &[NodeId], b: &[NodeId], params: HkDeltaParams) -> Vec<(NodeId, NodeId)> {
+    let HkDeltaParams { k, delta } = params;
+    let (a_rest, b_rest) = (&a[delta..], &b[k * delta..]);
+    assert!(
+        a_rest.len() >= delta && b_rest.len() >= delta,
         "stitching needs at least delta targets"
     );
-    for (x, &u) in cluster.iter().enumerate() {
-        for j in 0..delta {
-            let t = targets[(x * delta + j) % targets.len()];
-            builder.add_edge(u, t)?;
+    let clusters: Vec<&[NodeId]> = std::iter::once(&a[..delta])
+        .chain(b[..k * delta].chunks(delta))
+        .collect();
+    let mut edges = Vec::with_capacity((k + 2) * delta * delta);
+    for w in clusters.windows(2) {
+        for &u in w[0] {
+            edges.extend(w[1].iter().map(|&v| (u.min(v), u.max(v))));
         }
     }
-    Ok(())
+    for (cluster, targets) in [(clusters[0], a_rest), (clusters[k], b_rest)] {
+        for (x, &u) in cluster.iter().enumerate() {
+            for j in 0..delta {
+                let t = targets[(x * delta + j) % targets.len()];
+                edges.push((u.min(t), u.max(t)));
+            }
+        }
+    }
+    edges
 }
 
 fn validate_partition(n: usize, a: &[NodeId], b: &[NodeId]) -> Result<(), GraphError> {
@@ -303,6 +315,25 @@ mod tests {
         let b_rest = 200 - 28;
         let expected = 4 * d2 + 2 * d2 + 2 * a_rest + 2 * b_rest;
         assert_eq!(h.graph().m(), expected);
+    }
+
+    #[test]
+    fn string_edges_are_the_non_random_part() {
+        let n = 300;
+        let (a, b) = split(n, 100);
+        let params = HkDeltaParams { k: 4, delta: 7 };
+        let h = h_k_delta(n, &a, &b, params, &mut SimRng::seed_from_u64(4)).unwrap();
+        let mut string = string_edges(&a, &b, params);
+        assert!(string
+            .iter()
+            .all(|&(u, v)| u < v && h.graph().has_edge(u, v)));
+        string.sort_unstable();
+        string.dedup();
+        assert_eq!(
+            string.len(),
+            (4 + 2) * 49,
+            "k·Δ² string plus 2·Δ² stitch edges"
+        );
     }
 
     #[test]

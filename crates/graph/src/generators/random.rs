@@ -246,7 +246,12 @@ pub fn random_connected_regular(n: usize, d: usize, rng: &mut SimRng) -> Result<
 
 /// The edge list behind [`random_connected_regular`] (same validation,
 /// same RNG draws), with connectivity checked by union-find on the list.
-pub(crate) fn random_connected_regular_edges(
+/// Each edge is listed once, in no particular orientation or order.
+///
+/// # Errors
+///
+/// As [`random_connected_regular`].
+pub fn random_connected_regular_edges(
     n: usize,
     d: usize,
     rng: &mut SimRng,

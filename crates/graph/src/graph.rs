@@ -164,6 +164,100 @@ impl Graph {
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         0..self.n() as NodeId
     }
+
+    /// The graph with the `removed` edges deleted and the `added` edges
+    /// inserted, built from this one without a full
+    /// [`GraphBuilder::build`]: untouched rows are copied in runs and
+    /// each touched row is merged with its sorted changes. `O(n + m)`
+    /// copying plus `O(c log c)` for `c` changed edges.
+    ///
+    /// Both lists hold edges as `(u, v)` with `u < v`. Every `removed`
+    /// edge must be present and every `added` edge absent, as in the two
+    /// sides of a symmetric difference between this graph and the result.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gossip_graph::Graph;
+    ///
+    /// let old = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
+    /// let new = old.with_changes(&[(2, 3)], &[(0, 1)]);
+    /// assert_eq!(new, Graph::from_edges(4, &[(1, 2), (2, 3)]).unwrap());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or the new volume does not
+    /// fit the `u32` row offsets.
+    pub fn with_changes(&self, added: &[(NodeId, NodeId)], removed: &[(NodeId, NodeId)]) -> Graph {
+        // Half-edges keyed `row << 32 | neighbor`, so they sort in row order.
+        let halves = |edges: &[(NodeId, NodeId)]| {
+            let key = |r: NodeId, w: NodeId| u64::from(r) << 32 | u64::from(w);
+            let mut h: Vec<u64> = edges
+                .iter()
+                .flat_map(|&(u, v)| [key(u, v), key(v, u)])
+                .collect();
+            h.sort_unstable();
+            h
+        };
+        let (plus, minus) = (halves(added), halves(removed));
+        let volume = (self.neighbors.len() + plus.len()).saturating_sub(minus.len());
+        assert!(
+            u32::try_from(volume).is_ok(),
+            "graph volume exceeds the u32 CSR offsets"
+        );
+        let row_of = |h: Option<&u64>| h.map_or(self.n(), |&h| (h >> 32) as usize);
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut neighbors = Vec::with_capacity(volume);
+        offsets.push(0u32);
+        let (mut i, mut j) = (0, 0);
+        let mut copied = 0;
+        loop {
+            let next = row_of(plus.get(i)).min(row_of(minus.get(j)));
+            // Rows `copied..next` are untouched: one copy, shifted offsets
+            // (the wrapping shift is exact, the volume fits u32).
+            let (from, to) = (self.offsets[copied], self.offsets[next]);
+            let shift = (neighbors.len() as u32).wrapping_sub(from);
+            neighbors.extend_from_slice(&self.neighbors[from as usize..to as usize]);
+            offsets.extend(
+                self.offsets[copied + 1..=next]
+                    .iter()
+                    .map(|&o| o.wrapping_add(shift)),
+            );
+            if next == self.n() {
+                break;
+            }
+            // Row `next`: merge its old row with its sorted changes.
+            let (lo, hi) = ((next as u64) << 32, (next as u64 + 1) << 32);
+            for &w in self.neighbors(next as NodeId) {
+                let here = lo | u64::from(w);
+                while i < plus.len() && plus[i] < here {
+                    neighbors.push(plus[i] as NodeId);
+                    i += 1;
+                }
+                debug_assert!(
+                    plus.get(i) != Some(&here),
+                    "added edge ({next}, {w}) is present"
+                );
+                if minus.get(j) == Some(&here) {
+                    j += 1;
+                } else {
+                    neighbors.push(w);
+                }
+            }
+            while i < plus.len() && plus[i] < hi {
+                neighbors.push(plus[i] as NodeId);
+                i += 1;
+            }
+            debug_assert!(
+                j == minus.len() || minus[j] >= hi,
+                "a removed edge of row {next} is absent"
+            );
+            offsets.push(neighbors.len() as u32);
+            copied = next + 1;
+        }
+        Graph { offsets, neighbors }
+    }
 }
 
 /// Iterator over the edges of a [`Graph`], produced by [`Graph::edges`].

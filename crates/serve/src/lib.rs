@@ -4,8 +4,10 @@
 //! [`ScenarioSpec`]s as line-delimited JSON over TCP and receive the
 //! sweep's trial stream back, served from a **content-addressed result
 //! store** whenever possible. Every result in this workspace is a pure
-//! function of `(spec, seed)` — an invariant the simulation crates
-//! test-enforce bit-for-bit — which makes sweeps perfectly cacheable:
+//! function of `(spec, seed)` at one
+//! [`gossip_core::journal::RESULTS_VERSION`] — an invariant the
+//! simulation crates test-enforce bit-for-bit — which makes sweeps
+//! perfectly cacheable:
 //! a repeat submission replays the stored journal and executes **zero
 //! trials**, byte-identical to a fresh offline `gossip scenario run`
 //! (test-enforced).
@@ -55,7 +57,8 @@
 //!   [`gossip_core::scenario::SweepPlan::resume_journal`]; only the
 //!   missing cells run;
 //! * **miss** — no entry, a foreign entry (its header's hash or
-//!   embedded spec differs from the request's, see
+//!   embedded spec differs from the request's), a stale entry (written
+//!   under another results version; see
 //!   [`gossip_core::journal::JournalHeader::check`]), or a corrupted
 //!   entry that fails to load: the sweep runs in full and the store
 //!   entry is rewritten — torn garbage is never served;
@@ -170,8 +173,8 @@ pub enum StoreState {
     Complete,
     /// A matching entry missing some cells (crash mid-sweep).
     Partial,
-    /// No entry, a hash or spec mismatch, or an entry that fails to
-    /// load.
+    /// No entry, a hash, spec or results-version mismatch, or an entry
+    /// that fails to load.
     Absent,
 }
 
@@ -199,11 +202,12 @@ impl ResultStore {
 
     /// Classifies the store entry for `plan`: complete (replayable with
     /// zero trials), partial (resumable), or absent. A corrupted, torn,
-    /// or foreign entry — unreadable, bad header, or a stored hash or
-    /// embedded normalized spec that differs from `plan`'s
+    /// foreign or stale entry — unreadable, bad header, a stored hash or
+    /// embedded normalized spec that differs from `plan`'s, or another
+    /// [`gossip_core::journal::RESULTS_VERSION`]
     /// ([`gossip_core::journal::JournalHeader::check`]) — classifies as
     /// absent, so the daemon falls back to re-execution instead of
-    /// serving garbage. The daemon classifies through the same load and
+    /// serving garbage or results this binary would not produce. The daemon classifies through the same load and
     /// replays the journal it loaded, so a hit parses its entry once.
     pub fn classify(&self, plan: &ScenarioPlan) -> StoreState {
         match self.load(plan) {
@@ -845,6 +849,7 @@ pub fn split_response(response: &[u8]) -> (&[u8], &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_core::journal::RESULTS_VERSION;
     use gossip_core::scenario::{FaultSpec, SweepPlan};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1096,6 +1101,41 @@ groups = 2
             .unwrap()
             .contains("\"cache\":\"miss\""));
         assert_eq!(b2, offline_body(&spec));
+        assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+    }
+
+    #[test]
+    fn entry_from_an_older_results_version_is_a_miss() {
+        let spec = small_spec("serve-stale");
+        let handle = Server::bind("127.0.0.1:0", temp_dir("stale"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        submit(handle.addr(), &spec).unwrap();
+        assert_eq!(handle.state().executions(), 1);
+
+        // Plant the entry as a binary from before the results version
+        // would have written it: same spec, same hash, no version field.
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        let entry = handle.state().store().entry_path(plan.spec_hash());
+        let text = std::fs::read_to_string(&entry).unwrap();
+        let field = format!("\"results_version\":{RESULTS_VERSION},");
+        assert!(text.contains(&field));
+        std::fs::write(&entry, text.replacen(&field, "", 1)).unwrap();
+        assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
+
+        let second = submit(handle.addr(), &spec).unwrap();
+        assert_eq!(
+            handle.state().executions(),
+            2,
+            "a stale entry must be re-executed, not replayed"
+        );
+        let (h2, b2) = split_response(&second);
+        assert!(std::str::from_utf8(h2)
+            .unwrap()
+            .contains("\"cache\":\"miss\""));
+        assert_eq!(b2, offline_body(&spec));
+        // The re-run overwrote the entry in place under the same key.
         assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
     }
 

@@ -4,12 +4,35 @@
 //! runtime produces — RNG draw order, graph builds, delta repair, float
 //! summation order, envelope scheduling — fails here.
 //!
-//! A deliberate change of draw order must update the digests below and,
-//! once a results-version constant names the code in the result-store
-//! key, bump it, so stores written by an older binary stop answering.
+//! The digests belong to one [`RESULTS_VERSION`], recorded below. A
+//! deliberate change of draw order re-pins the digests it moves and bumps
+//! the version in the same change, so journals and `gossip serve` store
+//! entries written by an older binary stop answering.
 
+use rumor_spreading::bounds::journal::RESULTS_VERSION;
 use rumor_spreading::prelude::*;
 use std::path::Path;
+
+/// The [`RESULTS_VERSION`] the digests below were taken at.
+const DIGESTS_VERSION: u32 = 1;
+
+/// Fails with the message a moved digest needs: the digests and the
+/// results version move together.
+fn assert_version() {
+    assert_eq!(
+        RESULTS_VERSION, DIGESTS_VERSION,
+        "RESULTS_VERSION changed: re-pin the digests this change moves and set DIGESTS_VERSION"
+    );
+}
+
+/// Asserts one pinned digest, naming the version it belongs to.
+fn assert_pinned(actual: (usize, u64), pinned: (usize, u64), what: &str) {
+    assert_eq!(
+        actual, pinned,
+        "{what}: JSONL moved at results version {RESULTS_VERSION}; a deliberate change of \
+         results bumps RESULTS_VERSION and re-pins the digest"
+    );
+}
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -41,6 +64,7 @@ fn checked_in(file: &str) -> ScenarioSpec {
 
 #[test]
 fn dynamic_family_jsonl_is_pinned() {
+    assert_version();
     // (a) Async push-pull on edge-Markovian churn: every window's flip
     // delta goes through the cut-rate delta repair.
     let churn = ScenarioSpec::from_json_str(
@@ -52,55 +76,56 @@ fn dynamic_family_jsonl_is_pinned() {
         }"#,
     )
     .unwrap();
-    assert_eq!(
+    assert_pinned(
         jsonl_digest(&churn),
         (20, 0x9dfe_1d35_9e83_9e0b),
-        "edge-Markovian, async"
+        "edge-Markovian, async",
     );
 
-    // (b) The Section 4 adversary: an H_{k,Δ} rebuild after every window
+    // (b) The Section 4 adversary: a re-stitch delta after every window
     // in which a B-node hears the rumor.
     let mut diligent = checked_in("diligent.toml");
     diligent.sweep.sizes.truncate(2);
-    assert_eq!(
+    assert_pinned(
         jsonl_digest(&diligent),
-        (40, 0xfa32_9f28_4ac3_f64c),
-        "diligent.toml, n <= 512"
+        (40, 0xc457_9be5_9849_6b60),
+        "diligent.toml, n <= 512",
     );
 
     // (c) The checked-in edge-Markovian scenario (2-push).
     let two_push = checked_in("edge-markovian.json");
-    assert_eq!(
+    assert_pinned(
         jsonl_digest(&two_push),
         (60, 0x21a9_568a_9cf1_403e),
-        "edge-markovian.json"
+        "edge-markovian.json",
     );
 }
 
 #[test]
 fn live_jsonl_is_pinned() {
+    assert_version();
     // The digests of `gossip net run … --output jsonl` for these files;
     // `scenario run` and `serve` stream the same bytes.
     let smoke = checked_in("net-smoke.toml");
-    assert_eq!(
+    assert_pinned(
         jsonl_digest(&smoke),
         (24, 0x5c57_1f5b_e556_64db),
-        "net-smoke.toml"
+        "net-smoke.toml",
     );
     // Bit-identical at any node-group count.
     for groups in [1, 3] {
         let mut spec = smoke.clone();
         spec.net.as_mut().unwrap().groups = Some(groups);
-        assert_eq!(
+        assert_pinned(
             jsonl_digest(&spec),
             (24, 0x5c57_1f5b_e556_64db),
-            "net-smoke.toml at {groups} group(s)"
+            &format!("net-smoke.toml at {groups} group(s)"),
         );
     }
     // Every live fault kind at once.
-    assert_eq!(
+    assert_pinned(
         jsonl_digest(&checked_in("net-faulty.toml")),
         (20, 0x4c37_adb0_79c7_c654),
-        "net-faulty.toml"
+        "net-faulty.toml",
     );
 }
