@@ -49,7 +49,11 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 /// * 0 — headers written before the field existed.
 /// * 1 — the Section 4 adversary keeps its expanders across re-stitches
 ///   (`gossip_dynamics::DiligentNetwork`).
-pub const RESULTS_VERSION: u32 = 1;
+/// * 2 — the cut-rate protocol rebuilds its rates after a dense delta (at
+///   least twice as many changed edges as nodes) instead of repairing
+///   them, so async push–pull on edge-Markovian churn moves in its last
+///   float bits.
+pub const RESULTS_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).

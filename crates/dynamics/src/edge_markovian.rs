@@ -7,7 +7,7 @@
 //! reproduced as extension experiment X1.
 
 use crate::{DynamicNetwork, EdgeDelta};
-use gossip_graph::{Graph, GraphBuilder, GraphError, NodeId, NodeSet, Topology};
+use gossip_graph::{Graph, GraphError, NodeId, NodeSet, Topology};
 use gossip_stats::{Geometric, SimRng};
 
 /// The edge-Markovian evolving network.
@@ -36,6 +36,8 @@ pub struct EdgeMarkovian {
     current: Topology,
     p: f64,
     q: f64,
+    /// The birth skip distribution; `None` when `p` is 0.
+    births: Option<Geometric>,
     last_step: Option<u64>,
 }
 
@@ -59,6 +61,7 @@ impl EdgeMarkovian {
             current,
             p,
             q,
+            births: Geometric::new(p).ok(),
             last_step: None,
         })
     }
@@ -89,71 +92,76 @@ impl EdgeMarkovian {
 
     /// Advances one step and returns the exact edge diff.
     ///
-    /// Deaths cost one Bernoulli draw per current edge; births are sampled
-    /// by geometric skipping over the pair universe (each pair is hit
-    /// independently with probability `p`, and hits on existing edges are
-    /// ignored because their fate is the death draw). Per-pair behavior is
-    /// identical to a full scan, but the work drops from `Θ(n²)` RNG draws
-    /// to `O(m + p·n²)` — the sparse regime (`p = Θ(1/n)`) the related-work
-    /// experiments sweep runs in `O(n)` per step.
+    /// Deaths cost one Bernoulli draw per current edge, in lexicographic
+    /// order (no draw when `q` is 0 or 1). Births are sampled next, by
+    /// geometric skipping over the pair universe in rank order (no draw
+    /// when `p` is 0): each pair is hit independently with probability
+    /// `p`, and hits on existing edges are ignored because their fate is
+    /// the death draw. Per-pair behavior is identical to a full scan, but
+    /// the work drops from `Θ(n²)` RNG draws to `O(m + p·n²)` — the sparse
+    /// regime (`p = Θ(1/n)`) the related-work experiments sweep runs in
+    /// `O(n)` per step. Both lists come out lexicographic, so
+    /// [`Graph::with_changes`] builds the next window's CSR from the
+    /// current one in one linear pass.
     fn evolve_delta(&mut self, rng: &mut SimRng) -> EdgeDelta {
         let current = self
             .current
             .as_graph()
             .expect("edge-Markovian graphs are materialized");
-        let n = current.n();
         let mut removed = Vec::new();
-        let mut survivors: Vec<(NodeId, NodeId)> = Vec::with_capacity(current.m());
-        for (u, v) in current.edges() {
-            if rng.chance(self.q) {
-                removed.push((u, v));
-            } else {
-                survivors.push((u, v));
-            }
-        }
-        let mut added = Vec::new();
-        if self.p > 0.0 && n >= 2 {
-            // Pairs `(u, v)`, `u < v`, are ranked lexicographically; row u's
-            // ranks start at Σ_{i<u} (n−1−i). Hits come in increasing rank,
-            // so the row and the position in its old adjacency only advance.
-            let n = n as u64;
-            let total_pairs = n * (n - 1) / 2;
-            let geo = Geometric::new(self.p).expect("validated in new()");
-            let (mut u, mut row_rank, mut next_row_rank) = (0, 0, n - 1);
-            let mut old_row = current.neighbors(0);
-            let mut idx = geo.sample(rng) - 1;
-            while idx < total_pairs {
-                while idx >= next_row_rank {
-                    u += 1;
-                    row_rank = next_row_rank;
-                    next_row_rank += n - 1 - u;
-                    old_row = current.neighbors(u as NodeId);
+        if self.q > 0.0 {
+            // Branch-free on the coin: every edge is written to the next
+            // free slot, which advances only on a death.
+            removed.resize(current.m(), (0, 0));
+            let mut dead = 0;
+            for u in current.nodes() {
+                let row = current.neighbors(u);
+                for &v in &row[row.partition_point(|&w| w <= u)..] {
+                    removed[dead] = (u, v);
+                    dead += usize::from(rng.chance(self.q));
                 }
-                let v = (u + 1 + idx - row_rank) as NodeId;
-                old_row = &old_row[old_row.partition_point(|&w| w < v)..];
-                if old_row.first() != Some(&v) {
-                    added.push((u as NodeId, v));
-                }
-                idx += geo.sample(rng);
             }
+            removed.truncate(dead);
         }
-        // Survivors (CSR edge order) and births (rank order) are both
-        // lexicographic; merged, they fill every builder row in order.
-        let mut b = GraphBuilder::new(n);
-        let (mut i, mut j) = (0, 0);
-        while i < survivors.len() || j < added.len() {
-            let (u, v) = if j == added.len() || (i < survivors.len() && survivors[i] < added[j]) {
-                i += 1;
-                survivors[i - 1]
-            } else {
-                j += 1;
-                added[j - 1]
-            };
-            b.add_edge(u, v).expect("in range");
-        }
-        self.current = Topology::materialized(b.build());
+        let added = match &self.births {
+            Some(geo) => births(current, geo, rng),
+            None => Vec::new(),
+        };
+        self.current = Topology::materialized(current.with_changes(&added, &removed));
         EdgeDelta::new(added, removed)
     }
+}
+
+/// The pairs `(u, v)`, `u < v`, absent from `current` that one step
+/// births, in lexicographic order: geometric skips over the pair ranks
+/// (row u's ranks start at `Σ_{i<u} (n−1−i)`), so the row and the
+/// position in its old adjacency only advance.
+fn births(current: &Graph, geo: &Geometric, rng: &mut SimRng) -> Vec<(NodeId, NodeId)> {
+    let mut added = Vec::new();
+    let n = current.n() as u64;
+    if n < 2 {
+        return added;
+    }
+    let total_pairs = n * (n - 1) / 2;
+    let (mut u, mut row_rank, mut next_row_rank) = (0, 0, n - 1);
+    let mut old_row = current.neighbors(0);
+    let mut idx = geo.sample(rng) - 1;
+    while idx < total_pairs {
+        while idx >= next_row_rank {
+            u += 1;
+            row_rank = next_row_rank;
+            next_row_rank += n - 1 - u;
+            old_row = current.neighbors(u as NodeId);
+        }
+        let v = (u + 1 + idx - row_rank) as NodeId;
+        old_row = &old_row[old_row.partition_point(|&w| w < v)..];
+        if old_row.first() != Some(&v) {
+            added.push((u as NodeId, v));
+        }
+        // A saturated sample (p below 2⁻⁵⁴) ends the row scan.
+        idx = idx.saturating_add(geo.sample(rng));
+    }
+    added
 }
 
 impl DynamicNetwork for EdgeMarkovian {
@@ -242,6 +250,19 @@ mod tests {
 
         let mut net = EdgeMarkovian::new(Graph::empty(8), 1.0, 0.0).unwrap();
         assert_eq!(net.topology(1, &informed, &mut rng).m(), 28);
+    }
+
+    #[test]
+    fn tiny_birth_probability_births_nothing() {
+        // 1 − p rounds to 1 below 2⁻⁵⁴; one step once birthed all 1225
+        // pairs of the empty 50-node graph.
+        let mut net = EdgeMarkovian::new(Graph::empty(50), 1e-20, 0.0).unwrap();
+        let mut rng = SimRng::seed_from_u64(7);
+        let informed = NodeSet::new(50);
+        let _ = net.topology(0, &informed, &mut rng);
+        let delta = net.edges_changed(1, &informed, &mut rng).unwrap();
+        assert!(delta.is_empty());
+        assert_eq!(net.topology(1, &informed, &mut rng).m(), 0);
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! between the previous window's graph and what `topology(t, …)` returns
 //! afterwards — the incremental engine's correctness rests on this. Also
 //! [`Graph::with_changes`], which builds a window's CSR from the previous
-//! one and such a delta.
+//! one and such a delta, and the edge-Markovian step against a reference
+//! that builds each window with a [`GraphBuilder`].
 
 use gossip_dynamics::{
     AbsoluteDiligentNetwork, AlternatingRegular, CliquePendant, DiligentNetwork, DynamicNetwork,
     EdgeDelta, EdgeMarkovian, ResampledGnp, SequenceNetwork, StaticNetwork,
 };
 use gossip_graph::generators::HkDeltaParams;
-use gossip_graph::{generators, Graph, NodeId, NodeSet, Topology};
-use gossip_stats::SimRng;
+use gossip_graph::{generators, Graph, GraphBuilder, NodeId, NodeSet, Topology};
+use gossip_stats::{Geometric, SimRng};
 use proptest::prelude::*;
 
 /// An informed-set schedule: `inform(t, informed)` grows the set before
@@ -206,6 +207,151 @@ fn default_implementation_declines() {
 /// A random graph on `n` nodes with edge probability `p`.
 fn random_graph(n: usize, p: f64, rng: &mut SimRng) -> Graph {
     generators::erdos_renyi(n, p, rng).unwrap()
+}
+
+/// The edge-Markovian step as it was first written, kept as the
+/// reference: the same draws (a death coin per edge in lexicographic
+/// order, then geometric skips over the pair ranks), a survivor list, and
+/// the next window built by merging survivors and births into a
+/// [`GraphBuilder`].
+fn reference_step(current: &Graph, p: f64, q: f64, rng: &mut SimRng) -> (EdgeDelta, Graph) {
+    let n = current.n();
+    let mut removed = Vec::new();
+    let mut survivors = Vec::with_capacity(current.m());
+    for (u, v) in current.edges() {
+        if rng.chance(q) {
+            removed.push((u, v));
+        } else {
+            survivors.push((u, v));
+        }
+    }
+    let mut added = Vec::new();
+    if p > 0.0 && n >= 2 {
+        let n = n as u64;
+        let total_pairs = n * (n - 1) / 2;
+        let geo = Geometric::new(p).unwrap();
+        let (mut u, mut row_rank, mut next_row_rank) = (0, 0, n - 1);
+        let mut idx = geo.sample(rng) - 1;
+        while idx < total_pairs {
+            while idx >= next_row_rank {
+                u += 1;
+                row_rank = next_row_rank;
+                next_row_rank += n - 1 - u;
+            }
+            let v = (u + 1 + idx - row_rank) as NodeId;
+            if !current.has_edge(u as NodeId, v) {
+                added.push((u as NodeId, v));
+            }
+            idx = idx.saturating_add(geo.sample(rng));
+        }
+    }
+    let mut b = GraphBuilder::new(n);
+    let (mut i, mut j) = (0, 0);
+    while i < survivors.len() || j < added.len() {
+        let (u, v) = if j == added.len() || (i < survivors.len() && survivors[i] < added[j]) {
+            i += 1;
+            survivors[i - 1]
+        } else {
+            j += 1;
+            added[j - 1]
+        };
+        b.add_edge(u, v).unwrap();
+    }
+    (EdgeDelta::new(added, removed), b.build())
+}
+
+/// Runs `steps` edge-Markovian steps from `initial` and the reference
+/// beside it on equal RNG streams: the same delta and next graph at every
+/// step, and the same stream position afterwards.
+fn assert_steps_match_reference(initial: Graph, p: f64, q: f64, seed: u64, steps: u64) {
+    let n = initial.n();
+    let mut net = EdgeMarkovian::new(initial.clone(), p, q).unwrap();
+    let informed = NodeSet::new(n);
+    let (mut rng, mut reference_rng) = (SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed));
+    let mut reference = initial;
+    let _ = net.topology(0, &informed, &mut rng);
+    for t in 1..=steps {
+        let delta = net.edges_changed(t, &informed, &mut rng).unwrap();
+        let (expected, next) = reference_step(&reference, p, q, &mut reference_rng);
+        assert_eq!(
+            delta, expected,
+            "n = {n}, p = {p}, q = {q}: delta at step {t}"
+        );
+        let graph = net.topology(t, &informed, &mut rng).as_graph().cloned();
+        assert_eq!(
+            graph.as_ref(),
+            Some(&next),
+            "n = {n}, p = {p}, q = {q}: graph at step {t}"
+        );
+        reference = next;
+    }
+    assert_eq!(rng.next_u64(), reference_rng.next_u64(), "stream position");
+}
+
+/// The benchmark's shape (`perfbench` sweep-dynamic): n = 2000 and 4000,
+/// p = 0.002, q = 0.2, from the family's `G(n, p)` start. Release only:
+/// `cargo test --release -p gossip-dynamics --test deltas -- --ignored`.
+#[test]
+#[ignore = "benchmark scale; run in release"]
+fn edge_markovian_steps_match_reference_at_benchmark_scale() {
+    for n in [2000, 4000] {
+        for seed in 0..3 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let initial = random_graph(n, 0.002, &mut rng);
+            assert_steps_match_reference(initial, 0.002, 0.2, seed, 9);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The edge-Markovian step against [`reference_step`] over degenerate
+    /// and ordinary birth and death probabilities (p = 1e-20 is below
+    /// 2⁻⁵⁴, where `1 − p` rounds to 1), from random starting graphs.
+    #[test]
+    fn edge_markovian_steps_match_reference(
+        seed in 0u64..10_000,
+        n in 2usize..300,
+        p_at in 0usize..5,
+        q_at in 0usize..3,
+    ) {
+        let p = [0.0, 1e-20, 0.02, 0.3, 1.0][p_at];
+        let q = [0.0, 0.2, 1.0][q_at];
+        let mut rng = SimRng::seed_from_u64(seed);
+        let initial = random_graph(n, rng.uniform_f64() * 0.3, &mut rng);
+        assert_steps_match_reference(initial, p, q, seed, 3);
+    }
+
+    /// [`Graph::with_changes`] on dense change sets: more changed edges
+    /// than nodes, every row touched (each pair with an odd endpoint sum
+    /// flips, the rest flip by a coin).
+    #[test]
+    fn with_changes_applies_dense_deltas(seed in 0u64..10_000, n in 6usize..64) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let prev = random_graph(n, rng.uniform_f64() * 0.6, &mut rng);
+        let flip = rng.uniform_f64();
+        let mut edges = Vec::new();
+        for u in 0..n as NodeId {
+            for v in u + 1..n as NodeId {
+                let flips = (u + v) % 2 == 1 || rng.chance(flip);
+                if prev.has_edge(u, v) != flips {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let next = Graph::from_edges(n, &edges).unwrap();
+        let delta = EdgeDelta::between(&prev, &next);
+        prop_assert!(delta.len() > n);
+        let mut touched = NodeSet::new(n);
+        for v in delta.touched_nodes() {
+            touched.insert(v);
+        }
+        prop_assert!(touched.is_full());
+        prop_assert_eq!(&prev.with_changes(delta.added(), delta.removed()), &next);
+        let back = delta.inverted();
+        prop_assert_eq!(&next.with_changes(back.added(), back.removed()), &prev);
+    }
 }
 
 proptest! {

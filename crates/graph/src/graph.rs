@@ -167,13 +167,19 @@ impl Graph {
 
     /// The graph with the `removed` edges deleted and the `added` edges
     /// inserted, built from this one without a full
-    /// [`GraphBuilder::build`]: untouched rows are copied in runs and
-    /// each touched row is merged with its sorted changes. `O(n + m)`
-    /// copying plus `O(c log c)` for `c` changed edges.
+    /// [`GraphBuilder::build`]. `O(n + m + c)` for `c` changed edges when
+    /// the change set is dense (`c ≥ n`, about every row touched): each
+    /// surviving or added edge is placed, in lexicographic order, at the
+    /// next free slot of both its rows, so every row fills in sorted
+    /// order. A sparse change set copies untouched rows in runs and
+    /// merges each touched row with its changes, after sorting its
+    /// `2c < 2n` half-edges.
     ///
-    /// Both lists hold edges as `(u, v)` with `u < v`. Every `removed`
-    /// edge must be present and every `added` edge absent, as in the two
-    /// sides of a symmetric difference between this graph and the result.
+    /// Both lists hold edges as `(u, v)` with `u < v`, in lexicographic
+    /// order (as [`Graph::edges`] and the dynamic networks' deltas give
+    /// them). Every `removed` edge must be present and every `added` edge
+    /// absent, as in the two sides of a symmetric difference between this
+    /// graph and the result.
     ///
     /// # Example
     ///
@@ -187,9 +193,33 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range or the new volume does not
-    /// fit the `u32` row offsets.
+    /// Panics if a list is not lexicographic with `u < v`, an endpoint is
+    /// out of range, or the new volume does not fit the `u32` row offsets.
     pub fn with_changes(&self, added: &[(NodeId, NodeId)], removed: &[(NodeId, NodeId)]) -> Graph {
+        assert!(
+            is_lex_sorted(added) && is_lex_sorted(removed),
+            "changed edges must be lexicographic with u < v"
+        );
+        let volume = (self.neighbors.len() + 2 * added.len()).saturating_sub(2 * removed.len());
+        assert!(
+            u32::try_from(volume).is_ok(),
+            "graph volume exceeds the u32 CSR offsets"
+        );
+        if added.len() + removed.len() >= self.n() {
+            self.place_changes(added, removed, volume)
+        } else {
+            self.merge_changes(added, removed, volume)
+        }
+    }
+
+    /// [`Graph::with_changes`] for sparse change sets: row runs copied,
+    /// touched rows merged with their sorted half-edges.
+    fn merge_changes(
+        &self,
+        added: &[(NodeId, NodeId)],
+        removed: &[(NodeId, NodeId)],
+        volume: usize,
+    ) -> Graph {
         // Half-edges keyed `row << 32 | neighbor`, so they sort in row order.
         let halves = |edges: &[(NodeId, NodeId)]| {
             let key = |r: NodeId, w: NodeId| u64::from(r) << 32 | u64::from(w);
@@ -201,11 +231,6 @@ impl Graph {
             h
         };
         let (plus, minus) = (halves(added), halves(removed));
-        let volume = (self.neighbors.len() + plus.len()).saturating_sub(minus.len());
-        assert!(
-            u32::try_from(volume).is_ok(),
-            "graph volume exceeds the u32 CSR offsets"
-        );
         let row_of = |h: Option<&u64>| h.map_or(self.n(), |&h| (h >> 32) as usize);
         let mut offsets = Vec::with_capacity(self.offsets.len());
         let mut neighbors = Vec::with_capacity(volume);
@@ -258,6 +283,79 @@ impl Graph {
         }
         Graph { offsets, neighbors }
     }
+
+    /// [`Graph::with_changes`] for dense change sets: the new degrees give
+    /// the row offsets, then the edges are placed in lexicographic order.
+    /// Row `r` receives its lower neighbours (from rows `w < r`, in
+    /// ascending `w`) before its own upper ones, so it fills sorted.
+    fn place_changes(
+        &self,
+        added: &[(NodeId, NodeId)],
+        removed: &[(NodeId, NodeId)],
+        volume: usize,
+    ) -> Graph {
+        let n = self.n();
+        let mut next: Vec<u32> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        for &(u, v) in removed {
+            next[u as usize] -= 1;
+            next[v as usize] -= 1;
+        }
+        for &(u, v) in added {
+            next[u as usize] += 1;
+            next[v as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut total = 0;
+        for slot in next.iter_mut() {
+            // `next[r]` becomes row r's first free slot.
+            let start = total;
+            total += *slot;
+            offsets.push(total);
+            *slot = start;
+        }
+        let mut neighbors = vec![0 as NodeId; volume];
+        let (mut i, mut j) = (0, 0);
+        for u in 0..n as NodeId {
+            let row = self.neighbors(u);
+            // Row u's lower neighbours are all placed; from here on only
+            // its upper ones land in it, at a cursor kept out of `next`.
+            let mut at = next[u as usize] as usize;
+            let mut place = |v: NodeId| {
+                neighbors[at] = v;
+                at += 1;
+                neighbors[next[v as usize] as usize] = u;
+                next[v as usize] += 1;
+            };
+            for &v in &row[row.partition_point(|&w| w <= u)..] {
+                while i < added.len() && added[i] < (u, v) {
+                    place(added[i].1);
+                    i += 1;
+                }
+                debug_assert!(
+                    added.get(i) != Some(&(u, v)),
+                    "added edge ({u}, {v}) is present"
+                );
+                if removed.get(j) == Some(&(u, v)) {
+                    j += 1;
+                } else {
+                    place(v);
+                }
+            }
+            while i < added.len() && added[i].0 == u {
+                place(added[i].1);
+                i += 1;
+            }
+            debug_assert_eq!(at, offsets[u as usize + 1] as usize, "row {u} is not full");
+        }
+        debug_assert!(j == removed.len(), "a removed edge is absent");
+        Graph { offsets, neighbors }
+    }
+}
+
+/// Whether `edges` is strictly lexicographic with `u < v` in every edge.
+fn is_lex_sorted(edges: &[(NodeId, NodeId)]) -> bool {
+    edges.iter().all(|&(u, v)| u < v) && edges.windows(2).all(|w| w[0] < w[1])
 }
 
 /// Iterator over the edges of a [`Graph`], produced by [`Graph::edges`].

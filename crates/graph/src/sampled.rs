@@ -62,7 +62,8 @@ fn gnp_forward_row(n: usize, v: NodeId, geo: &Geometric, seed: u64) -> Box<[Node
         let mut idx = geo.sample(&mut rng) - 1;
         while idx < span {
             out.push((first + idx) as NodeId);
-            idx += geo.sample(&mut rng);
+            // A saturated sample (p below 2⁻⁵⁴) ends the row.
+            idx = idx.saturating_add(geo.sample(&mut rng));
         }
     }
     out.into_boxed_slice()
@@ -449,6 +450,13 @@ mod tests {
     fn gnp_p_one_is_complete() {
         let g = Gnp::new(12, 1.0, 5).unwrap();
         assert_eq!(g.m(), 12 * 11 / 2);
+    }
+
+    #[test]
+    fn gnp_tiny_p_is_nearly_empty() {
+        // 1 − p rounds to 1 below 2⁻⁵⁴; G(50, 1e-20) once realized K₅₀.
+        let t = crate::Topology::gnp(50, 1e-20, 7).unwrap();
+        assert_eq!(t.m(), 0);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 use crate::incremental::WindowStep;
 use crate::workspace::ShrinkPool;
 use crate::{Protocol, SimWorkspace};
+use gossip_dynamics::EdgeDelta;
 use gossip_graph::{NodeId, NodeSet, Structure, Topology};
 use gossip_stats::{FenwickSampler, SimRng};
 
@@ -591,6 +592,41 @@ impl CutRateAsync {
                     assert!(failed.is_none(), "rates are finite");
                 }
             }
+        }
+    }
+
+    /// Repairs only the nodes whose in-rate could have moved: uninformed
+    /// endpoints of changed edges, and uninformed neighbors of informed
+    /// endpoints (whose `1/d_u` contribution shifted with `u`'s degree).
+    /// Each distinct endpoint is examined once, so an informed one walks
+    /// its row once however many changed edges it has, and each stale
+    /// node is recomputed once, in ascending order. Fenwick state only
+    /// ([`crate::IncrementalProtocol::apply_delta`] picks this path for
+    /// sparse deltas).
+    pub(crate) fn repair_delta(
+        &mut self,
+        g: &Topology,
+        delta: &EdgeDelta,
+        informed: &NodeSet,
+        ws: &mut SimWorkspace,
+    ) {
+        let (touched, stale) = ws.repair_marks(g.n());
+        for e in delta.touched_nodes() {
+            if !touched.insert(e) {
+                continue;
+            }
+            if informed.contains(e) {
+                g.for_each_neighbor(e, |w| {
+                    if !informed.contains(w) {
+                        stale.insert(w);
+                    }
+                });
+            } else {
+                stale.insert(e);
+            }
+        }
+        for v in stale.iter() {
+            self.recompute_rate(g, v, informed);
         }
     }
 

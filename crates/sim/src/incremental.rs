@@ -11,7 +11,8 @@
 //!   [`EdgeDelta`]: for the cut-rate protocol, one mark per changed-edge
 //!   endpoint, one row walk per distinct informed endpoint, and
 //!   `O(deg + log n)` per distinct stale node (plus an `n/64`-word scan of
-//!   the stale bitset);
+//!   the stale bitset) — or, for a dense delta with at least `2n` changed
+//!   edges, a rebuild;
 //! * [`IncrementalProtocol::event_rate`] — the total rate `λ` of the
 //!   protocol's superposed Poisson event clock;
 //! * [`IncrementalProtocol::resolve_event`] — resolve one clock tick,
@@ -110,7 +111,10 @@ pub trait IncrementalProtocol: Protocol {
     fn rebuild(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace);
 
     /// Repairs internal state after a topology delta (the graph `g` is the
-    /// *post-delta* graph). The default falls back to a full rebuild.
+    /// *post-delta* graph). The default falls back to a full rebuild; an
+    /// implementation may also rebuild when that is cheaper than a repair
+    /// (the cut-rate protocol does for dense deltas), as long as both
+    /// paths leave an exact state.
     fn apply_delta(
         &mut self,
         g: &Topology,
@@ -438,14 +442,14 @@ impl IncrementalProtocol for CutRateAsync {
         self.rebuild_rates_in(g, informed, Some(ws));
     }
 
-    /// Repairs only the nodes whose in-rate could have moved: uninformed
-    /// endpoints of changed edges, and uninformed neighbors of informed
-    /// endpoints (whose `1/d_u` contribution shifted with `u`'s degree).
-    /// Each distinct endpoint is examined once, so an informed one walks
-    /// its row once however many changed edges it has, and each stale
-    /// node is recomputed once, in ascending order.
-    /// Closed-form states (implicit complete/star/bipartite backends)
-    /// rebuild instead — that is O(n), no slower than walking a delta.
+    /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]).
+    /// A dense delta, with at least twice as many changed edges as nodes
+    /// (every node touched about four times), rebuilds instead: one pass
+    /// over the rows and an `O(n)` tree build beat a recompute and a tree
+    /// update per stale node. Closed-form states (implicit complete/star/
+    /// bipartite backends) always rebuild — that is O(n), no slower than
+    /// walking a delta. Both paths are exact; they sum the rates, the
+    /// tree and `λ` in different orders, so they agree to the last bits.
     fn apply_delta(
         &mut self,
         g: &Topology,
@@ -453,27 +457,10 @@ impl IncrementalProtocol for CutRateAsync {
         informed: &NodeSet,
         ws: &mut SimWorkspace,
     ) {
-        if !self.is_fenwick() {
+        if !self.is_fenwick() || delta.len() >= 2 * g.n() {
             self.rebuild(g, informed, ws);
-            return;
-        }
-        let (touched, stale) = ws.repair_marks(g.n());
-        for e in delta.touched_nodes() {
-            if !touched.insert(e) {
-                continue;
-            }
-            if informed.contains(e) {
-                g.for_each_neighbor(e, |w| {
-                    if !informed.contains(w) {
-                        stale.insert(w);
-                    }
-                });
-            } else {
-                stale.insert(e);
-            }
-        }
-        for v in stale.iter() {
-            self.recompute_rate(g, v, informed);
+        } else {
+            self.repair_delta(g, delta, informed, ws);
         }
     }
 
@@ -825,7 +812,7 @@ mod tests {
         repaired.begin(n);
         repaired.rebuild(&old, &informed, &mut ws);
         let mut reference = repaired.clone();
-        repaired.apply_delta(&new, &delta, &informed, &mut ws);
+        repaired.repair_delta(&new, &delta, &informed, &mut ws);
 
         let mut stale = Vec::new();
         for e in delta.touched_nodes() {
@@ -856,6 +843,91 @@ mod tests {
                 reference.sample_next(&mut r2)
             );
         }
+    }
+
+    /// One edge-Markovian step on a 40%-informed `G(n, p0)`: the two
+    /// graphs, the delta and the informed set.
+    fn edge_markovian_step(
+        n: usize,
+        p0: f64,
+        p: f64,
+        q: f64,
+    ) -> (Topology, Topology, EdgeDelta, NodeSet) {
+        use gossip_dynamics::{DynamicNetwork, EdgeMarkovian};
+        let mut rng = SimRng::seed_from_u64(33);
+        let initial = gossip_graph::generators::erdos_renyi(n, p0, &mut rng).unwrap();
+        let mut net = EdgeMarkovian::new(initial, p, q).unwrap();
+        let mut informed = NodeSet::new(n);
+        for v in 0..n as NodeId {
+            if rng.chance(0.4) {
+                informed.insert(v);
+            }
+        }
+        let old = net.topology(0, &informed, &mut rng).clone();
+        let delta = net.edges_changed(1, &informed, &mut rng).unwrap();
+        let new = net.topology(1, &informed, &mut rng).clone();
+        (old, new, delta, informed)
+    }
+
+    /// The rate state after `apply_delta`, after a fresh `rebuild` on the
+    /// new graph, and after `repair_delta`, all from the old graph's state.
+    fn three_ways(
+        (old, new, delta, informed): &(Topology, Topology, EdgeDelta, NodeSet),
+    ) -> [CutRateAsync; 3] {
+        let mut ws = SimWorkspace::new();
+        let mut applied = CutRateAsync::new();
+        applied.begin(old.n());
+        applied.rebuild(old, informed, &mut ws);
+        let (mut rebuilt, mut repaired) = (applied.clone(), applied.clone());
+        applied.apply_delta(new, delta, informed, &mut ws);
+        rebuilt.rebuild(new, informed, &mut ws);
+        repaired.repair_delta(new, delta, informed, &mut ws);
+        [applied, rebuilt, repaired]
+    }
+
+    /// Bit-identical rates, total and draws.
+    fn same_state(a: &mut CutRateAsync, b: &mut CutRateAsync, n: usize) -> bool {
+        let (mut r1, mut r2) = (SimRng::seed_from_u64(9), SimRng::seed_from_u64(9));
+        (0..n as NodeId).all(|v| a.rate_of(v).to_bits() == b.rate_of(v).to_bits())
+            && a.total_rate().to_bits() == b.total_rate().to_bits()
+            && (0..200).all(|_| a.sample_next(&mut r1) == b.sample_next(&mut r2))
+    }
+
+    #[test]
+    fn cut_rate_dense_delta_rebuilds_and_sparse_repairs() {
+        // Dense: ≈ 6 changed edges per node. Sparse: ≈ 0.25 per node.
+        // On both, the repair and the rebuild differ in their last bits,
+        // so the bit-identical match names the path apply_delta took.
+        let dense = edge_markovian_step(400, 0.05, 0.02, 0.3);
+        assert!(dense.2.len() >= 2 * 400);
+        let [mut applied, mut rebuilt, mut repaired] = three_ways(&dense);
+        assert!(same_state(&mut applied, &mut rebuilt, 400));
+        assert!(!same_state(&mut applied, &mut repaired, 400));
+
+        let sparse = edge_markovian_step(400, 0.05, 0.0001, 0.005);
+        assert!(!sparse.2.is_empty() && sparse.2.len() < 400);
+        let [mut applied, mut rebuilt, mut repaired] = three_ways(&sparse);
+        assert!(same_state(&mut applied, &mut repaired, 400));
+        assert!(!same_state(&mut applied, &mut rebuilt, 400));
+    }
+
+    #[test]
+    fn cut_rate_dense_rebuild_matches_the_repair() {
+        // Both paths are exact: after a dense edge-Markovian delta every
+        // in-rate and λ agree to 1e-12 relative.
+        let step = edge_markovian_step(600, 0.03, 0.01, 0.2);
+        assert!(step.2.len() >= 2 * 600);
+        let [applied, _, repaired] = three_ways(&step);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for v in 0..600 {
+            assert!(
+                close(applied.rate_of(v), repaired.rate_of(v)),
+                "node {v}: {} vs {}",
+                applied.rate_of(v),
+                repaired.rate_of(v)
+            );
+        }
+        assert!(close(applied.total_rate(), repaired.total_rate()));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! distributions must be statistically indistinguishable.
 //!
 //! Checked with a two-sample Kolmogorov–Smirnov test at significance
-//! α = 0.01 (i.e. p > 0.01 required) on fixed seeds, across the four
-//! topology regimes the ISSUE names: complete (dense static), star
-//! (irregular degrees), cycle (sparse static), and edge-Markovian (true
-//! dynamics exercising the delta-repair path). A fifth case covers the
-//! fault-injected lossy protocol.
+//! α = 0.01 (i.e. p > 0.01 required) on fixed seeds, across the
+//! topology regimes: complete (dense static), star (irregular degrees),
+//! cycle (sparse static), and edge-Markovian (true dynamics: sparse
+//! deltas exercise the delta-repair path, dense ones the rebuild). A last
+//! case covers the fault-injected lossy protocol.
 
 use gossip_dynamics::{DynamicNetwork, EdgeMarkovian, StaticNetwork};
 use gossip_graph::generators;
@@ -96,8 +96,9 @@ fn cycle_graph() {
 
 #[test]
 fn edge_markovian_network() {
-    // True dynamics: every window boundary reports a flip delta, so this
-    // drives CutRateAsync::apply_delta on every window of every trial.
+    // True dynamics: every window boundary reports a flip delta (≈ 18
+    // edges here), so this drives CutRateAsync's delta repair on every
+    // window of every trial.
     let initial_seed = 77;
     assert_engines_agree(
         "edge-markovian(32, p=0.02, q=0.2)",
@@ -110,6 +111,25 @@ fn edge_markovian_network() {
         0,
         900,
         9004,
+    );
+}
+
+#[test]
+fn dense_edge_markovian_network() {
+    // ≈ 300 changed edges per window at n = 64: every delta is dense, so
+    // CutRateAsync::apply_delta rebuilds its rates on every window.
+    let initial_seed = 78;
+    assert_engines_agree(
+        "edge-markovian(64, p=0.1, q=0.3)",
+        || {
+            let mut rng = SimRng::seed_from_u64(initial_seed);
+            let initial = generators::erdos_renyi(64, 0.25, &mut rng).unwrap();
+            EdgeMarkovian::new(initial, 0.1, 0.3).unwrap()
+        },
+        CutRateAsync::new,
+        0,
+        900,
+        9006,
     );
 }
 

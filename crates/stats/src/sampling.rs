@@ -114,6 +114,12 @@ impl Bernoulli {
 /// phase lengths by geometric random variables with success probabilities
 /// `1 − e^{−c}`; this type makes those arguments executable.
 ///
+/// Sampling is by inverse CDF, `⌈ln U / ln(1 − p)⌉`, one uniform per
+/// sample. `ln(1 − p)` is computed once, in [`Geometric::new`]: as
+/// `(1 − p).ln()`, except when `1 − p` rounds to 1 (`p ≤ 2⁻⁵⁴`), where it
+/// is `ln_1p(−p)` — otherwise it would be 0 and every sample would clamp
+/// to 1. Samples too large for a `u64` saturate at `u64::MAX`.
+///
 /// # Example
 ///
 /// ```
@@ -128,6 +134,8 @@ impl Bernoulli {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 − p)`, negative for `p < 1`.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -138,7 +146,9 @@ impl Geometric {
     /// Returns [`StatsError::InvalidProbability`] unless `0 < p <= 1`.
     pub fn new(p: f64) -> Result<Self, StatsError> {
         if p > 0.0 && p <= 1.0 {
-            Ok(Geometric { p })
+            let q = 1.0 - p;
+            let ln_q = if q == 1.0 { (-p).ln_1p() } else { q.ln() };
+            Ok(Geometric { p, ln_q })
         } else {
             Err(StatsError::InvalidProbability(p))
         }
@@ -164,9 +174,9 @@ impl Geometric {
         if self.p >= 1.0 {
             return 1;
         }
-        // Inverse CDF: ceil(ln U / ln(1-p)).
+        // Inverse CDF: ceil(ln U / ln(1-p)); the cast saturates.
         let u = rng.uniform_open();
-        let k = (u.ln() / (1.0 - self.p).ln()).ceil();
+        let k = (u.ln() / self.ln_q).ceil();
         if k < 1.0 {
             1
         } else {
@@ -417,6 +427,26 @@ mod tests {
         assert!((m.mean() - 5.0).abs() < 0.1, "mean {}", m.mean());
         // tail(k) = 0.8^k
         assert!((g.tail(3) - 0.8f64.powi(3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn geometric_tiny_p_samples_far_above_one() {
+        // 1 − p rounds to 1 here; the samples must still be ≈ 1/p, not 1.
+        for p in [1e-20, 1e-17] {
+            let g = Geometric::new(p).unwrap();
+            let mut rng = SimRng::seed_from_u64(14);
+            for _ in 0..5 {
+                assert!(g.sample(&mut rng) > 1 << 40, "p = {p}");
+            }
+        }
+        // Just above the cut-over the cached log is today's `(1 - p).ln()`.
+        let p = 1e-15;
+        let g = Geometric::new(p).unwrap();
+        let (mut a, mut b) = (SimRng::seed_from_u64(15), SimRng::seed_from_u64(15));
+        for _ in 0..5 {
+            let k = (b.uniform_open().ln() / (1.0 - p).ln()).ceil();
+            assert_eq!(g.sample(&mut a), k as u64);
+        }
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! Golden output for the dynamic families and the live runtime: the
-//! JSONL byte stream of each sweep is pinned by its 64-bit FNV-1a
-//! digest, so any change to what the dynamic-network path or the live
-//! runtime produces — RNG draw order, graph builds, delta repair, float
-//! summation order, envelope scheduling — fails here.
+//! Golden output for every checked-in scenario (but `gnp-huge` and
+//! `net-million`), an async edge-Markovian sweep and the live runtime:
+//! the JSONL byte stream of each sweep is pinned by its 64-bit FNV-1a
+//! digest, so any change to what a sweep produces — RNG draw order, graph
+//! builds, delta repair or rebuild, float summation order, envelope
+//! scheduling — fails here.
 //!
 //! The digests belong to one [`RESULTS_VERSION`], recorded below. A
 //! deliberate change of draw order re-pins the digests it moves and bumps
 //! the version in the same change, so journals and `gossip serve` store
-//! entries written by an older binary stop answering.
+//! entries written by an older binary stop answering. Version 2 moved
+//! only digest (a).
 
 use rumor_spreading::bounds::journal::RESULTS_VERSION;
 use rumor_spreading::prelude::*;
 use std::path::Path;
 
 /// The [`RESULTS_VERSION`] the digests below were taken at.
-const DIGESTS_VERSION: u32 = 1;
+const DIGESTS_VERSION: u32 = 2;
 
 /// Fails with the message a moved digest needs: the digests and the
 /// results version move together.
@@ -66,7 +68,9 @@ fn checked_in(file: &str) -> ScenarioSpec {
 fn dynamic_family_jsonl_is_pinned() {
     assert_version();
     // (a) Async push-pull on edge-Markovian churn: every window's flip
-    // delta goes through the cut-rate delta repair.
+    // delta reaches the cut rates, which repair the sparse ones and, from
+    // 2n changed edges up (a quarter of the n = 128 windows), rebuild
+    // (version 2).
     let churn = ScenarioSpec::from_json_str(
         r#"{
             "name": "golden-edge-markovian-async",
@@ -78,7 +82,7 @@ fn dynamic_family_jsonl_is_pinned() {
     .unwrap();
     assert_pinned(
         jsonl_digest(&churn),
-        (20, 0x9dfe_1d35_9e83_9e0b),
+        (20, 0x2a01_c64b_4c42_55e1),
         "edge-Markovian, async",
     );
 
@@ -99,6 +103,44 @@ fn dynamic_family_jsonl_is_pinned() {
         (60, 0x21a9_568a_9cf1_403e),
         "edge-markovian.json",
     );
+}
+
+/// A checked-in scenario, the sizes it runs at if cut, and its digest.
+type Pin = (&'static str, Option<&'static [usize]>, (usize, u64));
+
+#[test]
+fn checked_in_scenarios_are_pinned() {
+    assert_version();
+    // Every other checked-in scenario but gnp-huge and net-million, whose
+    // single cells take seconds even in release. Sizes are cut where
+    // the debug test build needs it; the rest of each spec runs as it is.
+    let pins: [Pin; 6] = [
+        (
+            "dense-complete.toml",
+            Some(&[1000, 10000]),
+            (40, 0xb15e_ed3a_fba2_ae7e),
+        ),
+        ("dichotomy-star.toml", None, (80, 0x6817_786b_2751_1516)),
+        ("faulty-gnp.toml", None, (50, 0x1485_d5c7_e825_8487)),
+        (
+            "gnp-sparse.toml",
+            Some(&[3000]),
+            (20, 0x1112_8a7d_0f78_f6d3),
+        ),
+        ("lossy-expander.toml", None, (150, 0x1ad7_4df9_ff32_56b1)),
+        (
+            "serve-cache.toml",
+            Some(&[20000]),
+            (4, 0x9846_9699_af37_1fc6),
+        ),
+    ];
+    for (file, sizes, pinned) in pins {
+        let mut spec = checked_in(file);
+        if let Some(sizes) = sizes {
+            spec.sweep.sizes = sizes.to_vec();
+        }
+        assert_pinned(jsonl_digest(&spec), pinned, file);
+    }
 }
 
 #[test]
