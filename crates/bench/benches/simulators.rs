@@ -7,7 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gossip_dynamics::StaticNetwork;
 use gossip_graph::generators;
-use gossip_sim::{AsyncPushPull, CutRateAsync, LossyAsync, RunConfig, Simulation, SyncPushPull};
+use gossip_sim::{
+    AnyProtocol, AsyncPushPull, CutRateAsync, FaultModel, RunConfig, RunPlan, Simulation,
+    SyncPushPull,
+};
 use gossip_stats::SimRng;
 
 fn bench_simulators(c: &mut Criterion) {
@@ -50,9 +53,9 @@ fn bench_simulators(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fault-injection overhead: the lossy event loop pays for dropped
-/// contacts, so its cost grows like `1/(1-loss)` relative to the naive
-/// loop — this bench makes the ablation measurable.
+/// Fault-injection overhead: under message loss the cut-rate loop pays
+/// for every vetoed proposal, so its cost grows like `1/(1-loss)` — this
+/// bench makes the ablation measurable (loss 0 is the fault-free run).
 fn bench_lossy(c: &mut Criterion) {
     let mut group = c.benchmark_group("lossy_overhead");
     let n = 256usize;
@@ -63,16 +66,21 @@ fn bench_lossy(c: &mut Criterion) {
             BenchmarkId::new("lossy_async", format!("loss_{loss}")),
             &loss,
             |b, &loss| {
-                let mut net = StaticNetwork::new(regular.clone());
-                let mut sim = Simulation::new(
-                    LossyAsync::new(loss).expect("valid probability"),
-                    RunConfig::default(),
-                );
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let mut rng = SimRng::seed_from_u64(seed);
-                    sim.run(&mut net, 0, &mut rng).expect("valid")
+                    RunPlan::new(1, seed)
+                        .threads(1)
+                        .start(0)
+                        .faults(FaultModel {
+                            drop: loss,
+                            ..FaultModel::default()
+                        })
+                        .execute(
+                            || StaticNetwork::new(regular.clone()),
+                            || AnyProtocol::event(CutRateAsync::new()),
+                        )
+                        .expect("valid")
                 });
             },
         );

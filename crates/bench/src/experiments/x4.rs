@@ -10,6 +10,11 @@
 //!   with probability `d`; failures now correlate across a window and the
 //!   slowdown exceeds the i.i.d.-equivalent `1−(1−d)²` contact loss.
 //!
+//! Both run as `kind = "lossy"`, a spelling of async push–pull under the
+//! fault layer: the cut-rate sampler with `loss` as the fault model's
+//! drop coin and `downtime` as its liveness chain (crash probability `d`,
+//! recovery probability 1), keyed per node and window.
+//!
 //! The verdict checks the thinning identity within Monte-Carlo noise and
 //! the strict ordering `downtime penalty > equivalent-loss penalty`.
 
@@ -18,8 +23,8 @@ use gossip_core::scenario::{run_scenario, FamilySpec, ProtocolSpec, ScenarioSpec
 use gossip_core::{experiment, report};
 use gossip_stats::series::Series;
 
-/// One registry sweep at a single size: lossy async push-pull on a
-/// 6-regular expander (event-stream engine via engine auto-selection).
+/// One registry sweep at a single size: `lossy` async push-pull on a
+/// 6-regular expander (the event engine's fault layer).
 fn mean_spread(n: usize, loss: f64, downtime: f64, trials: usize, seed: u64) -> f64 {
     let mut family = FamilySpec::new("regular");
     family.d = Some(6);

@@ -5,13 +5,13 @@ use crate::args::Args;
 use crate::error::CliError;
 use crate::{family, proto};
 use gossip_core::journal::Journal;
-use gossip_core::scenario::{NetSpec, ScenarioSpec, SweepPlan};
+use gossip_core::scenario::{fold_lossy, protocol_label, NetSpec, ScenarioSpec, SweepPlan};
 use gossip_core::tracking::{run_tracked_generic, ProfileMode};
 use gossip_dynamics::profile::{conservative_profile, exact_profile};
 use gossip_dynamics::DynamicNetwork;
 use gossip_graph::{NodeSet, EXACT_ENUMERATION_LIMIT};
 use gossip_net::{DeliveryKind, NetSweep, NetTotals};
-use gossip_sim::{JsonlSink, Protocol, RunConfig, RunPlan};
+use gossip_sim::{FaultModel, JsonlSink, Protocol, RunConfig, RunPlan};
 use gossip_stats::SimRng;
 use std::fmt::Write as _;
 
@@ -481,7 +481,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     // Validate the configuration once, eagerly, so a typo fails before
     // the trial loop spins up threads.
     let probe_net = family::build(&family_name, args)?;
-    proto::build_any(&proto_name, args)?;
+    let proto_spec = proto::spec_from_args(&proto_name, args)?;
+    let label = protocol_label(&proto_spec, &proto::build_any(&proto_name, args)?);
+    // `lossy` is a spelling of async plus faults: its parameters run on
+    // the fault layer.
+    let faults = fold_lossy(&proto_spec, FaultModel::default());
     let n = probe_net.n();
     args.reject_unknown()?;
 
@@ -495,6 +499,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .start_opt(start)
         .workspace(!fresh_alloc)
         .vectorized(!scalar);
+    if faults.is_active() {
+        plan = plan.faults(faults);
+    }
     if let Some((sink, _)) = jsonl.as_mut() {
         plan = plan.observer(sink);
     }
@@ -508,7 +515,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let mut out = String::new();
     let _ = writeln!(out, "family    : {family_name} (n = {n})");
-    let _ = writeln!(out, "protocol  : {} ", report.protocol());
+    let _ = writeln!(out, "protocol  : {label} ");
     let _ = writeln!(
         out,
         "engine    : {}{}",
@@ -883,6 +890,25 @@ mod tests {
     }
 
     #[test]
+    fn scenario_check_refuses_delivery_chaos_on_analytic_specs() {
+        // `scenario check` must refuse what `scenario run` refuses, also
+        // when the spec forces the window engine.
+        let path = std::env::temp_dir().join("gossip_cli_chaos_check.toml");
+        let spec = "name = \"chaos\"\n[family]\nkind = \"complete\"\n[protocol]\n\
+                    kind = \"async\"\n[sweep]\nsizes = [32]\n[faults]\npartition_rate = 0.2\n";
+        for engine in ["", "engine = \"window\"\n"] {
+            let text = spec.replace("sizes = [32]\n", &format!("sizes = [32]\n{engine}"));
+            std::fs::write(&path, text).unwrap();
+            let out = scenario(Some("check"), path.to_str(), &args("scenario"));
+            assert!(
+                matches!(&out, Err(CliError::Scenario(m)) if m.contains("perturb the delivery layer")),
+                "{out:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn run_incomplete_when_cutoff_tiny() {
         let a = args("run --family path --n 64 --trials 3 --max-time 0.001");
         let out = run(&a).unwrap();
@@ -918,6 +944,24 @@ mod tests {
         let out = bounds(&a).unwrap();
         assert!(out.contains("exact, per window"), "{out}");
         assert!(out.contains("bound held"), "{out}");
+    }
+
+    #[test]
+    fn trace_and_profile_refuse_active_lossy() {
+        // They drive the window engine, which has no fault layer: refuse
+        // instead of running the spread lossless.
+        let commands = [("trace", trace as fn(&Args) -> _), ("profile", profile)];
+        for (cmd, run) in commands {
+            let out = run(&args(&format!(
+                "{cmd} --family complete --n 16 --protocol lossy --loss 0.3"
+            )));
+            assert!(
+                matches!(&out, Err(CliError::Scenario(m)) if m.contains("gossip run")),
+                "{cmd}: {out:?}"
+            );
+        }
+        // lossy at loss 0 is plain async push-pull and still traces.
+        assert!(trace(&args("trace --family complete --n 16 --protocol lossy")).is_ok());
     }
 
     #[test]

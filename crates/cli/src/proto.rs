@@ -68,7 +68,9 @@ pub fn spec_from_args(name: &str, args: &Args) -> Result<ProtocolSpec, CliError>
 /// # Errors
 ///
 /// [`CliError::Usage`] for an unknown name; [`CliError::Sim`] when the
-/// protocol constructor rejects the parameters.
+/// protocol constructor rejects the parameters; [`CliError::Scenario`]
+/// for `lossy` with `--loss` or `--downtime` above 0, which needs the
+/// event engine's fault layer (`gossip run`).
 pub fn build(name: &str, args: &Args) -> Result<Box<dyn Protocol>, CliError> {
     let spec = spec_from_args(name, args)?;
     scenario::build_protocol(&spec).map_err(CliError::from)
@@ -97,9 +99,17 @@ mod tests {
     fn every_listed_protocol_builds() {
         let a = args("run --loss 0.1 --downtime 0.05");
         for info in list() {
-            let p = build(info.name, &a)
+            let p = build_any(info.name, &a)
                 .unwrap_or_else(|e| panic!("protocol {} failed to build: {e}", info.name));
             assert!(!p.name().is_empty());
+            // The window form has no fault layer: active lossy is refused.
+            match build(info.name, &a) {
+                Ok(p) => assert!(!p.name().is_empty()),
+                Err(CliError::Scenario(m)) if info.name == "lossy" => {
+                    assert!(m.contains("gossip run"), "{m}")
+                }
+                Err(e) => panic!("protocol {} failed to build: {e}", info.name),
+            }
         }
     }
 

@@ -127,8 +127,8 @@ pub fn catalog() -> Vec<ExperimentSpec> {
             id: "X4",
             paper_item: "Robustness motivation [11, 14] (extension)",
             claim: "i.i.d. loss f rescales time by exactly 1/(1-f); correlated downtime costs strictly more",
-            workload: "LossyAsync on a 6-regular expander, loss sweep + downtime comparison",
-            modules: "gossip_sim::LossyAsync",
+            workload: "kind = \"lossy\" (async plus the fault layer) on a 6-regular expander, loss sweep + downtime comparison",
+            modules: "gossip_sim::FaultModel, gossip_core::scenario::fold_lossy",
         },
         ExperimentSpec {
             id: "X5",

@@ -53,7 +53,14 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 ///   least twice as many changed edges as nodes) instead of repairing
 ///   them, so async push–pull on edge-Markovian churn moves in its last
 ///   float bits.
-pub const RESULTS_VERSION: u32 = 2;
+/// * 3 — one fault model: the analytic engines draw node liveness from
+///   the live runtime's keyed per-`(node, window)` coins instead of their
+///   sequential fault stream, and `kind = "lossy"` runs the cut-rate
+///   sampler under that model (its `loss` folded into `drop`, its
+///   `downtime` a liveness chain) instead of its own tick-by-tick
+///   protocol. Specs with active crashes, schedules, targeting or `lossy`
+///   parameters move; drop-only and live results do not.
+pub const RESULTS_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).

@@ -45,6 +45,7 @@
 pub mod bounds;
 pub mod experiment;
 pub mod journal;
+mod lossy;
 pub mod predictions;
 pub mod profile;
 pub mod report;

@@ -43,8 +43,8 @@ use gossip_dynamics::{
 use gossip_graph::{generators, GraphError, Topology};
 use gossip_sim::{
     AnyProtocol, AsyncPull, AsyncPush, AsyncPushPull, CutRateAsync, Engine, FaultModel, Flooding,
-    LossyAsync, Protocol, RunConfig, RunPlan, RunReport, SimError, SyncPull, SyncPush,
-    SyncPushPull, TrialObserver, TrialRecord, TrialSummary, TwoPush, WorkspacePool,
+    Protocol, RunConfig, RunPlan, RunReport, SimError, SyncPull, SyncPush, SyncPushPull,
+    TrialObserver, TrialRecord, TrialSummary, TwoPush, WorkspacePool,
 };
 use gossip_stats::SimRng;
 use serde::{Deserialize, Serialize};
@@ -55,6 +55,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::journal::{self, Journal, JournalCell, JournalHeader, JournalWriter, RESULTS_VERSION};
+pub use crate::lossy::fold_lossy;
 
 // ---------------------------------------------------------------------------
 // Spec types
@@ -269,10 +270,11 @@ impl SweepSpec {
 
 /// Fault-injection parameters — the `[faults]` section of a scenario.
 ///
-/// Compiles into a [`gossip_sim::FaultModel`] via [`FaultSpec::to_model`];
-/// every unset field takes the fault-free default, so an empty `[faults]`
-/// table changes nothing. Active fault models need the event engine and a
-/// fault-aware protocol (validation rejects other combinations up front).
+/// Compiles into the one [`gossip_sim::FaultModel`] both stacks run via
+/// [`FaultSpec::to_model`]; every unset field takes the fault-free
+/// default, so an empty `[faults]` table changes nothing. Active fault
+/// models need the event engine (or the live runtime) and a fault-aware
+/// protocol (validation rejects other combinations up front).
 ///
 /// ```toml
 /// [faults]
@@ -291,10 +293,11 @@ impl SweepSpec {
 /// The last four fields model *delivery-layer chaos* — network
 /// partitions, late messages, duplicated messages — which only exists
 /// where messages physically travel: the live runtime (a spec with a
-/// `[net]` table). Analytic plans reject them ([`ScenarioPlan::new`]);
+/// `[net]` table). Analytic specs reject them ([`ScenarioSpec::validate`]);
 /// the live runtime rejects `target_high_degree` in turn (it needs a
 /// global degree ordering over still-up nodes, an analytic-engine
-/// view).
+/// view). `kind = "lossy"`'s `loss` and `downtime` fold into the same
+/// model ([`fold_lossy`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Per-message drop probability in `[0, 1]` (default 0).
@@ -347,27 +350,25 @@ impl FaultSpec {
         }
     }
 
-    /// Compiles the spec into the runtime [`FaultModel`], filling
-    /// defaults. The delivery-chaos fields (`partition_rate`, `delay`,
-    /// `delay_epochs`, `duplicate`) have no analytic counterpart and are
-    /// not part of the model; the live runtime compiles them separately.
+    /// Compiles the table into the [`FaultModel`] every engine runs —
+    /// the analytic engines and the live runtime alike — filling
+    /// defaults. The one compile step: `downtime` is not a table field
+    /// (it comes from `kind = "lossy"`, see [`fold_lossy`]), and range
+    /// checks are [`FaultModel::validate`]'s.
     pub fn to_model(&self) -> FaultModel {
         FaultModel {
             drop: self.drop.unwrap_or(0.0),
             crash_rate: self.crash_rate.unwrap_or(0.0),
             recovery_rate: self.recovery_rate.unwrap_or(0.0),
+            downtime: 0.0,
             seed: self.seed.unwrap_or(0),
             schedule: self.schedule.iter().flatten().copied().collect(),
             target_high_degree: self.target_high_degree.unwrap_or(0),
+            partition_rate: self.partition_rate.unwrap_or(0.0),
+            delay: self.delay.unwrap_or(0.0),
+            delay_epochs: self.delay_epochs.unwrap_or(1),
+            duplicate: self.duplicate.unwrap_or(0.0),
         }
-    }
-
-    /// Whether any delivery-chaos field (live-runtime-only faults) is
-    /// active: partitions, delays, or duplication.
-    pub fn net_chaos_active(&self) -> bool {
-        self.partition_rate.unwrap_or(0.0) > 0.0
-            || self.delay.unwrap_or(0.0) > 0.0
-            || self.duplicate.unwrap_or(0.0) > 0.0
     }
 }
 
@@ -760,7 +761,8 @@ pub fn protocols() -> Vec<RegistryEntry> {
         RegistryEntry {
             name: "lossy",
             params: &["loss", "downtime"],
-            synopsis: "async push-pull with i.i.d. message loss and per-window downtime",
+            synopsis:
+                "async plus faults: i.i.d. message loss and per-window downtime (event engine)",
         },
     ]
 }
@@ -1135,24 +1137,67 @@ pub fn build_any_protocol(spec: &ProtocolSpec) -> Result<AnyProtocol, ScenarioEr
         "sync-pull" => AnyProtocol::window(SyncPull::new()),
         "flooding" => AnyProtocol::window(Flooding::new()),
         "two-push" => AnyProtocol::event(TwoPush::new()),
-        "lossy" => AnyProtocol::event(LossyAsync::with_downtime(
-            spec.loss.unwrap_or(0.0),
-            spec.downtime.unwrap_or(0.0),
-        )?),
+        // A spelling of `async` plus faults: the parameters move into the
+        // plan's fault model (fold_lossy), the cut-rate sampler runs.
+        "lossy" => {
+            crate::lossy::check_probabilities(spec.loss, spec.downtime)?;
+            AnyProtocol::event(CutRateAsync::new())
+        }
         other => return Err(ScenarioError::UnknownProtocol(other.to_string())),
     };
     Ok(proto)
 }
 
-/// Builds the protocol as a window-engine trait object (every protocol
-/// supports the window engine) — for callers that drive a raw
-/// [`gossip_sim::Simulation`] directly, e.g. trajectory tracing.
+/// The display name of a run of `protocol`: the built protocol's own
+/// name, except that `lossy` keeps its label although it builds the
+/// cut-rate sampler.
+pub fn protocol_label(protocol: &ProtocolSpec, built: &AnyProtocol) -> &'static str {
+    if protocol.kind == "lossy" {
+        "async push-pull (lossy)"
+    } else {
+        built.name()
+    }
+}
+
+/// Builds the protocol as a window-engine trait object — for callers that
+/// drive a raw [`gossip_sim::Simulation`] directly, e.g. trajectory
+/// tracing. The window engine has no fault layer, so `lossy` with `loss`
+/// or `downtime` above 0 is refused rather than run lossless.
 ///
 /// # Errors
 ///
-/// As [`build_any_protocol`].
+/// As [`build_any_protocol`], and [`ScenarioError::Invalid`] for an
+/// active `lossy` spec.
 pub fn build_protocol(spec: &ProtocolSpec) -> Result<Box<dyn Protocol>, ScenarioError> {
-    build_any_protocol(spec).map(AnyProtocol::into_window)
+    let proto = build_any_protocol(spec)?;
+    if fold_lossy(spec, FaultModel::default()).is_active() {
+        return Err(ScenarioError::Invalid(
+            "protocol `lossy` with loss or downtime above 0 runs on the event engine's fault \
+             layer, which a window-engine protocol cannot carry (use `gossip run` or \
+             `gossip scenario run`)"
+                .into(),
+        ));
+    }
+    Ok(proto.into_window())
+}
+
+/// A [`FaultModel::validate`] error named by its spec field:
+/// `faults.<name>`, or `protocol.downtime`, which `lossy` supplies.
+fn fault_error(e: SimError) -> ScenarioError {
+    match e {
+        SimError::InvalidFaultParam {
+            name,
+            value,
+            constraint,
+        } => {
+            let field = match name {
+                "downtime" => "protocol.downtime".to_string(),
+                _ => format!("faults.{name}"),
+            };
+            ScenarioError::Invalid(format!("{field} must be {constraint}, got {value}"))
+        }
+        other => ScenarioError::Sim(other),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1262,7 +1307,7 @@ impl ScenarioSpec {
             // including its seed, which is never drawn from. Delivery
             // chaos counts as active: a chaos-only spec is a different
             // (live) experiment from the fault-free one.
-            if !f.to_model().is_active() && !f.net_chaos_active() {
+            if !f.to_model().is_active() {
                 return None;
             }
             Some(FaultSpec {
@@ -1398,83 +1443,60 @@ impl ScenarioSpec {
             }
         }
         let engine = parse_engine(self.sweep.engine.as_deref())?;
-        if engine == Engine::Event && !protocol_is_incremental(&self.protocol.kind) {
+        let probe = build_any_protocol(&self.protocol)?;
+        if engine == Engine::Event && !probe.supports_event() {
             return Err(ScenarioError::Invalid(format!(
                 "protocol `{}` cannot run on the event engine",
                 self.protocol.kind
             )));
         }
-        // Fault parameter validation: targeted messages up front, before
-        // any sweep work (mirrors the sampled-family checks above).
-        if let Some(faults) = &self.faults {
-            let drop = faults.drop.unwrap_or(0.0);
-            if !(0.0..=1.0).contains(&drop) {
+        // Fault validation up front, before any sweep work.
+        // `FaultModel::validate` owns the range checks; what needs the spec
+        // is checked here.
+        let faults = self
+            .faults
+            .as_ref()
+            .map(FaultSpec::to_model)
+            .unwrap_or_default();
+        faults.validate().map_err(fault_error)?;
+        // Every scheduled node must exist at every sweep size, i.e. at the
+        // smallest one (sizes are validated non-empty above).
+        let min_n = *self.sweep.sizes.iter().min().expect("sizes non-empty");
+        for &(window, node) in &faults.schedule {
+            if node as usize >= min_n {
                 return Err(ScenarioError::Invalid(format!(
-                    "faults.drop must be within [0, 1], got {drop}"
+                    "faults.schedule entry [{window}, {node}] references node {node}, \
+                     but the smallest sweep size is {min_n} (nodes are 0-based)"
                 )));
             }
-            for (name, rate) in [
-                ("crash_rate", faults.crash_rate),
-                ("recovery_rate", faults.recovery_rate),
-            ] {
-                if let Some(r) = rate {
-                    if !r.is_finite() || r < 0.0 {
-                        return Err(ScenarioError::Invalid(format!(
-                            "faults.{name} must be a finite non-negative rate, got {r}"
-                        )));
-                    }
-                }
-            }
-            // Every scheduled node must exist at every sweep size, i.e.
-            // at the smallest one (sizes are validated non-empty above).
-            let min_n = *self.sweep.sizes.iter().min().expect("sizes non-empty");
-            for &(window, node) in faults.schedule.iter().flatten() {
-                if node as usize >= min_n {
-                    return Err(ScenarioError::Invalid(format!(
-                        "faults.schedule entry [{window}, {node}] references node {node}, \
-                         but the smallest sweep size is {min_n} (nodes are 0-based)"
-                    )));
-                }
-            }
-            if let Some(rate) = faults.partition_rate {
-                if !rate.is_finite() || rate < 0.0 {
-                    return Err(ScenarioError::Invalid(format!(
-                        "faults.partition_rate must be a finite non-negative rate, got {rate}"
-                    )));
-                }
-            }
-            for (name, p) in [("delay", faults.delay), ("duplicate", faults.duplicate)] {
-                if let Some(p) = p {
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(ScenarioError::Invalid(format!(
-                            "faults.{name} must be within [0, 1], got {p}"
-                        )));
-                    }
-                }
-            }
-            if faults.delay_epochs == Some(0) {
+        }
+        // Delivery-layer chaos (partitions, delays, duplication) only
+        // exists where envelopes physically travel; the analytic engines
+        // have no message objects to perturb.
+        if self.net.is_none() && faults.chaos_active() {
+            return Err(ScenarioError::Invalid(
+                "faults.partition_rate / delay / duplicate perturb the delivery layer, \
+                 which only the live runtime has — add a `[net]` table to run this spec live"
+                    .into(),
+            ));
+        }
+        let model = fold_lossy(&self.protocol, faults);
+        model.validate().map_err(fault_error)?;
+        // Live specs run no analytic engine; validate_net checks them.
+        if self.net.is_none() && model.is_active() {
+            if engine == Engine::Window {
                 return Err(ScenarioError::Invalid(
-                    "faults.delay_epochs must be at least 1 (a delayed envelope waits \
-                     between 1 and delay_epochs extra epochs)"
+                    "active faults — a [faults] table, or `lossy` with loss or downtime \
+                     above 0 — need the event engine (remove `engine = \"window\"`)"
                         .into(),
                 ));
             }
-            let model = faults.to_model();
-            if model.is_active() {
-                if engine == Engine::Window {
-                    return Err(ScenarioError::Invalid(
-                        "active faults need the event engine (remove `engine = \"window\"` \
-                         or deactivate the [faults] table)"
-                            .into(),
-                    ));
-                }
-                if !build_any_protocol(&self.protocol).is_ok_and(|p| p.supports_faults()) {
-                    return Err(ScenarioError::Invalid(format!(
-                        "protocol `{}` does not support fault injection \
-                         (fault-aware protocols: async, naive, push, pull, two-push, lossy)",
-                        self.protocol.kind
-                    )));
-                }
+            if !probe.supports_faults() {
+                return Err(ScenarioError::Invalid(format!(
+                    "protocol `{}` does not support fault injection \
+                     (fault-aware protocols: async, naive, push, pull, two-push, lossy)",
+                    self.protocol.kind
+                )));
             }
         }
         // A [net] table selects the live runtime, so live-runtime
@@ -1745,7 +1767,7 @@ pub struct ScenarioPlan {
     trials: usize,
     seed: u64,
     config: RunConfig,
-    faults: Option<FaultModel>,
+    faults: FaultModel,
     hash: u64,
 }
 
@@ -1758,22 +1780,8 @@ impl ScenarioPlan {
     /// error.
     pub fn new(spec: ScenarioSpec) -> Result<Self, ScenarioError> {
         spec.validate()?;
-        // Delivery-layer chaos (partitions, delays, duplication) only
-        // exists where envelopes physically travel; the analytic engines
-        // have no message objects to perturb.
-        if spec.net.is_none()
-            && spec
-                .faults
-                .as_ref()
-                .is_some_and(FaultSpec::net_chaos_active)
-        {
-            return Err(ScenarioError::Invalid(
-                "faults.partition_rate / delay / duplicate perturb the delivery layer, \
-                 which only the live runtime has — add a `[net]` table to run this spec live"
-                    .into(),
-            ));
-        }
         let probe = build_any_protocol(&spec.protocol)?;
+        let label = protocol_label(&spec.protocol, &probe);
         let engine = parse_engine(spec.sweep.engine.as_deref())?;
         // The engine every cell resolves to and the report labels are
         // pure functions of the spec, so even fully-replayed sweeps can
@@ -1784,11 +1792,9 @@ impl ScenarioPlan {
                 live_protocol_name(&spec.protocol.kind)
                     .expect("validate_net admits live protocols only"),
             ),
-            (None, Engine::Auto) if probe.supports_event() => {
-                (Engine::Event.name().into(), probe.name())
-            }
-            (None, Engine::Auto) => (Engine::Window.name().into(), probe.name()),
-            (None, forced) => (forced.name().into(), probe.name()),
+            (None, Engine::Auto) if probe.supports_event() => (Engine::Event.name().into(), label),
+            (None, Engine::Auto) => (Engine::Window.name().into(), label),
+            (None, forced) => (forced.name().into(), label),
         };
         Ok(ScenarioPlan {
             engine,
@@ -1797,7 +1803,13 @@ impl ScenarioPlan {
             trials: spec.sweep.trials_or_default(),
             seed: spec.sweep.seed_or_default(),
             config: RunConfig::with_max_time(spec.sweep.max_time_or_default()),
-            faults: spec.faults.as_ref().map(FaultSpec::to_model),
+            faults: fold_lossy(
+                &spec.protocol,
+                spec.faults
+                    .as_ref()
+                    .map(FaultSpec::to_model)
+                    .unwrap_or_default(),
+            ),
             hash: journal::spec_hash(&spec),
             spec,
         })
@@ -1865,8 +1877,8 @@ impl ScenarioPlan {
         if let Some(threads) = self.spec.sweep.threads {
             plan = plan.threads(threads);
         }
-        if let Some(faults) = &self.faults {
-            plan = plan.faults(faults.clone());
+        if self.faults.is_active() {
+            plan = plan.faults(self.faults.clone());
         }
         plan
     }
@@ -2538,8 +2550,15 @@ max_time = 1e4
             // The registry's incremental flag and the builder's variant
             // agree by construction.
             assert_eq!(p.supports_event(), protocol_is_incremental(entry.name));
-            // Every protocol has a window form.
-            assert!(!build_protocol(&spec).unwrap().name().is_empty());
+            // Every protocol has a window form, but active `lossy` lives on
+            // the event engine's fault layer and is refused there.
+            match build_protocol(&spec) {
+                Ok(w) => assert!(!w.name().is_empty()),
+                Err(ScenarioError::Invalid(m)) if entry.name == "lossy" => {
+                    assert!(m.contains("gossip run"), "{m}")
+                }
+                Err(e) => panic!("protocol {} has no window form: {e}", entry.name),
+            }
         }
     }
 
@@ -2970,6 +2989,70 @@ max_time = 1e4
         spec.faults = Some(FaultSpec::new());
         spec.sweep.engine = Some("window".into());
         spec.validate().unwrap();
+    }
+
+    #[test]
+    fn analytic_specs_reject_delivery_chaos_in_validation() {
+        // `scenario check` runs validate, so it must refuse what
+        // `scenario run` refuses: chaos needs the live runtime, also when
+        // the spec forces the window engine.
+        let mut spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
+        spec.faults = Some(FaultSpec {
+            partition_rate: Some(0.2),
+            ..FaultSpec::new()
+        });
+        for engine in [None, Some("window")] {
+            spec.sweep.engine = engine.map(String::from);
+            assert!(matches!(
+                spec.validate(),
+                Err(ScenarioError::Invalid(m)) if m.contains("perturb the delivery layer")
+            ));
+        }
+    }
+
+    #[test]
+    fn lossy_folds_into_the_fault_model() {
+        let mut lossy = ProtocolSpec::new("lossy");
+        lossy.loss = Some(0.5);
+        lossy.downtime = Some(0.2);
+        let table = FaultModel {
+            drop: 0.5,
+            seed: 4,
+            ..FaultModel::default()
+        };
+        let folded = fold_lossy(&lossy, table.clone());
+        assert_eq!((folded.drop, folded.downtime, folded.seed), (0.75, 0.2, 4));
+        // Other kinds, and lossy at loss 0, leave the table's drop alone.
+        assert_eq!(
+            fold_lossy(&ProtocolSpec::new("async"), table.clone()),
+            table
+        );
+        assert_eq!(
+            fold_lossy(&ProtocolSpec::new("lossy"), table.clone()),
+            table
+        );
+        // The spelling runs the cut-rate sampler under its old label, and
+        // its fault layer needs the event engine.
+        let mut spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
+        spec.protocol = lossy;
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        assert_eq!(plan.protocol_name(), "async push-pull (lossy)");
+        spec.sweep.engine = Some("window".into());
+        assert!(matches!(
+            spec.validate(),
+            Err(ScenarioError::Invalid(m)) if m.contains("event engine")
+        ));
+        // One liveness chain per trial: downtime clashes with crashes.
+        spec.sweep.engine = None;
+        spec.faults = Some(FaultSpec {
+            crash_rate: Some(0.1),
+            ..FaultSpec::new()
+        });
+        assert!(matches!(
+            spec.validate(),
+            Err(ScenarioError::Invalid(m))
+                if m.contains("protocol.downtime") && m.contains("crash_rate")
+        ));
     }
 
     #[test]

@@ -15,15 +15,13 @@
 //! * [`crate::UdpDelivery`] — length-prefixed datagrams, one socket per
 //!   group, reductions piggybacked on the datagram headers.
 //!
-//! Fault injection reuses the scenario stack's `FaultModel::drop`
-//! semantics at this layer: every envelope flips one deterministic,
-//! group-count-invariant coin ([`DropGate`]) before it is handed to the
-//! transport.
+//! Fault injection happens before an envelope reaches the transport: the
+//! sender's [`crate::ChaosGate`] flips its deterministic,
+//! group-count-invariant drop, partition, delay and duplication coins.
 
 use crate::envelope::Envelope;
 use crate::error::NetError;
 use gossip_graph::NodeId;
-use gossip_stats::SimRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
@@ -284,60 +282,6 @@ impl Delivery for LocalDelivery {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic per-envelope drop faults
-// ---------------------------------------------------------------------------
-
-/// `FaultModel::drop` at the Delivery layer: every envelope flips one
-/// coin keyed on `(fault seed, trial seed, src, seq)` — never on the
-/// trial RNG and never on which group or transport carried the message —
-/// so faulty runs stay bit-deterministic and group-count-invariant.
-#[derive(Debug, Clone, Copy)]
-pub struct DropGate {
-    drop: f64,
-    key: u64,
-}
-
-/// The 64-bit SplitMix finalizer: the hash behind every delivery-layer
-/// fault coin ([`DropGate`], [`crate::fault::ChaosGate`],
-/// [`crate::fault::Liveness`]). Statistically independent outputs for
-/// distinct inputs, and a pure function — the property that keeps fault
-/// verdicts group-count- and transport-invariant.
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl DropGate {
-    /// A gate dropping each envelope independently with probability
-    /// `drop`, keyed on the dedicated fault seed and the trial seed.
-    pub fn new(drop: f64, fault_seed: u64, trial_seed: u64) -> DropGate {
-        DropGate {
-            drop: drop.clamp(0.0, 1.0),
-            key: splitmix(splitmix(fault_seed) ^ trial_seed),
-        }
-    }
-
-    /// Whether any envelope can ever be dropped.
-    pub fn is_active(&self) -> bool {
-        self.drop > 0.0
-    }
-
-    /// The deterministic drop verdict for `env`.
-    pub fn drops(&self, env: &Envelope) -> bool {
-        if self.drop <= 0.0 {
-            return false;
-        }
-        if self.drop >= 1.0 {
-            return true;
-        }
-        let h = splitmix(self.key ^ ((u64::from(env.src) << 32) | u64::from(env.seq)));
-        SimRng::seed_from_u64(h).chance(self.drop)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,30 +302,6 @@ mod tests {
             assert_eq!(covered, n);
             assert!(r.groups() <= n.max(1));
         }
-    }
-
-    #[test]
-    fn drop_gate_is_deterministic_and_respects_extremes() {
-        let env = |src, seq| Envelope {
-            src,
-            dst: 0,
-            seq,
-            time: 1.0,
-            payload: Payload::Rumor,
-        };
-        let g = DropGate::new(0.5, 3, 11);
-        let h = DropGate::new(0.5, 3, 11);
-        let mut dropped = 0;
-        for i in 0..2_000 {
-            let e = env(i % 64, i);
-            assert_eq!(g.drops(&e), h.drops(&e));
-            dropped += u32::from(g.drops(&e));
-        }
-        // A fair-ish half: the verdicts are i.i.d. coins across (src, seq).
-        assert!((600..1_400).contains(&dropped), "{dropped}");
-        assert!(!DropGate::new(0.0, 3, 11).is_active());
-        assert!(!DropGate::new(0.0, 3, 11).drops(&env(1, 1)));
-        assert!(DropGate::new(1.0, 3, 11).drops(&env(1, 1)));
     }
 
     #[test]

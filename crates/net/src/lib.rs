@@ -36,7 +36,7 @@
 //!              └──────┬──────┘             └──────┬──────┘
 //!                     └────────► Delivery ◄───────┘
 //!                        LocalDelivery / UdpDelivery
-//!                 (+ DropGate / ChaosGate fault injection)
+//!                      (+ ChaosGate fault injection)
 //! ```
 //!
 //! Virtual time advances in epochs of one `tick` (the message latency);
@@ -46,12 +46,14 @@
 //! seed, node, activation)` and every message pays the same one-tick
 //! latency, results are **bit-identical across group counts and
 //! transports** — parallelism and distribution are pure implementation
-//! detail. Fault injection keeps that contract: node crash/recovery
-//! ([`Liveness`]), delivery drop ([`DropGate`]), and partition / delay /
-//! duplication chaos ([`ChaosGate`]) all flip keyed per-`(node, window)`
-//! or per-`(src, seq)` coins rather than drawing from shared streams.
-//! See [`runtime`] for the full determinism contract and [`fault`] for
-//! the fault semantics.
+//! detail. Fault injection keeps that contract. It runs the shared
+//! `gossip_sim::FaultModel`: node crash/recovery through the analytic
+//! engine's own keyed `gossip_sim::Liveness` machine (same up/down state
+//! per node and window as an analytic trial with the same seeds), and
+//! drop / partition / delay / duplication through the [`ChaosGate`]'s
+//! keyed per-`(src, seq)` coins — never draws from shared streams. See
+//! [`runtime`] for the full determinism contract and [`fault`] for the
+//! fault semantics.
 //!
 //! # Entry points
 //!
@@ -77,12 +79,10 @@ pub mod runtime;
 pub mod scenario;
 pub mod udp;
 
-pub use delivery::{
-    Delivery, DeliveryKind, DropGate, EpochFlush, EpochUpdate, LocalDelivery, Router,
-};
+pub use delivery::{Delivery, DeliveryKind, EpochFlush, EpochUpdate, LocalDelivery, Router};
 pub use envelope::{Envelope, Payload, WIRE_BYTES};
 pub use error::NetError;
-pub use fault::{ChaosGate, Liveness, NetFaults};
+pub use fault::ChaosGate;
 pub use runtime::{run_trial, NetConfig, NetExecutor, NetProtocol, NetTraffic, NetTrial};
 pub use scenario::{build_live_topology, NetSweep, NetTotals};
 pub use udp::UdpDelivery;

@@ -34,15 +34,17 @@
 //!
 //! # Faults
 //!
-//! The full live fault regime ([`NetFaults`]) is enacted here: the
-//! [`DropGate`] and [`ChaosGate`] (partition / delay / duplication)
-//! filter envelopes at the send and ordering layer, while a per-node
-//! [`Liveness`] machine suspends crashed nodes — a down node's
-//! activation still burns its RNG draws (keeping the activation chain
-//! identical to the fault-free one) but its contact is voided, and
-//! envelopes arriving at a down node are discarded, mirroring the event
-//! engine's rate-zero thinning. When crashes are permanent
-//! (`recovery_rate == 0`) the epoch reductions additionally carry the
+//! The shared [`FaultModel`] is enacted here, all but
+//! `target_high_degree`, which needs a global degree ranking and is
+//! rejected: the [`ChaosGate`] (drop / partition / delay / duplication)
+//! filters envelopes at the send and ordering layer, while the per-node
+//! [`Liveness`] machine — the analytic engine's, keyed identically —
+//! suspends crashed nodes. A down node's activation still burns its RNG
+//! draws (keeping the activation chain identical to the fault-free one)
+//! but its contact is voided, and envelopes arriving at a down node are
+//! discarded, mirroring the event engine's rate-zero thinning. When
+//! crashes are permanent ([`FaultModel::can_die`]) the epoch reductions
+//! additionally carry the
 //! informed-and-up count and the rumor-carrying in-flight count, and the
 //! trial ends in [`TrialOutcome::Died`] once someone is informed, no
 //! informed node is up, and no rumor-carrying envelope is in flight.
@@ -57,15 +59,15 @@
 //! [`Payload::Contact`]: crate::envelope::Payload::Contact
 //! [`Payload::Rumor`]: crate::envelope::Payload::Rumor
 
-use crate::delivery::{Delivery, DeliveryKind, DropGate, EpochFlush, EpochUpdate, Router};
+use crate::delivery::{Delivery, DeliveryKind, EpochFlush, EpochUpdate, Router};
 use crate::envelope::{Envelope, Payload};
 use crate::error::NetError;
-use crate::fault::{carries_rumor, ChaosGate, Liveness, NetFaults};
+use crate::fault::{carries_rumor, ChaosGate};
 use crate::udp::UdpDelivery;
 use crate::LocalDelivery;
 use gossip_core::scenario::{live_protocol_name, NetSpec};
 use gossip_graph::{NodeId, Topology};
-use gossip_sim::{TrialError, TrialExecutor, TrialOutcome, TrialRecord};
+use gossip_sim::{FaultModel, Liveness, TrialError, TrialExecutor, TrialOutcome, TrialRecord};
 use gossip_stats::{Exponential, SimRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -83,9 +85,10 @@ pub struct NetConfig {
     /// Virtual-time cutoff: the trial stops with
     /// [`TrialOutcome::Budget`] when the next event would fire later.
     pub horizon: f64,
-    /// The live fault regime: drop / crash / recovery / schedule plus
-    /// delivery chaos. [`NetFaults::default()`] is bit-invisible.
-    pub faults: NetFaults,
+    /// The fault regime: drop, liveness and delivery chaos
+    /// (`target_high_degree` is rejected). [`FaultModel::default()`] is
+    /// bit-invisible.
+    pub faults: FaultModel,
     /// Wall-clock seconds a UDP endpoint waits for peer datagrams before
     /// it starts NACK-driven retries; doubles on every retry. Ignored by
     /// the in-process transport.
@@ -105,7 +108,7 @@ impl Default for NetConfig {
             groups: net.groups_or_default(),
             tick: net.tick_or_default(),
             horizon: 1e5,
-            faults: NetFaults::default(),
+            faults: FaultModel::default(),
             exchange_timeout: net.exchange_timeout_or_default(),
             exchange_retries: net.exchange_retries_or_default(),
         }
@@ -127,7 +130,7 @@ pub enum NetProtocol {
 impl NetProtocol {
     /// Maps a scenario protocol kind onto the live protocol; `None` for
     /// kinds the runtime cannot speak (synchronous rounds, flooding,
-    /// rate-2 push, lossy-with-downtime).
+    /// rate-2 push, lossy).
     pub fn from_kind(kind: &str) -> Option<NetProtocol> {
         match kind {
             "async" | "naive" => Some(NetProtocol::PushPull),
@@ -169,7 +172,7 @@ pub struct NetTrial {
     pub events: u64,
     /// Envelopes handed to the delivery layer (dropped ones included).
     pub messages: u64,
-    /// Envelopes the [`DropGate`] swallowed.
+    /// Envelopes the drop coin swallowed ([`ChaosGate::drops`]).
     pub dropped: u64,
     /// Envelopes voided at a partition cut ([`ChaosGate::blocks`]).
     pub blocked: u64,
@@ -209,7 +212,6 @@ struct Group<'a> {
     horizon: f64,
     base: SimRng,
     exp: Exponential,
-    gate: DropGate,
     chaos: ChaosGate,
     /// Crash/recovery state of the owned nodes; `None` when the fault
     /// regime has no crash machinery (zero overhead on the happy path).
@@ -266,7 +268,6 @@ impl<'a> Group<'a> {
             proto,
             tick: cfg.tick,
             horizon: cfg.horizon,
-            gate: DropGate::new(faults.drop, faults.seed, trial_seed),
             chaos: ChaosGate::new(faults, trial_seed, cfg.tick),
             liveness: faults
                 .crash_active()
@@ -333,7 +334,7 @@ impl<'a> Group<'a> {
             return true;
         };
         let was = liveness.is_up(li);
-        let now = liveness.advance(li, t);
+        let now = liveness.advance(li, t as u64); // t ≥ 0: floor
         if was != now && !self.informed_t[li].is_nan() {
             if now {
                 self.live_informed += 1;
@@ -356,7 +357,7 @@ impl<'a> Group<'a> {
             payload,
         };
         self.messages += 1;
-        if self.gate.drops(&env) {
+        if self.chaos.drops(&env) {
             self.dropped += 1;
             return;
         }
@@ -587,7 +588,8 @@ impl<'a> Group<'a> {
 /// # Errors
 ///
 /// [`NetError::Invalid`] for structural problems (empty topology, start
-/// out of range, non-positive tick/horizon, malformed fault regime);
+/// out of range, non-positive tick/horizon, degree targeting);
+/// [`NetError::Sim`] for an out-of-range fault parameter;
 /// [`NetError::Io`] when the transport fails; [`NetError::Stalled`] when
 /// a UDP exchange exhausts its retries waiting for a peer.
 pub fn run_trial(
@@ -628,6 +630,13 @@ pub fn run_trial(
         )));
     }
     cfg.faults.validate()?;
+    if cfg.faults.target_high_degree > 0 {
+        return Err(NetError::Invalid(
+            "faults.target_high_degree is an analytic-engine feature (it ranks all \
+             still-up nodes by degree globally)"
+                .into(),
+        ));
+    }
     let router = Router::new(n, cfg.groups);
     let endpoints: Vec<Box<dyn Delivery>> = match kind {
         DeliveryKind::Local => LocalDelivery::fabric(router)
@@ -992,7 +1001,7 @@ mod tests {
     fn faulty_runs_are_group_count_invariant() {
         let topo = Topology::gnp(48, 0.3, 8).unwrap();
         let mut c = cfg(1);
-        c.faults = NetFaults {
+        c.faults = FaultModel {
             drop: 0.1,
             crash_rate: 0.2,
             recovery_rate: 1.0,
@@ -1001,7 +1010,7 @@ mod tests {
             delay_epochs: 2,
             duplicate: 0.1,
             seed: 7,
-            ..NetFaults::default()
+            ..FaultModel::default()
         };
         let run = |groups| {
             let mut c = c.clone();
@@ -1060,6 +1069,26 @@ mod tests {
             ),
             Err(NetError::Invalid(_))
         ));
+        // A hand-built model's analytic-only field is refused, not ignored.
+        let mut targeted = cfg(1);
+        targeted.faults.target_high_degree = 1;
+        let run = |c: &NetConfig| {
+            run_trial(
+                &topo,
+                NetProtocol::PushPull,
+                0,
+                1,
+                c,
+                DeliveryKind::Local,
+                false,
+            )
+        };
+        assert!(
+            matches!(run(&targeted), Err(NetError::Invalid(m)) if m.contains("target_high_degree"))
+        );
+        targeted.faults.target_high_degree = 0;
+        targeted.faults.delay_epochs = 0;
+        assert!(matches!(run(&targeted), Err(NetError::Sim(_))));
     }
 
     /// Runs `plan` as a live push–pull batch from node 0, one trial at a

@@ -6,9 +6,10 @@
 
 use crate::delivery::DeliveryKind;
 use crate::error::NetError;
-use crate::fault::NetFaults;
 use crate::runtime::{NetConfig, NetExecutor, NetProtocol, NetTraffic};
-use gossip_core::scenario::{build_family, FamilySpec, LiveRunner, ScenarioError, ScenarioSpec};
+use gossip_core::scenario::{
+    build_family, FamilySpec, FaultSpec, LiveRunner, ScenarioError, ScenarioSpec,
+};
 use gossip_graph::{NodeId, NodeSet, Topology};
 use gossip_sim::{RunPlan, RunReport};
 use gossip_stats::SimRng;
@@ -82,17 +83,20 @@ pub struct NetTotals {
 }
 
 impl<'s> NetSweep<'s> {
-    /// Validates `spec` for live execution (structural checks plus
-    /// [`ScenarioSpec::validate_net`] — a spec without a `[net]` table
-    /// runs on all defaults) and compiles its `[net]` and `[faults]`
-    /// tables into a [`NetConfig`].
+    /// Validates `spec` for live execution ([`ScenarioSpec::validate`]
+    /// with its `[net]` table, all defaults when it has none) and compiles
+    /// its `[net]` and `[faults]` tables into a [`NetConfig`].
     ///
     /// # Errors
     ///
     /// Any validation error, as [`NetError::Scenario`].
     pub fn new(spec: &'s ScenarioSpec) -> Result<Self, NetError> {
-        spec.validate()?;
-        spec.validate_net()?;
+        // Validate as the live spec it runs as: with a `[net]` table.
+        ScenarioSpec {
+            net: Some(spec.net.clone().unwrap_or_default()),
+            ..spec.clone()
+        }
+        .validate()?;
         let proto = NetProtocol::from_kind(&spec.protocol.kind)
             .expect("validate_net admits live protocols only");
         let net = spec.net.clone().unwrap_or_default();
@@ -105,7 +109,7 @@ impl<'s> NetSweep<'s> {
             faults: spec
                 .faults
                 .as_ref()
-                .map(NetFaults::from_spec)
+                .map(FaultSpec::to_model)
                 .unwrap_or_default(),
             exchange_timeout: net.exchange_timeout_or_default(),
             exchange_retries: net.exchange_retries_or_default(),

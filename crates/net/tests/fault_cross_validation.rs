@@ -1,15 +1,20 @@
-//! Live runtime vs analytic event engine **under matched fault
-//! models**, plus the determinism contract for every live fault kind.
+//! Live runtime vs analytic event engine **under one fault model**, plus
+//! the determinism contract for every live fault kind.
 //!
-//! The two stacks draw their fault coins differently — the engine from a
-//! sequential per-trial fault stream, the live runtime from keyed
-//! per-`(node, window)` / per-`(src, seq)` hashes — so the contract
-//! between them is *distributional* (KS, α = 0.01), exactly the contract
-//! the scalar and vectorized analytic paths share. Within the live
-//! stack, the contract is stricter: bit-identical results across group
-//! counts {1, 2, 3} and transports {local, udp} for every fault kind
-//! (crash/recovery, schedule, partition, delay, duplication), which is
-//! the acceptance criterion of the churn-tolerant runtime.
+//! Both stacks run the same `gossip_sim::FaultModel` with the same keyed
+//! `Liveness` machine: for a given fault seed and trial seed every node
+//! is up or down in the same windows in both, which
+//! `both_stacks_see_the_same_liveness` checks node by node. What still
+//! differs is the contact process (the engine's sequential event sampler
+//! against per-node keyed activation chains) and the drop coin (the
+//! engine's sequential fault stream against a keyed per-envelope coin), so
+//! the spread-time contract between them is *distributional* (KS, α =
+//! 0.01), exactly the contract the scalar and vectorized analytic paths
+//! share. Within the live stack, the contract is stricter: bit-identical
+//! results across group counts {1, 2, 3} and transports {local, udp} for
+//! every fault kind (crash/recovery, schedule, partition, delay,
+//! duplication), which is the acceptance criterion of the churn-tolerant
+//! runtime.
 //!
 //! Protocol note: under drop faults the live push–pull *pull* costs two
 //! envelopes (request + reply), each dropped independently — a (1 − q)²
@@ -20,10 +25,10 @@
 
 use gossip_dynamics::StaticNetwork;
 use gossip_graph::Topology;
-use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetFaults, NetProtocol, NetTraffic};
+use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetTraffic, Router};
 use gossip_sim::{
-    AnyProtocol, AsyncPush, CutRateAsync, Engine, FaultModel, RunConfig, RunPlan, RunReport,
-    TrialOutcome,
+    AnyProtocol, AsyncPush, CutRateAsync, Engine, FaultModel, Liveness, RunConfig, RunPlan,
+    RunReport, SimError, TrialObserver, TrialOutcome, TrialRecord,
 };
 use gossip_stats::ks;
 use std::sync::Mutex;
@@ -53,7 +58,7 @@ fn live_batch(
 fn live_report(
     topo: &Topology,
     proto: NetProtocol,
-    faults: NetFaults,
+    faults: FaultModel,
     seed: u64,
     trials: usize,
 ) -> (RunReport, NetTraffic) {
@@ -100,19 +105,13 @@ fn assert_ks(live: &[f64], engine: &[f64], label: &str) {
 #[test]
 fn crash_recovery_matches_event_engine_on_complete() {
     let topo = Topology::complete(64).unwrap();
-    let faults = NetFaults {
-        crash_rate: 0.1,
-        recovery_rate: 0.5,
-        seed: 23,
-        ..NetFaults::default()
-    };
     let model = FaultModel {
         crash_rate: 0.1,
         recovery_rate: 0.5,
         seed: 23,
         ..FaultModel::default()
     };
-    let (live, _) = live_report(&topo, NetProtocol::PushPull, faults, 101, TRIALS);
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, model.clone(), 101, TRIALS);
     assert_eq!(live.completed(), TRIALS, "recovery keeps every trial alive");
     let engine = engine_report(
         &topo,
@@ -132,19 +131,13 @@ fn crash_recovery_matches_event_engine_on_complete() {
 #[test]
 fn crash_recovery_matches_event_engine_on_gnp() {
     let topo = Topology::gnp(96, 0.15, 424_242).unwrap();
-    let faults = NetFaults {
-        crash_rate: 0.08,
-        recovery_rate: 0.6,
-        seed: 31,
-        ..NetFaults::default()
-    };
     let model = FaultModel {
         crash_rate: 0.08,
         recovery_rate: 0.6,
         seed: 31,
         ..FaultModel::default()
     };
-    let (live, _) = live_report(&topo, NetProtocol::PushPull, faults, 103, TRIALS);
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, model.clone(), 103, TRIALS);
     assert_eq!(live.completed(), TRIALS);
     let engine = engine_report(
         &topo,
@@ -164,17 +157,12 @@ fn crash_recovery_matches_event_engine_on_gnp() {
 #[test]
 fn drop_matches_event_engine_with_push_protocol() {
     let topo = Topology::complete(64).unwrap();
-    let faults = NetFaults {
-        drop: 0.3,
-        seed: 17,
-        ..NetFaults::default()
-    };
     let model = FaultModel {
         drop: 0.3,
         seed: 17,
         ..FaultModel::default()
     };
-    let (live, traffic) = live_report(&topo, NetProtocol::Push, faults, 105, TRIALS);
+    let (live, traffic) = live_report(&topo, NetProtocol::Push, model.clone(), 105, TRIALS);
     assert_eq!(live.completed(), TRIALS);
     assert!(traffic.dropped > 0);
     let engine = engine_report(
@@ -199,17 +187,12 @@ fn permanent_crash_death_rates_agree_with_engine() {
     // (the spread *times* of survivors are KS-compared too).
     let topo = Topology::complete(48).unwrap();
     let (crash, seed) = (0.004, 37);
-    let faults = NetFaults {
-        crash_rate: crash,
-        seed,
-        ..NetFaults::default()
-    };
     let model = FaultModel {
         crash_rate: crash,
         seed,
         ..FaultModel::default()
     };
-    let (live, _) = live_report(&topo, NetProtocol::PushPull, faults, 107, TRIALS);
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, model.clone(), 107, TRIALS);
     let engine = engine_report(
         &topo,
         || AnyProtocol::event(CutRateAsync::new()),
@@ -231,63 +214,139 @@ fn permanent_crash_death_rates_agree_with_engine() {
     );
 }
 
+/// Collects each trial's seed: the value both stacks hand to the fault
+/// layer.
+struct Seeds(Vec<u64>);
+
+impl TrialObserver for Seeds {
+    fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
+        self.0.push(r.seed);
+        Ok(())
+    }
+}
+
+/// One liveness machine in both stacks: for the same model and trial
+/// seed, the analytic `FaultState`'s down set after `begin_window(t)` is
+/// the live machines' state at window `t`, for every node and window and
+/// however the live nodes are split into groups.
+#[test]
+fn both_stacks_see_the_same_liveness() {
+    let n = 24;
+    let topo = Topology::complete(n).unwrap();
+    let regimes = [
+        FaultModel {
+            crash_rate: 0.3,
+            recovery_rate: 0.4,
+            schedule: vec![(2, 5)],
+            seed: 9,
+            ..FaultModel::default()
+        },
+        FaultModel {
+            downtime: 0.3,
+            ..FaultModel::default()
+        },
+    ];
+    let mut seeds = Seeds(Vec::new());
+    let analytic = RunPlan::new(8, 77)
+        .faults(regimes[1].clone())
+        .observer(&mut seeds)
+        .execute(
+            || StaticNetwork::from_topology(topo.clone()),
+            || AnyProtocol::event(CutRateAsync::new()),
+        )
+        .unwrap();
+    assert_eq!(seeds.0.len(), 8);
+    for model in &regimes {
+        for &seed in &seeds.0 {
+            for groups in 1..=3 {
+                let router = Router::new(n, groups);
+                let mut state = model.state_for_trial(n, seed);
+                let mut live: Vec<Liveness> = (0..router.groups())
+                    .map(|g| Liveness::new(model, seed, router.range(g)))
+                    .collect();
+                let mut downs = 0;
+                for t in 0..40 {
+                    state.begin_window(&topo, t);
+                    for v in 0..n as u32 {
+                        let g = router.group_of(v);
+                        let li = (v - router.range(g).start) as usize;
+                        let up = live[g].advance(li, t);
+                        assert_eq!(
+                            state.is_down(v),
+                            !up,
+                            "{model:?}: seed {seed}, {groups} groups, node {v}, window {t}"
+                        );
+                        downs += usize::from(!up);
+                    }
+                }
+                assert!(downs > 0, "{model:?}: some node must go down");
+            }
+        }
+    }
+    // Downtime always recovers: a downtime trial never ends Died, in
+    // either stack.
+    assert_eq!((analytic.completed(), analytic.died()), (8, 0));
+    let (live, _) = live_report(&topo, NetProtocol::PushPull, regimes[1].clone(), 77, 8);
+    assert_eq!((live.completed(), live.died()), (8, 0));
+}
+
 /// Every live fault kind, bit-identical across {1, 2, 3} groups ×
 /// {local, udp} — the acceptance criterion of the churn-tolerant
 /// runtime.
 #[test]
 fn every_fault_kind_is_bit_identical_across_groups_and_transports() {
     let topo = Topology::gnp(48, 0.25, 77).unwrap();
-    let kinds: [(&str, NetFaults); 6] = [
+    let kinds: [(&str, FaultModel); 6] = [
         (
             "drop",
-            NetFaults {
+            FaultModel {
                 drop: 0.2,
                 seed: 3,
-                ..NetFaults::default()
+                ..FaultModel::default()
             },
         ),
         (
             "crash+recovery",
-            NetFaults {
+            FaultModel {
                 crash_rate: 0.2,
                 recovery_rate: 1.0,
                 seed: 3,
-                ..NetFaults::default()
+                ..FaultModel::default()
             },
         ),
         (
             "schedule",
-            NetFaults {
+            FaultModel {
                 schedule: vec![(1, 5), (2, 11), (4, 0)],
                 recovery_rate: 0.8,
                 crash_rate: 1e-9,
                 seed: 3,
-                ..NetFaults::default()
+                ..FaultModel::default()
             },
         ),
         (
             "partition",
-            NetFaults {
+            FaultModel {
                 partition_rate: 0.4,
                 seed: 3,
-                ..NetFaults::default()
+                ..FaultModel::default()
             },
         ),
         (
             "delay",
-            NetFaults {
+            FaultModel {
                 delay: 0.3,
                 delay_epochs: 3,
                 seed: 3,
-                ..NetFaults::default()
+                ..FaultModel::default()
             },
         ),
         (
             "duplicate",
-            NetFaults {
+            FaultModel {
                 duplicate: 0.25,
                 seed: 3,
-                ..NetFaults::default()
+                ..FaultModel::default()
             },
         ),
     ];
@@ -359,17 +418,17 @@ fn chaos_faults_slow_but_do_not_kill_spreading() {
     // Partition/delay/duplication perturb delivery without killing nodes:
     // every trial still spreads, and delay pushes spread times up.
     let topo = Topology::complete(32).unwrap();
-    let (clean, _) = live_report(&topo, NetProtocol::PushPull, NetFaults::default(), 9, 40);
+    let (clean, _) = live_report(&topo, NetProtocol::PushPull, FaultModel::default(), 9, 40);
     let (chaotic, chaos_traffic) = live_report(
         &topo,
         NetProtocol::PushPull,
-        NetFaults {
+        FaultModel {
             partition_rate: 0.3,
             delay: 0.4,
             delay_epochs: 4,
             duplicate: 0.2,
             seed: 5,
-            ..NetFaults::default()
+            ..FaultModel::default()
         },
         9,
         40,
@@ -391,10 +450,10 @@ fn scheduled_crash_is_honored_and_dies_without_recovery() {
     // finish (spread on complete(16) takes ~log n ≈ 2.8 time units), and
     // every trial must end Died — on every transport.
     let topo = Topology::complete(16).unwrap();
-    let faults = NetFaults {
+    let faults = FaultModel {
         schedule: (0..16).map(|v| (2, v)).collect(),
         seed: 1,
-        ..NetFaults::default()
+        ..FaultModel::default()
     };
     for kind in [DeliveryKind::Local, DeliveryKind::Udp] {
         let mut cfg = NetConfig {

@@ -65,10 +65,12 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
     /// Attaches a fault model. An *active* model (see
     /// [`FaultModel::is_active`]) requires a protocol that reports
     /// [`IncrementalProtocol::supports_faults`]; otherwise `run` fails
-    /// with [`SimError::FaultsUnsupported`]. Fault randomness is drawn
-    /// from a dedicated stream seeded by `(model.seed, trial seed)`, so
-    /// the trial stream — and every fault-free outcome — is bit-identical
-    /// to a run without the model.
+    /// with [`SimError::FaultsUnsupported`]. Active delivery chaos fails
+    /// with [`SimError::InvalidFaultParam`]: the analytic engines have no
+    /// envelopes to perturb.
+    /// Fault coins derive from `(model.seed, trial seed)` and are never
+    /// drawn from the trial stream, so every fault-free outcome is
+    /// bit-identical to a run without the model.
     pub fn with_faults(mut self, faults: FaultModel) -> Self {
         self.faults = Some(faults);
         self
@@ -147,7 +149,7 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
             return Err(SimError::InvalidTimeLimit(self.config.max_time));
         }
         if let Some(m) = &self.faults {
-            m.validate()?;
+            m.validate_analytic()?;
             if m.is_active() && !self.protocol.supports_faults() {
                 return Err(SimError::FaultsUnsupported {
                     protocol: self.protocol.name(),
@@ -177,8 +179,8 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
         // protocol's drive_window keep pre-drawn randomness and auxiliary
         // state alive across window boundaries.
         let static_net = net.is_static();
-        // Fault state lives on a dedicated RNG stream keyed by the trial
-        // seed, so activating a model never perturbs the trial stream.
+        // Fault coins are keyed by the trial seed, so activating a model
+        // never perturbs the trial stream.
         let mut fault_state = self
             .faults
             .as_ref()
@@ -203,7 +205,6 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
                 (Some(d), _) => self.protocol.apply_delta(g, d, &informed, ws),
                 (None, _) => self.protocol.rebuild(g, &informed, ws),
             }
-            self.protocol.on_window(g, t, &informed, rng);
             if let Some(fs) = fault_state.as_mut() {
                 // Crash/recovery coins for the window, then the liveness
                 // check: with no recovery, an all-down informed set can
@@ -280,7 +281,7 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AsyncPushPull, CutRateAsync, LossyAsync, Simulation, TwoPush};
+    use crate::{AsyncPushPull, CutRateAsync, Simulation, TwoPush};
     use gossip_dynamics::{DynamicStar, EdgeMarkovian, SequenceNetwork, StaticNetwork};
     use gossip_graph::generators;
     use gossip_stats::ks;
@@ -440,22 +441,26 @@ mod tests {
 
     #[test]
     fn lossy_downtime_redrawn_per_window() {
-        let mut net = StaticNetwork::new(generators::cycle(12).unwrap());
-        let base = SimRng::seed_from_u64(70);
-        let mut completed = 0;
-        for i in 0..40 {
-            let mut rng = base.derive(i);
-            let o = EventSimulation::new(
-                LossyAsync::with_downtime(0.1, 0.5).unwrap(),
-                RunConfig::with_max_time(500.0),
+        // `lossy`'s regime on the fault layer: 10% loss, every node down
+        // for a whole window with probability 0.5, redrawn every window.
+        let faults = FaultModel {
+            drop: 0.1,
+            downtime: 0.5,
+            ..FaultModel::default()
+        };
+        let report = crate::RunPlan::new(40, 70)
+            .config(RunConfig::with_max_time(500.0))
+            .faults(faults)
+            .execute(
+                || StaticNetwork::new(generators::cycle(12).unwrap()),
+                || crate::AnyProtocol::event(CutRateAsync::new()),
             )
-            .run(&mut net, 0, &mut rng)
             .unwrap();
-            if o.complete() {
-                completed += 1;
-            }
-        }
-        assert!(completed >= 38, "only {completed}/40 completed");
+        assert!(
+            report.completed() >= 38,
+            "only {}/40 completed",
+            report.completed()
+        );
     }
 
     #[test]

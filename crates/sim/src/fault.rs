@@ -1,38 +1,48 @@
-//! Seed-deterministic fault injection: message drops and node crashes.
+//! Seed-deterministic fault injection: one fault model and one liveness
+//! machine for every engine.
 //!
-//! A [`FaultModel`] describes the failure regime of a run — a per-message
-//! drop probability (Doerr–Kostrygin style transmission failures), seeded
-//! Poisson crash/recovery clocks, an explicit `(window, node)` crash
-//! schedule, and an adversarial rule that crashes the highest-degree
-//! still-up nodes each window. Per trial the model compiles into a
-//! [`FaultState`] that the event engine consults.
+//! A [`FaultModel`] is the failure regime of a run: a per-message drop
+//! probability (Doerr–Kostrygin style transmission failures); node
+//! liveness — seeded Poisson crash/recovery clocks or per-window
+//! `downtime`, an explicit `(window, node)` crash schedule, and adversarial
+//! targeting of the highest-degree up nodes; and the delivery chaos
+//! (partitions, delays, duplicates) only the live `gossip-net` runtime can
+//! enact. Per trial it compiles into a [`FaultState`] for the event
+//! engine; the live runtime keeps one [`Liveness`] per node group.
+//!
+//! # The liveness state machine
+//!
+//! Each node is up or down, advanced over unit-time windows
+//! (`P(transition in a window) = 1 − e^{−rate}`). At window `w` a down
+//! node flips a recovery coin, an up node a crash coin, then every
+//! schedule entry due at `w` applies. `downtime = d` is the same chain
+//! with crash probability `d` and recovery probability 1, so it excludes
+//! the other liveness fields. Every coin is a pure function of `(fault
+//! seed, trial seed, node, window)` ([`keyed_coin`]), so the analytic
+//! engine, which advances every node once per window, and the live
+//! runtime, which advances each node lazily in whichever group owns it,
+//! see the same up/down state for the same `(model, trial seed)`.
 //!
 //! # Exact thinning, not rate surgery
 //!
 //! Crashed nodes are *rate-zero*: a down node neither initiates contacts
-//! nor responds to them, so no rumor crosses an edge with a down endpoint.
-//! Rather than rewriting each protocol's rate structure, the fault layer
-//! uses exact Poisson thinning: proposal rates stay what they were in the
-//! fault-free process and each proposed event is *vetoed* with the
-//! complementary probability. For the cut-rate sampler a proposed
-//! infection of `v` survives with probability `(1 − drop) · r'_v / r_v`,
-//! where `r'_v` keeps only the `(1/d_u + 1/d_v)` terms of *up* informed
-//! neighbors `u` (and is zero when `v` itself is down); for the rate-`n`
-//! naive protocols the veto happens at contact level (down caller, down
-//! callee, or a dropped message each void the tick). Both reductions leave
-//! the accepted-event process with exactly the faulty rates, so the two
+//! nor responds to them. Proposal rates stay those of the fault-free
+//! process and each proposed event is *vetoed* with the complementary
+//! probability. For the cut-rate sampler a proposed infection of `v`
+//! survives with probability `(1 − drop) · r'_v / r_v`, where `r'_v` keeps
+//! only the `(1/d_u + 1/d_v)` terms of *up* informed neighbors `u` (zero
+//! when `v` is down); the rate-`n` naive protocols veto at contact level.
+//! Both leave the accepted events with exactly the faulty rates, so the
 //! engines and the scalar/vectorized paths stay KS-equivalent under
 //! faults.
 //!
-//! Fault randomness comes from a **dedicated stream**
-//! (`SimRng::seed_from_u64(model.seed).derive(trial_seed)`), never from
-//! the trial RNG: enabling a fault model with `drop = 0` and no crashes
-//! leaves every fault-free trial bit-identical, and fault draws are
-//! deterministic by `(spec, seed)` for each engine/path (scalar and
-//! vectorized consume the stream in different orders; distributional
-//! equality is the contract, as for the fault-free lanes).
+//! The analytic drop and ratio coins come from a dedicated sequential
+//! stream (`SimRng::seed_from_u64(model.seed).derive(trial_seed)`); the
+//! live drop coin is keyed per envelope. No fault coin touches the trial
+//! RNG, so a model with nothing active leaves every trial bit-identical.
 
 use std::fmt;
+use std::ops::Range;
 
 use gossip_graph::{NodeId, NodeSet, Topology};
 use gossip_stats::SimRng;
@@ -139,13 +149,44 @@ impl fmt::Display for TrialError {
     }
 }
 
-/// A validated, seedable fault regime, shared by every trial of a run.
+/// Domain-separation salt of the liveness coins. Delivery chaos salts the
+/// same per-trial key with its own constants; the drop coin uses it
+/// unsalted.
+const LIVENESS_SALT: u64 = 0x4C49_5645_4E45_5353; // "LIVENESS"
+
+/// The 64-bit SplitMix finalizer: the hash behind every keyed fault coin.
+/// Statistically independent outputs for distinct inputs, and a pure
+/// function — the property that keeps fault verdicts independent of which
+/// engine, group or transport evaluates them.
+pub fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One keyed fault coin: `true` with probability `p`, a pure function of
+/// `(key, x, p)` (no draw at all when `p` is 0 or 1).
+pub fn keyed_coin(key: u64, x: u64, p: f64) -> bool {
+    if p <= 0.0 {
+        return false;
+    }
+    if p >= 1.0 {
+        return true;
+    }
+    SimRng::seed_from_u64(splitmix(key ^ x)).chance(p)
+}
+
+/// A validated, seedable fault regime, shared by every trial of a run and
+/// by both stacks.
 ///
 /// All fields default to the fault-free regime ([`FaultModel::default`]
 /// is inactive). Crash/recovery clocks are Poisson with the given rates
 /// per unit time, discretized per unit window
 /// (`P(crash in a window) = 1 − e^{−crash_rate}`), so they compose with
-/// dynamic-topology windows without extra bookkeeping.
+/// dynamic-topology windows without extra bookkeeping. The analytic
+/// engines reject active delivery chaos; the live runtime rejects
+/// `target_high_degree`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     /// Per-message drop probability in `[0, 1]` (`1.0` kills every
@@ -156,8 +197,13 @@ pub struct FaultModel {
     /// Poisson rate at which each down node recovers (per unit time,
     /// `≥ 0`; `0` makes every crash permanent).
     pub recovery_rate: f64,
-    /// Seed of the dedicated fault stream; trial `i` uses
-    /// `SimRng::seed_from_u64(seed).derive(trial_seed_i)`.
+    /// Probability in `[0, 1)` that a node is down for a whole window,
+    /// independently per node and window. Excludes `crash_rate`,
+    /// `recovery_rate`, `schedule` and `target_high_degree`.
+    pub downtime: f64,
+    /// Seed of the fault coins: trial `i`'s sequential stream is
+    /// `SimRng::seed_from_u64(seed).derive(trial_seed_i)`, its keyed coins
+    /// hash [`FaultModel::trial_key`].
     pub seed: u64,
     /// Explicit `(window, node)` crash schedule, applied when the window
     /// clock reaches each entry (out-of-range nodes are ignored at run
@@ -165,7 +211,21 @@ pub struct FaultModel {
     pub schedule: Vec<(u64, NodeId)>,
     /// Adversarial targeting: crash the `k` highest-degree still-up nodes
     /// at the start of every window (ties broken by ascending node id).
+    /// Analytic engines only.
     pub target_high_degree: usize,
+    /// Live only: Poisson rate (per unit time, `≥ 0`) at which a unit
+    /// window is partitioned into two seeded halves that cannot exchange
+    /// envelopes.
+    pub partition_rate: f64,
+    /// Live only: probability in `[0, 1]` that an envelope is delayed
+    /// beyond the one-tick latency.
+    pub delay: f64,
+    /// Live only: maximum extra epochs a delayed envelope waits (uniform
+    /// in `1..=delay_epochs`; `≥ 1`).
+    pub delay_epochs: u64,
+    /// Live only: probability in `[0, 1]` that an envelope is delivered
+    /// twice.
+    pub duplicate: f64,
 }
 
 impl Default for FaultModel {
@@ -174,50 +234,151 @@ impl Default for FaultModel {
             drop: 0.0,
             crash_rate: 0.0,
             recovery_rate: 0.0,
+            downtime: 0.0,
             seed: 0,
             schedule: Vec::new(),
             target_high_degree: 0,
+            partition_rate: 0.0,
+            delay: 0.0,
+            delay_epochs: 1,
+            duplicate: 0.0,
         }
     }
 }
 
 impl FaultModel {
     /// Whether this model can perturb a run at all. Inactive models are
-    /// treated as absent everywhere (no fault stream is even created).
+    /// treated as absent everywhere (no fault state is even created).
     pub fn is_active(&self) -> bool {
-        self.drop > 0.0
-            || self.crash_rate > 0.0
+        self.drop > 0.0 || self.crash_active() || self.chaos_active()
+    }
+
+    /// Whether the liveness machine has anything to do: crashes, downtime,
+    /// a schedule or degree targeting.
+    pub fn crash_active(&self) -> bool {
+        self.crash_rate > 0.0
+            || self.downtime > 0.0
             || !self.schedule.is_empty()
             || self.target_high_degree > 0
     }
 
-    /// Validates the numeric parameters.
+    /// Whether a trial can end in [`TrialOutcome::Died`]: nodes go down
+    /// and the machine never brings them back, so "every informed node
+    /// down" is final.
+    pub fn can_die(&self) -> bool {
+        self.crash_active() && self.recover_p() <= 0.0
+    }
+
+    /// Whether any delivery-chaos field (partition, delay, duplicate) is
+    /// active.
+    pub fn chaos_active(&self) -> bool {
+        self.partition_rate > 0.0 || self.delay > 0.0 || self.duplicate > 0.0
+    }
+
+    /// Validates every parameter: the one range check per field, and the
+    /// regime clash of `downtime` with the crash chain.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidFaultParam`] when `drop` is outside `[0, 1]` or
-    /// a rate is negative / non-finite.
+    /// [`SimError::InvalidFaultParam`] naming the first offending field.
     pub fn validate(&self) -> Result<(), SimError> {
-        if !(0.0..=1.0).contains(&self.drop) {
-            return Err(SimError::InvalidFaultParam {
-                name: "drop",
-                value: self.drop,
-                constraint: "within [0, 1]",
-            });
+        let invalid = |name, value, constraint| {
+            Err(SimError::InvalidFaultParam {
+                name,
+                value,
+                constraint,
+            })
+        };
+        for (name, p) in [
+            ("drop", self.drop),
+            ("delay", self.delay),
+            ("duplicate", self.duplicate),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return invalid(name, p, "within [0, 1]");
+            }
         }
-        for (name, value) in [
+        if !(0.0..1.0).contains(&self.downtime) {
+            return invalid("downtime", self.downtime, "within [0, 1)");
+        }
+        for (name, rate) in [
             ("crash_rate", self.crash_rate),
             ("recovery_rate", self.recovery_rate),
+            ("partition_rate", self.partition_rate),
         ] {
-            if !value.is_finite() || value < 0.0 {
+            if !rate.is_finite() || rate < 0.0 {
+                return invalid(name, rate, "a finite non-negative rate");
+            }
+        }
+        if self.delay_epochs == 0 {
+            return invalid("delay_epochs", 0.0, "at least 1");
+        }
+        if self.downtime > 0.0 {
+            // One liveness chain per trial: downtime is that chain with
+            // crash probability `downtime` and recovery probability 1.
+            for (clash, constraint) in [
+                (self.crash_rate > 0.0, "0 when crash_rate is set"),
+                (self.recovery_rate > 0.0, "0 when recovery_rate is set"),
+                (!self.schedule.is_empty(), "0 when a schedule is set"),
+                (
+                    self.target_high_degree > 0,
+                    "0 when target_high_degree is set",
+                ),
+            ] {
+                if clash {
+                    return invalid("downtime", self.downtime, constraint);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`FaultModel::validate`] plus the analytic engines' limit: they have
+    /// no envelopes, so active delivery chaos is rejected, not ignored.
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultModel::validate`].
+    pub(crate) fn validate_analytic(&self) -> Result<(), SimError> {
+        self.validate()?;
+        for (name, value) in [
+            ("partition_rate", self.partition_rate),
+            ("delay", self.delay),
+            ("duplicate", self.duplicate),
+        ] {
+            if value > 0.0 {
                 return Err(SimError::InvalidFaultParam {
                     name,
                     value,
-                    constraint: "a finite non-negative rate",
+                    constraint: "0 outside the live runtime (delivery chaos needs envelopes)",
                 });
             }
         }
         Ok(())
+    }
+
+    /// The per-window crash probability of an up node.
+    fn crash_p(&self) -> f64 {
+        if self.downtime > 0.0 {
+            self.downtime
+        } else {
+            1.0 - (-self.crash_rate).exp()
+        }
+    }
+
+    /// The per-window recovery probability of a down node.
+    fn recover_p(&self) -> f64 {
+        if self.downtime > 0.0 {
+            1.0
+        } else {
+            1.0 - (-self.recovery_rate).exp()
+        }
+    }
+
+    /// The per-trial key every keyed coin derives from:
+    /// `splitmix(splitmix(seed) ^ trial_seed)`, salted per feature.
+    pub fn trial_key(&self, trial_seed: u64) -> u64 {
+        splitmix(splitmix(self.seed) ^ trial_seed)
     }
 
     /// Compiles the model into the per-trial runtime state. `trial_seed`
@@ -225,17 +386,13 @@ impl FaultModel {
     /// [`crate::TrialRecord::seed`]), so fault draws are reproducible
     /// from a record alone.
     pub fn state_for_trial(&self, n: usize, trial_seed: u64) -> FaultState {
-        let mut schedule = self.schedule.clone();
-        schedule.sort_unstable();
         FaultState {
             drop: self.drop,
-            crash_p: 1.0 - (-self.crash_rate).exp(),
-            recover_p: 1.0 - (-self.recovery_rate).exp(),
-            can_recover: self.recovery_rate > 0.0,
             target_high_degree: self.target_high_degree,
-            schedule,
-            sched_idx: 0,
             rng: SimRng::seed_from_u64(self.seed).derive(trial_seed),
+            liveness: self
+                .crash_active()
+                .then(|| Liveness::new(self, trial_seed, 0..n as NodeId)),
             down: NodeSet::new(n),
             window: None,
             scratch: Vec::new(),
@@ -243,8 +400,118 @@ impl FaultModel {
     }
 }
 
-/// Per-trial fault runtime: the down set, the dedicated fault RNG, and
-/// the window clock driving crash/recovery coins.
+/// Per-node up/down state for a contiguous node range, advanced over
+/// unit-time windows: at window `w` a down node flips a recovery coin, an
+/// up node a crash coin, then the schedule entries due at `w` apply. Every
+/// coin is keyed by `(fault seed, trial seed, node, window)`, so the state
+/// of a node at a window is the same whatever range it is tracked in and
+/// however its advances are spaced.
+#[derive(Debug, Clone)]
+pub struct Liveness {
+    key: u64,
+    crash_p: f64,
+    recover_p: f64,
+    lo: NodeId,
+    /// Current up/down state per tracked node.
+    up: Vec<bool>,
+    /// Next window whose transitions have not been applied, per node.
+    next_win: Vec<u64>,
+    /// Scheduled crash windows per tracked node, ascending.
+    sched: Vec<Vec<u64>>,
+    /// Next unapplied schedule entry per node (indexes `sched`).
+    sched_idx: Vec<u32>,
+}
+
+impl Liveness {
+    /// The machine for the nodes of `range`, keyed by the model and the
+    /// trial seed. Every node starts up with window 0 still pending, so
+    /// window 0's coins can crash nodes before any event fires.
+    pub fn new(model: &FaultModel, trial_seed: u64, range: Range<NodeId>) -> Liveness {
+        let len = range.len();
+        let lo = range.start;
+        let mut sched: Vec<Vec<u64>> = vec![Vec::new(); len];
+        for &(w, v) in &model.schedule {
+            if v >= lo && ((v - lo) as usize) < len {
+                sched[(v - lo) as usize].push(w);
+            }
+        }
+        for s in &mut sched {
+            s.sort_unstable();
+        }
+        Liveness {
+            key: splitmix(model.trial_key(trial_seed) ^ LIVENESS_SALT),
+            crash_p: model.crash_p(),
+            recover_p: model.recover_p(),
+            lo,
+            up: vec![true; len],
+            next_win: vec![0; len],
+            sched,
+            sched_idx: vec![0; len],
+        }
+    }
+
+    /// Whether the tracked node at local index `li` is up *as last
+    /// advanced* (callers advance before acting).
+    pub fn is_up(&self, li: usize) -> bool {
+        self.up[li]
+    }
+
+    /// Whether a down node can ever come back up.
+    fn can_recover(&self) -> bool {
+        self.recover_p > 0.0
+    }
+
+    /// Advances node `li`'s machine through every window `≤ window` not
+    /// yet applied and returns whether the node is up during `window`.
+    /// Idempotent per window and monotone in `window` per node.
+    pub fn advance(&mut self, li: usize, window: u64) -> bool {
+        let mut win = self.next_win[li];
+        if win > window {
+            return self.up[li];
+        }
+        self.next_win[li] = window + 1;
+        let v = self.lo + li as NodeId;
+        let vkey = splitmix(self.key ^ u64::from(v));
+        let mut up = self.up[li];
+        let sched = &self.sched[li];
+        let mut si = self.sched_idx[li] as usize;
+        // Pure-schedule regimes (no Poisson coins) can jump windows.
+        if self.crash_p <= 0.0 && self.recover_p <= 0.0 {
+            while si < sched.len() && sched[si] <= window {
+                up = false;
+                si += 1;
+            }
+        } else {
+            while win <= window {
+                if !up {
+                    // Salt bit 0 = recovery coin, 1 = crash coin.
+                    up = keyed_coin(vkey, win << 1, self.recover_p);
+                }
+                if up && keyed_coin(vkey, (win << 1) | 1, self.crash_p) {
+                    up = false;
+                }
+                while si < sched.len() && sched[si] == win {
+                    up = false;
+                    si += 1;
+                }
+                win += 1;
+            }
+        }
+        self.sched_idx[li] = si as u32;
+        self.up[li] = up;
+        up
+    }
+
+    /// Crashes node `li` for the window it was last advanced to (degree
+    /// targeting); from the next window on the chain's coins apply.
+    fn crash(&mut self, li: usize) {
+        self.up[li] = false;
+    }
+}
+
+/// Per-trial fault runtime of the analytic engines: the [`Liveness`] of
+/// every node with its down set, and the sequential stream of the drop
+/// and cut-rate ratio coins.
 ///
 /// Engines call [`FaultState::begin_window`] once per window (idempotent)
 /// and then consult the veto methods per proposed event; see the module
@@ -252,60 +519,47 @@ impl FaultModel {
 #[derive(Debug, Clone)]
 pub struct FaultState {
     drop: f64,
-    crash_p: f64,
-    recover_p: f64,
-    can_recover: bool,
     target_high_degree: usize,
-    schedule: Vec<(u64, NodeId)>,
-    sched_idx: usize,
     rng: SimRng,
+    /// `None` when the model has no liveness work (drop only).
+    liveness: Option<Liveness>,
     down: NodeSet,
     window: Option<u64>,
     scratch: Vec<NodeId>,
 }
 
 impl FaultState {
-    /// Advances the crash/recovery process to window `t`. Idempotent per
-    /// window; draw order is fixed (recovery coins for down nodes in
-    /// ascending id, crash coins for up nodes in ascending id, scheduled
-    /// crashes, then high-degree targeting) so the state is a pure
-    /// function of `(model, trial_seed, t)`.
+    /// Advances every node's liveness to window `t` in ascending id, then
+    /// crashes the `target_high_degree` highest-degree up nodes. Idempotent
+    /// per window; the state is a pure function of `(model, trial_seed, t)`.
     pub fn begin_window(&mut self, g: &Topology, t: u64) {
         if self.window == Some(t) {
             return;
         }
         self.window = Some(t);
         let FaultState {
-            down, rng, scratch, ..
+            liveness,
+            down,
+            scratch,
+            target_high_degree,
+            ..
         } = self;
-        if self.recover_p > 0.0 && !down.is_empty() {
-            scratch.clear();
-            scratch.extend(down.iter());
-            for &v in scratch.iter() {
-                if rng.chance(self.recover_p) {
-                    down.remove(v);
-                }
-            }
-        }
-        if self.crash_p > 0.0 {
-            for v in 0..g.n() as NodeId {
-                if !down.contains(v) && rng.chance(self.crash_p) {
-                    down.insert(v);
-                }
-            }
-        }
-        while self.sched_idx < self.schedule.len() && self.schedule[self.sched_idx].0 <= t {
-            let (_, v) = self.schedule[self.sched_idx];
-            self.sched_idx += 1;
-            if (v as usize) < g.n() {
+        let Some(liveness) = liveness.as_mut() else {
+            return;
+        };
+        for v in 0..g.n() as NodeId {
+            if liveness.advance(v as usize, t) {
+                down.remove(v);
+            } else {
                 down.insert(v);
             }
         }
-        if self.target_high_degree > 0 {
+        if *target_high_degree > 0 {
             scratch.clear();
             scratch.extend((0..g.n() as NodeId).filter(|&v| !down.contains(v)));
             scratch.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-            for &v in scratch.iter().take(self.target_high_degree) {
+            for &v in scratch.iter().take(*target_high_degree) {
+                liveness.crash(v as usize);
                 down.insert(v);
             }
         }
@@ -314,11 +568,6 @@ impl FaultState {
     /// Whether node `v` is currently down.
     pub fn is_down(&self, v: NodeId) -> bool {
         self.down.contains(v)
-    }
-
-    /// Whether any node is currently down.
-    pub fn any_down(&self) -> bool {
-        !self.down.is_empty()
     }
 
     /// Draws the per-message drop coin (no draw when `drop == 0`).
@@ -368,11 +617,14 @@ impl FaultState {
         self.rng.uniform_f64() * full < live
     }
 
-    /// Whether the rumor provably cannot spread further: recovery is
-    /// impossible and every informed node is down. Checked by the engine
-    /// at window boundaries to report [`TrialOutcome::Died`].
+    /// Whether the rumor provably cannot spread further: the liveness
+    /// machine never brings a node back and every informed node is down.
+    /// Checked by the engine at window boundaries to report
+    /// [`TrialOutcome::Died`].
     pub fn stuck(&self, informed: &NodeSet) -> bool {
-        !self.can_recover && !informed.is_empty() && informed.iter().all(|v| self.down.contains(v))
+        self.liveness.as_ref().is_some_and(|l| !l.can_recover())
+            && !informed.is_empty()
+            && informed.iter().all(|v| self.down.contains(v))
     }
 }
 
@@ -383,6 +635,33 @@ mod tests {
 
     fn topo(g: &gossip_graph::Graph) -> Topology {
         Topology::from(g.clone())
+    }
+
+    /// Async push–pull on `g` under `model` through [`crate::RunPlan`].
+    fn run_faulty(
+        g: &gossip_graph::Graph,
+        model: FaultModel,
+        trials: usize,
+        seed: u64,
+        max_time: f64,
+    ) -> crate::RunReport {
+        crate::RunPlan::new(trials, seed)
+            .config(crate::RunConfig::with_max_time(max_time))
+            .faults(model)
+            .execute(
+                || gossip_dynamics::StaticNetwork::new(g.clone()),
+                || crate::AnyProtocol::event(crate::CutRateAsync::new()),
+            )
+            .unwrap()
+    }
+
+    fn recovering() -> FaultModel {
+        FaultModel {
+            crash_rate: 0.3,
+            recovery_rate: 0.4,
+            seed: 9,
+            ..FaultModel::default()
+        }
     }
 
     #[test]
@@ -413,30 +692,140 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_params() {
-        let bad_drop = FaultModel {
-            drop: 1.5,
-            ..FaultModel::default()
+        let rejects = |m: FaultModel, field: &str| {
+            assert!(
+                matches!(m.validate(), Err(SimError::InvalidFaultParam { name, .. }) if name == field),
+                "{field}: {:?}",
+                m.validate()
+            );
         };
+        let d = FaultModel::default;
+        rejects(FaultModel { drop: 1.5, ..d() }, "drop");
+        rejects(
+            FaultModel {
+                crash_rate: -0.1,
+                ..d()
+            },
+            "crash_rate",
+        );
+        rejects(
+            FaultModel {
+                recovery_rate: f64::NAN,
+                ..d()
+            },
+            "recovery_rate",
+        );
+        rejects(
+            FaultModel {
+                downtime: 1.0,
+                ..d()
+            },
+            "downtime",
+        );
+        rejects(
+            FaultModel {
+                downtime: -0.1,
+                ..d()
+            },
+            "downtime",
+        );
+        rejects(
+            FaultModel {
+                partition_rate: -1.0,
+                ..d()
+            },
+            "partition_rate",
+        );
+        rejects(FaultModel { delay: 1.5, ..d() }, "delay");
+        rejects(
+            FaultModel {
+                duplicate: -0.5,
+                ..d()
+            },
+            "duplicate",
+        );
+        rejects(
+            FaultModel {
+                delay_epochs: 0,
+                ..d()
+            },
+            "delay_epochs",
+        );
+        // One liveness chain per trial: downtime names each clash.
+        for (clash, what) in [
+            (
+                FaultModel {
+                    crash_rate: 0.1,
+                    ..d()
+                },
+                "crash_rate",
+            ),
+            (
+                FaultModel {
+                    recovery_rate: 0.1,
+                    ..d()
+                },
+                "recovery_rate",
+            ),
+            (
+                FaultModel {
+                    schedule: vec![(1, 0)],
+                    ..d()
+                },
+                "schedule",
+            ),
+            (
+                FaultModel {
+                    target_high_degree: 1,
+                    ..d()
+                },
+                "target_high_degree",
+            ),
+        ] {
+            let m = FaultModel {
+                downtime: 0.2,
+                ..clash
+            };
+            let err = m.validate().unwrap_err().to_string();
+            assert!(err.contains("downtime") && err.contains(what), "{err}");
+        }
+        FaultModel {
+            downtime: 0.2,
+            drop: 0.3,
+            ..d()
+        }
+        .validate()
+        .unwrap();
+        // The analytic engines refuse delivery chaos instead of ignoring it.
+        let chaos = FaultModel { delay: 0.2, ..d() };
+        chaos.validate().unwrap();
         assert!(matches!(
-            bad_drop.validate(),
-            Err(SimError::InvalidFaultParam { name: "drop", .. })
+            chaos.validate_analytic(),
+            Err(SimError::InvalidFaultParam { name: "delay", .. })
         ));
-        let bad_rate = FaultModel {
-            crash_rate: -0.1,
-            ..FaultModel::default()
+    }
+
+    #[test]
+    fn activity_and_death_follow_the_machine() {
+        let d = FaultModel::default;
+        let chaos = FaultModel {
+            partition_rate: 0.2,
+            ..d()
         };
-        assert!(matches!(
-            bad_rate.validate(),
-            Err(SimError::InvalidFaultParam {
-                name: "crash_rate",
-                ..
-            })
-        ));
-        let bad_recovery = FaultModel {
-            recovery_rate: f64::NAN,
-            ..FaultModel::default()
+        assert!(chaos.is_active() && chaos.chaos_active() && !chaos.crash_active());
+        let crash = FaultModel {
+            crash_rate: 0.1,
+            ..d()
         };
-        assert!(bad_recovery.validate().is_err());
+        assert!(crash.crash_active() && crash.can_die());
+        assert!(!recovering().can_die(), "recovery makes death non-final");
+        // Downtime is the chain with recovery probability 1: never final.
+        let downtime = FaultModel {
+            downtime: 0.3,
+            ..d()
+        };
+        assert!(downtime.crash_active() && !downtime.can_die());
+        assert_eq!((downtime.crash_p(), downtime.recover_p()), (0.3, 1.0));
     }
 
     #[test]
@@ -466,7 +855,172 @@ mod tests {
             a.begin_window(&topo(&g), t);
             diff |= (0..16).any(|v| a.is_down(v) != c.is_down(v));
         }
-        assert!(diff, "fault stream must depend on the trial seed");
+        assert!(diff, "fault coins must depend on the trial seed");
+    }
+
+    #[test]
+    fn liveness_is_group_range_invariant() {
+        // The same node tracked in two differently-cut group ranges (and
+        // with different advance patterns) lands in the same state.
+        let f = recovering();
+        let mut whole = Liveness::new(&f, 77, 0..32);
+        let mut part = Liveness::new(&f, 77, 16..32);
+        for w in [0, 1, 2, 5, 6, 40] {
+            for v in 16u32..32 {
+                let a = whole.advance(v as usize, w);
+                let b = part.advance((v - 16) as usize, w);
+                assert_eq!(a, b, "node {v} at window {w}");
+            }
+        }
+        // And lazy staggered advances agree with eager ones.
+        let mut eager = Liveness::new(&f, 77, 0..4);
+        let mut lazy = Liveness::new(&f, 77, 0..4);
+        for w in 0..50 {
+            eager.advance(0, w);
+        }
+        lazy.advance(0, 49);
+        assert_eq!(eager.is_up(0), lazy.is_up(0));
+    }
+
+    #[test]
+    fn liveness_rates_behave() {
+        // Crash-only: monotone down, and a decent fraction crashed.
+        let f = FaultModel {
+            crash_rate: 0.2,
+            ..FaultModel::default()
+        };
+        let n = 256;
+        let mut l = Liveness::new(&f, 5, 0..n);
+        let mut prev_up = n as usize;
+        for w in 0..10 {
+            let up = (0..n as usize).filter(|&li| l.advance(li, w)).count();
+            assert!(up <= prev_up, "no recovery ⇒ up-set shrinks");
+            prev_up = up;
+        }
+        // E[up after 10 windows] = n·e^{-2} ≈ 34.6; allow wide slack.
+        assert!(prev_up < n as usize / 2 && prev_up > 0, "{prev_up}");
+        // With recovery, nodes come back somewhere.
+        let mut l = Liveness::new(&recovering(), 5, 0..64);
+        let mut recovered = false;
+        let mut down_seen = [false; 64];
+        for w in 0..60 {
+            for (li, seen) in down_seen.iter_mut().enumerate() {
+                let up = l.advance(li, w);
+                if !up {
+                    *seen = true;
+                } else if *seen {
+                    recovered = true;
+                }
+            }
+        }
+        assert!(recovered, "recovery coins must revive some node");
+    }
+
+    #[test]
+    fn downtime_is_redrawn_every_window() {
+        let f = FaultModel {
+            downtime: 0.4,
+            ..FaultModel::default()
+        };
+        let mut l = Liveness::new(&f, 3, 0..200);
+        let mut down = 0usize;
+        let mut flips = 0usize;
+        let mut prev = [true; 200];
+        for w in 0..50 {
+            for (li, was) in prev.iter_mut().enumerate() {
+                let up = l.advance(li, w);
+                down += usize::from(!up);
+                flips += usize::from(up != *was);
+                *was = up;
+            }
+        }
+        // 10 000 node-windows at 0.4: mean 4000, sd ≈ 49.
+        assert!((3_700..4_300).contains(&down), "{down}");
+        // Independent per window: a node changes state with probability
+        // 2·0.4·0.6 = 0.48 between consecutive windows.
+        assert!(flips > 4_000, "{flips}");
+    }
+
+    #[test]
+    fn heavy_drop_still_completes() {
+        let g = generators::complete(24).unwrap();
+        let drop = FaultModel {
+            drop: 0.9,
+            ..FaultModel::default()
+        };
+        let report = run_faulty(&g, drop, 50, 46, 1e4);
+        assert_eq!(report.completed(), 50);
+        assert!(report.mean().is_finite() && report.mean() > 0.0);
+    }
+
+    #[test]
+    fn downtime_is_redrawn_per_window_and_completes() {
+        // 60% downtime stalls the cycle in most windows, but the down set
+        // is redrawn every window, so over a long horizon it completes.
+        let g = generators::cycle(12).unwrap();
+        let downtime = FaultModel {
+            downtime: 0.6,
+            ..FaultModel::default()
+        };
+        let report = run_faulty(&g, downtime, 50, 47, 500.0);
+        assert!(
+            report.completed() >= 48,
+            "only {}/50 completed under 60% downtime",
+            report.completed()
+        );
+        assert_eq!(report.died(), 0, "downtime never ends Died");
+    }
+
+    #[test]
+    fn downtime_costs_more_than_the_equivalent_drop() {
+        // Downtime d removes a node from *both* sides of every contact for
+        // a whole window: strictly worse than dropping each contact with
+        // the same marginal probability 1 − (1 − d)² that an endpoint is
+        // down.
+        let g = generators::complete(24).unwrap();
+        let d: f64 = 0.4;
+        let downtime = FaultModel {
+            downtime: d,
+            ..FaultModel::default()
+        };
+        let drop = FaultModel {
+            drop: 1.0 - (1.0 - d) * (1.0 - d),
+            ..FaultModel::default()
+        };
+        let with_down = run_faulty(&g, downtime, 500, 44, 1e4).mean();
+        let with_drop = run_faulty(&g, drop, 500, 45, 1e4).mean();
+        assert!(
+            with_down > with_drop,
+            "correlated downtime ({with_down}) should cost more than i.i.d. drop ({with_drop})"
+        );
+    }
+
+    #[test]
+    fn schedule_applies_at_its_window_even_across_jumps() {
+        let f = FaultModel {
+            schedule: vec![(3, 2), (7, 2)],
+            ..FaultModel::default()
+        };
+        let mut l = Liveness::new(&f, 1, 0..4);
+        assert!(l.advance(2, 2), "before the scheduled window");
+        assert!(!l.advance(2, 3), "crashes at window 3");
+        // A fresh tracker jumping straight past both entries is down too.
+        let mut jump = Liveness::new(&f, 1, 0..4);
+        assert!(!jump.advance(2, 50));
+        // Scheduled crash + recovery: the node can come back later.
+        let f = FaultModel {
+            schedule: vec![(0, 1)],
+            recovery_rate: 5.0,
+            crash_rate: 1e-9,
+            ..FaultModel::default()
+        };
+        let mut l = Liveness::new(&f, 1, 0..4);
+        assert!(!l.advance(1, 0));
+        let mut back = false;
+        for w in 1..30 {
+            back |= l.advance(1, w);
+        }
+        assert!(back, "recovery must eventually revive a scheduled crash");
     }
 
     #[test]
@@ -521,11 +1075,7 @@ mod tests {
         // Node 1 informed, nodes 0/2 uninformed; no faults → always accept.
         let mut informed = NodeSet::new(3);
         informed.insert(1);
-        let model = FaultModel {
-            drop: 0.0,
-            ..FaultModel::default()
-        };
-        let mut s = model.state_for_trial(3, 0);
+        let mut s = FaultModel::default().state_for_trial(3, 0);
         assert!(s.accepts_cut_event(&topo(&g), &informed, 0));
         // Down proposee is always vetoed; fully-down support likewise.
         let model = FaultModel {

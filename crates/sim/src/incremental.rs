@@ -26,8 +26,7 @@
 
 use crate::async_naive::{resolve_tick, resolve_tick_faulty, Direction};
 use crate::{
-    AsyncPull, AsyncPush, AsyncPushPull, CutRateAsync, FaultState, LossyAsync, Protocol,
-    SimWorkspace, TwoPush,
+    AsyncPull, AsyncPush, AsyncPushPull, CutRateAsync, FaultState, Protocol, SimWorkspace, TwoPush,
 };
 use gossip_dynamics::EdgeDelta;
 use gossip_graph::{NodeId, NodeSet, Topology};
@@ -88,6 +87,10 @@ impl<'a> WindowCtx<'a> {
 /// event after `Exp(event_rate)` and resolves it through
 /// [`IncrementalProtocol::resolve_event`].
 ///
+/// A protocol owns only its contact process. Per-window randomness that
+/// is not topology — node liveness, message drops — is the engine's fault
+/// layer, handed to the event loop as [`WindowCtx::faults`].
+///
 /// State-building hooks receive the engine's [`SimWorkspace`] so scratch
 /// storage (Fenwick trees, uninformed pools, delta-repair marks) can be
 /// recycled across trials instead of re-allocated; implementations may
@@ -124,12 +127,6 @@ pub trait IncrementalProtocol: Protocol {
     ) {
         let _ = delta;
         self.rebuild(g, informed, ws);
-    }
-
-    /// Hook at each unit-window boundary for state that is redrawn per
-    /// window (e.g. [`LossyAsync`] downtime). Default: nothing.
-    fn on_window(&mut self, g: &Topology, t: u64, informed: &NodeSet, rng: &mut SimRng) {
-        let _ = (g, t, informed, rng);
     }
 
     /// Total rate `λ` of the protocol's event clock in its current state;
@@ -306,10 +303,6 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for &mut T {
         (**self).apply_delta(g, delta, informed, ws)
     }
 
-    fn on_window(&mut self, g: &Topology, t: u64, informed: &NodeSet, rng: &mut SimRng) {
-        (**self).on_window(g, t, informed, rng)
-    }
-
     fn event_rate(&self, g: &Topology, informed: &NodeSet) -> f64 {
         (**self).event_rate(g, informed)
     }
@@ -374,10 +367,6 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for Box<T> {
         ws: &mut SimWorkspace,
     ) {
         (**self).apply_delta(g, delta, informed, ws)
-    }
-
-    fn on_window(&mut self, g: &Topology, t: u64, informed: &NodeSet, rng: &mut SimRng) {
-        (**self).on_window(g, t, informed, rng)
     }
 
     fn event_rate(&self, g: &Topology, informed: &NodeSet) -> f64 {
@@ -657,69 +646,6 @@ impl_incremental_naive!(
         Some(callee)
     }
 );
-
-// ---------------------------------------------------------------------------
-// LossyAsync: the naive clock plus fault injection; the per-window down set
-// is redrawn in on_window, exactly as advance_window does at entry.
-// ---------------------------------------------------------------------------
-
-impl IncrementalProtocol for LossyAsync {
-    /// Reuses the retained down-set bitset across trials (cleared in
-    /// place; fresh only when the universe changed).
-    fn begin_in(&mut self, n: usize, ws: &mut SimWorkspace) {
-        let _ = ws;
-        self.reset_reusing(n);
-    }
-
-    fn rebuild(&mut self, _g: &Topology, _informed: &NodeSet, _ws: &mut SimWorkspace) {}
-
-    fn apply_delta(
-        &mut self,
-        _g: &Topology,
-        _delta: &EdgeDelta,
-        _informed: &NodeSet,
-        _ws: &mut SimWorkspace,
-    ) {
-    }
-
-    fn on_window(&mut self, g: &Topology, t: u64, _informed: &NodeSet, rng: &mut SimRng) {
-        self.ensure_down_window(g.n(), t, rng);
-    }
-
-    fn event_rate(&self, g: &Topology, _informed: &NodeSet) -> f64 {
-        g.n() as f64
-    }
-
-    fn resolve_event(
-        &mut self,
-        g: &Topology,
-        informed: &NodeSet,
-        rng: &mut SimRng,
-    ) -> Option<NodeId> {
-        self.resolve_contact(g, informed, rng)
-    }
-
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    /// Composes the protocol's own loss/downtime with the external fault
-    /// layer: a contact survives only if neither endpoint is down in
-    /// *either* layer, the protocol loss coin passes (trial RNG, same
-    /// draw order as the fault-free path), and the fault drop coin passes
-    /// (fault RNG).
-    fn resolve_event_faulty(
-        &mut self,
-        g: &Topology,
-        informed: &NodeSet,
-        rng: &mut SimRng,
-        faults: &mut FaultState,
-    ) -> Option<NodeId> {
-        self.resolve_contact_faulty(g, informed, rng, faults)
-    }
-
-    fn commit(&mut self, _g: &Topology, _v: NodeId, _informed: &NodeSet) {}
-}
 
 #[cfg(test)]
 mod tests {

@@ -33,6 +33,10 @@
 //! [`ForwardTwoPush`] (the Section 4 coupling processes), [`Flooding`],
 //! and the window-by-window [`Simulation`] engine.
 //!
+//! Faults — message drop, node liveness, and the live runtime's delivery
+//! chaos — are one [`FaultModel`] with one keyed [`Liveness`] machine,
+//! shared with `gossip-net` and attached with [`RunPlan::faults`].
+//!
 //! Multi-trial execution goes through **[`RunPlan`]** — the single trial
 //! driver: wrap the protocol in [`AnyProtocol`] (`AnyProtocol::event`
 //! for incrementally-capable protocols, `AnyProtocol::window`
@@ -83,7 +87,6 @@ mod event;
 mod fault;
 mod flooding;
 mod incremental;
-mod lossy;
 mod observer;
 mod plan;
 mod protocol;
@@ -97,10 +100,9 @@ pub use async_naive::{AsyncPull, AsyncPush, AsyncPushPull};
 pub use engine::{RunConfig, Simulation, SpreadOutcome};
 pub use error::SimError;
 pub use event::EventSimulation;
-pub use fault::{FaultModel, FaultState, TrialError, TrialOutcome};
+pub use fault::{keyed_coin, splitmix, FaultModel, FaultState, Liveness, TrialError, TrialOutcome};
 pub use flooding::Flooding;
 pub use incremental::{IncrementalProtocol, WindowCtx, WindowStep};
-pub use lossy::LossyAsync;
 pub use observer::{
     JsonlSink, SummarySink, TrajectorySink, TrialObserver, TrialRecord, TrialTrajectory,
 };

@@ -241,10 +241,12 @@ impl<'o> RunPlan<'o> {
     /// Attaches a [`FaultModel`] to every trial. An active model needs
     /// the event engine and a fault-aware protocol
     /// ([`AnyProtocol::supports_faults`]); otherwise `execute` fails
-    /// with [`SimError::FaultsUnsupported`] before running anything.
-    /// Fault draws come from a dedicated stream seeded by
-    /// `(model.seed, trial seed)`, so per-trial results stay
-    /// deterministic by `(model, base_seed)` for any thread count.
+    /// with [`SimError::FaultsUnsupported`] before running anything;
+    /// active delivery chaos, which needs the live runtime, fails with
+    /// [`SimError::InvalidFaultParam`]. Fault coins derive from
+    /// `(model.seed, trial seed)`, so per-trial
+    /// results stay deterministic by `(model, base_seed)` for any thread
+    /// count.
     pub fn faults(mut self, faults: FaultModel) -> Self {
         self.faults = Some(faults);
         self
@@ -386,7 +388,7 @@ impl<'o> RunPlan<'o> {
             Engine::Window => false,
         };
         if let Some(m) = &self.faults {
-            m.validate()?;
+            m.validate_analytic()?;
             if m.is_active() && !(use_event && probe.supports_faults()) {
                 // The window engine has no fault hooks, and a protocol
                 // without faulty resolvers would silently ignore the

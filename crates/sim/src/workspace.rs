@@ -109,9 +109,10 @@ impl ShrinkPool {
 /// simulator does*: every data structure a trial checks out is reset to
 /// the exact logical state a fresh allocation would have, and no code
 /// path consults the workspace to make a decision. Every random draw —
-/// exponential gaps, Fenwick descents, pool picks, loss/downtime coin
-/// flips — therefore happens at the same point of the same stream with
-/// the same outcome, and trial summaries are bit-identical between the
+/// exponential gaps, Fenwick descents, pool picks, and the fault layer's
+/// drop and ratio coins, which live on their own per-trial stream outside
+/// the workspace — therefore happens at the same point of the same stream
+/// with the same outcome, and trial summaries are bit-identical between the
 /// workspace-reuse and fresh-allocation paths (test-enforced in
 /// `tests/workspace_equivalence.rs`).
 #[derive(Debug, Default)]

@@ -7,13 +7,16 @@
 //! α = 0.01 (i.e. p > 0.01 required) on fixed seeds, across the
 //! topology regimes: complete (dense static), star (irregular degrees),
 //! cycle (sparse static), and edge-Markovian (true dynamics: sparse
-//! deltas exercise the delta-repair path, dense ones the rebuild). A last
-//! case covers the fault-injected lossy protocol.
+//! deltas exercise the delta-repair path, dense ones the rebuild). Faults
+//! exist only on the event engine; `tests/fault_equivalence.rs` checks
+//! them, and `lossy_protocol_on_complete` ties `lossy`'s loss back to the
+//! window engine through the thinning law.
 
 use gossip_dynamics::{DynamicNetwork, EdgeMarkovian, StaticNetwork};
 use gossip_graph::generators;
 use gossip_sim::{
-    CutRateAsync, EventSimulation, IncrementalProtocol, LossyAsync, Protocol, RunConfig, Simulation,
+    AnyProtocol, CutRateAsync, Engine, EventSimulation, FaultModel, IncrementalProtocol, Protocol,
+    RunConfig, RunPlan, SimError, Simulation,
 };
 use gossip_stats::{ks, SimRng};
 
@@ -115,6 +118,58 @@ fn edge_markovian_network() {
 }
 
 #[test]
+fn lossy_protocol_on_complete() {
+    // `lossy` lives on the event engine's fault layer: the window engine
+    // refuses an active model instead of running it lossless. On a static
+    // graph, loss thins every clock to rate 1 − loss, so the event
+    // engine's lossy spread time, scaled by 1 − loss, is the window
+    // engine's lossless one in distribution.
+    let make_net = || StaticNetwork::new(generators::complete(20).unwrap());
+    let with_downtime = FaultModel {
+        drop: 0.3,
+        downtime: 0.2,
+        ..FaultModel::default()
+    };
+    assert!(matches!(
+        RunPlan::new(1, 9005)
+            .engine(Engine::Window)
+            .faults(with_downtime)
+            .execute(make_net, || AnyProtocol::event(CutRateAsync::new())),
+        Err(SimError::FaultsUnsupported { .. })
+    ));
+
+    let loss = 0.3;
+    let lossy = FaultModel {
+        drop: loss,
+        ..FaultModel::default()
+    };
+    let base = SimRng::seed_from_u64(9005);
+    let mut window = Vec::with_capacity(900);
+    let mut event = Vec::with_capacity(900);
+    for i in 0..900 {
+        let mut rng = base.derive(i);
+        let outcome = Simulation::new(CutRateAsync::new(), RunConfig::default())
+            .run(&mut make_net(), 0, &mut rng)
+            .expect("window run");
+        window.push(outcome.spread_time().expect("window run completes"));
+
+        let mut rng = base.derive(1_000_000 + i);
+        let outcome = EventSimulation::new(CutRateAsync::new(), RunConfig::default())
+            .with_faults(lossy.clone())
+            .run(&mut make_net(), 0, &mut rng)
+            .expect("lossy event run");
+        let t = outcome.spread_time().expect("lossy event run completes");
+        event.push((1.0 - loss) * t);
+    }
+    assert!(
+        ks::same_distribution(&window, &event, ALPHA),
+        "lossy(0.3) on complete(20): KS distance {} exceeds the α = {ALPHA} critical value {}",
+        ks::ks_statistic(&window, &event),
+        ks::ks_critical(window.len(), event.len(), ALPHA),
+    );
+}
+
+#[test]
 fn dense_edge_markovian_network() {
     // ≈ 300 changed edges per window at n = 64: every delta is dense, so
     // CutRateAsync::apply_delta rebuilds its rates on every window.
@@ -130,19 +185,5 @@ fn dense_edge_markovian_network() {
         0,
         900,
         9006,
-    );
-}
-
-#[test]
-fn lossy_protocol_on_complete() {
-    // The fault-injected protocol keeps its per-window downtime redraw on
-    // the event engine (on_window); loss thins the event stream.
-    assert_engines_agree(
-        "lossy(0.3, 0.2) on complete(20)",
-        || StaticNetwork::new(generators::complete(20).unwrap()),
-        || LossyAsync::with_downtime(0.3, 0.2).unwrap(),
-        0,
-        900,
-        9005,
     );
 }

@@ -4,12 +4,13 @@
 //! *process*, never the machinery around it. These tests pin the
 //! contract from every side:
 //!
-//! * **Determinism** — an active fault model is bit-identical by
+//! * **Determinism** — an active fault model (crash/recovery with drop,
+//!   or per-window downtime with drop) is bit-identical by
 //!   `(model, base_seed)` across thread counts and the workspace
 //!   on/off paths, for both the naive and the cut-rate event protocols;
 //! * **KS-equivalence** (α = 0.01) — scalar vs vectorized inner loops,
 //!   and naive vs cut-rate protocols, sample the same faulty
-//!   spread-time distribution;
+//!   spread-time distribution under both regimes;
 //! * **Panic isolation** — a trial that panics is quarantined and
 //!   reported as a [`gossip_sim::TrialError`] while every other trial's
 //!   record stays byte-identical to an undisturbed run;
@@ -43,6 +44,16 @@ fn lossy_model() -> FaultModel {
         drop: 0.2,
         crash_rate: 0.05,
         recovery_rate: 0.4,
+        seed: 11,
+        ..FaultModel::default()
+    }
+}
+
+/// `kind = "lossy"`'s regime: i.i.d. loss plus per-window downtime.
+fn downtime_model() -> FaultModel {
+    FaultModel {
+        drop: 0.1,
+        downtime: 0.3,
         seed: 11,
         ..FaultModel::default()
     }
@@ -94,14 +105,29 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
 #[test]
 fn faulty_trials_bit_identical_across_threads_and_workspace() {
     // Same (model, seed) → same records, whatever the parallelism or
-    // allocation strategy. Checked on both event protocol families.
-    let model = lossy_model();
-    for (label, make_proto) in [
+    // allocation strategy. Checked on both event protocol families, under
+    // crash/recovery and under downtime.
+    for (label, make_proto, model) in [
         (
             "cut-rate",
             (|| AnyProtocol::event(CutRateAsync::new())) as fn() -> AnyProtocol,
+            lossy_model(),
         ),
-        ("naive", || AnyProtocol::event(AsyncPushPull::new())),
+        (
+            "naive",
+            || AnyProtocol::event(AsyncPushPull::new()),
+            lossy_model(),
+        ),
+        (
+            "cut-rate, downtime",
+            || AnyProtocol::event(CutRateAsync::new()),
+            downtime_model(),
+        ),
+        (
+            "naive, downtime",
+            || AnyProtocol::event(AsyncPushPull::new()),
+            downtime_model(),
+        ),
     ] {
         let (ref_summary, ref_bytes) =
             run_faulty(complete(48), make_proto, &model, 1, false, true, 24, 71);
@@ -160,57 +186,60 @@ fn inactive_fault_model_is_invisible() {
 #[test]
 fn scalar_vs_vectorized_ks_equivalent_under_faults() {
     // The vectorized loop consumes the trial stream in a different order
-    // but thins it against the *same* fault stream: distributions match.
-    let model = lossy_model();
-    let make_proto = || AnyProtocol::event(CutRateAsync::new());
-    let (scalar, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, false, 400, 23);
-    let (fast, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, true, 400, 23);
-    let (a, b) = (scalar.sorted_times(), fast.sorted_times());
-    assert!(
-        ks::same_distribution(a, b, ALPHA),
-        "KS distance {} exceeds critical {}",
-        ks::ks_statistic(a, b),
-        ks::ks_critical(a.len(), b.len(), ALPHA)
-    );
+    // but thins it against the *same* fault model: distributions match.
+    for model in [lossy_model(), downtime_model()] {
+        let make_proto = || AnyProtocol::event(CutRateAsync::new());
+        let (scalar, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, false, 400, 23);
+        let (fast, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, true, 400, 23);
+        let (a, b) = (scalar.sorted_times(), fast.sorted_times());
+        assert!(
+            ks::same_distribution(a, b, ALPHA),
+            "{model:?}: KS distance {} exceeds critical {}",
+            ks::ks_statistic(a, b),
+            ks::ks_critical(a.len(), b.len(), ALPHA)
+        );
+    }
 }
 
 #[test]
 fn naive_vs_cut_rate_ks_equivalent_under_faults() {
     // Two independent implementations of the faulty push-pull process
     // (per-node clocks vs superposed cut-rate clock) must agree in
-    // distribution under the same fault model.
-    let model = lossy_model();
-    let (naive, _) = run_faulty(
-        complete(48),
-        || AnyProtocol::event(AsyncPushPull::new()),
-        &model,
-        4,
-        true,
-        true,
-        400,
-        31,
-    );
-    let (cut, _) = run_faulty(
-        complete(48),
-        || AnyProtocol::event(CutRateAsync::new()),
-        &model,
-        4,
-        true,
-        true,
-        400,
-        37,
-    );
-    let (a, b) = (naive.sorted_times(), cut.sorted_times());
-    assert!(
-        ks::same_distribution(a, b, ALPHA),
-        "KS distance {} exceeds critical {}",
-        ks::ks_statistic(a, b),
-        ks::ks_critical(a.len(), b.len(), ALPHA)
-    );
+    // distribution under the same fault model — for downtime this is the
+    // check that `lossy` on the cut-rate sampler is the naive process.
+    for model in [lossy_model(), downtime_model()] {
+        let (naive, _) = run_faulty(
+            complete(48),
+            || AnyProtocol::event(AsyncPushPull::new()),
+            &model,
+            4,
+            true,
+            true,
+            400,
+            31,
+        );
+        let (cut, _) = run_faulty(
+            complete(48),
+            || AnyProtocol::event(CutRateAsync::new()),
+            &model,
+            4,
+            true,
+            true,
+            400,
+            37,
+        );
+        let (a, b) = (naive.sorted_times(), cut.sorted_times());
+        assert!(
+            ks::same_distribution(a, b, ALPHA),
+            "{model:?}: KS distance {} exceeds critical {}",
+            ks::ks_statistic(a, b),
+            ks::ks_critical(a.len(), b.len(), ALPHA)
+        );
+    }
 }
 
 /// Delegates every hook to an inner [`CutRateAsync`], but panics at the
-/// first window of any trial whose derived seed is in `panic_seeds` —
+/// first event of any trial whose derived seed is in `panic_seeds` —
 /// deterministic for every thread count, since trial `i` always runs on
 /// the stream of `base.derive(i)`.
 #[derive(Debug)]
@@ -257,13 +286,6 @@ impl IncrementalProtocol for PanicInjected {
         self.inner.rebuild(g, informed, ws);
     }
 
-    fn on_window(&mut self, g: &Topology, t: u64, informed: &NodeSet, rng: &mut SimRng) {
-        if self.panic_seeds.contains(&rng.base_seed()) {
-            panic!("injected test panic (trial seed {})", rng.base_seed());
-        }
-        self.inner.on_window(g, t, informed, rng);
-    }
-
     fn event_rate(&self, g: &Topology, informed: &NodeSet) -> f64 {
         self.inner.event_rate(g, informed)
     }
@@ -274,6 +296,9 @@ impl IncrementalProtocol for PanicInjected {
         informed: &NodeSet,
         rng: &mut SimRng,
     ) -> Option<NodeId> {
+        if self.panic_seeds.contains(&rng.base_seed()) {
+            panic!("injected test panic (trial seed {})", rng.base_seed());
+        }
         self.inner.resolve_event(g, informed, rng)
     }
 

@@ -10,7 +10,8 @@
 use gossip_dynamics::StaticNetwork;
 use gossip_graph::{connectivity, generators, Graph};
 use gossip_sim::{
-    AsyncPushPull, CutRateAsync, Flooding, LossyAsync, RunConfig, Simulation, SyncPushPull,
+    AnyProtocol, AsyncPushPull, CutRateAsync, EventSimulation, FaultModel, Flooding, RunConfig,
+    RunPlan, Simulation, SyncPushPull,
 };
 use gossip_stats::SimRng;
 use proptest::prelude::*;
@@ -125,9 +126,10 @@ proptest! {
         prop_assert!(outcome.informed_count() >= 1);
     }
 
-    /// The lossy protocol completes on every connected graph for any loss
-    /// and downtime below 1 (given enough time), and it never informs a
-    /// node unreachable from the start.
+    /// Async push–pull under the fault layer's loss and per-window
+    /// downtime (the `lossy` regime) completes on every connected graph for
+    /// any loss and downtime below 1 (given enough time), and it never
+    /// informs a node unreachable from the start.
     #[test]
     fn lossy_completes_and_respects_reachability(
         seed in 0u64..200,
@@ -137,13 +139,18 @@ proptest! {
         downtime in 0.0f64..0.5,
     ) {
         let g = connected_er(n, p, seed);
-        let mut net = StaticNetwork::new(g);
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x1055);
-        let proto = LossyAsync::with_downtime(loss, downtime).expect("in range");
-        let outcome = Simulation::new(proto, RunConfig::with_max_time(50_000.0))
-            .run(&mut net, 0, &mut rng)
+        let model = FaultModel { drop: loss, downtime, ..FaultModel::default() };
+        let report = RunPlan::new(1, seed ^ 0x1055)
+            .threads(1)
+            .start(0)
+            .config(RunConfig::with_max_time(50_000.0))
+            .faults(model.clone())
+            .execute(
+                || StaticNetwork::new(g.clone()),
+                || AnyProtocol::event(CutRateAsync::new()),
+            )
             .expect("valid");
-        prop_assert!(outcome.complete(), "loss {loss}, downtime {downtime} never finished");
+        prop_assert!(report.completed() == 1, "loss {loss}, downtime {downtime} never finished");
 
         // Disconnected case: the isolated component stays uninformed no
         // matter the fault parameters.
@@ -151,8 +158,9 @@ proptest! {
         split.add_edge(0, 1).expect("in range");
         split.add_edge(3, 4).expect("in range");
         let mut net = StaticNetwork::new(split.build());
-        let proto = LossyAsync::with_downtime(loss, downtime).expect("in range");
-        let out = Simulation::new(proto, RunConfig::with_max_time(100.0))
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x1055);
+        let out = EventSimulation::new(CutRateAsync::new(), RunConfig::with_max_time(100.0))
+            .with_faults(model)
             .run(&mut net, 0, &mut rng)
             .expect("valid");
         prop_assert!(!out.informed().contains(3) && !out.informed().contains(4));
@@ -160,13 +168,20 @@ proptest! {
     }
 }
 
-/// The lossy protocol at `loss = downtime = 0` samples the same spread-time
-/// distribution as the ground-truth naive simulator (two-sample KS test at
-/// the 0.1% level). Statistical, seeded — outside proptest.
+/// `lossy` at zero loss and downtime folds to the inactive fault model:
+/// the cut-rate sampler under it samples the same spread-time
+/// distribution as the ground-truth naive simulator (two-sample KS test
+/// at the 0.1% level). Statistical, seeded — outside proptest.
 #[test]
 fn lossy_zero_matches_naive_distribution() {
     let n = 20;
     let trials = 1500u64;
+    let lossy_zero = FaultModel {
+        drop: 0.0,
+        downtime: 0.0,
+        ..FaultModel::default()
+    };
+    assert!(!lossy_zero.is_active());
     let make = || StaticNetwork::new(generators::complete(n).expect("valid"));
     let sample = |lossy: bool| -> Vec<f64> {
         let base = SimRng::seed_from_u64(0xFA57);
@@ -175,7 +190,8 @@ fn lossy_zero_matches_naive_distribution() {
                 let mut rng = base.derive(i + if lossy { 100_000 } else { 0 });
                 let mut net = make();
                 let outcome = if lossy {
-                    Simulation::new(LossyAsync::new(0.0).expect("valid"), RunConfig::default())
+                    EventSimulation::new(CutRateAsync::new(), RunConfig::default())
+                        .with_faults(lossy_zero.clone())
                         .run(&mut net, 0, &mut rng)
                 } else {
                     Simulation::new(AsyncPushPull::new(), RunConfig::default())

@@ -18,7 +18,7 @@
 use gossip_dynamics::{DynamicNetwork, SequenceNetwork, StaticNetwork};
 use gossip_graph::{generators, Topology};
 use gossip_sim::{
-    AnyProtocol, CutRateAsync, Engine, JsonlSink, LossyAsync, RunConfig, RunPlan, TrajectorySink,
+    AnyProtocol, CutRateAsync, Engine, FaultModel, JsonlSink, RunConfig, RunPlan, TrajectorySink,
     TrialSummary, TwoPush,
 };
 use gossip_stats::ks;
@@ -154,14 +154,38 @@ fn dynamic_sequence_delta_repair_path() {
 
 #[test]
 fn lossy_downtime_state_reuse() {
-    // LossyAsync's begin_in clears the retained down-set in place; the
-    // per-window downtime draws must stay aligned.
-    check_cell(
-        "lossy with downtime",
-        BOTH,
-        || StaticNetwork::new(generators::cycle(20).unwrap()),
-        || AnyProtocol::event(LossyAsync::with_downtime(0.1, 0.3).unwrap()),
-    );
+    // `lossy`'s regime (loss plus per-window downtime) vetoes events
+    // through the fault layer while the Fenwick path reuses its workspace;
+    // the per-window down-set draws must stay aligned. Event engine only:
+    // the window engine has no fault layer.
+    let model = FaultModel {
+        drop: 0.1,
+        downtime: 0.3,
+        ..FaultModel::default()
+    };
+    let run = |threads: usize, reuse: bool| {
+        RunPlan::new(24, 97)
+            .threads(threads)
+            .engine(Engine::Event)
+            .workspace(reuse)
+            .faults(model.clone())
+            .config(RunConfig::with_max_time(1e4))
+            .execute(
+                || StaticNetwork::new(generators::cycle(20).unwrap()),
+                || AnyProtocol::event(CutRateAsync::new()),
+            )
+            .expect("valid faulty plan")
+            .into_summary()
+    };
+    for threads in [1usize, 4] {
+        let fresh = run(threads, false);
+        assert!(fresh.completed() > 0, "nothing completed under downtime");
+        assert_bit_identical(
+            &fresh,
+            &run(threads, true),
+            &format!("lossy with downtime, {threads} thread(s)"),
+        );
+    }
 }
 
 #[test]

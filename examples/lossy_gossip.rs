@@ -2,9 +2,10 @@
 //! (Demers et al. PODC'87), measured on this workspace's simulators.
 //!
 //! Sweeps i.i.d. message-loss rates and per-window node downtime on a
-//! 6-regular expander and prints the measured slowdown next to the exact
-//! thinning prediction `E[T_f] = E[T_0]/(1−f)` — then pushes into the
-//! regime where 90% of everything is lost and the rumor still spreads.
+//! 6-regular expander through the fault layer (`RunPlan::faults`) and
+//! prints the measured slowdown next to the exact thinning prediction
+//! `E[T_f] = E[T_0]/(1−f)` — then pushes into the regime where 90% of
+//! everything is lost and the rumor still spreads.
 //!
 //! ```text
 //! cargo run --release --example lossy_gossip
@@ -17,14 +18,16 @@ fn mean_spread(loss: f64, downtime: f64, n: usize, trials: usize, seed: u64) -> 
         let mut rng = SimRng::seed_from_u64(7);
         StaticNetwork::new(generators::random_connected_regular(n, 6, &mut rng).expect("even n*d"))
     };
+    let faults = FaultModel {
+        drop: loss,
+        downtime,
+        ..FaultModel::default()
+    };
     RunPlan::new(trials, seed)
         .config(RunConfig::with_max_time(1e5))
         .start(0)
-        .execute(make_net, move || {
-            AnyProtocol::event(
-                LossyAsync::with_downtime(loss, downtime).expect("valid probabilities"),
-            )
-        })
+        .faults(faults)
+        .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
         .expect("valid configuration")
         .mean()
 }

@@ -69,10 +69,10 @@ pub mod prelude {
     pub use gossip_graph::{conductance, diligence, generators, Graph, GraphBuilder, NodeSet};
     pub use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetSweep, NetTraffic};
     pub use gossip_sim::{
-        AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, Flooding,
-        IncrementalProtocol, JsonlSink, LossyAsync, Protocol, RunConfig, RunPlan, RunReport,
-        Simulation, SpreadOutcome, SummarySink, SyncPushPull, TrajectorySink, TrialExecutor,
-        TrialObserver, TrialRecord, TrialSummary, WorkspacePool,
+        AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, FaultModel, Flooding,
+        IncrementalProtocol, JsonlSink, Protocol, RunConfig, RunPlan, RunReport, Simulation,
+        SpreadOutcome, SummarySink, SyncPushPull, TrajectorySink, TrialExecutor, TrialObserver,
+        TrialRecord, TrialSummary, WorkspacePool,
     };
     pub use gossip_stats::{Quantiles, RunningMoments, SimRng, SortedSample};
 }

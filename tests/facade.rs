@@ -84,11 +84,13 @@ fn all_protocols_run_on_all_networks() {
                 0 => Simulation::new(AsyncPushPull::new(), config).run(net, 0, &mut rng),
                 1 => Simulation::new(CutRateAsync::new(), config).run(net, 0, &mut rng),
                 2 => Simulation::new(SyncPushPull::new(), config).run(net, 0, &mut rng),
-                3 => Simulation::new(
-                    LossyAsync::with_downtime(0.2, 0.1).expect("valid probabilities"),
-                    config,
-                )
-                .run(net, 0, &mut rng),
+                3 => EventSimulation::new(CutRateAsync::new(), config)
+                    .with_faults(FaultModel {
+                        drop: 0.2,
+                        downtime: 0.1,
+                        ..FaultModel::default()
+                    })
+                    .run(net, 0, &mut rng),
                 _ => Simulation::new(Flooding::new(), config).run(net, 0, &mut rng),
             }
             .expect("valid configuration");
