@@ -42,9 +42,15 @@ pub fn run(scale: Scale) -> String {
     // undershoots the linear asymptote.
     let ns: Vec<usize> = scale.pick(vec![64, 128, 256], vec![32, 64, 128, 256, 512]);
     let trials = scale.pick(30, 60);
+    // The async mean needs far more trials than the sync median: its
+    // coefficient of variation is 1.2–1.7 at these sizes, so the fitted
+    // slope's standard error is ≈ 1.5/√trials. At 30 trials that is
+    // ≈ 0.27 against a true slope of ≈ 0.73 at the quick sizes (4000
+    // trials per size), a verdict any change of draws could flip.
+    let async_trials = scale.pick(1000, 2000);
 
     let sync = run_scenario(&spec("sync", &ns, trials, 61)).expect("valid scenario");
-    let async_ = run_scenario(&spec("async", &ns, trials, 62)).expect("valid scenario");
+    let async_ = run_scenario(&spec("async", &ns, async_trials, 62)).expect("valid scenario");
 
     // Async completion times on G1 are *bimodal*: with probability
     // ≈ 1 − e⁻¹ the pendant edge fires inside [0,1) and the run is

@@ -60,7 +60,13 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 ///   `downtime` a liveness chain) instead of its own tick-by-tick
 ///   protocol. Specs with active crashes, schedules, targeting or `lossy`
 ///   parameters move; drop-only and live results do not.
-pub const RESULTS_VERSION: u32 = 3;
+/// * 4 — in vectorized mode the cut-rate protocol keeps generic backends'
+///   rates in its vectorized lane, repairs the lane across sparse deltas
+///   and runs the vectorized inner loop on dynamic windows too (it ran
+///   only on static ones). Vectorized async push–pull on dynamic families
+///   moves; static networks, scalar (`sweep.vectorized = false`) runs
+///   and live results do not.
+pub const RESULTS_VERSION: u32 = 4;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).

@@ -34,6 +34,16 @@
 //! Both sides stay connected and 4-regular, so every window is an
 //! `H_{k,Δ}(A_t, B_t)`, and [`DynamicNetwork::edges_changed`] reports each
 //! re-stitch as an exact [`EdgeDelta`] instead of forcing a rebuild.
+//!
+//! # Per-window cost
+//!
+//! A window costs what changed. Finding the informed `B` nodes is one
+//! pass over the `n/64` words of the informed and `B` bitsets, so a window
+//! in which no `B` node heard the rumor costs `O(n/64)`. A re-stitch costs
+//! the expander edits (a few bounded component searches per node leaving
+//! `G2`), the two strings, a netting of its edge log in a hash table, and
+//! an in-place [`gossip_graph::Graph::apply_changes`] that sorts only the
+//! delta's lower half-edges and moves the rows between touched rows.
 
 use crate::{DynamicNetwork, EdgeDelta, ProfiledNetwork, StepProfile};
 use gossip_graph::generators::{
@@ -68,7 +78,10 @@ pub struct DiligentNetwork {
     n: usize,
     params: HkDeltaParams,
     a_nodes: Vec<NodeId>,
+    /// `B_t`, ascending: it starts as a range and only ever loses nodes.
     b_nodes: Vec<NodeId>,
+    /// `B_t` as a bitset, for the word-level search of informed `B` nodes.
+    in_b: NodeSet,
     /// The exposed window (materialized backend over the `H_{k,Δ}` build).
     current: Option<Topology>,
     /// The step `current` was exposed for.
@@ -78,6 +91,8 @@ pub struct DiligentNetwork {
     /// and `G2` (on `B \ ∪S_i`); rows of string nodes are stale.
     expander: Vec<[NodeId; 4]>,
     search: Search,
+    /// The edge log of the current re-stitch (storage kept across them).
+    log: Log,
     /// See [`DiligentNetwork::side_redraws`].
     redraws: u64,
 }
@@ -131,7 +146,9 @@ impl DiligentNetwork {
             last_step: 0,
             frozen: false,
             expander: vec![[0; 4]; n],
+            in_b: NodeSet::new(n),
             search: Search::default(),
+            log: Log::default(),
             redraws: 0,
         };
         net.reset();
@@ -192,73 +209,88 @@ impl DiligentNetwork {
         if self.frozen {
             return EdgeDelta::empty();
         }
-        let hits = self
-            .b_nodes
-            .iter()
-            .filter(|&&v| informed.contains(v))
-            .count();
-        if hits == 0 {
+        // The informed B nodes, ascending, which is B order.
+        let mut moved = Vec::new();
+        for (w, (&i, &b)) in informed.words().iter().zip(self.in_b.words()).enumerate() {
+            let mut bits = i & b;
+            while bits != 0 {
+                moved.push((w * 64) as NodeId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        if moved.is_empty() {
             return EdgeDelta::empty();
         }
-        if self.b_nodes.len() - hits < self.n / 4 {
+        if self.b_nodes.len() - moved.len() < self.n / 4 {
             // |B| would fall below n/4: per the paper, the network stops
             // evolving (G(t+1) = G(t) from here on).
             self.frozen = true;
             return EdgeDelta::empty();
         }
-        let mut log = Log::default();
         for (u, v) in string_edges(&self.a_nodes, &self.b_nodes, self.params) {
-            log.remove(u, v);
+            self.log.remove(u, v);
         }
-        // Who moves to A, and which G2 nodes leave it: the moved ones and
-        // those the string takes into S_k as it refills.
+        // Which G2 nodes leave it, in B order: the moved ones past the
+        // string, and as many kept ones past it as moved nodes left the
+        // string, which refill it.
         let string_len = self.params.k * self.params.delta;
-        let (mut moved, mut leaving) = (Vec::with_capacity(hits), Vec::new());
-        let (mut i, mut kept) = (0, 0);
-        self.b_nodes.retain(|&v| {
-            let hit = informed.contains(v);
-            if i >= string_len && (hit || kept < string_len) {
-                leaving.push(v);
-            }
-            i += 1;
-            if hit {
-                moved.push(v);
+        let pos: Vec<usize> = moved
+            .iter()
+            .map(|v| self.b_nodes.binary_search(v).expect("moved nodes are in B"))
+            .collect();
+        let inside = pos.partition_point(|&p| p < string_len);
+        let mut leaving = Vec::with_capacity(moved.len());
+        let (mut m, mut p, mut refill) = (inside, string_len, inside);
+        while refill > 0 {
+            if pos.get(m) == Some(&p) {
+                leaving.push(moved[m]);
+                m += 1;
             } else {
-                kept += 1;
+                leaving.push(self.b_nodes[p]);
+                refill -= 1;
             }
-            !hit
-        });
+            p += 1;
+        }
+        leaving.extend_from_slice(&moved[m..]);
+        // B without the moved nodes: the runs between them shift down.
+        let mut kept = pos[0];
+        for (i, &p) in pos.iter().enumerate() {
+            let end = pos.get(i + 1).copied().unwrap_or(self.b_nodes.len());
+            self.b_nodes.copy_within(p + 1..end, kept);
+            kept += end - p - 1;
+        }
+        self.b_nodes.truncate(kept);
+        for &v in &moved {
+            self.in_b.remove(v);
+        }
         for (i, &v) in leaving.iter().enumerate() {
-            if !self.leave_g2(v, &mut log, rng) {
+            if !self.leave_g2(v, rng) {
                 let rest = &self.b_nodes[string_len..];
-                redraw_g2(&mut self.expander, &leaving[i..], rest, &mut log, rng);
+                redraw_g2(&mut self.expander, &leaving[i..], rest, &mut self.log, rng);
                 self.redraws += 1;
                 break;
             }
         }
         for &u in &moved {
-            self.join_g1(u, &mut log, rng);
+            self.join_g1(u, rng);
             self.a_nodes.push(u);
         }
         for (u, v) in string_edges(&self.a_nodes, &self.b_nodes, self.params) {
-            log.add(u, v);
+            self.log.add(u, v);
         }
-        let delta = log.net();
-        let prev = self
-            .current
-            .as_ref()
-            .and_then(Topology::as_graph)
-            .expect("re-stitches follow the t = 0 build");
-        self.current = Some(Topology::materialized(
-            prev.with_changes(delta.added(), delta.removed()),
-        ));
+        let delta = self.log.net();
+        self.current
+            .as_mut()
+            .and_then(Topology::as_graph_mut)
+            .expect("re-stitches follow the t = 0 build")
+            .apply_changes(delta.added(), delta.removed());
         delta
     }
 
     /// Takes `v` out of `G2` by joining its four neighbours in two pairs,
     /// drawn uniformly from the pairings that keep `G2` simple and
     /// connected. Returns `false`, changing nothing, when there is none.
-    fn leave_g2(&mut self, v: NodeId, log: &mut Log, rng: &mut SimRng) -> bool {
+    fn leave_g2(&mut self, v: NodeId, rng: &mut SimRng) -> bool {
         const PAIRINGS: [[(usize, usize); 2]; 3] =
             [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]];
         let nb = self.expander[v as usize];
@@ -287,10 +319,10 @@ impl DiligentNetwork {
             let (x, y) = (nb[p], nb[q]);
             replace(&mut self.expander[x as usize], v, y);
             replace(&mut self.expander[y as usize], v, x);
-            log.add(x, y);
+            self.log.add(x, y);
         }
         for &w in &nb {
-            log.remove(v, w);
+            self.log.remove(v, w);
         }
         true
     }
@@ -298,7 +330,7 @@ impl DiligentNetwork {
     /// Puts `u` into `G1` by cutting two uniformly drawn disjoint edges and
     /// joining their four ends to `u` (`G1` stays connected: every piece
     /// the cuts leave holds one of the four ends).
-    fn join_g1(&mut self, u: NodeId, log: &mut Log, rng: &mut SimRng) {
+    fn join_g1(&mut self, u: NodeId, rng: &mut SimRng) {
         let g1 = &self.a_nodes[self.params.delta..];
         let rows = &self.expander;
         // A uniform node and a uniform slot: a uniform edge of a 4-regular
@@ -317,11 +349,11 @@ impl DiligentNetwork {
         };
         for (p, q) in [(x, y), (y, x), (z, w), (w, z)] {
             replace(&mut self.expander[p as usize], q, u);
-            log.add(u, p);
+            self.log.add(u, p);
         }
         self.expander[u as usize] = [x, y, z, w];
-        log.remove(x, y);
-        log.remove(z, w);
+        self.log.remove(x, y);
+        self.log.remove(z, w);
     }
 }
 
@@ -377,12 +409,18 @@ fn redraw_g2(
     }
 }
 
-/// The edge insertions and deletions of one re-stitch, in any order, each
-/// edge keyed `u << 32 | v` with `u < v` (so keys sort like edges).
-#[derive(Debug, Default)]
+/// The edge insertions and deletions of one re-stitch, netted as they
+/// arrive: an open-addressing table maps each edge, keyed `u << 32 | v`
+/// with `u < v` (so keys sort like edges, and no key is 0), to its
+/// insertions minus deletions. An edge inserted and deleted equally often
+/// cancels without a sort of the whole log.
+#[derive(Debug, Clone, Default)]
 struct Log {
-    added: Vec<u64>,
-    removed: Vec<u64>,
+    /// `(key, count)` slots, a power of two of them; key 0 marks a free
+    /// slot.
+    slots: Vec<(u64, i32)>,
+    /// The occupied slots.
+    used: Vec<usize>,
 }
 
 fn key(u: NodeId, v: NodeId) -> u64 {
@@ -391,38 +429,63 @@ fn key(u: NodeId, v: NodeId) -> u64 {
 
 impl Log {
     fn add(&mut self, u: NodeId, v: NodeId) {
-        self.added.push(key(u, v));
+        self.bump(key(u, v), 1);
     }
 
     fn remove(&mut self, u: NodeId, v: NodeId) {
-        self.removed.push(key(u, v));
+        self.bump(key(u, v), -1);
     }
 
-    /// The net diff: an edge inserted and deleted equally often cancels.
-    /// Both sides come out sorted, as [`EdgeDelta::between`] lists them.
-    fn net(mut self) -> EdgeDelta {
-        self.added.sort_unstable();
-        self.removed.sort_unstable();
-        let edge = |k: u64| ((k >> 32) as NodeId, k as NodeId);
-        // An exhausted side reads as u64::MAX, above every key (u < v).
-        let at = |keys: &[u64], i: usize| keys.get(i).copied().unwrap_or(u64::MAX);
-        let (mut added, mut removed) = (Vec::new(), Vec::new());
-        let (mut a, mut r) = (0, 0);
-        while a < self.added.len() || r < self.removed.len() {
-            let (x, y) = (at(&self.added, a), at(&self.removed, r));
-            match x.cmp(&y) {
-                std::cmp::Ordering::Equal => (a, r) = (a + 1, r + 1),
-                std::cmp::Ordering::Less => {
-                    added.push(edge(x));
-                    a += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    removed.push(edge(y));
-                    r += 1;
-                }
+    /// Adds `by` to the count of `key`, at most half filling the table.
+    fn bump(&mut self, key: u64, by: i32) {
+        if 2 * (self.used.len() + 1) > self.slots.len() {
+            let held: Vec<(u64, i32)> = self.used.drain(..).map(|i| self.slots[i]).collect();
+            let len = (2 * self.slots.len()).max(256);
+            self.slots.clear();
+            self.slots.resize(len, (0, 0));
+            for (k, c) in held {
+                self.bump(k, c);
             }
         }
-        EdgeDelta::new(added, removed)
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the top bits of the product.
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            match self.slots[i] {
+                (0, _) => {
+                    self.slots[i] = (key, by);
+                    self.used.push(i);
+                    return;
+                }
+                (k, ref mut c) if k == key => {
+                    *c += by;
+                    return;
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The net diff, emptying the log. Both sides come out sorted, as
+    /// [`EdgeDelta::between`] lists them.
+    fn net(&mut self) -> EdgeDelta {
+        let mut added = Vec::with_capacity(self.used.len());
+        let mut removed = Vec::with_capacity(self.used.len());
+        for i in self.used.drain(..) {
+            match std::mem::take(&mut self.slots[i]) {
+                (k, 1) => added.push(k),
+                (k, -1) => removed.push(k),
+                (_, c) => debug_assert_eq!(c, 0, "an edge changed twice"),
+            }
+        }
+        let edges = |mut keys: Vec<u64>| {
+            keys.sort_unstable();
+            keys.into_iter()
+                .map(|k| ((k >> 32) as NodeId, k as NodeId))
+                .collect()
+        };
+        EdgeDelta::new(edges(added), edges(removed))
     }
 }
 
@@ -530,6 +593,10 @@ impl DynamicNetwork for DiligentNetwork {
         let a_size = self.n / 4;
         self.a_nodes = (0..a_size as NodeId).collect();
         self.b_nodes = (a_size as NodeId..self.n as NodeId).collect();
+        self.in_b.clear();
+        for &v in &self.b_nodes {
+            self.in_b.insert(v);
+        }
         self.current = None;
         self.last_step = 0;
         self.frozen = false;

@@ -101,8 +101,8 @@ impl EdgeMarkovian {
     /// the work drops from `Θ(n²)` RNG draws to `O(m + p·n²)` — the sparse
     /// regime (`p = Θ(1/n)`) the related-work experiments sweep runs in
     /// `O(n)` per step. Both lists come out lexicographic, so
-    /// [`Graph::with_changes`] builds the next window's CSR from the
-    /// current one in one linear pass.
+    /// [`Graph::apply_changes`] turns the current CSR into the next
+    /// window's in one linear pass.
     fn evolve_delta(&mut self, rng: &mut SimRng) -> EdgeDelta {
         let current = self
             .current
@@ -127,7 +127,10 @@ impl EdgeMarkovian {
             Some(geo) => births(current, geo, rng),
             None => Vec::new(),
         };
-        self.current = Topology::materialized(current.with_changes(&added, &removed));
+        self.current
+            .as_graph_mut()
+            .expect("edge-Markovian graphs are materialized")
+            .apply_changes(&added, &removed);
         EdgeDelta::new(added, removed)
     }
 }

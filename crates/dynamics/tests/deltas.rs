@@ -2,9 +2,9 @@
 //! reports `Some(delta)`, the delta must be the exact symmetric difference
 //! between the previous window's graph and what `topology(t, …)` returns
 //! afterwards — the incremental engine's correctness rests on this. Also
-//! [`Graph::with_changes`], which builds a window's CSR from the previous
-//! one and such a delta, and the edge-Markovian step against a reference
-//! that builds each window with a [`GraphBuilder`].
+//! [`Graph::apply_changes`], which turns the previous window's CSR into
+//! the next one in place from such a delta, and the edge-Markovian step
+//! against a reference that builds each window with a [`GraphBuilder`].
 
 use gossip_dynamics::{
     AbsoluteDiligentNetwork, AlternatingRegular, CliquePendant, DiligentNetwork, DynamicNetwork,
@@ -323,7 +323,7 @@ proptest! {
         assert_steps_match_reference(initial, p, q, seed, 3);
     }
 
-    /// [`Graph::with_changes`] on dense change sets: more changed edges
+    /// [`Graph::apply_changes`] on dense change sets: more changed edges
     /// than nodes, every row touched (each pair with an odd endpoint sum
     /// flips, the rest flip by a coin).
     #[test]
@@ -348,16 +348,15 @@ proptest! {
             touched.insert(v);
         }
         prop_assert!(touched.is_full());
-        prop_assert_eq!(&prev.with_changes(delta.added(), delta.removed()), &next);
-        let back = delta.inverted();
-        prop_assert_eq!(&next.with_changes(back.added(), back.removed()), &prev);
+        prop_assert_eq!(&applied(&prev, &delta), &next);
+        prop_assert_eq!(&applied(&next, &delta.inverted()), &prev);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// [`Graph::with_changes`] applied to `prev` with
+    /// [`Graph::apply_changes`] applied to `prev` with
     /// `EdgeDelta::between(prev, next)` rebuilds `next`, and the inverted
     /// delta rebuilds `prev`. `next` keeps part of `prev`, adds fresh
     /// edges and empties some rows: on even seeds those of nodes 0 and
@@ -377,8 +376,44 @@ proptest! {
             .collect();
         let next = Graph::from_edges(n, &edges).unwrap();
         let delta = EdgeDelta::between(&prev, &next);
-        prop_assert_eq!(&prev.with_changes(delta.added(), delta.removed()), &next);
-        let back = delta.inverted();
-        prop_assert_eq!(&next.with_changes(back.added(), back.removed()), &prev);
+        prop_assert_eq!(&applied(&prev, &delta), &next);
+        prop_assert_eq!(&applied(&next, &delta.inverted()), &prev);
     }
+
+    /// [`Graph::apply_changes`] on sparse change sets (fewer changed edges
+    /// than nodes), which patch the CSR in place: a few removed and added
+    /// edges, sometimes all at one node, sometimes at the first or last
+    /// row, growing, shrinking or keeping the volume.
+    #[test]
+    fn apply_changes_patches_sparse_deltas(seed in 0u64..10_000, n in 4usize..80) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let prev = random_graph(n, rng.uniform_f64() * 0.3, &mut rng);
+        let budget = 1 + rng.index(n - 1);
+        let hub = [0, (n - 1) as NodeId, rng.index(n) as NodeId][rng.index(3)];
+        let mut flips = Vec::new();
+        while flips.len() < budget {
+            let u = if rng.chance(0.3) { hub } else { rng.index(n) as NodeId };
+            let v = rng.index(n) as NodeId;
+            if u != v && !flips.contains(&(u.min(v), u.max(v))) {
+                flips.push((u.min(v), u.max(v)));
+            }
+        }
+        let edges: Vec<(NodeId, NodeId)> = prev
+            .edges()
+            .filter(|e| !flips.contains(e))
+            .chain(flips.iter().copied().filter(|&(u, v)| !prev.has_edge(u, v)))
+            .collect();
+        let next = Graph::from_edges(n, &edges).unwrap();
+        let delta = EdgeDelta::between(&prev, &next);
+        prop_assert!(delta.len() < n);
+        prop_assert_eq!(&applied(&prev, &delta), &next);
+        prop_assert_eq!(&applied(&next, &delta.inverted()), &prev);
+    }
+}
+
+/// `g` with `delta` applied in place.
+fn applied(g: &Graph, delta: &EdgeDelta) -> Graph {
+    let mut g = g.clone();
+    g.apply_changes(delta.added(), delta.removed());
+    g
 }

@@ -165,15 +165,16 @@ impl Graph {
         0..self.n() as NodeId
     }
 
-    /// The graph with the `removed` edges deleted and the `added` edges
-    /// inserted, built from this one without a full
-    /// [`GraphBuilder::build`]. `O(n + m + c)` for `c` changed edges when
-    /// the change set is dense (`c ≥ n`, about every row touched): each
-    /// surviving or added edge is placed, in lexicographic order, at the
-    /// next free slot of both its rows, so every row fills in sorted
-    /// order. A sparse change set copies untouched rows in runs and
-    /// merges each touched row with its changes, after sorting its
-    /// `2c < 2n` half-edges.
+    /// Deletes the `removed` edges and inserts the `added` ones in place,
+    /// without a full [`GraphBuilder::build`]. `O(n + m + c)` for `c`
+    /// changed edges when the change set is dense (`c ≥ n`, about every
+    /// row touched): each surviving or added edge is placed, in
+    /// lexicographic order, at the next free slot of both its rows, so
+    /// every row fills in sorted order. A sparse change set merges each
+    /// touched row with its changes and moves the untouched runs between
+    /// touched rows by their offset shift, leaving runs whose shift is
+    /// zero where they are; only the `c` lower half-edges are sorted (the
+    /// upper ones arrive in row order).
     ///
     /// Both lists hold edges as `(u, v)` with `u < v`, in lexicographic
     /// order (as [`Graph::edges`] and the dynamic networks' deltas give
@@ -186,16 +187,16 @@ impl Graph {
     /// ```
     /// use gossip_graph::Graph;
     ///
-    /// let old = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
-    /// let new = old.with_changes(&[(2, 3)], &[(0, 1)]);
-    /// assert_eq!(new, Graph::from_edges(4, &[(1, 2), (2, 3)]).unwrap());
+    /// let mut g = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
+    /// g.apply_changes(&[(2, 3)], &[(0, 1)]);
+    /// assert_eq!(g, Graph::from_edges(4, &[(1, 2), (2, 3)]).unwrap());
     /// ```
     ///
     /// # Panics
     ///
     /// Panics if a list is not lexicographic with `u < v`, an endpoint is
     /// out of range, or the new volume does not fit the `u32` row offsets.
-    pub fn with_changes(&self, added: &[(NodeId, NodeId)], removed: &[(NodeId, NodeId)]) -> Graph {
+    pub fn apply_changes(&mut self, added: &[(NodeId, NodeId)], removed: &[(NodeId, NodeId)]) {
         assert!(
             is_lex_sorted(added) && is_lex_sorted(removed),
             "changed edges must be lexicographic with u < v"
@@ -206,85 +207,121 @@ impl Graph {
             "graph volume exceeds the u32 CSR offsets"
         );
         if added.len() + removed.len() >= self.n() {
-            self.place_changes(added, removed, volume)
+            *self = self.place_changes(added, removed, volume);
         } else {
-            self.merge_changes(added, removed, volume)
+            self.merge_changes(added, removed, volume);
         }
     }
 
-    /// [`Graph::with_changes`] for sparse change sets: row runs copied,
-    /// touched rows merged with their sorted half-edges.
+    /// [`Graph::apply_changes`] for sparse change sets: touched rows
+    /// merged with their sorted half-edges, untouched runs moved.
     fn merge_changes(
-        &self,
+        &mut self,
         added: &[(NodeId, NodeId)],
         removed: &[(NodeId, NodeId)],
         volume: usize,
-    ) -> Graph {
-        // Half-edges keyed `row << 32 | neighbor`, so they sort in row order.
+    ) {
+        let n = self.n();
+        // Half-edges keyed `row << 32 | neighbor`, in row order: the upper
+        // halves are already sorted, the lower ones are sorted and merged
+        // in.
         let halves = |edges: &[(NodeId, NodeId)]| {
             let key = |r: NodeId, w: NodeId| u64::from(r) << 32 | u64::from(w);
-            let mut h: Vec<u64> = edges
-                .iter()
-                .flat_map(|&(u, v)| [key(u, v), key(v, u)])
-                .collect();
-            h.sort_unstable();
+            let mut lower: Vec<u64> = edges.iter().map(|&(u, v)| key(v, u)).collect();
+            lower.sort_unstable();
+            let mut h = Vec::with_capacity(2 * edges.len());
+            let mut lower = lower.into_iter().peekable();
+            for &(u, v) in edges {
+                let upper = key(u, v);
+                while let Some(l) = lower.next_if(|&l| l < upper) {
+                    h.push(l);
+                }
+                h.push(upper);
+            }
+            h.extend(lower);
             h
         };
         let (plus, minus) = (halves(added), halves(removed));
-        let row_of = |h: Option<&u64>| h.map_or(self.n(), |&h| (h >> 32) as usize);
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut neighbors = Vec::with_capacity(volume);
-        offsets.push(0u32);
+        let row_of = |h: Option<&u64>| h.map_or(n, |&h| (h >> 32) as usize);
+        // Each touched row merged with its changes, back to back in
+        // `merged`, and per touched row: its index and the cumulative
+        // offset shift of the rows after it.
+        let mut merged = Vec::new();
+        let mut touched: Vec<(usize, i64)> = Vec::new();
+        let mut shift = 0i64;
         let (mut i, mut j) = (0, 0);
-        let mut copied = 0;
         loop {
-            let next = row_of(plus.get(i)).min(row_of(minus.get(j)));
-            // Rows `copied..next` are untouched: one copy, shifted offsets
-            // (the wrapping shift is exact, the volume fits u32).
-            let (from, to) = (self.offsets[copied], self.offsets[next]);
-            let shift = (neighbors.len() as u32).wrapping_sub(from);
-            neighbors.extend_from_slice(&self.neighbors[from as usize..to as usize]);
-            offsets.extend(
-                self.offsets[copied + 1..=next]
-                    .iter()
-                    .map(|&o| o.wrapping_add(shift)),
-            );
-            if next == self.n() {
+            let row = row_of(plus.get(i)).min(row_of(minus.get(j)));
+            if row == n {
                 break;
             }
-            // Row `next`: merge its old row with its sorted changes.
-            let (lo, hi) = ((next as u64) << 32, (next as u64 + 1) << 32);
-            for &w in self.neighbors(next as NodeId) {
+            let start = merged.len();
+            let (lo, hi) = ((row as u64) << 32, (row as u64 + 1) << 32);
+            for &w in self.neighbors(row as NodeId) {
                 let here = lo | u64::from(w);
                 while i < plus.len() && plus[i] < here {
-                    neighbors.push(plus[i] as NodeId);
+                    merged.push(plus[i] as NodeId);
                     i += 1;
                 }
                 debug_assert!(
                     plus.get(i) != Some(&here),
-                    "added edge ({next}, {w}) is present"
+                    "added edge ({row}, {w}) is present"
                 );
                 if minus.get(j) == Some(&here) {
                     j += 1;
                 } else {
-                    neighbors.push(w);
+                    merged.push(w);
                 }
             }
             while i < plus.len() && plus[i] < hi {
-                neighbors.push(plus[i] as NodeId);
+                merged.push(plus[i] as NodeId);
                 i += 1;
             }
             debug_assert!(
                 j == minus.len() || minus[j] >= hi,
-                "a removed edge of row {next} is absent"
+                "a removed edge of row {row} is absent"
             );
-            offsets.push(neighbors.len() as u32);
-            copied = next + 1;
+            shift += (merged.len() - start) as i64 - self.degree(row as NodeId) as i64;
+            touched.push((row, shift));
         }
-        Graph { offsets, neighbors }
+        // The untouched run after touched row `k` (up to the next touched
+        // row) moves by its shift. Destinations keep the runs' order and
+        // the touched rows' old slots are already copied out, so runs
+        // moving left go front to back and runs moving right back to front.
+        let run = |k: usize| {
+            let end = touched.get(k + 1).map_or(n, |t| t.0);
+            (touched[k].0 + 1, end, touched[k].1)
+        };
+        if volume > self.neighbors.len() {
+            self.neighbors.resize(volume, 0);
+        }
+        let left = (0..touched.len()).filter(|&k| touched[k].1 < 0);
+        let right = (0..touched.len()).rev().filter(|&k| touched[k].1 > 0);
+        for (first, end, shift) in left.chain(right).map(run) {
+            let (from, to) = (self.offsets[first] as usize, self.offsets[end] as usize);
+            self.neighbors
+                .copy_within(from..to, (from as i64 + shift) as usize);
+        }
+        // The merged rows land in the gaps, then the offsets follow.
+        let mut at = 0;
+        let mut before = 0i64;
+        for &(row, shift) in &touched {
+            let start = (self.offsets[row] as i64 + before) as usize;
+            let len = (shift - before + self.degree(row as NodeId) as i64) as usize;
+            self.neighbors[start..start + len].copy_from_slice(&merged[at..at + len]);
+            at += len;
+            before = shift;
+        }
+        for (first, end, shift) in (0..touched.len()).map(run).filter(|r| r.2 != 0) {
+            // The wrapping shift is exact: the volume fits u32.
+            for o in &mut self.offsets[first..=end] {
+                *o = o.wrapping_add(shift as u32);
+            }
+        }
+        self.neighbors.truncate(volume);
     }
 
-    /// [`Graph::with_changes`] for dense change sets: the new degrees give
+    /// [`Graph::apply_changes`] for dense change sets: the new degrees give
     /// the row offsets, then the edges are placed in lexicographic order.
     /// Row `r` receives its lower neighbours (from rows `w < r`, in
     /// ascending `w`) before its own upper ones, so it fills sorted.

@@ -719,6 +719,15 @@ impl Topology {
         }
     }
 
+    /// The wrapped graph, mutably, when the backend is materialized (for
+    /// in-place [`Graph::apply_changes`]).
+    pub fn as_graph_mut(&mut self) -> Option<&mut Graph> {
+        match &mut self.repr {
+            Repr::Materialized(g) => Some(g),
+            _ => None,
+        }
+    }
+
     /// Builds the CSR [`Graph`] this topology describes. O(n + m) time and
     /// memory — `O(n²)` for dense backends, so reserve this for analysis
     /// paths (conductance, spectra) at sizes where CSR is affordable.

@@ -11,12 +11,19 @@
 //! and informs the uninformed node `v` with probability proportional to its
 //! in-rate `r_v = Σ_{u ∈ I ∩ N(v)} (1/d_u + 1/d_v)`.
 //!
-//! Two maintenance strategies, selected per [`Topology`] backend:
+//! Three maintenance strategies, selected per [`Topology`] backend and
+//! per inner loop:
 //!
 //! * **Generic Fenwick** — per-node in-rates in a Fenwick tree: `O(log n)`
 //!   sampling per infection and `O(deg(v))` rate updates. Exact on any
 //!   backend, but `deg(v) = n − 1` on dense graphs makes a complete-graph
-//!   run `Θ(n²)`.
+//!   run `Θ(n²)`. This is the scalar reference: `vectorized(false)` runs
+//!   and the window engine's [`Protocol::advance_window`] use it.
+//! * **Vectorized lane** — in vectorized mode the same per-node in-rates
+//!   live in flat arrays ([`FastLane`]) that the rejection-sampling inner
+//!   loop drives. A rebuild writes them directly; a sparse topology delta
+//!   repairs them in place, so dynamic windows run the vectorized loop
+//!   too.
 //! * **Closed form** — on implicit complete, star, and complete-bipartite
 //!   backends the symmetry collapses the whole rate vector to a handful of
 //!   counters: on `K_n` every uninformed node has in-rate `2|I|/(n−1)`, so
@@ -26,7 +33,7 @@
 //!   experiments from `n ≈ 10⁴` to `n ≥ 10⁵`.
 //!
 //! Seeded *sampled* backends ([`gossip_graph::Topology::gnp`] and kin)
-//! ride the generic Fenwick path: every `degree` / `for_each_neighbor`
+//! ride the generic paths: every `degree` / `for_each_neighbor`
 //! call works off adjacency rows the backend realizes lazily on first
 //! touch, so a sparse `G(n, p)` run at `n = 10⁵` builds exactly the rows
 //! the spread visits — `O(n + m)` total, no CSR `Graph` ever constructed
@@ -35,7 +42,7 @@
 //! way (`tests/sampled_equivalence.rs` asserts this exactly).
 //!
 //! The distribution over (infection sequence, times) is *identical* in
-//! both strategies and to the naive simulator's; the test suites check
+//! every strategy and to the naive simulator's; the test suites check
 //! this with Kolmogorov–Smirnov tests.
 
 use crate::incremental::WindowStep;
@@ -52,8 +59,9 @@ const UNIFORM_BATCH: usize = 64;
 /// refresh over the frontier.
 const RMAX_REFRESH_STREAK: u32 = 64;
 
-/// Structure-of-arrays state for the vectorized inner loop
-/// ([`CutRateAsync::drive_window_fast`]).
+/// Structure-of-arrays rate state of the vectorized inner loop
+/// ([`CutRateAsync::drive_window_fast`]): in vectorized mode, the generic
+/// backends' only rate state.
 ///
 /// Replaces the Fenwick tree's `O(log n)` sample / update walks with a
 /// rejection sampler over flat arrays: `members[..flen]` lists the
@@ -71,15 +79,20 @@ const RMAX_REFRESH_STREAK: u32 = 64;
 /// place and leave the frontier whole), so rejection sampling against it
 /// stays exact; a long rejection streak triggers an `O(|frontier|)`
 /// refresh.
+///
+/// [`FastLane::build`] writes the whole state for a new topology;
+/// [`FastLane::set_rate`] and [`FastLane::drop_zero_rates`] repair it
+/// after a sparse delta ([`CutRateAsync::repair_delta`]). A rate that
+/// falls to zero in a repair leaves the frontier in one scan of
+/// `members[..flen]`, which few repairs need, so the event loop keeps no
+/// node-to-slot index.
 #[derive(Debug, Clone, Default)]
 struct FastLane {
-    /// Whether the arrays below describe the current trial's state.
-    valid: bool,
-    /// Per-node in-rates; nonzero exactly for frontier members.
+    /// Per-node in-rates; nonzero exactly for frontier members (the
+    /// irregular lane; the regular lane keeps `counts` instead).
     rates: Vec<f64>,
-    /// Per-node `1/degree`, filled eagerly at prime time (infinite for
-    /// isolated nodes, which are never informed and never scanned as
-    /// neighbors).
+    /// Per-node `1/degree` (infinite for isolated nodes, which are never
+    /// informed and never scanned as neighbors).
     deg_invs: Vec<f64>,
     /// Frontier storage; `members[..flen]` are the live entries. Always
     /// `n` slots so the branch-free append below never reallocates.
@@ -100,10 +113,13 @@ struct FastLane {
     /// Regular lane only: upper bound on every frontier count (stale
     /// high at most, like `rmax`).
     cmax: u32,
-    /// Incrementally maintained total cut rate `λ`.
+    /// Incrementally maintained total cut rate `λ` (irregular lane).
     lambda: f64,
     /// Upper bound on every frontier rate (may be stale high, never low).
     rmax: f64,
+    /// Whether a repair zeroed the rate of a frontier member that is still
+    /// listed in `members[..flen]`.
+    stale_members: bool,
     /// Pre-drawn uniforms (the fused slot + acceptance draws).
     uniforms: Vec<f64>,
     /// Next unconsumed slot in `uniforms`.
@@ -120,6 +136,158 @@ struct FastLane {
 }
 
 impl FastLane {
+    /// Builds the lane for topology `g` and the informed set in one pass
+    /// over the nodes: the same per-node sums a Fenwick rebuild stores
+    /// ([`fill_rates`]), the inverse-degree cache (filled eagerly so the
+    /// hot loop carries no lazy-fill branch or division), and the
+    /// frontier, `λ` and the rate bound in index order.
+    fn build(&mut self, g: &Topology, informed: &NodeSet) {
+        let n = g.n();
+        self.rates.resize(n, 0.0);
+        fill_rates(g, informed, &mut self.rates);
+        // Degree-0 nodes get an infinite inverse, but they are never
+        // informed and never scanned as neighbors, so it is never read.
+        let d0 = g.degree(0);
+        let mut regular = true;
+        self.deg_invs.clear();
+        self.deg_invs.extend((0..n as NodeId).map(|v| {
+            let d = g.degree(v);
+            regular &= d == d0;
+            1.0 / d as f64
+        }));
+        // Slots past `flen` are written before they are read, so only the
+        // length matters.
+        self.members.resize(n, 0);
+        self.flen = 0;
+        let mut lambda = 0.0;
+        let mut rmax = 0.0;
+        for (v, &w) in self.rates.iter().enumerate() {
+            if w > 0.0 {
+                self.members[self.flen] = v as NodeId;
+                self.flen += 1;
+                lambda += w;
+                if w > rmax {
+                    rmax = w;
+                }
+            }
+        }
+        self.uniform_deg_inv = (regular && d0 > 0).then(|| 1.0 / d0 as f64);
+        if let Some(dinv) = self.uniform_deg_inv {
+            // Regular graph: switch to the integer-count representation.
+            // Every weight is `m · 2/d` for an integer informed-neighbor
+            // count `m ≤ d`, so the rounded division recovers `m` exactly.
+            let delta = 2.0 * dinv;
+            self.counts.clear();
+            self.counts
+                .extend(self.rates.iter().map(|&w| (w / delta).round() as u32));
+            self.ctotal = self.counts.iter().map(|&c| c as u64).sum();
+            self.cmax = self.counts.iter().copied().max().unwrap_or(0);
+        }
+        self.lambda = lambda;
+        self.rmax = rmax;
+        self.stale_members = false;
+    }
+
+    /// Drops every pre-drawn variate, so no draw of a previous trial
+    /// leaks into the next.
+    fn discard_draws(&mut self) {
+        self.cursor = self.uniforms.len();
+        self.ecursor = self.exps.len();
+    }
+
+    /// Total cut rate `λ`.
+    fn total(&self) -> f64 {
+        match self.uniform_deg_inv {
+            Some(dinv) => self.ctotal as f64 * 2.0 * dinv,
+            None => self.lambda,
+        }
+    }
+
+    /// The in-rate of node `v`.
+    #[cfg(test)]
+    fn rate(&self, v: NodeId) -> f64 {
+        match self.uniform_deg_inv {
+            Some(dinv) => self.counts[v as usize] as f64 * 2.0 * dinv,
+            None => self.rates[v as usize],
+        }
+    }
+
+    /// Whether a sparse delta can be repaired in place: always on the
+    /// irregular lane; on the regular lane only when every changed-edge
+    /// endpoint keeps the common degree (anything else rebuilds, which
+    /// re-derives the representation).
+    fn repairs(&self, g: &Topology, delta: &EdgeDelta) -> bool {
+        match self.uniform_deg_inv {
+            Some(dinv) => {
+                let d = (1.0 / dinv).round() as usize;
+                delta.touched_nodes().all(|e| g.degree(e) == d)
+            }
+            None => true,
+        }
+    }
+
+    /// Refreshes the cached inverse degree of a changed-edge endpoint.
+    fn set_degree(&mut self, v: NodeId, degree: usize) {
+        self.deg_invs[v as usize] = 1.0 / degree as f64;
+    }
+
+    /// Sets node `v`'s in-rate (`count` informed neighbors) in a repair:
+    /// `λ` or the count total move by the difference, the bound only
+    /// grows, a node whose rate turns positive joins the frontier, and one
+    /// whose rate falls to zero is left for [`FastLane::drop_zero_rates`].
+    fn set_rate(&mut self, v: NodeId, rate: f64, count: u32) {
+        let vi = v as usize;
+        let (was, now) = match self.uniform_deg_inv {
+            Some(_) => {
+                let old = self.counts[vi];
+                self.counts[vi] = count;
+                self.ctotal = self.ctotal - u64::from(old) + u64::from(count);
+                self.cmax = self.cmax.max(count);
+                (old != 0, count != 0)
+            }
+            None => {
+                let old = self.rates[vi];
+                self.rates[vi] = rate;
+                self.lambda += rate - old;
+                if rate > self.rmax {
+                    self.rmax = rate;
+                }
+                (old != 0.0, rate != 0.0)
+            }
+        };
+        if now && !was {
+            self.members[self.flen] = v;
+            self.flen += 1;
+        }
+        self.stale_members |= was && !now;
+    }
+
+    /// Ends a repair: removes the members whose rate it zeroed, in one
+    /// scan of `members[..flen]` (swap-remove, as the event loop does).
+    fn drop_zero_rates(&mut self) {
+        if std::mem::take(&mut self.stale_members) {
+            let mut i = 0;
+            while i < self.flen {
+                let m = self.members[i] as usize;
+                let zero = match self.uniform_deg_inv {
+                    Some(_) => self.counts[m] == 0,
+                    None => self.rates[m] == 0.0,
+                };
+                if zero {
+                    self.flen -= 1;
+                    self.members[i] = self.members[self.flen];
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        if self.flen == 0 {
+            // An empty frontier has no rate: drop the round-off of the
+            // updates that emptied it.
+            self.lambda = 0.0;
+        }
+    }
+
     /// Next batched uniform in `[0, 1)`; refills from `rng` on exhaustion.
     #[inline]
     fn uniform(&mut self, rng: &mut SimRng) -> f64 {
@@ -159,11 +327,48 @@ impl FastLane {
     }
 }
 
+/// Writes every node's in-rate `r_v = Σ_{u ∈ I ∩ N(v)} (1/d_u + 1/d_v)`
+/// into `w`, zeroing it first: pushed from each informed node when they are
+/// at most half, pulled by each uninformed node otherwise. The Fenwick
+/// tree and the vectorized lane both build from it, so they hold the same
+/// sums.
+fn fill_rates(g: &Topology, informed: &NodeSet, w: &mut [f64]) {
+    w.iter_mut().for_each(|x| *x = 0.0);
+    if informed.len() * 2 <= w.len() {
+        for u in informed.iter() {
+            let du_inv = 1.0 / g.degree(u) as f64;
+            g.for_each_neighbor(u, |v| {
+                if !informed.contains(v) {
+                    w[v as usize] += du_inv + 1.0 / g.degree(v) as f64;
+                }
+            });
+        }
+    } else {
+        for v in informed.iter_complement() {
+            let dv = g.degree(v);
+            if dv == 0 {
+                continue;
+            }
+            let dv_inv = 1.0 / dv as f64;
+            let mut r = 0.0;
+            g.for_each_neighbor(v, |u| {
+                if informed.contains(u) {
+                    r += 1.0 / g.degree(u) as f64 + dv_inv;
+                }
+            });
+            w[v as usize] = r;
+        }
+    }
+}
+
 /// Per-backend rate state (see the module docs).
 #[derive(Debug, Clone)]
 enum RateState {
-    /// Generic per-node in-rates, any backend.
+    /// Generic per-node in-rates, any backend: the scalar reference.
     Fenwick(FenwickSampler),
+    /// Generic per-node in-rates in the vectorized lane
+    /// ([`CutRateAsync::fast`]), any backend, vectorized mode only.
+    Lane,
     /// Implicit `K_n`: all uninformed nodes share the in-rate
     /// `2|I|/(n−1)`.
     Complete { n: usize, uninformed: ShrinkPool },
@@ -206,11 +411,13 @@ enum RateState {
 pub struct CutRateAsync {
     n: usize,
     state: Option<RateState>,
-    /// Whether the event engine may take the vectorized inner loop on
-    /// static windows. Off by default: `CutRateAsync::new()` is the scalar
-    /// reference; `RunPlan` opts runs in via
-    /// [`crate::IncrementalProtocol::set_vectorized`].
+    /// Whether the event engine keeps generic backends' rates in the
+    /// vectorized lane and runs its inner loop. Off by default:
+    /// `CutRateAsync::new()` is the scalar reference; `RunPlan` opts runs
+    /// in via [`crate::IncrementalProtocol::set_vectorized`].
     vectorized: bool,
+    /// The vectorized lane; it describes the current state only while
+    /// `state` is [`RateState::Lane`], and keeps its storage otherwise.
     fast: FastLane,
 }
 
@@ -224,7 +431,8 @@ impl CutRateAsync {
     /// choosing the closed form when the backend admits one. O(n) on
     /// closed-form backends; O(vol of the smaller cut side) on the generic
     /// Fenwick path (weights accumulated in bulk — one O(n) tree build
-    /// instead of one O(log n) update per cut edge).
+    /// instead of one O(log n) update per cut edge). This is the window
+    /// engine's rebuild, so generic backends always get the Fenwick tree.
     ///
     /// The fresh-allocation path: mid-run rebuilds salvage storage from
     /// the previous state, but storage dropped at a state switch (or by
@@ -232,24 +440,23 @@ impl CutRateAsync {
     /// [`CutRateAsync::rebuild_rates_in`] routes that storage through a
     /// [`SimWorkspace`] instead.
     pub(crate) fn rebuild_rates(&mut self, g: &Topology, informed: &NodeSet) {
-        self.rebuild_rates_in(g, informed, None);
+        self.rebuild_rates_in(g, informed, None, false);
     }
 
     /// [`CutRateAsync::rebuild_rates`] drawing replacement storage from
-    /// (and returning displaced storage to) a [`SimWorkspace`]. The built
-    /// state is bit-identical either way: pools come back in ascending
-    /// member order and [`FenwickSampler::rebuild_into`] reproduces a
-    /// fresh sampler's state exactly.
+    /// (and returning displaced storage to) a [`SimWorkspace`], with
+    /// generic backends' rates in the vectorized lane when `lane` is set.
+    /// The built state is bit-identical either way: pools come back in
+    /// ascending member order and [`FenwickSampler::rebuild_into`]
+    /// reproduces a fresh sampler's state exactly.
     pub(crate) fn rebuild_rates_in(
         &mut self,
         g: &Topology,
         informed: &NodeSet,
         ws: Option<&mut SimWorkspace>,
+        lane: bool,
     ) {
         debug_assert_eq!(g.n(), self.n, "begin() saw a different network size");
-        // Any rebuild obsoletes the vectorized lane; it re-primes from the
-        // fresh Fenwick weights on the next fast window.
-        self.fast.valid = false;
         match g.structure() {
             Structure::Complete { n } => {
                 let (mut uninformed, _) = self.take_picks(ws);
@@ -278,6 +485,16 @@ impl CutRateAsync {
                     uninformed_b: pick_b,
                 });
             }
+            _ if lane => {
+                // The lane keeps its own storage; park whatever the
+                // previous state held.
+                match ws {
+                    Some(ws) => Self::stash_state(self.state.take(), ws),
+                    None => self.state = None,
+                }
+                self.fast.build(g, informed);
+                self.state = Some(RateState::Lane);
+            }
             _ => {
                 let n = self.n;
                 let mut rates = match self.state.take() {
@@ -296,34 +513,7 @@ impl CutRateAsync {
                     }
                 };
                 rates
-                    .rebuild_into(n, |w| {
-                        w.iter_mut().for_each(|x| *x = 0.0);
-                        if informed.len() * 2 <= n {
-                            for u in informed.iter() {
-                                let du_inv = 1.0 / g.degree(u) as f64;
-                                g.for_each_neighbor(u, |v| {
-                                    if !informed.contains(v) {
-                                        w[v as usize] += du_inv + 1.0 / g.degree(v) as f64;
-                                    }
-                                });
-                            }
-                        } else {
-                            for v in informed.iter_complement() {
-                                let dv = g.degree(v);
-                                if dv == 0 {
-                                    continue;
-                                }
-                                let dv_inv = 1.0 / dv as f64;
-                                let mut r = 0.0;
-                                g.for_each_neighbor(v, |u| {
-                                    if informed.contains(u) {
-                                        r += 1.0 / g.degree(u) as f64 + dv_inv;
-                                    }
-                                });
-                                w[v as usize] = r;
-                            }
-                        }
-                    })
+                    .rebuild_into(n, |w| fill_rates(g, informed, w))
                     .expect("rates are finite");
                 self.state = Some(RateState::Fenwick(rates));
             }
@@ -368,6 +558,7 @@ impl CutRateAsync {
         match state {
             None => {}
             Some(RateState::Fenwick(f)) => ws.put_fenwick(f),
+            Some(RateState::Lane) => {}
             Some(RateState::Complete { uninformed, .. }) => ws.put_pool(uninformed),
             Some(RateState::Star {
                 uninformed_leaves, ..
@@ -390,12 +581,12 @@ impl CutRateAsync {
     /// what [`Protocol::begin`] does by dropping.
     pub(crate) fn begin_reusing(&mut self, n: usize, ws: &mut SimWorkspace) {
         self.n = n;
-        self.fast.valid = false;
+        self.fast.discard_draws();
         Self::stash_state(self.state.take(), ws);
     }
 
-    /// Whether the current state is the generic Fenwick tree (the
-    /// delta-repair fast path only exists there).
+    /// Whether the current state is the generic Fenwick tree.
+    #[cfg(test)]
     pub(crate) fn is_fenwick(&self) -> bool {
         matches!(self.state, Some(RateState::Fenwick(_)))
     }
@@ -406,6 +597,7 @@ impl CutRateAsync {
         match &self.state {
             None => 0.0,
             Some(RateState::Fenwick(f)) => f.total(),
+            Some(RateState::Lane) => self.fast.total(),
             Some(RateState::Complete { n, uninformed }) => {
                 let u = uninformed.len();
                 let i = n - u;
@@ -446,6 +638,7 @@ impl CutRateAsync {
         match &self.state {
             None => 0.0,
             Some(RateState::Fenwick(f)) => f.weight(v as usize),
+            Some(RateState::Lane) => self.fast.rate(v),
             Some(RateState::Complete { n, uninformed }) if uninformed.contains(v) => {
                 (n - uninformed.len()) as f64 * 2.0 / (*n as f64 - 1.0)
             }
@@ -487,10 +680,23 @@ impl CutRateAsync {
         }
     }
 
+    /// The vectorized lane's frontier `members[..flen]` and whether it is
+    /// the regular (integer-count) lane; `None` off the lane state.
+    #[cfg(test)]
+    pub(crate) fn lane_frontier(&self) -> Option<(Vec<NodeId>, bool)> {
+        matches!(self.state, Some(RateState::Lane)).then(|| {
+            (
+                self.fast.members[..self.fast.flen].to_vec(),
+                self.fast.uniform_deg_inv.is_some(),
+            )
+        })
+    }
+
     /// Draws the next node to inform, proportionally to its in-rate.
     pub(crate) fn sample_next(&mut self, rng: &mut SimRng) -> Option<NodeId> {
         match self.state.as_ref().expect("rebuilt before sampling") {
             RateState::Fenwick(f) => f.sample(rng).map(|v| v as NodeId),
+            RateState::Lane => unreachable!("the vectorized lane samples in its own loop"),
             RateState::Complete { n, uninformed } => {
                 let u = uninformed.len();
                 (u > 0 && u < *n).then(|| uninformed.sample(rng))
@@ -535,9 +741,8 @@ impl CutRateAsync {
     /// O(n) bulk tree rebuild (only plausible for very high-degree nodes
     /// mid-spread).
     pub(crate) fn absorb_informed(&mut self, g: &Topology, v: NodeId, informed: &NodeSet) {
-        // A scalar-path mutation desynchronizes the vectorized lane.
-        self.fast.valid = false;
         match self.state.as_mut().expect("rebuilt before absorbing") {
+            RateState::Lane => unreachable!("the vectorized lane absorbs in its own loop"),
             RateState::Complete { uninformed, .. } => uninformed.remove(v),
             RateState::Star {
                 center,
@@ -600,7 +805,10 @@ impl CutRateAsync {
     /// endpoints (whose `1/d_u` contribution shifted with `u`'s degree).
     /// Each distinct endpoint is examined once, so an informed one walks
     /// its row once however many changed edges it has, and each stale
-    /// node is recomputed once, in ascending order. Fenwick state only
+    /// node is recomputed once, in ascending order. On the vectorized
+    /// lane the endpoints' inverse degrees are refreshed first, and the
+    /// frontier, `λ` and the rate bound follow the recomputed rates.
+    /// Fenwick and lane states only
     /// ([`crate::IncrementalProtocol::apply_delta`] picks this path for
     /// sparse deltas).
     pub(crate) fn repair_delta(
@@ -610,10 +818,14 @@ impl CutRateAsync {
         informed: &NodeSet,
         ws: &mut SimWorkspace,
     ) {
+        let lane = matches!(self.state, Some(RateState::Lane));
         let (touched, stale) = ws.repair_marks(g.n());
         for e in delta.touched_nodes() {
             if !touched.insert(e) {
                 continue;
+            }
+            if lane {
+                self.fast.set_degree(e, g.degree(e));
             }
             if informed.contains(e) {
                 g.for_each_neighbor(e, |w| {
@@ -628,21 +840,25 @@ impl CutRateAsync {
         for v in stale.iter() {
             self.recompute_rate(g, v, informed);
         }
+        if lane {
+            self.fast.drop_zero_rates();
+        }
     }
 
     /// Recomputes one uninformed node's in-rate from scratch (`O(deg(v))`),
     /// used by the delta-repair path after a topology change — Fenwick
-    /// state only (closed-form states rebuild instead).
+    /// and lane states only (closed-form states rebuild instead).
     pub(crate) fn recompute_rate(&mut self, g: &Topology, v: NodeId, informed: &NodeSet) {
         debug_assert!(!informed.contains(v), "informed nodes carry no in-rate");
-        self.fast.valid = false;
         let dv = g.degree(v);
         let mut r = 0.0;
+        let mut count = 0;
         if dv > 0 {
             let dv_inv = 1.0 / dv as f64;
             g.for_each_neighbor(v, |u| {
                 if informed.contains(u) {
                     r += 1.0 / g.degree(u) as f64 + dv_inv;
+                    count += 1;
                 }
             });
         }
@@ -650,86 +866,42 @@ impl CutRateAsync {
             Some(RateState::Fenwick(rates)) => {
                 rates.set(v as usize, r).expect("rates are finite");
             }
-            _ => unreachable!("delta repair only runs on the Fenwick state"),
+            Some(RateState::Lane) => self.fast.set_rate(v, r, count),
+            _ => unreachable!("delta repair only runs on the Fenwick and lane states"),
         }
     }
 
-    /// Opts into (`true`) or out of (`false`) the vectorized inner loop.
+    /// Whether a sparse delta can be repaired in place: always on the
+    /// Fenwick tree and the irregular lane, and on the regular lane when
+    /// the delta keeps every degree (see [`FastLane::repairs`]).
+    pub(crate) fn repairs(&self, g: &Topology, delta: &EdgeDelta) -> bool {
+        match self.state {
+            Some(RateState::Fenwick(_)) => true,
+            Some(RateState::Lane) => self.fast.repairs(g, delta),
+            _ => false,
+        }
+    }
+
+    /// Opts into (`true`) or out of (`false`) the vectorized lane.
     /// See [`crate::IncrementalProtocol::set_vectorized`] for the contract.
     pub(crate) fn select_vectorized(&mut self, on: bool) {
         self.vectorized = on;
-        self.fast.valid = false;
     }
 
-    /// Whether the next window may run [`CutRateAsync::drive_window_fast`]:
-    /// the caller opted in, the network is static (no rebuilds or
-    /// between-window RNG draws to stay in sync with), and the rate state
-    /// is the generic Fenwick form (closed-form states are already `O(1)`
-    /// per event).
-    pub(crate) fn use_fast_loop(&self, static_window: bool) -> bool {
-        self.vectorized && static_window && self.is_fenwick()
+    /// Whether rebuilds put generic backends' rates in the vectorized lane.
+    pub(crate) fn is_vectorized(&self) -> bool {
+        self.vectorized
     }
 
-    /// (Re)builds the vectorized lane from the current Fenwick weights:
-    /// one `O(n)` pass collects the frontier, `λ`, the rate bound, and the
-    /// inverse-degree cache (filled eagerly so the hot loop carries no
-    /// lazy-fill branch or division), and resets the uniform buffer so no
-    /// draw from a previous trial leaks in.
-    fn prime_fast(&mut self, g: &Topology) {
-        let Some(RateState::Fenwick(f)) = &self.state else {
-            unreachable!("fast loop primes only on the Fenwick state");
-        };
-        let n = self.n;
-        let lane = &mut self.fast;
-        // The records cannot outlive a prime: the degree cache would go
-        // stale if the same protocol value were rerun against a different
-        // same-size topology.
-        lane.rates.clear();
-        lane.deg_invs.clear();
-        lane.members.clear();
-        lane.members.resize(n, 0);
-        lane.flen = 0;
-        let mut lambda = 0.0;
-        let mut rmax = 0.0;
-        let d0 = g.degree(0);
-        let mut regular = true;
-        for (v, &w) in f.weights().iter().enumerate() {
-            // Degree-0 nodes get an infinite inverse, but they are never
-            // informed and never scanned as neighbors, so it is never read.
-            let d = g.degree(v as NodeId);
-            regular &= d == d0;
-            lane.rates.push(w);
-            lane.deg_invs.push(1.0 / d as f64);
-            if w > 0.0 {
-                lane.members[lane.flen] = v as NodeId;
-                lane.flen += 1;
-                lambda += w;
-                if w > rmax {
-                    rmax = w;
-                }
-            }
-        }
-        lane.uniform_deg_inv = (regular && d0 > 0).then(|| 1.0 / d0 as f64);
-        if let Some(dinv) = lane.uniform_deg_inv {
-            // Regular graph: switch to the integer-count representation.
-            // Every weight is `m · 2/d` for an integer informed-neighbor
-            // count `m ≤ d`, so the rounded division recovers `m` exactly.
-            let delta = 2.0 * dinv;
-            lane.counts.clear();
-            lane.counts
-                .extend(lane.rates.iter().map(|&w| (w / delta).round() as u32));
-            lane.ctotal = lane.counts.iter().map(|&c| c as u64).sum();
-            lane.cmax = lane.counts.iter().copied().max().unwrap_or(0);
-        }
-        lane.lambda = lambda;
-        lane.rmax = rmax;
-        lane.cursor = lane.uniforms.len();
-        lane.ecursor = lane.exps.len();
-        lane.valid = true;
+    /// Whether the next window runs [`CutRateAsync::drive_window_fast`]:
+    /// the rate state is the vectorized lane (vectorized mode on a generic
+    /// backend; closed-form states are already `O(1)` per event).
+    pub(crate) fn use_fast_loop(&self) -> bool {
+        matches!(self.state, Some(RateState::Lane))
     }
 
-    /// The vectorized inner loop: one static window driven off the
-    /// structure-of-arrays [`FastLane`] instead of the Fenwick tree.
+    /// The vectorized inner loop: one window driven off the
+    /// structure-of-arrays [`FastLane`], the lane state's own event loop.
     ///
     /// Per event: one batched uniform feeds the `Exp(λ)` clock off the
     /// incrementally maintained total; the infected node is drawn by
@@ -746,9 +918,11 @@ impl CutRateAsync {
     /// Samples the *same distribution* as the scalar loop but consumes the
     /// RNG in a different order (`tests/vectorized_equivalence.rs` checks
     /// distributional equality; draw-for-draw equality is deliberately not
-    /// promised). The lane and the uniform buffer persist across windows
-    /// of one trial — sound only because static networks neither rebuild
-    /// rates nor draw RNG between windows.
+    /// promised). The lane persists across windows of one trial: a sparse
+    /// delta repairs it and anything else rebuilds it. So does the uniform
+    /// buffer, even across windows in which the network drew from the
+    /// trial stream. That is exact: a buffered draw not yet consumed is
+    /// independent of every draw already used, the network's included.
     pub(crate) fn drive_window_fast(
         &mut self,
         g: &Topology,
@@ -758,9 +932,6 @@ impl CutRateAsync {
         mut faults: Option<&mut crate::FaultState>,
         events_left: u64,
     ) -> WindowStep {
-        if !self.fast.valid {
-            self.prime_fast(g);
-        }
         if self.fast.uniform_deg_inv.is_some() {
             return self.drive_window_fast_regular(g, t, informed, rng, faults, events_left);
         }
@@ -1164,7 +1335,7 @@ impl Protocol for CutRateAsync {
     fn begin(&mut self, n: usize) {
         self.n = n;
         self.state = None;
-        self.fast.valid = false;
+        self.fast.discard_draws();
     }
 
     fn advance_window(

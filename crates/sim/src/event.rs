@@ -175,10 +175,6 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
             return Ok(SpreadOutcome::finished(0.0, 0, n, informed, trajectory, 0));
         }
 
-        // A static network never consumes RNG between windows, which lets a
-        // protocol's drive_window keep pre-drawn randomness and auxiliary
-        // state alive across window boundaries.
-        let static_net = net.is_static();
         // Fault coins are keyed by the trial seed, so activating a model
         // never perturbs the trial stream.
         let mut fault_state = self
@@ -229,7 +225,6 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
             // the protocol's own specialized loop or the scalar reference
             // loop (see IncrementalProtocol::drive_window).
             let ctx = WindowCtx {
-                static_window: static_net,
                 faults: fault_state.as_mut(),
                 events_left: budget - events,
             };

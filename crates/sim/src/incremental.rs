@@ -10,9 +10,10 @@
 //! * [`IncrementalProtocol::apply_delta`] — repair after a reported
 //!   [`EdgeDelta`]: for the cut-rate protocol, one mark per changed-edge
 //!   endpoint, one row walk per distinct informed endpoint, and
-//!   `O(deg + log n)` per distinct stale node (plus an `n/64`-word scan of
-//!   the stale bitset) — or, for a dense delta with at least `2n` changed
-//!   edges, a rebuild;
+//!   `O(deg + log n)` per distinct stale node on the Fenwick tree
+//!   (`O(deg)` on the vectorized lane, plus one frontier scan when a rate
+//!   fell to zero), plus an `n/64`-word scan of the stale bitset — or, for
+//!   a dense delta with at least `2n` changed edges, a rebuild;
 //! * [`IncrementalProtocol::event_rate`] — the total rate `λ` of the
 //!   protocol's superposed Poisson event clock;
 //! * [`IncrementalProtocol::resolve_event`] — resolve one clock tick,
@@ -46,15 +47,9 @@ pub struct WindowStep {
 }
 
 /// Engine-supplied context for one [`IncrementalProtocol::drive_window`]
-/// call: the static-network promise, the active fault state (if any), and
-/// the remaining event budget.
+/// call: the active fault state (if any) and the remaining event budget.
 #[derive(Debug)]
 pub struct WindowCtx<'a> {
-    /// The engine's promise that the network is static for the entire run
-    /// (no RNG-consuming topology callbacks between windows) — the
-    /// license for optimizations whose state or pre-drawn randomness
-    /// outlives one window, e.g. batched exponential-clock draws.
-    pub static_window: bool,
     /// The per-trial fault state, already advanced to this window via
     /// [`FaultState::begin_window`]; `None` when no faults are active.
     /// When `Some`, the loop must veto events through the fault state
@@ -70,9 +65,8 @@ pub struct WindowCtx<'a> {
 
 impl<'a> WindowCtx<'a> {
     /// A fault-free, unbounded context (the common case).
-    pub fn unbounded(static_window: bool) -> Self {
+    pub fn unbounded() -> Self {
         WindowCtx {
-            static_window,
             faults: None,
             events_left: u64::MAX,
         }
@@ -190,8 +184,11 @@ pub trait IncrementalProtocol: Protocol {
     ///   `RunPlan::workspace(false)`.
     /// * `set_vectorized(true)` (the construction default) *allows* a
     ///   protocol to drive its window through a specialized monomorphic
-    ///   loop. Protocols without one ignore the flag — the default is a
-    ///   no-op — and always run the scalar loop.
+    ///   loop, on static and dynamic windows alike, and to keep its state
+    ///   in that loop's layout (the cut-rate protocol keeps generic
+    ///   backends' rates only in its vectorized lane, which deltas repair
+    ///   in place). Protocols without one ignore the flag — the default is
+    ///   a no-op — and always run the scalar loop.
     /// * Whatever the flag, the sampled process distribution is identical:
     ///   a vectorized loop may consume the per-trial RNG stream in a
     ///   different order (documented per protocol; KS-verified by
@@ -209,8 +206,8 @@ pub trait IncrementalProtocol: Protocol {
     /// the event clock idles, the event budget runs out, or the spread
     /// completes.
     ///
-    /// `ctx` carries the engine's static-network promise, the active
-    /// fault state, and the remaining event budget (see [`WindowCtx`]).
+    /// `ctx` carries the active fault state and the remaining event
+    /// budget (see [`WindowCtx`]).
     /// The default delegates to [`generic_drive_window`], the scalar
     /// per-event reference loop.
     fn drive_window(
@@ -428,17 +425,20 @@ impl IncrementalProtocol for CutRateAsync {
     }
 
     fn rebuild(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
-        self.rebuild_rates_in(g, informed, Some(ws));
+        let lane = self.is_vectorized();
+        self.rebuild_rates_in(g, informed, Some(ws), lane);
     }
 
-    /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]).
-    /// A dense delta, with at least twice as many changed edges as nodes
-    /// (every node touched about four times), rebuilds instead: one pass
-    /// over the rows and an `O(n)` tree build beat a recompute and a tree
-    /// update per stale node. Closed-form states (implicit complete/star/
-    /// bipartite backends) always rebuild — that is O(n), no slower than
-    /// walking a delta. Both paths are exact; they sum the rates, the
-    /// tree and `λ` in different orders, so they agree to the last bits.
+    /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]),
+    /// on the Fenwick tree or the vectorized lane. A dense delta, with at
+    /// least twice as many changed edges as nodes (every node touched
+    /// about four times), rebuilds instead: one pass over the rows and an
+    /// `O(n)` build beat a recompute per stale node. So does a delta that
+    /// breaks the regular lane's common degree. Closed-form states
+    /// (implicit complete/star/bipartite backends) always rebuild — that
+    /// is O(n), no slower than walking a delta. Both paths are exact; they
+    /// sum the rates and `λ` in different orders, so they agree to the
+    /// last bits.
     fn apply_delta(
         &mut self,
         g: &Topology,
@@ -446,10 +446,10 @@ impl IncrementalProtocol for CutRateAsync {
         informed: &NodeSet,
         ws: &mut SimWorkspace,
     ) {
-        if !self.is_fenwick() || delta.len() >= 2 * g.n() {
-            self.rebuild(g, informed, ws);
-        } else {
+        if delta.len() < 2 * g.n() && self.repairs(g, delta) {
             self.repair_delta(g, delta, informed, ws);
+        } else {
+            self.rebuild(g, informed, ws);
         }
     }
 
@@ -500,9 +500,9 @@ impl IncrementalProtocol for CutRateAsync {
         self.select_vectorized(vectorized);
     }
 
-    /// Static Fenwick-state windows run the vectorized frontier loop (see
-    /// `async_cut.rs`); everything else — scalar mode, dynamic networks,
-    /// closed-form pool states — falls back to the scalar reference loop.
+    /// Lane-state windows, static or dynamic, run the vectorized frontier
+    /// loop (see `async_cut.rs`); everything else — scalar mode and
+    /// closed-form pool states — runs the scalar reference loop.
     fn drive_window(
         &mut self,
         g: &Topology,
@@ -511,7 +511,7 @@ impl IncrementalProtocol for CutRateAsync {
         rng: &mut SimRng,
         ctx: WindowCtx<'_>,
     ) -> WindowStep {
-        if self.use_fast_loop(ctx.static_window) {
+        if self.use_fast_loop() {
             self.drive_window_fast(g, t, informed, rng, ctx.faults, ctx.events_left)
         } else {
             generic_drive_window(self, g, t, informed, rng, ctx)
@@ -854,6 +854,183 @@ mod tests {
             );
         }
         assert!(close(applied.total_rate(), repaired.total_rate()));
+    }
+
+    /// A vectorized cut-rate protocol on `g`, rebuilt for `informed`.
+    fn lane_on(g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) -> CutRateAsync {
+        let mut p = CutRateAsync::new();
+        p.set_vectorized(true);
+        p.begin(g.n());
+        p.rebuild(g, informed, ws);
+        p
+    }
+
+    /// Every rate and `λ` agree with a lane built from scratch on `g` to
+    /// 1e-12 relative, and the frontier is the same set, listed once.
+    fn assert_lane_matches_fresh(p: &CutRateAsync, g: &Topology, informed: &NodeSet) {
+        let fresh = lane_on(g, informed, &mut SimWorkspace::new());
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for v in 0..g.n() as NodeId {
+            let (a, b) = (p.rate_of(v), fresh.rate_of(v));
+            assert!(close(a, b), "node {v}: repaired {a} vs fresh {b}");
+        }
+        let (a, b) = (p.total_rate(), fresh.total_rate());
+        assert!(close(a, b), "lambda: repaired {a} vs fresh {b}");
+        let (mut members, _) = p.lane_frontier().expect("repairs keep the lane");
+        let (mut expected, _) = fresh.lane_frontier().expect("vectorized builds the lane");
+        members.sort_unstable();
+        let listed = members.len();
+        members.dedup();
+        assert_eq!(members.len(), listed, "a frontier member is listed twice");
+        expected.sort_unstable();
+        assert_eq!(members, expected, "frontier sets differ");
+    }
+
+    /// Up to `events` vectorized events of window `t`.
+    fn lane_events(
+        p: &mut CutRateAsync,
+        g: &Topology,
+        t: u64,
+        informed: &mut NodeSet,
+        rng: &mut SimRng,
+        events: u64,
+    ) {
+        let ctx = WindowCtx {
+            faults: None,
+            events_left: events,
+        };
+        p.drive_window(g, t, informed, rng, ctx);
+    }
+
+    /// `g` without `remove` and with `add`.
+    fn edited(
+        g: &gossip_graph::Graph,
+        remove: &[(NodeId, NodeId)],
+        add: &[(NodeId, NodeId)],
+    ) -> gossip_graph::Graph {
+        let edges: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .filter(|&(u, v)| !remove.contains(&(u, v)) && !remove.contains(&(v, u)))
+            .chain(add.iter().copied())
+            .collect();
+        gossip_graph::Graph::from_edges(g.n(), &edges).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The lane repaired across sparse deltas, with vectorized events
+        /// between them, equals a lane built on the post-delta graph. The
+        /// deltas cycle through cutting a frontier node off the informed
+        /// side (its rate falls to 0), isolating a node, and changing an
+        /// informed node's degree, each with a few random flips.
+        #[test]
+        fn lane_delta_repair_matches_a_fresh_build(seed in 0u64..10_000, n in 8usize..40) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut graph = gossip_graph::generators::erdos_renyi(n, 0.15 + 0.3 * rng.uniform_f64(), &mut rng).unwrap();
+            let mut informed = NodeSet::new(n);
+            informed.insert(0);
+            for v in 1..n as NodeId {
+                if rng.chance(0.3) {
+                    informed.insert(v);
+                }
+            }
+            let mut ws = SimWorkspace::new();
+            let mut topo = Topology::materialized(graph.clone());
+            let mut p = lane_on(&topo, &informed, &mut ws);
+            for step in 0..6u64 {
+                let events = 1 + rng.index(3) as u64;
+                lane_events(&mut p, &topo, step, &mut informed, &mut rng, events);
+                let (mut remove, mut add) = (Vec::new(), Vec::new());
+                let mut cut_off = None;
+                match step % 3 {
+                    0 => {
+                        // A frontier node loses every informed neighbor.
+                        let (frontier, _) = p.lane_frontier().unwrap();
+                        if let Some(&v) = frontier.get(rng.index(frontier.len().max(1))) {
+                            for &u in graph.neighbors(v).iter().filter(|&&u| informed.contains(u)) {
+                                remove.push((u.min(v), u.max(v)));
+                            }
+                            cut_off = Some(v);
+                        }
+                    }
+                    1 => {
+                        let v = rng.index(n) as NodeId;
+                        remove.extend(graph.neighbors(v).iter().map(|&u| (u.min(v), u.max(v))));
+                    }
+                    _ => {
+                        // An informed node gains or loses an edge.
+                        let u = informed.iter().nth(rng.index(informed.len())).unwrap();
+                        let w = rng.index(n) as NodeId;
+                        if w != u {
+                            let e = (u.min(w), u.max(w));
+                            if graph.has_edge(u, w) { remove.push(e) } else { add.push(e) }
+                        }
+                    }
+                }
+                for _ in 0..rng.index(3) {
+                    let (u, w) = (rng.index(n) as NodeId, rng.index(n) as NodeId);
+                    let e = (u.min(w), u.max(w));
+                    if u != w && Some(u) != cut_off && Some(w) != cut_off && !remove.contains(&e) && !add.contains(&e) {
+                        if graph.has_edge(u, w) { remove.push(e) } else { add.push(e) }
+                    }
+                }
+                let next = edited(&graph, &remove, &add);
+                let delta = EdgeDelta::between(&graph, &next);
+                proptest::prop_assert!(delta.len() < 2 * n);
+                let next_topo = Topology::materialized(next.clone());
+                p.apply_delta(&next_topo, &delta, &informed, &mut ws);
+                if let Some(v) = cut_off {
+                    proptest::prop_assert_eq!(p.rate_of(v), 0.0);
+                }
+                assert_lane_matches_fresh(&p, &next_topo, &informed);
+                (graph, topo) = (next, next_topo);
+            }
+        }
+
+        /// The regular (integer-count) lane repairs a degree-keeping edge
+        /// swap in place and rebuilds, as the float lane, after a delta
+        /// that breaks regularity; both equal a fresh build.
+        #[test]
+        fn regular_lane_repairs_swaps_and_rebuilds_off_regularity(seed in 0u64..10_000, half in 4usize..16) {
+            let n = 2 * half;
+            let mut rng = SimRng::seed_from_u64(seed);
+            let graph = gossip_graph::generators::random_connected_regular(n, 4, &mut rng).unwrap();
+            let mut informed = NodeSet::new(n);
+            informed.insert(0);
+            for v in 1..n as NodeId {
+                if rng.chance(0.25) {
+                    informed.insert(v);
+                }
+            }
+            let mut ws = SimWorkspace::new();
+            let topo = Topology::materialized(graph.clone());
+            let mut p = lane_on(&topo, &informed, &mut ws);
+            proptest::prop_assert!(p.lane_frontier().unwrap().1, "a 4-regular graph takes the count lane");
+            lane_events(&mut p, &topo, 0, &mut informed, &mut rng, 2);
+            // A double edge swap (a, b), (c, d) -> (a, c), (b, d).
+            let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
+            let swap = (0..200).find_map(|_| {
+                let ((a, b), (c, d)) = (edges[rng.index(edges.len())], edges[rng.index(edges.len())]);
+                let distinct = a != c && a != d && b != c && b != d;
+                (distinct && !graph.has_edge(a, c) && !graph.has_edge(b, d)).then_some((a, b, c, d))
+            });
+            let (a, b, c, d) = swap.expect("a 4-regular graph on 8+ nodes has a swap");
+            let swapped = edited(&graph, &[(a, b), (c, d)], &[(a.min(c), a.max(c)), (b.min(d), b.max(d))]);
+            let delta = EdgeDelta::between(&graph, &swapped);
+            let swapped_topo = Topology::materialized(swapped.clone());
+            p.apply_delta(&swapped_topo, &delta, &informed, &mut ws);
+            proptest::prop_assert!(p.lane_frontier().unwrap().1, "a degree-keeping swap keeps the count lane");
+            assert_lane_matches_fresh(&p, &swapped_topo, &informed);
+            lane_events(&mut p, &swapped_topo, 1, &mut informed, &mut rng, 2);
+            let (u, v) = swapped.edges().nth(rng.index(swapped.m())).unwrap();
+            let broken = edited(&swapped, &[(u, v)], &[]);
+            let delta = EdgeDelta::between(&swapped, &broken);
+            let broken_topo = Topology::materialized(broken);
+            p.apply_delta(&broken_topo, &delta, &informed, &mut ws);
+            proptest::prop_assert!(!p.lane_frontier().unwrap().1, "an irregular graph leaves the count lane");
+            assert_lane_matches_fresh(&p, &broken_topo, &informed);
+        }
     }
 
     #[test]

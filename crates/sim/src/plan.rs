@@ -292,9 +292,9 @@ impl<'o> RunPlan<'o> {
     ///
     /// * `true` — protocols that implement
     ///   [`IncrementalProtocol::set_vectorized`] may run their specialized
-    ///   inner loop on static windows ([`crate::CutRateAsync`]: batched
-    ///   uniform draws, structure-of-arrays rates, rejection sampling,
-    ///   word-level bitset scans).
+    ///   inner loop on static and dynamic windows ([`crate::CutRateAsync`]:
+    ///   batched uniform draws, structure-of-arrays rates repaired across
+    ///   sparse deltas, rejection sampling, word-level bitset scans).
     /// * `false` — the scalar reference loop: the per-event
     ///   `event_rate` / `resolve_event` / `commit` dispatch sequence,
     ///   consuming the RNG draw for draw as every release before the

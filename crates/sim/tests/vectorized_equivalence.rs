@@ -9,14 +9,15 @@
 //! enforce the contract from both sides:
 //!
 //! * **KS-equivalence** (α = 0.01) between scalar and vectorized
-//!   spread-time samples, per engine × backend family;
+//!   spread-time samples, per engine × backend family, static and dynamic
+//!   (the lane repaired across sparse deltas and rebuilt on dense ones);
 //! * **bit-identical determinism** within one mode: same plan, any
 //!   thread count, same summary — and rerunning the same plan replays it;
 //! * **no-op cases** stay bit-identical across the flag: the window
 //!   engine and closed-form (non-Fenwick) backends never take the fast
 //!   loop.
 
-use gossip_dynamics::{DynamicNetwork, StaticNetwork};
+use gossip_dynamics::{DiligentNetwork, DynamicNetwork, EdgeMarkovian, StaticNetwork};
 use gossip_graph::{generators, Topology};
 use gossip_sim::{AnyProtocol, CutRateAsync, Engine, RunPlan};
 use gossip_stats::ks;
@@ -24,28 +25,50 @@ use gossip_stats::ks;
 const TRIALS: usize = 600;
 const ALPHA: f64 = 0.01;
 
-fn times(
-    make_net: impl Fn() -> StaticNetwork + Sync,
+fn times<N: DynamicNetwork>(
+    make_net: impl Fn() -> N + Sync,
+    engine: Engine,
+    vectorized: bool,
+    threads: usize,
+    seed: u64,
+) -> Vec<f64> {
+    times_of(TRIALS, make_net, engine, vectorized, threads, seed)
+}
+
+fn times_of<N: DynamicNetwork>(
+    trials: usize,
+    make_net: impl Fn() -> N + Sync,
     engine: Engine,
     vectorized: bool,
     threads: usize,
     seed: u64,
 ) -> Vec<f64> {
     let mut sink = gossip_sim::JsonlSink::new(Vec::new());
-    let report = RunPlan::new(TRIALS, seed)
+    let report = RunPlan::new(trials, seed)
         .engine(engine)
         .threads(threads)
         .vectorized(vectorized)
         .observer(&mut sink)
         .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
-    assert_eq!(report.trials(), TRIALS);
+    assert_eq!(report.trials(), trials);
     report.sorted_times().to_vec()
 }
 
-fn assert_modes_ks_equivalent(make_net: impl Fn() -> StaticNetwork + Sync + Copy, seed: u64) {
-    let scalar = times(make_net, Engine::Event, false, 1, seed);
-    let fast = times(make_net, Engine::Event, true, 1, seed);
+fn assert_modes_ks_equivalent<N: DynamicNetwork>(
+    make_net: impl Fn() -> N + Sync + Copy,
+    seed: u64,
+) {
+    assert_modes_ks_equivalent_over(TRIALS, make_net, seed);
+}
+
+fn assert_modes_ks_equivalent_over<N: DynamicNetwork>(
+    trials: usize,
+    make_net: impl Fn() -> N + Sync + Copy,
+    seed: u64,
+) {
+    let scalar = times_of(trials, make_net, Engine::Event, false, 1, seed);
+    let fast = times_of(trials, make_net, Engine::Event, true, 1, seed);
     assert_eq!(scalar.len(), fast.len());
     assert!(
         ks::same_distribution(&scalar, &fast, ALPHA),
@@ -84,6 +107,29 @@ fn implicit_backend_scalar_vs_vectorized_ks() {
     let make = || StaticNetwork::from_topology(Topology::circulant_lift(120, 4, 99).unwrap());
     assert!(make().n() == 120);
     assert_modes_ks_equivalent(make, 17);
+}
+
+#[test]
+fn edge_markovian_scalar_vs_vectorized_ks() {
+    // Golden digest (a)'s shape: async push-pull on edge-Markovian churn
+    // with p = 0.02, q = 0.2 at n = 128, whose windows mix sparse deltas
+    // (the lane repairs them) and dense ones (at least 2n changed edges:
+    // the lane is rebuilt).
+    let make = || {
+        let mut rng = gossip_stats::SimRng::seed_from_u64(37);
+        let initial = generators::erdos_renyi(128, 0.02, &mut rng).unwrap();
+        EdgeMarkovian::new(initial, 0.02, 0.2).unwrap()
+    };
+    assert_modes_ks_equivalent(make, 19);
+}
+
+#[test]
+fn diligent_scalar_vs_vectorized_ks() {
+    // The Section 4 adversary G(256, 0.25): a sparse re-stitch delta
+    // after every window in which a B node hears the rumor, each repaired
+    // in the lane.
+    let make = || DiligentNetwork::new(256, 0.25).unwrap();
+    assert_modes_ks_equivalent_over(400, make, 21);
 }
 
 #[test]

@@ -15,7 +15,9 @@
 //! paths — plus a KS distribution check and byte-identical observer
 //! streams.
 
-use gossip_dynamics::{DynamicNetwork, SequenceNetwork, StaticNetwork};
+use gossip_dynamics::{
+    DiligentNetwork, DynamicNetwork, EdgeMarkovian, SequenceNetwork, StaticNetwork,
+};
 use gossip_graph::{generators, Topology};
 use gossip_sim::{
     AnyProtocol, CutRateAsync, Engine, FaultModel, JsonlSink, RunConfig, RunPlan, TrajectorySink,
@@ -150,6 +152,48 @@ fn dynamic_sequence_delta_repair_path() {
         },
         || AnyProtocol::event(CutRateAsync::new()),
     );
+}
+
+/// One vectorized event-engine batch of the cut-rate protocol.
+fn vectorized_summary<N: DynamicNetwork>(
+    make_net: impl Fn() -> N + Sync,
+    threads: usize,
+    reuse: bool,
+) -> TrialSummary {
+    RunPlan::new(24, 97)
+        .threads(threads)
+        .engine(Engine::Event)
+        .vectorized(true)
+        .workspace(reuse)
+        .config(RunConfig::with_max_time(1e4))
+        .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
+        .expect("valid plan")
+        .into_summary()
+}
+
+#[test]
+fn vectorized_dynamic_families_bit_identical() {
+    // The vectorized lane across deltas: repaired in place on sparse ones
+    // and rebuilt on dense ones (edge-Markovian churn), repaired after
+    // every re-stitch (G(n, rho)). Identical at 1 and 4 threads, with
+    // workspace reuse on and off.
+    fn check<N: DynamicNetwork>(label: &str, make_net: impl Fn() -> N + Sync + Copy) {
+        let reference = vectorized_summary(make_net, 1, false);
+        assert!(reference.completed() > 0, "{label}: nothing completed");
+        for (threads, reuse) in [(1, true), (4, false), (4, true)] {
+            assert_bit_identical(
+                &reference,
+                &vectorized_summary(make_net, threads, reuse),
+                &format!("{label}, {threads} thread(s), workspace reuse {reuse}"),
+            );
+        }
+    }
+    check("edge-Markovian", || {
+        let mut rng = gossip_stats::SimRng::seed_from_u64(43);
+        let initial = generators::erdos_renyi(96, 0.02, &mut rng).unwrap();
+        EdgeMarkovian::new(initial, 0.02, 0.2).unwrap()
+    });
+    check("G(160, 0.25)", || DiligentNetwork::new(160, 0.25).unwrap());
 }
 
 #[test]

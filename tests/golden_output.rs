@@ -12,14 +12,22 @@
 //! only digest (a). Version 3 (one fault model: keyed liveness coins in
 //! the analytic engines, `lossy` as async plus faults) moved only
 //! faulty-gnp and lossy-expander; net-faulty, whose live liveness and drop
-//! coins kept their keys, did not move.
+//! coins kept their keys, did not move. Version 4 (the vectorized lane
+//! repaired across deltas, so dynamic windows run the vectorized loop)
+//! moved only the vectorized dynamic digests (a) and (b); their scalar
+//! twins (`sweep.vectorized = false`), pinned beside them, did not move,
+//! and neither did any static digest or (c).
+//!
+//! The `#[ignore]`d test at the end pins the benchmark's two dynamic
+//! sweeps at full size; it runs in release (`cargo test --release --test
+//! golden_output -- --ignored`).
 
 use rumor_spreading::bounds::journal::RESULTS_VERSION;
 use rumor_spreading::prelude::*;
 use std::path::Path;
 
 /// The [`RESULTS_VERSION`] the digests below were taken at.
-const DIGESTS_VERSION: u32 = 3;
+const DIGESTS_VERSION: u32 = 4;
 
 /// Fails with the message a moved digest needs: the digests and the
 /// results version move together.
@@ -60,6 +68,12 @@ fn jsonl_digest(spec: &ScenarioSpec) -> (usize, u64) {
     (records, fnv1a(&sink.into_inner().unwrap()))
 }
 
+/// `spec` on the scalar reference loop (`sweep.vectorized = false`).
+fn scalar(mut spec: ScenarioSpec) -> ScenarioSpec {
+    spec.sweep.vectorized = Some(false);
+    spec
+}
+
 fn checked_in(file: &str) -> ScenarioSpec {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("scenarios")
@@ -73,7 +87,7 @@ fn dynamic_family_jsonl_is_pinned() {
     // (a) Async push-pull on edge-Markovian churn: every window's flip
     // delta reaches the cut rates, which repair the sparse ones and, from
     // 2n changed edges up (a quarter of the n = 128 windows), rebuild
-    // (version 2).
+    // (version 2); vectorized, in the lane (version 4).
     let churn = ScenarioSpec::from_json_str(
         r#"{
             "name": "golden-edge-markovian-async",
@@ -85,8 +99,13 @@ fn dynamic_family_jsonl_is_pinned() {
     .unwrap();
     assert_pinned(
         jsonl_digest(&churn),
-        (20, 0x2a01_c64b_4c42_55e1),
+        (20, 0xe2a2_a652_9616_dd1d),
         "edge-Markovian, async",
+    );
+    assert_pinned(
+        jsonl_digest(&scalar(churn)),
+        (20, 0x2a01_c64b_4c42_55e1),
+        "edge-Markovian, async, scalar",
     );
 
     // (b) The Section 4 adversary: a re-stitch delta after every window
@@ -95,8 +114,13 @@ fn dynamic_family_jsonl_is_pinned() {
     diligent.sweep.sizes.truncate(2);
     assert_pinned(
         jsonl_digest(&diligent),
-        (40, 0xc457_9be5_9849_6b60),
+        (40, 0x59c3_b763_b91f_d940),
         "diligent.toml, n <= 512",
+    );
+    assert_pinned(
+        jsonl_digest(&scalar(diligent)),
+        (40, 0xc457_9be5_9849_6b60),
+        "diligent.toml, n <= 512, scalar",
     );
 
     // (c) The checked-in edge-Markovian scenario (2-push).
@@ -173,4 +197,48 @@ fn live_jsonl_is_pinned() {
         (20, 0x4c37_adb0_79c7_c654),
         "net-faulty.toml",
     );
+}
+
+/// The benchmark's two dynamic sweeps at their full shape, vectorized and
+/// scalar. Seconds in release, minutes in the debug build, so ignored
+/// there.
+#[test]
+#[ignore = "release only: cargo test --release --test golden_output -- --ignored"]
+fn benchmark_shapes_are_pinned() {
+    assert_version();
+    let churn = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-bench-edge-markovian",
+            "family": {"kind": "edge-markovian", "p": 0.002, "q": 0.2, "build_seed": 11},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [2000, 4000], "trials": 20, "seed": 12}
+        }"#,
+    )
+    .unwrap();
+    let diligent = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-bench-diligent",
+            "family": {"kind": "diligent", "rho": 0.25},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [1024, 2048], "trials": 20, "seed": 13}
+        }"#,
+    )
+    .unwrap();
+    let pins = [
+        (churn.clone(), (40, 0x52f6_c74b_96c2_6744), "edge-Markovian"),
+        (
+            scalar(churn),
+            (40, 0xf0fe_f94f_4e15_39db),
+            "edge-Markovian, scalar",
+        ),
+        (diligent.clone(), (40, 0xa8a3_7b7f_caea_5688), "G(n, 0.25)"),
+        (
+            scalar(diligent),
+            (40, 0x7f99_5000_3373_f885),
+            "G(n, 0.25), scalar",
+        ),
+    ];
+    for (spec, pinned, what) in pins {
+        assert_pinned(jsonl_digest(&spec), pinned, what);
+    }
 }
