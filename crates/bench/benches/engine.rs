@@ -22,14 +22,13 @@
 //!   `backend_speedup/gnp/<n>` metric is the end-to-end per-trial cost
 //!   ratio of the two representations.
 //!
-//! * `inner_loop` — scalar vs vectorized event loop on the cells the
-//!   inner-loop rework targets: simulator-bound sparse `G(n, p)` (mean
-//!   degree 100–200) and a spread-offset d = 128 circulant, single
-//!   thread, ns/event. Scalar and vectorized runs are interleaved in
-//!   pairs and the reported `inner_loop_speedup/<family>/<n>` is the
-//!   median of per-pair ratios, so slow machine-state drift (thermal,
-//!   cache pressure from neighboring groups) cancels instead of biasing
-//!   one side. Acceptance bar: ≥ 5.0 on every cell.
+//! * `inner_loop` — the event engine's vectorized loop on the cells it
+//!   targets: simulator-bound sparse `G(n, p)` (mean degree 100–200) and
+//!   a spread-offset d = 128 circulant, single thread, ns/event (the
+//!   median of five batches after one warm-up batch).
+//! * `trial_throughput` — the driver's trials/sec on many small trials
+//!   (per-worker workspace reuse plus chunked record delivery) at
+//!   n ∈ {100, 1e3, 1e4} per family.
 //! * `sweep_parallel` — a whole 8-cell sweep through
 //!   [`gossip_core::scenario::SweepPlan`], sequential cells vs
 //!   `cell_parallel` work stealing over the same thread budget.
@@ -67,9 +66,8 @@
 //! `runplan_overhead/complete/<n>` = `RunPlan::execute` ÷ raw trial
 //! loop on the identical workload (the unified driver must stay under
 //! 1.02, i.e. < 2% added),
-//! `inner_loop_speedup/<family>/<n>` = scalar ÷ vectorized ns/event
-//! (paired-median; `inner_loop/<family>-{scalar,fast}/<n>` carry the
-//! absolute ns/event figures),
+//! `inner_loop/<family>/<n>` = the vectorized loop's ns/event,
+//! `trial_throughput/<family>/<n>` = trials/sec of a batch,
 //! `sweep_parallel/available_parallelism` = hardware threads seen by the
 //! sweep scheduler (always recorded), with
 //! `sweep_parallel_speedup/complete/<cells>` = sequential ÷
@@ -103,8 +101,7 @@ use gossip_dynamics::{DynamicNetwork, StaticNetwork};
 use gossip_graph::{generators, Topology};
 use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetTraffic};
 use gossip_sim::{
-    AnyProtocol, CutRateAsync, Engine, EventSimulation, IncrementalProtocol, RunConfig, RunPlan,
-    RunReport, Simulation,
+    AnyProtocol, CutRateAsync, Engine, EventSimulation, RunConfig, RunPlan, RunReport, Simulation,
 };
 use gossip_stats::SimRng;
 use std::sync::Mutex;
@@ -116,10 +113,9 @@ const CIRCULANT_DEGREE: usize = 16;
 ///
 /// `RunPlan::new` defaults to `available_parallelism()`, so on a modern
 /// 16-hardware-thread host this *is* the out-of-the-box driver shape; the
-/// benchmark pins it so the fresh-vs-workspace comparison measures the
-/// same workload everywhere. Per-trial channel sends and pacing
-/// handshakes are exactly the overhead that grows with worker count —
-/// and exactly what the batched workspace path amortizes away.
+/// benchmark pins it so the measurement is the same workload everywhere.
+/// Channel sends and pacing handshakes are the overhead that grows with
+/// worker count, and what chunked record delivery amortizes.
 const THROUGHPUT_THREADS: usize = 16;
 
 struct Knobs {
@@ -278,28 +274,14 @@ fn bench_gnp_generation(c: &mut Criterion, n: usize, knobs: &Knobs) {
 }
 
 /// Batched trial throughput: the driver's trials/sec on many small
-/// trials, fresh-allocation path vs workspace hot path.
+/// trials — `trials` spreads of the boxed cut-rate protocol at
+/// `THROUGHPUT_THREADS` workers with per-trial `derive(i)` seeding,
+/// per-worker [`gossip_sim::SimWorkspace`] reuse and chunked record
+/// delivery (one message per up-to-64-trial chunk).
 ///
-/// Both sides run the *identical* workload — `trials` spreads of the
-/// boxed cut-rate protocol at `THROUGHPUT_THREADS` workers with per-trial
-/// `derive(i)` seeding, summaries bit-identical by the workspace
-/// equivalence contract — so the measured gap is purely the trial-setup
-/// allocations plus the driver's per-trial synchronization:
-///
-/// * **fresh** (`RunPlan::workspace(false)`) — the pre-workspace driver:
-///   every trial allocates its informed set / Fenwick tree / pools from
-///   scratch and ships one channel message + one pacing handshake per
-///   trial;
-/// * **ws** (default) — per-worker [`gossip_sim::SimWorkspace`] reuse
-///   plus chunked record delivery (one message per up-to-64-trial
-///   chunk).
-///
-/// Metrics: `trial_throughput/<family>/<n>` = the workspace path's
-/// trials/sec, and `workspace_speedup/<family>/<n>` = fresh ÷ ws time.
-/// The win concentrates where trials are cheapest (small n, structured
-/// backends): sub-5µs trials are driver-bound, so the n = 100 complete
-/// cell is the headline (≥ 2× is the acceptance bar); at n = 10⁴ the
-/// spread itself dominates and the ratio approaches 1.
+/// Metric: `trial_throughput/<family>/<n>` = trials/sec. Sub-5µs trials
+/// (n = 100, structured backends) are driver-bound; at n = 10⁴ the
+/// spread itself dominates.
 fn bench_trial_throughput<N, F>(
     c: &mut Criterion,
     family: &str,
@@ -315,10 +297,9 @@ fn bench_trial_throughput<N, F>(
     let mut g = c.benchmark_group("trial_throughput");
     g.sample_size(if knobs.smoke { 2 } else { 5 });
 
-    let run = move |reuse: bool| {
+    let run = move || {
         let report = RunPlan::new(trials, 7_700 + n as u64)
             .threads(THROUGHPUT_THREADS)
-            .workspace(reuse)
             .start(0)
             .config(RunConfig::default())
             .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
@@ -331,30 +312,19 @@ fn bench_trial_throughput<N, F>(
         );
         report
     };
-    g.bench_with_input(
-        BenchmarkId::new(format!("{family}-fresh"), n),
-        &n,
-        |b, _| {
-            b.iter(|| run(false));
-        },
-    );
-    g.bench_with_input(BenchmarkId::new(format!("{family}-ws"), n), &n, |b, _| {
-        b.iter(|| run(true));
+    g.bench_with_input(BenchmarkId::new(family, n), &n, |b, _| {
+        b.iter(run);
     });
     g.finish();
 
-    let fresh = c
-        .measurement_ns(&format!("trial_throughput/{family}-fresh/{n}"))
-        .expect("fresh measurement recorded");
-    let ws = c
-        .measurement_ns(&format!("trial_throughput/{family}-ws/{n}"))
-        .expect("ws measurement recorded");
+    let batch = c
+        .measurement_ns(&format!("trial_throughput/{family}/{n}"))
+        .expect("batch measurement recorded");
     // measurement_ns is per full batch; report per-trial throughput.
     c.record_metric(
         format!("trial_throughput/{family}/{n}"),
-        trials as f64 * 1e9 / ws,
+        trials as f64 * 1e9 / batch,
     );
-    c.record_metric(format!("workspace_speedup/{family}/{n}"), fresh / ws);
 }
 
 /// RunPlan driver overhead vs the raw trial loop it replaced.
@@ -425,9 +395,8 @@ fn bench_runplan_overhead(c: &mut Criterion, n: usize, knobs: &Knobs) {
 /// instead of clustering near the diagonal.
 ///
 /// A plain `regular_circulant` keeps every neighbor within ±d/2 of the
-/// node, so the scalar Fenwick walk enjoys near-perfect cache locality
-/// and the cell measures memory latency rather than the sampling
-/// algorithm. Spreading the offsets (first offset 1 keeps the ring
+/// node, so rate updates enjoy near-perfect cache locality and the cell
+/// measures little beyond the sampling algorithm. Spreading the offsets (first offset 1 keeps the ring
 /// connected; the rest land on odd strides across [1, n/2)) restores
 /// the scattered-access pattern a real sparse graph has.
 fn spread_circulant(n: usize, half_deg: usize) -> Topology {
@@ -443,18 +412,10 @@ fn spread_circulant(n: usize, half_deg: usize) -> Topology {
     Topology::materialized(generators::circulant(n, &offsets).unwrap())
 }
 
-/// Scalar vs vectorized event inner loop, in ns per informative event.
-///
-/// Single thread, single process, `RunPlan` at `vectorized(false)` vs
-/// `vectorized(true)` on the identical plan — the measured gap is
-/// exactly the inner-loop rework (SoA rate state, word-level bitset
-/// scans, batched uniforms, rejection sampling in place of Fenwick
-/// descent). Runs are **paired**: each rep times one scalar batch then
-/// one vectorized batch back-to-back and contributes one ratio; the
-/// metric is the median ratio across reps, after one unmeasured
-/// warm-up pair. Pairing is load-bearing — back-to-back bench groups
-/// shift cache/thermal state enough to swing an unpaired ratio by
-/// ±15%, while a pair sees near-identical machine state.
+/// The event engine's vectorized inner loop, in ns per informative
+/// event: single thread, single process, the median of five batches
+/// after one unmeasured warm-up batch that realizes lazy adjacency and
+/// faults in the working set.
 fn bench_inner_loop<F>(
     c: &mut Criterion,
     family: &str,
@@ -468,11 +429,10 @@ fn bench_inner_loop<F>(
     let trials = if knobs.smoke { trials.min(16) } else { trials };
     let reps = if knobs.smoke { 1 } else { 5 };
 
-    let measure = |vectorized: bool| -> f64 {
+    let measure = || -> f64 {
         let report = RunPlan::new(trials, 99)
             .engine(Engine::Event)
             .threads(1)
-            .vectorized(vectorized)
             .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
             .expect("valid plan");
         assert_eq!(
@@ -484,37 +444,16 @@ fn bench_inner_loop<F>(
         report.elapsed().as_nanos() as f64 / report.events() as f64
     };
 
-    // Warm-up pair: realizes lazy adjacency, faults in the working set,
-    // and settles the branch predictors before anything is recorded.
-    let _ = measure(false);
-    let _ = measure(true);
-
-    let mut scalar = Vec::with_capacity(reps);
-    let mut fast = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let s = measure(false);
-        let f = measure(true);
-        scalar.push(s);
-        fast.push(f);
-        ratios.push(s / f);
-    }
-    scalar.sort_by(f64::total_cmp);
-    fast.sort_by(f64::total_cmp);
-    ratios.sort_by(f64::total_cmp);
-    let (s_med, f_med, ratio) = (scalar[reps / 2], fast[reps / 2], ratios[reps / 2]);
+    let _ = measure();
+    let mut runs: Vec<f64> = (0..reps).map(|_| measure()).collect();
+    runs.sort_by(f64::total_cmp);
+    let median = runs[reps / 2];
     println!(
-        "inner_loop/{family}/{n}: scalar {s_med:.1} ns/event, vectorized {f_med:.1} ns/event, \
-         paired speedup {ratio:.2}x (pair range {:.2}-{:.2})",
-        ratios[0],
-        ratios[reps - 1]
+        "inner_loop/{family}/{n}: {median:.1} ns/event (range {:.1}-{:.1})",
+        runs[0],
+        runs[reps - 1]
     );
-    if !knobs.smoke && ratio < 5.0 {
-        println!("WARNING: inner_loop_speedup/{family}/{n} = {ratio:.2} below the 5.0 bar");
-    }
-    c.record_metric(format!("inner_loop/{family}-scalar/{n}"), s_med);
-    c.record_metric(format!("inner_loop/{family}-fast/{n}"), f_med);
-    c.record_metric(format!("inner_loop_speedup/{family}/{n}"), ratio);
+    c.record_metric(format!("inner_loop/{family}/{n}"), median);
 }
 
 /// Whole-sweep wall clock: sequential cells vs `cell_parallel` work
@@ -823,9 +762,7 @@ fn bench_huge_trial(c: &mut Criterion) {
     );
 
     let run = || {
-        let mut proto = CutRateAsync::new();
-        proto.set_vectorized(true);
-        let mut sim = EventSimulation::new(proto, RunConfig::with_max_time(HORIZON));
+        let mut sim = EventSimulation::new(CutRateAsync::new(), RunConfig::with_max_time(HORIZON));
         let mut net = StaticNetwork::from_topology(topology.clone());
         let mut rng = SimRng::seed_from_u64(1).derive(7);
         let t0 = Instant::now();
@@ -916,11 +853,10 @@ fn main() {
         bench_gnp(&mut c, n, &knobs);
     }
 
-    // Scalar vs vectorized event inner loop, single thread, paired
-    // reps. Topologies are hoisted and `Arc`-shared so realization is
-    // paid once, outside every timed batch; mean degrees (100, 200,
-    // d = 128) put the cells squarely in simulator-bound territory
-    // where the Fenwick-walk vs rejection-sampler gap is the story.
+    // The vectorized event inner loop, single thread. Topologies are
+    // hoisted and `Arc`-shared so realization is paid once, outside every
+    // timed batch; mean degrees (100, 200, d = 128) put the cells
+    // squarely in simulator-bound territory.
     {
         let gnp_1k = Topology::gnp(1_000, 100.0 / 999.0, 123).expect("valid parameters");
         bench_inner_loop(&mut c, "gnp", 1_000, 256, &knobs, || {
@@ -951,10 +887,10 @@ fn main() {
         "cache_speedup/gnp-sparse",
         "serve_throughput/gnp-sparse",
         "warm_topology_speedup/gnp-sparse",
-        "inner_loop_speedup/gnp/1000",
-        "inner_loop_speedup/gnp/10000",
-        "inner_loop_speedup/circulant/1000",
-        "inner_loop_speedup/circulant/10000",
+        "inner_loop/gnp/1000",
+        "inner_loop/gnp/10000",
+        "inner_loop/circulant/1000",
+        "inner_loop/circulant/10000",
         "sweep_parallel/available_parallelism",
     ] {
         assert!(
@@ -963,10 +899,9 @@ fn main() {
         );
     }
 
-    // Batched trial throughput: fresh-allocation vs workspace driver at
-    // n ∈ {100, 1k, 10k} per family. Trial counts sized so one batch
-    // runs tens of milliseconds; smoke mode caps them and only runs the
-    // driver-bound n = 100 cells.
+    // Batched trial throughput at n ∈ {100, 1k, 10k} per family. Trial
+    // counts sized so one batch runs tens of milliseconds; smoke mode
+    // caps them and only runs the driver-bound n = 100 cells.
     let throughput_sizes: &[(usize, usize, usize)] = if knobs.smoke {
         // (n, structured trials, sparse trials)
         &[(100, 256, 128)]
@@ -996,10 +931,10 @@ fn main() {
         });
     }
     for family in ["complete", "gnp", "circulant"] {
+        let key = format!("trial_throughput/{family}/100");
         assert!(
-            c.measurement_ns(&format!("trial_throughput/{family}-ws/100"))
-                .is_some(),
-            "trial_throughput/{family} must be measured (workspace_speedup key feeds BENCH_engine.json)"
+            c.metric(&key).is_some(),
+            "{key} must be recorded (feeds BENCH_engine.json)"
         );
     }
 

@@ -181,10 +181,6 @@ COMMON FLAGS:
     --delivery <name>    net run: local | udp transport between node groups, written
                          into the spec's [net] table
     --histogram          render the spread-time distribution (run command)
-    --fresh-alloc        disable per-worker workspace reuse (run command; A/B diagnostic,
-                         bit-identical results, slower small-n throughput)
-    --scalar             force the scalar event-loop reference path (run command; A/B
-                         diagnostic, same distribution, different per-trial draws)
 
 EXAMPLES:
     gossip run --family regular --d 4 --n 256 --trials 50
@@ -464,14 +460,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
     let max_time = args.opt_f64("max-time", 1e5)?;
     let histogram = args.flag("histogram");
-    // Diagnostic A/B switch: force the fresh-allocation trial path
-    // instead of the default per-worker workspace reuse (bit-identical
-    // results, slower small-n throughput).
-    let fresh_alloc = args.flag("fresh-alloc");
-    // A/B switch for the event engine's inner loop: force the scalar
-    // reference path instead of the default vectorized loop (same
-    // distribution, KS-enforced; per-trial draws differ).
-    let scalar = args.flag("scalar");
     let engine = gossip_core::scenario::parse_engine(args.opt("engine")?)?;
     let output = jsonl_output(args)?;
     if trials == 0 {
@@ -496,9 +484,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let mut plan = RunPlan::new(trials, seed)
         .config(RunConfig::with_max_time(max_time))
         .engine(engine)
-        .start_opt(start)
-        .workspace(!fresh_alloc)
-        .vectorized(!scalar);
+        .start_opt(start);
     if faults.is_active() {
         plan = plan.faults(faults);
     }
@@ -516,12 +502,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(out, "family    : {family_name} (n = {n})");
     let _ = writeln!(out, "protocol  : {label} ");
-    let _ = writeln!(
-        out,
-        "engine    : {}{}",
-        report.engine().name(),
-        if scalar { " (scalar loop)" } else { "" }
-    );
+    let _ = writeln!(out, "engine    : {}", report.engine().name());
     let _ = writeln!(out, "trials    : {trials} (seed {seed})");
     let _ = writeln!(
         out,
@@ -817,11 +798,14 @@ mod tests {
     }
 
     #[test]
-    fn run_scalar_flag_selects_the_reference_loop() {
-        let a = args("run --family complete --n 24 --trials 10 --seed 3 --scalar");
-        let out = run(&a).unwrap();
-        assert!(out.contains("engine    : event (scalar loop)"), "{out}");
-        assert!(out.contains("completed : 10/10"), "{out}");
+    fn run_rejects_the_removed_ab_switches() {
+        for flag in ["scalar", "fresh-alloc"] {
+            let a = args(&format!("run --family complete --n 16 --{flag}"));
+            assert!(
+                matches!(run(&a), Err(CliError::Usage(m)) if m.contains(flag)),
+                "--{flag}"
+            );
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use gossip_sim::{
     TrialObserver, TrialRecord, TrialSummary, TwoPush, WorkspacePool,
 };
 use gossip_stats::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -210,18 +210,6 @@ pub struct SweepSpec {
     pub engine: Option<String>,
     /// Start node override (default: the family's suggested start).
     pub start: Option<u32>,
-    /// Trial hot path: `true` (default) reuses a per-worker
-    /// [`gossip_sim::SimWorkspace`] with batched record delivery;
-    /// `false` forces the fresh-allocation reference path
-    /// ([`RunPlan::workspace`]). Results are bit-identical either way —
-    /// the switch exists for A/B diagnostics.
-    pub workspace: Option<bool>,
-    /// Event-engine inner loop: `true` (default) allows the vectorized
-    /// loop ([`RunPlan::vectorized`]); `false` forces the scalar
-    /// reference loop. Same distribution either way (KS-enforced), but
-    /// the vectorized loop consumes each trial's RNG stream in a
-    /// different order, so individual spread times differ under one seed.
-    pub vectorized: Option<bool>,
     /// Global thread budget for the sweep (default: every available
     /// core). Per-cell mode hands the whole budget to each size's
     /// [`RunPlan`]; cell-parallel mode splits it across concurrent cells.
@@ -245,8 +233,6 @@ impl SweepSpec {
             max_time: None,
             engine: None,
             start: None,
-            workspace: None,
-            vectorized: None,
             threads: None,
             cell_parallel: None,
         }
@@ -1181,6 +1167,47 @@ pub fn build_protocol(spec: &ProtocolSpec) -> Result<Box<dyn Protocol>, Scenario
     Ok(proto.into_window())
 }
 
+/// Keys that older specs set and this binary refuses by name, with what
+/// replaced them.
+const REMOVED_KEYS: [(&str, &str); 2] = [
+    (
+        "sweep.vectorized",
+        "the event engine always runs the vectorized lane",
+    ),
+    (
+        "sweep.workspace",
+        "the event engine always reuses per-worker workspaces",
+    ),
+];
+
+/// Checks every key of the table `input` against the spec's rendering of
+/// the same table, `known`, which lists every field whether set or not,
+/// and recurses into subtables. `path` is the table's dotted name (empty
+/// at the top level).
+fn reject_unknown_keys(input: &Value, known: &Value, path: &str) -> Result<(), ScenarioError> {
+    let (Some(input), Some(known)) = (input.as_map(), known.as_map()) else {
+        return Ok(());
+    };
+    for (key, value) in input {
+        let field = match path {
+            "" => key.clone(),
+            _ => format!("{path}.{key}"),
+        };
+        match known.iter().find(|(k, _)| k == key) {
+            Some((_, known)) => reject_unknown_keys(value, known, &field)?,
+            None => {
+                let message = match REMOVED_KEYS.iter().find(|(k, _)| *k == field) {
+                    Some((_, why)) => format!("`{field}` was removed ({why}); delete it"),
+                    None if path.is_empty() => format!("unknown top-level key `{key}`"),
+                    None => format!("unknown key `{key}` in [{path}]"),
+                };
+                return Err(ScenarioError::Parse(message));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A [`FaultModel::validate`] error named by its spec field:
 /// `faults.<name>`, or `protocol.downtime`, which `lossy` supplies.
 fn fault_error(e: SimError) -> ScenarioError {
@@ -1209,18 +1236,34 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Parse`] on malformed input.
+    /// [`ScenarioError::Parse`] on malformed input or on a key the spec
+    /// does not read.
     pub fn from_toml_str(text: &str) -> Result<Self, ScenarioError> {
-        toml::from_str(text).map_err(|e| ScenarioError::Parse(e.to_string()))
+        let input = toml::parse_value(text).map_err(|e| ScenarioError::Parse(e.to_string()))?;
+        Self::from_input(&input)
     }
 
     /// Parses a spec from JSON text.
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Parse`] on malformed input.
+    /// [`ScenarioError::Parse`] on malformed input or on a key the spec
+    /// does not read.
     pub fn from_json_str(text: &str) -> Result<Self, ScenarioError> {
-        serde_json::from_str(text).map_err(|e| ScenarioError::Parse(e.to_string()))
+        let input =
+            serde_json::parse_value(text).map_err(|e| ScenarioError::Parse(e.to_string()))?;
+        Self::from_input(&input)
+    }
+
+    /// Deserializes a user-supplied spec and refuses any key it does not
+    /// read back: the derive skips unknown keys, so a typo such as
+    /// `trails = 500` would otherwise run the default trial count.
+    /// Journal headers, which this binary writes itself, keep the lenient
+    /// derive.
+    fn from_input(input: &Value) -> Result<Self, ScenarioError> {
+        let spec = Self::from_value(input).map_err(|e| ScenarioError::Parse(e.to_string()))?;
+        reject_unknown_keys(input, &spec.to_value(), "")?;
+        Ok(spec)
     }
 
     /// Loads a spec from a file: `.json` parses as JSON, everything else
@@ -1262,22 +1305,20 @@ impl ScenarioSpec {
     /// content address for results.
     ///
     /// Erased (presentation-only; bit-identical results regardless):
-    /// `description`, `sweep.workspace`, `sweep.threads`, and
-    /// `sweep.cell_parallel` (all test-enforced bit-invisible), and an
-    /// *inactive* `[faults]` table (fault-free by construction).
+    /// `description`, `sweep.threads` and `sweep.cell_parallel` (both
+    /// test-enforced bit-invisible), and an *inactive* `[faults]` table
+    /// (fault-free by construction).
     ///
     /// Resolved (semantic, but with redundant spellings): unset
-    /// `trials` / `seed` / `max_time` / `vectorized` and family /
-    /// protocol / fault parameters become their documented defaults, and
+    /// `trials` / `seed` / `max_time` and family / protocol / fault
+    /// parameters become their documented defaults, and
     /// `engine = "auto"` becomes the engine the sweep actually resolves
-    /// to for this protocol. `sweep.vectorized` **is** semantic — the
-    /// vectorized loop consumes each trial's RNG stream in a different
-    /// order — so it is kept (default `true` written out).
+    /// to for this protocol.
     ///
     /// A `[net]` table selects the live runtime, so it is kept with its
     /// `tick` and `horizon` written out; its bit-invisible `groups`,
     /// `delivery`, `exchange_timeout` and `exchange_retries` are erased,
-    /// as are the analytic-only `sweep.engine` and `sweep.vectorized`.
+    /// as is the analytic-only `sweep.engine`.
     pub fn normalized(&self) -> ScenarioSpec {
         let sweep = &self.sweep;
         let net = self.net.as_ref().map(|net| NetSpec {
@@ -1300,7 +1341,6 @@ impl ScenarioSpec {
             Ok(forced) => Some(forced.name().into()),
             Err(_) => sweep.engine.clone(),
         };
-        let vectorized = net.is_none().then(|| sweep.vectorized.unwrap_or(true));
         let faults = self.faults.as_ref().and_then(|f| {
             // An inactive fault model runs the fault-free process
             // bit-identically (test-enforced), so it normalizes away —
@@ -1339,8 +1379,6 @@ impl ScenarioSpec {
                 max_time: Some(sweep.max_time_or_default()),
                 engine,
                 start: sweep.start,
-                workspace: None,
-                vectorized,
                 threads: None,
                 cell_parallel: None,
             },
@@ -1620,8 +1658,6 @@ impl ScenarioSpec {
                 max_time: Some(1e5),
                 engine: Some("auto".into()),
                 start: None,
-                workspace: None,
-                vectorized: None,
                 threads: None,
                 cell_parallel: None,
             },
@@ -1871,9 +1907,7 @@ impl ScenarioPlan {
         let mut plan = RunPlan::new(self.trials, self.seed)
             .config(self.config)
             .engine(self.engine)
-            .start_opt(self.spec.sweep.start)
-            .workspace(self.spec.sweep.workspace.unwrap_or(true))
-            .vectorized(self.spec.sweep.vectorized.unwrap_or(true));
+            .start_opt(self.spec.sweep.start);
         if let Some(threads) = self.spec.sweep.threads {
             plan = plan.threads(threads);
         }
@@ -2639,15 +2673,70 @@ max_time = 1e4
         ));
     }
 
+    /// The parse error of `text` as TOML (`json = false`) or JSON.
+    fn parse_error(text: &str, json: bool) -> String {
+        let parsed = if json {
+            ScenarioSpec::from_json_str(text)
+        } else {
+            ScenarioSpec::from_toml_str(text)
+        };
+        match parsed {
+            Err(ScenarioError::Parse(m)) => m,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn scalar_sweep_knob_runs_the_reference_loop() {
-        // vectorized = false stays a valid end-to-end configuration (the
-        // A/B reference); distribution equivalence itself is enforced in
-        // gossip-sim's vectorized_equivalence tests.
-        let mut spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
-        spec.sweep.vectorized = Some(false);
-        let report = run_scenario(&spec).unwrap();
-        assert!(report.rows.iter().all(|r| r.completed == r.trials));
+    fn unknown_keys_are_refused_in_every_table() {
+        // A typo must not run the default trial count.
+        let typo = format!("{TOML_SPEC}trails = 500\n");
+        assert_eq!(parse_error(&typo, false), "unknown key `trails` in [sweep]");
+        let base = r#"{"name": "keys", "family": {"kind": "complete"},
+            "protocol": {"kind": "async"}, "sweep": {"sizes": [16]},
+            "faults": {"drop": 0.1}, "net": {"tick": 0.01}}"#;
+        ScenarioSpec::from_json_str(base).unwrap();
+        for (table, expected) in [
+            ("", "unknown top-level key `bogus`"),
+            ("family", "unknown key `bogus` in [family]"),
+            ("protocol", "unknown key `bogus` in [protocol]"),
+            ("sweep", "unknown key `bogus` in [sweep]"),
+            ("faults", "unknown key `bogus` in [faults]"),
+            ("net", "unknown key `bogus` in [net]"),
+        ] {
+            let Value::Map(mut top) = serde_json::parse_value(base).unwrap() else {
+                unreachable!("a JSON object")
+            };
+            let bogus = (String::from("bogus"), Value::Int(1));
+            match top.iter_mut().find(|(k, _)| k == table) {
+                Some((_, Value::Map(entries))) => entries.push(bogus),
+                _ => top.push(bogus),
+            }
+            let text = serde_json::to_string(&Value::Map(top));
+            assert_eq!(parse_error(&text, true), expected, "table `{table}`");
+        }
+    }
+
+    #[test]
+    fn removed_sweep_keys_name_what_replaced_them() {
+        for (key, why) in [
+            (
+                "vectorized",
+                "the event engine always runs the vectorized lane",
+            ),
+            (
+                "workspace",
+                "the event engine always reuses per-worker workspaces",
+            ),
+        ] {
+            let expected = format!("`sweep.{key}` was removed ({why}); delete it");
+            let toml = format!("{TOML_SPEC}{key} = false\n");
+            assert_eq!(parse_error(&toml, false), expected);
+            let json = format!(
+                r#"{{"name": "old", "family": {{"kind": "complete"}},
+                "protocol": {{"kind": "async"}}, "sweep": {{"sizes": [16], "{key}": true}}}}"#
+            );
+            assert_eq!(parse_error(&json, true), expected);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! against per-node keyed activation chains) and the drop coin (the
 //! engine's sequential fault stream against a keyed per-envelope coin), so
 //! the spread-time contract between them is *distributional* (KS, α =
-//! 0.01), exactly the contract the scalar and vectorized analytic paths
-//! share. Within the live stack, the contract is stricter: bit-identical
+//! 0.01), exactly the contract the window engine and the event engine's
+//! vectorized lane share. Within the live stack, the contract is stricter: bit-identical
 //! results across group counts {1, 2, 3} and transports {local, udp} for
 //! every fault kind (crash/recovery, schedule, partition, delay,
 //! duplication), which is the acceptance criterion of the churn-tolerant

@@ -1288,6 +1288,40 @@ groups = 2
     }
 
     #[test]
+    fn unknown_spec_keys_are_bad_requests_and_the_daemon_keeps_serving() {
+        let handle = Server::bind("127.0.0.1:0", temp_dir("unknown-key"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        // A typo must not fall back to the default spec's cache key.
+        let spec = small_spec("serve-typo");
+        let line = serde_json::to_string(&spec);
+        for (from, to, key) in [
+            ("\"trials\"", "\"trails\"", "trails"),
+            (
+                "\"sweep\":{",
+                "\"sweep\":{\"vectorized\":true,",
+                "sweep.vectorized",
+            ),
+        ] {
+            let request = line.replacen(from, to, 1);
+            let response = submit_raw(handle.addr(), &format!("{request}\n")).unwrap();
+            let text = String::from_utf8(response).unwrap();
+            assert!(
+                text.contains("\"error\"") && text.contains("bad request") && text.contains(key),
+                "{text}"
+            );
+        }
+        assert_eq!(handle.state().executions(), 0);
+        let response = submit(handle.addr(), &spec).unwrap();
+        assert!(
+            String::from_utf8_lossy(split_response(&response).0).contains("\"cache\":\"miss\""),
+            "the daemon must keep serving after a bad request"
+        );
+        assert_eq!(handle.state().executions(), 1);
+    }
+
+    #[test]
     fn live_spec_hits_its_own_entry_apart_from_its_analytic_twin() {
         let spec = live_spec("serve-live");
         let handle = Server::bind("127.0.0.1:0", temp_dir("live"))

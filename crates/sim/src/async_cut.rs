@@ -12,18 +12,19 @@
 //! in-rate `r_v = Σ_{u ∈ I ∩ N(v)} (1/d_u + 1/d_v)`.
 //!
 //! Three maintenance strategies, selected per [`Topology`] backend and
-//! per inner loop:
+//! per engine:
 //!
 //! * **Generic Fenwick** — per-node in-rates in a Fenwick tree: `O(log n)`
 //!   sampling per infection and `O(deg(v))` rate updates. Exact on any
 //!   backend, but `deg(v) = n − 1` on dense graphs makes a complete-graph
-//!   run `Θ(n²)`. This is the scalar reference: `vectorized(false)` runs
-//!   and the window engine's [`Protocol::advance_window`] use it.
-//! * **Vectorized lane** — in vectorized mode the same per-node in-rates
-//!   live in flat arrays ([`FastLane`]) that the rejection-sampling inner
-//!   loop drives. A rebuild writes them directly; a sparse topology delta
-//!   repairs them in place, so dynamic windows run the vectorized loop
-//!   too.
+//!   run `Θ(n²)`. This is the window engine's sampler: its
+//!   [`Protocol::advance_window`] rebuilds the tree every window, and it
+//!   is the independent reference the event engine is tested against.
+//! * **Vectorized lane** — the event engine keeps the same per-node
+//!   in-rates in flat arrays ([`FastLane`]) that the rejection-sampling
+//!   inner loop drives. A rebuild writes them directly; a sparse topology
+//!   delta repairs them in place, so dynamic windows run the vectorized
+//!   loop too.
 //! * **Closed form** — on implicit complete, star, and complete-bipartite
 //!   backends the symmetry collapses the whole rate vector to a handful of
 //!   counters: on `K_n` every uninformed node has in-rate `2|I|/(n−1)`, so
@@ -60,8 +61,8 @@ const UNIFORM_BATCH: usize = 64;
 const RMAX_REFRESH_STREAK: u32 = 64;
 
 /// Structure-of-arrays rate state of the vectorized inner loop
-/// ([`CutRateAsync::drive_window_fast`]): in vectorized mode, the generic
-/// backends' only rate state.
+/// ([`CutRateAsync::drive_window_fast`]): the event engine's only rate
+/// state on generic backends.
 ///
 /// Replaces the Fenwick tree's `O(log n)` sample / update walks with a
 /// rejection sampler over flat arrays: `members[..flen]` lists the
@@ -82,7 +83,7 @@ const RMAX_REFRESH_STREAK: u32 = 64;
 ///
 /// [`FastLane::build`] writes the whole state for a new topology;
 /// [`FastLane::set_rate`] and [`FastLane::drop_zero_rates`] repair it
-/// after a sparse delta ([`CutRateAsync::repair_delta`]). A rate that
+/// after a sparse delta ([`CutRateAsync::repair_lane`]). A rate that
 /// falls to zero in a repair leaves the frontier in one scan of
 /// `members[..flen]`, which few repairs need, so the event loop keeps no
 /// node-to-slot index.
@@ -329,9 +330,9 @@ impl FastLane {
 
 /// Writes every node's in-rate `r_v = Σ_{u ∈ I ∩ N(v)} (1/d_u + 1/d_v)`
 /// into `w`, zeroing it first: pushed from each informed node when they are
-/// at most half, pulled by each uninformed node otherwise. The Fenwick
-/// tree and the vectorized lane both build from it, so they hold the same
-/// sums.
+/// at most half, pulled by each uninformed node otherwise. The window
+/// engine's Fenwick tree and the event engine's vectorized lane both build
+/// from it, so they hold the same sums.
 fn fill_rates(g: &Topology, informed: &NodeSet, w: &mut [f64]) {
     w.iter_mut().for_each(|x| *x = 0.0);
     if informed.len() * 2 <= w.len() {
@@ -364,10 +365,10 @@ fn fill_rates(g: &Topology, informed: &NodeSet, w: &mut [f64]) {
 /// Per-backend rate state (see the module docs).
 #[derive(Debug, Clone)]
 enum RateState {
-    /// Generic per-node in-rates, any backend: the scalar reference.
+    /// Generic per-node in-rates, any backend: the window engine's state.
     Fenwick(FenwickSampler),
     /// Generic per-node in-rates in the vectorized lane
-    /// ([`CutRateAsync::fast`]), any backend, vectorized mode only.
+    /// ([`CutRateAsync::fast`]), any backend: the event engine's state.
     Lane,
     /// Implicit `K_n`: all uninformed nodes share the in-rate
     /// `2|I|/(n−1)`.
@@ -411,11 +412,6 @@ enum RateState {
 pub struct CutRateAsync {
     n: usize,
     state: Option<RateState>,
-    /// Whether the event engine keeps generic backends' rates in the
-    /// vectorized lane and runs its inner loop. Off by default:
-    /// `CutRateAsync::new()` is the scalar reference; `RunPlan` opts runs
-    /// in via [`crate::IncrementalProtocol::set_vectorized`].
-    vectorized: bool,
     /// The vectorized lane; it describes the current state only while
     /// `state` is [`RateState::Lane`], and keeps its storage otherwise.
     fast: FastLane,
@@ -427,35 +423,56 @@ impl CutRateAsync {
         CutRateAsync::default()
     }
 
-    /// Rebuilds the rate state for the current topology and informed set,
-    /// choosing the closed form when the backend admits one. O(n) on
-    /// closed-form backends; O(vol of the smaller cut side) on the generic
-    /// Fenwick path (weights accumulated in bulk — one O(n) tree build
-    /// instead of one O(log n) update per cut edge). This is the window
-    /// engine's rebuild, so generic backends always get the Fenwick tree.
-    ///
-    /// The fresh-allocation path: mid-run rebuilds salvage storage from
-    /// the previous state, but storage dropped at a state switch (or by
-    /// [`Protocol::begin`]) is re-allocated. The workspace-aware twin
-    /// [`CutRateAsync::rebuild_rates_in`] routes that storage through a
-    /// [`SimWorkspace`] instead.
+    /// The window engine's rebuild for the current topology and informed
+    /// set: the closed form when the backend admits one (O(n)), else the
+    /// Fenwick tree, with weights accumulated in bulk — one O(n) tree
+    /// build instead of one O(log n) update per cut edge. A tree of the
+    /// right size is rebuilt in place across windows.
     pub(crate) fn rebuild_rates(&mut self, g: &Topology, informed: &NodeSet) {
-        self.rebuild_rates_in(g, informed, None, false);
+        if self.rebuild_closed_form(g, informed, None) {
+            return;
+        }
+        let n = self.n;
+        let mut rates = match self.state.take() {
+            Some(RateState::Fenwick(f)) if f.len() == n => f,
+            _ => FenwickSampler::new(n),
+        };
+        rates
+            .rebuild_into(n, |w| fill_rates(g, informed, w))
+            .expect("rates are finite");
+        self.state = Some(RateState::Fenwick(rates));
     }
 
-    /// [`CutRateAsync::rebuild_rates`] drawing replacement storage from
-    /// (and returning displaced storage to) a [`SimWorkspace`], with
-    /// generic backends' rates in the vectorized lane when `lane` is set.
-    /// The built state is bit-identical either way: pools come back in
-    /// ascending member order and [`FenwickSampler::rebuild_into`]
-    /// reproduces a fresh sampler's state exactly.
+    /// The event engine's rebuild: the closed form when the backend
+    /// admits one, else the vectorized lane ([`FastLane::build`]). Pools
+    /// are drawn from (and displaced ones returned to) the
+    /// [`SimWorkspace`]; they come back in ascending member order, so the
+    /// built state is the one fresh storage would hold.
     pub(crate) fn rebuild_rates_in(
         &mut self,
         g: &Topology,
         informed: &NodeSet,
-        ws: Option<&mut SimWorkspace>,
-        lane: bool,
+        ws: &mut SimWorkspace,
     ) {
+        if self.rebuild_closed_form(g, informed, Some(&mut *ws)) {
+            return;
+        }
+        // The lane keeps its own storage; park whatever the previous
+        // state held.
+        Self::stash_state(self.state.take(), ws);
+        self.fast.build(g, informed);
+        self.state = Some(RateState::Lane);
+    }
+
+    /// Builds the closed-form state of an implicit complete, star or
+    /// complete-bipartite backend and returns `true`; returns `false`,
+    /// leaving the state alone, on every other backend.
+    fn rebuild_closed_form(
+        &mut self,
+        g: &Topology,
+        informed: &NodeSet,
+        ws: Option<&mut SimWorkspace>,
+    ) -> bool {
         debug_assert_eq!(g.n(), self.n, "begin() saw a different network size");
         match g.structure() {
             Structure::Complete { n } => {
@@ -485,39 +502,9 @@ impl CutRateAsync {
                     uninformed_b: pick_b,
                 });
             }
-            _ if lane => {
-                // The lane keeps its own storage; park whatever the
-                // previous state held.
-                match ws {
-                    Some(ws) => Self::stash_state(self.state.take(), ws),
-                    None => self.state = None,
-                }
-                self.fast.build(g, informed);
-                self.state = Some(RateState::Lane);
-            }
-            _ => {
-                let n = self.n;
-                let mut rates = match self.state.take() {
-                    Some(RateState::Fenwick(f)) if f.len() == n => f,
-                    other => {
-                        // Switching into the Fenwick state: park any pool
-                        // storage in the workspace and pick up retained
-                        // tree storage (sized in place by rebuild_into).
-                        match ws {
-                            Some(ws) => {
-                                Self::stash_state(other, ws);
-                                ws.take_fenwick().unwrap_or_else(|| FenwickSampler::new(n))
-                            }
-                            None => FenwickSampler::new(n),
-                        }
-                    }
-                };
-                rates
-                    .rebuild_into(n, |w| fill_rates(g, informed, w))
-                    .expect("rates are finite");
-                self.state = Some(RateState::Fenwick(rates));
-            }
+            _ => return false,
         }
+        true
     }
 
     /// Salvages the pool allocations from the previous state, then from
@@ -540,12 +527,9 @@ impl CutRateAsync {
                 uninformed_b,
                 ..
             }) => (uninformed_a, uninformed_b),
-            other => {
-                // A Fenwick tree displaced by a closed-form state keeps
-                // its allocation via the workspace.
-                if let Some(ws) = ws.as_deref_mut() {
-                    Self::stash_state(other, ws);
-                }
+            // The lane keeps its storage in `fast`; a window engine's
+            // tree is dropped.
+            _ => {
                 let a = pick(&mut ws);
                 let b = pick(&mut ws);
                 (a, b)
@@ -553,12 +537,10 @@ impl CutRateAsync {
         }
     }
 
-    /// Parks the reusable storage of a rate state in the workspace.
+    /// Parks the pools of a rate state in the workspace.
     fn stash_state(state: Option<RateState>, ws: &mut SimWorkspace) {
         match state {
-            None => {}
-            Some(RateState::Fenwick(f)) => ws.put_fenwick(f),
-            Some(RateState::Lane) => {}
+            None | Some(RateState::Fenwick(_)) | Some(RateState::Lane) => {}
             Some(RateState::Complete { uninformed, .. }) => ws.put_pool(uninformed),
             Some(RateState::Star {
                 uninformed_leaves, ..
@@ -805,10 +787,8 @@ impl CutRateAsync {
     /// endpoints (whose `1/d_u` contribution shifted with `u`'s degree).
     /// Each distinct endpoint is examined once, so an informed one walks
     /// its row once however many changed edges it has, and each stale
-    /// node is recomputed once, in ascending order. On the vectorized
-    /// lane the endpoints' inverse degrees are refreshed first, and the
-    /// frontier, `λ` and the rate bound follow the recomputed rates.
-    /// Fenwick and lane states only
+    /// node is recomputed once, in ascending order
+    /// ([`CutRateAsync::repair_lane`]). Lane state only
     /// ([`crate::IncrementalProtocol::apply_delta`] picks this path for
     /// sparse deltas).
     pub(crate) fn repair_delta(
@@ -818,14 +798,10 @@ impl CutRateAsync {
         informed: &NodeSet,
         ws: &mut SimWorkspace,
     ) {
-        let lane = matches!(self.state, Some(RateState::Lane));
         let (touched, stale) = ws.repair_marks(g.n());
         for e in delta.touched_nodes() {
             if !touched.insert(e) {
                 continue;
-            }
-            if lane {
-                self.fast.set_degree(e, g.degree(e));
             }
             if informed.contains(e) {
                 g.for_each_neighbor(e, |w| {
@@ -837,65 +813,57 @@ impl CutRateAsync {
                 stale.insert(e);
             }
         }
-        for v in stale.iter() {
-            self.recompute_rate(g, v, informed);
-        }
-        if lane {
-            self.fast.drop_zero_rates();
-        }
+        self.repair_lane(g, touched.iter(), stale.iter(), informed);
     }
 
-    /// Recomputes one uninformed node's in-rate from scratch (`O(deg(v))`),
-    /// used by the delta-repair path after a topology change — Fenwick
-    /// and lane states only (closed-form states rebuild instead).
-    pub(crate) fn recompute_rate(&mut self, g: &Topology, v: NodeId, informed: &NodeSet) {
-        debug_assert!(!informed.contains(v), "informed nodes carry no in-rate");
-        let dv = g.degree(v);
-        let mut r = 0.0;
-        let mut count = 0;
-        if dv > 0 {
-            let dv_inv = 1.0 / dv as f64;
-            g.for_each_neighbor(v, |u| {
-                if informed.contains(u) {
-                    r += 1.0 / g.degree(u) as f64 + dv_inv;
-                    count += 1;
-                }
-            });
+    /// Refreshes the inverse degrees of the changed-edge endpoints
+    /// `touched`, recomputes the in-rate of every `stale` node in the
+    /// given order (`O(deg(v))` each), and drops the frontier members
+    /// whose rate fell to zero; `λ` and the rate bound follow the
+    /// recomputed rates.
+    pub(crate) fn repair_lane(
+        &mut self,
+        g: &Topology,
+        touched: impl IntoIterator<Item = NodeId>,
+        stale: impl IntoIterator<Item = NodeId>,
+        informed: &NodeSet,
+    ) {
+        debug_assert!(
+            matches!(self.state, Some(RateState::Lane)),
+            "delta repair only runs on the lane state"
+        );
+        for e in touched {
+            self.fast.set_degree(e, g.degree(e));
         }
-        match self.state.as_mut() {
-            Some(RateState::Fenwick(rates)) => {
-                rates.set(v as usize, r).expect("rates are finite");
+        for v in stale {
+            debug_assert!(!informed.contains(v), "informed nodes carry no in-rate");
+            let dv = g.degree(v);
+            let mut r = 0.0;
+            let mut count = 0;
+            if dv > 0 {
+                let dv_inv = 1.0 / dv as f64;
+                g.for_each_neighbor(v, |u| {
+                    if informed.contains(u) {
+                        r += 1.0 / g.degree(u) as f64 + dv_inv;
+                        count += 1;
+                    }
+                });
             }
-            Some(RateState::Lane) => self.fast.set_rate(v, r, count),
-            _ => unreachable!("delta repair only runs on the Fenwick and lane states"),
+            self.fast.set_rate(v, r, count);
         }
+        self.fast.drop_zero_rates();
     }
 
-    /// Whether a sparse delta can be repaired in place: always on the
-    /// Fenwick tree and the irregular lane, and on the regular lane when
-    /// the delta keeps every degree (see [`FastLane::repairs`]).
+    /// Whether a sparse delta can be repaired in place: on the lane state,
+    /// always on the irregular lane and on the regular lane when the delta
+    /// keeps every degree (see [`FastLane::repairs`]).
     pub(crate) fn repairs(&self, g: &Topology, delta: &EdgeDelta) -> bool {
-        match self.state {
-            Some(RateState::Fenwick(_)) => true,
-            Some(RateState::Lane) => self.fast.repairs(g, delta),
-            _ => false,
-        }
-    }
-
-    /// Opts into (`true`) or out of (`false`) the vectorized lane.
-    /// See [`crate::IncrementalProtocol::set_vectorized`] for the contract.
-    pub(crate) fn select_vectorized(&mut self, on: bool) {
-        self.vectorized = on;
-    }
-
-    /// Whether rebuilds put generic backends' rates in the vectorized lane.
-    pub(crate) fn is_vectorized(&self) -> bool {
-        self.vectorized
+        matches!(self.state, Some(RateState::Lane)) && self.fast.repairs(g, delta)
     }
 
     /// Whether the next window runs [`CutRateAsync::drive_window_fast`]:
-    /// the rate state is the vectorized lane (vectorized mode on a generic
-    /// backend; closed-form states are already `O(1)` per event).
+    /// the rate state is the vectorized lane (a generic backend;
+    /// closed-form states are already `O(1)` per event).
     pub(crate) fn use_fast_loop(&self) -> bool {
         matches!(self.state, Some(RateState::Lane))
     }
@@ -915,11 +883,12 @@ impl CutRateAsync {
     /// `rates` entry per surviving neighbor in `O(1)` instead of
     /// `O(log n)` Fenwick updates.
     ///
-    /// Samples the *same distribution* as the scalar loop but consumes the
-    /// RNG in a different order (`tests/vectorized_equivalence.rs` checks
-    /// distributional equality; draw-for-draw equality is deliberately not
-    /// promised). The lane persists across windows of one trial: a sparse
-    /// delta repairs it and anything else rebuilds it. So does the uniform
+    /// Samples the *same distribution* as the window engine's Fenwick
+    /// loop but consumes the RNG in a different order
+    /// (`tests/vectorized_equivalence.rs` checks distributional equality;
+    /// draw-for-draw equality is deliberately not promised). The lane
+    /// persists across windows of one trial: a sparse delta repairs it and
+    /// anything else rebuilds it. So does the uniform
     /// buffer, even across windows in which the network drew from the
     /// trial stream. That is exact: a buffered draw not yet consumed is
     /// independent of every draw already used, the network's included.
@@ -999,7 +968,7 @@ impl CutRateAsync {
             };
             // Fault veto (exact thinning): a vetoed proposal is a counted,
             // time-advancing non-event — the frontier, rates, and λ stay
-            // untouched, exactly as in the scalar loop.
+            // untouched, exactly as in `resolve_event_faulty`.
             if let Some(f) = faults.as_deref_mut() {
                 if !f.accepts_cut_event(g, informed, v) {
                     continue;
@@ -1509,6 +1478,29 @@ mod tests {
         for v in 0..n as NodeId {
             assert!((fast.rate_of(v) - slow.rate_of(v)).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn only_the_window_engine_builds_the_fenwick_tree() {
+        // On a generic backend the window engine's rebuild builds the
+        // tree and the event engine's the lane; a closed-form backend
+        // builds neither, in either engine.
+        let n = 30;
+        let mut informed = NodeSet::new(n);
+        informed.insert(0);
+        let mut ws = SimWorkspace::new();
+        let mut p = CutRateAsync::new();
+        p.begin(n);
+        let sampled = gossip_graph::Topology::gnp(n, 0.2, 5).unwrap();
+        p.rebuild_rates(&sampled, &informed);
+        assert!(p.is_fenwick() && p.lane_frontier().is_none());
+        p.rebuild_rates_in(&sampled, &informed, &mut ws);
+        assert!(!p.is_fenwick() && p.lane_frontier().is_some());
+        let implicit = gossip_graph::Topology::complete(n).unwrap();
+        p.rebuild_rates(&implicit, &informed);
+        assert!(!p.is_fenwick() && p.lane_frontier().is_none());
+        p.rebuild_rates_in(&implicit, &informed, &mut ws);
+        assert!(!p.is_fenwick() && p.lane_frontier().is_none());
     }
 
     #[test]

@@ -84,9 +84,11 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
     /// Runs the protocol from `start` until every node is informed or the
     /// cutoff hits. The network is [`DynamicNetwork::reset`] first.
     ///
-    /// Every per-trial structure is freshly allocated; batch drivers
-    /// should prefer [`EventSimulation::run_in`], which recycles them
-    /// through a [`SimWorkspace`] and produces bit-identical outcomes.
+    /// Prior protocol state is dropped ([`crate::Protocol::begin`]) and
+    /// per-trial scratch comes from a fresh [`SimWorkspace`], so one call
+    /// is one trial on fresh storage: the reference that batch drivers,
+    /// which recycle storage through [`EventSimulation::run_in`], are
+    /// tested against bit for bit.
     ///
     /// # Errors
     ///
@@ -101,8 +103,8 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
     ) -> Result<SpreadOutcome, SimError> {
         let n = self.validate(net, start)?;
         net.reset();
-        // Legacy trial boundary: prior protocol state is dropped, and the
-        // empty throwaway workspace makes every check-out allocate fresh.
+        // Prior protocol state is dropped, and the empty throwaway
+        // workspace makes every check-out allocate fresh.
         self.protocol.begin(n);
         let mut ws = SimWorkspace::new();
         self.run_core(&mut ws, net, n, start, rng)
@@ -222,7 +224,7 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
             }
 
             // The event loop inside [t, t+1) on the fixed graph g: either
-            // the protocol's own specialized loop or the scalar reference
+            // the protocol's own specialized loop or the scalar per-event
             // loop (see IncrementalProtocol::drive_window).
             let ctx = WindowCtx {
                 faults: fault_state.as_mut(),
@@ -321,20 +323,19 @@ mod tests {
 
     #[test]
     fn same_stream_as_window_engine_on_static_networks() {
-        // On a static network the two engines draw the same RNG stream for
-        // CutRateAsync (rebuild at t=0, then pure event sampling): the
-        // infection sequences coincide and the spread times agree up to
-        // float summation order (the window engine re-sums the cut rate at
-        // each boundary, the event engine maintains it incrementally).
-        let g = generators::random_connected_regular(40, 4, &mut SimRng::seed_from_u64(9)).unwrap();
+        // On a static implicit backend both engines run CutRateAsync's
+        // closed form and draw the same RNG stream (one gap and one pool
+        // pick per infection): the spread times agree up to float
+        // summation order.
+        let g = gossip_graph::Topology::complete_bipartite(15, 25).unwrap();
         for seed in 0..20 {
             let mut rng_a = SimRng::seed_from_u64(seed);
             let mut rng_b = SimRng::seed_from_u64(seed);
             let a = Simulation::new(CutRateAsync::new(), RunConfig::default())
-                .run(&mut StaticNetwork::new(g.clone()), 0, &mut rng_a)
+                .run(&mut StaticNetwork::from_topology(g.clone()), 0, &mut rng_a)
                 .unwrap();
             let b = EventSimulation::new(CutRateAsync::new(), RunConfig::default())
-                .run(&mut StaticNetwork::new(g.clone()), 0, &mut rng_b)
+                .run(&mut StaticNetwork::from_topology(g.clone()), 0, &mut rng_b)
                 .unwrap();
             let (ta, tb) = (a.spread_time().unwrap(), b.spread_time().unwrap());
             assert!((ta - tb).abs() < 1e-9, "seed {seed}: {ta} vs {tb}");

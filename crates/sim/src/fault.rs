@@ -33,8 +33,8 @@
 //! only the `(1/d_u + 1/d_v)` terms of *up* informed neighbors `u` (zero
 //! when `v` is down); the rate-`n` naive protocols veto at contact level.
 //! Both leave the accepted events with exactly the faulty rates, so the
-//! engines and the scalar/vectorized paths stay KS-equivalent under
-//! faults.
+//! naive protocols and the cut-rate sampler's vectorized lane and
+//! closed-form states stay KS-equivalent under faults.
 //!
 //! The analytic drop and ratio coins come from a dedicated sequential
 //! stream (`SimRng::seed_from_u64(model.seed).derive(trial_seed)`); the

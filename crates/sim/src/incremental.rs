@@ -9,11 +9,10 @@
 //!   replaced wholesale);
 //! * [`IncrementalProtocol::apply_delta`] — repair after a reported
 //!   [`EdgeDelta`]: for the cut-rate protocol, one mark per changed-edge
-//!   endpoint, one row walk per distinct informed endpoint, and
-//!   `O(deg + log n)` per distinct stale node on the Fenwick tree
-//!   (`O(deg)` on the vectorized lane, plus one frontier scan when a rate
-//!   fell to zero), plus an `n/64`-word scan of the stale bitset — or, for
-//!   a dense delta with at least `2n` changed edges, a rebuild;
+//!   endpoint, one row walk per distinct informed endpoint, `O(deg)` per
+//!   distinct stale node in the vectorized lane, one frontier scan when a
+//!   rate fell to zero, and an `n/64`-word scan of the stale bitset — or,
+//!   for a dense delta with at least `2n` changed edges, a rebuild;
 //! * [`IncrementalProtocol::event_rate`] — the total rate `λ` of the
 //!   protocol's superposed Poisson event clock;
 //! * [`IncrementalProtocol::resolve_event`] — resolve one clock tick,
@@ -86,11 +85,11 @@ impl<'a> WindowCtx<'a> {
 /// layer, handed to the event loop as [`WindowCtx::faults`].
 ///
 /// State-building hooks receive the engine's [`SimWorkspace`] so scratch
-/// storage (Fenwick trees, uninformed pools, delta-repair marks) can be
-/// recycled across trials instead of re-allocated; implementations may
-/// ignore it. Whatever they check out must be reset to the exact state a
-/// fresh allocation would have — the workspace is a memory optimization,
-/// never an observable input (see the [`SimWorkspace`] invariants).
+/// storage (uninformed pools, delta-repair marks) can be recycled across
+/// trials instead of re-allocated; implementations may ignore it.
+/// Whatever they check out must be reset to the exact state a fresh
+/// allocation would have — the workspace is a memory optimization, never
+/// an observable input (see the [`SimWorkspace`] invariants).
 pub trait IncrementalProtocol: Protocol {
     /// Trial-boundary reset for the workspace-reuse path: like
     /// [`Protocol::begin`], but retained allocations are parked in the
@@ -174,33 +173,6 @@ pub trait IncrementalProtocol: Protocol {
     /// `O(deg(v))` state update after `v` was inserted into `informed`.
     fn commit(&mut self, g: &Topology, v: NodeId, informed: &NodeSet);
 
-    /// Selects the scalar or the vectorized inner event loop.
-    ///
-    /// Invariants of the selector:
-    ///
-    /// * `set_vectorized(false)` pins the protocol to the scalar reference
-    ///   loop ([`generic_drive_window`]'s exact per-event virtual-dispatch
-    ///   sequence) — the A/B baseline, analogous to
-    ///   `RunPlan::workspace(false)`.
-    /// * `set_vectorized(true)` (the construction default) *allows* a
-    ///   protocol to drive its window through a specialized monomorphic
-    ///   loop, on static and dynamic windows alike, and to keep its state
-    ///   in that loop's layout (the cut-rate protocol keeps generic
-    ///   backends' rates only in its vectorized lane, which deltas repair
-    ///   in place). Protocols without one ignore the flag — the default is
-    ///   a no-op — and always run the scalar loop.
-    /// * Whatever the flag, the sampled process distribution is identical:
-    ///   a vectorized loop may consume the per-trial RNG stream in a
-    ///   different order (documented per protocol; KS-verified by
-    ///   `tests/vectorized_equivalence.rs`), but each mode on its own is
-    ///   fully deterministic per `(seed, trial)`.
-    /// * The flag must be set before [`Protocol::begin`] /
-    ///   [`IncrementalProtocol::begin_in`]; flipping it mid-trial is
-    ///   unsupported.
-    fn set_vectorized(&mut self, vectorized: bool) {
-        let _ = vectorized;
-    }
-
     /// Drives the whole event loop of window `[t, t + 1)` on the fixed
     /// graph `g`, informing nodes into `informed` until the window closes,
     /// the event clock idles, the event budget runs out, or the spread
@@ -209,7 +181,13 @@ pub trait IncrementalProtocol: Protocol {
     /// `ctx` carries the active fault state and the remaining event
     /// budget (see [`WindowCtx`]).
     /// The default delegates to [`generic_drive_window`], the scalar
-    /// per-event reference loop.
+    /// per-event loop. A protocol may override it with a specialized
+    /// loop that keeps its state in that loop's layout and consumes the
+    /// per-trial RNG stream in its own order, as long as it samples the
+    /// same process and stays deterministic per `(seed, trial)` (the
+    /// cut-rate protocol's vectorized lane, KS-checked against the window
+    /// engine by `tests/vectorized_equivalence.rs`). Such state may be
+    /// advanced by that loop alone, so a wrapper must forward this method.
     fn drive_window(
         &mut self,
         g: &Topology,
@@ -222,14 +200,13 @@ pub trait IncrementalProtocol: Protocol {
     }
 }
 
-/// The scalar reference event loop for one unit window `[t, t + 1)`:
+/// The scalar per-event loop for one unit window `[t, t + 1)`:
 /// draw `Exp(event_rate)` gaps, resolve each event through the protocol's
 /// virtual interface, insert and commit informed nodes.
 ///
 /// This is the loop every protocol runs unless it overrides
-/// [`IncrementalProtocol::drive_window`]; overriding protocols use it as
-/// their scalar fallback so `set_vectorized(false)` is exactly the
-/// historical per-event dispatch sequence, RNG draw for RNG draw.
+/// [`IncrementalProtocol::drive_window`]; the cut-rate protocol runs it
+/// on its closed-form states.
 pub(crate) fn generic_drive_window<P: IncrementalProtocol + ?Sized>(
     protocol: &mut P,
     g: &Topology,
@@ -331,10 +308,6 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for &mut T {
         (**self).commit(g, v, informed)
     }
 
-    fn set_vectorized(&mut self, vectorized: bool) {
-        (**self).set_vectorized(vectorized)
-    }
-
     fn drive_window(
         &mut self,
         g: &Topology,
@@ -397,10 +370,6 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for Box<T> {
         (**self).commit(g, v, informed)
     }
 
-    fn set_vectorized(&mut self, vectorized: bool) {
-        (**self).set_vectorized(vectorized)
-    }
-
     fn drive_window(
         &mut self,
         g: &Topology,
@@ -425,12 +394,11 @@ impl IncrementalProtocol for CutRateAsync {
     }
 
     fn rebuild(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
-        let lane = self.is_vectorized();
-        self.rebuild_rates_in(g, informed, Some(ws), lane);
+        self.rebuild_rates_in(g, informed, ws);
     }
 
     /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]),
-    /// on the Fenwick tree or the vectorized lane. A dense delta, with at
+    /// in the vectorized lane. A dense delta, with at
     /// least twice as many changed edges as nodes (every node touched
     /// about four times), rebuilds instead: one pass over the rows and an
     /// `O(n)` build beat a recompute per stale node. So does a delta that
@@ -496,13 +464,11 @@ impl IncrementalProtocol for CutRateAsync {
         self.absorb_informed(g, v, informed);
     }
 
-    fn set_vectorized(&mut self, vectorized: bool) {
-        self.select_vectorized(vectorized);
-    }
-
     /// Lane-state windows, static or dynamic, run the vectorized frontier
-    /// loop (see `async_cut.rs`); everything else — scalar mode and
-    /// closed-form pool states — runs the scalar reference loop.
+    /// loop (see `async_cut.rs`); closed-form pool states run
+    /// `generic_drive_window`. On generic backends the rates live only
+    /// in the lane, which only this loop advances: `resolve_event` and
+    /// `commit` serve the closed-form states.
     fn drive_window(
         &mut self,
         g: &Topology,
@@ -711,8 +677,8 @@ mod tests {
         // One edge-Markovian step whose delta touches most nodes several
         // times, on a mid-spread informed set. The marked repair must make
         // the same recompute calls, in the same order, as the push / sort /
-        // dedup reference below: same floats, same Fenwick sums, same
-        // draws.
+        // dedup reference below: same floats, same λ sum, same frontier
+        // order, same draws.
         use gossip_dynamics::{DynamicNetwork, EdgeMarkovian};
         let n = 400;
         let mut rng = SimRng::seed_from_u64(21);
@@ -740,8 +706,9 @@ mod tests {
         let mut reference = repaired.clone();
         repaired.repair_delta(&new, &delta, &informed, &mut ws);
 
+        let mut touched: Vec<NodeId> = delta.touched_nodes().collect();
         let mut stale = Vec::new();
-        for e in delta.touched_nodes() {
+        for &e in &touched {
             if informed.contains(e) {
                 new.for_each_neighbor(e, |w| {
                     if !informed.contains(w) {
@@ -752,23 +719,13 @@ mod tests {
                 stale.push(e);
             }
         }
+        touched.sort_unstable();
+        touched.dedup();
         stale.sort_unstable();
         stale.dedup();
-        for &v in &stale {
-            reference.recompute_rate(&new, v, &informed);
-        }
+        reference.repair_lane(&new, touched, stale, &informed);
 
-        for v in 0..n as NodeId {
-            assert_eq!(repaired.rate_of(v), reference.rate_of(v), "node {v}");
-        }
-        assert_eq!(repaired.total_rate(), reference.total_rate());
-        let (mut r1, mut r2) = (SimRng::seed_from_u64(5), SimRng::seed_from_u64(5));
-        for _ in 0..1000 {
-            assert_eq!(
-                repaired.sample_next(&mut r1),
-                reference.sample_next(&mut r2)
-            );
-        }
+        assert!(same_state(&repaired, &reference, &new, &informed));
     }
 
     /// One edge-Markovian step on a 40%-informed `G(n, p0)`: the two
@@ -811,12 +768,19 @@ mod tests {
         [applied, rebuilt, repaired]
     }
 
-    /// Bit-identical rates, total and draws.
-    fn same_state(a: &mut CutRateAsync, b: &mut CutRateAsync, n: usize) -> bool {
-        let (mut r1, mut r2) = (SimRng::seed_from_u64(9), SimRng::seed_from_u64(9));
-        (0..n as NodeId).all(|v| a.rate_of(v).to_bits() == b.rate_of(v).to_bits())
+    /// Bit-identical rates, total, frontier order and draws: up to 200
+    /// vectorized events of window 1 on `g` inform the same nodes.
+    fn same_state(a: &CutRateAsync, b: &CutRateAsync, g: &Topology, informed: &NodeSet) -> bool {
+        let draws = |p: &CutRateAsync| {
+            let (mut p, mut informed) = (p.clone(), informed.clone());
+            let mut rng = SimRng::seed_from_u64(9);
+            lane_events(&mut p, g, 1, &mut informed, &mut rng, 200);
+            informed
+        };
+        (0..g.n() as NodeId).all(|v| a.rate_of(v).to_bits() == b.rate_of(v).to_bits())
             && a.total_rate().to_bits() == b.total_rate().to_bits()
-            && (0..200).all(|_| a.sample_next(&mut r1) == b.sample_next(&mut r2))
+            && a.lane_frontier() == b.lane_frontier()
+            && draws(a) == draws(b)
     }
 
     #[test]
@@ -826,15 +790,15 @@ mod tests {
         // so the bit-identical match names the path apply_delta took.
         let dense = edge_markovian_step(400, 0.05, 0.02, 0.3);
         assert!(dense.2.len() >= 2 * 400);
-        let [mut applied, mut rebuilt, mut repaired] = three_ways(&dense);
-        assert!(same_state(&mut applied, &mut rebuilt, 400));
-        assert!(!same_state(&mut applied, &mut repaired, 400));
+        let [applied, rebuilt, repaired] = three_ways(&dense);
+        assert!(same_state(&applied, &rebuilt, &dense.1, &dense.3));
+        assert!(!same_state(&applied, &repaired, &dense.1, &dense.3));
 
         let sparse = edge_markovian_step(400, 0.05, 0.0001, 0.005);
         assert!(!sparse.2.is_empty() && sparse.2.len() < 400);
-        let [mut applied, mut rebuilt, mut repaired] = three_ways(&sparse);
-        assert!(same_state(&mut applied, &mut repaired, 400));
-        assert!(!same_state(&mut applied, &mut rebuilt, 400));
+        let [applied, rebuilt, repaired] = three_ways(&sparse);
+        assert!(same_state(&applied, &repaired, &sparse.1, &sparse.3));
+        assert!(!same_state(&applied, &rebuilt, &sparse.1, &sparse.3));
     }
 
     #[test]
@@ -856,10 +820,10 @@ mod tests {
         assert!(close(applied.total_rate(), repaired.total_rate()));
     }
 
-    /// A vectorized cut-rate protocol on `g`, rebuilt for `informed`.
+    /// A cut-rate protocol on `g`, rebuilt for `informed` (the lane on
+    /// the materialized graphs below).
     fn lane_on(g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) -> CutRateAsync {
         let mut p = CutRateAsync::new();
-        p.set_vectorized(true);
         p.begin(g.n());
         p.rebuild(g, informed, ws);
         p

@@ -43,11 +43,12 @@
 //! otherwise), pick an [`Engine`] (default [`Engine::Auto`]), and attach
 //! streaming [`TrialObserver`]s ([`SummarySink`], [`JsonlSink`],
 //! [`TrajectorySink`]) for per-trial output. Each worker recycles its
-//! per-trial scratch (informed set, Fenwick storage, pools, buffers)
-//! through a [`SimWorkspace`] and the parallel path delivers records in
-//! batches, so small-n/high-trial sweeps are simulator-bound rather than
-//! allocator-bound; results are bit-identical to the fresh-allocation
-//! reference path ([`RunPlan::workspace`]). What runs one trial is a
+//! per-trial scratch (informed set, pools, buffers) through a
+//! [`SimWorkspace`] and the parallel path delivers records in batches, so
+//! small-n/high-trial sweeps are simulator-bound rather than
+//! allocator-bound; results are bit-identical to one
+//! [`EventSimulation::run`] / [`Simulation::run`] call per trial, each
+//! allocating afresh. What runs one trial is a
 //! per-worker [`TrialExecutor`]: the window and event engines are the
 //! built-in ones, and [`RunPlan::execute_with`] drives any other (the
 //! live `gossip-net` runtime) under the same seeding and delivery

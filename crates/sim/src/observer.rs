@@ -110,34 +110,14 @@ impl Deserialize for TrialRecord {
 }
 
 impl TrialRecord {
-    /// Assembles a record from a finished trial; `recording` states
-    /// whether trajectory recording was enabled for the batch (so a
-    /// recorded-but-empty curve still arrives as `Some`).
-    pub(crate) fn from_outcome(
-        trial: usize,
-        seed: u64,
-        outcome: SpreadOutcome,
-        recording: bool,
-    ) -> Self {
-        TrialRecord {
-            trial,
-            seed,
-            n: outcome.n(),
-            spread_time: outcome.spread_time(),
-            windows: outcome.windows(),
-            events: outcome.events(),
-            informed: outcome.informed_count(),
-            outcome: outcome.outcome(),
-            trajectory: recording.then(|| outcome.into_trajectory()),
-        }
-    }
-
-    /// [`TrialRecord::from_outcome`], recycling the outcome's buffers
-    /// into a [`crate::SimWorkspace`]: the informed bitset always goes
-    /// back (only its count survives in the record), and the trajectory
-    /// buffer goes back too unless recording shipped it inside the
-    /// record (in which case the inline delivery path returns it after
-    /// the observers have seen it).
+    /// Assembles a record from a finished trial, recycling the outcome's
+    /// buffers into a [`crate::SimWorkspace`]. `recording` states whether
+    /// trajectory recording was enabled for the batch (so a
+    /// recorded-but-empty curve still arrives as `Some`). The informed
+    /// bitset always goes back (only its count survives in the record),
+    /// and the trajectory buffer goes back too unless recording shipped it
+    /// inside the record (in which case the inline delivery path returns
+    /// it after the observers have seen it).
     pub(crate) fn from_outcome_in(
         trial: usize,
         seed: u64,

@@ -37,12 +37,11 @@
 //!   inside an engine) is reported as a [`TrialError`] in its trial-order
 //!   slot instead of cancelling the batch;
 //! * **Workspace reuse** — each worker recycles its per-trial scratch
-//!   (informed set, Fenwick storage, pools, buffers) through one
-//!   [`SimWorkspace`], and the parallel path ships records to the
-//!   observer thread in chunks, so small-n/high-trial batches are
-//!   simulator-bound instead of allocator- and channel-bound;
-//!   [`RunPlan::workspace`] keeps the fresh-allocation reference path
-//!   available, with bit-identical results either way.
+//!   (informed set, pools, buffers) through one [`SimWorkspace`], and the
+//!   parallel path ships records to the observer thread in chunks, so
+//!   small-n/high-trial batches are simulator-bound instead of
+//!   allocator- and channel-bound; results are bit-identical to one
+//!   [`EventSimulation::run`] / [`Simulation::run`] call per trial.
 //!
 //! What runs one trial is a [`TrialExecutor`], built once per worker
 //! thread. The window and event engines are the two built-in executors
@@ -190,8 +189,6 @@ pub struct RunPlan<'o> {
     config: RunConfig,
     engine: Engine,
     start: Option<NodeId>,
-    workspace: bool,
-    vectorized: bool,
     faults: Option<FaultModel>,
     pool: Option<Arc<WorkspacePool>>,
     observers: Vec<Box<dyn TrialObserver + 'o>>,
@@ -206,8 +203,6 @@ impl fmt::Debug for RunPlan<'_> {
             .field("config", &self.config)
             .field("engine", &self.engine)
             .field("start", &self.start)
-            .field("workspace", &self.workspace)
-            .field("vectorized", &self.vectorized)
             .field("faults", &self.faults)
             .field("pool", &self.pool.is_some())
             .field("observers", &self.observers.len())
@@ -230,8 +225,6 @@ impl<'o> RunPlan<'o> {
             config: RunConfig::default(),
             engine: Engine::Auto,
             start: None,
-            workspace: true,
-            vectorized: true,
             faults: None,
             pool: None,
             observers: Vec::new(),
@@ -252,64 +245,17 @@ impl<'o> RunPlan<'o> {
         self
     }
 
-    /// Selects the trial hot path (default `true`: workspace reuse).
-    ///
-    /// * `true` — each worker owns a [`SimWorkspace`] recycled across its
-    ///   trials (steady-state trial setup allocates nothing), and the
-    ///   parallel path streams records to the observers in **batches**
-    ///   (one channel message and one pacing handshake per chunk of
-    ///   trials instead of per trial).
-    /// * `false` — the fresh-allocation reference path: every trial
-    ///   allocates its structures from scratch and the parallel path
-    ///   delivers records one by one, exactly as the driver did before
-    ///   the workspace refactor.
-    ///
-    /// Results are **bit-identical** either way (test-enforced in
-    /// `tests/workspace_equivalence.rs`); the flag exists for A/B
-    /// benchmarking (`workspace_speedup` in `BENCH_engine.json`) and as a
-    /// diagnostic escape hatch.
-    pub fn workspace(mut self, reuse: bool) -> Self {
-        self.workspace = reuse;
-        self
-    }
-
     /// Draws each worker's [`SimWorkspace`] from a shared long-lived
     /// [`WorkspacePool`] instead of allocating a fresh one per batch, and
     /// returns it to the pool when the batch ends — so repeated
     /// executions in one process (e.g. the `gossip serve` daemon) keep
-    /// their grown scratch arenas warm across runs. Only meaningful with
-    /// workspace reuse enabled (the default); the fresh-allocation
-    /// reference path ignores the checked-out workspace by design.
-    /// Results are bit-identical with or without a pool, because every
-    /// buffer checked out of a workspace is reset to fresh-allocation
-    /// state (see the [`SimWorkspace`] reset invariants).
+    /// their grown scratch arenas warm across runs. The built-in engines
+    /// use it; [`RunPlan::execute_with`] ignores it. Results are
+    /// bit-identical with or without a pool, because every buffer checked
+    /// out of a workspace is reset to fresh-allocation state (see the
+    /// [`SimWorkspace`] reset invariants).
     pub fn workspace_pool(mut self, pool: Arc<WorkspacePool>) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Selects the event-engine inner loop (default `true`: vectorized).
-    ///
-    /// * `true` — protocols that implement
-    ///   [`IncrementalProtocol::set_vectorized`] may run their specialized
-    ///   inner loop on static and dynamic windows ([`crate::CutRateAsync`]:
-    ///   batched uniform draws, structure-of-arrays rates repaired across
-    ///   sparse deltas, rejection sampling, word-level bitset scans).
-    /// * `false` — the scalar reference loop: the per-event
-    ///   `event_rate` / `resolve_event` / `commit` dispatch sequence,
-    ///   consuming the RNG draw for draw as every release before the
-    ///   vectorized path did.
-    ///
-    /// Both settings sample the **same distribution** — test-enforced by
-    /// `tests/vectorized_equivalence.rs` (KS, α = 0.01) — but the
-    /// vectorized loop consumes the per-trial RNG stream in a different
-    /// order, so individual spread times differ under the same seed. The
-    /// flag is the A/B reference switch for the `inner_loop_speedup`
-    /// bench family, exactly like [`RunPlan::workspace`] is for
-    /// `workspace_speedup`. Protocols without a vectorized loop ignore
-    /// it; the window engine is always scalar.
-    pub fn vectorized(mut self, vectorized: bool) -> Self {
-        self.vectorized = vectorized;
         self
     }
 
@@ -402,8 +348,6 @@ impl<'o> RunPlan<'o> {
             make_net: &make_net,
             make_proto: &make_proto,
             use_event,
-            reuse: self.workspace,
-            vectorized: self.vectorized,
             faults: self.faults.take(),
             pool: self.pool.take(),
             start: self.start,
@@ -428,8 +372,8 @@ impl<'o> RunPlan<'o> {
     /// plan or an attached observer asks for trajectories. Seeding,
     /// trial-order delivery, trajectory scoping, the summary and isolated
     /// [`TrialError`]s are exactly those of [`RunPlan::execute`]. The
-    /// engine, start, vectorization, fault and workspace-pool settings
-    /// configure the built-in executors and are ignored here; the
+    /// engine, start, fault and workspace-pool settings configure the
+    /// built-in executors and are ignored here; the
     /// report's [`RunReport::engine`] reads [`Engine::Auto`] and its
     /// [`RunReport::protocol`] is empty.
     ///
@@ -514,9 +458,9 @@ impl<'o> RunPlan<'o> {
                     }
                     Ok(record.trajectory.take())
                 };
-            // Recording runs and the fresh-allocation reference path
-            // deliver trial by trial; everything else in chunks.
-            let chunked = self.workspace && !config.record_trajectory;
+            // Recording runs deliver trial by trial; everything else in
+            // chunks.
+            let chunked = !config.record_trajectory;
             run_trials(
                 self.trials,
                 self.base_seed,
@@ -598,8 +542,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// A per-worker trial closure: runs one trial `(index, seed)` on the
 /// engine chosen for the batch and assembles its [`TrialRecord`]. The
-/// workspace argument is the worker's scratch arena (ignored by the
-/// fresh-allocation path).
+/// workspace argument is the worker's scratch arena.
 type TrialFn<'p, N> = Box<
     dyn FnMut(
             &mut SimWorkspace,
@@ -618,8 +561,6 @@ struct EngineSetup<'p, N> {
     make_net: &'p (dyn Fn() -> N + Sync),
     make_proto: &'p (dyn Fn() -> AnyProtocol + Sync),
     use_event: bool,
-    reuse: bool,
-    vectorized: bool,
     faults: Option<FaultModel>,
     pool: Option<Arc<WorkspacePool>>,
     start: Option<NodeId>,
@@ -627,51 +568,34 @@ struct EngineSetup<'p, N> {
 
 impl<'p, N: DynamicNetwork> EngineSetup<'p, N> {
     /// One worker's run closure: engine chosen once per batch, then the
-    /// same trial shape for both engines — so the two engines share the
-    /// seeding contract by construction. `reuse` selects between the
-    /// workspace hot path (`run_in` + buffer recycling) and the
-    /// fresh-allocation reference path (`run`, workspace untouched); both
-    /// produce bit-identical records.
+    /// same trial shape for both engines — `run_in` on the worker's
+    /// workspace, then the record assembled and the buffers recycled — so
+    /// the two engines share the seeding contract by construction.
     fn runner(&self, config: RunConfig) -> TrialFn<'p, N> {
         let proto = (self.make_proto)();
         let recording = config.record_trajectory;
         if self.use_event {
-            let mut protocol = proto
+            let protocol = proto
                 .into_event()
                 .expect("engine resolution probed support");
-            protocol.set_vectorized(self.vectorized);
             let mut sim = EventSimulation::new(protocol, config);
             if let Some(m) = &self.faults {
                 sim = sim.with_faults(m.clone());
             }
-            if self.reuse {
-                Box::new(move |ws, net, start, trial, seed, rng| {
-                    let outcome = sim.run_in(ws, net, start, rng)?;
-                    Ok(TrialRecord::from_outcome_in(
-                        trial, seed, outcome, recording, ws,
-                    ))
-                })
-            } else {
-                Box::new(move |_ws, net, start, trial, seed, rng| {
-                    let outcome = sim.run(net, start, rng)?;
-                    Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
-                })
-            }
+            Box::new(move |ws, net, start, trial, seed, rng| {
+                let outcome = sim.run_in(ws, net, start, rng)?;
+                Ok(TrialRecord::from_outcome_in(
+                    trial, seed, outcome, recording, ws,
+                ))
+            })
         } else {
             let mut sim = Simulation::new(proto.into_window(), config);
-            if self.reuse {
-                Box::new(move |ws, net, start, trial, seed, rng| {
-                    let outcome = sim.run_in(ws, net, start, rng)?;
-                    Ok(TrialRecord::from_outcome_in(
-                        trial, seed, outcome, recording, ws,
-                    ))
-                })
-            } else {
-                Box::new(move |_ws, net, start, trial, seed, rng| {
-                    let outcome = sim.run(net, start, rng)?;
-                    Ok(TrialRecord::from_outcome(trial, seed, outcome, recording))
-                })
-            }
+            Box::new(move |ws, net, start, trial, seed, rng| {
+                let outcome = sim.run_in(ws, net, start, rng)?;
+                Ok(TrialRecord::from_outcome_in(
+                    trial, seed, outcome, recording, ws,
+                ))
+            })
         }
     }
 }

@@ -183,10 +183,9 @@ mod tests {
     use gossip_dynamics::StaticNetwork;
     use gossip_graph::generators;
 
-    /// A batch on a forced engine with the scalar inner loop, the stream
-    /// every summary below was pinned against.
+    /// A batch on a forced engine.
     fn plan(trials: usize, seed: u64, engine: Engine) -> RunPlan<'static> {
-        RunPlan::new(trials, seed).engine(engine).vectorized(false)
+        RunPlan::new(trials, seed).engine(engine)
     }
 
     fn push_pull() -> AnyProtocol {
@@ -271,11 +270,10 @@ mod tests {
 
     #[test]
     fn incremental_runner_matches_window_runner_on_static() {
-        // Same trial seeding + same event sequence per trial on static
-        // networks; times agree up to float summation order (the window
-        // engine re-sums the cut rate per window, the event engine
-        // maintains it incrementally).
-        let make = || StaticNetwork::new(generators::complete(16).unwrap());
+        // Same trial seeding + same event sequence per trial on a static
+        // implicit backend, where both engines run the closed form; times
+        // agree up to float summation order.
+        let make = || StaticNetwork::from_topology(gossip_graph::Topology::complete(16).unwrap());
         let window = plan(30, 5, Engine::Window)
             .execute(make, || AnyProtocol::window(CutRateAsync::new()))
             .unwrap();

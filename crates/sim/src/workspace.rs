@@ -2,13 +2,11 @@
 //!
 //! Every trial of every experiment needs the same transient state: an
 //! informed-set bitset, a trajectory buffer, the cut-rate simulator's
-//! Fenwick storage and uninformed pools, and the two delta-repair mark
-//! bitsets (endpoints walked, nodes to recompute). Before
-//! the workspace refactor each trial allocated all of it from scratch
-//! (`NodeSet::new(n)`, `FenwickSampler::new(n)`, pool vectors grown by
-//! push) and dropped it at trial end — so small-`n` / high-trial sweeps
-//! spent a large share of their wall clock in the allocator and in
-//! re-zeroing fresh memory.
+//! uninformed pools, and the two delta-repair mark bitsets (endpoints
+//! walked, nodes to recompute). Allocating all of it per trial and
+//! dropping it at trial end made small-`n` / high-trial sweeps spend a
+//! large share of their wall clock in the allocator and in re-zeroing
+//! fresh memory.
 //!
 //! [`SimWorkspace`] is the fix: one arena per worker thread, threaded by
 //! `&mut` through [`crate::EventSimulation::run_in`],
@@ -16,10 +14,11 @@
 //! rebuild/repair hooks, and the [`crate::RunPlan`] trial loop. A trial
 //! *checks out* its buffers at start and the driver *returns* them after
 //! the [`crate::TrialRecord`] is assembled, so steady-state trial setup
-//! performs no allocation at all.
+//! performs no allocation at all. (The cut-rate protocol's vectorized
+//! lane keeps its arrays in the protocol value itself, which the worker
+//! also keeps across trials.)
 
 use gossip_graph::{NodeId, NodeSet};
-use gossip_stats::FenwickSampler;
 use std::sync::Mutex;
 
 /// A uniform sampler over a shrinking set of nodes: O(1) removal by
@@ -96,9 +95,6 @@ impl ShrinkPool {
 ///
 /// * the informed [`NodeSet`] comes back cleared (empty, right universe);
 /// * the trajectory buffer comes back empty (capacity retained);
-/// * Fenwick storage is handed to
-///   [`FenwickSampler::rebuild_into`], whose result is bit-identical to
-///   `FenwickSampler::new(n)` + the same bulk build;
 /// * [`ShrinkPool::reset_from`] refills pools in ascending node order,
 ///   exactly as a freshly grown pool;
 /// * the delta-repair mark bitsets are cleared before every use.
@@ -109,17 +105,17 @@ impl ShrinkPool {
 /// simulator does*: every data structure a trial checks out is reset to
 /// the exact logical state a fresh allocation would have, and no code
 /// path consults the workspace to make a decision. Every random draw —
-/// exponential gaps, Fenwick descents, pool picks, and the fault layer's
+/// exponential gaps, rejection probes, pool picks, and the fault layer's
 /// drop and ratio coins, which live on their own per-trial stream outside
 /// the workspace — therefore happens at the same point of the same stream
-/// with the same outcome, and trial summaries are bit-identical between the
-/// workspace-reuse and fresh-allocation paths (test-enforced in
+/// with the same outcome, and a batch's trial summaries are bit-identical
+/// to one [`crate::EventSimulation::run`] / [`crate::Simulation::run`]
+/// call per trial, each on a fresh workspace (test-enforced in
 /// `tests/workspace_equivalence.rs`).
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     informed: Option<NodeSet>,
     trajectory: Option<Vec<(f64, usize)>>,
-    fenwick: Option<FenwickSampler>,
     pools: Vec<ShrinkPool>,
     /// Delta-repair marks: `(touched endpoints, stale nodes)`.
     repair_marks: Option<(NodeSet, NodeSet)>,
@@ -159,17 +155,6 @@ impl SimWorkspace {
     /// Returns a trajectory buffer for reuse by the next trial.
     pub(crate) fn put_trajectory(&mut self, buf: Vec<(f64, usize)>) {
         self.trajectory = Some(buf);
-    }
-
-    /// Checks out the retained Fenwick storage, if any. Callers size it
-    /// with [`FenwickSampler::rebuild_into`] / [`FenwickSampler::reset`].
-    pub(crate) fn take_fenwick(&mut self) -> Option<FenwickSampler> {
-        self.fenwick.take()
-    }
-
-    /// Returns Fenwick storage for reuse by the next trial.
-    pub(crate) fn put_fenwick(&mut self, f: FenwickSampler) {
-        self.fenwick = Some(f);
     }
 
     /// Checks out a pool (dirty; callers refill via

@@ -6,11 +6,13 @@
 //!
 //! * **Determinism** — an active fault model (crash/recovery with drop,
 //!   or per-window downtime with drop) is bit-identical by
-//!   `(model, base_seed)` across thread counts and the workspace
-//!   on/off paths, for both the naive and the cut-rate event protocols;
-//! * **KS-equivalence** (α = 0.01) — scalar vs vectorized inner loops,
-//!   and naive vs cut-rate protocols, sample the same faulty
-//!   spread-time distribution under both regimes;
+//!   `(model, base_seed)` across thread counts and against one
+//!   `EventSimulation::run` call per trial, for both the naive and the
+//!   cut-rate event protocols;
+//! * **KS-equivalence** (α = 0.01) — naive vs cut-rate protocols, on the
+//!   closed-form `K_n` state and on the vectorized lane of a materialized
+//!   `G(n, p)`, sample the same faulty spread-time distribution under
+//!   both regimes;
 //! * **Panic isolation** — a trial that panics is quarantined and
 //!   reported as a [`gossip_sim::TrialError`] while every other trial's
 //!   record stays byte-identical to an undisturbed run;
@@ -18,11 +20,12 @@
 //!   [`TrialOutcome::Budget`] and a permanently crashed frontier
 //!   reports [`TrialOutcome::Died`], both with `spread_time = None`.
 
-use gossip_dynamics::StaticNetwork;
+use gossip_dynamics::{DynamicNetwork, StaticNetwork};
 use gossip_graph::{generators, NodeId, NodeSet, Topology};
 use gossip_sim::{
-    AnyProtocol, AsyncPushPull, CutRateAsync, Engine, FaultModel, FaultState, IncrementalProtocol,
-    JsonlSink, Protocol, RunConfig, RunPlan, RunReport, SimWorkspace, TrialOutcome, TrialSummary,
+    AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, FaultModel, FaultState,
+    IncrementalProtocol, JsonlSink, Protocol, RunConfig, RunPlan, RunReport, SimWorkspace,
+    SummarySink, TrialObserver, TrialOutcome, TrialRecord, TrialSummary,
 };
 use gossip_stats::{ks, SimRng};
 
@@ -61,14 +64,11 @@ fn downtime_model() -> FaultModel {
 
 /// Runs a faulty plan and returns `(summary, observer bytes)` so callers
 /// can compare both the statistics and the exact record stream.
-#[allow(clippy::too_many_arguments)]
 fn run_faulty(
     make_net: impl Fn() -> StaticNetwork + Sync,
     make_proto: impl Fn() -> AnyProtocol + Sync,
     model: &FaultModel,
     threads: usize,
-    reuse: bool,
-    vectorized: bool,
     trials: usize,
     seed: u64,
 ) -> (TrialSummary, Vec<u8>) {
@@ -76,8 +76,6 @@ fn run_faulty(
     let report = RunPlan::new(trials, seed)
         .engine(Engine::Event)
         .threads(threads)
-        .workspace(reuse)
-        .vectorized(vectorized)
         .faults(model.clone())
         .config(RunConfig::with_max_time(1e4))
         .observer(&mut sink)
@@ -86,6 +84,49 @@ fn run_faulty(
     assert!(report.trial_errors().is_empty());
     let bytes = sink.into_inner().expect("Vec sink never fails");
     (report.into_summary(), bytes)
+}
+
+/// [`run_faulty`]'s allocation oracle: trial `i` through one
+/// `EventSimulation::run` call on the `derive(i)` stream, each with a
+/// fresh network, protocol and workspace.
+fn run_faulty_per_call(
+    make_net: impl Fn() -> StaticNetwork,
+    make_proto: impl Fn() -> AnyProtocol,
+    model: &FaultModel,
+    trials: usize,
+    seed: u64,
+) -> (TrialSummary, Vec<u8>) {
+    let base = SimRng::seed_from_u64(seed);
+    let mut summary = SummarySink::new();
+    let mut sink = JsonlSink::new(Vec::new());
+    for trial in 0..trials {
+        let mut rng = base.derive(trial as u64);
+        let trial_seed = rng.base_seed();
+        let mut net = make_net();
+        let start = net.suggested_start();
+        let protocol = make_proto().into_event().expect("an event protocol");
+        let outcome = EventSimulation::new(protocol, RunConfig::with_max_time(1e4))
+            .with_faults(model.clone())
+            .run(&mut net, start, &mut rng)
+            .expect("valid faulty trial");
+        let record = TrialRecord {
+            trial,
+            seed: trial_seed,
+            n: outcome.n(),
+            spread_time: outcome.spread_time(),
+            windows: outcome.windows(),
+            events: outcome.events(),
+            informed: outcome.informed_count(),
+            outcome: outcome.outcome(),
+            trajectory: None,
+        };
+        summary
+            .on_trial(&record)
+            .expect("summary sink is infallible");
+        sink.on_trial(&record).expect("Vec sink never fails");
+    }
+    let bytes = sink.into_inner().expect("Vec sink never fails");
+    (summary.into_summary(), bytes)
 }
 
 fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
@@ -104,9 +145,9 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
 
 #[test]
 fn faulty_trials_bit_identical_across_threads_and_workspace() {
-    // Same (model, seed) → same records, whatever the parallelism or
-    // allocation strategy. Checked on both event protocol families, under
-    // crash/recovery and under downtime.
+    // Same (model, seed) → same records, whatever the parallelism, and
+    // the same as one call per trial on fresh storage. Checked on both
+    // event protocol families, under crash/recovery and under downtime.
     for (label, make_proto, model) in [
         (
             "cut-rate",
@@ -130,30 +171,19 @@ fn faulty_trials_bit_identical_across_threads_and_workspace() {
         ),
     ] {
         let (ref_summary, ref_bytes) =
-            run_faulty(complete(48), make_proto, &model, 1, false, true, 24, 71);
+            run_faulty_per_call(complete(48), make_proto, &model, 24, 71);
         assert!(ref_summary.completed() > 0, "{label}: nothing completed");
         for threads in [1usize, 4] {
-            for reuse in [false, true] {
-                let (summary, bytes) = run_faulty(
-                    complete(48),
-                    make_proto,
-                    &model,
-                    threads,
-                    reuse,
-                    true,
-                    24,
-                    71,
-                );
-                assert_bit_identical(
-                    &ref_summary,
-                    &summary,
-                    &format!("{label}, {threads} thread(s), reuse {reuse}"),
-                );
-                assert_eq!(
-                    ref_bytes, bytes,
-                    "{label}, {threads} thread(s), reuse {reuse}: record streams drifted"
-                );
-            }
+            let (summary, bytes) = run_faulty(complete(48), make_proto, &model, threads, 24, 71);
+            assert_bit_identical(
+                &ref_summary,
+                &summary,
+                &format!("{label}, {threads} thread(s)"),
+            );
+            assert_eq!(
+                ref_bytes, bytes,
+                "{label}, {threads} thread(s): record streams drifted"
+            );
         }
     }
 }
@@ -167,8 +197,6 @@ fn inactive_fault_model_is_invisible() {
         || AnyProtocol::event(CutRateAsync::new()),
         &FaultModel::default(),
         1,
-        true,
-        true,
         16,
         5,
     );
@@ -184,58 +212,31 @@ fn inactive_fault_model_is_invisible() {
 }
 
 #[test]
-fn scalar_vs_vectorized_ks_equivalent_under_faults() {
-    // The vectorized loop consumes the trial stream in a different order
-    // but thins it against the *same* fault model: distributions match.
-    for model in [lossy_model(), downtime_model()] {
-        let make_proto = || AnyProtocol::event(CutRateAsync::new());
-        let (scalar, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, false, 400, 23);
-        let (fast, _) = run_faulty(gnp(64, 0.2, 9), make_proto, &model, 4, true, true, 400, 23);
-        let (a, b) = (scalar.sorted_times(), fast.sorted_times());
-        assert!(
-            ks::same_distribution(a, b, ALPHA),
-            "{model:?}: KS distance {} exceeds critical {}",
-            ks::ks_statistic(a, b),
-            ks::ks_critical(a.len(), b.len(), ALPHA)
-        );
-    }
-}
-
-#[test]
 fn naive_vs_cut_rate_ks_equivalent_under_faults() {
     // Two independent implementations of the faulty push-pull process
     // (per-node clocks vs superposed cut-rate clock) must agree in
     // distribution under the same fault model — for downtime this is the
     // check that `lossy` on the cut-rate sampler is the naive process.
-    for model in [lossy_model(), downtime_model()] {
-        let (naive, _) = run_faulty(
-            complete(48),
-            || AnyProtocol::event(AsyncPushPull::new()),
-            &model,
-            4,
-            true,
-            true,
-            400,
-            31,
-        );
-        let (cut, _) = run_faulty(
-            complete(48),
-            || AnyProtocol::event(CutRateAsync::new()),
-            &model,
-            4,
-            true,
-            true,
-            400,
-            37,
-        );
-        let (a, b) = (naive.sorted_times(), cut.sorted_times());
-        assert!(
-            ks::same_distribution(a, b, ALPHA),
-            "{model:?}: KS distance {} exceeds critical {}",
-            ks::ks_statistic(a, b),
-            ks::ks_critical(a.len(), b.len(), ALPHA)
-        );
+    // Implicit K_48 runs the cut-rate closed form; the materialized
+    // G(64, 0.2) runs the vectorized lane, whose fault veto lives in its
+    // own event loop.
+    fn check(label: &str, make_net: impl Fn() -> StaticNetwork + Sync + Copy) {
+        for model in [lossy_model(), downtime_model()] {
+            let naive = || AnyProtocol::event(AsyncPushPull::new());
+            let cut_rate = || AnyProtocol::event(CutRateAsync::new());
+            let (naive, _) = run_faulty(make_net, naive, &model, 4, 400, 31);
+            let (cut, _) = run_faulty(make_net, cut_rate, &model, 4, 400, 37);
+            let (a, b) = (naive.sorted_times(), cut.sorted_times());
+            assert!(
+                ks::same_distribution(a, b, ALPHA),
+                "{label}, {model:?}: KS distance {} exceeds critical {}",
+                ks::ks_statistic(a, b),
+                ks::ks_critical(a.len(), b.len(), ALPHA)
+            );
+        }
     }
+    check("K_48", complete(48));
+    check("G(64, 0.2)", gnp(64, 0.2, 9));
 }
 
 /// Delegates every hook to an inner [`CutRateAsync`], but panics at the
@@ -324,7 +325,6 @@ impl IncrementalProtocol for PanicInjected {
 fn run_with_panics(
     panic_trials: &[usize],
     threads: usize,
-    reuse: bool,
     trials: usize,
     seed: u64,
 ) -> (RunReport, Vec<String>) {
@@ -337,7 +337,6 @@ fn run_with_panics(
     let report = RunPlan::new(trials, seed)
         .engine(Engine::Event)
         .threads(threads)
-        .workspace(reuse)
         .config(RunConfig::with_max_time(1e4))
         .observer(&mut sink)
         .execute(complete(32), move || {
@@ -357,7 +356,7 @@ fn run_with_panics(
 fn panicking_trials_are_quarantined_and_reported() {
     const TRIALS: usize = 10;
     let panicked = [2usize, 5];
-    let (clean_report, clean_lines) = run_with_panics(&[], 1, true, TRIALS, 77);
+    let (clean_report, clean_lines) = run_with_panics(&[], 1, TRIALS, 77);
     assert_eq!(clean_report.trials(), TRIALS);
     assert_eq!(clean_lines.len(), TRIALS);
     // The undisturbed record stream minus the panicked trials is exactly
@@ -370,26 +369,24 @@ fn panicking_trials_are_quarantined_and_reported() {
         .map(|(_, l)| l.clone())
         .collect();
     for threads in [1usize, 4] {
-        for reuse in [false, true] {
-            let (report, lines) = run_with_panics(&panicked, threads, reuse, TRIALS, 77);
-            let label = format!("{threads} thread(s), reuse {reuse}");
-            let errors = report.trial_errors();
-            assert_eq!(errors.len(), panicked.len(), "{label}: error count");
-            for (err, &trial) in errors.iter().zip(&panicked) {
-                assert_eq!(err.trial, trial, "{label}: errored trial index");
-                assert!(
-                    err.message.contains("injected test panic"),
-                    "{label}: payload lost: {}",
-                    err.message
-                );
-            }
-            assert_eq!(
-                report.trials() + errors.len(),
-                TRIALS,
-                "{label}: accounting"
+        let (report, lines) = run_with_panics(&panicked, threads, TRIALS, 77);
+        let label = format!("{threads} thread(s)");
+        let errors = report.trial_errors();
+        assert_eq!(errors.len(), panicked.len(), "{label}: error count");
+        for (err, &trial) in errors.iter().zip(&panicked) {
+            assert_eq!(err.trial, trial, "{label}: errored trial index");
+            assert!(
+                err.message.contains("injected test panic"),
+                "{label}: payload lost: {}",
+                err.message
             );
-            assert_eq!(lines, surviving, "{label}: surviving records drifted");
         }
+        assert_eq!(
+            report.trials() + errors.len(),
+            TRIALS,
+            "{label}: accounting"
+        );
+        assert_eq!(lines, surviving, "{label}: surviving records drifted");
     }
 }
 

@@ -1,11 +1,11 @@
 //! The `RunPlan` determinism contract.
 //!
 //! On fixed seeds, `RunPlan::execute` must produce a `TrialSummary`
-//! **bit-identical** to the scalar reference stream — the one the
-//! pre-`RunPlan` runner produced, which is `RunPlan` on a forced engine
-//! with the vectorized inner loop off — per engine, for 1 thread and
-//! k threads, and `Engine::Auto` must sample the same spread-time
-//! distribution as that scalar stream (KS-tested on fresh seeds). On top
+//! **bit-identical** to the legacy runner's stream — the one the
+//! pre-`RunPlan` runner produced, which the window engine reproduces on
+//! every backend and the event engine on closed-form ones — for 1 thread
+//! and k threads, and `Engine::Auto` must sample the same spread-time
+//! distribution as that stream (KS-tested on fresh seeds). On top
 //! of that, the streaming sinks must reproduce the summary exactly: a
 //! JSONL file parsed back line by line rebuilds the bit-identical
 //! statistics.
@@ -34,9 +34,11 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary) {
     }
 }
 
-/// The legacy runner's stream: a forced engine, the scalar inner loop.
-fn legacy_runner(trials: usize, seed: u64, engine: Engine) -> RunPlan<'static> {
-    RunPlan::new(trials, seed).engine(engine).vectorized(false)
+/// The legacy runner's stream: one trial at a time on the window engine,
+/// which rebuilds its rates (a Fenwick tree, or a closed form) for every
+/// exposed graph.
+fn legacy_runner(trials: usize, seed: u64) -> RunPlan<'static> {
+    RunPlan::new(trials, seed).threads(1).engine(Engine::Window)
 }
 
 /// `RunPlan` with `Engine::Window` replays the legacy runner's window
@@ -44,7 +46,7 @@ fn legacy_runner(trials: usize, seed: u64, engine: Engine) -> RunPlan<'static> {
 #[test]
 fn window_engine_bit_identical_to_legacy_runner() {
     let make = || StaticNetwork::new(generators::complete(20).unwrap());
-    let legacy = legacy_runner(40, 11, Engine::Window)
+    let legacy = legacy_runner(40, 11)
         .execute(make, || AnyProtocol::window(CutRateAsync::new()))
         .unwrap();
     for threads in [1usize, 4] {
@@ -57,7 +59,7 @@ fn window_engine_bit_identical_to_legacy_runner() {
         assert_bit_identical(&legacy, plan.summary());
     }
     // Window-only protocols ride the same contract.
-    let legacy = legacy_runner(24, 3, Engine::Window)
+    let legacy = legacy_runner(24, 3)
         .execute(make, || AnyProtocol::window(SyncPushPull::new()))
         .unwrap();
     for threads in [1usize, 3] {
@@ -71,13 +73,14 @@ fn window_engine_bit_identical_to_legacy_runner() {
 }
 
 /// `RunPlan` with `Engine::Auto` (resolving to the event engine) replays
-/// the legacy runner's scalar event stream bit-for-bit, on 1 thread and
-/// on k threads — on an adaptive dynamic family and an implicit backend,
-/// where no vectorized lane applies.
+/// the legacy runner's stream bit-for-bit, on 1 thread and on k threads —
+/// on an adaptive dynamic family and an implicit backend, where both
+/// engines run the cut-rate closed form: the same gap and pool draws per
+/// infection, and rates that depend only on counts.
 #[test]
 fn event_engine_bit_identical_to_legacy_runner() {
     let make_implicit = || StaticNetwork::from_topology(Topology::complete(64).unwrap());
-    let legacy = legacy_runner(33, 99, Engine::Event)
+    let legacy = legacy_runner(33, 99)
         .execute(make_implicit, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
     for threads in [1usize, 8] {
@@ -90,7 +93,7 @@ fn event_engine_bit_identical_to_legacy_runner() {
     }
 
     let make_star = || DynamicStar::new(31).unwrap();
-    let legacy = legacy_runner(25, 7, Engine::Event)
+    let legacy = legacy_runner(25, 7)
         .execute(make_star, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
     for threads in [1usize, 5] {
@@ -104,13 +107,14 @@ fn event_engine_bit_identical_to_legacy_runner() {
 }
 
 /// KS equivalence: `Engine::Auto` samples the same spread-time
-/// distribution as the legacy runner's scalar event stream on
-/// *independent* seeds (bit-equality on shared seeds is checked above;
-/// this shows the sampled law itself did not move).
+/// distribution as the legacy runner's stream on *independent* seeds
+/// (bit-equality on shared seeds is checked above; this shows the sampled
+/// law itself did not move on a materialized backend, where the event
+/// engine runs the vectorized lane).
 #[test]
 fn auto_engine_matches_legacy_distribution() {
     let make = || StaticNetwork::new(generators::cycle(24).unwrap());
-    let legacy = legacy_runner(400, 1000, Engine::Event)
+    let legacy = legacy_runner(400, 1000)
         .execute(make, || AnyProtocol::event(CutRateAsync::new()))
         .unwrap();
     let plan = RunPlan::new(400, 2000)

@@ -1,17 +1,18 @@
-//! Workspace-reuse vs fresh-allocation equivalence.
+//! Workspace reuse against one trial per call.
 //!
 //! The [`gossip_sim::SimWorkspace`] hot path is a pure memory
 //! optimization: every structure a trial checks out of the workspace is
 //! reset to exactly the state a fresh allocation would have, so the RNG
-//! stream is consumed identically and results are **bit-identical** to
-//! the fresh-allocation reference path (`RunPlan::workspace(false)`,
-//! which replays the pre-workspace driver: per-trial allocation and
-//! per-trial record delivery).
+//! stream is consumed identically and a `RunPlan` batch is
+//! **bit-identical** to its allocation oracle: trial `i` through one
+//! public `EventSimulation::run` / `Simulation::run` call on the
+//! `derive(i)` stream, each with a fresh network, protocol and workspace,
+//! its record handed straight to the observer.
 //!
 //! Enforced here per engine (event + window) × topology backend
 //! (implicit, sampled, materialized) × thread count (1 inline, 4 with
 //! the batched channel path), on static and dynamic (delta-repairing)
-//! families, for the closed-form, Fenwick, and stateless protocol
+//! families, for the closed-form, vectorized-lane and stateless protocol
 //! paths — plus a KS distribution check and byte-identical observer
 //! streams.
 
@@ -20,10 +21,11 @@ use gossip_dynamics::{
 };
 use gossip_graph::{generators, Topology};
 use gossip_sim::{
-    AnyProtocol, CutRateAsync, Engine, FaultModel, JsonlSink, RunConfig, RunPlan, TrajectorySink,
-    TrialSummary, TwoPush,
+    AnyProtocol, CutRateAsync, Engine, EventSimulation, FaultModel, JsonlSink, RunConfig, RunPlan,
+    SimError, Simulation, SummarySink, TrajectorySink, TrialObserver, TrialRecord, TrialSummary,
+    TwoPush,
 };
-use gossip_stats::ks;
+use gossip_stats::{ks, SimRng};
 
 fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
     assert_eq!(a.trials(), b.trials(), "{label}: trial counts");
@@ -52,19 +54,96 @@ fn assert_bit_identical(a: &TrialSummary, b: &TrialSummary, label: &str) {
     }
 }
 
-fn summarize<N: DynamicNetwork>(
+/// The allocation oracle: trial `i` through one `EventSimulation::run`
+/// (or, on [`Engine::Window`], `Simulation::run`) call on the `derive(i)`
+/// stream from the network's suggested start, each with a fresh network
+/// and protocol. Records reach `observer` in trial order, with
+/// trajectories recorded when it asks for them.
+#[allow(clippy::too_many_arguments)]
+fn per_call<N: DynamicNetwork>(
+    make_net: impl Fn() -> N,
+    make_proto: impl Fn() -> AnyProtocol,
+    engine: Engine,
+    config: RunConfig,
+    faults: Option<&FaultModel>,
+    trials: usize,
+    seed: u64,
+    observer: &mut dyn TrialObserver,
+) -> Result<TrialSummary, SimError> {
+    let config = if observer.wants_trajectory() {
+        config.recording()
+    } else {
+        config
+    };
+    let base = SimRng::seed_from_u64(seed);
+    let mut summary = SummarySink::new();
+    for trial in 0..trials {
+        let mut rng = base.derive(trial as u64);
+        let trial_seed = rng.base_seed();
+        let mut net = make_net();
+        let start = net.suggested_start();
+        let outcome = match engine {
+            Engine::Window => Simulation::new(make_proto().into_window(), config)
+                .run(&mut net, start, &mut rng)?,
+            _ => {
+                let protocol = make_proto().into_event().expect("an event protocol");
+                let mut sim = EventSimulation::new(protocol, config);
+                if let Some(m) = faults {
+                    sim = sim.with_faults(m.clone());
+                }
+                sim.run(&mut net, start, &mut rng)?
+            }
+        };
+        let record = TrialRecord {
+            trial,
+            seed: trial_seed,
+            n: outcome.n(),
+            spread_time: outcome.spread_time(),
+            windows: outcome.windows(),
+            events: outcome.events(),
+            informed: outcome.informed_count(),
+            outcome: outcome.outcome(),
+            trajectory: config.record_trajectory.then(|| outcome.into_trajectory()),
+        };
+        summary.on_trial(&record)?;
+        observer.on_trial(&record)?;
+    }
+    observer.finish()?;
+    Ok(summary.into_summary())
+}
+
+fn oracle<N: DynamicNetwork>(
+    make_net: impl Fn() -> N,
+    make_proto: impl Fn() -> AnyProtocol,
+    engine: Engine,
+    trials: usize,
+    seed: u64,
+) -> TrialSummary {
+    let config = RunConfig::with_max_time(1e4);
+    per_call(
+        make_net,
+        make_proto,
+        engine,
+        config,
+        None,
+        trials,
+        seed,
+        &mut SummarySink::new(),
+    )
+    .expect("valid trials")
+}
+
+fn batch<N: DynamicNetwork>(
     make_net: impl Fn() -> N + Sync,
     make_proto: impl Fn() -> AnyProtocol + Sync,
     engine: Engine,
     threads: usize,
-    reuse: bool,
     trials: usize,
     seed: u64,
 ) -> TrialSummary {
     RunPlan::new(trials, seed)
         .threads(threads)
         .engine(engine)
-        .workspace(reuse)
         .config(RunConfig::with_max_time(1e4))
         .execute(make_net, make_proto)
         .expect("valid plan")
@@ -79,12 +158,11 @@ fn check_cell<N: DynamicNetwork>(
     make_proto: impl Fn() -> AnyProtocol + Sync + Copy,
 ) {
     for &engine in engines {
+        let reference = oracle(make_net, make_proto, engine, 24, 97);
         for &threads in &[1usize, 4] {
-            let fresh = summarize(make_net, make_proto, engine, threads, false, 24, 97);
-            let reused = summarize(make_net, make_proto, engine, threads, true, 24, 97);
             assert_bit_identical(
-                &fresh,
-                &reused,
+                &reference,
+                &batch(make_net, make_proto, engine, threads, 24, 97),
                 &format!("{label}, engine {}, {threads} thread(s)", engine.name()),
             );
         }
@@ -115,9 +193,10 @@ fn implicit_star_closed_form_path() {
 }
 
 #[test]
-fn sampled_gnp_fenwick_path() {
-    // Sampled G(n, p): lazy rows drive the Fenwick state; the workspace
-    // recycles the tree across trials via rebuild_into.
+fn sampled_gnp_lane_path() {
+    // Sampled G(n, p): lazy rows drive the event engine's vectorized lane
+    // (and the window engine's Fenwick tree), rebuilt per trial in the
+    // protocol's retained storage.
     check_cell(
         "sampled gnp",
         BOTH,
@@ -127,7 +206,7 @@ fn sampled_gnp_fenwick_path() {
 }
 
 #[test]
-fn materialized_circulant_fenwick_path() {
+fn materialized_circulant_lane_path() {
     check_cell(
         "materialized circulant",
         BOTH,
@@ -139,7 +218,8 @@ fn materialized_circulant_fenwick_path() {
 #[test]
 fn dynamic_sequence_delta_repair_path() {
     // Alternating path/cycle reports a delta at every boundary: the
-    // apply_delta scratch (workspace `stale` buffer) runs every window.
+    // apply_delta scratch (the workspace's repair marks) runs every
+    // window.
     check_cell(
         "sequence network",
         BOTH,
@@ -154,37 +234,21 @@ fn dynamic_sequence_delta_repair_path() {
     );
 }
 
-/// One vectorized event-engine batch of the cut-rate protocol.
-fn vectorized_summary<N: DynamicNetwork>(
-    make_net: impl Fn() -> N + Sync,
-    threads: usize,
-    reuse: bool,
-) -> TrialSummary {
-    RunPlan::new(24, 97)
-        .threads(threads)
-        .engine(Engine::Event)
-        .vectorized(true)
-        .workspace(reuse)
-        .config(RunConfig::with_max_time(1e4))
-        .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
-        .expect("valid plan")
-        .into_summary()
-}
-
 #[test]
 fn vectorized_dynamic_families_bit_identical() {
     // The vectorized lane across deltas: repaired in place on sparse ones
     // and rebuilt on dense ones (edge-Markovian churn), repaired after
-    // every re-stitch (G(n, rho)). Identical at 1 and 4 threads, with
-    // workspace reuse on and off.
+    // every re-stitch (G(n, rho)). The batch at 1 and 4 threads equals
+    // one call per trial.
     fn check<N: DynamicNetwork>(label: &str, make_net: impl Fn() -> N + Sync + Copy) {
-        let reference = vectorized_summary(make_net, 1, false);
+        let make_proto = || AnyProtocol::event(CutRateAsync::new());
+        let reference = oracle(make_net, make_proto, Engine::Event, 24, 97);
         assert!(reference.completed() > 0, "{label}: nothing completed");
-        for (threads, reuse) in [(1, true), (4, false), (4, true)] {
+        for threads in [1, 4] {
             assert_bit_identical(
                 &reference,
-                &vectorized_summary(make_net, threads, reuse),
-                &format!("{label}, {threads} thread(s), workspace reuse {reuse}"),
+                &batch(make_net, make_proto, Engine::Event, threads, 24, 97),
+                &format!("{label}, {threads} thread(s)"),
             );
         }
     }
@@ -199,34 +263,43 @@ fn vectorized_dynamic_families_bit_identical() {
 #[test]
 fn lossy_downtime_state_reuse() {
     // `lossy`'s regime (loss plus per-window downtime) vetoes events
-    // through the fault layer while the Fenwick path reuses its workspace;
-    // the per-window down-set draws must stay aligned. Event engine only:
+    // through the fault layer while the protocol state is reused; the
+    // per-window down-set draws must stay aligned. Event engine only:
     // the window engine has no fault layer.
     let model = FaultModel {
         drop: 0.1,
         downtime: 0.3,
         ..FaultModel::default()
     };
-    let run = |threads: usize, reuse: bool| {
-        RunPlan::new(24, 97)
+    let make_net = || StaticNetwork::new(generators::cycle(20).unwrap());
+    let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let reference = per_call(
+        make_net,
+        make_proto,
+        Engine::Event,
+        RunConfig::with_max_time(1e4),
+        Some(&model),
+        24,
+        97,
+        &mut SummarySink::new(),
+    )
+    .expect("valid faulty trials");
+    assert!(
+        reference.completed() > 0,
+        "nothing completed under downtime"
+    );
+    for threads in [1usize, 4] {
+        let batch = RunPlan::new(24, 97)
             .threads(threads)
             .engine(Engine::Event)
-            .workspace(reuse)
             .faults(model.clone())
             .config(RunConfig::with_max_time(1e4))
-            .execute(
-                || StaticNetwork::new(generators::cycle(20).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
+            .execute(make_net, make_proto)
             .expect("valid faulty plan")
-            .into_summary()
-    };
-    for threads in [1usize, 4] {
-        let fresh = run(threads, false);
-        assert!(fresh.completed() > 0, "nothing completed under downtime");
+            .into_summary();
         assert_bit_identical(
-            &fresh,
-            &run(threads, true),
+            &reference,
+            &batch,
             &format!("lossy with downtime, {threads} thread(s)"),
         );
     }
@@ -258,40 +331,47 @@ fn ks_distribution_check_on_complete_family() {
     // two paths must still sample the same spread-time distribution.
     let make_net = || StaticNetwork::from_topology(Topology::complete(48).unwrap());
     let make_proto = || AnyProtocol::event(CutRateAsync::new());
-    let fresh = summarize(make_net, make_proto, Engine::Event, 1, false, 700, 1000);
-    let reused = summarize(make_net, make_proto, Engine::Event, 1, true, 700, 2000);
+    let single = oracle(make_net, make_proto, Engine::Event, 700, 1000);
+    let reused = batch(make_net, make_proto, Engine::Event, 1, 700, 2000);
     assert!(
-        ks::same_distribution(fresh.sorted_times(), reused.sorted_times(), 0.01),
+        ks::same_distribution(single.sorted_times(), reused.sorted_times(), 0.01),
         "KS = {}",
-        ks::ks_statistic(fresh.sorted_times(), reused.sorted_times())
+        ks::ks_statistic(single.sorted_times(), reused.sorted_times())
     );
 }
 
 #[test]
 fn observer_streams_byte_identical() {
     // The full observer contract: a JSONL sink fed by the batched
-    // workspace path must produce byte-for-byte the stream the per-trial
-    // fresh path produced, for 1 and 4 threads.
-    let stream = |reuse: bool, threads: usize| -> Vec<u8> {
+    // workspace path must produce byte-for-byte the stream of one call
+    // per trial, for 1 and 4 threads.
+    let make_net = || StaticNetwork::from_topology(Topology::complete(32).unwrap());
+    let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let mut sink = JsonlSink::new(Vec::new());
+    per_call(
+        make_net,
+        make_proto,
+        Engine::Event,
+        RunConfig::default(),
+        None,
+        40,
+        11,
+        &mut sink,
+    )
+    .expect("valid trials");
+    let reference = sink.into_inner().expect("flush");
+    assert!(!reference.is_empty());
+    for threads in [1, 4] {
         let mut sink = JsonlSink::new(Vec::new());
         RunPlan::new(40, 11)
             .threads(threads)
-            .workspace(reuse)
             .observer(&mut sink)
-            .execute(
-                || StaticNetwork::from_topology(Topology::complete(32).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
+            .execute(make_net, make_proto)
             .expect("valid plan");
-        sink.into_inner().expect("flush")
-    };
-    let reference = stream(false, 1);
-    assert!(!reference.is_empty());
-    for (reuse, threads) in [(false, 4), (true, 1), (true, 4)] {
         assert_eq!(
-            stream(reuse, threads),
+            sink.into_inner().expect("flush"),
             reference,
-            "stream drifted (reuse {reuse}, {threads} thread(s))"
+            "stream drifted ({threads} thread(s))"
         );
     }
 }
@@ -300,60 +380,65 @@ fn observer_streams_byte_identical() {
 fn trajectory_recycling_keeps_curves_identical() {
     // Trajectory recording ships the recorded buffer inside the record;
     // the inline path recycles it back into the workspace afterwards.
-    // Curves must match the fresh path exactly in either mode.
-    let curves = |reuse: bool, threads: usize| {
+    // Curves must match one call per trial exactly.
+    let make_net = || StaticNetwork::new(generators::cycle(24).unwrap());
+    let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let mut sink = TrajectorySink::new(16);
+    per_call(
+        make_net,
+        make_proto,
+        Engine::Event,
+        RunConfig::default(),
+        None,
+        12,
+        5,
+        &mut sink,
+    )
+    .expect("valid trials");
+    let reference = sink.into_curves();
+    assert_eq!(reference.len(), 12);
+    for threads in [1, 4] {
         let mut sink = TrajectorySink::new(16);
         RunPlan::new(12, 5)
             .threads(threads)
-            .workspace(reuse)
             .observer(&mut sink)
-            .execute(
-                || StaticNetwork::new(generators::cycle(24).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
+            .execute(make_net, make_proto)
             .expect("valid plan");
-        sink.into_curves()
-    };
-    let reference = curves(false, 1);
-    assert_eq!(reference.len(), 12);
-    for (reuse, threads) in [(true, 1), (true, 4)] {
         assert_eq!(
-            curves(reuse, threads),
+            sink.into_curves(),
             reference,
-            "curves drifted (reuse {reuse}, {threads} thread(s))"
+            "curves drifted ({threads} thread(s))"
         );
     }
 }
 
 #[test]
 fn errors_propagate_identically_on_both_paths() {
-    for reuse in [false, true] {
-        let err = RunPlan::new(8, 1)
-            .threads(3)
-            .workspace(reuse)
-            .start(99)
-            .execute(
-                || StaticNetwork::new(generators::path(3).unwrap()),
-                || AnyProtocol::event(CutRateAsync::new()),
-            )
-            .unwrap_err();
+    let make_net = || StaticNetwork::new(generators::path(3).unwrap());
+    let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let single = EventSimulation::new(make_proto().into_event().unwrap(), RunConfig::default())
+        .run(&mut make_net(), 99, &mut SimRng::seed_from_u64(1))
+        .unwrap_err();
+    let batched = RunPlan::new(8, 1)
+        .threads(3)
+        .start(99)
+        .execute(make_net, make_proto)
+        .unwrap_err();
+    for err in [single, batched] {
         assert!(
-            matches!(
-                err,
-                gossip_sim::SimError::StartOutOfRange { start: 99, n: 3 }
-            ),
-            "reuse {reuse}: unexpected error {err:?}"
+            matches!(err, SimError::StartOutOfRange { start: 99, n: 3 }),
+            "unexpected error {err:?}"
         );
     }
 }
 
 #[test]
 fn workspace_survives_heterogeneous_backends_in_one_worker() {
-    // One worker's workspace must hand storage back and forth between
-    // the closed-form (ShrinkPool) and Fenwick rate states without
-    // corrupting either: a schedule alternating the *implicit* complete
-    // backend with a materialized circulant forces the state switch at
-    // every window boundary, so pools and the tree are parked in and
+    // One worker's workspace and protocol must hand storage back and
+    // forth between the closed-form (ShrinkPool) and lane rate states
+    // without corrupting either: a schedule alternating the *implicit*
+    // complete backend with a materialized circulant forces the state
+    // switch at every window boundary, so pools are parked in and
     // checked out of the same workspace repeatedly within one trial.
     let make_net = || {
         SequenceNetwork::cycling_topologies(vec![
@@ -363,9 +448,12 @@ fn workspace_survives_heterogeneous_backends_in_one_worker() {
         .unwrap()
     };
     let make_proto = || AnyProtocol::event(CutRateAsync::new());
+    let reference = oracle(make_net, make_proto, Engine::Event, 30, 33);
     for threads in [1usize, 4] {
-        let fresh = summarize(make_net, make_proto, Engine::Event, threads, false, 30, 33);
-        let reused = summarize(make_net, make_proto, Engine::Event, threads, true, 30, 33);
-        assert_bit_identical(&fresh, &reused, &format!("mixed backends, {threads} thr"));
+        assert_bit_identical(
+            &reference,
+            &batch(make_net, make_proto, Engine::Event, threads, 30, 33),
+            &format!("mixed backends, {threads} thr"),
+        );
     }
 }

@@ -56,17 +56,8 @@ fn backends() -> [(&'static str, Topology); 2] {
 }
 
 /// The mean spread time of a `RunPlan` batch from node 0.
-fn plan_mean(
-    topo: &Topology,
-    engine: Engine,
-    vectorized: bool,
-    proto: fn() -> AnyProtocol,
-    drop: f64,
-) -> f64 {
-    let mut plan = RunPlan::new(TRIALS, SEED)
-        .start(0)
-        .engine(engine)
-        .vectorized(vectorized);
+fn plan_mean(topo: &Topology, engine: Engine, proto: fn() -> AnyProtocol, drop: f64) -> f64 {
+    let mut plan = RunPlan::new(TRIALS, SEED).start(0).engine(engine);
     if drop > 0.0 {
         plan = plan.faults(FaultModel {
             drop,
@@ -83,12 +74,11 @@ fn plan_mean(
 #[test]
 fn fault_free_engines_match_the_exact_mean() {
     for (backend, topo) in backends() {
-        for (lane, engine, vectorized) in [
-            ("window engine", Engine::Window, false),
-            ("event engine, scalar lane", Engine::Event, false),
-            ("event engine, vectorized lane", Engine::Event, true),
+        for (lane, engine) in [
+            ("window engine", Engine::Window),
+            ("event engine", Engine::Event),
         ] {
-            let mean = plan_mean(&topo, engine, vectorized, cut_rate, 0.0);
+            let mean = plan_mean(&topo, engine, cut_rate, 0.0);
             assert_z(&format!("{backend}, {lane}"), mean, 0.0);
         }
     }
@@ -97,16 +87,11 @@ fn fault_free_engines_match_the_exact_mean() {
 #[test]
 fn drop_slows_time_by_exactly_one_over_one_minus_q() {
     for (backend, topo) in backends() {
-        for (lane, vectorized, proto) in [
-            (
-                "cut-rate, scalar lane",
-                false,
-                cut_rate as fn() -> AnyProtocol,
-            ),
-            ("cut-rate, vectorized lane", true, cut_rate),
-            ("naive", true, || AnyProtocol::event(AsyncPushPull::new())),
+        for (lane, proto) in [
+            ("cut-rate", cut_rate as fn() -> AnyProtocol),
+            ("naive", || AnyProtocol::event(AsyncPushPull::new())),
         ] {
-            let mean = plan_mean(&topo, Engine::Event, vectorized, proto, 0.5);
+            let mean = plan_mean(&topo, Engine::Event, proto, 0.5);
             assert_z(&format!("{backend}, {lane}, drop 0.5"), mean, 0.5);
         }
     }

@@ -16,7 +16,11 @@
 //! repaired across deltas, so dynamic windows run the vectorized loop)
 //! moved only the vectorized dynamic digests (a) and (b); their scalar
 //! twins (`sweep.vectorized = false`), pinned beside them, did not move,
-//! and neither did any static digest or (c).
+//! and neither did any static digest or (c). The event engine's scalar
+//! loop and `sweep.vectorized` were deleted later, at version 4 still:
+//! no digest moved, and the scalar twins gave way to window-engine twins
+//! (`sweep.engine = "window"`), the independent Fenwick sampler, pinned
+//! at the values they already had before the deletion.
 //!
 //! The `#[ignore]`d test at the end pins the benchmark's two dynamic
 //! sweeps at full size; it runs in release (`cargo test --release --test
@@ -68,9 +72,10 @@ fn jsonl_digest(spec: &ScenarioSpec) -> (usize, u64) {
     (records, fnv1a(&sink.into_inner().unwrap()))
 }
 
-/// `spec` on the scalar reference loop (`sweep.vectorized = false`).
-fn scalar(mut spec: ScenarioSpec) -> ScenarioSpec {
-    spec.sweep.vectorized = Some(false);
+/// `spec` on the window engine, which rebuilds a Fenwick tree for every
+/// exposed graph (`sweep.engine = "window"`).
+fn window(mut spec: ScenarioSpec) -> ScenarioSpec {
+    spec.sweep.engine = Some("window".into());
     spec
 }
 
@@ -103,9 +108,9 @@ fn dynamic_family_jsonl_is_pinned() {
         "edge-Markovian, async",
     );
     assert_pinned(
-        jsonl_digest(&scalar(churn)),
-        (20, 0x2a01_c64b_4c42_55e1),
-        "edge-Markovian, async, scalar",
+        jsonl_digest(&window(churn)),
+        (20, 0x132f_9eda_e6ff_8ce8),
+        "edge-Markovian, async, window engine",
     );
 
     // (b) The Section 4 adversary: a re-stitch delta after every window
@@ -118,9 +123,9 @@ fn dynamic_family_jsonl_is_pinned() {
         "diligent.toml, n <= 512",
     );
     assert_pinned(
-        jsonl_digest(&scalar(diligent)),
-        (40, 0xc457_9be5_9849_6b60),
-        "diligent.toml, n <= 512, scalar",
+        jsonl_digest(&window(diligent)),
+        (40, 0xc3a3_83f9_b54d_84e8),
+        "diligent.toml, n <= 512, window engine",
     );
 
     // (c) The checked-in edge-Markovian scenario (2-push).
@@ -199,9 +204,9 @@ fn live_jsonl_is_pinned() {
     );
 }
 
-/// The benchmark's two dynamic sweeps at their full shape, vectorized and
-/// scalar. Seconds in release, minutes in the debug build, so ignored
-/// there.
+/// The benchmark's two dynamic sweeps at their full shape, on the event
+/// engine and on the window engine. Seconds in release, minutes in the
+/// debug build, so ignored there.
 #[test]
 #[ignore = "release only: cargo test --release --test golden_output -- --ignored"]
 fn benchmark_shapes_are_pinned() {
@@ -227,15 +232,15 @@ fn benchmark_shapes_are_pinned() {
     let pins = [
         (churn.clone(), (40, 0x52f6_c74b_96c2_6744), "edge-Markovian"),
         (
-            scalar(churn),
+            window(churn),
             (40, 0xf0fe_f94f_4e15_39db),
-            "edge-Markovian, scalar",
+            "edge-Markovian, window engine",
         ),
         (diligent.clone(), (40, 0xa8a3_7b7f_caea_5688), "G(n, 0.25)"),
         (
-            scalar(diligent),
-            (40, 0x7f99_5000_3373_f885),
-            "G(n, 0.25), scalar",
+            window(diligent),
+            (40, 0x23e7_4d18_71e0_4eb6),
+            "G(n, 0.25), window engine",
         ),
     ];
     for (spec, pinned, what) in pins {

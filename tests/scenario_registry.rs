@@ -44,15 +44,18 @@ fn event_engine_and_scenario_agree() {
     spec.sweep.seed = Some(5);
     let report = run_scenario(&spec).unwrap();
 
-    // The registry's implicit complete backend resolves to the closed-form
-    // cut-rate state, which never takes the vectorized loop; pin the
-    // materialized direct run to the scalar reference so both sides
-    // consume the per-trial RNG stream in the same order.
+    // The registry builds `complete` on its implicit backend, which runs
+    // the closed-form cut-rate state; the direct run uses the same
+    // backend, so both sides consume the per-trial RNG stream in the same
+    // order.
     let direct = RunPlan::new(10, 5)
         .config(RunConfig::with_max_time(1e5))
-        .vectorized(false)
         .execute(
-            || StaticNetwork::new(generators::complete(16).unwrap()),
+            || {
+                StaticNetwork::from_topology(
+                    rumor_spreading::graph::Topology::complete(16).unwrap(),
+                )
+            },
             || AnyProtocol::event(CutRateAsync::new()),
         )
         .unwrap();
