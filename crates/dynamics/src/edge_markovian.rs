@@ -5,6 +5,12 @@
 //! probability `q` at every step. For `p = Ω(1/n)` and constant `q`, the
 //! synchronous push algorithm spreads a rumor in `O(log n)` rounds w.h.p. —
 //! reproduced as extension experiment X1.
+//!
+//! A step draws its coins first and then walks the graph once: the next
+//! window's upper rows are merged from the current ones and the births,
+//! and the CSR is rebuilt from them in place
+//! ([`Graph::rebuild_from_upper`]). Every buffer of the step is kept
+//! across windows, so a step allocates only the delta it returns.
 
 use crate::{DynamicNetwork, EdgeDelta};
 use gossip_graph::{Graph, GraphError, NodeId, NodeSet, Topology};
@@ -39,6 +45,25 @@ pub struct EdgeMarkovian {
     /// The birth skip distribution; `None` when `p` is 0.
     births: Option<Geometric>,
     last_step: Option<u64>,
+    step: StepBuffers,
+}
+
+/// What one step writes, kept across windows.
+#[derive(Debug, Clone, Default)]
+struct StepBuffers {
+    /// `split[u]`: how many of the current row `u`'s neighbours lie below
+    /// `u`, so that its upper row is `neighbors(u)[split[u]..]`; empty
+    /// until the first step after [`EdgeMarkovian::new`] or a reset.
+    split: Vec<u32>,
+    /// The death coins, one bit per current edge in lexicographic order.
+    deaths: Vec<u64>,
+    /// The pair ranks the birth skips hit, ascending.
+    birth_ranks: Vec<u64>,
+    /// The next window's upper rows (see [`Graph::rebuild_from_upper`]);
+    /// `upper` only grows, and its entries past the last offset are
+    /// scratch.
+    upper_offsets: Vec<u32>,
+    upper: Vec<NodeId>,
 }
 
 impl EdgeMarkovian {
@@ -55,14 +80,14 @@ impl EdgeMarkovian {
                 "birth/death probabilities must lie in [0,1], got p={p}, q={q}"
             )));
         }
-        let current = Topology::materialized(initial.clone());
         Ok(EdgeMarkovian {
+            current: Topology::materialized(initial.clone()),
             initial,
-            current,
             p,
             q,
             births: Geometric::new(p).ok(),
             last_step: None,
+            step: StepBuffers::default(),
         })
     }
 
@@ -92,79 +117,120 @@ impl EdgeMarkovian {
 
     /// Advances one step and returns the exact edge diff.
     ///
-    /// Deaths cost one Bernoulli draw per current edge, in lexicographic
-    /// order (no draw when `q` is 0 or 1). Births are sampled next, by
-    /// geometric skipping over the pair universe in rank order (no draw
-    /// when `p` is 0): each pair is hit independently with probability
-    /// `p`, and hits on existing edges are ignored because their fate is
-    /// the death draw. Per-pair behavior is identical to a full scan, but
-    /// the work drops from `Θ(n²)` RNG draws to `O(m + p·n²)` — the sparse
+    /// The draws come first. Deaths cost one Bernoulli draw per current
+    /// edge, in lexicographic order (no draw when `q` is 0 or 1), kept as
+    /// one bit per edge. Births are sampled next, by geometric skipping
+    /// over the pair universe in rank order (no draw when `p` is 0): each
+    /// pair is hit independently with probability `p`, and the ranks hit
+    /// are kept. Per-pair behavior is identical to a full scan, but the
+    /// work drops from `Θ(n²)` RNG draws to `O(m + p·n²)` — the sparse
     /// regime (`p = Θ(1/n)`) the related-work experiments sweep runs in
-    /// `O(n)` per step. Both lists come out lexicographic, so
-    /// [`Graph::apply_changes`] turns the current CSR into the next
-    /// window's in one linear pass.
+    /// `O(n)` per step.
+    ///
+    /// Then one walk over the current upper rows merges each with the
+    /// births that fall in it: a dead edge is dropped (and listed as
+    /// removed), a birth on a missing pair is inserted (and listed as
+    /// added), and a birth on an existing edge is ignored, because that
+    /// edge's fate is its coin. The walk writes the next upper rows, from
+    /// which the CSR is rebuilt in place; both lists come out
+    /// lexicographic.
     fn evolve_delta(&mut self, rng: &mut SimRng) -> EdgeDelta {
-        let current = self
+        let graph = self
             .current
-            .as_graph()
-            .expect("edge-Markovian graphs are materialized");
-        let mut removed = Vec::new();
-        if self.q > 0.0 {
-            // Branch-free on the coin: every edge is written to the next
-            // free slot, which advances only on a death.
-            removed.resize(current.m(), (0, 0));
-            let mut dead = 0;
-            for u in current.nodes() {
-                let row = current.neighbors(u);
-                for &v in &row[row.partition_point(|&w| w <= u)..] {
-                    removed[dead] = (u, v);
-                    dead += usize::from(rng.chance(self.q));
-                }
-            }
-            removed.truncate(dead);
-        }
-        let added = match &self.births {
-            Some(geo) => births(current, geo, rng),
-            None => Vec::new(),
-        };
-        self.current
             .as_graph_mut()
-            .expect("edge-Markovian graphs are materialized")
-            .apply_changes(&added, &removed);
+            .expect("edge-Markovian graphs are materialized");
+        let StepBuffers {
+            split,
+            deaths,
+            birth_ranks,
+            upper_offsets,
+            upper,
+        } = &mut self.step;
+        let (n, m) = (graph.n(), graph.m());
+        if split.len() != n {
+            split.clear();
+            split.extend(
+                graph
+                    .nodes()
+                    .map(|u| graph.neighbors(u).partition_point(|&w| w <= u) as u32),
+            );
+        }
+        deaths.clear();
+        for first in (0..m).step_by(64) {
+            let mut word = 0;
+            for bit in 0..(m - first).min(64) {
+                word |= u64::from(rng.chance(self.q)) << bit;
+            }
+            deaths.push(word);
+        }
+        birth_ranks.clear();
+        if let (Some(geo), true) = (&self.births, n >= 2) {
+            let total_pairs = (n * (n - 1) / 2) as u64;
+            let mut rank = geo.sample(rng) - 1;
+            while rank < total_pairs {
+                birth_ranks.push(rank);
+                // A saturated sample (p below 2⁻⁵⁴) ends the scan.
+                rank = rank.saturating_add(geo.sample(rng));
+            }
+        }
+        // The walk does not branch on a coin, which no predictor guesses:
+        // every current edge is written both to the next upper rows and to
+        // `removed`, and only the cursor its coin selects advances, so both
+        // buffers get a spare last slot.
+        let dead = deaths.iter().map(|w| w.count_ones() as usize).sum();
+        let mut removed = vec![(0, 0); dead + 1];
+        let mut added = Vec::with_capacity(birth_ranks.len());
+        let len = m - dead + birth_ranks.len() + 1;
+        if upper.len() < len {
+            upper.resize(len, 0);
+        }
+        upper_offsets.clear();
+        upper_offsets.push(0);
+        // Row u's pairs have ranks `row_rank..row_rank + n − 1 − u`; `b` is
+        // the next birth of the row, `n` past its last.
+        let (mut edge, mut next_birth, mut row_rank) = (0, 0, 0);
+        let (mut kept, mut died) = (0, 0);
+        for u in 0..n {
+            let row_end = row_rank + (n - 1 - u) as u64;
+            let mut birth = || match birth_ranks.get(next_birth) {
+                Some(&rank) if rank < row_end => {
+                    next_birth += 1;
+                    (u as u64 + 1 + rank - row_rank) as NodeId
+                }
+                _ => n as NodeId,
+            };
+            let mut b = birth();
+            let u = u as NodeId;
+            for &v in &graph.neighbors(u)[split[u as usize] as usize..] {
+                while b < v {
+                    added.push((u, b));
+                    upper[kept] = b;
+                    kept += 1;
+                    b = birth();
+                }
+                if b == v {
+                    b = birth();
+                }
+                let coin = (deaths[edge / 64] >> (edge % 64) & 1) as usize;
+                upper[kept] = v;
+                removed[died] = (u, v);
+                kept += 1 - coin;
+                died += coin;
+                edge += 1;
+            }
+            while (b as usize) < n {
+                added.push((u, b));
+                upper[kept] = b;
+                kept += 1;
+                b = birth();
+            }
+            upper_offsets.push(kept as u32);
+            row_rank = row_end;
+        }
+        removed.truncate(dead);
+        graph.rebuild_from_upper(upper_offsets, &upper[..kept], split);
         EdgeDelta::new(added, removed)
     }
-}
-
-/// The pairs `(u, v)`, `u < v`, absent from `current` that one step
-/// births, in lexicographic order: geometric skips over the pair ranks
-/// (row u's ranks start at `Σ_{i<u} (n−1−i)`), so the row and the
-/// position in its old adjacency only advance.
-fn births(current: &Graph, geo: &Geometric, rng: &mut SimRng) -> Vec<(NodeId, NodeId)> {
-    let mut added = Vec::new();
-    let n = current.n() as u64;
-    if n < 2 {
-        return added;
-    }
-    let total_pairs = n * (n - 1) / 2;
-    let (mut u, mut row_rank, mut next_row_rank) = (0, 0, n - 1);
-    let mut old_row = current.neighbors(0);
-    let mut idx = geo.sample(rng) - 1;
-    while idx < total_pairs {
-        while idx >= next_row_rank {
-            u += 1;
-            row_rank = next_row_rank;
-            next_row_rank += n - 1 - u;
-            old_row = current.neighbors(u as NodeId);
-        }
-        let v = (u + 1 + idx - row_rank) as NodeId;
-        old_row = &old_row[old_row.partition_point(|&w| w < v)..];
-        if old_row.first() != Some(&v) {
-            added.push((u as NodeId, v));
-        }
-        // A saturated sample (p below 2⁻⁵⁴) ends the row scan.
-        idx = idx.saturating_add(geo.sample(rng));
-    }
-    added
 }
 
 impl DynamicNetwork for EdgeMarkovian {
@@ -195,6 +261,7 @@ impl DynamicNetwork for EdgeMarkovian {
 
     fn reset(&mut self) {
         self.current = Topology::materialized(self.initial.clone());
+        self.step.split.clear();
         self.last_step = None;
     }
 

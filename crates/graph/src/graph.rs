@@ -12,7 +12,10 @@ pub type NodeId = u32;
 /// `neighbors(v)` on every infection, so this layout is the hot path of the
 /// whole reproduction.
 ///
-/// Construct with [`GraphBuilder`] or [`Graph::from_edges`].
+/// Construct with [`GraphBuilder`] or [`Graph::from_edges`]. A dynamic
+/// network rewrites its window's graph in place, inside the graph's own
+/// allocation: [`Graph::rebuild_from_upper`] from the rows above the
+/// diagonal, or [`Graph::apply_changes`] from an edge diff.
 ///
 /// # Example
 ///
@@ -165,16 +168,103 @@ impl Graph {
         0..self.n() as NodeId
     }
 
+    /// Rebuilds this graph in place, inside its own allocation, as the
+    /// graph on `n = upper_offsets.len() − 1` nodes whose neighbours of
+    /// `u` above `u` are `upper[upper_offsets[u]..upper_offsets[u + 1]]`
+    /// (its *upper row*; the upper rows in order list every edge once, in
+    /// lexicographic order). `O(n + m)`: one pass over the upper rows
+    /// counts every row's lower neighbours, which gives the offsets; then
+    /// the rows fill in ascending `u`. Row `u`'s lower neighbours all come
+    /// from rows `w < u`, so when `u` is reached they are placed, in
+    /// ascending order; its upper row is copied after them in one piece,
+    /// and `u` is appended to the lower part of each of its upper
+    /// neighbours.
+    ///
+    /// `split[u]` is left at the number of row `u`'s neighbours below `u`
+    /// (`neighbors(u).partition_point(|&w| w <= u)`), so a caller that
+    /// keeps it reads the upper rows back without a search.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gossip_graph::Graph;
+    ///
+    /// let mut g = Graph::empty(0);
+    /// let mut split = Vec::new();
+    /// // Upper rows of the path 0–1–2 plus the edge {0, 2}.
+    /// g.rebuild_from_upper(&[0, 2, 3, 3], &[1, 2, 2], &mut split);
+    /// assert_eq!(g, Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]).unwrap());
+    /// assert_eq!(split, [0, 1, 2]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `upper_offsets` does not run from 0 to `upper.len()`
+    /// without decreasing, a row is not strictly increasing above its
+    /// node, an entry is not below `n`, or the volume `2·upper.len()` does
+    /// not fit the `u32` row offsets. A panic leaves the graph unspecified.
+    pub fn rebuild_from_upper(
+        &mut self,
+        upper_offsets: &[u32],
+        upper: &[NodeId],
+        split: &mut Vec<u32>,
+    ) {
+        let n = upper_offsets.len().saturating_sub(1);
+        assert!(
+            upper_offsets.first() == Some(&0) && upper_offsets[n] as usize == upper.len(),
+            "upper row offsets must run from 0 to the number of edges"
+        );
+        let volume = 2 * upper.len();
+        assert!(
+            u32::try_from(volume).is_ok(),
+            "graph volume exceeds the u32 CSR offsets"
+        );
+        // `offsets[v + 1]` first counts row v's lower neighbours (an entry
+        // at or below its row is caught while the rows fill).
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &v in upper {
+            offsets[v as usize + 1] += 1;
+        }
+        // `split[u]` is row u's next free lower slot while the rows fill.
+        split.clear();
+        let mut total = 0;
+        for u in 0..n {
+            split.push(total);
+            total += offsets[u + 1] + (upper_offsets[u + 1] - upper_offsets[u]);
+            offsets[u + 1] = total;
+        }
+        let neighbors = &mut self.neighbors;
+        neighbors.resize(volume, 0);
+        for u in 0..n {
+            let row = &upper[upper_offsets[u] as usize..upper_offsets[u + 1] as usize];
+            let at = split[u] as usize;
+            neighbors[at..at + row.len()].copy_from_slice(row);
+            let mut prev = u as NodeId;
+            for &v in row {
+                assert!(
+                    v > prev,
+                    "upper row {u} is not strictly increasing above {u}"
+                );
+                prev = v;
+                let slot = &mut split[v as usize];
+                neighbors[*slot as usize] = u as NodeId;
+                *slot += 1;
+            }
+            split[u] -= offsets[u];
+        }
+    }
+
     /// Deletes the `removed` edges and inserts the `added` ones in place,
     /// without a full [`GraphBuilder::build`]. `O(n + m + c)` for `c`
     /// changed edges when the change set is dense (`c ≥ n`, about every
-    /// row touched): each surviving or added edge is placed, in
-    /// lexicographic order, at the next free slot of both its rows, so
-    /// every row fills in sorted order. A sparse change set merges each
-    /// touched row with its changes and moves the untouched runs between
-    /// touched rows by their offset shift, leaving runs whose shift is
-    /// zero where they are; only the `c` lower half-edges are sorted (the
-    /// upper ones arrive in row order).
+    /// row touched): the upper rows are merged with the changes and the
+    /// graph is rebuilt from them ([`Graph::rebuild_from_upper`]). A sparse
+    /// change set merges each touched row with its changes and moves the
+    /// untouched runs between touched rows by their offset shift, leaving
+    /// runs whose shift is zero where they are; only the `c` lower
+    /// half-edges are sorted (the upper ones arrive in row order).
     ///
     /// Both lists hold edges as `(u, v)` with `u < v`, in lexicographic
     /// order (as [`Graph::edges`] and the dynamic networks' deltas give
@@ -207,7 +297,8 @@ impl Graph {
             "graph volume exceeds the u32 CSR offsets"
         );
         if added.len() + removed.len() >= self.n() {
-            *self = self.place_changes(added, removed, volume);
+            let (upper_offsets, upper) = self.upper_rows_with(added, removed, volume / 2);
+            self.rebuild_from_upper(&upper_offsets, &upper, &mut Vec::new());
         } else {
             self.merge_changes(added, removed, volume);
         }
@@ -321,52 +412,23 @@ impl Graph {
         self.neighbors.truncate(volume);
     }
 
-    /// [`Graph::apply_changes`] for dense change sets: the new degrees give
-    /// the row offsets, then the edges are placed in lexicographic order.
-    /// Row `r` receives its lower neighbours (from rows `w < r`, in
-    /// ascending `w`) before its own upper ones, so it fills sorted.
-    fn place_changes(
+    /// [`Graph::apply_changes`] for dense change sets: every upper row
+    /// merged with its changes, as `(upper_offsets, upper)` for
+    /// [`Graph::rebuild_from_upper`] (`m` is the resulting edge count).
+    fn upper_rows_with(
         &self,
         added: &[(NodeId, NodeId)],
         removed: &[(NodeId, NodeId)],
-        volume: usize,
-    ) -> Graph {
-        let n = self.n();
-        let mut next: Vec<u32> = self.offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        for &(u, v) in removed {
-            next[u as usize] -= 1;
-            next[v as usize] -= 1;
-        }
-        for &(u, v) in added {
-            next[u as usize] += 1;
-            next[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut total = 0;
-        for slot in next.iter_mut() {
-            // `next[r]` becomes row r's first free slot.
-            let start = total;
-            total += *slot;
-            offsets.push(total);
-            *slot = start;
-        }
-        let mut neighbors = vec![0 as NodeId; volume];
+        m: usize,
+    ) -> (Vec<u32>, Vec<NodeId>) {
+        let mut upper_offsets = Vec::with_capacity(self.n() + 1);
+        upper_offsets.push(0);
+        let mut upper = Vec::with_capacity(m);
         let (mut i, mut j) = (0, 0);
-        for u in 0..n as NodeId {
-            let row = self.neighbors(u);
-            // Row u's lower neighbours are all placed; from here on only
-            // its upper ones land in it, at a cursor kept out of `next`.
-            let mut at = next[u as usize] as usize;
-            let mut place = |v: NodeId| {
-                neighbors[at] = v;
-                at += 1;
-                neighbors[next[v as usize] as usize] = u;
-                next[v as usize] += 1;
-            };
-            for &v in &row[row.partition_point(|&w| w <= u)..] {
+        for u in self.nodes() {
+            for &v in self.upper_neighbors(u) {
                 while i < added.len() && added[i] < (u, v) {
-                    place(added[i].1);
+                    upper.push(added[i].1);
                     i += 1;
                 }
                 debug_assert!(
@@ -376,17 +438,20 @@ impl Graph {
                 if removed.get(j) == Some(&(u, v)) {
                     j += 1;
                 } else {
-                    place(v);
+                    upper.push(v);
                 }
             }
             while i < added.len() && added[i].0 == u {
-                place(added[i].1);
+                upper.push(added[i].1);
                 i += 1;
             }
-            debug_assert_eq!(at, offsets[u as usize + 1] as usize, "row {u} is not full");
+            upper_offsets.push(upper.len() as u32);
         }
-        debug_assert!(j == removed.len(), "a removed edge is absent");
-        Graph { offsets, neighbors }
+        assert!(
+            i == added.len() && j == removed.len(),
+            "a changed edge is out of range, or a removed edge is absent"
+        );
+        (upper_offsets, upper)
     }
 }
 
@@ -665,5 +730,36 @@ mod tests {
         let mut expected: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 3), (1, 3), (2, 3)];
         expected.sort_unstable();
         assert_eq!(seen, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly increasing")]
+    fn rebuild_from_upper_rejects_an_entry_at_or_below_its_row() {
+        Graph::empty(0).rebuild_from_upper(&[0, 0, 1, 1], &[1], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly increasing")]
+    fn rebuild_from_upper_rejects_an_unsorted_row() {
+        Graph::empty(0).rebuild_from_upper(&[0, 2, 2, 2], &[2, 1], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn rebuild_from_upper_rejects_an_entry_out_of_range() {
+        Graph::empty(0).rebuild_from_upper(&[0, 1, 1], &[5], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "upper row offsets")]
+    fn rebuild_from_upper_rejects_offsets_that_miss_the_entries() {
+        Graph::empty(0).rebuild_from_upper(&[0, 1], &[], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "removed edge is absent")]
+    fn dense_changes_reject_an_absent_removal() {
+        let mut g = Graph::from_edges(3, &[(0, 1)]).unwrap();
+        g.apply_changes(&[(1, 2)], &[(0, 1), (0, 2)]);
     }
 }

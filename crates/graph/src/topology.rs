@@ -720,7 +720,7 @@ impl Topology {
     }
 
     /// The wrapped graph, mutably, when the backend is materialized (for
-    /// in-place [`Graph::apply_changes`]).
+    /// in-place [`Graph::apply_changes`] and [`Graph::rebuild_from_upper`]).
     pub fn as_graph_mut(&mut self) -> Option<&mut Graph> {
         match &mut self.repr {
             Repr::Materialized(g) => Some(g),

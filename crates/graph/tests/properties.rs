@@ -36,6 +36,54 @@ fn subset_from_mask(n: usize, mask: u64) -> NodeSet {
     s
 }
 
+/// The upper rows of `g` (row `u`'s neighbours above `u`), in the layout
+/// [`Graph::rebuild_from_upper`] takes.
+fn upper_rows(g: &Graph) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0];
+    let mut upper = Vec::new();
+    for u in g.nodes() {
+        let row = g.neighbors(u);
+        upper.extend_from_slice(&row[row.partition_point(|&w| w <= u)..]);
+        offsets.push(upper.len() as u32);
+    }
+    (offsets, upper)
+}
+
+/// Rebuilds `g` from its own upper rows inside `prior`, and inside `g`
+/// itself, with a stale `split` of the wrong length: both rebuilds equal
+/// `g` (offsets and neighbours alike) and record every row's split.
+fn assert_rebuilds_from_upper(g: &Graph, prior: Graph) {
+    let (offsets, upper) = upper_rows(g);
+    for mut target in [prior, g.clone()] {
+        let mut split = vec![7; g.n() + 3];
+        target.rebuild_from_upper(&offsets, &upper, &mut split);
+        assert_eq!(&target, g);
+        let expected: Vec<u32> = g
+            .nodes()
+            .map(|u| g.neighbors(u).partition_point(|&w| w <= u) as u32)
+            .collect();
+        assert_eq!(split, expected);
+    }
+}
+
+#[test]
+fn rebuild_from_upper_covers_every_graph_on_at_most_three_nodes() {
+    for n in 0..=3usize {
+        let pairs: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+            .collect();
+        for mask in 0..1u32 << pairs.len() {
+            let edges: Vec<_> = (0..pairs.len())
+                .filter(|&i| mask >> i & 1 == 1)
+                .map(|i| pairs[i])
+                .collect();
+            let g = Graph::from_edges(n, &edges).unwrap();
+            assert_rebuilds_from_upper(&g, Graph::empty(0));
+            assert_rebuilds_from_upper(&g, generators::complete(n + 4).unwrap());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -242,5 +290,30 @@ proptest! {
         let ordering: Vec<u32> = (0..n as u32).collect();
         let sweep = conductance::sweep_conductance(&g, &ordering).unwrap();
         prop_assert!(sweep + 1e-12 >= exact);
+    }
+
+    /// [`Graph::rebuild_from_upper`] turns a graph's own upper rows back
+    /// into the graph, starting from a larger allocation (`K_{n+8}`), a
+    /// smaller one (no nodes) and the graph's own. The graphs have empty
+    /// rows and isolated nodes; node `seed % n` is always isolated.
+    #[test]
+    fn rebuild_from_upper_rows_is_the_identity(
+        n in 0usize..60,
+        edges in prop::collection::vec((0u32..60, 0u32..60), 0..400),
+        seed in 0u64..1000,
+    ) {
+        let isolated = if n == 0 { 0 } else { (seed % n as u64) as u32 };
+        let mut b = GraphBuilder::new(n);
+        for (u, v) in edges {
+            if n > 0 {
+                let (u, v) = (u % n as u32, v % n as u32);
+                if u != v && u != isolated && v != isolated {
+                    b.add_edge(u, v).unwrap();
+                }
+            }
+        }
+        let g = b.build();
+        assert_rebuilds_from_upper(&g, generators::complete(n + 8).unwrap());
+        assert_rebuilds_from_upper(&g, Graph::empty(0));
     }
 }

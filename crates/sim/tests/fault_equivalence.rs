@@ -25,7 +25,7 @@ use gossip_graph::{generators, NodeId, NodeSet, Topology};
 use gossip_sim::{
     AnyProtocol, AsyncPushPull, CutRateAsync, Engine, EventSimulation, FaultModel, FaultState,
     IncrementalProtocol, JsonlSink, Protocol, RunConfig, RunPlan, RunReport, SimWorkspace,
-    SummarySink, TrialObserver, TrialOutcome, TrialRecord, TrialSummary,
+    SummarySink, TrialObserver, TrialOutcome, TrialRecord, TrialSummary, WindowCtx, WindowStep,
 };
 use gossip_stats::{ks, SimRng};
 
@@ -239,10 +239,11 @@ fn naive_vs_cut_rate_ks_equivalent_under_faults() {
     check("G(64, 0.2)", gnp(64, 0.2, 9));
 }
 
-/// Delegates every hook to an inner [`CutRateAsync`], but panics at the
-/// first event of any trial whose derived seed is in `panic_seeds` —
-/// deterministic for every thread count, since trial `i` always runs on
-/// the stream of `base.derive(i)`.
+/// Delegates every hook to an inner [`CutRateAsync`], `drive_window`
+/// included (the lane state is advanced by that loop alone), but panics on
+/// entering the first window of any trial whose derived seed is in
+/// `panic_seeds` — deterministic for every thread count, since trial `i`
+/// always runs on the stream of `base.derive(i)`.
 #[derive(Debug)]
 struct PanicInjected {
     inner: CutRateAsync,
@@ -297,9 +298,6 @@ impl IncrementalProtocol for PanicInjected {
         informed: &NodeSet,
         rng: &mut SimRng,
     ) -> Option<NodeId> {
-        if self.panic_seeds.contains(&rng.base_seed()) {
-            panic!("injected test panic (trial seed {})", rng.base_seed());
-        }
         self.inner.resolve_event(g, informed, rng)
     }
 
@@ -320,9 +318,24 @@ impl IncrementalProtocol for PanicInjected {
     fn commit(&mut self, g: &Topology, v: NodeId, informed: &NodeSet) {
         self.inner.commit(g, v, informed);
     }
+
+    fn drive_window(
+        &mut self,
+        g: &Topology,
+        t: u64,
+        informed: &mut NodeSet,
+        rng: &mut SimRng,
+        ctx: WindowCtx<'_>,
+    ) -> WindowStep {
+        if self.panic_seeds.contains(&rng.base_seed()) {
+            panic!("injected test panic (trial seed {})", rng.base_seed());
+        }
+        self.inner.drive_window(g, t, informed, rng, ctx)
+    }
 }
 
 fn run_with_panics(
+    net: impl Fn() -> StaticNetwork + Sync,
     panic_trials: &[usize],
     threads: usize,
     trials: usize,
@@ -339,7 +352,7 @@ fn run_with_panics(
         .threads(threads)
         .config(RunConfig::with_max_time(1e4))
         .observer(&mut sink)
-        .execute(complete(32), move || {
+        .execute(net, move || {
             AnyProtocol::event(PanicInjected::new(seeds.clone()))
         })
         .expect("panicking trials are isolated, not fatal");
@@ -352,13 +365,20 @@ fn run_with_panics(
     (report, lines)
 }
 
+/// On the implicit `K_32` (the closed-form state, the generic per-event
+/// loop) and on a materialized `G(64, 0.2)` (the vectorized lane).
 #[test]
 fn panicking_trials_are_quarantined_and_reported() {
+    check_panicking_trials("K_32", complete(32));
+    check_panicking_trials("G(64, 0.2)", gnp(64, 0.2, 9));
+}
+
+fn check_panicking_trials(family: &str, net: impl Fn() -> StaticNetwork + Sync + Copy) {
     const TRIALS: usize = 10;
     let panicked = [2usize, 5];
-    let (clean_report, clean_lines) = run_with_panics(&[], 1, TRIALS, 77);
-    assert_eq!(clean_report.trials(), TRIALS);
-    assert_eq!(clean_lines.len(), TRIALS);
+    let (clean_report, clean_lines) = run_with_panics(net, &[], 1, TRIALS, 77);
+    assert_eq!(clean_report.trials(), TRIALS, "{family}");
+    assert_eq!(clean_lines.len(), TRIALS, "{family}");
     // The undisturbed record stream minus the panicked trials is exactly
     // what a panicking run must deliver: quarantine may not leak state
     // into any surviving trial.
@@ -369,8 +389,8 @@ fn panicking_trials_are_quarantined_and_reported() {
         .map(|(_, l)| l.clone())
         .collect();
     for threads in [1usize, 4] {
-        let (report, lines) = run_with_panics(&panicked, threads, TRIALS, 77);
-        let label = format!("{threads} thread(s)");
+        let (report, lines) = run_with_panics(net, &panicked, threads, TRIALS, 77);
+        let label = format!("{family}, {threads} thread(s)");
         let errors = report.trial_errors();
         assert_eq!(errors.len(), panicked.len(), "{label}: error count");
         for (err, &trial) in errors.iter().zip(&panicked) {

@@ -1,12 +1,14 @@
 //! Exact-value oracles: async push–pull on `K_n`, fault-free and under
-//! message drop.
+//! message drop, and push-only and pull-only.
 //!
 //! On `K_n` the informed count goes from `k` to `k + 1` at rate
 //! `2k(n − k)/(n − 1)`, so the spread time is a sum of independent
 //! exponentials: `E[T] = ((n − 1)/n)·H_{n−1}` and
 //! `Var[T] = Σ_{k=1}^{n−1} ((n − 1)/(2k(n − k)))²`. Dropping each message
 //! with probability `q` thins every step by `1 − q` (Doerr–Kostrygin): the
-//! mean scales by `1/(1 − q)` and the variance by `1/(1 − q)²`.
+//! mean scales by `1/(1 − q)` and the variance by `1/(1 − q)²`. Push-only
+//! and pull-only each move at rate `k(n − k)/(n − 1)`, half push–pull's:
+//! twice the mean and four times the variance.
 //!
 //! Every case is a z-test of a sample mean against the exact value at
 //! `n = 32` with 2000 trials on a fixed seed, `|z| < 4`. Engine-vs-engine
@@ -16,14 +18,17 @@
 
 use rumor_spreading::graph::Topology;
 use rumor_spreading::prelude::*;
+use rumor_spreading::sim::{AsyncPull, AsyncPush};
 use rumor_spreading::stats::harmonic;
 
 const N: usize = 32;
 const TRIALS: usize = 2000;
 const SEED: u64 = 91;
 
-/// The exact mean and variance of the spread time on `K_N` under drop `q`.
-fn exact(q: f64) -> (f64, f64) {
+/// The exact mean and variance of the spread time on `K_N` of a process
+/// whose every step takes `slowdown` times as long as push–pull's
+/// (`1/(1 − q)` under drop `q`, 2 for push-only and pull-only).
+fn exact(slowdown: f64) -> (f64, f64) {
     let n = N as f64;
     let mean = (n - 1.0) / n * harmonic(N as u64 - 1);
     let var: f64 = (1..N)
@@ -32,11 +37,11 @@ fn exact(q: f64) -> (f64, f64) {
             ((n - 1.0) / (2.0 * k * (n - k))).powi(2)
         })
         .sum();
-    (mean / (1.0 - q), var / (1.0 - q).powi(2))
+    (mean * slowdown, var * slowdown.powi(2))
 }
 
-fn assert_z(label: &str, mean: f64, q: f64) {
-    let (mu, var) = exact(q);
+fn assert_z(label: &str, mean: f64, slowdown: f64) {
+    let (mu, var) = exact(slowdown);
     let z = (mean - mu) / (var / TRIALS as f64).sqrt();
     assert!(
         z.abs() < 4.0,
@@ -79,7 +84,7 @@ fn fault_free_engines_match_the_exact_mean() {
             ("event engine", Engine::Event),
         ] {
             let mean = plan_mean(&topo, engine, cut_rate, 0.0);
-            assert_z(&format!("{backend}, {lane}"), mean, 0.0);
+            assert_z(&format!("{backend}, {lane}"), mean, 1.0);
         }
     }
 }
@@ -92,7 +97,11 @@ fn drop_slows_time_by_exactly_one_over_one_minus_q() {
             ("naive", || AnyProtocol::event(AsyncPushPull::new())),
         ] {
             let mean = plan_mean(&topo, Engine::Event, proto, 0.5);
-            assert_z(&format!("{backend}, {lane}, drop 0.5"), mean, 0.5);
+            assert_z(
+                &format!("{backend}, {lane}, drop 0.5"),
+                mean,
+                1.0 / (1.0 - 0.5),
+            );
         }
     }
 }
@@ -122,11 +131,36 @@ fn lossy_spelling_obeys_the_thinning_law() {
         assert_z(
             &format!("lossy, loss 0.5, backend {backend:?}"),
             row.mean,
-            0.5,
+            1.0 / (1.0 - 0.5),
         );
+    }
+}
+
+#[test]
+fn push_only_and_pull_only_take_exactly_twice_as_long() {
+    for (kind, proto) in [("push", push as fn() -> AnyProtocol), ("pull", pull)] {
+        let registered = build_any_protocol(&ProtocolSpec::new(kind)).unwrap();
+        assert_eq!(registered.name(), proto().name(), "kind {kind}");
+        for (backend, topo) in backends() {
+            for (lane, engine) in [
+                ("window engine", Engine::Window),
+                ("event engine", Engine::Event),
+            ] {
+                let mean = plan_mean(&topo, engine, proto, 0.0);
+                assert_z(&format!("{kind}, {backend}, {lane}"), mean, 2.0);
+            }
+        }
     }
 }
 
 fn cut_rate() -> AnyProtocol {
     AnyProtocol::event(CutRateAsync::new())
+}
+
+fn push() -> AnyProtocol {
+    AnyProtocol::event(AsyncPush::new())
+}
+
+fn pull() -> AnyProtocol {
+    AnyProtocol::event(AsyncPull::new())
 }
