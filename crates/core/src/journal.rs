@@ -12,6 +12,18 @@
 //! cells and re-executes only the remainder, bit-identical to an
 //! uninterrupted run.
 //!
+//! The file has two readers, which parse and check the header alike and
+//! stop at the first cell line that fails their checks:
+//!
+//! * [`JournalText::read`] checks each cell line's JSON syntax, its
+//!   envelope (kind `cell`, `index`, `n` and the row) and that it holds
+//!   `row.trials` records. It builds no record: it keeps each record's
+//!   byte span, which is the line [`gossip_sim::JsonlSink`] writes for
+//!   that record, so a complete entry is served as a byte copy.
+//! * [`Journal::load`] checks the same and also the shape of every
+//!   record, which it builds as a [`TrialRecord`]; a resumed sweep
+//!   replays those.
+//!
 //! The spec hash is FNV-1a over the *normalized* spec's canonical JSON
 //! rendering ([`ScenarioSpec::normalized`]): any semantic change —
 //! sizes, seeds, fault parameters, engine, a `[net]` table or its
@@ -33,6 +45,7 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use gossip_sim::TrialRecord;
@@ -227,19 +240,43 @@ impl Deserialize for JournalCell {
         let map = value
             .as_map()
             .ok_or_else(|| DeError::expected("map", value))?;
-        let kind: String = de_field(map, "kind")?;
-        if kind != "cell" {
-            return Err(DeError::message(format!(
-                "expected a journal cell line, found kind `{kind}`"
-            )));
-        }
+        let (index, n, row) = envelope(map)?;
+        let records: Vec<TrialRecord> = de_field(map, "records")?;
+        counted(&row, records.len())?;
         Ok(JournalCell {
-            index: de_field(map, "index")?,
-            n: de_field(map, "n")?,
-            row: de_field(map, "row")?,
-            records: de_field(map, "records")?,
+            index,
+            n,
+            row,
+            records,
         })
     }
+}
+
+/// A cell line's envelope, `(index, n, row)`, once its kind is checked.
+fn envelope(map: &[(String, Value)]) -> Result<(usize, usize, ScenarioRow), DeError> {
+    let kind: String = de_field(map, "kind")?;
+    if kind != "cell" {
+        return Err(DeError::message(format!(
+            "expected a journal cell line, found kind `{kind}`"
+        )));
+    }
+    Ok((
+        de_field(map, "index")?,
+        de_field(map, "n")?,
+        de_field(map, "row")?,
+    ))
+}
+
+/// Checks that a cell holds one record per trial of its row: a journaled
+/// cell had no failed trial, so any other count is a damaged line.
+fn counted(row: &ScenarioRow, records: usize) -> Result<(), DeError> {
+    if records == row.trials {
+        return Ok(());
+    }
+    Err(DeError::message(format!(
+        "cell holds {records} records for {} trials",
+        row.trials
+    )))
 }
 
 /// An open journal being written: header first, then one flushed line
@@ -299,33 +336,134 @@ impl Journal {
     /// [`ScenarioError::Journal`] when the file is unreadable, empty, or
     /// its first line is not a valid header.
     pub fn load(path: &Path) -> Result<Self, ScenarioError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ScenarioError::Journal(format!("{}: {e}", path.display())))?;
-        let mut lines = text.lines();
-        let first = lines
-            .next()
-            .filter(|l| !l.trim().is_empty())
-            .ok_or_else(|| ScenarioError::Journal(format!("{}: empty journal", path.display())))?;
-        let header: JournalHeader = serde_json::from_str(first)
-            .map_err(|e| ScenarioError::Journal(format!("{}: bad header: {e}", path.display())))?;
-        let mut cells = Vec::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<JournalCell>(line) {
-                Ok(cell) => cells.push(cell),
-                Err(_) => break, // torn tail: everything after is suspect
-            }
-        }
+        let text = read_text(path)?;
+        let (header, cells) = read_lines(path, &text, |line| serde_json::from_str(line).ok())?;
         Ok(Journal { header, cells })
     }
+}
+
+/// A journal read for serving its records as text: the header, and each
+/// intact cell's envelope with the byte spans of its records (see the
+/// module docs for what this reader checks).
+#[derive(Debug, Clone)]
+pub struct JournalText {
+    /// The spec-binding header.
+    pub header: JournalHeader,
+    cells: Vec<CellText>,
+    text: String,
+}
+
+/// One intact cell of a [`JournalText`].
+#[derive(Debug, Clone)]
+pub struct CellText {
+    /// Cell position in the sweep (index into `sweep.sizes`).
+    pub index: usize,
+    /// The cell's network size.
+    pub n: usize,
+    /// The condensed per-size report row.
+    pub row: ScenarioRow,
+    records: Vec<Range<usize>>,
+}
+
+impl JournalText {
+    /// Reads a journal as [`Journal::load`] does, building each cell's
+    /// envelope but only validating its records.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::load`].
+    pub fn read(path: &Path) -> Result<Self, ScenarioError> {
+        let text = read_text(path)?;
+        let base = text.as_ptr() as usize;
+        let (header, cells) = read_lines(path, &text, |line| {
+            CellText::parse(line, line.as_ptr() as usize - base)
+        })?;
+        Ok(JournalText {
+            header,
+            cells,
+            text,
+        })
+    }
+
+    /// The records of `cell`, a cell of this journal, in trial order: each
+    /// is the line [`gossip_sim::JsonlSink`] writes for the record, without
+    /// its newline.
+    pub fn records<'a>(&'a self, cell: &'a CellText) -> impl Iterator<Item = &'a str> + 'a {
+        cell.records.iter().map(|span| &self.text[span.clone()])
+    }
+
+    /// The cells of `plan`'s sweep in sweep order, or `None` unless the
+    /// journal holds every one of them. As in a resumed sweep, the last
+    /// line of an index is the one that counts.
+    pub fn sweep(&self, plan: &ScenarioPlan) -> Option<Vec<&CellText>> {
+        plan.sizes()
+            .iter()
+            .enumerate()
+            .map(|(index, &n)| {
+                self.cells
+                    .iter()
+                    .rev()
+                    .find(|cell| cell.index == index)
+                    .filter(|cell| cell.n == n)
+            })
+            .collect()
+    }
+}
+
+impl CellText {
+    /// Reads one cell line, whose first byte is at `offset` in the journal
+    /// text; `None` when the line fails the reader's checks.
+    fn parse(line: &str, offset: usize) -> Option<CellText> {
+        let object = serde_json::parse_object_spans(line, "records").ok()?;
+        let (index, n, row) = envelope(&object.members).ok()?;
+        counted(&row, object.spans.len()).ok()?;
+        let records = object
+            .spans
+            .into_iter()
+            .map(|span| span.start + offset..span.end + offset)
+            .collect();
+        Some(CellText {
+            index,
+            n,
+            row,
+            records,
+        })
+    }
+}
+
+fn read_text(path: &Path) -> Result<String, ScenarioError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| ScenarioError::Journal(format!("{}: {e}", path.display())))
+}
+
+/// Splits a journal's `text` into its header and cells, tolerating a torn
+/// tail: the header must parse, and cells are read until the first line
+/// that `cell` rejects (a process killed mid-append leaves exactly such a
+/// partial last line; everything after it is suspect).
+fn read_lines<C>(
+    path: &Path,
+    text: &str,
+    cell: impl FnMut(&str) -> Option<C>,
+) -> Result<(JournalHeader, Vec<C>), ScenarioError> {
+    let mut lines = text.lines();
+    let first = lines
+        .next()
+        .filter(|l| !l.trim().is_empty())
+        .ok_or_else(|| ScenarioError::Journal(format!("{}: empty journal", path.display())))?;
+    let header: JournalHeader = serde_json::from_str(first)
+        .map_err(|e| ScenarioError::Journal(format!("{}: bad header: {e}", path.display())))?;
+    let cells = lines
+        .filter(|line| !line.trim().is_empty())
+        .map_while(cell)
+        .collect();
+    Ok((header, cells))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{NetSpec, ScenarioSpec};
+    use crate::scenario::{NetSpec, ScenarioSpec, SweepPlan};
+    use gossip_sim::{JsonlSink, TrialObserver};
 
     fn checked_in(file: &str) -> ScenarioSpec {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -443,7 +581,7 @@ mod tests {
                 index: 1,
                 n: 128,
                 row: row(128),
-                records: vec![record(128, 0)],
+                records: vec![record(128, 0), record(128, 1)],
             },
         ];
         for c in &cells {
@@ -463,6 +601,133 @@ mod tests {
         let torn = Journal::load(&path).unwrap();
         assert_eq!(torn.header, header);
         assert_eq!(torn.cells, cells[..1], "only the intact cell survives");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Two small multi-cell sweeps: one on `K_n`, one on a cycle whose
+    /// cutoff leaves some trials unspread, with multi-byte text in the
+    /// header so that some prefixes cut a character.
+    fn multi_cell_specs() -> [ScenarioSpec; 2] {
+        let spec = |body: &str| ScenarioSpec::from_toml_str(body).unwrap();
+        [
+            spec(
+                r#"
+name = "readers-complete"
+description = "ρ-diligent Φ·ρ"
+[family]
+kind = "complete"
+[protocol]
+kind = "async"
+[sweep]
+sizes = [8, 12, 16]
+trials = 3
+seed = 7
+"#,
+            ),
+            spec(
+                r#"
+name = "readers-cycle-ρ"
+[family]
+kind = "cycle"
+[protocol]
+kind = "async"
+[sweep]
+sizes = [10, 20]
+trials = 4
+seed = 3
+max_time = 4.0
+"#,
+            ),
+        ]
+    }
+
+    /// The journal `SweepPlan` writes for `spec`, through a file named
+    /// after `test`.
+    fn written_journal(test: &str, spec: &ScenarioSpec) -> String {
+        let path = temp_path(&format!("{test}-{}", spec.name));
+        SweepPlan::new(spec)
+            .unwrap()
+            .journal_to(&path)
+            .run()
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
+    }
+
+    #[test]
+    fn readers_agree_on_every_prefix_of_a_journal() {
+        for spec in multi_cell_specs() {
+            let plan = ScenarioPlan::new(spec.clone()).unwrap();
+            let text = written_journal("prefixes", &spec);
+            assert!(text.lines().count() > 2, "{}", spec.name);
+            let path = temp_path(&format!("prefix-{}", spec.name));
+            let mut complete = 0;
+            for len in 0..=text.len() {
+                std::fs::write(&path, &text.as_bytes()[..len]).unwrap();
+                let (loaded, read) = match (Journal::load(&path), JournalText::read(&path)) {
+                    (Ok(loaded), Ok(read)) => (loaded, read),
+                    (Err(_), Err(_)) => continue,
+                    (loaded, read) => panic!(
+                        "{}, prefix {len}: load {:?}, read {:?}",
+                        spec.name,
+                        loaded.map(|j| j.cells.len()),
+                        read.map(|r| r.cells.len())
+                    ),
+                };
+                assert_eq!(read.header, loaded.header);
+                assert_eq!(
+                    read.cells.len(),
+                    loaded.cells.len(),
+                    "{}, prefix {len}",
+                    spec.name
+                );
+                for (cell, built) in read.cells.iter().zip(&loaded.cells) {
+                    assert_eq!(
+                        (cell.index, cell.n, &cell.row),
+                        (built.index, built.n, &built.row)
+                    );
+                    let mut sink = JsonlSink::new(Vec::new());
+                    for record in &built.records {
+                        sink.on_trial(record).unwrap();
+                    }
+                    let lines: String = read.records(cell).map(|l| format!("{l}\n")).collect();
+                    assert_eq!(lines.into_bytes(), sink.into_inner().unwrap());
+                }
+                complete += usize::from(read.sweep(&plan).is_some());
+            }
+            // The whole file, with and without its final newline.
+            assert_eq!(complete, 2, "{}", spec.name);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn readers_stop_at_a_broken_record_or_a_wrong_count() {
+        let [spec, _] = multi_cell_specs();
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        let text = written_journal("damaged", &spec);
+        let path = temp_path("damaged-cell");
+        let lines: Vec<&str> = text.lines().collect();
+        // Cell 1 (line 2) damaged three ways: one record's syntax broken,
+        // one record dropped, one record duplicated.
+        let cell = lines[2];
+        let records = cell.find("\"records\":[").unwrap() + "\"records\":[".len();
+        let second = records + cell[records..].find("},{").unwrap() + 2;
+        let first = &cell[records..second - 1];
+        for damaged in [
+            cell.replacen("\"outcome\":", "\"outcome\" ", 1),
+            format!("{}{}", &cell[..records], &cell[second..]),
+            format!("{}{first},{}", &cell[..records], &cell[records..]),
+        ] {
+            let mut edited = lines.clone();
+            edited[2] = &damaged;
+            std::fs::write(&path, edited.join("\n") + "\n").unwrap();
+            let read = JournalText::read(&path).unwrap();
+            assert_eq!(read.cells.len(), 1, "{damaged}");
+            assert!(read.sweep(&plan).is_none());
+            assert_eq!(Journal::load(&path).unwrap().cells.len(), 1, "{damaged}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

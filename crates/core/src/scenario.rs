@@ -1917,8 +1917,9 @@ impl ScenarioPlan {
         plan
     }
 
-    /// The sweep report over `rows`, labeled by the plan.
-    fn report(&self, rows: Vec<ScenarioRow>) -> ScenarioReport {
+    /// The sweep report over `rows`, labeled by the plan: the footer of a
+    /// sweep whose rows come from a journal.
+    pub fn report(&self, rows: Vec<ScenarioRow>) -> ScenarioReport {
         ScenarioReport {
             scenario: self.spec.name.clone(),
             family: self.spec.family.kind.clone(),

@@ -8,9 +8,9 @@
 //! [`gossip_core::journal::RESULTS_VERSION`] — an invariant the
 //! simulation crates test-enforce bit-for-bit — which makes sweeps
 //! perfectly cacheable:
-//! a repeat submission replays the stored journal and executes **zero
-//! trials**, byte-identical to a fresh offline `gossip scenario run`
-//! (test-enforced).
+//! a repeat submission copies the stored journal's record lines and
+//! executes **zero trials**, byte-identical to a fresh offline `gossip
+//! scenario run` (test-enforced).
 //!
 //! ## Wire protocol
 //!
@@ -40,7 +40,10 @@
 //! gracefully — no new connections, in-flight sweeps run to completion
 //! and their journals flush, then [`Server::run`] returns (the CLI
 //! wires this to SIGTERM, so a redeploy mid-sweep leaves a resumable
-//! journal, never a torn one).
+//! journal, never a torn one). A sweep whose worker panics ends its
+//! response with an in-band error line and leaves the in-flight table,
+//! and a panicking connection thread still counts itself out, so neither
+//! blocks later requests or a graceful shutdown.
 //!
 //! ## Store layout and cache semantics
 //!
@@ -49,13 +52,17 @@
 //! experiment, written through the existing [`gossip_core::scenario::SweepPlan`] journaling
 //! path:
 //!
-//! * **hit** — the journal covers every sweep cell: the journal the
-//!   classification loaded is replayed straight onto the socket, zero
-//!   trials executed;
+//! * **hit** — the entry covers every sweep cell: its record lines are
+//!   copied onto the socket as they stand in the file, in sweep order
+//!   (each is the line [`JsonlSink`] wrote when the sweep ran), then a
+//!   footer built from the cells' rows. Zero trials execute and no record
+//!   is parsed: [`JournalText`] checks the entry's syntax, envelopes and
+//!   record counts;
 //! * **resume** — a partial journal (e.g. the daemon died mid-sweep)
 //!   is resumed in place via
-//!   [`gossip_core::scenario::SweepPlan::resume_journal`]; only the
-//!   missing cells run;
+//!   [`gossip_core::scenario::SweepPlan::resume_from`], which loads it
+//!   with [`gossip_core::journal::Journal::load`]; only the missing cells
+//!   run;
 //! * **miss** — no entry, a foreign entry (its header's hash or
 //!   embedded spec differs from the request's), a stale entry (written
 //!   under another results version; see
@@ -93,10 +100,10 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use gossip_core::journal::Journal;
+use gossip_core::journal::JournalText;
 use gossip_core::scenario::{
     ScenarioError, ScenarioPlan, ScenarioReport, ScenarioSpec, TopologyCache,
 };
@@ -200,38 +207,32 @@ impl ResultStore {
         self.dir.join(format!("{hash}.journal"))
     }
 
-    /// Classifies the store entry for `plan`: complete (replayable with
+    /// Classifies the store entry for `plan`: complete (servable with
     /// zero trials), partial (resumable), or absent. A corrupted, torn,
     /// foreign or stale entry — unreadable, bad header, a stored hash or
     /// embedded normalized spec that differs from `plan`'s, or another
     /// [`gossip_core::journal::RESULTS_VERSION`]
     /// ([`gossip_core::journal::JournalHeader::check`]) — classifies as
     /// absent, so the daemon falls back to re-execution instead of
-    /// serving garbage or results this binary would not produce. The daemon classifies through the same load and
-    /// replays the journal it loaded, so a hit parses its entry once.
+    /// serving garbage or results this binary would not produce. Cells
+    /// count as [`JournalText::read`] reads them: a line with broken JSON,
+    /// a bad envelope or a record count other than its row's trials ends
+    /// the entry's intact prefix. The daemon decides through the same
+    /// read and serves a hit from the text it read.
     pub fn classify(&self, plan: &ScenarioPlan) -> StoreState {
-        match self.load(plan) {
-            Some(journal) if covers(plan, &journal) => StoreState::Complete,
+        match self.read(plan) {
+            Some(entry) if entry.sweep(plan).is_some() => StoreState::Complete,
             Some(_) => StoreState::Partial,
             None => StoreState::Absent,
         }
     }
 
-    /// Loads the entry for `plan`, or `None` where
+    /// Reads the entry for `plan`, or `None` where
     /// [`ResultStore::classify`] finds it absent.
-    fn load(&self, plan: &ScenarioPlan) -> Option<Journal> {
-        let journal = Journal::load(&self.entry_path(plan.spec_hash())).ok()?;
-        journal.header.check(plan).is_ok().then_some(journal)
+    fn read(&self, plan: &ScenarioPlan) -> Option<JournalText> {
+        let entry = JournalText::read(&self.entry_path(plan.spec_hash())).ok()?;
+        entry.header.check(plan).is_ok().then_some(entry)
     }
-}
-
-/// Whether `journal` holds every sweep cell of `plan`.
-fn covers(plan: &ScenarioPlan, journal: &Journal) -> bool {
-    let by_index: HashMap<usize, usize> = journal.cells.iter().map(|c| (c.index, c.n)).collect();
-    plan.sizes()
-        .iter()
-        .enumerate()
-        .all(|(i, &n)| by_index.get(&i) == Some(&n))
 }
 
 /// Append-only response body shared between the executing leader and
@@ -248,16 +249,22 @@ struct InFlight {
     cond: Condvar,
 }
 
+/// Takes `mutex` even when a panicking thread poisoned it: every guarded
+/// value here is changed by one append, insert, removal or count at a
+/// time, so a panic cannot leave it half-updated, and refusing the lock
+/// would wedge every later request.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl InFlight {
     fn append(&self, chunk: &[u8]) {
-        let mut p = self.progress.lock().expect("in-flight buffer poisoned");
-        p.bytes.extend_from_slice(chunk);
+        lock(&self.progress).bytes.extend_from_slice(chunk);
         self.cond.notify_all();
     }
 
     fn finish(&self) {
-        let mut p = self.progress.lock().expect("in-flight buffer poisoned");
-        p.done = true;
+        lock(&self.progress).done = true;
         self.cond.notify_all();
     }
 
@@ -267,9 +274,9 @@ impl InFlight {
         let mut sent = 0usize;
         loop {
             let (chunk, done) = {
-                let mut p = self.progress.lock().expect("in-flight buffer poisoned");
+                let mut p = lock(&self.progress);
                 while p.bytes.len() == sent && !p.done {
-                    p = self.cond.wait(p).expect("in-flight buffer poisoned");
+                    p = self.cond.wait(p).unwrap_or_else(PoisonError::into_inner);
                 }
                 (p.bytes[sent..].to_vec(), p.done)
             };
@@ -283,8 +290,9 @@ impl InFlight {
     }
 }
 
-/// Lets the leader's [`JsonlSink`] write into the in-flight buffer, so
-/// every cache state serializes records with the same code.
+/// Lets the leader's [`JsonlSink`] write into the in-flight buffer, so a
+/// miss, a resume and a join send the lines the offline runner writes —
+/// the same lines the journal stores and a hit copies.
 impl Write for &InFlight {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.append(buf);
@@ -389,55 +397,71 @@ impl ServeState {
     pub fn serve(self: &Arc<Self>, plan: ScenarioPlan, out: &mut impl Write) -> io::Result<()> {
         let hash = plan.spec_hash();
         let scenario = plan.spec().name.clone();
-        let path = self.store.entry_path(hash);
 
         // One lock decides hit/join/lead, so identical concurrent
-        // requests dedupe onto exactly one execution.
+        // requests dedupe onto exactly one execution. The decision reads
+        // and validates the entry without building its records; a hit
+        // copies them out after the lock is released.
         let role = {
-            let mut inflight = self.inflight.lock().expect("in-flight table poisoned");
-            if let Some(entry) = inflight.get(&hash) {
-                Role::Join(entry.clone())
+            let mut inflight = lock(&self.inflight);
+            #[cfg(test)]
+            tests::inject_panic("decide", &scenario);
+            if let Some(flight) = inflight.get(&hash) {
+                Role::Join(flight.clone())
             } else {
-                match self.store.load(&plan) {
-                    Some(journal) if covers(&plan, &journal) => Role::Hit(journal),
-                    journal => {
-                        let entry = Arc::new(InFlight::default());
-                        inflight.insert(hash, entry.clone());
-                        Role::Lead(entry, journal)
+                match self.store.read(&plan) {
+                    Some(entry) if entry.sweep(&plan).is_some() => Role::Hit(Box::new(entry)),
+                    entry => {
+                        let flight = Arc::new(InFlight::default());
+                        inflight.insert(hash, flight.clone());
+                        Role::Lead(flight, entry.is_some())
                     }
                 }
             }
         };
 
         match role {
-            Role::Hit(journal) => {
+            Role::Hit(entry) => {
                 out.write_all(header_line(&scenario, hash, CacheStatus::Hit).as_bytes())?;
-                // Replay the journal classification loaded straight onto
-                // the socket: zero trials execute, and the journal-replay
-                // invariant makes the body bit-identical to a live run.
-                let mut sink = JsonlSink::new(&mut *out);
-                let result = plan
-                    .execution()
-                    .resume_journal(&journal)
-                    .run_with(&mut sink);
-                sink.into_inner()?;
-                out.write_all(last_line(result).as_bytes())?;
+                // Zero trials execute: each stored record is the line the
+                // sweep's JsonlSink wrote, so copying them in sweep order
+                // gives the body of a live run byte for byte.
+                let cells = entry.sweep(&plan).expect("a hit covers the sweep");
+                for cell in &cells {
+                    for record in entry.records(cell) {
+                        out.write_all(record.as_bytes())?;
+                        out.write_all(b"\n")?;
+                    }
+                }
+                let rows = cells.iter().map(|cell| cell.row.clone()).collect();
+                out.write_all(footer_line(&plan.report(rows)).as_bytes())?;
                 out.flush()
             }
-            Role::Join(entry) => {
+            Role::Join(flight) => {
                 out.write_all(header_line(&scenario, hash, CacheStatus::Join).as_bytes())?;
-                entry.stream_to(out)
+                flight.stream_to(out)
             }
-            Role::Lead(entry, partial) => {
-                let status = match partial {
-                    Some(_) => CacheStatus::Resume,
-                    None => CacheStatus::Miss,
+            Role::Lead(flight, resume) => {
+                let status = if resume {
+                    CacheStatus::Resume
+                } else {
+                    CacheStatus::Miss
                 };
                 out.write_all(header_line(&scenario, hash, status).as_bytes())?;
                 self.executions.fetch_add(1, Ordering::SeqCst);
-                let exec_entry = entry.clone();
-                let state = self.clone();
+                let execution = Execution {
+                    state: self.clone(),
+                    hash,
+                    flight: flight.clone(),
+                    last: None,
+                };
+                let path = self.store.entry_path(hash);
                 let worker = std::thread::spawn(move || {
+                    // Declared first, so it drops last, after the sink
+                    // below has flushed what it buffered.
+                    let mut execution = execution;
+                    #[cfg(test)]
+                    tests::inject_panic("execute", &plan.spec().name);
                     // The plan validated the spec for the live runtime.
                     let live = plan
                         .is_live()
@@ -445,34 +469,26 @@ impl ServeState {
                     let mut sweep = plan
                         .execution()
                         .journal_to(&path)
-                        .topologies(state.topologies.clone())
-                        .workspace_pool(state.pool.clone());
-                    if let Some(journal) = &partial {
+                        .topologies(execution.state.topologies.clone())
+                        .workspace_pool(execution.state.pool.clone());
+                    if resume {
                         // In-place resume: replay the intact cells,
                         // execute the rest, re-journal the union.
-                        sweep = sweep.resume_journal(journal);
+                        sweep = sweep.resume_from(&path);
                     }
                     if let Some(runner) = &live {
                         sweep = sweep.live(runner);
                     }
                     // Buffered, so followers wake once per 8 KiB chunk
                     // rather than on every record write.
-                    let mut sink = JsonlSink::new(BufWriter::new(&*exec_entry));
+                    let mut sink = JsonlSink::new(BufWriter::new(&*execution.flight));
                     let result = sweep.run_with(&mut sink);
                     // Dropping flushes the last chunk; writes into the
                     // in-flight buffer cannot fail, so no error is lost.
                     drop(sink);
-                    exec_entry.append(last_line(result).as_bytes());
-                    // Unregister before marking done so late arrivals
-                    // re-classify against the now-complete store entry.
-                    state
-                        .inflight
-                        .lock()
-                        .expect("in-flight table poisoned")
-                        .remove(&hash);
-                    exec_entry.finish();
+                    execution.last = Some(last_line(result));
                 });
-                let streamed = entry.stream_to(out);
+                let streamed = flight.stream_to(out);
                 let _ = worker.join();
                 streamed
             }
@@ -481,11 +497,35 @@ impl ServeState {
 }
 
 enum Role {
-    /// Replay this complete entry.
-    Hit(Journal),
+    /// Serve this complete entry.
+    Hit(Box<JournalText>),
     Join(Arc<InFlight>),
-    /// Execute, resuming this partial entry if there is one.
-    Lead(Arc<InFlight>, Option<Journal>),
+    /// Execute, resuming the partial entry in the store if there is one.
+    Lead(Arc<InFlight>, bool),
+}
+
+/// The leader's hold on its in-flight entry. However the worker ends, the
+/// body gets its last line — the sweep's footer or error, or an error
+/// line when the worker panicked first — and the entry is unregistered
+/// before it is marked done, so late arrivals re-classify against the
+/// store instead of joining a finished or dead execution.
+struct Execution {
+    state: Arc<ServeState>,
+    hash: u64,
+    flight: Arc<InFlight>,
+    last: Option<String>,
+}
+
+impl Drop for Execution {
+    fn drop(&mut self) {
+        let last = self
+            .last
+            .take()
+            .unwrap_or_else(|| error_line("the sweep's execution panicked"));
+        self.flight.append(last.as_bytes());
+        lock(&self.state.inflight).remove(&self.hash);
+        self.flight.finish();
+    }
 }
 
 /// Shutdown coordination between the accept loop, the connection
@@ -498,24 +538,34 @@ struct Lifecycle {
 }
 
 impl Lifecycle {
-    fn connection_started(&self) {
-        *self.active.lock().expect("lifecycle poisoned") += 1;
-    }
-
-    fn connection_finished(&self) {
-        let mut active = self.active.lock().expect("lifecycle poisoned");
-        *active -= 1;
-        self.idle.notify_all();
+    /// Counts a connection in until the returned guard drops.
+    fn connection_started(self: &Arc<Self>) -> Connection {
+        *lock(&self.active) += 1;
+        Connection(self.clone())
     }
 
     /// Blocks until every in-flight connection thread has finished —
     /// which, because sweeps journal as they run, also means every
     /// result journal is flushed.
     fn drain(&self) {
-        let mut active = self.active.lock().expect("lifecycle poisoned");
+        let mut active = lock(&self.active);
         while *active > 0 {
-            active = self.idle.wait(active).expect("lifecycle poisoned");
+            active = self
+                .idle
+                .wait(active)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+/// One counted connection. It counts itself out when its thread ends,
+/// also by a panic, so a graceful shutdown's drain cannot hang on it.
+struct Connection(Arc<Lifecycle>);
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        *lock(&self.0.active) -= 1;
+        self.0.idle.notify_all();
     }
 }
 
@@ -638,11 +688,10 @@ impl Server {
             };
             let state = self.state.clone();
             let config = self.config.clone();
-            let lifecycle = self.lifecycle.clone();
-            lifecycle.connection_started();
+            let connection = self.lifecycle.connection_started();
             std::thread::spawn(move || {
+                let _connection = connection;
                 let _ = handle_connection(&state, stream, &config);
-                lifecycle.connection_finished();
             });
         }
         self.lifecycle.drain();
@@ -851,6 +900,46 @@ mod tests {
     use super::*;
     use gossip_core::journal::RESULTS_VERSION;
     use gossip_core::scenario::{FaultSpec, SweepPlan};
+
+    /// Panics armed by tests, as `(site, scenario)` pairs: each fires
+    /// once, at its site and only for a request of its scenario, so tests
+    /// running in parallel are unaffected.
+    static INJECTED_PANICS: Mutex<Vec<(&str, String)>> = Mutex::new(Vec::new());
+
+    /// Arms one panic at `site` ("decide", under the in-flight lock, or
+    /// "execute", in the leader's worker) for requests of `scenario`.
+    fn arm_panic(site: &'static str, scenario: &str) {
+        lock(&INJECTED_PANICS).push((site, scenario.to_string()));
+    }
+
+    /// The hook the daemon calls at each site in test builds.
+    pub(super) fn inject_panic(site: &str, scenario: &str) {
+        let mut armed = lock(&INJECTED_PANICS);
+        if let Some(at) = armed
+            .iter()
+            .position(|(s, name)| *s == site && name == scenario)
+        {
+            armed.remove(at);
+            drop(armed);
+            panic!("injected panic at `{site}` for `{scenario}`");
+        }
+    }
+
+    /// Runs `f` on its own thread and returns its result, failing instead
+    /// of hanging when `what` takes longer than 30 s.
+    fn in_time<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, wait) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(f()));
+        wait.recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("{what} must return"))
+    }
+
+    /// Submits `spec`, failing instead of hanging when no complete
+    /// response arrives.
+    fn submit_in_time(addr: SocketAddr, spec: &ScenarioSpec) -> io::Result<Vec<u8>> {
+        let spec = spec.clone();
+        in_time("a response", move || submit(addr, &spec))
+    }
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1165,6 +1254,95 @@ groups = 2
             b2,
             "resumed body must be bit-identical to the original"
         );
+    }
+
+    #[test]
+    fn entry_with_a_broken_record_or_a_short_cell_is_not_a_hit() {
+        let spec = small_spec("serve-damaged");
+        let handle = Server::bind("127.0.0.1:0", temp_dir("damaged"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let first = submit(handle.addr(), &spec).unwrap();
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        let entry = handle.state().store().entry_path(plan.spec_hash());
+        let text = std::fs::read_to_string(&entry).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let last = lines.len() - 1;
+        // The last cell damaged two ways: one record's JSON broken, and
+        // one record dropped, so the cell holds fewer than its trials.
+        let cell = lines[last];
+        let records = cell.find("\"records\":[").unwrap() + "\"records\":[".len();
+        let second = records + cell[records..].find("},{").unwrap() + 2;
+        for (executions, damaged) in [
+            (2, cell.replacen("\"windows\":", "\"windows\" ", 1)),
+            (3, format!("{}{}", &cell[..records], &cell[second..])),
+        ] {
+            let mut edited = lines.clone();
+            edited[last] = &damaged;
+            std::fs::write(&entry, edited.join("\n") + "\n").unwrap();
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Partial);
+            let response = submit(handle.addr(), &spec).unwrap();
+            let (head, body) = split_response(&response);
+            assert!(
+                String::from_utf8_lossy(head).contains("\"cache\":\"resume\""),
+                "{}",
+                String::from_utf8_lossy(head)
+            );
+            assert_eq!(handle.state().executions(), executions);
+            assert_eq!(body, split_response(&first).1);
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+        }
+    }
+
+    #[test]
+    fn a_panicking_execution_ends_in_band_and_leaves_the_table() {
+        let spec = small_spec("serve-panic-execute");
+        arm_panic("execute", &spec.name);
+        let handle = Server::bind("127.0.0.1:0", temp_dir("panic-execute"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let first = submit_in_time(handle.addr(), &spec).unwrap();
+        let (head, body) = split_response(&first);
+        assert!(String::from_utf8_lossy(head).contains("\"cache\":\"miss\""));
+        assert!(
+            footer(body).contains("\"kind\":\"error\"") && footer(body).contains("panicked"),
+            "the leader must get an in-band error line: {}",
+            footer(body)
+        );
+        // The dead execution is gone from the in-flight table: the next
+        // identical request executes instead of joining it.
+        let second = submit_in_time(handle.addr(), &spec).unwrap();
+        let (head, body) = split_response(&second);
+        assert!(
+            String::from_utf8_lossy(head).contains("\"cache\":\"miss\""),
+            "{}",
+            String::from_utf8_lossy(head)
+        );
+        assert_eq!(handle.state().executions(), 2);
+        assert_eq!(body, offline_body(&spec));
+        in_time("a graceful shutdown", move || handle.shutdown()).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_connection_neither_wedges_the_table_nor_the_shutdown() {
+        let spec = small_spec("serve-panic-decide");
+        arm_panic("decide", &spec.name);
+        let handle = Server::bind("127.0.0.1:0", temp_dir("panic-decide"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        // The connection dies under the in-flight lock, before any byte
+        // of a response.
+        let first = submit_in_time(handle.addr(), &spec).map_or(0, |r| r.len());
+        assert_eq!(first, 0);
+        let second = submit_in_time(handle.addr(), &spec).unwrap();
+        let (head, body) = split_response(&second);
+        assert!(String::from_utf8_lossy(head).contains("\"cache\":\"miss\""));
+        assert_eq!(handle.state().executions(), 1);
+        assert_eq!(body, offline_body(&spec));
+        in_time("a graceful shutdown", move || handle.shutdown()).unwrap();
     }
 
     #[test]
