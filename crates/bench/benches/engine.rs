@@ -44,7 +44,7 @@
 //!   requests/second, and `warm_topology_speedup/gnp-sparse` = a cold
 //!   daemon ÷ a warm daemon executing a fresh seed of the same sampled
 //!   `G(n, p)` family (`scenarios/serve-cache.toml`), i.e. the realized
-//!   topology cache alone.
+//!   topology cache alone; the last two are medians of five rounds.
 //! * `huge_trial` — one n = 10⁷ sparse sampled `G(n, p)` trial
 //!   (mean degree ≈ 8), horizon-bounded at t = 7.0: full spread on a
 //!   graph this size is DRAM-bound for tens of seconds, so the bench
@@ -64,8 +64,8 @@
 //! `generation_speedup/gnp/<n>` = pre-refactor per-pair scan ÷
 //! geometric-skip generation (the `Θ(n²)` → `O(n + n²p)` drop itself),
 //! `runplan_overhead/complete/<n>` = `RunPlan::execute` ÷ raw trial
-//! loop on the identical workload (the unified driver must stay under
-//! 1.02, i.e. < 2% added),
+//! loop on the identical workload, the median of interleaved pairs (the
+//! unified driver must stay under 1.02, i.e. < 2% added),
 //! `inner_loop/<family>/<n>` = the vectorized loop's ns/event,
 //! `trial_throughput/<family>/<n>` = trials/sec of a batch,
 //! `sweep_parallel/available_parallelism` = hardware threads seen by the
@@ -83,7 +83,10 @@
 //! `gossip-net` runtime (node-group actors, local delivery) on one
 //! horizon-bounded n = 1e5 trial, and
 //! `net_million/complete/1000000` = the same figure at the
-//! million-actor scale demo (8 groups, t ≤ 8; full mode only).
+//! million-actor scale demo (8 groups, t ≤ 8; full mode only). The keys
+//! recorded as a median of repetitions (`runplan_overhead`,
+//! `serve_throughput`, `warm_topology_speedup`) carry their extremes
+//! beside them as `<key>/min` and `<key>/max`.
 //!
 //! Env knobs:
 //! * `BENCH_ENGINE_SMOKE=1` — one fast iteration per group, no JSON
@@ -334,61 +337,84 @@ fn bench_trial_throughput<N, F>(
 /// complete graph, per-trial `derive(i)` seeding — so the measured gap
 /// is purely the driver's own machinery (engine resolution, record
 /// assembly, observer delivery into the built-in summary sink). The
-/// `runplan_overhead/complete/<n>` metric is plan ÷ raw and the
-/// acceptance bar is < 1.02 (under 2% added).
+/// `runplan_overhead/complete/<n>` metric is the median plan ÷ raw ratio
+/// of `RUNPLAN_PAIRS` interleaved pairs of `RUNPLAN_BATCHES` batches each
+/// (the order within a pair alternates), with the extreme pairs beside
+/// it; the acceptance bar is < 1.02 (under 2% added).
 const RUNPLAN_TRIALS: usize = 32;
+const RUNPLAN_PAIRS: usize = 11;
+const RUNPLAN_BATCHES: usize = 5;
 
 fn bench_runplan_overhead(c: &mut Criterion, n: usize, knobs: &Knobs) {
     let topology = Topology::complete(n).expect("valid n");
-    let mut g = c.benchmark_group("runplan");
-    g.sample_size(if knobs.smoke { 2 } else { 10 });
-
-    g.bench_with_input(BenchmarkId::new("raw", n), &n, |b, _| {
-        let topology = topology.clone();
-        b.iter(|| {
-            // The pre-RunPlan shape: hand-rolled loop over trials.
-            let mut net = StaticNetwork::from_topology(topology.clone());
-            let mut sim = EventSimulation::new(
-                AnyProtocol::event(CutRateAsync::new())
-                    .into_event()
-                    .expect("event protocol"),
-                RunConfig::default(),
-            );
-            let base = SimRng::seed_from_u64(9);
-            let mut times = Vec::with_capacity(RUNPLAN_TRIALS);
-            for i in 0..RUNPLAN_TRIALS {
-                let mut rng = base.derive(i as u64);
-                let o = sim.run(&mut net, 0, &mut rng).expect("valid");
-                times.push(o.spread_time().expect("complete graphs finish"));
+    let raw = || {
+        // The pre-RunPlan shape: hand-rolled loop over trials.
+        let mut net = StaticNetwork::from_topology(topology.clone());
+        let mut sim = EventSimulation::new(
+            AnyProtocol::event(CutRateAsync::new())
+                .into_event()
+                .expect("event protocol"),
+            RunConfig::default(),
+        );
+        let base = SimRng::seed_from_u64(9);
+        let mut times = Vec::with_capacity(RUNPLAN_TRIALS);
+        for i in 0..RUNPLAN_TRIALS {
+            let mut rng = base.derive(i as u64);
+            let o = sim.run(&mut net, 0, &mut rng).expect("valid");
+            times.push(o.spread_time().expect("complete graphs finish"));
+        }
+        std::hint::black_box(times);
+    };
+    let plan = || {
+        let report = RunPlan::new(RUNPLAN_TRIALS, 9)
+            .threads(1)
+            .start(0)
+            .execute(
+                || StaticNetwork::from_topology(topology.clone()),
+                || AnyProtocol::event(CutRateAsync::new()),
+            )
+            .expect("valid");
+        assert_eq!(report.completed(), RUNPLAN_TRIALS);
+        std::hint::black_box(report);
+    };
+    let (pairs, batches) = if knobs.smoke {
+        (1, 1)
+    } else {
+        (RUNPLAN_PAIRS, RUNPLAN_BATCHES)
+    };
+    let timed = |f: &dyn Fn()| {
+        let t0 = Instant::now();
+        for _ in 0..batches {
+            f();
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    raw();
+    plan();
+    let ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            if i % 2 == 0 {
+                let r = timed(&raw);
+                timed(&plan) / r
+            } else {
+                let p = timed(&plan);
+                p / timed(&raw)
             }
-            times
-        });
-    });
-    g.bench_with_input(BenchmarkId::new("plan", n), &n, |b, _| {
-        let topology = topology.clone();
-        b.iter(|| {
-            let report = RunPlan::new(RUNPLAN_TRIALS, 9)
-                .threads(1)
-                .start(0)
-                .execute(
-                    || StaticNetwork::from_topology(topology.clone()),
-                    || AnyProtocol::event(CutRateAsync::new()),
-                )
-                .expect("valid");
-            assert_eq!(report.completed(), RUNPLAN_TRIALS);
-            report
-        });
-    });
-    g.finish();
+        })
+        .collect();
+    let median = record_spread(c, &format!("runplan_overhead/complete/{n}"), ratios);
+    println!("runplan overhead at n = {n}: {median:.4}x (median of {pairs} interleaved pairs)");
+}
 
-    let raw = c
-        .measurement_ns(&format!("runplan/raw/{n}"))
-        .expect("raw measurement recorded");
-    let plan = c
-        .measurement_ns(&format!("runplan/plan/{n}"))
-        .expect("plan measurement recorded");
-    c.record_metric(format!("runplan_overhead/complete/{n}"), plan / raw);
-    println!("runplan overhead at n = {n}: {:.4}x", plan / raw);
+/// Records the median of `samples` (an odd count) as `key`, with
+/// `key/min` and `key/max` beside it, and returns the median.
+fn record_spread(c: &mut Criterion, key: &str, mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let median = samples[samples.len() / 2];
+    c.record_metric(key, median);
+    c.record_metric(format!("{key}/min"), samples[0]);
+    c.record_metric(format!("{key}/max"), samples[samples.len() - 1]);
+    median
 }
 
 /// Sparse circulant whose offsets *spread* across the index range
@@ -544,15 +570,21 @@ fn bench_sweep_parallel(c: &mut Criterion, knobs: &Knobs) {
 ///   hit: the journal replays, **zero trials execute**). The ≥ 100×
 ///   acceptance bar is asserted in-process in full mode.
 /// * `serve_throughput/gnp-sparse` — sustained cache-hit requests per
-///   second against the warm daemon.
+///   second against the warm daemon: the median of `SERVE_ROUNDS` rounds
+///   of nine hits.
 /// * `warm_topology_speedup/gnp-sparse` — a *fresh* daemon ÷ a warm
 ///   daemon each executing a never-cached seed of the same sampled
 ///   `G(n, p)` family (`scenarios/serve-cache.toml`, horizon-bounded so
 ///   CSR realization dominates the sweep): isolates the realized
-///   topology cache, since both sides execute identical trial work.
+///   topology cache, since both sides execute identical trial work. The
+///   median of `SERVE_ROUNDS` rounds, each with its own cold daemon and
+///   seed, cold and warm alternating which goes first.
 ///
 /// Smoke mode swaps in a small inline spec (same keys, same code path)
 /// so CI exercises the daemon without the 1e5-node workload.
+/// Rounds behind each serve figure's median.
+const SERVE_ROUNDS: usize = 5;
+
 fn bench_serve_cache(c: &mut Criterion, knobs: &Knobs) {
     use gossip_core::scenario::ScenarioSpec;
     use gossip_serve::{split_response, submit, Server};
@@ -588,37 +620,45 @@ fn bench_serve_cache(c: &mut Criterion, knobs: &Knobs) {
         .expect("scenarios/gnp-sparse.toml loads")
     };
 
-    // Cold (miss) vs cache-hit replay on one daemon.
+    // Cold (miss) vs cache-hit replay on one daemon; the hit rounds give
+    // the throughput figure, one sample per round.
     let daemon = spawn("hit");
     let (cold, cold_response) = timed_submit(daemon.addr(), &sparse);
     assert_eq!(daemon.state().executions(), 1);
-    let hit_reps = if knobs.smoke { 3 } else { 9 };
-    let mut hits = Vec::with_capacity(hit_reps);
-    let t0 = Instant::now();
-    for _ in 0..hit_reps {
-        let (secs, response) = timed_submit(daemon.addr(), &sparse);
-        assert_eq!(
-            split_response(&response).1,
-            split_response(&cold_response).1,
-            "cache-hit body must be byte-identical to the live body"
-        );
-        hits.push(secs);
+    let (rounds, hit_reps) = if knobs.smoke {
+        (1, 3)
+    } else {
+        (SERVE_ROUNDS, 9)
+    };
+    let mut hits = Vec::with_capacity(rounds * hit_reps);
+    let mut throughputs = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let t0 = Instant::now();
+        for _ in 0..hit_reps {
+            let (secs, response) = timed_submit(daemon.addr(), &sparse);
+            assert_eq!(
+                split_response(&response).1,
+                split_response(&cold_response).1,
+                "cache-hit body must be byte-identical to the live body"
+            );
+            hits.push(secs);
+        }
+        throughputs.push(hit_reps as f64 / t0.elapsed().as_secs_f64());
     }
-    let throughput = hit_reps as f64 / t0.elapsed().as_secs_f64();
     assert_eq!(
         daemon.state().executions(),
         1,
         "repeat submissions must execute zero trials"
     );
     hits.sort_by(f64::total_cmp);
-    let hit = hits[hit_reps / 2];
+    let hit = hits[hits.len() / 2];
     let cache_speedup = cold / hit;
+    c.record_metric("cache_speedup/gnp-sparse", cache_speedup);
+    let throughput = record_spread(c, "serve_throughput/gnp-sparse", throughputs);
     println!(
         "serve_cache/gnp-sparse: cold {cold:.3}s, hit {hit:.5}s → {cache_speedup:.0}x; \
-         {throughput:.0} cache-hit requests/sec"
+         {throughput:.0} cache-hit requests/sec (median of {rounds} rounds)"
     );
-    c.record_metric("cache_speedup/gnp-sparse", cache_speedup);
-    c.record_metric("serve_throughput/gnp-sparse", throughput);
     if !knobs.smoke {
         assert!(
             cache_speedup >= 100.0,
@@ -627,7 +667,8 @@ fn bench_serve_cache(c: &mut Criterion, knobs: &Knobs) {
     }
 
     // Warm-topology reuse: a fresh daemon vs the already-warm daemon,
-    // both executing a never-cached seed of the same sampled family.
+    // both executing a never-cached seed of the same sampled family, in
+    // interleaved rounds (a fresh cold daemon and a fresh seed each).
     // Horizon-bounded trials keep CSR realization the dominant cost.
     let mut warm_spec: ScenarioSpec = if knobs.smoke {
         let mut spec = sparse.clone();
@@ -640,21 +681,31 @@ fn bench_serve_cache(c: &mut Criterion, knobs: &Knobs) {
         )))
         .expect("scenarios/serve-cache.toml loads")
     };
-    // Pre-warm the topology cache on the warm daemon (store misses on a
-    // distinct seed), then time cold-vs-warm on another fresh seed.
+    // Pre-warm the topology cache on the warm daemon (a store miss on a
+    // distinct seed).
     let warm_daemon = if knobs.smoke { daemon } else { spawn("warm") };
     warm_spec.sweep.seed = Some(9_001);
     let _ = timed_submit(warm_daemon.addr(), &warm_spec);
-    warm_spec.sweep.seed = Some(9_002);
-    let (warm, _) = timed_submit(warm_daemon.addr(), &warm_spec);
-    let cold_daemon = spawn("cold");
-    let (cold_exec, _) = timed_submit(cold_daemon.addr(), &warm_spec);
-    let warm_speedup = cold_exec / warm;
+    let speedups: Vec<f64> = (0..rounds as u64)
+        .map(|i| {
+            warm_spec.sweep.seed = Some(9_002 + i);
+            let cold_daemon = spawn(&format!("cold-{i}"));
+            let (cold_exec, warm) = if i % 2 == 0 {
+                let (cold, _) = timed_submit(cold_daemon.addr(), &warm_spec);
+                (cold, timed_submit(warm_daemon.addr(), &warm_spec).0)
+            } else {
+                let (warm, _) = timed_submit(warm_daemon.addr(), &warm_spec);
+                (timed_submit(cold_daemon.addr(), &warm_spec).0, warm)
+            };
+            cold_daemon.shutdown().expect("cold daemon shuts down");
+            cold_exec / warm
+        })
+        .collect();
+    let warm_speedup = record_spread(c, "warm_topology_speedup/gnp-sparse", speedups);
     println!(
-        "warm_topology/gnp-sparse: cold daemon {cold_exec:.3}s, warm daemon {warm:.3}s \
-         → {warm_speedup:.2}x (shared sampled-topology realization)"
+        "warm_topology/gnp-sparse: cold daemon ÷ warm daemon {warm_speedup:.2}x, median of \
+         {rounds} rounds (shared sampled-topology realization)"
     );
-    c.record_metric("warm_topology_speedup/gnp-sparse", warm_speedup);
     if !knobs.smoke {
         assert!(
             warm_speedup > 1.0,

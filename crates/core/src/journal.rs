@@ -81,7 +81,17 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 ///   and live results do not. (The scalar loop and `sweep.vectorized`
 ///   were later deleted; that moved no result, only the analytic store
 ///   keys — see [`spec_hash`].)
-pub const RESULTS_VERSION: u32 = 4;
+/// * 5 — on a dense static generic topology (mean degree at least 12, or
+///   32 on an adjacency of more than 2¹⁷ entries), in a fault-free
+///   event-engine trial, the cut-rate protocol samples contacts out of
+///   the smaller side of the cut and keeps those that cross it, handing a
+///   trial over to the lane when too few cross, instead of running the
+///   lane from the start. Async push–pull on such `G(n, p)`,
+///   random-regular, circulant and other generic graphs moves; sparser
+///   static graphs, closed forms (implicit complete, star and
+///   complete-bipartite graphs), dynamic families, fault runs, the window
+///   engine and live results do not.
+pub const RESULTS_VERSION: u32 = 5;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).

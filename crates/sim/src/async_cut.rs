@@ -11,8 +11,8 @@
 //! and informs the uninformed node `v` with probability proportional to its
 //! in-rate `r_v = Σ_{u ∈ I ∩ N(v)} (1/d_u + 1/d_v)`.
 //!
-//! Three maintenance strategies, selected per [`Topology`] backend and
-//! per engine:
+//! Four strategies, selected per [`Topology`] backend, per engine and,
+//! in the event engine, per trial:
 //!
 //! * **Generic Fenwick** — per-node in-rates in a Fenwick tree: `O(log n)`
 //!   sampling per infection and `O(deg(v))` rate updates. Exact on any
@@ -20,11 +20,20 @@
 //!   run `Θ(n²)`. This is the window engine's sampler: its
 //!   [`Protocol::advance_window`] rebuilds the tree every window, and it
 //!   is the independent reference the event engine is tested against.
+//! * **Contact thinning** — on a dense static generic topology (mean
+//!   degree at least 12, or 32 once the adjacency outgrows the cache;
+//!   [`crate::contacts::MIN_MEAN_DEGREE`]) in a fault-free trial the
+//!   event engine keeps no rates at all: it proposes contacts out of the
+//!   smaller side of the cut and keeps those that cross it (`O(1)` per
+//!   proposal, [`crate::contacts`]). A trial whose proposals rarely cross
+//!   (a poor expander) hands over to the vectorized lane, built from its
+//!   informed set, for the rest of the trial.
 //! * **Vectorized lane** — the event engine keeps the same per-node
 //!   in-rates in flat arrays ([`FastLane`]) that the rejection-sampling
 //!   inner loop drives. A rebuild writes them directly; a sparse topology
 //!   delta repairs them in place, so dynamic windows run the vectorized
-//!   loop too.
+//!   loop too. It runs every trial the contact sampler does not: dynamic
+//!   networks, fault runs, sparser static graphs and handed-over trials.
 //! * **Closed form** — on implicit complete, star, and complete-bipartite
 //!   backends the symmetry collapses the whole rate vector to a handful of
 //!   counters: on `K_n` every uninformed node has in-rate `2|I|/(n−1)`, so
@@ -34,18 +43,22 @@
 //!   experiments from `n ≈ 10⁴` to `n ≥ 10⁵`.
 //!
 //! Seeded *sampled* backends ([`gossip_graph::Topology::gnp`] and kin)
-//! ride the generic paths: every `degree` / `for_each_neighbor`
-//! call works off adjacency rows the backend realizes lazily on first
-//! touch, so a sparse `G(n, p)` run at `n = 10⁵` builds exactly the rows
-//! the spread visits — `O(n + m)` total, no CSR `Graph` ever constructed
-//! — and, because sampled rows enumerate in the same sorted order as the
-//! materialized twin, the run consumes a bit-identical RNG stream either
-//! way (`tests/sampled_equivalence.rs` asserts this exactly).
+//! ride the generic paths off adjacency the backend realizes lazily; no
+//! CSR `Graph` is ever constructed. Every generic strategy asks for
+//! degrees when it builds its state (the lane reads every node's), and a
+//! sampled `G(n, p)` answers its first `degree` call by realizing every
+//! forward row into its symmetric CSR. So the first trial on a sampled
+//! `G(n, p)` realizes the whole graph, `O(n + m)`, and clones of the
+//! topology share it from then on. Because sampled rows enumerate in the
+//! same sorted order as the materialized twin, a run consumes a
+//! bit-identical RNG stream either way (`tests/sampled_equivalence.rs`
+//! asserts this exactly).
 //!
 //! The distribution over (infection sequence, times) is *identical* in
 //! every strategy and to the naive simulator's; the test suites check
 //! this with Kolmogorov–Smirnov tests.
 
+use crate::contacts::{ContactSampler, Drive};
 use crate::incremental::WindowStep;
 use crate::workspace::ShrinkPool;
 use crate::{Protocol, SimWorkspace};
@@ -61,8 +74,8 @@ const UNIFORM_BATCH: usize = 64;
 const RMAX_REFRESH_STREAK: u32 = 64;
 
 /// Structure-of-arrays rate state of the vectorized inner loop
-/// ([`CutRateAsync::drive_window_fast`]): the event engine's only rate
-/// state on generic backends.
+/// ([`CutRateAsync::drive_window_fast`]): the event engine's rate state
+/// on generic backends wherever the contact sampler does not run.
 ///
 /// Replaces the Fenwick tree's `O(log n)` sample / update walks with a
 /// rejection sampler over flat arrays: `members[..flen]` lists the
@@ -121,16 +134,6 @@ struct FastLane {
     /// Whether a repair zeroed the rate of a frontier member that is still
     /// listed in `members[..flen]`.
     stale_members: bool,
-    /// Pre-drawn uniforms (the fused slot + acceptance draws).
-    uniforms: Vec<f64>,
-    /// Next unconsumed slot in `uniforms`.
-    cursor: usize,
-    /// Pre-drawn `Exp(1)` variates: `-ln(u)` is applied at refill time so
-    /// the per-event clock is a load and a divide, not a transcendental
-    /// on the critical path.
-    exps: Vec<f64>,
-    /// Next unconsumed slot in `exps`.
-    ecursor: usize,
     /// Scratch row of still-uninformed neighbors (the absorb filter pass
     /// writes it, the update pass consumes it).
     scratch: Vec<NodeId>,
@@ -187,13 +190,6 @@ impl FastLane {
         self.lambda = lambda;
         self.rmax = rmax;
         self.stale_members = false;
-    }
-
-    /// Drops every pre-drawn variate, so no draw of a previous trial
-    /// leaks into the next.
-    fn discard_draws(&mut self) {
-        self.cursor = self.uniforms.len();
-        self.ecursor = self.exps.len();
     }
 
     /// Total cut rate `λ`.
@@ -288,10 +284,37 @@ impl FastLane {
             self.lambda = 0.0;
         }
     }
+}
+
+/// Pre-drawn variates of the trial stream, consumed by the vectorized
+/// lane and the contact sampler ([`crate::contacts`]) alike: a trial that
+/// hands over from one to the other keeps the unconsumed draws, which are
+/// independent of everything already used.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Variates {
+    /// Pre-drawn uniforms (the fused slot + acceptance draws).
+    uniforms: Vec<f64>,
+    /// Next unconsumed slot in `uniforms`.
+    cursor: usize,
+    /// Pre-drawn `Exp(1)` variates: `-ln(u)` is applied at refill time so
+    /// the per-event clock is a load and a divide, not a transcendental
+    /// on the critical path.
+    exps: Vec<f64>,
+    /// Next unconsumed slot in `exps`.
+    ecursor: usize,
+}
+
+impl Variates {
+    /// Drops every pre-drawn variate, so no draw of a previous trial
+    /// leaks into the next.
+    fn discard(&mut self) {
+        self.cursor = self.uniforms.len();
+        self.ecursor = self.exps.len();
+    }
 
     /// Next batched uniform in `[0, 1)`; refills from `rng` on exhaustion.
     #[inline]
-    fn uniform(&mut self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn uniform(&mut self, rng: &mut SimRng) -> f64 {
         if self.cursor >= self.uniforms.len() {
             if self.uniforms.len() < UNIFORM_BATCH {
                 self.uniforms.resize(UNIFORM_BATCH, 0.0);
@@ -311,7 +334,7 @@ impl FastLane {
     /// positive double instead of re-drawn, truncating the exponential at
     /// `≈ 708` — far beyond any horizon and invisible to any statistic.
     #[inline]
-    fn next_exp(&mut self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn next_exp(&mut self, rng: &mut SimRng) -> f64 {
         if self.ecursor >= self.exps.len() {
             if self.exps.len() < UNIFORM_BATCH {
                 self.exps.resize(UNIFORM_BATCH, 0.0);
@@ -368,8 +391,13 @@ enum RateState {
     /// Generic per-node in-rates, any backend: the window engine's state.
     Fenwick(FenwickSampler),
     /// Generic per-node in-rates in the vectorized lane
-    /// ([`CutRateAsync::fast`]), any backend: the event engine's state.
+    /// ([`CutRateAsync::fast`]), any backend: the event engine's state
+    /// on dynamic networks, in fault runs and after a handover.
     Lane,
+    /// No rates at all: the contact sampler ([`CutRateAsync::contacts`])
+    /// of a static topology in a fault-free trial, until it hands the
+    /// trial over to the lane.
+    Contacts,
     /// Implicit `K_n`: all uninformed nodes share the in-rate
     /// `2|I|/(n−1)`.
     Complete { n: usize, uninformed: ShrinkPool },
@@ -415,6 +443,16 @@ pub struct CutRateAsync {
     /// The vectorized lane; it describes the current state only while
     /// `state` is [`RateState::Lane`], and keeps its storage otherwise.
     fast: FastLane,
+    /// The contact sampler; its trial state is current only while `state`
+    /// is [`RateState::Contacts`], and its per-topology constants persist
+    /// across trials.
+    contacts: ContactSampler,
+    /// The batched variates both of them draw from.
+    draws: Variates,
+    /// The samplers the current trial ran, in order (the test probe
+    /// behind [`CutRateAsync::samplers_run`]).
+    #[cfg(test)]
+    ran: Vec<&'static str>,
 }
 
 impl CutRateAsync {
@@ -460,8 +498,56 @@ impl CutRateAsync {
         // The lane keeps its own storage; park whatever the previous
         // state held.
         Self::stash_state(self.state.take(), ws);
+        self.build_lane(g, informed);
+    }
+
+    /// The event engine's rebuild for a trial on a static network without
+    /// faults ([`crate::IncrementalProtocol::rebuild_static`]): the closed
+    /// form when the backend admits one, else, on a graph dense enough
+    /// for it ([`ContactSampler::suits`]), the contact sampler, whose
+    /// per-topology constants carry over from the previous trial on the
+    /// same topology, and the lane on a sparser one.
+    pub(crate) fn rebuild_rates_static(
+        &mut self,
+        g: &Topology,
+        informed: &NodeSet,
+        ws: &mut SimWorkspace,
+    ) {
+        if !ContactSampler::suits(g) {
+            return self.rebuild_rates_in(g, informed, ws);
+        }
+        if self.rebuild_closed_form(g, informed, Some(&mut *ws)) {
+            return;
+        }
+        Self::stash_state(self.state.take(), ws);
+        self.contacts.start(g, informed);
+        self.state = Some(RateState::Contacts);
+        #[cfg(test)]
+        self.note_sampler("contacts");
+    }
+
+    /// Builds the vectorized lane for `g` and the informed set and makes
+    /// it the rate state.
+    fn build_lane(&mut self, g: &Topology, informed: &NodeSet) {
         self.fast.build(g, informed);
         self.state = Some(RateState::Lane);
+        #[cfg(test)]
+        self.note_sampler("lane");
+    }
+
+    /// Records that the current trial runs `sampler` (once per switch).
+    #[cfg(test)]
+    fn note_sampler(&mut self, sampler: &'static str) {
+        if self.ran.last() != Some(&sampler) {
+            self.ran.push(sampler);
+        }
+    }
+
+    /// The samplers the current trial ran, in order: `"contacts"` and
+    /// `"lane"` for the generic backends' two event-engine samplers.
+    #[cfg(test)]
+    pub(crate) fn samplers_run(&self) -> &[&'static str] {
+        &self.ran
     }
 
     /// Builds the closed-form state of an implicit complete, star or
@@ -540,7 +626,10 @@ impl CutRateAsync {
     /// Parks the pools of a rate state in the workspace.
     fn stash_state(state: Option<RateState>, ws: &mut SimWorkspace) {
         match state {
-            None | Some(RateState::Fenwick(_)) | Some(RateState::Lane) => {}
+            None
+            | Some(RateState::Fenwick(_))
+            | Some(RateState::Lane)
+            | Some(RateState::Contacts) => {}
             Some(RateState::Complete { uninformed, .. }) => ws.put_pool(uninformed),
             Some(RateState::Star {
                 uninformed_leaves, ..
@@ -562,9 +651,8 @@ impl CutRateAsync {
     /// [`CutRateAsync::rebuild_rates_in`]. The cross-trial analogue of
     /// what [`Protocol::begin`] does by dropping.
     pub(crate) fn begin_reusing(&mut self, n: usize, ws: &mut SimWorkspace) {
-        self.n = n;
-        self.fast.discard_draws();
         Self::stash_state(self.state.take(), ws);
+        self.begin(n);
     }
 
     /// Whether the current state is the generic Fenwick tree.
@@ -574,12 +662,14 @@ impl CutRateAsync {
     }
 
     /// Total cut rate `λ` (0 before the first rebuild, or when no
-    /// informative edge exists).
+    /// informative edge exists); on the contact sampler, the rate of its
+    /// proposal clock, an upper bound on `λ`.
     pub(crate) fn total_rate(&self) -> f64 {
         match &self.state {
             None => 0.0,
             Some(RateState::Fenwick(f)) => f.total(),
             Some(RateState::Lane) => self.fast.total(),
+            Some(RateState::Contacts) => self.contacts.proposal_rate(),
             Some(RateState::Complete { n, uninformed }) => {
                 let u = uninformed.len();
                 let i = n - u;
@@ -621,6 +711,7 @@ impl CutRateAsync {
             None => 0.0,
             Some(RateState::Fenwick(f)) => f.weight(v as usize),
             Some(RateState::Lane) => self.fast.rate(v),
+            Some(RateState::Contacts) => unreachable!("the contact sampler keeps no in-rates"),
             Some(RateState::Complete { n, uninformed }) if uninformed.contains(v) => {
                 (n - uninformed.len()) as f64 * 2.0 / (*n as f64 - 1.0)
             }
@@ -678,7 +769,9 @@ impl CutRateAsync {
     pub(crate) fn sample_next(&mut self, rng: &mut SimRng) -> Option<NodeId> {
         match self.state.as_ref().expect("rebuilt before sampling") {
             RateState::Fenwick(f) => f.sample(rng).map(|v| v as NodeId),
-            RateState::Lane => unreachable!("the vectorized lane samples in its own loop"),
+            RateState::Lane | RateState::Contacts => {
+                unreachable!("the lane and the contact sampler sample in their own loops")
+            }
             RateState::Complete { n, uninformed } => {
                 let u = uninformed.len();
                 (u > 0 && u < *n).then(|| uninformed.sample(rng))
@@ -724,7 +817,9 @@ impl CutRateAsync {
     /// mid-spread).
     pub(crate) fn absorb_informed(&mut self, g: &Topology, v: NodeId, informed: &NodeSet) {
         match self.state.as_mut().expect("rebuilt before absorbing") {
-            RateState::Lane => unreachable!("the vectorized lane absorbs in its own loop"),
+            RateState::Lane | RateState::Contacts => {
+                unreachable!("the lane and the contact sampler absorb in their own loops")
+            }
             RateState::Complete { uninformed, .. } => uninformed.remove(v),
             RateState::Star {
                 center,
@@ -861,11 +956,49 @@ impl CutRateAsync {
         matches!(self.state, Some(RateState::Lane)) && self.fast.repairs(g, delta)
     }
 
-    /// Whether the next window runs [`CutRateAsync::drive_window_fast`]:
-    /// the rate state is the vectorized lane (a generic backend;
-    /// closed-form states are already `O(1)` per event).
-    pub(crate) fn use_fast_loop(&self) -> bool {
-        matches!(self.state, Some(RateState::Lane))
+    /// Whether the state is a generic backend's, which runs its own loop
+    /// ([`CutRateAsync::drive_own_loop`]); closed-form states are driven
+    /// by the scalar per-event loop (they are already `O(1)` per event).
+    pub(crate) fn runs_own_loop(&self) -> bool {
+        matches!(self.state, Some(RateState::Lane | RateState::Contacts))
+    }
+
+    /// Drives window `t` of a generic backend: the contact sampler until
+    /// it hands the trial over, then the vectorized lane.
+    ///
+    /// An active fault state hands a contact-sampler trial over at once:
+    /// the fault veto thins the lane's informative events, not the
+    /// sampler's proposals.
+    pub(crate) fn drive_own_loop(
+        &mut self,
+        g: &Topology,
+        t: u64,
+        informed: &mut NodeSet,
+        rng: &mut SimRng,
+        faults: Option<&mut crate::FaultState>,
+        events_left: u64,
+    ) -> WindowStep {
+        debug_assert!(self.runs_own_loop(), "closed forms run the scalar loop");
+        let (from, events) = match self.state {
+            Some(RateState::Contacts) if faults.is_none() => {
+                let draws = &mut self.draws;
+                match self.contacts.drive(g, t, informed, rng, draws, events_left) {
+                    Drive::Window(step) => return step,
+                    Drive::Handover { tau, events } => (tau, events),
+                }
+            }
+            _ => (t as f64, 0),
+        };
+        if matches!(self.state, Some(RateState::Contacts)) {
+            // Exact: from any point of the proposal clock on, the
+            // informative events to come are the same process on either
+            // sampler.
+            self.build_lane(g, informed);
+        }
+        let mut step =
+            self.drive_window_fast(g, (t, from), informed, rng, faults, events_left - events);
+        step.events += events;
+        step
     }
 
     /// The vectorized inner loop: one window driven off the
@@ -892,20 +1025,30 @@ impl CutRateAsync {
     /// buffer, even across windows in which the network drew from the
     /// trial stream. That is exact: a buffered draw not yet consumed is
     /// independent of every draw already used, the network's included.
-    pub(crate) fn drive_window_fast(
+    ///
+    /// The window's clock starts at `from` (`t`, or later in the window
+    /// when the contact sampler hands the trial over).
+    fn drive_window_fast(
         &mut self,
         g: &Topology,
-        t: u64,
+        (t, from): (u64, f64),
         informed: &mut NodeSet,
         rng: &mut SimRng,
         mut faults: Option<&mut crate::FaultState>,
         events_left: u64,
     ) -> WindowStep {
         if self.fast.uniform_deg_inv.is_some() {
-            return self.drive_window_fast_regular(g, t, informed, rng, faults, events_left);
+            return self.drive_window_fast_regular(
+                g,
+                (t, from),
+                informed,
+                rng,
+                faults,
+                events_left,
+            );
         }
-        let lane = &mut self.fast;
-        let mut tau = t as f64;
+        let (lane, draws) = (&mut self.fast, &mut self.draws);
+        let mut tau = from;
         let end = (t + 1) as f64;
         let mut events = 0u64;
         loop {
@@ -922,7 +1065,7 @@ impl CutRateAsync {
                     events,
                 };
             }
-            tau += lane.next_exp(rng) / lane.lambda;
+            tau += draws.next_exp(rng) / lane.lambda;
             if tau >= end {
                 return WindowStep {
                     completed_at: None,
@@ -941,8 +1084,8 @@ impl CutRateAsync {
             let mut streak = 0u32;
             let flen_f = lane.flen as f64;
             let (v, slot) = loop {
-                let sa = lane.uniform(rng) * flen_f;
-                let sb = lane.uniform(rng) * flen_f;
+                let sa = draws.uniform(rng) * flen_f;
+                let sb = draws.uniform(rng) * flen_f;
                 let slot_a = (sa as usize).min(lane.flen - 1);
                 let slot_b = (sb as usize).min(lane.flen - 1);
                 let ca = lane.members[slot_a];
@@ -1123,18 +1266,18 @@ impl CutRateAsync {
     fn drive_window_fast_regular(
         &mut self,
         g: &Topology,
-        t: u64,
+        (t, from): (u64, f64),
         informed: &mut NodeSet,
         rng: &mut SimRng,
         mut faults: Option<&mut crate::FaultState>,
         events_left: u64,
     ) -> WindowStep {
-        let lane = &mut self.fast;
+        let (lane, draws) = (&mut self.fast, &mut self.draws);
         let delta = 2.0
             * lane
                 .uniform_deg_inv
                 .expect("regular lane requires uniform degree");
-        let mut tau = t as f64;
+        let mut tau = from;
         let end = (t + 1) as f64;
         let mut events = 0u64;
         loop {
@@ -1151,7 +1294,7 @@ impl CutRateAsync {
                     events,
                 };
             }
-            tau += lane.next_exp(rng) / (lane.ctotal as f64 * delta);
+            tau += draws.next_exp(rng) / (lane.ctotal as f64 * delta);
             if tau >= end {
                 return WindowStep {
                     completed_at: None,
@@ -1165,8 +1308,8 @@ impl CutRateAsync {
             let flen_f = lane.flen as f64;
             let mut cmax_f = lane.cmax as f64;
             let (v, slot) = loop {
-                let sa = lane.uniform(rng) * flen_f;
-                let sb = lane.uniform(rng) * flen_f;
+                let sa = draws.uniform(rng) * flen_f;
+                let sb = draws.uniform(rng) * flen_f;
                 let slot_a = (sa as usize).min(lane.flen - 1);
                 let slot_b = (sb as usize).min(lane.flen - 1);
                 let ca = lane.members[slot_a];
@@ -1304,7 +1447,9 @@ impl Protocol for CutRateAsync {
     fn begin(&mut self, n: usize) {
         self.n = n;
         self.state = None;
-        self.fast.discard_draws();
+        self.draws.discard();
+        #[cfg(test)]
+        self.ran.clear();
     }
 
     fn advance_window(

@@ -184,6 +184,9 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
             .as_ref()
             .filter(|m| m.is_active())
             .map(|m| m.state_for_trial(n, rng.base_seed()));
+        // A trial that meets neither a topology change nor a fault lets
+        // the protocol pick a sampler that relies on both.
+        let fixed = fault_state.is_none() && net.is_static();
         let budget = self.config.max_events.unwrap_or(u64::MAX);
         let mut events: u64 = 0;
         let mut t: u64 = 0;
@@ -198,6 +201,7 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
             };
             let g = net.topology(t, &informed, rng);
             match (&delta, t) {
+                (_, 0) if fixed => self.protocol.rebuild_static(g, &informed, ws),
                 (_, 0) => self.protocol.rebuild(g, &informed, ws),
                 (Some(d), _) if d.is_empty() => {}
                 (Some(d), _) => self.protocol.apply_delta(g, d, &informed, ws),

@@ -106,6 +106,16 @@ pub trait IncrementalProtocol: Protocol {
     /// to report a delta).
     fn rebuild(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace);
 
+    /// [`IncrementalProtocol::rebuild`] at the start of a trial that will
+    /// see neither a topology change nor a fault: the network is static
+    /// ([`gossip_dynamics::DynamicNetwork::is_static`]) and no fault model
+    /// is active. A protocol may then pick a sampler that needs both
+    /// promises (the cut-rate protocol's contact sampler). The default
+    /// rebuilds.
+    fn rebuild_static(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
+        self.rebuild(g, informed, ws);
+    }
+
     /// Repairs internal state after a topology delta (the graph `g` is the
     /// *post-delta* graph). The default falls back to a full rebuild; an
     /// implementation may also rebuild when that is cheaper than a repair
@@ -267,6 +277,10 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for &mut T {
         (**self).rebuild(g, informed, ws)
     }
 
+    fn rebuild_static(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
+        (**self).rebuild_static(g, informed, ws)
+    }
+
     fn apply_delta(
         &mut self,
         g: &Topology,
@@ -327,6 +341,10 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for Box<T> {
 
     fn rebuild(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
         (**self).rebuild(g, informed, ws)
+    }
+
+    fn rebuild_static(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
+        (**self).rebuild_static(g, informed, ws)
     }
 
     fn apply_delta(
@@ -397,6 +415,10 @@ impl IncrementalProtocol for CutRateAsync {
         self.rebuild_rates_in(g, informed, ws);
     }
 
+    fn rebuild_static(&mut self, g: &Topology, informed: &NodeSet, ws: &mut SimWorkspace) {
+        self.rebuild_rates_static(g, informed, ws);
+    }
+
     /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]),
     /// in the vectorized lane. A dense delta, with at
     /// least twice as many changed edges as nodes (every node touched
@@ -464,11 +486,12 @@ impl IncrementalProtocol for CutRateAsync {
         self.absorb_informed(g, v, informed);
     }
 
-    /// Lane-state windows, static or dynamic, run the vectorized frontier
-    /// loop (see `async_cut.rs`); closed-form pool states run
-    /// `generic_drive_window`. On generic backends the rates live only
-    /// in the lane, which only this loop advances: `resolve_event` and
-    /// `commit` serve the closed-form states.
+    /// Generic backends run their own loops (see `async_cut.rs`): the
+    /// contact sampler of a static, fault-free trial until it hands over,
+    /// and the vectorized frontier loop on every other window, static or
+    /// dynamic. Closed-form pool states run `generic_drive_window`. On
+    /// generic backends the state lives only in those loops:
+    /// `resolve_event` and `commit` serve the closed-form states.
     fn drive_window(
         &mut self,
         g: &Topology,
@@ -477,8 +500,8 @@ impl IncrementalProtocol for CutRateAsync {
         rng: &mut SimRng,
         ctx: WindowCtx<'_>,
     ) -> WindowStep {
-        if self.use_fast_loop() {
-            self.drive_window_fast(g, t, informed, rng, ctx.faults, ctx.events_left)
+        if self.runs_own_loop() {
+            self.drive_own_loop(g, t, informed, rng, ctx.faults, ctx.events_left)
         } else {
             generic_drive_window(self, g, t, informed, rng, ctx)
         }

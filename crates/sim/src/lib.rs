@@ -82,6 +82,7 @@
 
 mod async_cut;
 mod async_naive;
+mod contacts;
 mod engine;
 mod error;
 mod event;

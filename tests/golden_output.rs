@@ -20,7 +20,11 @@
 //! loop and `sweep.vectorized` were deleted later, at version 4 still:
 //! no digest moved, and the scalar twins gave way to window-engine twins
 //! (`sweep.engine = "window"`), the independent Fenwick sampler, pinned
-//! at the values they already had before the deletion.
+//! at the values they already had before the deletion. Version 5 (the
+//! event engine samples contacts on dense static generic topologies in
+//! fault-free trials) moved no digest pinned before it: every pinned
+//! static graph is too sparse for the sampler. Its own pin is (d), a
+//! sweep of the benchmark's G(n, p) shape.
 //!
 //! The `#[ignore]`d test at the end pins the benchmark's two dynamic
 //! sweeps at full size; it runs in release (`cargo test --release --test
@@ -31,7 +35,7 @@ use rumor_spreading::prelude::*;
 use std::path::Path;
 
 /// The [`RESULTS_VERSION`] the digests below were taken at.
-const DIGESTS_VERSION: u32 = 4;
+const DIGESTS_VERSION: u32 = 5;
 
 /// Fails with the message a moved digest needs: the digests and the
 /// results version move together.
@@ -134,6 +138,27 @@ fn dynamic_family_jsonl_is_pinned() {
         jsonl_digest(&two_push),
         (60, 0x21a9_568a_9cf1_403e),
         "edge-markovian.json",
+    );
+}
+
+#[test]
+fn contact_sampler_jsonl_is_pinned() {
+    assert_version();
+    // (d) Async push-pull on static sampled G(n, 0.01), mean degree 20 and
+    // 40: the contact sampler's draws (version 5).
+    let gnp = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-gnp-contacts",
+            "family": {"kind": "er", "p": 0.01, "backend": "sampled"},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [2000, 4000], "trials": 8, "seed": 41, "engine": "event"}
+        }"#,
+    )
+    .unwrap();
+    assert_pinned(
+        jsonl_digest(&gnp),
+        (16, 0x9f54_713b_01ac_ab4d),
+        "sampled G(n, 0.01), async, event engine",
     );
 }
 
