@@ -22,10 +22,12 @@
 //!   `backend_speedup/gnp/<n>` metric is the end-to-end per-trial cost
 //!   ratio of the two representations.
 //!
-//! * `inner_loop` — the event engine's vectorized loop on the cells it
-//!   targets: simulator-bound sparse `G(n, p)` (mean degree 100–200) and
-//!   a spread-offset d = 128 circulant, single thread, ns/event (the
-//!   median of five batches after one warm-up batch).
+//! * `inner_loop` — the event engine's sampler on dense static graphs,
+//!   the contact sampler (which hands a trial over to the vectorized
+//!   lane when too few proposals cross), on simulator-bound sparse
+//!   `G(n, p)` (mean degree 100–200) and a spread-offset d = 128
+//!   circulant, single thread, ns/event (the median of five batches
+//!   after one warm-up batch).
 //! * `trial_throughput` — the driver's trials/sec on many small trials
 //!   (per-worker workspace reuse plus chunked record delivery) at
 //!   n ∈ {100, 1e3, 1e4} per family.
@@ -66,7 +68,8 @@
 //! `runplan_overhead/complete/<n>` = `RunPlan::execute` ÷ raw trial
 //! loop on the identical workload, the median of interleaved pairs (the
 //! unified driver must stay under 1.02, i.e. < 2% added),
-//! `inner_loop/<family>/<n>` = the vectorized loop's ns/event,
+//! `inner_loop/<family>/<n>` = the event engine's ns/event on a dense
+//! static graph (the contact sampler),
 //! `trial_throughput/<family>/<n>` = trials/sec of a batch,
 //! `sweep_parallel/available_parallelism` = hardware threads seen by the
 //! sweep scheduler (always recorded), with
@@ -438,10 +441,10 @@ fn spread_circulant(n: usize, half_deg: usize) -> Topology {
     Topology::materialized(generators::circulant(n, &offsets).unwrap())
 }
 
-/// The event engine's vectorized inner loop, in ns per informative
-/// event: single thread, single process, the median of five batches
-/// after one unmeasured warm-up batch that realizes lazy adjacency and
-/// faults in the working set.
+/// The event engine's sampler on a dense static graph (the contact
+/// sampler), in ns per informative event: single thread, single
+/// process, the median of five batches after one unmeasured warm-up
+/// batch that realizes lazy adjacency and faults in the working set.
 fn bench_inner_loop<F>(
     c: &mut Criterion,
     family: &str,
@@ -904,7 +907,8 @@ fn main() {
         bench_gnp(&mut c, n, &knobs);
     }
 
-    // The vectorized event inner loop, single thread. Topologies are
+    // The event engine's sampler on dense static graphs (the contact
+    // sampler), single thread. Topologies are
     // hoisted and `Arc`-shared so realization is paid once, outside every
     // timed batch; mean degrees (100, 200, d = 128) put the cells
     // squarely in simulator-bound territory.

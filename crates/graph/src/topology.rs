@@ -9,6 +9,8 @@
 //! words of memory instead of the ≈ 40 GB its CSR form would need. The
 //! [`Topology::materialized`] backend wraps an arbitrary [`Graph`] and
 //! makes the same API answer from CSR, so engines are generic over both.
+//! Its CSR is `Arc`-shared by clones and copied on write
+//! ([`Topology::as_graph_mut`]), so cloning any topology is cheap.
 //!
 //! The implicit backends exist because the paper's asymptotic claims (e.g.
 //! the `Θ(log n)` spread on complete graphs, the `Θ(n log n)` dynamic-star
@@ -53,6 +55,7 @@
 use crate::sampled;
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A graph view with implicit structured backends and a materialized
 /// fallback. See the [module docs](self) for the querying contract.
@@ -93,7 +96,7 @@ enum Repr {
     Gnp(sampled::Gnp),
     SampledRegular(sampled::SampledRegular),
     CirculantLift(sampled::CirculantLift),
-    Materialized(Graph),
+    Materialized(Arc<Graph>),
 }
 
 /// A borrowed, pattern-matchable view of a [`Topology`]'s backend, for
@@ -370,7 +373,7 @@ impl Topology {
     /// Wraps a materialized [`Graph`].
     pub fn materialized(graph: Graph) -> Self {
         Topology {
-            repr: Repr::Materialized(graph),
+            repr: Repr::Materialized(Arc::new(graph)),
         }
     }
 
@@ -721,10 +724,25 @@ impl Topology {
 
     /// The wrapped graph, mutably, when the backend is materialized (for
     /// in-place [`Graph::apply_changes`] and [`Graph::rebuild_from_upper`]).
+    /// A CSR still shared with a clone is copied first, so the clone keeps
+    /// the graph it was taken from.
     pub fn as_graph_mut(&mut self) -> Option<&mut Graph> {
         match &mut self.repr {
-            Repr::Materialized(g) => Some(g),
+            Repr::Materialized(g) => Some(Arc::make_mut(g)),
             _ => None,
+        }
+    }
+
+    /// Whether `other` is this topology, in O(1) (O(jumps) on circulant
+    /// backends): equal parameters on an implicit or sampled backend, the
+    /// same shared CSR on a materialized one, i.e. a clone rather than an
+    /// equal graph built apart. A cache keyed by a topology can hold a
+    /// clone as its key: the CSR it shares stays alive, and a write
+    /// through the original copies it first.
+    pub fn is_same(&self, other: &Topology) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Materialized(a), Repr::Materialized(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a == b,
         }
     }
 
@@ -733,7 +751,7 @@ impl Topology {
     /// paths (conductance, spectra) at sizes where CSR is affordable.
     pub fn materialize(&self) -> Graph {
         match &self.repr {
-            Repr::Materialized(g) => return g.clone(),
+            Repr::Materialized(g) => return Graph::clone(g),
             // Sampled backends have O(n + m) materialization paths of
             // their own (no per-index queries).
             Repr::Gnp(g) => return g.materialize(),
@@ -938,6 +956,31 @@ mod tests {
         assert_eq!(t.as_graph(), Some(&g));
         assert_matches_graph(&t, &g);
         assert!(matches!(t.graph_cow(), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn identity_is_sharing_for_csr_and_parameters_otherwise() {
+        let g = generators::barbell(4).unwrap();
+        let t = Topology::from(g.clone());
+        let mut copy = t.clone();
+        assert!(t.is_same(&copy));
+        // An equal graph built apart compares equal but is not the same.
+        let apart = Topology::from(g.clone());
+        assert_eq!(t, apart);
+        assert!(!t.is_same(&apart));
+        // A write through a clone copies the shared CSR first.
+        copy.as_graph_mut().unwrap().apply_changes(&[(0, 7)], &[]);
+        assert!(!t.is_same(&copy));
+        assert_eq!(t.as_graph(), Some(&g));
+        assert!(copy.has_edge(0, 7));
+        // Sampled and implicit backends are the same by parameters.
+        let gnp = |seed| Topology::gnp(50, 0.1, seed).unwrap();
+        assert!(gnp(1).is_same(&gnp(1)));
+        assert!(!gnp(1).is_same(&gnp(2)));
+        assert!(Topology::complete(5)
+            .unwrap()
+            .is_same(&Topology::complete(5).unwrap()));
+        assert!(!t.is_same(&Topology::complete(t.n()).unwrap()));
     }
 
     #[test]

@@ -25,29 +25,23 @@
 //!
 //! `S` is the side with the smaller proposal rate. `Σ_x W_x = 2·|L|` over
 //! the set `L` of nodes with a neighbor (each of `1/d_x` and `1/d_y` sums
-//! to 1 per node), so only `Λ_I` is summed and `Λ_U = 2|L| − Λ_I`; while
-//! `Λ_I ≤ n/2` the informed side proposes without `|L|` being counted
-//! (it is the smaller side unless most nodes are isolated). The
-//! informed side is a list that an informative event appends to. The
-//! uninformed side is a position-indexed list that an event swap-removes
-//! from; it is listed (`O(n)`) when the trial first proposes from it,
-//! which a spread does once, as `Λ_I` passes `|L|`, and a trial cut off
-//! early on a huge graph may never do. Isolated nodes are on neither
-//! list: they can never be informed, and a side without a node has no
-//! cut edge, so the trial idles.
+//! to 1 per node), so only `Λ_I` is summed and `Λ_U = 2|L| − Λ_I`. Each
+//! side is a list of its nodes with a neighbor: the informed one grows by
+//! appends, the uninformed one is position-indexed and shrinks by
+//! swap-removes. The uninformed side is listed (`O(n)`) when the trial
+//! first proposes from it, which a spread does once, as `Λ_I` passes
+//! `|L|`, and a trial handed over to the lane before that never does.
+//! Isolated nodes are on neither list: they can never be informed, and a
+//! side without a node has no cut edge, so the trial idles.
 //!
 //! The per-node constants — `1/d`, `W` and the neighbor draw's rejection
-//! bound `1/d_x + max_{y ∈ N(x)} 1/d_y` — depend on the topology alone.
-//! They are kept across trials as long as the topology compares equal (a
-//! sampled backend compares its parameters, a materialized one its CSR),
-//! so a worker's batch computes them once. Each is computed on first
-//! need: `1/d` when a node or a neighbor is first reached, `W` and the
-//! bound when a node is first informed or, for the rest, when the
-//! uninformed side is first listed. A horizon-bounded trial on a huge
-//! graph thus sums only the rows it reaches, although its first degree
-//! query still realizes a sampled `G(n, p)`'s whole CSR (the backend's
-//! `degree` builds every row); the engine's choice of sampler reads the
-//! edge count, which realizes it too.
+//! bound `1/d_x + max_{y ∈ N(x)} 1/d_y` — and the largest `W` and `|L|`
+//! depend on the topology alone. One `O(n + m)` pass computes them, and
+//! they are kept for as long as the trials run on the same topology
+//! ([`Topology::is_same`]: equal parameters, or one shared CSR), so a
+//! worker's batch computes them once. The pass reads every row, so it
+//! realizes a sampled `G(n, p)`'s whole CSR, as the lane's build does;
+//! so does the engine's choice of sampler, which reads the edge count.
 //!
 //! On a poor expander (paths, cycles, tori, graphs of loosely joined
 //! parts) most proposals fall inside `S`: on a cycle about `1/|I|` of
@@ -121,25 +115,22 @@ pub(crate) enum Drive {
 pub(crate) struct ContactSampler {
     /// The topology the constants describe.
     topology: Option<Topology>,
-    /// Per-node `1/d`; 0 until first needed (infinite for an isolated
-    /// node).
+    /// Per-node `1/d` (infinite for an isolated node).
     dinv: Vec<f64>,
-    /// How many nodes have a neighbor; counted when a trial's `Λ_I` first
-    /// passes `n/2`.
-    live: Option<usize>,
-    /// Per-node proposal weight `W_x`; 0 until first needed (a node with a
-    /// neighbor weighs at least 1).
+    /// Per-node proposal weight `W_x` (0 for an isolated node).
     weight: Vec<f64>,
-    /// Per-node bound of the neighbor draw, `1/d_x + max_{y ∈ N(x)} 1/d_y`;
-    /// set together with `weight`.
+    /// Per-node bound of the neighbor draw, `1/d_x + max_{y ∈ N(x)} 1/d_y`.
     contact_bound: Vec<f64>,
-    /// The largest weight of any node; 0 until every weight is known.
+    /// The largest weight of any node.
     max_weight: f64,
-    /// The informed nodes with a neighbor, in the order they were
-    /// informed.
+    /// How many nodes have a neighbor.
+    live: usize,
+    /// The informed nodes with a neighbor.
     informed: Vec<NodeId>,
     /// The uninformed nodes with a neighbor, once listed.
     uninformed: Vec<NodeId>,
+    /// Whether `uninformed` is listed in this trial.
+    listed: bool,
     /// Each listed uninformed node's index in `uninformed`.
     pos: Vec<u32>,
     /// `Λ_I`, the informed side's proposal rate.
@@ -148,12 +139,15 @@ pub(crate) struct ContactSampler {
     /// grows).
     informed_bound: f64,
     /// An upper bound on the uninformed side's weights (stale high as the
-    /// side shrinks); 0 until the side is listed.
+    /// side shrinks).
     uninformed_bound: f64,
     /// Probes since the last handover check.
     check_probes: u32,
     /// Informative events since the last handover check.
     check_events: u32,
+    /// How many times the per-topology constants were computed.
+    #[cfg(test)]
+    describes: usize,
 }
 
 impl ContactSampler {
@@ -171,98 +165,83 @@ impl ContactSampler {
     }
 
     /// Starts a trial on `g` from the informed set, recomputing the
-    /// per-topology constants only when `g` differs from the previous
-    /// trial's topology.
+    /// per-topology constants only when `g` is not the previous trial's
+    /// topology.
     pub(crate) fn start(&mut self, g: &Topology, informed: &NodeSet) {
-        if self.topology.as_ref() != Some(g) {
+        if !self.topology.as_ref().is_some_and(|t| t.is_same(g)) {
             self.describe(g);
         }
         self.informed.clear();
         self.uninformed.clear();
+        self.listed = false;
         self.informed_weight = 0.0;
         self.informed_bound = 0.0;
-        self.uninformed_bound = 0.0;
+        self.uninformed_bound = self.max_weight;
         self.check_probes = 0;
         self.check_events = 0;
         for v in informed.iter() {
-            if inv_degree(&mut self.dinv, g, v).is_finite() {
-                self.inform(g, v);
+            if self.weight[v as usize] > 0.0 {
+                self.inform(v);
             }
         }
     }
 
-    /// Resets the per-topology constants for `g`, all to be computed on
-    /// first need. The arrays start as zeroed allocations, which a huge
-    /// graph's trial touches only where it reaches.
+    /// Computes the per-topology constants of `g` in one pass over its
+    /// rows.
     fn describe(&mut self, g: &Topology) {
         let n = g.n();
-        self.dinv = vec![0.0; n];
-        self.live = None;
-        self.weight = vec![0.0; n];
-        self.contact_bound = vec![0.0; n];
+        self.dinv.clear();
+        self.dinv
+            .extend((0..n as NodeId).map(|v| 1.0 / g.degree(v) as f64));
+        self.weight.clear();
+        self.contact_bound.clear();
         self.max_weight = 0.0;
-        self.topology = Some(g.clone());
-    }
-
-    /// `W_v`, computing it and `v`'s neighbor-draw bound in one pass over
-    /// its row on first need.
-    fn weight_of(&mut self, g: &Topology, v: NodeId) -> f64 {
-        let vi = v as usize;
-        if self.weight[vi] == 0.0 {
-            let dinv = &mut self.dinv;
+        self.live = 0;
+        for v in 0..n as NodeId {
+            let own = self.dinv[v as usize];
             let (mut sum, mut max) = (0.0, 0.0f64);
             g.for_each_neighbor(v, |y| {
-                let d = inv_degree(dinv, g, y);
+                let d = self.dinv[y as usize];
                 sum += d;
                 max = max.max(d);
             });
-            self.weight[vi] = 1.0 + sum;
-            self.contact_bound[vi] = inv_degree(dinv, g, v) + max;
+            let (weight, bound) = if own.is_finite() {
+                self.live += 1;
+                (1.0 + sum, own + max)
+            } else {
+                (0.0, 0.0)
+            };
+            self.max_weight = self.max_weight.max(weight);
+            self.weight.push(weight);
+            self.contact_bound.push(bound);
         }
-        self.weight[vi]
+        self.pos.resize(n, 0);
+        self.topology = Some(g.clone());
+        #[cfg(test)]
+        {
+            self.describes += 1;
+        }
     }
 
-    /// The largest weight of any node, computing every missing weight on
-    /// first need.
-    fn max_weight(&mut self, g: &Topology) -> f64 {
-        if self.max_weight == 0.0 {
-            let mut max = 0.0f64;
-            for v in 0..self.dinv.len() as NodeId {
-                if inv_degree(&mut self.dinv, g, v).is_finite() {
-                    max = max.max(self.weight_of(g, v));
-                }
-            }
-            self.max_weight = max;
-        }
-        self.max_weight
-    }
-
-    /// Lists the uninformed side, ascending, with every weight known and
-    /// the side's bound at the largest weight of any node.
-    fn list_uninformed(&mut self, g: &Topology, informed: &NodeSet) {
-        self.uninformed_bound = self.max_weight(g);
-        self.pos.resize(self.dinv.len(), 0);
+    /// Lists the uninformed side, ascending.
+    fn list_uninformed(&mut self, informed: &NodeSet) {
         for v in informed.iter_complement() {
-            if self.dinv[v as usize].is_finite() {
+            if self.weight[v as usize] > 0.0 {
                 self.pos[v as usize] = self.uninformed.len() as u32;
                 self.uninformed.push(v);
             }
         }
+        self.listed = true;
     }
 
     /// Moves the uninformed node `v`, which has a neighbor, to the
     /// informed side.
-    fn inform(&mut self, g: &Topology, v: NodeId) {
-        let w = self.weight_of(g, v);
+    fn inform(&mut self, v: NodeId) {
+        let w = self.weight[v as usize];
         self.informed.push(v);
         self.informed_weight += w;
         self.informed_bound = self.informed_bound.max(w);
-        if self.live.is_none() && self.informed_weight > 0.5 * g.n() as f64 {
-            let dinv = &mut self.dinv;
-            let live = (0..g.n() as NodeId).filter(|&u| inv_degree(dinv, g, u).is_finite());
-            self.live = Some(live.count());
-        }
-        if self.uninformed_bound > 0.0 {
+        if self.listed {
             let p = self.pos[v as usize] as usize;
             let last = self.uninformed.pop().expect("v is listed uninformed");
             if last != v {
@@ -272,22 +251,12 @@ impl ContactSampler {
         }
     }
 
-    /// Whether the next contact is proposed from the informed side, and
-    /// that side's proposal rate. The informed side proposes while
-    /// `Λ_I ≤ n/2`, which needs no count of the live nodes (on a graph
-    /// without isolated nodes, where `|L| = n`, it is the smaller side
-    /// then), and past that while `Λ_I ≤ Λ_U`.
+    /// Whether the next contact is proposed from the informed side (while
+    /// `Λ_I ≤ Λ_U`), and that side's proposal rate.
     fn side(&self) -> (bool, f64) {
-        let informed_weight = self.informed_weight;
-        let Some(live) = self
-            .live
-            .filter(|_| informed_weight > 0.5 * self.dinv.len() as f64)
-        else {
-            return (true, informed_weight);
-        };
-        let uninformed_weight = 2.0 * live as f64 - informed_weight;
-        if informed_weight <= uninformed_weight {
-            (true, informed_weight)
+        let uninformed_weight = 2.0 * self.live as f64 - self.informed_weight;
+        if self.informed_weight <= uninformed_weight {
+            (true, self.informed_weight)
         } else {
             (false, uninformed_weight)
         }
@@ -299,9 +268,7 @@ impl ContactSampler {
         if from_informed {
             self.informed.len()
         } else {
-            self.live
-                .expect("counted before the uninformed side proposes")
-                - self.informed.len()
+            self.live - self.informed.len()
         }
     }
 
@@ -354,8 +321,8 @@ impl ContactSampler {
                 // No live node on the side: no cut edge, now or later.
                 return window(None, events);
             }
-            if !from_informed && self.uninformed_bound == 0.0 {
-                self.list_uninformed(g, informed);
+            if !from_informed && !self.listed {
+                self.list_uninformed(informed);
             }
             let mut product = 1.0f64;
             let (x, y) = loop {
@@ -382,7 +349,7 @@ impl ContactSampler {
                 return window(None, events);
             }
             let v = if from_informed { y } else { x };
-            self.inform(g, v);
+            self.inform(v);
             informed.insert(v);
             events += 1;
             self.check_events += 1;
@@ -447,21 +414,11 @@ impl ContactSampler {
                 None => g.neighbor(x, i),
             };
             self.check_probes += 1;
-            if (s - i as f64) * bound < own + inv_degree(&mut self.dinv, g, y) {
+            if (s - i as f64) * bound < own + self.dinv[y as usize] {
                 return y;
             }
         }
     }
-}
-
-/// `1/d_v`, read from the topology into `dinv` on first need.
-#[inline]
-fn inv_degree(dinv: &mut [f64], g: &Topology, v: NodeId) -> f64 {
-    let d = &mut dinv[v as usize];
-    if *d == 0.0 {
-        *d = 1.0 / g.degree(v) as f64;
-    }
-    *d
 }
 
 #[cfg(test)]
@@ -493,7 +450,7 @@ mod tests {
         }
         let mut sampler = ContactSampler::default();
         sampler.start(&g, &informed);
-        sampler.list_uninformed(&g, &informed);
+        sampler.list_uninformed(&informed);
         let rate = |x: NodeId, y: NodeId| 1.0 / g.degree(x) as f64 + 1.0 / g.degree(y) as f64;
         let mut side_rates = [0.0, 0.0];
         let mut draws = Variates::default();
@@ -620,6 +577,32 @@ mod tests {
             assert_eq!(contacts.informed_count(), 80);
             assert_eq!(contacts.informed_count(), lane.informed_count());
         }
+    }
+
+    #[test]
+    fn constants_are_computed_once_per_topology() {
+        let mut rng = SimRng::seed_from_u64(21);
+        let g = generators::erdos_renyi(150, 0.2, &mut rng).unwrap();
+        let topo = Topology::materialized(g.clone());
+        let mut informed = NodeSet::new(150);
+        informed.insert(0);
+        let mut sampler = ContactSampler::default();
+        let mut passes = |t: &Topology| {
+            sampler.start(t, &informed);
+            sampler.describes
+        };
+        // A materialized graph is keyed by its shared CSR: the same
+        // topology and its clones reuse the constants, an equal graph
+        // built apart computes them afresh.
+        assert_eq!(passes(&topo), 1);
+        assert_eq!(passes(&topo), 1);
+        assert_eq!(passes(&topo.clone()), 1);
+        assert_eq!(passes(&Topology::materialized(g)), 2);
+        // A sampled graph is keyed by its parameters.
+        let gnp = |seed| Topology::gnp(150, 0.2, seed).unwrap();
+        assert_eq!(passes(&gnp(3)), 3);
+        assert_eq!(passes(&gnp(3)), 3);
+        assert_eq!(passes(&gnp(4)), 4);
     }
 
     #[test]
