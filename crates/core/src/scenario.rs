@@ -17,7 +17,7 @@
 //! # backend = "auto" | "implicit" | "materialized" | "sampled"
 //! # (structured static families default to the implicit closed-form
 //! # representation; random families — `er`, `regular`, `circulant-lift`
-//! # — accept "sampled" for the seeded lazy backend)
+//! # — accept "sampled" for the seeded backend, realized on first touch)
 //!
 //! [protocol]
 //! kind = "async"
@@ -114,11 +114,12 @@ pub struct FamilySpec {
     /// Topology backend: `"auto"` (default — closed-form implicit
     /// representation where one exists), `"implicit"` (require it),
     /// `"materialized"` (force CSR adjacency; for equivalence checks and
-    /// baselines), or `"sampled"` (seeded lazy random-graph backend — `er`
+    /// baselines), or `"sampled"` (seeded random-graph backend — `er`
     /// becomes [`gossip_graph::Topology::gnp`], `regular` becomes
-    /// [`gossip_graph::Topology::random_regular`]; no `Θ(n²)` generation,
-    /// no CSR build). Families without the requested representation reject
-    /// non-`auto` values at build time.
+    /// [`gossip_graph::Topology::random_regular`]; built in O(1), realized
+    /// once into a CSR graph on first touch and shared by every trial, no
+    /// `Θ(n²)` generation). Families without the requested representation
+    /// reject non-`auto` values at build time.
     pub backend: Option<String>,
     /// Seed for randomized family construction (default 1).
     pub build_seed: Option<u64>,
@@ -494,7 +495,7 @@ pub fn live_protocol_name(kind: &str) -> Option<&'static str> {
 }
 
 /// Largest sweep size allowed with `net.delivery = "udp"` on sampled
-/// topology backends: above this, realizing the sampled rows in every
+/// topology backends: above this, realizing the sampled graph in every
 /// peer process is the dominant cost and `local` delivery is the right
 /// tool.
 const UDP_SAMPLED_SIZE_LIMIT: usize = 65_536;
@@ -635,7 +636,7 @@ pub fn families() -> Vec<RegistryEntry> {
         RegistryEntry {
             name: "er",
             params: &["p", "backend"],
-            synopsis: "static Erdős–Rényi G(n,p) (backend=sampled: seeded lazy rows, no CSR)",
+            synopsis: "static Erdős–Rényi G(n,p) (backend=sampled: seeded, one shared CSR)",
         },
         RegistryEntry {
             name: "regular",
@@ -774,8 +775,8 @@ enum BackendChoice {
     Implicit,
     /// Force CSR adjacency lists.
     Materialized,
-    /// Require the seeded sampled representation (lazy random-graph
-    /// backend; error where none exists).
+    /// Require the seeded sampled representation (random-graph backend
+    /// realized on first touch; error where none exists).
     Sampled,
 }
 
@@ -880,8 +881,9 @@ pub fn build_family(spec: &FamilySpec, n: usize) -> Result<Box<dyn DynamicNetwor
             match backend {
                 // The eager generator *is* the sampled backend seeded with
                 // the rng's next u64, so the two representations below
-                // describe the identical graph for a given build seed —
-                // `backend = "sampled"` merely skips the CSR build.
+                // are the identical CSR graph for a given build seed —
+                // `backend = "sampled"` realizes it once, on first touch,
+                // for every trial to share.
                 BackendChoice::Sampled => choose_sampled(
                     sampled_topology(spec, n)?.expect("er + sampled is a sampled family"),
                 )?,
@@ -965,8 +967,8 @@ fn family_topology_seed(spec: &FamilySpec) -> u64 {
     SimRng::seed_from_u64(spec.build_seed.unwrap_or(1)).next_u64()
 }
 
-/// Whether `(kind, backend)` is served as a *shared* lazily realized
-/// sampled [`Topology`] — the combinations where cloning one cached
+/// Whether `(kind, backend)` is served as a *shared* sampled
+/// [`Topology`], realized on first touch — the combinations where cloning one cached
 /// topology shares its realized adjacency (`Arc`-backed) across trials
 /// and runs, making [`TopologyCache`] reuse sound and worthwhile.
 fn has_shared_sampled_topology(spec: &FamilySpec) -> Result<bool, ScenarioError> {
@@ -1008,9 +1010,9 @@ fn sampled_topology(spec: &FamilySpec, n: usize) -> Result<Option<Topology>, Sce
 /// semantic normal form ([`FamilySpec::normalized`]) and the sweep size.
 ///
 /// Sampled topologies (`er` / `regular` with `backend = "sampled"`,
-/// `circulant-lift`) realize adjacency lazily behind `Arc`-shared caches,
+/// `circulant-lift`) realize on first touch behind `Arc`-shared caches,
 /// so **cloning** a cached [`Topology`] hands the next run the already
-/// realized rows: a repeat G(n, p) sweep skips CSR realization entirely.
+/// realized graph: a repeat G(n, p) sweep skips CSR realization entirely.
 /// The graph is a pure function of `(family, n, build_seed)`, and the
 /// cache key captures exactly those inputs, so a hit is bit-identical to
 /// a cold build (test-enforced). Share one cache across runs via

@@ -6,9 +6,10 @@
 //! (the `q = 1 − p`-free limit of the edge-Markovian model \[7\], and the
 //! dynamic-graph regime Clementi et al. analyze for flooding). Every
 //! window is a seeded sampled [`Topology::gnp`] backend, so a step costs
-//! `O(1)` up front and `O(n + np·n)` realized lazily — no `Θ(n²)` scan,
-//! no CSR build — and [`ResampledGnp::edges_changed`] hands the engine
-//! the exact symmetric difference between consecutive samples
+//! `O(1)` up front and `O(n + np·n)` when the window is first queried —
+//! its rows drawn by geometric skipping into one CSR build, no `Θ(n²)`
+//! scan — and [`ResampledGnp::edges_changed`] hands the engine the exact
+//! symmetric difference between consecutive samples
 //! (`O(n + m_old + m_new)` straight off the realized rows).
 
 use crate::{DynamicNetwork, EdgeDelta};
@@ -116,7 +117,7 @@ impl DynamicNetwork for ResampledGnp {
 
     /// Single-step advances resample and report the exact symmetric
     /// difference between the outgoing and incoming samples, computed
-    /// straight off the lazily realized rows (no materialization).
+    /// straight off the two realized graphs' rows (no copy).
     /// Multi-window jumps fall back to `None` (the engine rebuilds after
     /// `topology` catches up).
     fn edges_changed(

@@ -1,6 +1,6 @@
 //! Randomized graph generators.
 
-use crate::{Graph, GraphError, NodeId, Topology};
+use crate::{Graph, GraphError, NodeId};
 use gossip_stats::SimRng;
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -10,8 +10,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 ///
 /// Edges are drawn by per-row **geometric skipping** over the pair
 /// indices — `O(n + n²p)` RNG draws instead of one `rng.chance(p)` call
-/// per pair — through the same seeded sampler as the lazy
-/// [`Topology::gnp`] backend (this function is exactly
+/// per pair — through the same seeded sampler as the sampled
+/// [`crate::Topology::gnp`] backend (this function is exactly
 /// `Topology::gnp(n, p, rng.next_u64()).materialize()` for `p > 0`), so
 /// eager and sampled `G(n, p)` share one code path. Per-pair marginals
 /// and independence are unchanged (each pair is still `Bernoulli(p)`;
@@ -49,7 +49,7 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Result<Graph, GraphErr
     if p == 0.0 {
         return Ok(Graph::empty(n));
     }
-    Ok(Topology::gnp(n, p, seed)?.materialize())
+    Ok(crate::sampled::gnp_graph(n, p, seed))
 }
 
 /// Random simple `d`-regular graph by the pairing (configuration) model
@@ -302,6 +302,7 @@ fn spans_connected(n: usize, edges: &[(NodeId, NodeId)]) -> bool {
 mod tests {
     use super::*;
     use crate::connectivity::is_connected;
+    use crate::Topology;
 
     #[test]
     fn er_extreme_probabilities() {

@@ -10,12 +10,12 @@
 //!   O(1) degree lookups and contiguous neighbor slices, built through
 //!   [`GraphBuilder`];
 //! * [`Topology`] — the graph *view* the simulators consume: implicit
-//!   closed-form backends (complete, star, circulant, complete bipartite,
-//!   two bridged cliques) with O(1) degree/neighbor queries and O(n)-free
-//!   memory, seeded *sampled* random-graph backends (`G(n, p)`, random
-//!   regular, circulant lift — lazy adjacency realized by geometric
-//!   skipping, see [`sampled`]), plus a [`Graph`]-backed materialized
-//!   fallback;
+//!   closed-form backends (complete, star, circulant, two bridged
+//!   cliques) with O(1) degree/neighbor queries and O(n)-free memory,
+//!   seeded *sampled* random-graph backends (`G(n, p)` and random regular
+//!   graphs realized into a CSR [`Graph`] on first touch, `G(n, p)` by
+//!   geometric skipping; the circulant lift; see [`sampled`]), plus a
+//!   [`Graph`]-backed materialized fallback;
 //! * [`NodeSet`] — a bitset over nodes (informed sets, cut sides);
 //! * [`cut`] — cut edges, volumes, and the push–pull cut rate `λ` of the
 //!   paper's Equation (1);

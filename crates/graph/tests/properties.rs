@@ -7,9 +7,9 @@
 //! is checked here on thousands of random graphs and cuts.
 
 use gossip_graph::{
-    conductance, connectivity, cut, diligence, generators, Graph, GraphBuilder, NodeSet,
+    conductance, connectivity, cut, diligence, generators, Graph, GraphBuilder, NodeSet, Topology,
 };
-use gossip_stats::SimRng;
+use gossip_stats::{Geometric, SimRng};
 use proptest::prelude::*;
 
 /// Builds an Erdős–Rényi graph from a derived seed, retrying towards
@@ -64,6 +64,24 @@ fn assert_rebuilds_from_upper(g: &Graph, prior: Graph) {
             .collect();
         assert_eq!(split, expected);
     }
+}
+
+/// The seeded `G(n, p)` drawn row by row as the sampler documents it —
+/// node `v`'s forward row from stream `v` of `seed`, geometric skips over
+/// the candidates `(v, n)` — and built through [`GraphBuilder`]: the
+/// reference for the CSR the sampled backend realizes.
+fn gnp_reference(n: usize, p: f64, seed: u64) -> Graph {
+    let geo = Geometric::new(p).unwrap();
+    let mut b = GraphBuilder::new(n);
+    for v in 0..n as u64 {
+        let mut rng = SimRng::seed_from_u64(seed).derive(v);
+        let mut u = v.saturating_add(geo.sample(&mut rng));
+        while u < n as u64 {
+            b.add_edge(v as u32, u as u32).unwrap();
+            u = u.saturating_add(geo.sample(&mut rng));
+        }
+    }
+    b.build()
 }
 
 #[test]
@@ -315,5 +333,26 @@ proptest! {
         let g = b.build();
         assert_rebuilds_from_upper(&g, generators::complete(n + 8).unwrap());
         assert_rebuilds_from_upper(&g, Graph::empty(0));
+    }
+
+    /// A seeded `G(n, p)` realizes the graph a [`GraphBuilder`] makes of
+    /// the same forward rows ([`gnp_reference`]), which is also what
+    /// [`generators::erdos_renyi`] draws from a stream whose first draw
+    /// is the seed; clones share the one realization.
+    #[test]
+    fn seeded_gnp_realizes_its_forward_rows(
+        n in 2usize..200,
+        q in 0.0f64..1.0,
+        stream in 0u64..u64::MAX,
+    ) {
+        let p = 1.0 - q;
+        let seed = SimRng::seed_from_u64(stream).next_u64();
+        let topology = Topology::gnp(n, p, seed).unwrap();
+        let clone = topology.clone();
+        let realized = topology.graph_cow();
+        prop_assert_eq!(&*realized, &gnp_reference(n, p, seed));
+        let eager = generators::erdos_renyi(n, p, &mut SimRng::seed_from_u64(stream)).unwrap();
+        prop_assert_eq!(&*realized, &eager);
+        prop_assert!(std::ptr::eq(&*realized, &*clone.graph_cow()));
     }
 }

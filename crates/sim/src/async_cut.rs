@@ -34,25 +34,22 @@
 //!   delta repairs them in place, so dynamic windows run the vectorized
 //!   loop too. It runs every trial the contact sampler does not: dynamic
 //!   networks, fault runs, sparser static graphs and handed-over trials.
-//! * **Closed form** — on implicit complete, star, and complete-bipartite
-//!   backends the symmetry collapses the whole rate vector to a handful of
-//!   counters: on `K_n` every uninformed node has in-rate `2|I|/(n−1)`, so
+//! * **Closed form** — on implicit complete and star backends the
+//!   symmetry collapses the whole rate vector to a handful of counters:
+//!   on `K_n` every uninformed node has in-rate `2|I|/(n−1)`, so
 //!   `λ = 2|I||U|/(n−1)`, sampling is a uniform draw from the uninformed
 //!   pool, and each infection updates the state in `O(1)`. A complete-graph
 //!   spread becomes `O(n)` total — the lever that takes dense-graph
 //!   experiments from `n ≈ 10⁴` to `n ≥ 10⁵`.
 //!
 //! Seeded *sampled* backends ([`gossip_graph::Topology::gnp`] and kin)
-//! ride the generic paths off adjacency the backend realizes lazily; no
-//! CSR `Graph` is ever constructed. Every generic strategy asks for
-//! degrees when it builds its state (the lane reads every node's), and a
-//! sampled `G(n, p)` answers its first `degree` call by realizing every
-//! forward row into its symmetric CSR. So the first trial on a sampled
-//! `G(n, p)` realizes the whole graph, `O(n + m)`, and clones of the
-//! topology share it from then on. Because sampled rows enumerate in the
-//! same sorted order as the materialized twin, a run consumes a
-//! bit-identical RNG stream either way (`tests/sampled_equivalence.rs`
-//! asserts this exactly).
+//! ride the generic paths. Every generic strategy asks for degrees when
+//! it builds its state (the lane reads every node's), and a sampled
+//! `G(n, p)` answers its first query by realizing the whole graph into a
+//! CSR `Graph`, `O(n + m)`, which clones of the topology share from then
+//! on. That CSR is the materialized twin's, sorted rows and all, so a run
+//! consumes a bit-identical RNG stream either way
+//! (`tests/sampled_equivalence.rs` asserts this exactly).
 //!
 //! The distribution over (infection sequence, times) is *identical* in
 //! every strategy and to the naive simulator's; the test suites check
@@ -409,14 +406,19 @@ enum RateState {
         center_informed: bool,
         uninformed_leaves: ShrinkPool,
     },
-    /// Implicit `K_{a,b}`: uninformed `A`-nodes share in-rate
-    /// `|I ∩ B|·(1/a + 1/b)` and symmetrically for `B`.
-    Bipartite {
-        a: usize,
-        b: usize,
-        uninformed_a: ShrinkPool,
-        uninformed_b: ShrinkPool,
-    },
+}
+
+impl RateState {
+    /// The uninformed pool of a closed-form state.
+    fn into_pool(self) -> Option<ShrinkPool> {
+        match self {
+            RateState::Complete { uninformed, .. } => Some(uninformed),
+            RateState::Star {
+                uninformed_leaves, ..
+            } => Some(uninformed_leaves),
+            _ => None,
+        }
+    }
 }
 
 /// Exact cut-rate simulator of the asynchronous push–pull algorithm.
@@ -482,10 +484,10 @@ impl CutRateAsync {
     }
 
     /// The event engine's rebuild: the closed form when the backend
-    /// admits one, else the vectorized lane ([`FastLane::build`]). Pools
-    /// are drawn from (and displaced ones returned to) the
-    /// [`SimWorkspace`]; they come back in ascending member order, so the
-    /// built state is the one fresh storage would hold.
+    /// admits one, else the vectorized lane ([`FastLane::build`]). The
+    /// closed form's pool is drawn from (and a displaced one returned to)
+    /// the [`SimWorkspace`]; it comes back in ascending member order, so
+    /// the built state is the one fresh storage would hold.
     pub(crate) fn rebuild_rates_in(
         &mut self,
         g: &Topology,
@@ -550,9 +552,9 @@ impl CutRateAsync {
         &self.ran
     }
 
-    /// Builds the closed-form state of an implicit complete, star or
-    /// complete-bipartite backend and returns `true`; returns `false`,
-    /// leaving the state alone, on every other backend.
+    /// Builds the closed-form state of an implicit complete or star
+    /// backend and returns `true`; returns `false`, leaving the state
+    /// alone, on every other backend.
     fn rebuild_closed_form(
         &mut self,
         g: &Topology,
@@ -561,13 +563,13 @@ impl CutRateAsync {
     ) -> bool {
         debug_assert_eq!(g.n(), self.n, "begin() saw a different network size");
         match g.structure() {
-            Structure::Complete { n } => {
-                let (mut uninformed, _) = self.take_picks(ws);
+            Some(Structure::Complete { n }) => {
+                let mut uninformed = self.take_pool(ws);
                 uninformed.reset_from(n, |v| !informed.contains(v));
                 self.state = Some(RateState::Complete { n, uninformed });
             }
-            Structure::Star { n, center } => {
-                let (mut uninformed_leaves, _) = self.take_picks(ws);
+            Some(Structure::Star { n, center }) => {
+                let mut uninformed_leaves = self.take_pool(ws);
                 uninformed_leaves.reset_from(n, |v| v != center && !informed.contains(v));
                 self.state = Some(RateState::Star {
                     n,
@@ -576,72 +578,28 @@ impl CutRateAsync {
                     uninformed_leaves,
                 });
             }
-            Structure::CompleteBipartite { a, b } => {
-                let (mut pick_a, mut pick_b) = self.take_picks(ws);
-                let n = a + b;
-                pick_a.reset_from(n, |v| (v as usize) < a && !informed.contains(v));
-                pick_b.reset_from(n, |v| (v as usize) >= a && !informed.contains(v));
-                self.state = Some(RateState::Bipartite {
-                    a,
-                    b,
-                    uninformed_a: pick_a,
-                    uninformed_b: pick_b,
-                });
-            }
-            _ => return false,
+            None => return false,
         }
         true
     }
 
-    /// Salvages the pool allocations from the previous state, then from
-    /// the workspace, before falling back to fresh (empty) pools.
-    ///
-    /// Single-pool states leave the workspace untouched for the unused
-    /// second slot, so a parked pool stays parked for whoever needs it.
-    fn take_picks(&mut self, mut ws: Option<&mut SimWorkspace>) -> (ShrinkPool, ShrinkPool) {
-        let pick = |ws: &mut Option<&mut SimWorkspace>| match ws.as_deref_mut() {
-            Some(ws) => ws.take_pool(),
-            None => ShrinkPool::default(),
-        };
-        match self.state.take() {
-            Some(RateState::Complete { uninformed, .. }) => (uninformed, ShrinkPool::default()),
-            Some(RateState::Star {
-                uninformed_leaves, ..
-            }) => (uninformed_leaves, ShrinkPool::default()),
-            Some(RateState::Bipartite {
-                uninformed_a,
-                uninformed_b,
-                ..
-            }) => (uninformed_a, uninformed_b),
-            // The lane keeps its storage in `fast`; a window engine's
-            // tree is dropped.
-            _ => {
-                let a = pick(&mut ws);
-                let b = pick(&mut ws);
-                (a, b)
-            }
+    /// The uninformed pool for a closed-form state: the previous state's,
+    /// else the one parked in the workspace, else a fresh (empty) one.
+    /// (The lane keeps its storage in `fast`; a window engine's tree is
+    /// dropped.)
+    fn take_pool(&mut self, ws: Option<&mut SimWorkspace>) -> ShrinkPool {
+        match self.state.take().and_then(RateState::into_pool) {
+            Some(pool) => pool,
+            None => ws
+                .map(|ws| std::mem::take(&mut ws.pool))
+                .unwrap_or_default(),
         }
     }
 
-    /// Parks the pools of a rate state in the workspace.
+    /// Parks the pool of a closed-form rate state in the workspace.
     fn stash_state(state: Option<RateState>, ws: &mut SimWorkspace) {
-        match state {
-            None
-            | Some(RateState::Fenwick(_))
-            | Some(RateState::Lane)
-            | Some(RateState::Contacts) => {}
-            Some(RateState::Complete { uninformed, .. }) => ws.put_pool(uninformed),
-            Some(RateState::Star {
-                uninformed_leaves, ..
-            }) => ws.put_pool(uninformed_leaves),
-            Some(RateState::Bipartite {
-                uninformed_a,
-                uninformed_b,
-                ..
-            }) => {
-                ws.put_pool(uninformed_a);
-                ws.put_pool(uninformed_b);
-            }
+        if let Some(pool) = state.and_then(RateState::into_pool) {
+            ws.pool = pool;
         }
     }
 
@@ -691,16 +649,6 @@ impl CutRateAsync {
                 };
                 cut_edges as f64 * (1.0 + 1.0 / (*n as f64 - 1.0))
             }
-            Some(RateState::Bipartite {
-                a,
-                b,
-                uninformed_a,
-                uninformed_b,
-            }) => {
-                let (ua, ub) = (uninformed_a.len(), uninformed_b.len());
-                let cut_edges = ua * (b - ub) + ub * (a - ua);
-                cut_edges as f64 * (1.0 / *a as f64 + 1.0 / *b as f64)
-            }
         }
     }
 
@@ -731,21 +679,6 @@ impl CutRateAsync {
                     }
                 } else if *center_informed && uninformed_leaves.contains(v) {
                     w
-                } else {
-                    0.0
-                }
-            }
-            Some(RateState::Bipartite {
-                a,
-                b,
-                uninformed_a,
-                uninformed_b,
-            }) => {
-                let w = 1.0 / *a as f64 + 1.0 / *b as f64;
-                if uninformed_a.contains(v) {
-                    (b - uninformed_b.len()) as f64 * w
-                } else if uninformed_b.contains(v) {
-                    (a - uninformed_a.len()) as f64 * w
                 } else {
                     0.0
                 }
@@ -788,24 +721,6 @@ impl CutRateAsync {
                     (uninformed_leaves.len() < n - 1).then_some(*center)
                 }
             }
-            RateState::Bipartite {
-                a,
-                b,
-                uninformed_a,
-                uninformed_b,
-            } => {
-                let (ua, ub) = (uninformed_a.len(), uninformed_b.len());
-                let (wa, wb) = (ua * (b - ub), ub * (a - ua));
-                if wa + wb == 0 {
-                    return None;
-                }
-                let x = rng.uniform_f64() * (wa + wb) as f64;
-                Some(if x < wa as f64 {
-                    uninformed_a.sample(rng)
-                } else {
-                    uninformed_b.sample(rng)
-                })
-            }
         }
     }
 
@@ -831,17 +746,6 @@ impl CutRateAsync {
                     *center_informed = true;
                 } else {
                     uninformed_leaves.remove(v);
-                }
-            }
-            RateState::Bipartite {
-                uninformed_a,
-                uninformed_b,
-                ..
-            } => {
-                if uninformed_a.contains(v) {
-                    uninformed_a.remove(v);
-                } else {
-                    uninformed_b.remove(v);
                 }
             }
             RateState::Fenwick(rates) => {
@@ -1678,34 +1582,6 @@ mod tests {
     }
 
     #[test]
-    fn implicit_bipartite_closed_form_matches_rates() {
-        let (a, b) = (5usize, 8usize);
-        let n = a + b;
-        let topo = gossip_graph::Topology::complete_bipartite(a, b).unwrap();
-        let mat =
-            gossip_graph::Topology::materialized(generators::complete_bipartite(a, b).unwrap());
-        for informed_set in [vec![0u32], vec![6u32], vec![0, 1, 6, 7, 12]] {
-            let mut informed = NodeSet::new(n);
-            for &v in &informed_set {
-                informed.insert(v);
-            }
-            let mut fast = CutRateAsync::new();
-            fast.begin(n);
-            fast.rebuild_rates(&topo, &informed);
-            let mut slow = CutRateAsync::new();
-            slow.begin(n);
-            slow.rebuild_rates(&mat, &informed);
-            assert!((fast.total_rate() - slow.total_rate()).abs() < 1e-12);
-            for v in 0..n as NodeId {
-                assert!(
-                    (fast.rate_of(v) - slow.rate_of(v)).abs() < 1e-12,
-                    "informed {informed_set:?}, node {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn implicit_complete_large_run_is_linear_memory() {
         // A smoke test at a size whose CSR form would be ~40 GB: only
         // possible because nothing is materialized.
@@ -1722,8 +1598,8 @@ mod tests {
 
     #[test]
     fn sampled_gnp_rates_match_materialized_twin() {
-        // The sampled backend rides the Fenwick path off lazily realized
-        // rows; sorted-order parity with the CSR twin makes the float
+        // The sampled backend rides the Fenwick path off its realized
+        // CSR; sorted-order parity with the CSR twin makes the float
         // accumulation identical operation for operation.
         let n = 40;
         let topo = gossip_graph::Topology::gnp(n, 0.15, 77).unwrap();

@@ -331,7 +331,7 @@ mod tests {
         // closed form and draw the same RNG stream (one gap and one pool
         // pick per infection): the spread times agree up to float
         // summation order.
-        let g = gossip_graph::Topology::complete_bipartite(15, 25).unwrap();
+        let g = gossip_graph::Topology::star(40, 7).unwrap();
         for seed in 0..20 {
             let mut rng_a = SimRng::seed_from_u64(seed);
             let mut rng_b = SimRng::seed_from_u64(seed);

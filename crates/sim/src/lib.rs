@@ -18,8 +18,8 @@
 //!   `λ = Σ_{{u,v}∈E(I,U)} (1/d_u + 1/d_v)` and is node `v` with
 //!   probability proportional to its in-rate. Identical distribution,
 //!   `O(events · log n)` instead of `O(n·T)` work — and on implicit
-//!   structured backends (complete / star / complete-bipartite
-//!   [`gossip_graph::Topology`] values) the rate vector collapses to
+//!   structured backends (complete / star [`gossip_graph::Topology`]
+//!   values) the rate vector collapses to
 //!   closed-form counters, `O(1)` per infection and `O(n)` per run.
 //!
 //! Protocols consume [`gossip_graph::Topology`] views rather than

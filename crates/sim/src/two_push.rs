@@ -237,7 +237,7 @@ mod tests {
     fn forward_push_respects_layers() {
         // Two-layer complete bipartite: S0 = {0,1}, S1 = {2,3}. A node of
         // S1, once informed, never pushes anywhere (last layer).
-        let g = Topology::complete_bipartite(2, 2).unwrap();
+        let g = Topology::materialized(generators::complete_bipartite(2, 2).unwrap());
         let clusters = vec![vec![0u32, 1], vec![2u32, 3]];
         let mut proto = ForwardTwoPush::new(4, &clusters);
         assert_eq!(proto.layer_of(0), Some(0));

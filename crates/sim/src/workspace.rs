@@ -2,7 +2,7 @@
 //!
 //! Every trial of every experiment needs the same transient state: an
 //! informed-set bitset, a trajectory buffer, the cut-rate simulator's
-//! uninformed pools, and the two delta-repair mark bitsets (endpoints
+//! uninformed pool, and the two delta-repair mark bitsets (endpoints
 //! walked, nodes to recompute). Allocating all of it per trial and
 //! dropping it at trial end made small-`n` / high-trial sweeps spend a
 //! large share of their wall clock in the allocator and in re-zeroing
@@ -25,8 +25,8 @@ use std::sync::Mutex;
 /// swap-remove, O(1) uniform draws, refilled in place across trials.
 ///
 /// This is the uninformed-pool structure of the closed-form cut-rate
-/// states (implicit complete / star / bipartite backends). It lives here
-/// so [`SimWorkspace`] can retain the `members`/`pos` allocations between
+/// states (implicit complete / star backends). It lives here so
+/// [`SimWorkspace`] can retain the `members`/`pos` allocations between
 /// trials; [`ShrinkPool::reset_from`] refills them without growing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShrinkPool {
@@ -60,6 +60,7 @@ impl ShrinkPool {
         self.members.len()
     }
 
+    #[cfg(test)]
     pub(crate) fn contains(&self, v: NodeId) -> bool {
         self.pos[v as usize] != ABSENT
     }
@@ -116,7 +117,9 @@ impl ShrinkPool {
 pub struct SimWorkspace {
     informed: Option<NodeSet>,
     trajectory: Option<Vec<(f64, usize)>>,
-    pools: Vec<ShrinkPool>,
+    /// The closed-form cut-rate states' uninformed pool, parked between
+    /// trials (dirty; [`ShrinkPool::reset_from`] refills it).
+    pub(crate) pool: ShrinkPool,
     /// Delta-repair marks: `(touched endpoints, stale nodes)`.
     repair_marks: Option<(NodeSet, NodeSet)>,
 }
@@ -155,20 +158,6 @@ impl SimWorkspace {
     /// Returns a trajectory buffer for reuse by the next trial.
     pub(crate) fn put_trajectory(&mut self, buf: Vec<(f64, usize)>) {
         self.trajectory = Some(buf);
-    }
-
-    /// Checks out a pool (dirty; callers refill via
-    /// [`ShrinkPool::reset_from`]).
-    pub(crate) fn take_pool(&mut self) -> ShrinkPool {
-        self.pools.pop().unwrap_or_default()
-    }
-
-    /// Returns a pool for reuse by the next trial.
-    pub(crate) fn put_pool(&mut self, pool: ShrinkPool) {
-        // Two suffice for every rate state (bipartite uses a pair).
-        if self.pools.len() < 2 {
-            self.pools.push(pool);
-        }
     }
 
     /// The delta-repair marks over universe `0..n`, both cleared: the
@@ -319,18 +308,5 @@ mod tests {
         let set = ws.take_informed(12);
         assert!(set.is_empty());
         assert_eq!(set.universe(), 12);
-    }
-
-    #[test]
-    fn pool_storage_caps_at_a_pair() {
-        let mut ws = SimWorkspace::new();
-        for _ in 0..4 {
-            ws.put_pool(ShrinkPool::default());
-        }
-        assert_eq!(ws.pools.len(), 2);
-        let _ = ws.take_pool();
-        let _ = ws.take_pool();
-        let _ = ws.take_pool(); // empty: default
-        assert!(ws.pools.is_empty());
     }
 }

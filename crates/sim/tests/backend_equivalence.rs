@@ -149,26 +149,14 @@ fn circulant_backends_agree() {
 }
 
 #[test]
-fn complete_bipartite_backends_agree() {
-    assert_backends_agree(
-        "complete_bipartite(7, 9)",
-        Topology::complete_bipartite(7, 9).unwrap(),
-        0,
-        1200,
-        11004,
-    );
-}
-
-#[test]
 fn naive_stream_identical_on_sorted_backends() {
-    // Complete, star, bipartite, and two-cliques backends enumerate
+    // Complete, star, and two-cliques backends enumerate
     // neighbors in the same increasing order as CSR adjacency, so the
     // naive protocol — which draws `rng.index(degree)` and indexes — must
     // reproduce the materialized run *exactly*, not just in distribution.
     let backends = [
         ("complete", Topology::complete(18).unwrap()),
         ("star", Topology::star(18, 5).unwrap()),
-        ("bipartite", Topology::complete_bipartite(6, 12).unwrap()),
         (
             "two-cliques",
             Topology::two_cliques(18, 9, (2, 13)).unwrap(),

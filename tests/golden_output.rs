@@ -24,7 +24,9 @@
 //! event engine samples contacts on dense static generic topologies in
 //! fault-free trials) moved no digest pinned before it: every pinned
 //! static graph is too sparse for the sampler. Its own pin is (d), a
-//! sweep of the benchmark's G(n, p) shape.
+//! sweep of the benchmark's G(n, p) shape. Pin (e), taken at version 5
+//! too, is a sampled G(n, p) sweep the vectorized lane runs to complete
+//! spread, equal to its materialized twin byte for byte.
 //!
 //! The `#[ignore]`d test at the end pins the benchmark's two dynamic
 //! sweeps at full size; it runs in release (`cargo test --release --test
@@ -159,6 +161,37 @@ fn contact_sampler_jsonl_is_pinned() {
         jsonl_digest(&gnp),
         (16, 0x9f54_713b_01ac_ab4d),
         "sampled G(n, 0.01), async, event engine",
+    );
+}
+
+#[test]
+fn lane_gnp_jsonl_is_pinned() {
+    assert_version();
+    // (e) Async push-pull on static G(n, 0.01) at mean degree 9 and 11,
+    // below the contact sampler's threshold, so the vectorized lane runs
+    // every trial; build seed 1 draws connected graphs, so every trial
+    // spreads. The sampled and the materialized graph are the same.
+    let sampled = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-gnp-lane",
+            "family": {"kind": "er", "p": 0.01, "backend": "sampled"},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [900, 1100], "trials": 40, "seed": 43, "engine": "event"}
+        }"#,
+    )
+    .unwrap();
+    let mut materialized = sampled.clone();
+    materialized.family.backend = Some("materialized".into());
+    let digest = jsonl_digest(&sampled);
+    assert_eq!(
+        digest,
+        jsonl_digest(&materialized),
+        "sampled vs materialized G(n, 0.01)"
+    );
+    assert_pinned(
+        digest,
+        (80, 0x2e3d_5d95_4395_3d3e),
+        "sampled G(n, 0.01), async, lane",
     );
 }
 
