@@ -26,19 +26,12 @@
 //!   the contact sampler (which hands a trial over to the vectorized
 //!   lane when too few proposals cross), on simulator-bound sparse
 //!   `G(n, p)` (mean degree 100–200) and a spread-offset d = 128
-//!   circulant, single thread, ns/event (the median of five batches
-//!   after one warm-up batch).
+//!   circulant, single thread, ns/event (the median of five interleaved
+//!   rounds, each running one batch of every cell, after one warm-up
+//!   round).
 //! * `trial_throughput` — the driver's trials/sec on many small trials
 //!   (per-worker workspace reuse plus chunked record delivery) at
 //!   n ∈ {100, 1e3, 1e4} per family.
-//! * `sweep_parallel` — a whole 8-cell sweep through
-//!   [`gossip_core::scenario::SweepPlan`], sequential cells vs
-//!   `cell_parallel` work stealing over the same thread budget.
-//!   `sweep_parallel/available_parallelism` records the hardware
-//!   context; on a single-core host the speedup ratio is *skipped* with
-//!   a printed note (a ≈ 1.0 "speedup" there is scheduler noise, not a
-//!   measurement) and `sweep_parallel_speedup/complete/<cells>` is only
-//!   recorded when ≥ 2 hardware threads exist.
 //! * `serve_cache` — the `gossip-serve` daemon end to end over TCP on
 //!   `scenarios/gnp-sparse.toml`: `cache_speedup/gnp-sparse` = cold
 //!   first submission ÷ content-addressed cache-hit replay (zero trials
@@ -71,11 +64,6 @@
 //! `inner_loop/<family>/<n>` = the event engine's ns/event on a dense
 //! static graph (the contact sampler),
 //! `trial_throughput/<family>/<n>` = trials/sec of a batch,
-//! `sweep_parallel/available_parallelism` = hardware threads seen by the
-//! sweep scheduler (always recorded), with
-//! `sweep_parallel_speedup/complete/<cells>` = sequential ÷
-//! cell-parallel sweep wall clock recorded only when that parallelism
-//! is ≥ 2,
 //! `cache_speedup/gnp-sparse` / `serve_throughput/gnp-sparse` /
 //! `warm_topology_speedup/gnp-sparse` = the simulation-as-a-service
 //! figures described above,
@@ -93,7 +81,7 @@
 //! `net_million/complete/1000000` = the same figure at the
 //! million-actor scale demo (8 groups, t ≤ 8; full mode only). The keys
 //! recorded as a median of repetitions (`runplan_overhead`,
-//! `serve_throughput`, `warm_topology_speedup`,
+//! `inner_loop`, `serve_throughput`, `warm_topology_speedup`,
 //! `huge_trial/gnp/10000000/ns_per_event`) carry their extremes beside
 //! them as `<key>/min` and `<key>/max`.
 //!
@@ -108,7 +96,6 @@
 //! Run with: `cargo bench -p gossip-bench --bench engine`
 
 use criterion::{BenchmarkId, Criterion};
-use gossip_core::scenario::{FamilySpec, ProtocolSpec, ScenarioSpec, SweepPlan, SweepSpec};
 use gossip_dynamics::{DynamicNetwork, StaticNetwork};
 use gossip_graph::{generators, Topology};
 use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetTraffic};
@@ -447,127 +434,64 @@ fn spread_circulant(n: usize, half_deg: usize) -> Topology {
     Topology::materialized(generators::circulant(n, &offsets).unwrap())
 }
 
-/// The event engine's sampler on a dense static graph (the contact
-/// sampler), in ns per informative event: single thread, single
-/// process, the median of five batches after one unmeasured warm-up
-/// batch that faults in the working set.
-fn bench_inner_loop<F>(
-    c: &mut Criterion,
-    family: &str,
+/// Interleaved rounds behind each `inner_loop` key's median.
+const INNER_LOOP_ROUNDS: usize = 5;
+
+/// One `inner_loop` cell: a dense static graph and its trials per batch.
+struct InnerLoopCell {
+    family: &'static str,
     n: usize,
     trials: usize,
-    knobs: &Knobs,
-    make_net: F,
-) where
-    F: Fn() -> StaticNetwork + Sync + Copy,
-{
-    let trials = if knobs.smoke { trials.min(16) } else { trials };
-    let reps = if knobs.smoke { 1 } else { 5 };
+    topology: Topology,
+}
 
-    let measure = || -> f64 {
+/// The event engine's sampler on dense static graphs (the contact
+/// sampler), in ns per informative event: single thread, one batch of
+/// every cell per round, `INNER_LOOP_ROUNDS` rounds after one unmeasured
+/// warm-up round that realizes the graphs and faults in the working
+/// sets. Interleaving spreads a slow phase of the host over every cell
+/// instead of one key.
+fn bench_inner_loop(c: &mut Criterion, cells: &[InnerLoopCell], knobs: &Knobs) {
+    let rounds = if knobs.smoke { 1 } else { INNER_LOOP_ROUNDS };
+    let batch = |cell: &InnerLoopCell| -> f64 {
+        let trials = if knobs.smoke {
+            cell.trials.min(16)
+        } else {
+            cell.trials
+        };
         let report = RunPlan::new(trials, 99)
             .engine(Engine::Event)
             .threads(1)
-            .execute(make_net, || AnyProtocol::event(CutRateAsync::new()))
+            .execute(
+                || StaticNetwork::from_topology(cell.topology.clone()),
+                || AnyProtocol::event(CutRateAsync::new()),
+            )
             .expect("valid plan");
         assert_eq!(
             report.completed(),
             trials,
-            "inner_loop/{family}/{n}: {} of {trials} trials completed",
+            "inner_loop/{}/{}: {} of {trials} trials completed",
+            cell.family,
+            cell.n,
             report.completed()
         );
         report.elapsed().as_nanos() as f64 / report.events() as f64
     };
 
-    let _ = measure();
-    let mut runs: Vec<f64> = (0..reps).map(|_| measure()).collect();
-    runs.sort_by(f64::total_cmp);
-    let median = runs[reps / 2];
-    println!(
-        "inner_loop/{family}/{n}: {median:.1} ns/event (range {:.1}-{:.1})",
-        runs[0],
-        runs[reps - 1]
-    );
-    c.record_metric(format!("inner_loop/{family}/{n}"), median);
-}
-
-/// Whole-sweep wall clock: sequential cells vs `cell_parallel` work
-/// stealing, through the same [`SweepPlan`] entry point the CLI uses.
-///
-/// Both modes produce bit-identical reports (test-enforced in
-/// `gossip-core`); the measured gap is purely the scheduler. The cells
-/// are deliberately small complete graphs so per-cell runtime is
-/// driver-scale and scheduling overhead is visible. On a host with
-/// fewer cores than cells the ratio sits near 1 — cell-level stealing
-/// only wins when idle cores exist that per-cell trial parallelism
-/// cannot fill (few trials, many cells) — so on a single-core host the
-/// ratio is skipped outright (see the in-function note) and
-/// `sweep_parallel/available_parallelism` records why; where it is
-/// recorded, `sweep_parallel_speedup/complete/<cells>` is a measured
-/// shape, not an acceptance bar.
-fn bench_sweep_parallel(c: &mut Criterion, knobs: &Knobs) {
-    const CELLS: usize = 8;
-    let trials = if knobs.smoke { 16 } else { 512 };
-    let reps = if knobs.smoke { 1 } else { 5 };
-
-    let spec = |cell_parallel: bool| ScenarioSpec {
-        name: "bench-sweep-parallel".into(),
-        description: None,
-        family: FamilySpec::new("complete"),
-        protocol: ProtocolSpec::new("async"),
-        sweep: SweepSpec {
-            trials: Some(trials),
-            seed: Some(7),
-            cell_parallel: Some(cell_parallel),
-            ..SweepSpec::over((100..100 + CELLS).collect())
-        },
-        faults: None,
-        net: None,
-    };
-    let sequential = spec(false);
-    let parallel = spec(true);
-    let measure = |spec: &ScenarioSpec| -> f64 {
-        let plan = SweepPlan::new(spec).expect("valid spec");
-        let t0 = Instant::now();
-        let report = plan.run().expect("sweep runs");
-        let elapsed = t0.elapsed().as_secs_f64();
-        assert_eq!(report.rows.len(), CELLS);
-        assert!(report.rows.iter().all(|r| r.completed == trials));
-        elapsed
-    };
-
-    // Record the hardware context first: a ≈ 1.0 "speedup" is the
-    // *expected* shape on a single-core box, not a regression, and the
-    // recorded parallelism is what lets a reader tell the two apart.
-    let avail = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    c.record_metric("sweep_parallel/available_parallelism", avail as f64);
-    if avail < 2 {
-        // Documented skip-note: with one hardware thread the scheduler
-        // can only rearrange work, so a ratio would be noise around 1.0
-        // masquerading as a measurement. The speedup key is omitted on
-        // purpose; consumers must key off available_parallelism.
-        println!(
-            "sweep_parallel/complete/{CELLS}: skipped — only {avail} hardware thread(s) \
-             available; cell-level work stealing cannot beat sequential cells without idle \
-             cores, so no sweep_parallel_speedup/complete/{CELLS} ratio is recorded"
-        );
-        return;
+    for cell in cells {
+        let _ = batch(cell);
     }
-
-    let _ = measure(&sequential);
-    let _ = measure(&parallel);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let seq = measure(&sequential);
-        let par = measure(&parallel);
-        ratios.push(seq / par);
+    let mut samples = vec![Vec::with_capacity(rounds); cells.len()];
+    for _ in 0..rounds {
+        for (cell, runs) in cells.iter().zip(&mut samples) {
+            runs.push(batch(cell));
+        }
     }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[reps / 2];
-    println!("sweep_parallel/complete/{CELLS}: sequential / cell_parallel = {ratio:.2}x");
-    c.record_metric(format!("sweep_parallel_speedup/complete/{CELLS}"), ratio);
+    for (cell, runs) in cells.iter().zip(samples) {
+        let key = format!("inner_loop/{}/{}", cell.family, cell.n);
+        let median = record_spread(c, &key, runs);
+        println!("{key}: {median:.1} ns/event (median of {rounds} interleaved rounds)");
+    }
 }
 
 /// The simulation-as-a-service figures, measured end to end over TCP
@@ -927,31 +851,39 @@ fn main() {
     }
 
     // The event engine's sampler on dense static graphs (the contact
-    // sampler), single thread. Topologies are
-    // hoisted and `Arc`-shared so realization is paid once, outside every
-    // timed batch; mean degrees (100, 200, d = 128) put the cells
-    // squarely in simulator-bound territory.
+    // sampler), single thread. Topologies are `Arc`-shared, so the
+    // warm-up round pays realization once, outside every timed batch;
+    // mean degrees (100, 200, d = 128) put the cells squarely in
+    // simulator-bound territory.
     {
-        let gnp_1k = Topology::gnp(1_000, 100.0 / 999.0, 123).expect("valid parameters");
-        bench_inner_loop(&mut c, "gnp", 1_000, 256, &knobs, || {
-            StaticNetwork::from_topology(gnp_1k.clone())
-        });
-        let gnp_10k = Topology::gnp(10_000, 200.0 / 9_999.0, 123).expect("valid parameters");
-        bench_inner_loop(&mut c, "gnp", 10_000, 32, &knobs, || {
-            StaticNetwork::from_topology(gnp_10k.clone())
-        });
-        let circ_1k = spread_circulant(1_000, 64);
-        bench_inner_loop(&mut c, "circulant", 1_000, 256, &knobs, || {
-            StaticNetwork::from_topology(circ_1k.clone())
-        });
-        let circ_10k = spread_circulant(10_000, 64);
-        bench_inner_loop(&mut c, "circulant", 10_000, 32, &knobs, || {
-            StaticNetwork::from_topology(circ_10k.clone())
-        });
+        let cells = [
+            InnerLoopCell {
+                family: "gnp",
+                n: 1_000,
+                trials: 256,
+                topology: Topology::gnp(1_000, 100.0 / 999.0, 123).expect("valid parameters"),
+            },
+            InnerLoopCell {
+                family: "gnp",
+                n: 10_000,
+                trials: 32,
+                topology: Topology::gnp(10_000, 200.0 / 9_999.0, 123).expect("valid parameters"),
+            },
+            InnerLoopCell {
+                family: "circulant",
+                n: 1_000,
+                trials: 256,
+                topology: spread_circulant(1_000, 64),
+            },
+            InnerLoopCell {
+                family: "circulant",
+                n: 10_000,
+                trials: 32,
+                topology: spread_circulant(10_000, 64),
+            },
+        ];
+        bench_inner_loop(&mut c, &cells, &knobs);
     }
-
-    // Sweep-level work stealing vs sequential cells through SweepPlan.
-    bench_sweep_parallel(&mut c, &knobs);
 
     // Simulation-as-a-service: result-cache replay, hit throughput, and
     // warm-topology reuse, end to end over TCP.
@@ -965,7 +897,6 @@ fn main() {
         "inner_loop/gnp/10000",
         "inner_loop/circulant/1000",
         "inner_loop/circulant/10000",
-        "sweep_parallel/available_parallelism",
     ] {
         assert!(
             c.metric(key).is_some(),

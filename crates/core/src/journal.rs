@@ -99,17 +99,19 @@ pub const RESULTS_VERSION: u32 = 5;
 /// Stable across processes and platforms; used to bind a journal file to
 /// the experiment that produced it. Two specs hash equal exactly when
 /// they describe the same experiment: presentation-only fields
-/// (description, `sweep.threads` / `cell_parallel`, and
+/// (description, `sweep.threads`, and
 /// `[net]`'s transport knobs) and defaults written out explicitly do not
 /// change the hash, and a spec loaded from TOML hashes identically to
 /// the same spec loaded from JSON. A live spec never hashes like its
 /// analytic twin. The `gossip serve` result store keys on this hash, so
 /// equivalent requests share one cache entry.
 ///
-/// The rendering keeps `"workspace": null` and `"vectorized": null` in the
-/// sweep table, after `start`: existing live store keys were taken over a
-/// rendering with those two nulls, and the live results behind them are
-/// unchanged.
+/// The rendering keeps three removed sweep keys as nulls where they
+/// rendered: `"workspace"` and `"vectorized"` after `start`, and
+/// `"cell_parallel"` last. Store keys were taken over renderings with
+/// those nulls, and the results behind them are unchanged; without
+/// `cell_parallel`'s null, which every normalized spec rendered, no
+/// stored entry would answer.
 pub fn spec_hash(spec: &ScenarioSpec) -> u64 {
     let mut canonical = spec.normalized().to_value();
     if let Value::Map(top) = &mut canonical {
@@ -120,6 +122,7 @@ pub fn spec_hash(spec: &ScenarioSpec) -> u64 {
                 .expect("the sweep table renders `start`");
             let retired = ["workspace", "vectorized"].map(|k| (k.to_string(), Value::Null));
             sweep.splice(at..at, retired);
+            sweep.push(("cell_parallel".to_string(), Value::Null));
         }
     }
     let json = serde_json::to_string_pretty(&canonical);
@@ -540,10 +543,6 @@ mod tests {
         p.sweep.threads = Some(8);
         assert_eq!(spec_hash(&p), base, "thread count is bit-invisible");
 
-        let mut p = spec.clone();
-        p.sweep.cell_parallel = Some(true);
-        assert_eq!(spec_hash(&p), base, "cell scheduling is bit-invisible");
-
         // Spelling defaults out explicitly is the same experiment.
         let mut p = spec.clone();
         p.sweep.trials = Some(p.sweep.trials_or_default());
@@ -754,6 +753,34 @@ max_time = 4.0
             Journal::load(&path),
             Err(ScenarioError::Journal(m)) if m.contains("bad header")
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn headers_that_embed_a_removed_sweep_key_still_resume() {
+        // Older binaries embedded `sweep.cell_parallel` in the header's
+        // spec (null, or the value a spec set); the header reader skips
+        // it and the stored hash still matches.
+        let spec = ScenarioSpec::template();
+        let plan = ScenarioPlan::new(spec.clone()).unwrap();
+        let header = JournalHeader {
+            scenario: spec.name.clone(),
+            spec_hash: spec_hash(&spec),
+            results_version: RESULTS_VERSION,
+            spec,
+        };
+        let path = temp_path("removed-key-header");
+        JournalWriter::create(&path, &header).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for value in ["null", "true"] {
+            let old = format!("\"threads\":null,\"cell_parallel\":{value}");
+            let older = text.replacen("\"threads\":null", &old, 1);
+            assert!(older.contains(&old));
+            std::fs::write(&path, older).unwrap();
+            let loaded = Journal::load(&path).unwrap();
+            assert_eq!(loaded.header, header);
+            loaded.header.check(&plan).unwrap();
+        }
         std::fs::remove_file(&path).ok();
     }
 

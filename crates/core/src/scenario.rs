@@ -211,17 +211,10 @@ pub struct SweepSpec {
     pub engine: Option<String>,
     /// Start node override (default: the family's suggested start).
     pub start: Option<u32>,
-    /// Global thread budget for the sweep (default: every available
-    /// core). Per-cell mode hands the whole budget to each size's
-    /// [`RunPlan`]; cell-parallel mode splits it across concurrent cells.
+    /// Worker threads for the sweep (default: every available core).
+    /// Cells run one after another, and each size's [`RunPlan`] spreads
+    /// its trials over this many workers.
     pub threads: Option<usize>,
-    /// Sweep-level parallelism: `true` schedules whole `(n, trials)`
-    /// cells across the thread budget (workers steal the next unclaimed
-    /// cell), instead of parallelizing only within one cell at a time.
-    /// Summaries and observer streams are bit-identical to the
-    /// sequential per-cell mode (test-enforced); pick cell-parallel for
-    /// many small cells, per-cell for few large ones.
-    pub cell_parallel: Option<bool>,
 }
 
 impl SweepSpec {
@@ -235,7 +228,6 @@ impl SweepSpec {
             engine: None,
             start: None,
             threads: None,
-            cell_parallel: None,
         }
     }
 
@@ -1171,7 +1163,7 @@ pub fn build_protocol(spec: &ProtocolSpec) -> Result<Box<dyn Protocol>, Scenario
 
 /// Keys that older specs set and this binary refuses by name, with what
 /// replaced them.
-const REMOVED_KEYS: [(&str, &str); 2] = [
+const REMOVED_KEYS: [(&str, &str); 3] = [
     (
         "sweep.vectorized",
         "the event engine always runs the vectorized lane",
@@ -1179,6 +1171,10 @@ const REMOVED_KEYS: [(&str, &str); 2] = [
     (
         "sweep.workspace",
         "the event engine always reuses per-worker workspaces",
+    ),
+    (
+        "sweep.cell_parallel",
+        "cells run in order, each spreading its trials over `sweep.threads` workers",
     ),
 ];
 
@@ -1307,9 +1303,8 @@ impl ScenarioSpec {
     /// content address for results.
     ///
     /// Erased (presentation-only; bit-identical results regardless):
-    /// `description`, `sweep.threads` and `sweep.cell_parallel` (both
-    /// test-enforced bit-invisible), and an *inactive* `[faults]` table
-    /// (fault-free by construction).
+    /// `description`, `sweep.threads` (test-enforced bit-invisible), and
+    /// an *inactive* `[faults]` table (fault-free by construction).
     ///
     /// Resolved (semantic, but with redundant spellings): unset
     /// `trials` / `seed` / `max_time` and family / protocol / fault
@@ -1382,7 +1377,6 @@ impl ScenarioSpec {
                 engine,
                 start: sweep.start,
                 threads: None,
-                cell_parallel: None,
             },
             faults,
             net,
@@ -1531,7 +1525,7 @@ impl ScenarioSpec {
                         .into(),
                 ));
             }
-            if !probe.supports_faults() {
+            if !probe.supports_event() {
                 return Err(ScenarioError::Invalid(format!(
                     "protocol `{}` does not support fault injection \
                      (fault-aware protocols: async, naive, push, pull, two-push, lossy)",
@@ -1661,7 +1655,6 @@ impl ScenarioSpec {
                 engine: Some("auto".into()),
                 start: None,
                 threads: None,
-                cell_parallel: None,
             },
             faults: None,
             net: None,
@@ -1956,7 +1949,7 @@ impl ScenarioPlan {
 /// receiving every trial of every size (records carry `n`, so the stream
 /// stays self-describing).
 /// Live plans run their cells through the attached [`LiveRunner`], with
-/// the same journaling, resume and cell parallelism.
+/// the same journaling and resume.
 #[derive(Debug, Clone)]
 pub struct SweepPlan<'s> {
     plan: Cow<'s, ScenarioPlan>,
@@ -1969,7 +1962,9 @@ pub struct SweepPlan<'s> {
 
 /// Runs the cells of a live sweep: the seam through which
 /// `gossip_net::NetSweep` (its crate depends on this one) plugs into
-/// [`SweepPlan`].
+/// [`SweepPlan`]. It is `Sync` because an analytic cell's `make_net`
+/// closure, which [`RunPlan`] shares across its workers, borrows the
+/// whole [`SweepPlan`], runner included.
 pub trait LiveRunner: fmt::Debug + Sync {
     /// Runs `plan` — the cell's [`RunPlan`], observers attached — at
     /// sweep size `n`.
@@ -1980,20 +1975,14 @@ pub trait LiveRunner: fmt::Debug + Sync {
     fn run_cell(&self, n: usize, plan: RunPlan<'_>) -> Result<RunReport, ScenarioError>;
 }
 
-/// Buffers a cell's trial records, for the journal or for in-order
-/// delivery by the cell-parallel scheduler; `wants` asks for
-/// trajectories on behalf of the observers the records go to.
+/// Buffers a cell's trial records for the journal, which stores them
+/// without trajectories.
 #[derive(Default)]
 struct RecordBuffer {
     records: Vec<TrialRecord>,
-    wants: bool,
 }
 
 impl TrialObserver for RecordBuffer {
-    fn wants_trajectory(&self) -> bool {
-        self.wants
-    }
-
     fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
         self.records.push(r.clone());
         Ok(())
@@ -2052,8 +2041,8 @@ impl<'s> SweepPlan<'s> {
     /// Journals every completed `(n, trials)` cell to a JSONL file at
     /// `path` (crash-safe: header first, one flushed line per cell), so
     /// an interrupted sweep can be resumed with
-    /// [`SweepPlan::resume_from`]. Journaled sweeps run cells
-    /// sequentially and cannot feed trajectory-recording observers.
+    /// [`SweepPlan::resume_from`]. Journaled sweeps cannot feed
+    /// trajectory-recording observers.
     pub fn journal_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
         self
@@ -2152,8 +2141,9 @@ impl<'s> SweepPlan<'s> {
     /// As [`SweepPlan::run_with`], with several observers, each served
     /// as if attached alone.
     ///
-    /// Cells run in order, or on the cell scheduler when unjournaled and
-    /// `sweep.cell_parallel` asks. A journal gets one flushed line per
+    /// Cells run in sweep order, one at a time, each through its own
+    /// [`RunPlan`], which spreads the cell's trials over `sweep.threads`
+    /// workers. A journal gets one flushed line per
     /// cleanly completed cell, and cells of a resume journal are
     /// replayed into the observers exactly as a [`RunPlan`] would
     /// deliver them, so the merged stream and report are bit-identical
@@ -2170,9 +2160,6 @@ impl<'s> SweepPlan<'s> {
     ) -> Result<ScenarioReport, ScenarioError> {
         let spec = self.plan.spec();
         let journaled = self.journal.is_some() || self.resume.is_some();
-        if !journaled && spec.sweep.cell_parallel.unwrap_or(false) && spec.sweep.sizes.len() > 1 {
-            return self.run_cells_parallel(observers);
-        }
         if journaled && observers.iter().any(|o| o.wants_trajectory()) {
             return Err(ScenarioError::Journal(
                 "journaled sweeps cannot feed trajectory-recording observers \
@@ -2293,158 +2280,6 @@ impl<'s> SweepPlan<'s> {
             || self.build_net(n).expect("probed above"),
             || build_any_protocol(protocol).expect("probed at construction"),
         )?)
-    }
-
-    /// The sweep-level work-stealing scheduler: whole cells run
-    /// concurrently across the global thread budget instead of one cell
-    /// at a time.
-    ///
-    /// Workers claim the next unstarted cell from a shared counter (so a
-    /// straggler cell never idles the other workers), run it with an
-    /// equal slice of the thread budget, and ship the cell's buffered
-    /// records back to the calling thread, which re-sequences cells and
-    /// feeds observers **strictly in sweep order** — trial order within a
-    /// cell, cell order across the sweep, [`TrialObserver::finish`] after
-    /// each cell. Per-trial seeding is untouched (trial `i` of a cell
-    /// consumes the same `derive(i)` stream in every mode), so summaries
-    /// and observer streams are bit-identical to the sequential per-cell
-    /// path (test-enforced by `cell_parallel_sweep_matches_sequential`).
-    ///
-    /// A failing cell cancels the sweep: running cells finish, unclaimed
-    /// ones never start, and the error reported is the earliest failing
-    /// cell in sweep order — exactly what sequential execution would have
-    /// returned.
-    fn run_cells_parallel(
-        &self,
-        observers: &mut [&mut dyn TrialObserver],
-    ) -> Result<ScenarioReport, ScenarioError> {
-        use std::collections::BTreeMap;
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-        let spec = self.plan.spec();
-        let sizes = &spec.sweep.sizes;
-        let cells = sizes.len();
-        let avail = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let budget = spec.sweep.threads.unwrap_or(avail).max(1);
-        let workers = budget.min(cells);
-        // Split the budget evenly across concurrent cells; results are
-        // thread-count invariant, so the split only shapes throughput.
-        let per_cell = (budget / workers).max(1);
-        if workers * per_cell > avail {
-            static OVERSUBSCRIBED: std::sync::Once = std::sync::Once::new();
-            OVERSUBSCRIBED.call_once(|| {
-                eprintln!(
-                    "warning: sweep.cell_parallel schedules {workers} cells x {per_cell} \
-                     thread(s) but only {avail} hardware thread(s) are available; \
-                     concurrent cells will time-share cores"
-                );
-            });
-        }
-        let wants_trajectory = observers.iter().any(|o| o.wants_trajectory());
-
-        let next_cell = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        type CellResult = Result<(Vec<TrialRecord>, RunReport), ScenarioError>;
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, CellResult)>();
-        let mut rows: Vec<ScenarioRow> = Vec::with_capacity(cells);
-        let mut first_err: Option<ScenarioError> = None;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next_cell = &next_cell;
-                let abort = &abort;
-                scope.spawn(move || loop {
-                    // Check abort *before* claiming: every claimed cell
-                    // sends exactly one result, so the reorder frontier
-                    // below can never stall on a hole.
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let c = next_cell.fetch_add(1, Ordering::Relaxed);
-                    if c >= cells {
-                        break;
-                    }
-                    // The buffer asks for trajectories only when some
-                    // real observer does, so the cell's RunPlan strips
-                    // them exactly as for directly attached observers.
-                    let mut buffer = RecordBuffer {
-                        records: Vec::new(),
-                        wants: wants_trajectory,
-                    };
-                    let plan = self.plan().threads(per_cell).observer(&mut buffer);
-                    let result = self
-                        .execute_cell(sizes[c], plan)
-                        .map(|report| (buffer.records, report));
-                    let failed = result.is_err();
-                    if tx.send((c, result)).is_err() || failed {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            // Re-sequence cells and deliver in sweep order. Claims are
-            // monotone, so once cell c's result arrives, every earlier
-            // cell's result arrives too, and the frontier always clears.
-            let mut pending: BTreeMap<usize, CellResult> = BTreeMap::new();
-            let mut next = 0usize;
-            'drain: for (c, result) in &rx {
-                if first_err.is_some() {
-                    continue; // aborted: drain so workers never block
-                }
-                if result.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                pending.insert(c, result);
-                while let Some(result) = pending.remove(&next) {
-                    let (records, report) = match result {
-                        Ok(cell) => cell,
-                        Err(e) => {
-                            first_err = Some(e);
-                            pending.clear();
-                            continue 'drain;
-                        }
-                    };
-                    // Mirror RunPlan delivery: full record only to
-                    // observers that asked for the trajectory (a sweep
-                    // never sets explicit recording), finish per cell.
-                    let mut deliver = || -> Result<(), SimError> {
-                        for record in &records {
-                            for o in observers.iter_mut() {
-                                if o.wants_trajectory() {
-                                    o.on_trial(record)?;
-                                } else {
-                                    let stripped = TrialRecord {
-                                        trajectory: None,
-                                        ..record.clone()
-                                    };
-                                    o.on_trial(&stripped)?;
-                                }
-                            }
-                        }
-                        for o in observers.iter_mut() {
-                            o.finish()?;
-                        }
-                        Ok(())
-                    };
-                    if let Err(e) = deliver() {
-                        first_err = Some(ScenarioError::Sim(e));
-                        abort.store(true, Ordering::Relaxed);
-                        pending.clear();
-                        continue 'drain;
-                    }
-                    rows.push(ScenarioRow::from_summary(sizes[next], &report));
-                    next += 1;
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        debug_assert_eq!(rows.len(), cells);
-        Ok(self.plan.report(rows))
     }
 }
 
@@ -2622,53 +2457,12 @@ max_time = 1e4
     }
 
     #[test]
-    fn cell_parallel_sweep_matches_sequential_bit_for_bit() {
-        // The work-stealing cell scheduler must be invisible in the
-        // results: identical rows AND an identical observer stream
-        // (trial order within each cell, cell order across the sweep).
-        use gossip_sim::TrialRecord;
-        struct Stream(Vec<(usize, usize, u64)>);
-        impl gossip_sim::TrialObserver for Stream {
-            fn on_trial(&mut self, r: &TrialRecord) -> Result<(), SimError> {
-                self.0
-                    .push((r.n, r.trial, r.spread_time.map_or(0, f64::to_bits)));
-                Ok(())
-            }
-        }
-        let mut spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
-        spec.sweep.sizes = vec![16, 24, 32, 48];
-        let mut seq_sink = Stream(Vec::new());
-        let sequential = SweepPlan::new(&spec)
-            .unwrap()
-            .run_with(&mut seq_sink)
-            .unwrap();
-
-        let mut par = spec.clone();
-        par.sweep.cell_parallel = Some(true);
-        // Deliberately oversubscribe a small box: exercises the warning
-        // path and the budget split without changing any result.
-        par.sweep.threads = Some(8);
-        let mut par_sink = Stream(Vec::new());
-        let parallel = SweepPlan::new(&par)
-            .unwrap()
-            .run_with(&mut par_sink)
-            .unwrap();
-
-        assert_eq!(sequential, parallel);
-        assert_eq!(seq_sink.0, par_sink.0);
-        // And the plain (observer-less) parallel run agrees too.
-        assert_eq!(run_scenario(&par).unwrap(), sequential);
-    }
-
-    #[test]
-    fn cell_parallel_sweep_cancels_on_a_failing_cell() {
+    fn sweep_stops_at_a_failing_middle_cell() {
         // Cell 1 (n = 3) rejects the start override; the sweep must
-        // surface that error even though cells 0 and 2 succeed.
+        // surface that error even though cells 0 and 2 would succeed.
         let mut spec = ScenarioSpec::from_toml_str(TOML_SPEC).unwrap();
         spec.sweep.sizes = vec![16, 3, 32];
         spec.sweep.start = Some(8);
-        spec.sweep.cell_parallel = Some(true);
-        spec.sweep.threads = Some(3);
         let err = run_scenario(&spec).unwrap_err();
         assert!(matches!(
             err,
@@ -2729,6 +2523,10 @@ max_time = 1e4
             (
                 "workspace",
                 "the event engine always reuses per-worker workspaces",
+            ),
+            (
+                "cell_parallel",
+                "cells run in order, each spreading its trials over `sweep.threads` workers",
             ),
         ] {
             let expected = format!("`sweep.{key}` was removed ({why}); delete it");

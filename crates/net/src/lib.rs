@@ -22,8 +22,8 @@
 //! ```text
 //!   ScenarioSpec ──► SweepPlan ───────────► NetSweep
 //!   (family, proto,  (gossip-core: journal,  (LiveRunner: the live
-//!    [faults], [net]) resume, serve cache,    topology of each cell,
-//!                     cell_parallel)          counters)
+//!    [faults], [net]) resume, serve cache)    topology of each cell,
+//!                                             counters)
 //!                                               │ RunPlan (seeds, observers)
 //!                                               ▼
 //!                                             NetExecutor (stall retry, traffic)

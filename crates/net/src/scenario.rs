@@ -1,8 +1,8 @@
 //! The live runtime as `gossip_core`'s sweep cell runner: a spec's
 //! `SweepPlan` hands each cell's `RunPlan` to a [`NetSweep`], which
 //! realizes the family's static topology and runs the trials as
-//! [`NetExecutor`]s, so live sweeps journal, resume, cache and run cells
-//! in parallel exactly like analytic ones.
+//! [`NetExecutor`]s, so live sweeps journal, resume and cache exactly like
+//! analytic ones.
 
 use crate::delivery::DeliveryKind;
 use crate::error::NetError;
@@ -292,20 +292,6 @@ mod tests {
             "the replayed cell counts nothing"
         );
         std::fs::remove_file(&journal).ok();
-    }
-
-    #[test]
-    fn cell_parallel_live_sweep_matches_sequential() {
-        let spec = live_spec();
-        let live = NetSweep::new(&spec).unwrap();
-        let sequential = jsonl(&SweepPlan::new(&spec).unwrap().live(&live));
-        let mut par = spec.clone();
-        par.sweep.cell_parallel = Some(true);
-        par.sweep.threads = Some(2);
-        let par_live = NetSweep::new(&par).unwrap();
-        let parallel = jsonl(&SweepPlan::new(&par).unwrap().live(&par_live));
-        assert_eq!(parallel, sequential);
-        assert_eq!(par_live.totals().trials, 8);
     }
 
     #[test]

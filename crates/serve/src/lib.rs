@@ -1481,6 +1481,12 @@ groups = 2
                 "\"sweep\":{\"vectorized\":true,",
                 "sweep.vectorized",
             ),
+            // An older `gossip submit` renders the unset key as null.
+            (
+                "\"sweep\":{",
+                "\"sweep\":{\"cell_parallel\":null,",
+                "sweep.cell_parallel",
+            ),
         ] {
             let request = line.replacen(from, to, 1);
             let response = submit_raw(handle.addr(), &format!("{request}\n")).unwrap();

@@ -45,8 +45,8 @@ pub enum SimError {
         protocol: &'static str,
     },
     /// A fault model was attached to an engine or protocol that cannot
-    /// honor it (faults require the event engine and a protocol whose
-    /// [`crate::IncrementalProtocol::supports_faults`] is `true`).
+    /// honor it (faults require the event engine, which window-only
+    /// protocols cannot run on).
     FaultsUnsupported {
         /// The protocol that cannot run under faults.
         protocol: &'static str,

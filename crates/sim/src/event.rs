@@ -62,12 +62,11 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
         }
     }
 
-    /// Attaches a fault model. An *active* model (see
-    /// [`FaultModel::is_active`]) requires a protocol that reports
-    /// [`IncrementalProtocol::supports_faults`]; otherwise `run` fails
-    /// with [`SimError::FaultsUnsupported`]. Active delivery chaos fails
-    /// with [`SimError::InvalidFaultParam`]: the analytic engines have no
-    /// envelopes to perturb.
+    /// Attaches a fault model; the protocol applies an *active* one (see
+    /// [`FaultModel::is_active`]) through
+    /// [`IncrementalProtocol::resolve_event_faulty`]. Active delivery chaos
+    /// fails with [`SimError::InvalidFaultParam`]: the analytic engines
+    /// have no envelopes to perturb.
     /// Fault coins derive from `(model.seed, trial seed)` and are never
     /// drawn from the trial stream, so every fault-free outcome is
     /// bit-identical to a run without the model.
@@ -152,11 +151,6 @@ impl<P: IncrementalProtocol> EventSimulation<P> {
         }
         if let Some(m) = &self.faults {
             m.validate_analytic()?;
-            if m.is_active() && !self.protocol.supports_faults() {
-                return Err(SimError::FaultsUnsupported {
-                    protocol: self.protocol.name(),
-                });
-            }
         }
         Ok(n)
     }

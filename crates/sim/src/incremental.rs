@@ -52,8 +52,7 @@ pub struct WindowCtx<'a> {
     /// The per-trial fault state, already advanced to this window via
     /// [`FaultState::begin_window`]; `None` when no faults are active.
     /// When `Some`, the loop must veto events through the fault state
-    /// (protocols advertise support via
-    /// [`IncrementalProtocol::supports_faults`]).
+    /// (as [`IncrementalProtocol::resolve_event_faulty`] does).
     pub faults: Option<&'a mut FaultState>,
     /// How many more Poisson events this trial may resolve
     /// ([`crate::RunConfig::max_events`] watchdog); `u64::MAX` when
@@ -151,34 +150,20 @@ pub trait IncrementalProtocol: Protocol {
         rng: &mut SimRng,
     ) -> Option<NodeId>;
 
-    /// Whether this protocol honors an active [`crate::FaultModel`]
-    /// (crashed nodes rate-zero, per-message drops) through
-    /// [`IncrementalProtocol::resolve_event_faulty`]. Protocols that
-    /// return `false` (the default) are rejected up front when a fault
-    /// model is attached ([`crate::SimError::FaultsUnsupported`]) rather
-    /// than silently ignoring it.
-    fn supports_faults(&self) -> bool {
-        false
-    }
-
     /// [`IncrementalProtocol::resolve_event`] under an active fault
     /// state: the tick must additionally be voided when a down node is
     /// involved or the fault drop coin fires (exact thinning — see the
     /// `fault` module docs). Fault coins come from `faults`' dedicated
-    /// RNG, never from `rng`, so the trial stream is untouched. The
-    /// default ignores faults entirely and is only correct for protocols
-    /// with `supports_faults() == false` (which never receive a fault
-    /// state).
+    /// RNG, never from `rng`, so the trial stream is untouched. Every
+    /// event-engine protocol honors an active [`crate::FaultModel`]
+    /// through this method.
     fn resolve_event_faulty(
         &mut self,
         g: &Topology,
         informed: &NodeSet,
         rng: &mut SimRng,
         faults: &mut FaultState,
-    ) -> Option<NodeId> {
-        let _ = faults;
-        self.resolve_event(g, informed, rng)
-    }
+    ) -> Option<NodeId>;
 
     /// `O(deg(v))` state update after `v` was inserted into `informed`.
     fn commit(&mut self, g: &Topology, v: NodeId, informed: &NodeSet);
@@ -304,10 +289,6 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for &mut T {
         (**self).resolve_event(g, informed, rng)
     }
 
-    fn supports_faults(&self) -> bool {
-        (**self).supports_faults()
-    }
-
     fn resolve_event_faulty(
         &mut self,
         g: &Topology,
@@ -370,10 +351,6 @@ impl<T: IncrementalProtocol + ?Sized> IncrementalProtocol for Box<T> {
         (**self).resolve_event(g, informed, rng)
     }
 
-    fn supports_faults(&self) -> bool {
-        (**self).supports_faults()
-    }
-
     fn resolve_event_faulty(
         &mut self,
         g: &Topology,
@@ -425,7 +402,7 @@ impl IncrementalProtocol for CutRateAsync {
     /// about four times), rebuilds instead: one pass over the rows and an
     /// `O(n)` build beat a recompute per stale node. So does a delta that
     /// breaks the regular lane's common degree. Closed-form states
-    /// (implicit complete/star/bipartite backends) always rebuild — that
+    /// (implicit complete and star backends) always rebuild — that
     /// is O(n), no slower than walking a delta. Both paths are exact; they
     /// sum the rates and `λ` in different orders, so they agree to the
     /// last bits.
@@ -459,10 +436,6 @@ impl IncrementalProtocol for CutRateAsync {
             "cut-rate sampler returned an informed node"
         );
         v
-    }
-
-    fn supports_faults(&self) -> bool {
-        true
     }
 
     /// Exact thinning of the cut-rate proposal: the sampler keeps drawing
@@ -541,10 +514,6 @@ macro_rules! impl_incremental_naive {
             ) -> Option<NodeId> {
                 #[allow(clippy::redundant_closure_call)]
                 ($resolve)(g, informed, rng)
-            }
-
-            fn supports_faults(&self) -> bool {
-                true
             }
 
             fn resolve_event_faulty(

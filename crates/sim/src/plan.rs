@@ -105,16 +105,6 @@ impl AnyProtocol {
         matches!(self, AnyProtocol::Event(_))
     }
 
-    /// Whether the protocol honors an active [`FaultModel`] (see
-    /// [`IncrementalProtocol::supports_faults`]; window-only protocols
-    /// never do).
-    pub fn supports_faults(&self) -> bool {
-        match self {
-            AnyProtocol::Window(_) => false,
-            AnyProtocol::Event(p) => p.supports_faults(),
-        }
-    }
-
     /// Converts into a window-engine trait object (always possible).
     pub fn into_window(self) -> Box<dyn Protocol> {
         match self {
@@ -232,8 +222,8 @@ impl<'o> RunPlan<'o> {
     }
 
     /// Attaches a [`FaultModel`] to every trial. An active model needs
-    /// the event engine and a fault-aware protocol
-    /// ([`AnyProtocol::supports_faults`]); otherwise `execute` fails
+    /// the event engine (a protocol that
+    /// [`AnyProtocol::supports_event`]); otherwise `execute` fails
     /// with [`SimError::FaultsUnsupported`] before running anything;
     /// active delivery chaos, which needs the live runtime, fails with
     /// [`SimError::InvalidFaultParam`]. Fault coins derive from
@@ -335,10 +325,10 @@ impl<'o> RunPlan<'o> {
         };
         if let Some(m) = &self.faults {
             m.validate_analytic()?;
-            if m.is_active() && !(use_event && probe.supports_faults()) {
-                // The window engine has no fault hooks, and a protocol
-                // without faulty resolvers would silently ignore the
-                // model — refuse instead of producing clean data.
+            if m.is_active() && !use_event {
+                // The window engine has no fault hooks and would silently
+                // ignore the model — refuse instead of producing clean
+                // data.
                 return Err(SimError::FaultsUnsupported { protocol });
             }
         }

@@ -301,10 +301,6 @@ impl IncrementalProtocol for PanicInjected {
         self.inner.resolve_event(g, informed, rng)
     }
 
-    fn supports_faults(&self) -> bool {
-        self.inner.supports_faults()
-    }
-
     fn resolve_event_faulty(
         &mut self,
         g: &Topology,

@@ -1,8 +1,8 @@
 //! Sampled-backend equivalence: a seeded sampled [`Topology`] backend
 //! (`G(n, p)`, random regular, circulant lift) and its materialized CSR
 //! twin describe the *same* graph, so every protocol must behave
-//! identically on both — lazy row realization is a pure representation
-//! change.
+//! identically on both — realizing the seeded graph on first touch is a
+//! pure representation change.
 //!
 //! Two tiers of assertion, per the ISSUE checklist:
 //!

@@ -86,8 +86,8 @@ fn materialized_backend_scalar_vs_vectorized_ks() {
 
 #[test]
 fn sampled_backend_scalar_vs_vectorized_ks() {
-    // Lazily realized G(n, p) rows feed the word-level bitset scan via
-    // `neighbors_slice`.
+    // The seeded G(n, p)'s CSR rows, realized on first touch, feed the
+    // word-level bitset scan via `neighbors_slice`.
     let make = || {
         let n = 150;
         let p = 12.0 / (n as f64 - 1.0);

@@ -194,9 +194,9 @@ fn implicit_star_closed_form_path() {
 
 #[test]
 fn sampled_gnp_lane_path() {
-    // Sampled G(n, p): lazy rows drive the event engine's vectorized lane
-    // (and the window engine's Fenwick tree), rebuilt per trial in the
-    // protocol's retained storage.
+    // Sampled G(n, p): its CSR, realized on first touch, drives the event
+    // engine's vectorized lane (and the window engine's Fenwick tree),
+    // rebuilt per trial in the protocol's retained storage.
     check_cell(
         "sampled gnp",
         BOTH,
