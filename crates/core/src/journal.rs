@@ -386,7 +386,18 @@ impl JournalText {
     ///
     /// As [`Journal::load`].
     pub fn read(path: &Path) -> Result<Self, ScenarioError> {
-        let text = read_text(path)?;
+        JournalText::from_text(path, read_text(path)?)
+    }
+
+    /// Reads a journal from `text`, the contents of the file at `path`, as
+    /// [`JournalText::read`] reads that file: the result is a function of
+    /// `text` alone (`path` only names the file in errors).
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Journal`] when `text` is empty or its first line is
+    /// not a valid header.
+    pub fn from_text(path: &Path, text: String) -> Result<Self, ScenarioError> {
         let base = text.as_ptr() as usize;
         let (header, cells) = read_lines(path, &text, |line| {
             CellText::parse(line, line.as_ptr() as usize - base)
@@ -396,6 +407,11 @@ impl JournalText {
             cells,
             text,
         })
+    }
+
+    /// The journal's text, exactly as read.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 
     /// The records of `cell`, a cell of this journal, in trial order: each

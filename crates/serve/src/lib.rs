@@ -57,7 +57,8 @@
 //!   (each is the line [`JsonlSink`] wrote when the sweep ran), then a
 //!   footer built from the cells' rows. Zero trials execute and no record
 //!   is parsed: [`JournalText`] checks the entry's syntax, envelopes and
-//!   record counts;
+//!   record counts, and a repeat hit on a file whose bytes have not
+//!   changed skips even that (see the warm-state model below);
 //! * **resume** — a partial journal (e.g. the daemon died mid-sweep)
 //!   is resumed in place via
 //!   [`gossip_core::scenario::SweepPlan::resume_from`], which loads it
@@ -80,22 +81,35 @@
 //!
 //! ## Warm-state model
 //!
-//! The daemon keeps two caches alive across requests, both
-//! bit-invisible to results (test-enforced in `gossip-core`):
+//! The daemon keeps three caches alive across requests, all
+//! bit-invisible to results (test-enforced in `gossip-core` and here):
 //!
 //! * a [`TopologyCache`] of realized sampled topologies keyed by
 //!   `(family, n)` — the family spec embeds the build seed — so repeat
 //!   G(n,p) sweeps skip CSR realization entirely;
 //! * a [`WorkspacePool`] of per-worker scratch arenas
 //!   ([`gossip_sim::SimWorkspace`]), so trial buffers stay grown
-//!   across requests instead of re-allocating from cold.
+//!   across requests instead of re-allocating from cold;
+//! * the store entries that served validated hits, held per spec hash
+//!   as the [`JournalText`] read from them. A request still reads its
+//!   entry file, byte for byte; when the bytes equal the held copy's
+//!   text, the copy is served without validating them again, because
+//!   the reader's verdict ([`JournalText::from_text`]) depends on the
+//!   text alone, so equal bytes would validate alike. The header check
+//!   against the request's plan and the sweep-coverage check still run
+//!   on every hit, and the header and footer are still built from the
+//!   plan. Any other bytes, even one digit changed in place, drop the
+//!   held copy and are validated afresh; a complete entry among them is
+//!   held in its place. The held text is bounded by a fixed 64 MiB
+//!   budget, the oldest-inserted copy evicted first, and an evicted
+//!   entry is served through validation again.
 //!
 //! [`spec_hash`]: gossip_core::journal::spec_hash
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -218,7 +232,9 @@ impl ResultStore {
     /// count as [`JournalText::read`] reads them: a line with broken JSON,
     /// a bad envelope or a record count other than its row's trials ends
     /// the entry's intact prefix. The daemon decides through the same
-    /// read and serves a hit from the text it read.
+    /// reader and serves a hit from the text it read, or from the copy of
+    /// it that an earlier hit validated when the file still holds exactly
+    /// those bytes.
     pub fn classify(&self, plan: &ScenarioPlan) -> StoreState {
         match self.read(plan) {
             Some(entry) if entry.sweep(plan).is_some() => StoreState::Complete,
@@ -232,6 +248,60 @@ impl ResultStore {
     fn read(&self, plan: &ScenarioPlan) -> Option<JournalText> {
         let entry = JournalText::read(&self.entry_path(plan.spec_hash())).ok()?;
         entry.header.check(plan).is_ok().then_some(entry)
+    }
+}
+
+/// The most entry text, in bytes, that [`ServeState`] holds in memory for
+/// repeat hits.
+#[cfg(not(test))]
+const HELD_BUDGET: usize = 64 << 20;
+/// Small in tests, so that a handful of entries overflows it.
+#[cfg(test)]
+const HELD_BUDGET: usize = 64 << 10;
+
+/// Complete store entries that served a validated hit, held by spec hash
+/// so that a repeat hit on an unchanged file need not validate it again.
+/// Their text stays within [`HELD_BUDGET`] bytes, the oldest-inserted
+/// copy evicted first.
+#[derive(Debug, Default)]
+struct Held {
+    entries: HashMap<u64, Arc<JournalText>>,
+    /// The held hashes, oldest-inserted first.
+    order: VecDeque<u64>,
+    /// The summed text length of `entries`.
+    bytes: usize,
+}
+
+impl Held {
+    /// The copy held for `hash`, if its text is exactly `bytes`.
+    fn get(&self, hash: u64, bytes: &[u8]) -> Option<Arc<JournalText>> {
+        let entry = self.entries.get(&hash)?;
+        (entry.text().as_bytes() == bytes).then(|| entry.clone())
+    }
+
+    fn remove(&mut self, hash: u64) {
+        if let Some(entry) = self.entries.remove(&hash) {
+            self.bytes -= entry.text().len();
+            self.order.retain(|&held| held != hash);
+        }
+    }
+
+    /// Holds `entry` as the copy for `hash`, evicting the oldest copies
+    /// until it fits; an entry larger than the whole budget is not held.
+    fn insert(&mut self, hash: u64, entry: Arc<JournalText>) {
+        self.remove(hash);
+        let len = entry.text().len();
+        if len > HELD_BUDGET {
+            return;
+        }
+        // `len` fits the budget, so while it does not fit beside the
+        // held bytes some copy is held.
+        while self.bytes + len > HELD_BUDGET {
+            self.remove(self.order[0]);
+        }
+        self.bytes += len;
+        self.order.push_back(hash);
+        self.entries.insert(hash, entry);
     }
 }
 
@@ -345,14 +415,17 @@ fn last_line(result: Result<ScenarioReport, ScenarioError>) -> String {
 }
 
 /// Shared daemon state: the result store, the warm-state caches, the
-/// in-flight dedup table, and an execution counter.
+/// in-flight dedup table, and execution and memory-hit counters.
 #[derive(Debug)]
 pub struct ServeState {
     store: ResultStore,
     topologies: Arc<TopologyCache>,
     pool: Arc<WorkspacePool>,
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
+    /// Locked only while `inflight` is.
+    held: Mutex<Held>,
     executions: AtomicUsize,
+    memory_hits: AtomicUsize,
 }
 
 impl ServeState {
@@ -362,7 +435,9 @@ impl ServeState {
             topologies: Arc::new(TopologyCache::new()),
             pool: Arc::new(WorkspacePool::new()),
             inflight: Mutex::new(HashMap::new()),
+            held: Mutex::new(Held::default()),
             executions: AtomicUsize::new(0),
+            memory_hits: AtomicUsize::new(0),
         }
     }
 
@@ -370,6 +445,13 @@ impl ServeState {
     /// has performed; cache hits and joins do not count.
     pub fn executions(&self) -> usize {
         self.executions.load(Ordering::SeqCst)
+    }
+
+    /// How many cache hits the daemon served from an entry held in
+    /// memory, whose file still held exactly the bytes an earlier hit
+    /// validated.
+    pub fn memory_hits(&self) -> usize {
+        self.memory_hits.load(Ordering::SeqCst)
     }
 
     /// The warm topology cache shared across requests.
@@ -409,8 +491,15 @@ impl ServeState {
             if let Some(flight) = inflight.get(&hash) {
                 Role::Join(flight.clone())
             } else {
-                match self.store.read(&plan) {
-                    Some(entry) if entry.sweep(&plan).is_some() => Role::Hit(Box::new(entry)),
+                match self.read_entry(&plan) {
+                    Some((entry, held)) if entry.sweep(&plan).is_some() => {
+                        if held {
+                            self.memory_hits.fetch_add(1, Ordering::SeqCst);
+                        } else {
+                            lock(&self.held).insert(hash, entry.clone());
+                        }
+                        Role::Hit(entry)
+                    }
                     entry => {
                         let flight = Arc::new(InFlight::default());
                         inflight.insert(hash, flight.clone());
@@ -494,11 +583,35 @@ impl ServeState {
             }
         }
     }
+
+    /// Reads the store entry for `plan` as [`ResultStore::classify`] does,
+    /// and says whether it is the copy held in memory. The file is always
+    /// read, but when its bytes equal the held copy's text they are not
+    /// validated again: what [`JournalText::from_text`] makes of a text
+    /// depends on the text alone, so equal bytes validate alike. The
+    /// header is checked against `plan` either way. Any other bytes drop
+    /// the held copy and are validated afresh.
+    fn read_entry(&self, plan: &ScenarioPlan) -> Option<(Arc<JournalText>, bool)> {
+        let hash = plan.spec_hash();
+        let path = self.store.entry_path(hash);
+        let bytes = std::fs::read(&path).ok();
+        let mut held = lock(&self.held);
+        let found = match bytes.as_deref().and_then(|bytes| held.get(hash, bytes)) {
+            Some(entry) => (entry, true),
+            None => {
+                held.remove(hash);
+                drop(held);
+                let text = String::from_utf8(bytes?).ok()?;
+                (Arc::new(JournalText::from_text(&path, text).ok()?), false)
+            }
+        };
+        found.0.header.check(plan).is_ok().then_some(found)
+    }
 }
 
 enum Role {
     /// Serve this complete entry.
-    Hit(Box<JournalText>),
+    Hit(Arc<JournalText>),
     Join(Arc<InFlight>),
     /// Execute, resuming the partial entry in the store if there is one.
     Lead(Arc<InFlight>, bool),
@@ -1028,6 +1141,24 @@ groups = 2
         body
     }
 
+    /// Submits `spec`, whose store entry is complete and not yet held,
+    /// twice more: the first hit validates the entry and holds it, the
+    /// second is served from memory. Both must answer with `body`.
+    fn serve_from_memory(handle: &ServerHandle, spec: &ScenarioSpec, body: &[u8]) {
+        let before = handle.state().memory_hits();
+        for memory_hits in [before, before + 1] {
+            let response = submit(handle.addr(), spec).unwrap();
+            let (head, served) = split_response(&response);
+            assert!(
+                String::from_utf8_lossy(head).contains("\"cache\":\"hit\""),
+                "{}",
+                String::from_utf8_lossy(head)
+            );
+            assert_eq!(served, body);
+            assert_eq!(handle.state().memory_hits(), memory_hits);
+        }
+    }
+
     #[test]
     fn repeat_submission_hits_the_store_with_zero_executions() {
         let spec = small_spec("serve-repeat");
@@ -1067,6 +1198,16 @@ groups = 2
             offline_body(&spec),
             "served body must match offline run"
         );
+
+        // The first hit validated the entry; later hits are served from
+        // the copy it held, with the same full response.
+        assert_eq!(handle.state().memory_hits(), 0);
+        for memory_hits in 1..=3 {
+            let again = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(handle.state().memory_hits(), memory_hits);
+            assert_eq!(again, second, "a hit from memory must repeat the first hit");
+        }
+        assert_eq!(handle.state().executions(), 1);
     }
 
     #[test]
@@ -1123,176 +1264,319 @@ groups = 2
         }
     }
 
+    // Each store-integrity test runs twice: cold, and warm, where the
+    // entry has been served from memory before it is edited. A warm run
+    // must answer exactly as the cold one does.
+
     #[test]
     fn corrupted_store_entry_falls_back_to_reexecution() {
-        let spec = small_spec("serve-corrupt");
-        let store = temp_dir("corrupt");
-        let handle = Server::bind("127.0.0.1:0", store.clone())
-            .unwrap()
-            .spawn()
-            .unwrap();
-        let first = submit(handle.addr(), &spec).unwrap();
-        assert_eq!(handle.state().executions(), 1);
+        for warm in [false, true] {
+            let spec = small_spec("serve-corrupt");
+            let store = temp_dir(&format!("corrupt-{warm}"));
+            let handle = Server::bind("127.0.0.1:0", store.clone())
+                .unwrap()
+                .spawn()
+                .unwrap();
+            let first = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(handle.state().executions(), 1);
+            if warm {
+                serve_from_memory(&handle, &spec, split_response(&first).1);
+            }
 
-        // Corrupt the entry's header in place: the stored hash no
-        // longer matches, so the daemon must re-execute, not replay.
-        let plan = ScenarioPlan::new(spec.clone()).unwrap();
-        let entry = handle.state().store().entry_path(plan.spec_hash());
-        let text = std::fs::read_to_string(&entry).unwrap();
-        std::fs::write(&entry, text.replacen("\"spec_hash\"", "\"spec_hsah\"", 1)).unwrap();
-        assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
+            // Corrupt the entry's header in place: the stored hash no
+            // longer matches, so the daemon must re-execute, not replay.
+            let plan = ScenarioPlan::new(spec.clone()).unwrap();
+            let entry = handle.state().store().entry_path(plan.spec_hash());
+            let text = std::fs::read_to_string(&entry).unwrap();
+            std::fs::write(&entry, text.replacen("\"spec_hash\"", "\"spec_hsah\"", 1)).unwrap();
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
 
-        let second = submit(handle.addr(), &spec).unwrap();
-        assert_eq!(
-            handle.state().executions(),
-            2,
-            "a corrupted entry must trigger re-execution"
-        );
-        assert_eq!(split_response(&first).1, split_response(&second).1);
+            let second = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(
+                handle.state().executions(),
+                2,
+                "a corrupted entry must trigger re-execution"
+            );
+            assert_eq!(split_response(&first).1, split_response(&second).1);
 
-        // The rewrite repaired the store: next submission is a hit.
-        let third = submit(handle.addr(), &spec).unwrap();
-        assert_eq!(handle.state().executions(), 2);
-        assert!(std::str::from_utf8(split_response(&third).0)
-            .unwrap()
-            .contains("\"cache\":\"hit\""));
+            // The rewrite repaired the store: next submission is a hit.
+            let third = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(handle.state().executions(), 2);
+            assert!(std::str::from_utf8(split_response(&third).0)
+                .unwrap()
+                .contains("\"cache\":\"hit\""));
+        }
     }
 
     #[test]
     fn entry_embedding_a_different_spec_is_a_miss() {
-        let spec = small_spec("serve-foreign");
-        let handle = Server::bind("127.0.0.1:0", temp_dir("foreign"))
-            .unwrap()
-            .spawn()
-            .unwrap();
-        submit(handle.addr(), &spec).unwrap();
-        assert_eq!(handle.state().executions(), 1);
+        for warm in [false, true] {
+            let spec = small_spec("serve-foreign");
+            let handle = Server::bind("127.0.0.1:0", temp_dir(&format!("foreign-{warm}")))
+                .unwrap()
+                .spawn()
+                .unwrap();
+            let first = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(handle.state().executions(), 1);
+            if warm {
+                serve_from_memory(&handle, &spec, split_response(&first).1);
+            }
 
-        // Rewrite only the header's embedded spec: the stored hash still
-        // names this request, but the entry holds another experiment.
-        let plan = ScenarioPlan::new(spec.clone()).unwrap();
-        let entry = handle.state().store().entry_path(plan.spec_hash());
-        let text = std::fs::read_to_string(&entry).unwrap();
-        let (header, cells) = text.split_once('\n').unwrap();
-        let forged = header.replacen("\"trials\":6", "\"trials\":7", 1);
-        assert_ne!(forged, header);
-        std::fs::write(&entry, format!("{forged}\n{cells}")).unwrap();
-        assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
+            // Rewrite only the header's embedded spec: the stored hash
+            // still names this request, but the entry holds another
+            // experiment.
+            let plan = ScenarioPlan::new(spec.clone()).unwrap();
+            let entry = handle.state().store().entry_path(plan.spec_hash());
+            let text = std::fs::read_to_string(&entry).unwrap();
+            let (header, cells) = text.split_once('\n').unwrap();
+            let forged = header.replacen("\"trials\":6", "\"trials\":7", 1);
+            assert_ne!(forged, header);
+            std::fs::write(&entry, format!("{forged}\n{cells}")).unwrap();
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
 
-        let second = submit(handle.addr(), &spec).unwrap();
-        assert_eq!(
-            handle.state().executions(),
-            2,
-            "an entry embedding a different spec must trigger re-execution"
-        );
-        let (h2, b2) = split_response(&second);
-        assert!(std::str::from_utf8(h2)
-            .unwrap()
-            .contains("\"cache\":\"miss\""));
-        assert_eq!(b2, offline_body(&spec));
-        assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+            let second = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(
+                handle.state().executions(),
+                2,
+                "an entry embedding a different spec must trigger re-execution"
+            );
+            let (h2, b2) = split_response(&second);
+            assert!(std::str::from_utf8(h2)
+                .unwrap()
+                .contains("\"cache\":\"miss\""));
+            assert_eq!(b2, offline_body(&spec));
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+        }
     }
 
     #[test]
     fn entry_from_an_older_results_version_is_a_miss() {
-        let spec = small_spec("serve-stale");
-        let handle = Server::bind("127.0.0.1:0", temp_dir("stale"))
-            .unwrap()
-            .spawn()
-            .unwrap();
-        submit(handle.addr(), &spec).unwrap();
-        assert_eq!(handle.state().executions(), 1);
+        for warm in [false, true] {
+            let spec = small_spec("serve-stale");
+            let handle = Server::bind("127.0.0.1:0", temp_dir(&format!("stale-{warm}")))
+                .unwrap()
+                .spawn()
+                .unwrap();
+            let first = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(handle.state().executions(), 1);
+            if warm {
+                serve_from_memory(&handle, &spec, split_response(&first).1);
+            }
 
-        // Plant the entry as a binary from before the results version
-        // would have written it: same spec, same hash, no version field.
-        let plan = ScenarioPlan::new(spec.clone()).unwrap();
-        let entry = handle.state().store().entry_path(plan.spec_hash());
-        let text = std::fs::read_to_string(&entry).unwrap();
-        let field = format!("\"results_version\":{RESULTS_VERSION},");
-        assert!(text.contains(&field));
-        std::fs::write(&entry, text.replacen(&field, "", 1)).unwrap();
-        assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
+            // Plant the entry as a binary from before the results version
+            // would have written it: same spec, same hash, no version
+            // field.
+            let plan = ScenarioPlan::new(spec.clone()).unwrap();
+            let entry = handle.state().store().entry_path(plan.spec_hash());
+            let text = std::fs::read_to_string(&entry).unwrap();
+            let field = format!("\"results_version\":{RESULTS_VERSION},");
+            assert!(text.contains(&field));
+            std::fs::write(&entry, text.replacen(&field, "", 1)).unwrap();
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Absent);
 
-        let second = submit(handle.addr(), &spec).unwrap();
-        assert_eq!(
-            handle.state().executions(),
-            2,
-            "a stale entry must be re-executed, not replayed"
-        );
-        let (h2, b2) = split_response(&second);
-        assert!(std::str::from_utf8(h2)
-            .unwrap()
-            .contains("\"cache\":\"miss\""));
-        assert_eq!(b2, offline_body(&spec));
-        // The re-run overwrote the entry in place under the same key.
-        assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+            let second = submit(handle.addr(), &spec).unwrap();
+            assert_eq!(
+                handle.state().executions(),
+                2,
+                "a stale entry must be re-executed, not replayed"
+            );
+            let (h2, b2) = split_response(&second);
+            assert!(std::str::from_utf8(h2)
+                .unwrap()
+                .contains("\"cache\":\"miss\""));
+            assert_eq!(b2, offline_body(&spec));
+            // The re-run overwrote the entry in place under the same key.
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+        }
     }
 
     #[test]
     fn torn_store_entry_resumes_instead_of_restarting() {
-        let spec = small_spec("serve-torn");
-        let store = temp_dir("torn");
-        let handle = Server::bind("127.0.0.1:0", store).unwrap().spawn().unwrap();
-        let first = submit(handle.addr(), &spec).unwrap();
+        for warm in [false, true] {
+            let spec = small_spec("serve-torn");
+            let store = temp_dir(&format!("torn-{warm}"));
+            let handle = Server::bind("127.0.0.1:0", store).unwrap().spawn().unwrap();
+            let first = submit(handle.addr(), &spec).unwrap();
+            if warm {
+                serve_from_memory(&handle, &spec, split_response(&first).1);
+            }
 
-        // Tear the last cell off, as a crash mid-append would.
-        let plan = ScenarioPlan::new(spec.clone()).unwrap();
-        let entry = handle.state().store().entry_path(plan.spec_hash());
-        let text = std::fs::read_to_string(&entry).unwrap();
-        let kept: Vec<&str> = text.lines().collect();
-        std::fs::write(&entry, format!("{}\n", kept[..kept.len() - 1].join("\n"))).unwrap();
-        assert_eq!(handle.state().store().classify(&plan), StoreState::Partial);
+            // Tear the last cell off, as a crash mid-append would.
+            let plan = ScenarioPlan::new(spec.clone()).unwrap();
+            let entry = handle.state().store().entry_path(plan.spec_hash());
+            let text = std::fs::read_to_string(&entry).unwrap();
+            let kept: Vec<&str> = text.lines().collect();
+            std::fs::write(&entry, format!("{}\n", kept[..kept.len() - 1].join("\n"))).unwrap();
+            assert_eq!(handle.state().store().classify(&plan), StoreState::Partial);
 
-        let second = submit(handle.addr(), &spec).unwrap();
-        let (h2, b2) = split_response(&second);
-        assert!(std::str::from_utf8(h2)
-            .unwrap()
-            .contains("\"cache\":\"resume\""));
-        assert_eq!(handle.state().executions(), 2);
-        assert_eq!(
-            split_response(&first).1,
-            b2,
-            "resumed body must be bit-identical to the original"
-        );
+            let second = submit(handle.addr(), &spec).unwrap();
+            let (h2, b2) = split_response(&second);
+            assert!(std::str::from_utf8(h2)
+                .unwrap()
+                .contains("\"cache\":\"resume\""));
+            assert_eq!(handle.state().executions(), 2);
+            assert_eq!(
+                split_response(&first).1,
+                b2,
+                "resumed body must be bit-identical to the original"
+            );
+        }
     }
 
     #[test]
     fn entry_with_a_broken_record_or_a_short_cell_is_not_a_hit() {
-        let spec = small_spec("serve-damaged");
-        let handle = Server::bind("127.0.0.1:0", temp_dir("damaged"))
+        for warm in [false, true] {
+            let spec = small_spec("serve-damaged");
+            let handle = Server::bind("127.0.0.1:0", temp_dir(&format!("damaged-{warm}")))
+                .unwrap()
+                .spawn()
+                .unwrap();
+            let first = submit(handle.addr(), &spec).unwrap();
+            let plan = ScenarioPlan::new(spec.clone()).unwrap();
+            let entry = handle.state().store().entry_path(plan.spec_hash());
+            let text = std::fs::read_to_string(&entry).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            let last = lines.len() - 1;
+            // The last cell damaged two ways: one record's JSON broken,
+            // and one record dropped, so the cell holds fewer than its
+            // trials.
+            let cell = lines[last];
+            let records = cell.find("\"records\":[").unwrap() + "\"records\":[".len();
+            let second = records + cell[records..].find("},{").unwrap() + 2;
+            for (executions, damaged) in [
+                (2, cell.replacen("\"windows\":", "\"windows\" ", 1)),
+                (3, format!("{}{}", &cell[..records], &cell[second..])),
+            ] {
+                if warm {
+                    serve_from_memory(&handle, &spec, split_response(&first).1);
+                }
+                let mut edited = lines.clone();
+                edited[last] = &damaged;
+                std::fs::write(&entry, edited.join("\n") + "\n").unwrap();
+                assert_eq!(handle.state().store().classify(&plan), StoreState::Partial);
+                let response = submit(handle.addr(), &spec).unwrap();
+                let (head, body) = split_response(&response);
+                assert!(
+                    String::from_utf8_lossy(head).contains("\"cache\":\"resume\""),
+                    "{}",
+                    String::from_utf8_lossy(head)
+                );
+                assert_eq!(handle.state().executions(), executions);
+                assert_eq!(body, split_response(&first).1);
+                assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+            }
+        }
+    }
+
+    #[test]
+    fn same_length_edits_of_a_held_entry_are_validated_afresh() {
+        let mut spec = small_spec("serve-edited");
+        spec.sweep.trials = Some(20);
+        let handle = Server::bind("127.0.0.1:0", temp_dir("edited"))
             .unwrap()
             .spawn()
             .unwrap();
         let first = submit(handle.addr(), &spec).unwrap();
+        let body = split_response(&first).1.to_vec();
         let plan = ScenarioPlan::new(spec.clone()).unwrap();
         let entry = handle.state().store().entry_path(plan.spec_hash());
         let text = std::fs::read_to_string(&entry).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let last = lines.len() - 1;
-        // The last cell damaged two ways: one record's JSON broken, and
-        // one record dropped, so the cell holds fewer than its trials.
-        let cell = lines[last];
-        let records = cell.find("\"records\":[").unwrap() + "\"records\":[".len();
-        let second = records + cell[records..].find("},{").unwrap() + 2;
-        for (executions, damaged) in [
-            (2, cell.replacen("\"windows\":", "\"windows\" ", 1)),
-            (3, format!("{}{}", &cell[..records], &cell[second..])),
-        ] {
-            let mut edited = lines.clone();
-            edited[last] = &damaged;
-            std::fs::write(&entry, edited.join("\n") + "\n").unwrap();
-            assert_eq!(handle.state().store().classify(&plan), StoreState::Partial);
+
+        // The header's embedded spec edited in place, as CI does: a miss,
+        // which re-executes and rewrites the entry.
+        serve_from_memory(&handle, &spec, &body);
+        let forged = text.replacen("\"trials\":20", "\"trials\":21", 1);
+        assert_eq!(forged.len(), text.len());
+        std::fs::write(&entry, forged).unwrap();
+        let response = submit(handle.addr(), &spec).unwrap();
+        assert!(String::from_utf8_lossy(split_response(&response).0).contains("\"cache\":\"miss\""));
+        assert_eq!(split_response(&response).1, body);
+        assert_eq!(handle.state().executions(), 2);
+        assert_eq!(std::fs::read_to_string(&entry).unwrap(), text);
+
+        // One digit of a record's spread time changed in place: still a
+        // complete entry, so a hit, served with the new digit.
+        serve_from_memory(&handle, &spec, &body);
+        let at = text.rfind("\"spread_time\":").unwrap() + "\"spread_time\":".len();
+        let digit = at + text[at..].find([',', '}']).unwrap() - 1;
+        let old = text.as_bytes()[digit];
+        assert!(old.is_ascii_digit());
+        let new = if old == b'9' { b'8' } else { old + 1 };
+        let mut edited = text.clone().into_bytes();
+        edited[digit] = new;
+        std::fs::write(&entry, &edited).unwrap();
+        // The record as the file now holds it: from its `{` to its `}`.
+        let start = text[..at].rfind('{').unwrap();
+        let end = at + text[at..].find('}').unwrap() + 1;
+        let record = |bytes: &[u8]| String::from_utf8(bytes[start..end].to_vec()).unwrap();
+        let expected = String::from_utf8(body.clone()).unwrap().replacen(
+            &record(text.as_bytes()),
+            &record(&edited),
+            1,
+        );
+        assert_ne!(expected.as_bytes(), &body[..]);
+        let memory_hits = handle.state().memory_hits();
+        for held in [memory_hits, memory_hits + 1] {
             let response = submit(handle.addr(), &spec).unwrap();
-            let (head, body) = split_response(&response);
-            assert!(
-                String::from_utf8_lossy(head).contains("\"cache\":\"resume\""),
-                "{}",
-                String::from_utf8_lossy(head)
-            );
-            assert_eq!(handle.state().executions(), executions);
-            assert_eq!(body, split_response(&first).1);
-            assert_eq!(handle.state().store().classify(&plan), StoreState::Complete);
+            let (head, served) = split_response(&response);
+            assert!(String::from_utf8_lossy(head).contains("\"cache\":\"hit\""));
+            assert_eq!(served, expected.as_bytes());
+            assert_eq!(handle.state().memory_hits(), held);
         }
+        assert_eq!(handle.state().executions(), 2);
+    }
+
+    #[test]
+    fn held_entries_stay_within_the_budget_oldest_evicted_first() {
+        let handle = Server::bind("127.0.0.1:0", temp_dir("budget"))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let specs: Vec<ScenarioSpec> = (0..8)
+            .map(|i| {
+                let mut spec = small_spec(&format!("serve-budget-{i}"));
+                spec.sweep.trials = Some(60);
+                spec
+            })
+            .collect();
+        let hashes: Vec<u64> = specs
+            .iter()
+            .map(|spec| ScenarioPlan::new(spec.clone()).unwrap().spec_hash())
+            .collect();
+        let held_order = || -> Vec<u64> {
+            let held = lock(&handle.state().held);
+            let text: usize = held.entries.values().map(|e| e.text().len()).sum();
+            assert_eq!(held.bytes, text);
+            assert!(held.bytes <= HELD_BUDGET, "{} held bytes", held.bytes);
+            held.order.iter().copied().collect()
+        };
+
+        // Each entry in turn: a miss, then a hit that validates and holds
+        // it, evicting the oldest copies once the budget is full.
+        let mut bodies = Vec::new();
+        let mut stored = 0;
+        for (i, (spec, &hash)) in specs.iter().zip(&hashes).enumerate() {
+            let miss = submit(handle.addr(), spec).unwrap();
+            let hit = submit(handle.addr(), spec).unwrap();
+            assert!(String::from_utf8_lossy(split_response(&hit).0).contains("\"cache\":\"hit\""));
+            assert_eq!(split_response(&hit).1, split_response(&miss).1);
+            bodies.push(split_response(&miss).1.to_vec());
+            stored += std::fs::metadata(handle.state().store().entry_path(hash))
+                .unwrap()
+                .len() as usize;
+            let order = held_order();
+            assert_eq!(order[..], hashes[i + 1 - order.len()..=i]);
+        }
+        assert!(stored > HELD_BUDGET, "{stored} bytes fit the budget");
+        let order = held_order();
+        assert!(!order.contains(&hashes[0]), "the oldest entry is evicted");
+        assert_eq!(handle.state().memory_hits(), 0);
+
+        // A hit on the evicted entry is served through validation, byte
+        // for byte, and holds the entry again.
+        serve_from_memory(&handle, &specs[0], &bodies[0]);
+        assert_eq!(held_order().last(), Some(&hashes[0]));
+        assert_eq!(handle.state().executions(), specs.len());
     }
 
     #[test]
