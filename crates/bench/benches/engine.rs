@@ -71,8 +71,11 @@
 //! trial (with `huge_trial_events/gnp/10000000` informative events
 //! resolved inside the horizon; both are one seed's luck, whose event
 //! count varies ≈ 10× between seeds),
-//! `huge_trial/gnp/10000000/ns_per_event` = the median ns per event of
-//! that trial over seven trial seeds on the warm graph,
+//! `huge_trial/gnp/10000000/fixed_s` = the median seconds of that trial
+//! cut before its first event (an event budget of zero) over seven trial
+//! seeds on the warm graph: the rate-state build every trial pays,
+//! `huge_trial/gnp/10000000/ns_per_event` = the median over the same seeds
+//! of the horizon-bounded trial's time less its `fixed_s`, per event,
 //! `huge_trial/gnp/10000000/realize_s` = seconds for the cold
 //! realization of its `G(10⁷, 8·10⁻⁷)`,
 //! `net_throughput/complete/100000` = events/second of the live
@@ -82,8 +85,8 @@
 //! million-actor scale demo (8 groups, t ≤ 8; full mode only). The keys
 //! recorded as a median of repetitions (`runplan_overhead`,
 //! `inner_loop`, `serve_throughput`, `warm_topology_speedup`,
-//! `huge_trial/gnp/10000000/ns_per_event`) carry their extremes beside
-//! them as `<key>/min` and `<key>/max`.
+//! `huge_trial/gnp/10000000/{fixed_s,ns_per_event}`) carry their
+//! extremes beside them as `<key>/min` and `<key>/max`.
 //!
 //! Env knobs:
 //! * `BENCH_ENGINE_SMOKE=1` — one fast iteration per group, no JSON
@@ -744,7 +747,11 @@ fn bench_net_million(c: &mut Criterion) {
 /// trial figure is the median of three timed trials of trial seed 1 on
 /// the warm graph. The < 1 s acceptance bar is asserted in-process so a
 /// regression fails the bench run loudly. Its events are that seed's
-/// luck, so the ns per event of seven seeds is recorded beside it.
+/// luck, so the ns per event of seven seeds is recorded beside it. Every
+/// trial first builds its rate state for all 10⁷ nodes, however few the
+/// horizon reaches, so each seed also runs once with an event budget of
+/// zero, which stops after that build and before the first event: its
+/// time is `fixed_s`, and `ns_per_event` is computed from the difference.
 fn bench_huge_trial(c: &mut Criterion) {
     const N: usize = 10_000_000;
     const HORIZON: f64 = 7.0;
@@ -763,16 +770,17 @@ fn bench_huge_trial(c: &mut Criterion) {
     );
     c.record_metric("huge_trial/gnp/10000000/realize_s", realize_s);
 
-    let run = |seed: u64| {
-        let mut sim = EventSimulation::new(CutRateAsync::new(), RunConfig::with_max_time(HORIZON));
+    let run = |seed: u64, config: RunConfig| {
+        let mut sim = EventSimulation::new(CutRateAsync::new(), config);
         let mut net = StaticNetwork::from_topology(topology.clone());
         let mut rng = SimRng::seed_from_u64(seed).derive(7);
         let t0 = Instant::now();
         let o = sim.run(&mut net, 0, &mut rng).expect("valid");
         (t0.elapsed().as_secs_f64(), o.events())
     };
-    let _ = run(1); // warm-up: first touch of informed bitset + frontier
-    let mut timed: Vec<(f64, u64)> = (0..3).map(|_| run(1)).collect();
+    let horizon = RunConfig::with_max_time(HORIZON);
+    let _ = run(1, horizon); // warm-up: first touch of informed bitset + frontier
+    let mut timed: Vec<(f64, u64)> = (0..3).map(|_| run(1, horizon)).collect();
     timed.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (secs, events) = timed[1];
     println!("huge_trial/gnp/{N}: {secs:.3}s for {events} events inside t = {HORIZON}");
@@ -783,14 +791,20 @@ fn bench_huge_trial(c: &mut Criterion) {
         "n = 1e7 horizon-bounded trial took {secs:.3}s (bar: < 1s)"
     );
 
-    let per_event: Vec<f64> = (1..=SEEDS)
+    let (fixed, per_event): (Vec<f64>, Vec<f64>) = (1..=SEEDS)
         .map(|seed| {
-            let (secs, events) = run(seed);
-            secs * 1e9 / events as f64
+            let (secs, events) = run(seed, horizon);
+            let (fixed, none) = run(seed, horizon.with_event_budget(0));
+            assert_eq!(none, 0, "an event budget of zero resolves no event");
+            (fixed, (secs - fixed) * 1e9 / events as f64)
         })
-        .collect();
+        .unzip();
+    let fixed = record_spread(c, "huge_trial/gnp/10000000/fixed_s", fixed);
     let median = record_spread(c, "huge_trial/gnp/10000000/ns_per_event", per_event);
-    println!("huge_trial/gnp/{N}: {median:.0} ns/event (median of {SEEDS} trial seeds)");
+    println!(
+        "huge_trial/gnp/{N}: {median:.0} ns/event past a {fixed:.3}s build (medians of \
+         {SEEDS} trial seeds)"
+    );
 }
 
 fn main() {

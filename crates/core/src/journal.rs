@@ -88,10 +88,22 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 ///   trial over to the lane when too few cross, instead of running the
 ///   lane from the start. Async push–pull on such `G(n, p)`,
 ///   random-regular, circulant and other generic graphs moves; sparser
-///   static graphs, closed forms (implicit complete, star and
-///   complete-bipartite graphs), dynamic families, fault runs, the window
-///   engine and live results do not.
-pub const RESULTS_VERSION: u32 = 5;
+///   static graphs, closed forms (implicit complete and star graphs),
+///   dynamic families, fault runs, the window engine and live results do
+///   not.
+/// * 6 — the lane keeps float in-rates on regular graphs too: the
+///   integer-count lane it ran when every degree was equal is deleted,
+///   and a sparse delta that changes a degree of a regular graph is
+///   repaired in place instead of rebuilding the lane. On a regular graph
+///   whose degree is a power of two the float lane writes the count
+///   lane's bytes exactly, because every rate, `λ` and bound is an exact
+///   multiple of `2/d` and scaling by a power of two commutes with
+///   rounding; for other degrees the last bits move, and so do the trials
+///   they reach. Lane runs on regular graphs of other degrees (static, or
+///   a trial the contact sampler hands over) and on dynamic families with
+///   regular windows move; irregular graphs, the contact sampler's own
+///   draws, closed forms, the window engine and live results do not.
+pub const RESULTS_VERSION: u32 = 6;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).

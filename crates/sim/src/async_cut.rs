@@ -79,28 +79,26 @@ const RMAX_REFRESH_STREAK: u32 = 64;
 /// frontier (uninformed nodes with positive in-rate), `rates` /
 /// `deg_invs` hold the per-node state for *all* nodes, and
 /// `lambda` / `rmax` are the incrementally maintained total and running
-/// upper bound of the frontier rates. Rates and inverse degrees live in
-/// *separate* arrays on purpose: the rejection probes and the
-/// regular-graph update pass touch only `rates`, so the random-access
-/// working set is half of what interleaved 16-byte records would make it
-/// — the difference between spilling L1 and not at `n = 10⁴`. There is
-/// deliberately no node-to-slot index: the only slot the loop ever needs
-/// is the one the rejection sampler just drew, and frontier membership is
-/// exactly `rate != 0`. `rmax` only ever over-estimates (rates grow in
-/// place and leave the frontier whole), so rejection sampling against it
-/// stays exact; a long rejection streak triggers an `O(|frontier|)`
-/// refresh.
+/// upper bound of the frontier rates, on regular and irregular graphs
+/// alike. Rates and inverse degrees live in *separate* arrays on purpose:
+/// the rejection probes touch only `rates`, so their random-access working
+/// set is half of what interleaved 16-byte records would make it. There
+/// is deliberately no node-to-slot index: the only slot the loop ever
+/// needs is the one the rejection sampler just drew, and frontier
+/// membership is exactly `rate != 0`. `rmax` only ever over-estimates
+/// (rates grow in place and leave the frontier whole), so rejection
+/// sampling against it stays exact; a long rejection streak triggers an
+/// `O(|frontier|)` refresh.
 ///
 /// [`FastLane::build`] writes the whole state for a new topology;
 /// [`FastLane::set_rate`] and [`FastLane::drop_zero_rates`] repair it
-/// after a sparse delta ([`CutRateAsync::repair_lane`]). A rate that
-/// falls to zero in a repair leaves the frontier in one scan of
-/// `members[..flen]`, which few repairs need, so the event loop keeps no
-/// node-to-slot index.
+/// after a sparse delta, whether or not it changes a degree
+/// ([`CutRateAsync::repair_lane`]). A rate that falls to zero in a repair
+/// leaves the frontier in one scan of `members[..flen]`, which few
+/// repairs need, so the event loop keeps no node-to-slot index.
 #[derive(Debug, Clone, Default)]
 struct FastLane {
-    /// Per-node in-rates; nonzero exactly for frontier members (the
-    /// irregular lane; the regular lane keeps `counts` instead).
+    /// Per-node in-rates; nonzero exactly for frontier members.
     rates: Vec<f64>,
     /// Per-node `1/degree` (infinite for isolated nodes, which are never
     /// informed and never scanned as neighbors).
@@ -110,21 +108,7 @@ struct FastLane {
     members: Vec<NodeId>,
     /// Live prefix length of `members`.
     flen: usize,
-    /// `Some(1/d)` when every node has the same degree `d`. On a regular
-    /// graph every in-rate is `m · 2/d` with `m` the informed-neighbor
-    /// count, so the lane switches to the integer-count representation
-    /// below: half the random-access footprint of `rates` and integer
-    /// adds in the update pass.
-    uniform_deg_inv: Option<f64>,
-    /// Regular lane only: per-node informed-neighbor counts (the in-rate
-    /// is `counts[v] · 2/d`); nonzero exactly for frontier members.
-    counts: Vec<u32>,
-    /// Regular lane only: `Σ counts` over the frontier (`λ · d/2`).
-    ctotal: u64,
-    /// Regular lane only: upper bound on every frontier count (stale
-    /// high at most, like `rmax`).
-    cmax: u32,
-    /// Incrementally maintained total cut rate `λ` (irregular lane).
+    /// Incrementally maintained total cut rate `λ`.
     lambda: f64,
     /// Upper bound on every frontier rate (may be stale high, never low).
     rmax: f64,
@@ -148,14 +132,9 @@ impl FastLane {
         fill_rates(g, informed, &mut self.rates);
         // Degree-0 nodes get an infinite inverse, but they are never
         // informed and never scanned as neighbors, so it is never read.
-        let d0 = g.degree(0);
-        let mut regular = true;
         self.deg_invs.clear();
-        self.deg_invs.extend((0..n as NodeId).map(|v| {
-            let d = g.degree(v);
-            regular &= d == d0;
-            1.0 / d as f64
-        }));
+        self.deg_invs
+            .extend((0..n as NodeId).map(|v| 1.0 / g.degree(v) as f64));
         // Slots past `flen` are written before they are read, so only the
         // length matters.
         self.members.resize(n, 0);
@@ -172,52 +151,9 @@ impl FastLane {
                 }
             }
         }
-        self.uniform_deg_inv = (regular && d0 > 0).then(|| 1.0 / d0 as f64);
-        if let Some(dinv) = self.uniform_deg_inv {
-            // Regular graph: switch to the integer-count representation.
-            // Every weight is `m · 2/d` for an integer informed-neighbor
-            // count `m ≤ d`, so the rounded division recovers `m` exactly.
-            let delta = 2.0 * dinv;
-            self.counts.clear();
-            self.counts
-                .extend(self.rates.iter().map(|&w| (w / delta).round() as u32));
-            self.ctotal = self.counts.iter().map(|&c| c as u64).sum();
-            self.cmax = self.counts.iter().copied().max().unwrap_or(0);
-        }
         self.lambda = lambda;
         self.rmax = rmax;
         self.stale_members = false;
-    }
-
-    /// Total cut rate `λ`.
-    fn total(&self) -> f64 {
-        match self.uniform_deg_inv {
-            Some(dinv) => self.ctotal as f64 * 2.0 * dinv,
-            None => self.lambda,
-        }
-    }
-
-    /// The in-rate of node `v`.
-    #[cfg(test)]
-    fn rate(&self, v: NodeId) -> f64 {
-        match self.uniform_deg_inv {
-            Some(dinv) => self.counts[v as usize] as f64 * 2.0 * dinv,
-            None => self.rates[v as usize],
-        }
-    }
-
-    /// Whether a sparse delta can be repaired in place: always on the
-    /// irregular lane; on the regular lane only when every changed-edge
-    /// endpoint keeps the common degree (anything else rebuilds, which
-    /// re-derives the representation).
-    fn repairs(&self, g: &Topology, delta: &EdgeDelta) -> bool {
-        match self.uniform_deg_inv {
-            Some(dinv) => {
-                let d = (1.0 / dinv).round() as usize;
-                delta.touched_nodes().all(|e| g.degree(e) == d)
-            }
-            None => true,
-        }
     }
 
     /// Refreshes the cached inverse degree of a changed-edge endpoint.
@@ -225,35 +161,21 @@ impl FastLane {
         self.deg_invs[v as usize] = 1.0 / degree as f64;
     }
 
-    /// Sets node `v`'s in-rate (`count` informed neighbors) in a repair:
-    /// `λ` or the count total move by the difference, the bound only
-    /// grows, a node whose rate turns positive joins the frontier, and one
-    /// whose rate falls to zero is left for [`FastLane::drop_zero_rates`].
-    fn set_rate(&mut self, v: NodeId, rate: f64, count: u32) {
-        let vi = v as usize;
-        let (was, now) = match self.uniform_deg_inv {
-            Some(_) => {
-                let old = self.counts[vi];
-                self.counts[vi] = count;
-                self.ctotal = self.ctotal - u64::from(old) + u64::from(count);
-                self.cmax = self.cmax.max(count);
-                (old != 0, count != 0)
-            }
-            None => {
-                let old = self.rates[vi];
-                self.rates[vi] = rate;
-                self.lambda += rate - old;
-                if rate > self.rmax {
-                    self.rmax = rate;
-                }
-                (old != 0.0, rate != 0.0)
-            }
-        };
-        if now && !was {
+    /// Sets node `v`'s in-rate in a repair: `λ` moves by the difference,
+    /// the bound only grows, a node whose rate turns positive joins the
+    /// frontier, and one whose rate falls to zero is left for
+    /// [`FastLane::drop_zero_rates`].
+    fn set_rate(&mut self, v: NodeId, rate: f64) {
+        let old = std::mem::replace(&mut self.rates[v as usize], rate);
+        self.lambda += rate - old;
+        if rate > self.rmax {
+            self.rmax = rate;
+        }
+        if rate != 0.0 && old == 0.0 {
             self.members[self.flen] = v;
             self.flen += 1;
         }
-        self.stale_members |= was && !now;
+        self.stale_members |= old != 0.0 && rate == 0.0;
     }
 
     /// Ends a repair: removes the members whose rate it zeroed, in one
@@ -262,12 +184,7 @@ impl FastLane {
         if std::mem::take(&mut self.stale_members) {
             let mut i = 0;
             while i < self.flen {
-                let m = self.members[i] as usize;
-                let zero = match self.uniform_deg_inv {
-                    Some(_) => self.counts[m] == 0,
-                    None => self.rates[m] == 0.0,
-                };
-                if zero {
+                if self.rates[self.members[i] as usize] == 0.0 {
                     self.flen -= 1;
                     self.members[i] = self.members[self.flen];
                 } else {
@@ -626,7 +543,7 @@ impl CutRateAsync {
         match &self.state {
             None => 0.0,
             Some(RateState::Fenwick(f)) => f.total(),
-            Some(RateState::Lane) => self.fast.total(),
+            Some(RateState::Lane) => self.fast.lambda,
             Some(RateState::Contacts) => self.contacts.proposal_rate(),
             Some(RateState::Complete { n, uninformed }) => {
                 let u = uninformed.len();
@@ -658,7 +575,7 @@ impl CutRateAsync {
         match &self.state {
             None => 0.0,
             Some(RateState::Fenwick(f)) => f.weight(v as usize),
-            Some(RateState::Lane) => self.fast.rate(v),
+            Some(RateState::Lane) => self.fast.rates[v as usize],
             Some(RateState::Contacts) => unreachable!("the contact sampler keeps no in-rates"),
             Some(RateState::Complete { n, uninformed }) if uninformed.contains(v) => {
                 (n - uninformed.len()) as f64 * 2.0 / (*n as f64 - 1.0)
@@ -686,16 +603,12 @@ impl CutRateAsync {
         }
     }
 
-    /// The vectorized lane's frontier `members[..flen]` and whether it is
-    /// the regular (integer-count) lane; `None` off the lane state.
+    /// The vectorized lane's frontier `members[..flen]`; `None` off the
+    /// lane state.
     #[cfg(test)]
-    pub(crate) fn lane_frontier(&self) -> Option<(Vec<NodeId>, bool)> {
-        matches!(self.state, Some(RateState::Lane)).then(|| {
-            (
-                self.fast.members[..self.fast.flen].to_vec(),
-                self.fast.uniform_deg_inv.is_some(),
-            )
-        })
+    pub(crate) fn lane_frontier(&self) -> Option<Vec<NodeId>> {
+        matches!(self.state, Some(RateState::Lane))
+            .then(|| self.fast.members[..self.fast.flen].to_vec())
     }
 
     /// Draws the next node to inform, proportionally to its in-rate.
@@ -838,26 +751,23 @@ impl CutRateAsync {
             debug_assert!(!informed.contains(v), "informed nodes carry no in-rate");
             let dv = g.degree(v);
             let mut r = 0.0;
-            let mut count = 0;
             if dv > 0 {
                 let dv_inv = 1.0 / dv as f64;
                 g.for_each_neighbor(v, |u| {
                     if informed.contains(u) {
                         r += 1.0 / g.degree(u) as f64 + dv_inv;
-                        count += 1;
                     }
                 });
             }
-            self.fast.set_rate(v, r, count);
+            self.fast.set_rate(v, r);
         }
         self.fast.drop_zero_rates();
     }
 
-    /// Whether a sparse delta can be repaired in place: on the lane state,
-    /// always on the irregular lane and on the regular lane when the delta
-    /// keeps every degree (see [`FastLane::repairs`]).
-    pub(crate) fn repairs(&self, g: &Topology, delta: &EdgeDelta) -> bool {
-        matches!(self.state, Some(RateState::Lane)) && self.fast.repairs(g, delta)
+    /// Whether a sparse delta can be repaired in place: on the lane state
+    /// (closed forms rebuild).
+    pub(crate) fn repairs(&self) -> bool {
+        matches!(self.state, Some(RateState::Lane))
     }
 
     /// Whether the state is a generic backend's, which runs its own loop
@@ -941,16 +851,6 @@ impl CutRateAsync {
         mut faults: Option<&mut crate::FaultState>,
         events_left: u64,
     ) -> WindowStep {
-        if self.fast.uniform_deg_inv.is_some() {
-            return self.drive_window_fast_regular(
-                g,
-                (t, from),
-                informed,
-                rng,
-                faults,
-                events_left,
-            );
-        }
         let (lane, draws) = (&mut self.fast, &mut self.draws);
         let mut tau = from;
         let end = (t + 1) as f64;
@@ -1153,191 +1053,6 @@ impl CutRateAsync {
             }
             lane.flen = flen;
             lane.rmax = rm[0].max(rm[1]);
-            lane.scratch = scratch;
-        }
-    }
-
-    /// Regular-graph variant of [`Self::drive_window_fast`].
-    ///
-    /// On a `d`-regular graph every in-rate is `m · 2/d` with `m` the
-    /// node's informed-neighbor count, so the lane tracks the integer
-    /// counts instead of float rates: the random-access working set drops
-    /// to 4 bytes per node, the update pass is an integer increment, λ is
-    /// recovered as `ctotal · 2/d`, and the acceptance test
-    /// `frac · cmax < count` is *exactly* `count/cmax` (both are integers,
-    /// so the comparison introduces no rounding at all). Same structure,
-    /// same draw order, same rejection semantics as the irregular loop.
-    fn drive_window_fast_regular(
-        &mut self,
-        g: &Topology,
-        (t, from): (u64, f64),
-        informed: &mut NodeSet,
-        rng: &mut SimRng,
-        mut faults: Option<&mut crate::FaultState>,
-        events_left: u64,
-    ) -> WindowStep {
-        let (lane, draws) = (&mut self.fast, &mut self.draws);
-        let delta = 2.0
-            * lane
-                .uniform_deg_inv
-                .expect("regular lane requires uniform degree");
-        let mut tau = from;
-        let end = (t + 1) as f64;
-        let mut events = 0u64;
-        loop {
-            if events == events_left {
-                return WindowStep {
-                    completed_at: None,
-                    events,
-                };
-            }
-            if lane.flen == 0 {
-                lane.lambda = 0.0;
-                return WindowStep {
-                    completed_at: None,
-                    events,
-                };
-            }
-            tau += draws.next_exp(rng) / (lane.ctotal as f64 * delta);
-            if tau >= end {
-                return WindowStep {
-                    completed_at: None,
-                    events,
-                };
-            }
-            events += 1;
-            // Same fused slot + acceptance probe pairs as the irregular
-            // loop (see there for the layout of one probe).
-            let mut streak = 0u32;
-            let flen_f = lane.flen as f64;
-            let mut cmax_f = lane.cmax as f64;
-            let (v, slot) = loop {
-                let sa = draws.uniform(rng) * flen_f;
-                let sb = draws.uniform(rng) * flen_f;
-                let slot_a = (sa as usize).min(lane.flen - 1);
-                let slot_b = (sb as usize).min(lane.flen - 1);
-                let ca = lane.members[slot_a];
-                let cb = lane.members[slot_b];
-                let accept_a = (sa - slot_a as f64) * cmax_f < lane.counts[ca as usize] as f64;
-                let accept_b = (sb - slot_b as f64) * cmax_f < lane.counts[cb as usize] as f64;
-                if accept_a {
-                    break (ca, slot_a);
-                }
-                if accept_b {
-                    break (cb, slot_b);
-                }
-                streak += 2;
-                if streak >= RMAX_REFRESH_STREAK {
-                    streak = 0;
-                    lane.cmax = lane.members[..lane.flen]
-                        .iter()
-                        .map(|&m| lane.counts[m as usize])
-                        .max()
-                        .unwrap_or(0);
-                    cmax_f = lane.cmax as f64;
-                }
-            };
-            // Fault veto — see the irregular loop above.
-            if let Some(f) = faults.as_deref_mut() {
-                if !f.accepts_cut_event(g, informed, v) {
-                    continue;
-                }
-            }
-            let vi = v as usize;
-            lane.ctotal -= lane.counts[vi] as u64;
-            lane.counts[vi] = 0;
-            lane.flen -= 1;
-            lane.members[slot] = lane.members[lane.flen];
-            informed.insert(v);
-            if informed.is_full() {
-                return WindowStep {
-                    completed_at: Some(tau),
-                    events,
-                };
-            }
-            // Absorb with the same branch-free filter pass as the
-            // irregular loop; the update pass is an integer increment per
-            // survivor.
-            let words = informed.words();
-            let mut scratch = std::mem::take(&mut lane.scratch);
-            let mut k = 0usize;
-            if let Some(row) = g.neighbors_slice(v) {
-                if scratch.len() < row.len() {
-                    scratch.resize(row.len(), 0);
-                }
-                let mut quads = row.chunks_exact(4);
-                for q in &mut quads {
-                    let (a, b, c, d) = (q[0] as usize, q[1] as usize, q[2] as usize, q[3] as usize);
-                    let ba = words[a >> 6] >> (a & 63) & 1 == 0;
-                    let bb = words[b >> 6] >> (b & 63) & 1 == 0;
-                    let bc = words[c >> 6] >> (c & 63) & 1 == 0;
-                    let bd = words[d >> 6] >> (d & 63) & 1 == 0;
-                    scratch[k] = q[0];
-                    k += ba as usize;
-                    scratch[k] = q[1];
-                    k += bb as usize;
-                    scratch[k] = q[2];
-                    k += bc as usize;
-                    scratch[k] = q[3];
-                    k += bd as usize;
-                }
-                for &u in quads.remainder() {
-                    let ui = u as usize;
-                    scratch[k] = u;
-                    k += (words[ui >> 6] >> (ui & 63) & 1 == 0) as usize;
-                }
-            } else {
-                scratch.clear();
-                g.for_each_neighbor(v, |u| {
-                    let ui = u as usize;
-                    if words[ui >> 6] >> (ui & 63) & 1 == 0 {
-                        scratch.push(u);
-                    }
-                });
-                k = scratch.len();
-            }
-            let mut cm = [lane.cmax, 0u32];
-            let mut flen = lane.flen;
-            let survivors = &scratch[..k];
-            let mut quads = survivors.chunks_exact(4);
-            for q in &mut quads {
-                // All four count loads issue before any store (survivors
-                // are distinct), so the cache misses overlap in flight.
-                let (ua, ub, uc, ud) = (q[0] as usize, q[1] as usize, q[2] as usize, q[3] as usize);
-                let (ca0, cb0, cc0, cd0) = (
-                    lane.counts[ua],
-                    lane.counts[ub],
-                    lane.counts[uc],
-                    lane.counts[ud],
-                );
-                lane.members[flen] = q[0];
-                flen += (ca0 == 0) as usize;
-                lane.members[flen] = q[1];
-                flen += (cb0 == 0) as usize;
-                lane.members[flen] = q[2];
-                flen += (cc0 == 0) as usize;
-                lane.members[flen] = q[3];
-                flen += (cd0 == 0) as usize;
-                let (ca, cb, cc, cd) = (ca0 + 1, cb0 + 1, cc0 + 1, cd0 + 1);
-                lane.counts[ua] = ca;
-                lane.counts[ub] = cb;
-                lane.counts[uc] = cc;
-                lane.counts[ud] = cd;
-                cm[0] = cm[0].max(ca.max(cc));
-                cm[1] = cm[1].max(cb.max(cd));
-            }
-            for &u in quads.remainder() {
-                let ui = u as usize;
-                let c0 = lane.counts[ui];
-                lane.members[flen] = u;
-                flen += (c0 == 0) as usize;
-                let c = c0 + 1;
-                lane.counts[ui] = c;
-                cm[0] = cm[0].max(c);
-            }
-            lane.ctotal += k as u64;
-            lane.flen = flen;
-            lane.cmax = cm[0].max(cm[1]);
             lane.scratch = scratch;
         }
     }

@@ -397,15 +397,14 @@ impl IncrementalProtocol for CutRateAsync {
     }
 
     /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]),
-    /// in the vectorized lane. A dense delta, with at
-    /// least twice as many changed edges as nodes (every node touched
-    /// about four times), rebuilds instead: one pass over the rows and an
-    /// `O(n)` build beat a recompute per stale node. So does a delta that
-    /// breaks the regular lane's common degree. Closed-form states
-    /// (implicit complete and star backends) always rebuild — that
-    /// is O(n), no slower than walking a delta. Both paths are exact; they
-    /// sum the rates and `λ` in different orders, so they agree to the
-    /// last bits.
+    /// in the vectorized lane, whether or not it changes a degree. A dense
+    /// delta, with at least twice as many changed edges as nodes (every
+    /// node touched about four times), rebuilds instead: one pass over the
+    /// rows and an `O(n)` build beat a recompute per stale node.
+    /// Closed-form states (implicit complete and star backends) always
+    /// rebuild — that is O(n), no slower than walking a delta. Both paths
+    /// are exact; they sum the rates and `λ` in different orders, so they
+    /// agree to the last bits.
     fn apply_delta(
         &mut self,
         g: &Topology,
@@ -413,7 +412,7 @@ impl IncrementalProtocol for CutRateAsync {
         informed: &NodeSet,
         ws: &mut SimWorkspace,
     ) {
-        if delta.len() < 2 * g.n() && self.repairs(g, delta) {
+        if delta.len() < 2 * g.n() && self.repairs() {
             self.repair_delta(g, delta, informed, ws);
         } else {
             self.rebuild(g, informed, ws);
@@ -832,8 +831,8 @@ mod tests {
         }
         let (a, b) = (p.total_rate(), fresh.total_rate());
         assert!(close(a, b), "lambda: repaired {a} vs fresh {b}");
-        let (mut members, _) = p.lane_frontier().expect("repairs keep the lane");
-        let (mut expected, _) = fresh.lane_frontier().expect("vectorized builds the lane");
+        let mut members = p.lane_frontier().expect("repairs keep the lane");
+        let mut expected = fresh.lane_frontier().expect("vectorized builds the lane");
         members.sort_unstable();
         let listed = members.len();
         members.dedup();
@@ -902,7 +901,7 @@ mod tests {
                 match step % 3 {
                     0 => {
                         // A frontier node loses every informed neighbor.
-                        let (frontier, _) = p.lane_frontier().unwrap();
+                        let frontier = p.lane_frontier().unwrap();
                         if let Some(&v) = frontier.get(rng.index(frontier.len().max(1))) {
                             for &u in graph.neighbors(v).iter().filter(|&&u| informed.contains(u)) {
                                 remove.push((u.min(v), u.max(v)));
@@ -944,11 +943,12 @@ mod tests {
             }
         }
 
-        /// The regular (integer-count) lane repairs a degree-keeping edge
-        /// swap in place and rebuilds, as the float lane, after a delta
-        /// that breaks regularity; both equal a fresh build.
+        /// On a random 4-regular graph the lane repairs a degree-keeping
+        /// double edge swap in place, and then a removed edge, which
+        /// breaks regularity; after each, `apply_delta` leaves the state
+        /// `repair_delta` leaves, and that state equals a fresh build.
         #[test]
-        fn regular_lane_repairs_swaps_and_rebuilds_off_regularity(seed in 0u64..10_000, half in 4usize..16) {
+        fn regular_lane_repairs_swaps_and_removed_edges(seed in 0u64..10_000, half in 4usize..16) {
             let n = 2 * half;
             let mut rng = SimRng::seed_from_u64(seed);
             let graph = gossip_graph::generators::random_connected_regular(n, 4, &mut rng).unwrap();
@@ -962,7 +962,6 @@ mod tests {
             let mut ws = SimWorkspace::new();
             let topo = Topology::materialized(graph.clone());
             let mut p = lane_on(&topo, &informed, &mut ws);
-            proptest::prop_assert!(p.lane_frontier().unwrap().1, "a 4-regular graph takes the count lane");
             lane_events(&mut p, &topo, 0, &mut informed, &mut rng, 2);
             // A double edge swap (a, b), (c, d) -> (a, c), (b, d).
             let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
@@ -975,16 +974,20 @@ mod tests {
             let swapped = edited(&graph, &[(a, b), (c, d)], &[(a.min(c), a.max(c)), (b.min(d), b.max(d))]);
             let delta = EdgeDelta::between(&graph, &swapped);
             let swapped_topo = Topology::materialized(swapped.clone());
+            let mut repaired = p.clone();
+            repaired.repair_delta(&swapped_topo, &delta, &informed, &mut ws);
             p.apply_delta(&swapped_topo, &delta, &informed, &mut ws);
-            proptest::prop_assert!(p.lane_frontier().unwrap().1, "a degree-keeping swap keeps the count lane");
+            proptest::prop_assert!(same_state(&p, &repaired, &swapped_topo, &informed), "a degree-keeping swap repairs in place");
             assert_lane_matches_fresh(&p, &swapped_topo, &informed);
             lane_events(&mut p, &swapped_topo, 1, &mut informed, &mut rng, 2);
             let (u, v) = swapped.edges().nth(rng.index(swapped.m())).unwrap();
             let broken = edited(&swapped, &[(u, v)], &[]);
             let delta = EdgeDelta::between(&swapped, &broken);
             let broken_topo = Topology::materialized(broken);
+            let mut repaired = p.clone();
+            repaired.repair_delta(&broken_topo, &delta, &informed, &mut ws);
             p.apply_delta(&broken_topo, &delta, &informed, &mut ws);
-            proptest::prop_assert!(!p.lane_frontier().unwrap().1, "an irregular graph leaves the count lane");
+            proptest::prop_assert!(same_state(&p, &repaired, &broken_topo, &informed), "a removed edge repairs in place");
             assert_lane_matches_fresh(&p, &broken_topo, &informed);
         }
     }

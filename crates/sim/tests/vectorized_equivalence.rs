@@ -82,6 +82,13 @@ fn materialized_backend_scalar_vs_vectorized_ks() {
     let make = || StaticNetwork::new(generators::barbell(12).unwrap());
     assert_eq!(g.n(), make().n());
     assert_modes_ks_equivalent(make, 11);
+    // A random 6-regular graph: every rate a multiple of 2/6, which the
+    // float lane holds rounded (the degree is not a power of two), and
+    // too sparse for the contact sampler, so the lane runs every trial.
+    let mut rng = gossip_stats::SimRng::seed_from_u64(61);
+    let regular = generators::random_connected_regular(200, 6, &mut rng).unwrap();
+    let make = || StaticNetwork::new(regular.clone());
+    assert_modes_ks_equivalent(make, 12);
 }
 
 #[test]

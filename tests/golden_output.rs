@@ -26,7 +26,12 @@
 //! static graph is too sparse for the sampler. Its own pin is (d), a
 //! sweep of the benchmark's G(n, p) shape. Pin (e), taken at version 5
 //! too, is a sampled G(n, p) sweep the vectorized lane runs to complete
-//! spread, equal to its materialized twin byte for byte.
+//! spread, equal to its materialized twin byte for byte. Version 6 (the
+//! lane keeps float rates on regular graphs too; the integer-count lane is
+//! deleted) moved only lossy-expander, a random 6-regular graph. Pins (f),
+//! taken at version 5 and unchanged at 6, are regular graphs whose degree
+//! is a power of two, on which the float lane writes the count lane's
+//! bytes exactly.
 //!
 //! The `#[ignore]`d test at the end pins the benchmark's two dynamic
 //! sweeps at full size; it runs in release (`cargo test --release --test
@@ -37,7 +42,7 @@ use rumor_spreading::prelude::*;
 use std::path::Path;
 
 /// The [`RESULTS_VERSION`] the digests below were taken at.
-const DIGESTS_VERSION: u32 = 5;
+const DIGESTS_VERSION: u32 = 6;
 
 /// Fails with the message a moved digest needs: the digests and the
 /// results version move together.
@@ -195,6 +200,46 @@ fn lane_gnp_jsonl_is_pinned() {
     );
 }
 
+#[test]
+fn regular_lane_jsonl_is_pinned() {
+    assert_version();
+    // (f) Async push-pull on regular graphs whose degree is a power of
+    // two, where the lane's float rates, `λ` and bound are exact multiples
+    // of 2/d, so they wrote the same bytes as the integer-count lane that
+    // version 6 deleted. A random 8-regular graph runs the lane from t = 0.
+    let regular = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-regular-lane",
+            "family": {"kind": "regular", "d": 8},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [256, 512], "trials": 20, "seed": 47, "engine": "event"}
+        }"#,
+    )
+    .unwrap();
+    assert_pinned(
+        jsonl_digest(&regular),
+        (40, 0x7808_301f_1a78_dd20),
+        "random 8-regular, async, lane",
+    );
+    // A 16-regular circulant is dense enough for the contact sampler,
+    // which hands its trials over to the lane (few proposals cross the
+    // cut of a ring).
+    let circulant = ScenarioSpec::from_json_str(
+        r#"{
+            "name": "golden-circulant-handover",
+            "family": {"kind": "circulant", "d": 16},
+            "protocol": {"kind": "async"},
+            "sweep": {"sizes": [512, 1024], "trials": 20, "seed": 53, "engine": "event"}
+        }"#,
+    )
+    .unwrap();
+    assert_pinned(
+        jsonl_digest(&circulant),
+        (40, 0x1675_3104_c5a5_ba24),
+        "16-regular circulant, async, contact sampler then lane",
+    );
+}
+
 /// A checked-in scenario, the sizes it runs at if cut, and its digest.
 type Pin = (&'static str, Option<&'static [usize]>, (usize, u64));
 
@@ -217,7 +262,7 @@ fn checked_in_scenarios_are_pinned() {
             Some(&[3000]),
             (20, 0x1112_8a7d_0f78_f6d3),
         ),
-        ("lossy-expander.toml", None, (150, 0x17c6_2c36_cd51_d9de)),
+        ("lossy-expander.toml", None, (150, 0x970e_6ffe_51f5_4301)),
         (
             "serve-cache.toml",
             Some(&[20000]),
