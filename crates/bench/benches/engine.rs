@@ -29,6 +29,13 @@
 //!   circulant, single thread, ns/event (the median of five interleaved
 //!   rounds, each running one batch of every cell, after one warm-up
 //!   round).
+//! * `dynamic_layers` — the dynamic layer of the benchmark's
+//!   sweep-dynamic shapes, outside the engine:
+//!   `edge_markovian_step/<n>` (n ∈ {2000, 4000}) is µs per
+//!   edge-Markovian step (p = 0.002, q = 0.2, 9 steps per reset from
+//!   `G(n, 0.002)`), and `diligent_restitch/2048` is µs per `G(n, 0.25)`
+//!   re-stitch timed inside 20 async trials; each is the median of five
+//!   interleaved rounds.
 //! * `trial_throughput` — the driver's trials/sec on many small trials
 //!   (per-worker workspace reuse plus chunked record delivery) at
 //!   n ∈ {100, 1e3, 1e4} per family.
@@ -63,6 +70,8 @@
 //! unified driver must stay under 1.02, i.e. < 2% added),
 //! `inner_loop/<family>/<n>` = the event engine's ns/event on a dense
 //! static graph (the contact sampler),
+//! `edge_markovian_step/<n>` / `diligent_restitch/2048` = µs per
+//! dynamic window, as above,
 //! `trial_throughput/<family>/<n>` = trials/sec of a batch,
 //! `cache_speedup/gnp-sparse` / `serve_throughput/gnp-sparse` /
 //! `warm_topology_speedup/gnp-sparse` = the simulation-as-a-service
@@ -84,7 +93,8 @@
 //! `net_million/complete/1000000` = the same figure at the
 //! million-actor scale demo (8 groups, t ≤ 8; full mode only). The keys
 //! recorded as a median of repetitions (`runplan_overhead`,
-//! `inner_loop`, `serve_throughput`, `warm_topology_speedup`,
+//! `inner_loop`, `edge_markovian_step`, `diligent_restitch`,
+//! `serve_throughput`, `warm_topology_speedup`,
 //! `huge_trial/gnp/10000000/{fixed_s,ns_per_event}`) carry their
 //! extremes beside them as `<key>/min` and `<key>/max`.
 //!
@@ -99,8 +109,8 @@
 //! Run with: `cargo bench -p gossip-bench --bench engine`
 
 use criterion::{BenchmarkId, Criterion};
-use gossip_dynamics::{DynamicNetwork, StaticNetwork};
-use gossip_graph::{generators, Topology};
+use gossip_dynamics::{DiligentNetwork, DynamicNetwork, EdgeDelta, EdgeMarkovian, StaticNetwork};
+use gossip_graph::{generators, NodeId, NodeSet, Topology};
 use gossip_net::{DeliveryKind, NetConfig, NetExecutor, NetProtocol, NetTraffic};
 use gossip_sim::{
     AnyProtocol, CutRateAsync, Engine, EventSimulation, RunConfig, RunPlan, RunReport, Simulation,
@@ -501,6 +511,137 @@ fn bench_inner_loop(c: &mut Criterion, cells: &[InnerLoopCell], knobs: &Knobs) {
         let key = format!("inner_loop/{}/{}", cell.family, cell.n);
         let median = record_spread(c, &key, runs);
         println!("{key}: {median:.1} ns/event (median of {rounds} interleaved rounds)");
+    }
+}
+
+/// Interleaved rounds behind each dynamic-layer key's median.
+const LAYER_ROUNDS: usize = 5;
+
+/// A dynamic network that times its non-empty deltas: the re-stitches of
+/// the `G(n, ρ)` adversary.
+struct TimedDeltas<N> {
+    inner: N,
+    spent: Duration,
+    deltas: u64,
+}
+
+impl<N: DynamicNetwork> DynamicNetwork for TimedDeltas<N> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn topology(&mut self, t: u64, informed: &NodeSet, rng: &mut SimRng) -> &Topology {
+        self.inner.topology(t, informed, rng)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn suggested_start(&self) -> NodeId {
+        self.inner.suggested_start()
+    }
+
+    fn edges_changed(&mut self, t: u64, informed: &NodeSet, rng: &mut SimRng) -> Option<EdgeDelta> {
+        let t0 = Instant::now();
+        let delta = self.inner.edges_changed(t, informed, rng);
+        let spent = t0.elapsed();
+        if delta.as_ref().is_some_and(|d| !d.is_empty()) {
+            self.spent += spent;
+            self.deltas += 1;
+        }
+        delta
+    }
+}
+
+/// The dynamic layer of sweep-dynamic's two shapes, outside the engine:
+/// `edge_markovian_step/<n>` is µs per edge-Markovian step at n = 2000
+/// and 4000 (p = 0.002, q = 0.2, the chain run from `G(n, 0.002)` for 9
+/// steps per reset, the windows a spread there lasts), and
+/// `diligent_restitch/2048` is µs per `G(n, 0.25)` re-stitch inside 20
+/// async trials on the event engine (only the non-empty deltas are
+/// timed). Each key is the median of `LAYER_ROUNDS` interleaved rounds,
+/// after one warm-up round that sizes every kept buffer.
+fn bench_dynamic_layers(c: &mut Criterion, knobs: &Knobs) {
+    const P: f64 = 0.002;
+    const Q: f64 = 0.2;
+    let (rounds, resets, trials) = if knobs.smoke {
+        (1, 2, 2)
+    } else {
+        (LAYER_ROUNDS, 20, 20)
+    };
+    let mut chains: Vec<(usize, EdgeMarkovian)> = [2000, 4000]
+        .into_iter()
+        .map(|n| {
+            let mut rng = SimRng::seed_from_u64(n as u64);
+            let initial = generators::erdos_renyi(n, P, &mut rng).expect("valid parameters");
+            (
+                n,
+                EdgeMarkovian::new(initial, P, Q).expect("valid probabilities"),
+            )
+        })
+        .collect();
+    let step_us = |net: &mut EdgeMarkovian, rng: &mut SimRng| {
+        let informed = NodeSet::new(net.n());
+        let (mut spent, mut steps) = (Duration::ZERO, 0);
+        for _ in 0..resets {
+            net.reset();
+            let _ = net.topology(0, &informed, rng);
+            for t in 1..=9 {
+                let t0 = Instant::now();
+                let delta = net.edges_changed(t, &informed, rng);
+                spent += t0.elapsed();
+                assert!(delta.is_some_and(|d| !d.is_empty()), "a step changes edges");
+                steps += 1;
+            }
+        }
+        spent.as_secs_f64() * 1e6 / steps as f64
+    };
+    let mut diligent = TimedDeltas {
+        inner: DiligentNetwork::new(2048, 0.25).expect("valid parameters"),
+        spent: Duration::ZERO,
+        deltas: 0,
+    };
+    let mut sim = EventSimulation::new(CutRateAsync::new(), RunConfig::default());
+    let mut restitch_us = |seed: u64| {
+        (diligent.spent, diligent.deltas) = (Duration::ZERO, 0);
+        let base = SimRng::seed_from_u64(seed);
+        for trial in 0..trials {
+            let start = diligent.suggested_start();
+            let outcome = sim
+                .run(&mut diligent, start, &mut base.derive(trial))
+                .expect("valid trial");
+            assert!(outcome.complete(), "diligent trial {trial} spreads");
+        }
+        assert!(diligent.deltas > 0, "the trials re-stitch");
+        diligent.spent.as_secs_f64() * 1e6 / diligent.deltas as f64
+    };
+
+    let mut rng = SimRng::seed_from_u64(2026);
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); 3];
+    for round in 0..=rounds {
+        let mut row: Vec<f64> = chains
+            .iter_mut()
+            .map(|(_, net)| step_us(net, &mut rng))
+            .collect();
+        row.push(restitch_us(round as u64));
+        if round > 0 {
+            for (runs, us) in samples.iter_mut().zip(row) {
+                runs.push(us);
+            }
+        }
+    }
+    let keys = chains
+        .iter()
+        .map(|(n, _)| format!("edge_markovian_step/{n}"))
+        .chain(["diligent_restitch/2048".to_string()]);
+    for (key, runs) in keys.zip(samples) {
+        let median = record_spread(c, &key, runs);
+        println!("{key}: {median:.1} µs (median of {rounds} interleaved rounds)");
     }
 }
 
@@ -913,6 +1054,10 @@ fn main() {
         bench_inner_loop(&mut c, &cells, &knobs);
     }
 
+    // The dynamic layer of the benchmark's sweeps: edge-Markovian steps
+    // and G(n, rho) re-stitches, per window.
+    bench_dynamic_layers(&mut c, &knobs);
+
     // Simulation-as-a-service: result-cache replay, hit throughput, and
     // warm-topology reuse, end to end over TCP.
     bench_serve_cache(&mut c, &knobs);
@@ -925,6 +1070,9 @@ fn main() {
         "inner_loop/gnp/10000",
         "inner_loop/circulant/1000",
         "inner_loop/circulant/10000",
+        "edge_markovian_step/2000",
+        "edge_markovian_step/4000",
+        "diligent_restitch/2048",
     ] {
         assert!(
             c.metric(key).is_some(),

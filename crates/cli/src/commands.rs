@@ -376,7 +376,9 @@ pub fn net(action: Option<&str>, file: Option<&str>, args: &Args) -> Result<Stri
 /// simulation-as-a-service daemon ([`gossip_serve`]). Blocks until
 /// SIGTERM or SIGINT, then shuts down gracefully — no new connections,
 /// in-flight sweeps finish and their journals flush before exit.
-/// Prints a readiness line to stderr once the socket is bound.
+/// Prints a readiness line to stderr once the socket is bound, and on
+/// shutdown how many sweeps it executed and how many hits it served from
+/// an entry held in memory.
 pub fn serve(args: &Args) -> Result<String, CliError> {
     let addr = args.opt("addr")?.unwrap_or("127.0.0.1:7373").to_string();
     let store = args.opt("store")?.unwrap_or("gossip-store").to_string();
@@ -399,10 +401,16 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         std::thread::sleep(std::time::Duration::from_millis(100));
     });
     eprintln!("gossip serve: listening on {local}, result store at {store}");
+    let state = server.state();
     server
         .run()
         .map_err(|e| CliError::Scenario(format!("serve failed: {e}")))?;
-    eprintln!("gossip serve: shut down cleanly (journals flushed)");
+    eprintln!(
+        "gossip serve: shut down cleanly (journals flushed; {} sweep executions, {} hits \
+         served from memory)",
+        state.executions(),
+        state.memory_hits()
+    );
     Ok(String::new())
 }
 

@@ -103,7 +103,15 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 ///   a trial the contact sampler hands over) and on dynamic families with
 ///   regular windows move; irregular graphs, the contact sampler's own
 ///   draws, closed forms, the window engine and live results do not.
-pub const RESULTS_VERSION: u32 = 6;
+/// * 7 — the edge-Markovian step draws its death coins 64 to a word
+///   (one uniform digit per draw against `q`'s binary expansion) and its
+///   birth skips from a ziggurat `Exp(1)` instead of a `ln` per skip: the
+///   same per-pair law, other draws. Every edge-Markovian result moves,
+///   on every engine and protocol; nothing else does (the `G(n, p)`
+///   rows, its initial graph included, keep `Geometric`'s draws, and the
+///   lane rebuilds that now read `1/d` from a per-node cache write the
+///   same bits).
+pub const RESULTS_VERSION: u32 = 7;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,
 /// taken over its normalized form ([`ScenarioSpec::normalized`]).

@@ -30,7 +30,7 @@
 //!
 //! Engines: by default a scenario runs on the event-stream engine
 //! ([`gossip_sim::EventSimulation`]) whenever the protocol implements
-//! [`IncrementalProtocol`], and falls back to the window-based reference
+//! `IncrementalProtocol`, and falls back to the window-based reference
 //! engine otherwise; `engine = "window"` or `engine = "event"` in
 //! `[sweep]` forces a choice. A `[net]` table instead selects the live
 //! message-passing runtime of `gossip-net`, which [`SweepPlan`] drives
@@ -1029,7 +1029,7 @@ impl TopologyCache {
     ///
     /// # Errors
     ///
-    /// As [`sampled_topology`].
+    /// As `sampled_topology`.
     pub fn get_or_build(
         &self,
         spec: &FamilySpec,

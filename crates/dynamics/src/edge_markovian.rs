@@ -6,15 +6,17 @@
 //! synchronous push algorithm spreads a rumor in `O(log n)` rounds w.h.p. —
 //! reproduced as extension experiment X1.
 //!
-//! A step draws its coins first and then walks the graph once: the next
-//! window's upper rows are merged from the current ones and the births,
-//! and the CSR is rebuilt from them in place
+//! A step draws its coins first, 64 death coins per word
+//! ([`BernoulliWords`]) and the births as geometric skips over the pair
+//! ranks ([`GeometricSkip`]), grouped by row as they are drawn. Then it
+//! walks the graph once: each upper row is merged with its births, and
+//! the CSR is rebuilt from the merged rows in place
 //! ([`Graph::rebuild_from_upper`]). Every buffer of the step is kept
 //! across windows, so a step allocates only the delta it returns.
 
 use crate::{DynamicNetwork, EdgeDelta};
 use gossip_graph::{Graph, GraphError, NodeId, NodeSet, Topology};
-use gossip_stats::{Geometric, SimRng};
+use gossip_stats::{BernoulliWords, GeometricSkip, SimRng};
 
 /// The edge-Markovian evolving network.
 ///
@@ -42,8 +44,10 @@ pub struct EdgeMarkovian {
     current: Topology,
     p: f64,
     q: f64,
+    /// The death coins.
+    deaths: BernoulliWords,
     /// The birth skip distribution; `None` when `p` is 0.
-    births: Option<Geometric>,
+    births: Option<GeometricSkip>,
     last_step: Option<u64>,
     step: StepBuffers,
 }
@@ -57,8 +61,11 @@ struct StepBuffers {
     split: Vec<u32>,
     /// The death coins, one bit per current edge in lexicographic order.
     deaths: Vec<u64>,
-    /// The pair ranks the birth skips hit, ascending.
-    birth_ranks: Vec<u64>,
+    /// The births by row: row `u`'s are the columns from
+    /// `birth_columns[birth_offsets[u]]` on, ascending, up to a sentinel
+    /// `n` (the last entry before `birth_offsets[u + 1]`).
+    birth_offsets: Vec<u32>,
+    birth_columns: Vec<NodeId>,
     /// The next window's upper rows (see [`Graph::rebuild_from_upper`]);
     /// `upper` only grows, and its entries past the last offset are
     /// scratch.
@@ -85,7 +92,8 @@ impl EdgeMarkovian {
             initial,
             p,
             q,
-            births: Geometric::new(p).ok(),
+            deaths: BernoulliWords::new(q),
+            births: GeometricSkip::new(p),
             last_step: None,
             step: StepBuffers::default(),
         })
@@ -117,23 +125,22 @@ impl EdgeMarkovian {
 
     /// Advances one step and returns the exact edge diff.
     ///
-    /// The draws come first. Deaths cost one Bernoulli draw per current
-    /// edge, in lexicographic order (no draw when `q` is 0 or 1), kept as
-    /// one bit per edge. Births are sampled next, by geometric skipping
-    /// over the pair universe in rank order (no draw when `p` is 0): each
-    /// pair is hit independently with probability `p`, and the ranks hit
-    /// are kept. Per-pair behavior is identical to a full scan, but the
-    /// work drops from `Θ(n²)` RNG draws to `O(m + p·n²)` — the sparse
-    /// regime (`p = Θ(1/n)`) the related-work experiments sweep runs in
-    /// `O(n)` per step.
+    /// The draws come first. The death coins are drawn 64 to a word, one
+    /// bit per current edge in lexicographic order (no draw when `q` is 0
+    /// or 1). Births are sampled next, by geometric skipping over the pair
+    /// universe in rank order (no draw when `p` is 0): each pair is hit
+    /// independently with probability `p`, and each hit is filed under its
+    /// row as it is drawn. Per-pair behavior is identical to a full scan,
+    /// but the work drops from `Θ(n²)` RNG draws to `O(m/64 + p·n²)`, so
+    /// the sparse regime (`p = Θ(1/n)`) the related-work experiments sweep
+    /// runs in `O(n)` per step.
     ///
-    /// Then one walk over the current upper rows merges each with the
-    /// births that fall in it: a dead edge is dropped (and listed as
-    /// removed), a birth on a missing pair is inserted (and listed as
-    /// added), and a birth on an existing edge is ignored, because that
-    /// edge's fate is its coin. The walk writes the next upper rows, from
-    /// which the CSR is rebuilt in place; both lists come out
-    /// lexicographic.
+    /// Then one walk over the current upper rows merges each with its
+    /// births: a dead edge is dropped (and listed as removed), a birth on
+    /// a missing pair is inserted (and listed as added), and a birth on an
+    /// existing edge is ignored, because that edge's fate is its coin. The
+    /// walk writes the next upper rows, from which the CSR is rebuilt in
+    /// place; both lists come out lexicographic.
     fn evolve_delta(&mut self, rng: &mut SimRng) -> EdgeDelta {
         let graph = self
             .current
@@ -142,7 +149,8 @@ impl EdgeMarkovian {
         let StepBuffers {
             split,
             deaths,
-            birth_ranks,
+            birth_offsets,
+            birth_columns,
             upper_offsets,
             upper,
         } = &mut self.step;
@@ -156,78 +164,88 @@ impl EdgeMarkovian {
             );
         }
         deaths.clear();
-        for first in (0..m).step_by(64) {
-            let mut word = 0;
-            for bit in 0..(m - first).min(64) {
-                word |= u64::from(rng.chance(self.q)) << bit;
-            }
-            deaths.push(word);
+        deaths.extend((0..m.div_ceil(64)).map(|_| self.deaths.word(rng)));
+        if m % 64 != 0 {
+            deaths[m / 64] &= (1 << (m % 64)) - 1;
         }
-        birth_ranks.clear();
-        if let (Some(geo), true) = (&self.births, n >= 2) {
+        birth_offsets.clear();
+        birth_offsets.push(0);
+        birth_columns.clear();
+        if let (Some(skip), true) = (&self.births, n >= 2) {
             let total_pairs = (n * (n - 1) / 2) as u64;
-            let mut rank = geo.sample(rng) - 1;
+            // Row u's pairs have ranks `row_rank..row_end`.
+            let (mut u, mut row_rank, mut row_end) = (0, 0, n as u64 - 1);
+            let mut rank = skip.sample(rng) - 1;
             while rank < total_pairs {
-                birth_ranks.push(rank);
-                // A saturated sample (p below 2⁻⁵⁴) ends the scan.
-                rank = rank.saturating_add(geo.sample(rng));
+                while rank >= row_end {
+                    birth_columns.push(n as NodeId);
+                    birth_offsets.push(birth_columns.len() as u32);
+                    u += 1;
+                    row_rank = row_end;
+                    row_end += (n - 1 - u) as u64;
+                }
+                birth_columns.push((u as u64 + 1 + rank - row_rank) as NodeId);
+                // A saturated skip (a tiny p) ends the scan.
+                rank = rank.saturating_add(skip.sample(rng));
             }
         }
-        // The walk does not branch on a coin, which no predictor guesses:
-        // every current edge is written both to the next upper rows and to
-        // `removed`, and only the cursor its coin selects advances, so both
-        // buffers get a spare last slot.
+        while birth_offsets.len() <= n {
+            birth_columns.push(n as NodeId);
+            birth_offsets.push(birth_columns.len() as u32);
+        }
+        let births = birth_columns.len() - n;
+        // The walk does not branch on a coin or a comparison, which no
+        // predictor guesses: each step writes the smaller of the row's and
+        // the births' next entries to the next upper rows, to `removed`
+        // and to `added`, and only the cursors that its coin and its
+        // comparison select advance, so each buffer gets a spare last slot.
+        // A row's births end in the sentinel `n`, above every entry, so the
+        // step never asks whether they ran out; the births past the row's
+        // last entry follow it.
         let dead = deaths.iter().map(|w| w.count_ones() as usize).sum();
         let mut removed = vec![(0, 0); dead + 1];
-        let mut added = Vec::with_capacity(birth_ranks.len());
-        let len = m - dead + birth_ranks.len() + 1;
+        let mut added = vec![(0, 0); births + 1];
+        let len = m - dead + births + 1;
         if upper.len() < len {
             upper.resize(len, 0);
         }
         upper_offsets.clear();
         upper_offsets.push(0);
-        // Row u's pairs have ranks `row_rank..row_rank + n − 1 − u`; `b` is
-        // the next birth of the row, `n` past its last.
-        let (mut edge, mut next_birth, mut row_rank) = (0, 0, 0);
-        let (mut kept, mut died) = (0, 0);
+        let end = n as NodeId;
+        let (mut edge, mut kept, mut died, mut born) = (0, 0, 0, 0);
         for u in 0..n {
-            let row_end = row_rank + (n - 1 - u) as u64;
-            let mut birth = || match birth_ranks.get(next_birth) {
-                Some(&rank) if rank < row_end => {
-                    next_birth += 1;
-                    (u as u64 + 1 + rank - row_rank) as NodeId
-                }
-                _ => n as NodeId,
-            };
-            let mut b = birth();
-            let u = u as NodeId;
-            for &v in &graph.neighbors(u)[split[u as usize] as usize..] {
-                while b < v {
-                    added.push((u, b));
-                    upper[kept] = b;
-                    kept += 1;
-                    b = birth();
-                }
-                if b == v {
-                    b = birth();
-                }
-                let coin = (deaths[edge / 64] >> (edge % 64) & 1) as usize;
+            let row = &graph.neighbors(u as NodeId)[split[u] as usize..];
+            let births = &birth_columns[birth_offsets[u] as usize..];
+            let (mut i, mut j) = (0, 0);
+            while i < row.len() {
+                let (a, b) = (row[i], births[j]);
+                // `a` leads on a tie: a birth on an existing edge is dropped.
+                let (take_a, take_b) = (usize::from(a <= b), usize::from(b <= a));
+                let at = edge + i;
+                let coin = take_a & (deaths[at / 64] >> (at % 64)) as usize & 1;
+                let v = a.min(b);
+                let pair = (u as NodeId, v);
                 upper[kept] = v;
-                removed[died] = (u, v);
+                removed[died] = pair;
+                added[born] = pair;
                 kept += 1 - coin;
                 died += coin;
-                edge += 1;
+                born += 1 - take_a;
+                i += take_a;
+                j += take_b;
             }
-            while (b as usize) < n {
-                added.push((u, b));
-                upper[kept] = b;
+            while births[j] != end {
+                upper[kept] = births[j];
+                added[born] = (u as NodeId, births[j]);
                 kept += 1;
-                b = birth();
+                born += 1;
+                j += 1;
             }
+            edge += row.len();
             upper_offsets.push(kept as u32);
-            row_rank = row_end;
         }
         removed.truncate(dead);
+        added.truncate(born);
         graph.rebuild_from_upper(upper_offsets, &upper[..kept], split);
         EdgeDelta::new(added, removed)
     }
@@ -346,6 +364,69 @@ mod tests {
         let pairs = (n * (n - 1) / 2) as f64;
         let density = g.m() as f64 / pairs;
         assert!((density - 0.5).abs() < 0.1, "density {density}");
+    }
+
+    /// `Φ⁻¹(1 − 10⁻⁶/2)`: a correct chain crosses it about once in a
+    /// million runs.
+    const Z: f64 = 4.89;
+
+    /// z-score of `hits` successes in `trials` Bernoulli(`p`) trials.
+    fn z(hits: usize, trials: usize, p: f64) -> f64 {
+        let trials = trials as f64;
+        (hits as f64 - trials * p) / (trials * p * (1.0 - p)).sqrt()
+    }
+
+    /// An absolute oracle for the step's draws: from a fixed graph with
+    /// `m` edges, one step kills each edge with probability `q` and
+    /// births each of the `N − m` non-edges with probability `p`, so over
+    /// many seeds the deaths and births are binomial around `q·m` and
+    /// `p·(N − m)`.
+    #[test]
+    fn one_step_follows_the_chain_law() {
+        let n = 300;
+        let initial = generators::erdos_renyi(n, 0.05, &mut SimRng::seed_from_u64(40)).unwrap();
+        let (m, pairs) = (initial.m(), n * (n - 1) / 2);
+        let informed = NodeSet::new(n);
+        let seeds = 100;
+        for (p, q) in [(0.002, 0.2), (0.03, 1.0 / 3.0), (1e-4, 0.5)] {
+            let mut net = EdgeMarkovian::new(initial.clone(), p, q).unwrap();
+            let (mut deaths, mut births) = (0, 0);
+            for seed in 0..seeds {
+                let mut rng = SimRng::seed_from_u64(seed);
+                net.reset();
+                let _ = net.topology(0, &informed, &mut rng);
+                let delta = net.edges_changed(1, &informed, &mut rng).unwrap();
+                deaths += delta.removed().len();
+                births += delta.added().len();
+            }
+            let trials = seeds as usize;
+            let zd = z(deaths, trials * m, q);
+            let zb = z(births, trials * (pairs - m), p);
+            assert!(zd.abs() < Z, "p = {p}, q = {q}: deaths z = {zd}");
+            assert!(zb.abs() < Z, "p = {p}, q = {q}: births z = {zb}");
+        }
+    }
+
+    /// Far past the mixing time `1/(p + q)`, every pair is an edge with
+    /// the stationary probability `p/(p + q)`, independently of the
+    /// others: the edge count over independent chains is binomial.
+    #[test]
+    fn density_is_stationary_after_mixing() {
+        let (n, p, q) = (200, 0.02, 0.2);
+        let pairs = n * (n - 1) / 2;
+        let informed = NodeSet::new(n);
+        let mut net = EdgeMarkovian::new(Graph::empty(n), p, q).unwrap();
+        let density = net.stationary_density();
+        let chains = 20;
+        let mut edges = 0;
+        for seed in 0..chains {
+            let mut rng = SimRng::seed_from_u64(100 + seed);
+            net.reset();
+            // (1 − p − q)^60 < 10⁻⁶: the empty start is forgotten.
+            edges += net.topology(60, &informed, &mut rng).m();
+        }
+        let zs = z(edges, chains as usize * pairs, density);
+        assert!(zs.abs() < Z, "edge count {edges}: z = {zs}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use gossip_dynamics::{
 };
 use gossip_graph::generators::HkDeltaParams;
 use gossip_graph::{generators, Graph, GraphBuilder, NodeId, NodeSet, Topology};
-use gossip_stats::{Geometric, SimRng};
+use gossip_stats::{BernoulliWords, GeometricSkip, SimRng};
 use proptest::prelude::*;
 
 /// An informed-set schedule: `inform(t, informed)` grows the set before
@@ -211,15 +211,19 @@ fn random_graph(n: usize, p: f64, rng: &mut SimRng) -> Graph {
 
 /// The edge-Markovian step as it was first written, kept as the
 /// reference: the same draws (a death coin per edge in lexicographic
-/// order, then geometric skips over the pair ranks), a survivor list, and
-/// the next window built by merging survivors and births into a
-/// [`GraphBuilder`].
+/// order, 64 to a word, then geometric skips over the pair ranks), a
+/// survivor list, and the next window built by merging survivors and
+/// births into a [`GraphBuilder`].
 fn reference_step(current: &Graph, p: f64, q: f64, rng: &mut SimRng) -> (EdgeDelta, Graph) {
     let n = current.n();
+    let coins = BernoulliWords::new(q);
+    let words: Vec<u64> = (0..current.m().div_ceil(64))
+        .map(|_| coins.word(rng))
+        .collect();
     let mut removed = Vec::new();
     let mut survivors = Vec::with_capacity(current.m());
-    for (u, v) in current.edges() {
-        if rng.chance(q) {
+    for (e, (u, v)) in current.edges().enumerate() {
+        if words[e / 64] >> (e % 64) & 1 == 1 {
             removed.push((u, v));
         } else {
             survivors.push((u, v));
@@ -229,9 +233,9 @@ fn reference_step(current: &Graph, p: f64, q: f64, rng: &mut SimRng) -> (EdgeDel
     if p > 0.0 && n >= 2 {
         let n = n as u64;
         let total_pairs = n * (n - 1) / 2;
-        let geo = Geometric::new(p).unwrap();
+        let skip = GeometricSkip::new(p).unwrap();
         let (mut u, mut row_rank, mut next_row_rank) = (0, 0, n - 1);
-        let mut idx = geo.sample(rng) - 1;
+        let mut idx = skip.sample(rng) - 1;
         while idx < total_pairs {
             while idx >= next_row_rank {
                 u += 1;
@@ -242,7 +246,7 @@ fn reference_step(current: &Graph, p: f64, q: f64, rng: &mut SimRng) -> (EdgeDel
             if !current.has_edge(u as NodeId, v) {
                 added.push((u as NodeId, v));
             }
-            idx = idx.saturating_add(geo.sample(rng));
+            idx = idx.saturating_add(skip.sample(rng));
         }
     }
     let mut b = GraphBuilder::new(n);
@@ -404,6 +408,77 @@ proptest! {
             .chain(flips.iter().copied().filter(|&(u, v)| !prev.has_edge(u, v)))
             .collect();
         let next = Graph::from_edges(n, &edges).unwrap();
+        let delta = EdgeDelta::between(&prev, &next);
+        prop_assert!(delta.len() < n);
+        prop_assert_eq!(&applied(&prev, &delta), &next);
+        prop_assert_eq!(&applied(&next, &delta.inverted()), &prev);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`Graph::apply_changes`] on sparse change sets that mix
+    /// degree-keeping double swaps (`{a, b}, {c, d}` out, `{a, c}, {b, d}`
+    /// in, as a `G(n, ρ)` expander switch does), whose rows are rewritten
+    /// in their own slots, with single additions and removals, which
+    /// change degrees and move the rows after them; checked against a
+    /// [`GraphBuilder`] build of the edited edge set, and inverted.
+    #[test]
+    fn apply_changes_mixes_swaps_and_degree_changes(
+        seed in 0u64..10_000,
+        n in 8usize..120,
+        swaps in 0usize..12,
+        edits in 0usize..8,
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let prev = random_graph(n, 0.02 + rng.uniform_f64() * 0.2, &mut rng);
+        let mut edges: std::collections::BTreeSet<(NodeId, NodeId)> = prev.edges().collect();
+        let mut changed = std::collections::BTreeSet::new();
+        let pair = |u: NodeId, v: NodeId| (u.min(v), u.max(v));
+        let budget = n - 1;
+        for _ in 0..swaps * 8 {
+            if changed.len() + 4 > budget || changed.len() >= 4 * swaps {
+                break;
+            }
+            let listed: Vec<_> = edges.iter().copied().collect();
+            if listed.len() < 2 {
+                break;
+            }
+            let (a, b) = listed[rng.index(listed.len())];
+            let (c, d) = listed[rng.index(listed.len())];
+            let (ac, bd) = (pair(a, c), pair(b, d));
+            let distinct = a != c && a != d && b != c && b != d;
+            if !distinct || edges.contains(&ac) || edges.contains(&bd) {
+                continue;
+            }
+            let four = [pair(a, b), pair(c, d), ac, bd];
+            if four.iter().any(|e| changed.contains(e)) {
+                continue;
+            }
+            edges.remove(&four[0]);
+            edges.remove(&four[1]);
+            edges.insert(ac);
+            edges.insert(bd);
+            changed.extend(four);
+        }
+        for _ in 0..edits {
+            if changed.len() + 1 > budget {
+                break;
+            }
+            let (u, v) = (rng.index(n) as NodeId, rng.index(n) as NodeId);
+            if u == v || !changed.insert(pair(u, v)) {
+                continue;
+            }
+            if !edges.remove(&pair(u, v)) {
+                edges.insert(pair(u, v));
+            }
+        }
+        let mut builder = GraphBuilder::new(n);
+        for &(u, v) in &edges {
+            builder.add_edge(u, v).unwrap();
+        }
+        let next = builder.build();
         let delta = EdgeDelta::between(&prev, &next);
         prop_assert!(delta.len() < n);
         prop_assert_eq!(&applied(&prev, &delta), &next);

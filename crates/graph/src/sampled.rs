@@ -5,7 +5,7 @@
 //! is drawn on the first query that needs it, and two values built from
 //! the same seed describe bit-for-bit the same graph.
 //!
-//! * [`Seeded`] — Erdős–Rényi `G(n, p)` or a random connected
+//! * `Seeded` — Erdős–Rényi `G(n, p)` or a random connected
 //!   `d`-regular graph, realized whole into a CSR [`Graph`] on first touch
 //!   and cached. `G(n, p)` draws node `v`'s *forward row* (the pairs
 //!   `{v, u}` with `u > v`) by geometric skipping over the candidates
@@ -15,7 +15,7 @@
 //!   [`Graph::rebuild_from_upper`] builds the CSR from, `O(n + m)` in
 //!   all. The regular graph is the seeded pairing-model draw of
 //!   [`crate::generators::random_connected_regular`].
-//! * [`CirculantLift`] — a seeded uniformly random relabeling of the
+//! * `CirculantLift` — a seeded uniformly random relabeling of the
 //!   `d`-regular circulant: node `v`'s neighbors are
 //!   `σ(σ⁻¹(v) ± j mod n)` for a permutation `σ` drawn once (seeded
 //!   Fisher–Yates, `O(n)` memory) on first touch. Exactly `d`-regular and

@@ -59,7 +59,8 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A graph view with implicit structured backends and a materialized
-/// fallback. See the [module docs](self) for the querying contract.
+/// fallback. The module docs of `gossip_graph::topology` give the
+/// querying contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     repr: Repr,

@@ -175,7 +175,7 @@ pub trait IncrementalProtocol: Protocol {
     ///
     /// `ctx` carries the active fault state and the remaining event
     /// budget (see [`WindowCtx`]).
-    /// The default delegates to [`generic_drive_window`], the scalar
+    /// The default delegates to `generic_drive_window`, the scalar
     /// per-event loop. A protocol may override it with a specialized
     /// loop that keeps its state in that loop's layout and consumes the
     /// per-trial RNG stream in its own order, as long as it samples the
@@ -396,7 +396,7 @@ impl IncrementalProtocol for CutRateAsync {
         self.rebuild_rates_static(g, informed, ws);
     }
 
-    /// Repairs a sparse delta in place ([`CutRateAsync::repair_delta`]),
+    /// Repairs a sparse delta in place (`CutRateAsync::repair_delta`),
     /// in the vectorized lane, whether or not it changes a degree. A dense
     /// delta, with at least twice as many changed edges as nodes (every
     /// node touched about four times), rebuilds instead: one pass over the

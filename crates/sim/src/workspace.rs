@@ -96,7 +96,7 @@ impl ShrinkPool {
 ///
 /// * the informed [`NodeSet`] comes back cleared (empty, right universe);
 /// * the trajectory buffer comes back empty (capacity retained);
-/// * [`ShrinkPool::reset_from`] refills pools in ascending node order,
+/// * `ShrinkPool::reset_from` refills pools in ascending node order,
 ///   exactly as a freshly grown pool;
 /// * the delta-repair mark bitsets are cleared before every use.
 ///

@@ -10,6 +10,8 @@
 //! * [`SimRng`] — the deterministic, seedable random source,
 //! * [`Exponential`], [`Poisson`], [`Geometric`] — the distributions the
 //!   paper's processes are built from,
+//! * [`BernoulliWords`], [`ZigguratExp`], [`GeometricSkip`] — exact bulk
+//!   kernels for the edge-Markovian step's coins and birth skips,
 //! * [`Nhpp`] — non-homogeneous Poisson processes by thinning (paper
 //!   Theorem 2.1 is validated against it),
 //! * [`FenwickSampler`] — O(log n) weighted sampling, the engine of the
@@ -43,6 +45,7 @@ mod error;
 mod fenwick;
 mod harmonic;
 mod histogram;
+mod kernels;
 pub mod ks;
 mod moments;
 mod outcomes;
@@ -57,6 +60,7 @@ pub use error::StatsError;
 pub use fenwick::FenwickSampler;
 pub use harmonic::{harmonic, harmonic_ratio};
 pub use histogram::Histogram;
+pub use kernels::{BernoulliWords, GeometricSkip, ZigguratExp};
 pub use moments::RunningMoments;
 pub use outcomes::OutcomeCounts;
 pub use quantiles::Quantiles;

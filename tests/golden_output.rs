@@ -31,7 +31,10 @@
 //! deleted) moved only lossy-expander, a random 6-regular graph. Pins (f),
 //! taken at version 5 and unchanged at 6, are regular graphs whose degree
 //! is a power of two, on which the float lane writes the count lane's
-//! bytes exactly.
+//! bytes exactly. Version 7 (edge-Markovian death coins drawn 64 to a
+//! word, birth skips from a ziggurat `Exp(1)`) moved only the
+//! edge-Markovian pins: (a) on both engines, (c), and the benchmark's
+//! edge-Markovian shape on both engines.
 //!
 //! The `#[ignore]`d test at the end pins the benchmark's two dynamic
 //! sweeps at full size; it runs in release (`cargo test --release --test
@@ -42,7 +45,7 @@ use rumor_spreading::prelude::*;
 use std::path::Path;
 
 /// The [`RESULTS_VERSION`] the digests below were taken at.
-const DIGESTS_VERSION: u32 = 6;
+const DIGESTS_VERSION: u32 = 7;
 
 /// Fails with the message a moved digest needs: the digests and the
 /// results version move together.
@@ -103,7 +106,8 @@ fn dynamic_family_jsonl_is_pinned() {
     // (a) Async push-pull on edge-Markovian churn: every window's flip
     // delta reaches the cut rates, which repair the sparse ones and, from
     // 2n changed edges up (a quarter of the n = 128 windows), rebuild
-    // (version 2); vectorized, in the lane (version 4).
+    // (version 2); vectorized, in the lane (version 4); coins in words and
+    // ziggurat birth skips (version 7).
     let churn = ScenarioSpec::from_json_str(
         r#"{
             "name": "golden-edge-markovian-async",
@@ -115,12 +119,12 @@ fn dynamic_family_jsonl_is_pinned() {
     .unwrap();
     assert_pinned(
         jsonl_digest(&churn),
-        (20, 0xe2a2_a652_9616_dd1d),
+        (20, 0xfa3e_42be_d67b_3c09),
         "edge-Markovian, async",
     );
     assert_pinned(
         jsonl_digest(&window(churn)),
-        (20, 0x132f_9eda_e6ff_8ce8),
+        (20, 0x38c1_1859_cbe9_94a4),
         "edge-Markovian, async, window engine",
     );
 
@@ -143,7 +147,7 @@ fn dynamic_family_jsonl_is_pinned() {
     let two_push = checked_in("edge-markovian.json");
     assert_pinned(
         jsonl_digest(&two_push),
-        (60, 0x21a9_568a_9cf1_403e),
+        (60, 0x1ddb_4f8c_8c2e_67d7),
         "edge-markovian.json",
     );
 }
@@ -333,10 +337,10 @@ fn benchmark_shapes_are_pinned() {
     )
     .unwrap();
     let pins = [
-        (churn.clone(), (40, 0x52f6_c74b_96c2_6744), "edge-Markovian"),
+        (churn.clone(), (40, 0x8656_c525_0104_190c), "edge-Markovian"),
         (
             window(churn),
-            (40, 0xf0fe_f94f_4e15_39db),
+            (40, 0x8c5a_e4a1_c79f_bd64),
             "edge-Markovian, window engine",
         ),
         (diligent.clone(), (40, 0xa8a3_7b7f_caea_5688), "G(n, 0.25)"),
