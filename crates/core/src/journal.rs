@@ -108,9 +108,7 @@ use crate::scenario::{ScenarioError, ScenarioPlan, ScenarioRow, ScenarioSpec};
 ///   birth skips from a ziggurat `Exp(1)` instead of a `ln` per skip: the
 ///   same per-pair law, other draws. Every edge-Markovian result moves,
 ///   on every engine and protocol; nothing else does (the `G(n, p)`
-///   rows, its initial graph included, keep `Geometric`'s draws, and the
-///   lane rebuilds that now read `1/d` from a per-node cache write the
-///   same bits).
+///   rows, its initial graph included, keep `Geometric`'s draws).
 pub const RESULTS_VERSION: u32 = 7;
 
 /// FNV-1a 64-bit hash of the spec's canonical (pretty JSON) rendering,

@@ -43,9 +43,7 @@
 //! the expander edits (a few bounded component searches per node leaving
 //! `G2`), the two strings, a netting of its edge log in a hash table, and
 //! an in-place [`gossip_graph::Graph::apply_changes`] that sorts only the
-//! delta's lower half-edges, rewrites the expander rows that keep their
-//! degree inside their own slots and moves rows only after the string's
-//! rows whose degree changes.
+//! delta's lower half-edges and moves the rows between touched rows.
 
 use crate::{DynamicNetwork, EdgeDelta, ProfiledNetwork, StepProfile};
 use gossip_graph::generators::{

@@ -261,12 +261,10 @@ impl Graph {
     /// changed edges when the change set is dense (`c ≥ n`, about every
     /// row touched): the upper rows are merged with the changes and the
     /// graph is rebuilt from them ([`Graph::rebuild_from_upper`]). A sparse
-    /// change set patches the touched rows in place: a row that keeps its
-    /// degree (one neighbour swapped for another) is rewritten inside its
-    /// own slot, and rows move by their offset shift only after a row
-    /// whose degree changes, shifts of zero not at all; only the `c` lower
-    /// half-edges are sorted (the upper ones arrive in row order), in
-    /// buffers reused across calls.
+    /// change set merges each touched row with its changes and moves the
+    /// untouched runs between touched rows by their offset shift, leaving
+    /// runs whose shift is zero where they are; only the `c` lower
+    /// half-edges are sorted (the upper ones arrive in row order).
     ///
     /// Both lists hold edges as `(u, v)` with `u < v`, in lexicographic
     /// order (as [`Graph::edges`] and the dynamic networks' deltas give
@@ -306,138 +304,109 @@ impl Graph {
         }
     }
 
-    /// [`Graph::apply_changes`] for sparse change sets, in place. Each
-    /// touched row first drops its removed neighbours inside its old slot.
-    /// Then the rows move by their offset shift in blocks that end at a
-    /// row whose degree changes, each block carrying only the live entries
-    /// of that last row; a row that keeps its degree moves with its block
-    /// and is not a block end. Last, each touched row merges its added
-    /// neighbours in from the back of its new slot, and the offsets after
-    /// each degree change follow. The half-edge lists and the per-row
-    /// records live in reused per-thread buffers.
+    /// [`Graph::apply_changes`] for sparse change sets: touched rows
+    /// merged with their sorted half-edges, untouched runs moved.
     fn merge_changes(
         &mut self,
         added: &[(NodeId, NodeId)],
         removed: &[(NodeId, NodeId)],
         volume: usize,
     ) {
-        CHANGE_BUFFERS.with(|buffers| {
-            let buffers = &mut *buffers.borrow_mut();
-            buffers.plus.fill_halves(added, &mut buffers.lower);
-            buffers.minus.fill_halves(removed, &mut buffers.lower);
-            self.patch_rows(buffers, volume);
-        });
-    }
-
-    /// The body of [`Graph::merge_changes`] over the filled buffers.
-    fn patch_rows(&mut self, buffers: &mut ChangeBuffers, volume: usize) {
         let n = self.n();
-        let ChangeBuffers {
-            plus,
-            minus,
-            touched,
-            ..
-        } = buffers;
-        let (plus, minus) = (&plus.0, &minus.0);
+        // Half-edges keyed `row << 32 | neighbor`, in row order: the upper
+        // halves are already sorted, the lower ones are sorted and merged
+        // in.
+        let halves = |edges: &[(NodeId, NodeId)]| {
+            let key = |r: NodeId, w: NodeId| u64::from(r) << 32 | u64::from(w);
+            let mut lower: Vec<u64> = edges.iter().map(|&(u, v)| key(v, u)).collect();
+            lower.sort_unstable();
+            let mut h = Vec::with_capacity(2 * edges.len());
+            let mut lower = lower.into_iter().peekable();
+            for &(u, v) in edges {
+                let upper = key(u, v);
+                while let Some(l) = lower.next_if(|&l| l < upper) {
+                    h.push(l);
+                }
+                h.push(upper);
+            }
+            h.extend(lower);
+            h
+        };
+        let (plus, minus) = (halves(added), halves(removed));
         let row_of = |h: Option<&u64>| h.map_or(n, |&h| (h >> 32) as usize);
-        // Every touched row drops its removed neighbours at its old place.
-        touched.clear();
-        let (mut i, mut j, mut shift, mut block_start) = (0, 0, 0i64, 0);
+        // Each touched row merged with its changes, back to back in
+        // `merged`, and per touched row: its index and the cumulative
+        // offset shift of the rows after it.
+        let mut merged = Vec::new();
+        let mut touched: Vec<(usize, i64)> = Vec::new();
+        let mut shift = 0i64;
+        let (mut i, mut j) = (0, 0);
         loop {
             let row = row_of(plus.get(i)).min(row_of(minus.get(j)));
             if row == n {
                 break;
             }
-            let end = ((row as u64) + 1) << 32;
-            let first_plus = i;
-            while i < plus.len() && plus[i] < end {
+            let start = merged.len();
+            let (lo, hi) = ((row as u64) << 32, (row as u64 + 1) << 32);
+            for &w in self.neighbors(row as NodeId) {
+                let here = lo | u64::from(w);
+                while i < plus.len() && plus[i] < here {
+                    merged.push(plus[i] as NodeId);
+                    i += 1;
+                }
+                debug_assert!(
+                    plus.get(i) != Some(&here),
+                    "added edge ({row}, {w}) is present"
+                );
+                if minus.get(j) == Some(&here) {
+                    j += 1;
+                } else {
+                    merged.push(w);
+                }
+            }
+            while i < plus.len() && plus[i] < hi {
+                merged.push(plus[i] as NodeId);
                 i += 1;
             }
-            let (lo, hi) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
-            let mut live = lo;
-            for at in lo..hi {
-                let w = self.neighbors[at];
-                let here = (row as u64) << 32 | u64::from(w);
-                let gone = minus.get(j) == Some(&here);
-                self.neighbors[live] = w;
-                live += usize::from(!gone);
-                j += usize::from(gone);
-            }
-            assert!(
-                j == minus.len() || minus[j] >= end,
+            debug_assert!(
+                j == minus.len() || minus[j] >= hi,
                 "a removed edge of row {row} is absent"
             );
-            let degree = hi - lo;
-            let t = TouchedRow {
-                row,
-                degree,
-                live: live - lo,
-                adds: first_plus..i,
-                before: shift,
-                block: block_start,
-            };
-            shift = t.after();
-            if shift != t.before {
-                block_start = row + 1;
-            }
-            touched.push(t);
+            shift += (merged.len() - start) as i64 - self.degree(row as NodeId) as i64;
+            touched.push((row, shift));
         }
+        // The untouched run after touched row `k` (up to the next touched
+        // row) moves by its shift. Destinations keep the runs' order and
+        // the touched rows' old slots are already copied out, so runs
+        // moving left go front to back and runs moving right back to front.
+        let run = |k: usize| {
+            let end = touched.get(k + 1).map_or(n, |t| t.0);
+            (touched[k].0 + 1, end, touched[k].1)
+        };
         if volume > self.neighbors.len() {
             self.neighbors.resize(volume, 0);
         }
-        // Each row whose degree changes ends a block that starts after the
-        // previous one and moves by the shift of the rows before it,
-        // carrying only the live entries of its last row; the last block
-        // runs to the end. Destinations keep the blocks' order, so blocks
-        // moving left go front to back and blocks moving right back to
-        // front.
-        let offsets = &self.offsets;
-        let last = (offsets[block_start] as usize, offsets[n] as usize, shift);
-        let blocks = || {
-            touched
-                .iter()
-                .filter(|t| t.changes_degree())
-                .map(|t| {
-                    let end = offsets[t.row] as usize + t.live;
-                    (offsets[t.block] as usize, end, t.before)
-                })
-                .chain([last])
-        };
-        let left = blocks().filter(|b| b.2 < 0);
-        let right = blocks().rev().filter(|b| b.2 > 0);
-        for (from, to, shift) in left.chain(right) {
+        let left = (0..touched.len()).filter(|&k| touched[k].1 < 0);
+        let right = (0..touched.len()).rev().filter(|&k| touched[k].1 > 0);
+        for (first, end, shift) in left.chain(right).map(run) {
+            let (from, to) = (self.offsets[first] as usize, self.offsets[end] as usize);
             self.neighbors
                 .copy_within(from..to, (from as i64 + shift) as usize);
         }
-        // Each touched row merges its additions in from the back.
-        for t in touched.iter() {
-            let start = (self.offsets[t.row] as i64 + t.before) as usize;
-            let (mut a, mut b) = (t.live, t.adds.len());
-            let mut k = a + b;
-            while b > 0 {
-                let add = plus[t.adds.start + b - 1] as NodeId;
-                k -= 1;
-                if a > 0 && self.neighbors[start + a - 1] > add {
-                    self.neighbors[start + k] = self.neighbors[start + a - 1];
-                    a -= 1;
-                } else {
-                    debug_assert!(
-                        a == 0 || self.neighbors[start + a - 1] != add,
-                        "added edge ({}, {add}) is present",
-                        t.row
-                    );
-                    self.neighbors[start + k] = add;
-                    b -= 1;
-                }
-            }
+        // The merged rows land in the gaps, then the offsets follow.
+        let mut at = 0;
+        let mut before = 0i64;
+        for &(row, shift) in &touched {
+            let start = (self.offsets[row] as i64 + before) as usize;
+            let len = (shift - before + self.degree(row as NodeId) as i64) as usize;
+            self.neighbors[start..start + len].copy_from_slice(&merged[at..at + len]);
+            at += len;
+            before = shift;
         }
-        // The offsets after each degree change move by the shift after it.
-        let mut changes = touched.iter().filter(|t| t.changes_degree()).peekable();
-        while let Some(t) = changes.next() {
-            let last = changes.peek().map_or(n, |next| next.row);
-            for o in &mut self.offsets[t.row + 1..=last] {
-                // The wrapping shift is exact: the volume fits u32.
-                *o = o.wrapping_add(t.after() as u32);
+        for (first, end, shift) in (0..touched.len()).map(run).filter(|r| r.2 != 0) {
+            // The wrapping shift is exact: the volume fits u32.
+            for o in &mut self.offsets[first..=end] {
+                *o = o.wrapping_add(shift as u32);
             }
         }
         self.neighbors.truncate(volume);
@@ -489,78 +458,6 @@ impl Graph {
 /// Whether `edges` is strictly lexicographic with `u < v` in every edge.
 fn is_lex_sorted(edges: &[(NodeId, NodeId)]) -> bool {
     edges.iter().all(|&(u, v)| u < v) && edges.windows(2).all(|w| w[0] < w[1])
-}
-
-thread_local! {
-    /// The sparse [`Graph::apply_changes`] buffers, reused across calls.
-    static CHANGE_BUFFERS: std::cell::RefCell<ChangeBuffers> = std::cell::RefCell::default();
-}
-
-/// Reused buffers of a sparse [`Graph::apply_changes`].
-#[derive(Debug, Default)]
-struct ChangeBuffers {
-    /// The added and the removed half-edges.
-    plus: Halves,
-    minus: Halves,
-    /// The lower half-edges being sorted.
-    lower: Vec<u64>,
-    /// One record per touched row, in row order.
-    touched: Vec<TouchedRow>,
-}
-
-/// Half-edges keyed `row << 32 | neighbor`, in row order.
-#[derive(Debug, Default)]
-struct Halves(Vec<u64>);
-
-impl Halves {
-    /// Both halves of the lexicographic `edges`: the upper ones arrive in
-    /// row order, the lower ones are sorted and merged in.
-    fn fill_halves(&mut self, edges: &[(NodeId, NodeId)], lower: &mut Vec<u64>) {
-        let key = |r: NodeId, w: NodeId| u64::from(r) << 32 | u64::from(w);
-        lower.clear();
-        lower.extend(edges.iter().map(|&(u, v)| key(v, u)));
-        lower.sort_unstable();
-        let h = &mut self.0;
-        h.clear();
-        let mut l = 0;
-        for &(u, v) in edges {
-            let upper = key(u, v);
-            while l < lower.len() && lower[l] < upper {
-                h.push(lower[l]);
-                l += 1;
-            }
-            h.push(upper);
-        }
-        h.extend_from_slice(&lower[l..]);
-    }
-}
-
-/// A touched row of a sparse [`Graph::apply_changes`].
-#[derive(Debug)]
-struct TouchedRow {
-    row: usize,
-    /// Its degree before the change.
-    degree: usize,
-    /// Its entries left after the removals.
-    live: usize,
-    /// Its additions, as a range of the added half-edges.
-    adds: std::ops::Range<usize>,
-    /// The offset shift of the rows before it.
-    before: i64,
-    /// The first row of its block (the row after the previous degree
-    /// change).
-    block: usize,
-}
-
-impl TouchedRow {
-    /// The offset shift of the rows after it.
-    fn after(&self) -> i64 {
-        self.before + (self.live + self.adds.len()) as i64 - self.degree as i64
-    }
-
-    fn changes_degree(&self) -> bool {
-        self.live + self.adds.len() != self.degree
-    }
 }
 
 /// Iterator over the edges of a [`Graph`], produced by [`Graph::edges`].

@@ -122,15 +122,19 @@ struct FastLane {
 
 impl FastLane {
     /// Builds the lane for topology `g` and the informed set in one pass
-    /// over the nodes: the inverse-degree cache (filled eagerly so the
-    /// hot loop carries no lazy-fill branch or division), then from it the
-    /// same per-node sums a Fenwick rebuild stores ([`fill_rates`]), and
-    /// the frontier, `λ` and the rate bound in index order.
+    /// over the nodes: the same per-node sums a Fenwick rebuild stores
+    /// ([`fill_rates`]), the inverse-degree cache (filled eagerly so the
+    /// hot loop carries no lazy-fill branch or division), and the
+    /// frontier, `λ` and the rate bound in index order.
     fn build(&mut self, g: &Topology, informed: &NodeSet) {
         let n = g.n();
-        fill_deg_invs(g, &mut self.deg_invs);
         self.rates.resize(n, 0.0);
-        fill_rates(g, informed, &self.deg_invs, &mut self.rates);
+        fill_rates(g, informed, &mut self.rates);
+        // Degree-0 nodes get an infinite inverse, but they are never
+        // informed and never scanned as neighbors, so it is never read.
+        self.deg_invs.clear();
+        self.deg_invs
+            .extend((0..n as NodeId).map(|v| 1.0 / g.degree(v) as f64));
         // Slots past `flen` are written before they are read, so only the
         // length matters.
         self.members.resize(n, 0);
@@ -261,41 +265,33 @@ impl Variates {
     }
 }
 
-/// Writes every node's `1/d` into `deg_invs` (infinite for an isolated
-/// node, which is never informed and never scanned as a neighbor, so it is
-/// never read).
-fn fill_deg_invs(g: &Topology, deg_invs: &mut Vec<f64>) {
-    deg_invs.clear();
-    deg_invs.extend((0..g.n() as NodeId).map(|v| 1.0 / g.degree(v) as f64));
-}
-
 /// Writes every node's in-rate `r_v = Σ_{u ∈ I ∩ N(v)} (1/d_u + 1/d_v)`
 /// into `w`, zeroing it first: pushed from each informed node when they are
-/// at most half, pulled by each uninformed node otherwise. Each `1/d` is
-/// read from `deg_invs` ([`fill_deg_invs`]), not divided again per
-/// visited edge. The window engine's Fenwick tree and the event engine's
-/// vectorized lane both build from it, so they hold the same sums.
-fn fill_rates(g: &Topology, informed: &NodeSet, deg_invs: &[f64], w: &mut [f64]) {
+/// at most half, pulled by each uninformed node otherwise. The window
+/// engine's Fenwick tree and the event engine's vectorized lane both build
+/// from it, so they hold the same sums.
+fn fill_rates(g: &Topology, informed: &NodeSet, w: &mut [f64]) {
     w.iter_mut().for_each(|x| *x = 0.0);
     if informed.len() * 2 <= w.len() {
         for u in informed.iter() {
-            let du_inv = deg_invs[u as usize];
+            let du_inv = 1.0 / g.degree(u) as f64;
             g.for_each_neighbor(u, |v| {
                 if !informed.contains(v) {
-                    w[v as usize] += du_inv + deg_invs[v as usize];
+                    w[v as usize] += du_inv + 1.0 / g.degree(v) as f64;
                 }
             });
         }
     } else {
         for v in informed.iter_complement() {
-            if g.degree(v) == 0 {
+            let dv = g.degree(v);
+            if dv == 0 {
                 continue;
             }
-            let dv_inv = deg_invs[v as usize];
+            let dv_inv = 1.0 / dv as f64;
             let mut r = 0.0;
             g.for_each_neighbor(v, |u| {
                 if informed.contains(u) {
-                    r += deg_invs[u as usize] + dv_inv;
+                    r += 1.0 / g.degree(u) as f64 + dv_inv;
                 }
             });
             w[v as usize] = r;
@@ -398,12 +394,8 @@ impl CutRateAsync {
             Some(RateState::Fenwick(f)) if f.len() == n => f,
             _ => FenwickSampler::new(n),
         };
-        // The lane's inverse-degree cache is scratch while the tree is the
-        // state.
-        let deg_invs = &mut self.fast.deg_invs;
-        fill_deg_invs(g, deg_invs);
         rates
-            .rebuild_into(n, |w| fill_rates(g, informed, deg_invs, w))
+            .rebuild_into(n, |w| fill_rates(g, informed, w))
             .expect("rates are finite");
         self.state = Some(RateState::Fenwick(rates));
     }
@@ -738,8 +730,7 @@ impl CutRateAsync {
 
     /// Refreshes the inverse degrees of the changed-edge endpoints
     /// `touched`, recomputes the in-rate of every `stale` node in the
-    /// given order (`O(deg(v))` each, reading the refreshed `1/d`), and
-    /// drops the frontier members
+    /// given order (`O(deg(v))` each), and drops the frontier members
     /// whose rate fell to zero; `λ` and the rate bound follow the
     /// recomputed rates.
     pub(crate) fn repair_lane(
@@ -758,13 +749,13 @@ impl CutRateAsync {
         }
         for v in stale {
             debug_assert!(!informed.contains(v), "informed nodes carry no in-rate");
-            let deg_invs = &self.fast.deg_invs;
+            let dv = g.degree(v);
             let mut r = 0.0;
-            if g.degree(v) > 0 {
-                let dv_inv = deg_invs[v as usize];
+            if dv > 0 {
+                let dv_inv = 1.0 / dv as f64;
                 g.for_each_neighbor(v, |u| {
                     if informed.contains(u) {
-                        r += deg_invs[u as usize] + dv_inv;
+                        r += 1.0 / g.degree(u) as f64 + dv_inv;
                     }
                 });
             }

@@ -1,6 +1,6 @@
 //! Exact draw kernels for bulk sampling: 64 Bernoulli coins per word
-//! ([`BernoulliWords`]), a ziggurat `Exp(1)` ([`ZigguratExp`]) and the
-//! geometric skips it drives ([`GeometricSkip`]).
+//! ([`BernoulliWords`]) and geometric skips driven by a ziggurat `Exp(1)`
+//! ([`GeometricSkip`]).
 //!
 //! They serve the edge-Markovian step, which draws a death coin per
 //! current edge and a geometric skip per birth. Each kernel is exact up
@@ -172,35 +172,20 @@ fn tables() -> &'static Tables {
 /// layer's inner rectangle and cost that draw, a compare and a multiply.
 /// The rest take the wedge test against `e^{−x}` or, from the base layer,
 /// `R + Exp(1)` for the tail beyond `R`, which is exact by memorylessness.
-///
-/// # Example
-///
-/// ```
-/// # use gossip_stats::{SimRng, ZigguratExp};
-/// let exp = ZigguratExp::new();
-/// let mut rng = SimRng::seed_from_u64(2);
-/// assert!(exp.sample(&mut rng) >= 0.0);
-/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct ZigguratExp {
+struct ZigguratExp {
     tables: &'static Tables,
-}
-
-impl Default for ZigguratExp {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ZigguratExp {
     /// The sampler (its tables are built by the first one in a process).
-    pub fn new() -> Self {
+    fn new() -> Self {
         ZigguratExp { tables: tables() }
     }
 
     /// One `Exp(1)` variate.
     #[inline]
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    fn sample(&self, rng: &mut SimRng) -> f64 {
         let r = rng.next_u64();
         let (i, j) = ((r & 0xff) as usize, r >> 8);
         if j < self.tables.limit[i] {
@@ -232,7 +217,9 @@ impl ZigguratExp {
 /// Geometric skips `G ≥ 1` with `P(G > k) = (1 − p)^k`: the gap to the
 /// next success in a run of Bernoulli(`p`) trials.
 ///
-/// A skip is `⌊E/λ⌋ + 1` for `E ~ Exp(1)` ([`ZigguratExp`]) and
+/// A skip is `⌊E/λ⌋ + 1` for `E ~ Exp(1)`, drawn by a 256-layer ziggurat
+/// (Marsaglia and Tsang, 2000; about 99% of draws cost one
+/// [`SimRng::next_u64`], a compare and a multiply), and
 /// `λ = −ln(1 − p)`, computed as `−ln_1p(−p)` so that a tiny `p` keeps
 /// its rate; `1/λ` is taken once, and a skip too large for a `u64`
 /// saturates at `u64::MAX`. No logarithm per draw, unlike

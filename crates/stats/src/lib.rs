@@ -10,7 +10,7 @@
 //! * [`SimRng`] — the deterministic, seedable random source,
 //! * [`Exponential`], [`Poisson`], [`Geometric`] — the distributions the
 //!   paper's processes are built from,
-//! * [`BernoulliWords`], [`ZigguratExp`], [`GeometricSkip`] — exact bulk
+//! * [`BernoulliWords`], [`GeometricSkip`] — exact bulk
 //!   kernels for the edge-Markovian step's coins and birth skips,
 //! * [`Nhpp`] — non-homogeneous Poisson processes by thinning (paper
 //!   Theorem 2.1 is validated against it),
@@ -60,7 +60,7 @@ pub use error::StatsError;
 pub use fenwick::FenwickSampler;
 pub use harmonic::{harmonic, harmonic_ratio};
 pub use histogram::Histogram;
-pub use kernels::{BernoulliWords, GeometricSkip, ZigguratExp};
+pub use kernels::{BernoulliWords, GeometricSkip};
 pub use moments::RunningMoments;
 pub use outcomes::OutcomeCounts;
 pub use quantiles::Quantiles;
